@@ -263,7 +263,9 @@ def cmd_jacobi(args):
     jt = jacobi_field(data, base, x0, y0, xp0, yp0, args.step)
     resid = float(np.max(np.abs(jt.xp - jt.y * jt.tau_x)))
     checks = [{"name": "x_prime_equals_y_tau_x", "value": resid,
-               "tolerance": 1e-10, "pass": resid < 1e-10}]
+               "tolerance": 1e-10, "pass": resid < 1e-10},
+              {"name": "stayed_in_patch", "value": base.left_patch,
+               "tolerance": False, "pass": not base.left_patch}]
     payload = {"example": args.example, "start": args.start, "dir": args.dir,
                "length": args.length, "step": args.step, "init": args.init}
     report = _report("jacobi", payload, checks)

@@ -17,14 +17,18 @@ Torsion 2-forms are identified with vector fields through the metric the
 connection preserves: ``tau := T(f1, f2)`` for a positively oriented
 orthonormal frame (f1, f2).
 
-Everything here is a pure evaluator over read-only inputs; the only mutable
-state is a lock-guarded memoization of fundamental data, so concurrent reads
-from multiple threads are safe and verdicts are plain value objects.
+Everything here is a pure evaluator over read-only inputs, and verdicts are
+plain value objects.  The only mutable state is the immersion provider's
+memo of fundamental data, a ``functools.lru_cache`` of ``MEMO_SIZE`` entries
+keyed on the parameter point.  It serves points that callers re-request
+close together: ``connection_form``, for one, reads III and B on the same
+finite-difference stencil.  Its fixed size keeps long traces in constant
+memory, and it is safe for concurrent reads.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,7 @@ from .errors import (
 from .immersion import fundamental_forms, induced_metric_field
 
 DET_B_FLOOR = 1e-10
+MEMO_SIZE = 64  # fundamental data kept per immersion provider
 EPS_2D = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eps_{ij}, eps_12 = +1
 
 
@@ -203,23 +208,16 @@ class _ImmersionProvider(_OperatorProvider):
     def __init__(self, patch, ambient, fd_step=1e-4):
         self.patch = patch
         self.ambient = ambient
-        self._cache = {}
-        self._lock = threading.Lock()
+        # called through the module binding, so wrappers of fundamental_forms see it
+        self._memo = functools.lru_cache(maxsize=MEMO_SIZE)(
+            lambda u, v: fundamental_forms(patch, ambient, np.array([u, v])))
         sigma = induced_metric_field(patch, ambient)
         super().__init__(sigma, self._shape_at, fd_step=fd_step,
                          name=f"dual[{patch.name}]")
 
     def fundamental(self, q):
         q = as_point(q, 2)
-        key = (float(q[0]), float(q[1]))
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        data = fundamental_forms(self.patch, self.ambient, q)
-        with self._lock:
-            self._cache[key] = data
-        return data
+        return self._memo(float(q[0]), float(q[1]))
 
     def _shape_at(self, q):
         return self.fundamental(q).shape_operator

@@ -6,17 +6,28 @@ sign flip), so on the unit sphere with outward normal B is the identity.  The
 second fundamental form is ``II(x, y) = I(Bx, y)`` and the third is
 ``III(x, y) = I(Bx, By)``.
 
-Evaluators are pure; patches are safe for concurrent reads.
+Evaluators are pure; patches are safe for concurrent reads.  Fundamental
+data fill their curvature fields on first read; the fill is idempotent, so
+concurrent reads of one object are safe too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _fd
-from .ambient import ChartBox, MetricField, as_point, christoffel, riemann_operator, riemann_sectional
+from .ambient import (
+    ChartBox,
+    MetricField,
+    as_point,
+    christoffel,
+    riemann_covariant,
+    riemann_operator,
+    riemann_sectional,
+)
 from .errors import DegenerateImmersion, PointOutsideChart
 
 RANK_FLOOR = 1e-10
@@ -93,7 +104,22 @@ class SurfacePatch:
 
 @dataclass
 class FundamentalData:
-    """First/second/third fundamental forms and friends at one parameter point."""
+    """First/second/third fundamental forms and friends at one parameter point.
+
+    The shape layer (point, Jacobian, I, II, B, III and the normal) is filled
+    on construction and costs one ambient metric, the ambient Christoffel
+    symbols and the patch's first and second partials.  The curvature layer
+    is computed on first read and then kept:
+
+    * ``k_intrinsic``, the curvature of I, costs one Riemann tensor of the
+      induced metric (finite-difference second partials of I);
+    * ``k_ambient_tangent``, the ambient sectional curvature on the tangent
+      plane, costs one ambient Riemann tensor;
+    * ``k_extrinsic = K_I - K_M(T Sigma)`` costs both.
+
+    Connection coefficients need only the shape layer, so they never pay
+    for the curvature layer.
+    """
 
     q: np.ndarray
     point: np.ndarray
@@ -103,9 +129,41 @@ class FundamentalData:
     third: np.ndarray        # III, 2x2
     shape_operator: np.ndarray  # B, 2x2
     normal: np.ndarray       # N, 3 components, g-unit
-    k_intrinsic: float       # curvature of I
-    k_ambient_tangent: float  # ambient sectional curvature on the tangent plane
-    k_extrinsic: float       # K_e = K_I - K_M(T Sigma)
+    patch: SurfacePatch = field(repr=False, compare=False)
+    ambient: MetricField = field(repr=False, compare=False)
+
+    @cached_property
+    def k_intrinsic(self):
+        """Curvature of I."""
+        rm2 = riemann_covariant(induced_metric_field(self.patch, self.ambient), self.q)
+        return float(rm2[0, 1, 1, 0] / np.linalg.det(self.first))
+
+    @cached_property
+    def k_ambient_tangent(self):
+        """Ambient sectional curvature on the tangent plane."""
+        return riemann_sectional(self.ambient, self.point,
+                                 self.jacobian[:, 0], self.jacobian[:, 1])
+
+    @cached_property
+    def k_extrinsic(self):
+        """K_e = K_I - K_M(T Sigma)."""
+        return self.k_intrinsic - self.k_ambient_tangent
+
+
+def _frame(patch, q, g, jac):
+    """I and the oriented g-unit normal from the ambient metric and the
+    Jacobian at q; checks the rank once."""
+    first = jac.T @ g @ jac
+    gram = np.linalg.det(first)
+    # d1 phi x d2 phi annihilates the tangent plane; written out because
+    # np.cross costs more than the rest of the frame on 3-vectors
+    (a0, b0), (a1, b1), (a2, b2) = jac.tolist()
+    cov = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    n = np.linalg.solve(g, cov)
+    norm2 = n @ g @ n
+    if norm2 <= 0 or gram < RANK_FLOOR:
+        raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
+    return first, patch.orientation * n / np.sqrt(norm2)
 
 
 def unit_normal(patch, ambient, q):
@@ -117,15 +175,7 @@ def unit_normal(patch, ambient, q):
     q = as_point(q, 2)
     p = patch.point(q)
     ambient.require_inside(p)
-    g = ambient.matrix(p)
-    jac = patch.jacobian(q)
-    cov = np.cross(jac[:, 0], jac[:, 1])  # annihilates the tangent plane
-    n = np.linalg.solve(g, cov)
-    norm2 = n @ g @ n
-    gram = np.linalg.det(jac.T @ g @ jac)
-    if norm2 <= 0 or gram < RANK_FLOOR:
-        raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
-    return patch.orientation * n / np.sqrt(norm2)
+    return _frame(patch, q, ambient.matrix(p), patch.jacobian(q))[1]
 
 
 def induced_metric_field(patch, ambient, fd_step=None):
@@ -160,17 +210,15 @@ def induced_metric_field(patch, ambient, fd_step=None):
 
 
 def fundamental_forms(patch, ambient, q):
-    """All fundamental data of the immersion at parameter point q."""
+    """Fundamental data of the immersion at parameter point q: the shape
+    layer now, the curvature layer on first read (see FundamentalData)."""
     q = as_point(q, 2)
     patch.require_inside(q, margin=patch.fd_margin())
     p = patch.point(q)
+    ambient.require_inside(p)
     g = ambient.matrix(p)
     jac = patch.jacobian(q)
-    first = jac.T @ g @ jac
-    gram = np.linalg.det(first)
-    if gram < RANK_FLOOR:
-        raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
-    n = unit_normal(patch, ambient, q)
+    first, n = _frame(patch, q, g, jac)
 
     gam = christoffel(ambient, p)
     hess = patch.hessian(q)
@@ -180,16 +228,9 @@ def fundamental_forms(patch, ambient, q):
     second = -np.einsum("iab,ij,j->ab", s, g, n)
     shape = np.linalg.solve(first, second)
     third = shape.T @ first @ shape
-
-    ifield = induced_metric_field(patch, ambient)
-    from .ambient import riemann_covariant as _rc
-    rm2 = _rc(ifield, q)
-    k_intr = float(rm2[0, 1, 1, 0] / gram)
-    k_amb = riemann_sectional(ambient, p, jac[:, 0], jac[:, 1])
     return FundamentalData(
         q=q, point=p, jacobian=jac, first=first, second=second, third=third,
-        shape_operator=shape, normal=n, k_intrinsic=k_intr,
-        k_ambient_tangent=k_amb, k_extrinsic=k_intr - k_amb,
+        shape_operator=shape, normal=n, patch=patch, ambient=ambient,
     )
 
 

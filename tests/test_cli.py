@@ -118,6 +118,20 @@ def test_jacobi_command():
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["final"]["y"] - np.sin(1.5)) < 1e-5
+    assert {c["name"]: c["pass"] for c in doc["checks"]}["stayed_in_patch"] is True
+
+
+def test_jacobi_command_reports_leaving_the_chart():
+    # the saddle's axis geodesic u = tan(s + atan 0.7) leaves the box |u| <= 1
+    # at s = pi/4 - atan 0.7 ~ 0.18, well short of the requested length
+    code, out, _ = run_cli("jacobi", "--example", "saddle", "--start", "0.7,0",
+                           "--dir", "1,0", "--length", "0.5", "--step", "1e-2",
+                           "--init", "0,0,0,1", "--json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    check = {c["name"]: c for c in doc["checks"]}["stayed_in_patch"]
+    assert check["value"] is True and check["pass"] is False
 
 
 def test_gauss_bonnet_command(tmp_path):

@@ -258,3 +258,44 @@ def test_measured_gradient_constants(slice_data):
     # estimates are numerical-noise small
     assert 0.0 <= c_sigma < 1e-4
     assert 0.0 <= c_mu < 1e-3
+
+
+def test_immersion_gamma_and_third_form_skip_curvature(monkeypatch):
+    """Connection coefficients and III need only the shape layer: no
+    Riemann tensor is built until a curvature field is read."""
+    from efimov_lab import ambient, immersion
+
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("riemann_covariant", "riemann_sectional"):
+        fn = counting(getattr(ambient, name))
+        monkeypatch.setattr(ambient, name, fn)
+        monkeypatch.setattr(immersion, name, fn)
+    data = gallery.build_example("hyperbolic_slice", **{"lambda": 1.0}).data
+    for q in ([0.2, 0.4], [-0.3, 0.1]):
+        data.gamma(q)
+        data.third_form(q)
+        data.third_form_partials(q)
+    assert calls == []
+    data.curvature([0.2, 0.4])
+    assert calls  # the counter does see the curvature layer
+
+
+def test_immersion_memo_is_bounded(saddle_data):
+    from efimov_lab.connection import MEMO_SIZE
+    from efimov_lab.curves import integrate_geodesic
+
+    memo = saddle_data.provider._memo
+    memo.cache_clear()
+    q = np.array([0.0, 0.0])
+    tr = integrate_geodesic(saddle_data, q, saddle_data.unit(q, [1.0, 0.3]), 0.2, 1e-3)
+    assert len(tr.s) == 201 and not tr.left_patch
+    info = memo.cache_info()
+    assert info.misses > 30 * 200  # every RK4 step visits fresh points
+    assert info.currsize <= MEMO_SIZE

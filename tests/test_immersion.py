@@ -9,6 +9,7 @@ from efimov_lab.immersion import (
     dnabla_b,
     fundamental_forms,
     gauss_residual,
+    unit_normal,
 )
 from efimov_lab.ambient import ChartBox
 
@@ -26,6 +27,7 @@ def test_unit_sphere_shape_operator(euclid):
     d = fundamental_forms(patch, euclid, [1.1, 0.7])
     # outward normal: B is the identity, det B = 1, K_I = 1
     assert np.max(np.abs(d.normal - d.point)) < 1e-12
+    assert np.array_equal(unit_normal(patch, euclid, [1.1, 0.7]), d.normal)
     assert np.max(np.abs(d.shape_operator - np.eye(2))) < 1e-10
     assert abs(np.linalg.det(d.shape_operator) - 1.0) < 1e-10
     assert abs(d.k_intrinsic - 1.0) < 1e-6
@@ -99,6 +101,8 @@ def test_degenerate_immersion(euclid):
                        ChartBox.cube(2, 1.0), name="collapsed")
     with pytest.raises(DegenerateImmersion):
         fundamental_forms(bad, euclid, [0.0, 0.0])
+    with pytest.raises(DegenerateImmersion):
+        unit_normal(bad, euclid, [0.0, 0.0])
 
 
 def test_gallery_gauss_residuals_small(euclid):
@@ -121,3 +125,29 @@ def test_shape_operator_symmetric_wrt_first_form():
             d = fundamental_forms(case.patch, case.metric, q)
             ib = d.first @ d.shape_operator
             assert np.max(np.abs(ib - ib.T)) < 1e-9
+
+
+def test_curvature_layer_is_lazy(monkeypatch):
+    """The shape layer is built on construction; the curvature fields are
+    computed on first read, once, and K_e = K_I - K_M(T Sigma) holds."""
+    from efimov_lab import ambient, immersion
+
+    calls = []
+    real = ambient.riemann_covariant
+
+    def counted(metric, p):
+        calls.append(metric.name)
+        return real(metric, p)
+
+    monkeypatch.setattr(ambient, "riemann_covariant", counted)
+    monkeypatch.setattr(immersion, "riemann_covariant", counted)
+    case = gallery.build_example("hyperbolic_slice", **{"lambda": 1.0})
+    d = fundamental_forms(case.patch, case.metric, [0.2, 0.4])
+    assert calls == []
+    assert not {"k_intrinsic", "k_ambient_tangent", "k_extrinsic"} & set(vars(d))
+    k_e = d.k_extrinsic
+    assert len(calls) == 2  # one Riemann tensor of I, one of the ambient
+    assert k_e == d.k_intrinsic - d.k_ambient_tangent
+    assert len(calls) == 2
+    assert abs(d.k_intrinsic + 1.0) < 1e-6
+    assert abs(k_e - np.linalg.det(d.shape_operator)) < 1e-6
