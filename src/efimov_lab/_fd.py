@@ -16,7 +16,7 @@ def _basis(n, i):
     return e
 
 
-def central(f, x, i, h, richardson=True):
+def central(f, x, i, h):
     """d f / d x_i at x by central differences.
 
     ``f`` maps an (n,) array to a scalar or ndarray.
@@ -27,12 +27,10 @@ def central(f, x, i, h, richardson=True):
     def d(hh):
         return (np.asarray(f(x + hh * e)) - np.asarray(f(x - hh * e))) / (2.0 * hh)
 
-    if not richardson:
-        return d(h)
     return (4.0 * d(h / 2.0) - d(h)) / 3.0
 
 
-def second(f, x, i, j, h, richardson=True):
+def second(f, x, i, j, h):
     """d^2 f / dx_i dx_j at x by central stencils."""
     x = np.asarray(x, dtype=float)
     ei = _basis(x.size, i)
@@ -51,23 +49,19 @@ def second(f, x, i, j, h, richardson=True):
                 + np.asarray(f(x - hh * ei - hh * ej))
             ) / (4.0 * hh * hh)
 
-    if not richardson:
-        return d(h)
     return (4.0 * d(h / 2.0) - d(h)) / 3.0
 
 
-def gradient(f, x, h, richardson=True):
+def gradient(f, x, h):
     """Stack of central(f, x, i) over all coordinates; leading axis indexes i."""
     x = np.asarray(x, dtype=float)
-    return np.stack([central(f, x, i, h, richardson) for i in range(x.size)])
+    return np.stack([central(f, x, i, h) for i in range(x.size)])
 
 
-def derivative_along(f, s, h, richardson=True):
+def derivative_along(f, s, h):
     """d f / d s for a scalar-argument function."""
 
     def d(hh):
         return (np.asarray(f(s + hh)) - np.asarray(f(s - hh))) / (2.0 * hh)
 
-    if not richardson:
-        return d(h)
     return (4.0 * d(h / 2.0) - d(h)) / 3.0

@@ -74,10 +74,12 @@ class ChartBox:
         return len(self.lo)
 
     def contains(self, p, margin=0.0):
-        p = np.asarray(p, dtype=float)
-        lo = np.asarray(self.lo) + margin
-        hi = np.asarray(self.hi) - margin
-        return bool(np.all(p >= lo - 1e-15) and np.all(p <= hi + 1e-15))
+        # plain float comparisons: this runs at every RK4 stage of every trace
+        for x, lo, hi in zip(p, self.lo, self.hi, strict=True):
+            x = float(x)
+            if not (x >= lo + margin - 1e-15 and x <= hi - margin + 1e-15):
+                return False
+        return True
 
 
 class MetricField:
@@ -184,11 +186,7 @@ def riemann_operator(metric, p):
     ``R(e_i, e_j) e_k = R[m, i, j, k] e_m``."""
     p = as_point(p, metric.dim)
     metric.require_inside(p, margin=2.0 * metric.fd_margin())
-    g = metric.matrix(p)
-    det = np.linalg.det(g)
-    if abs(det) < DET_FLOOR:
-        raise NonInvertibleMetric(f"|det g| = {abs(det):.3e} below floor at {p}")
-    ginv = np.linalg.inv(g)
+    ginv = metric.inverse(p)
     dg = metric.partials(p)
     d2g = metric.second_partials(p)
 
@@ -207,6 +205,19 @@ def riemann_operator(metric, p):
     r = (np.einsum("imjk->mijk", dgamma) - np.einsum("jmik->mijk", dgamma)
          + np.einsum("mia,ajk->mijk", gam, gam) - np.einsum("mja,aik->mijk", gam, gam))
     return r
+
+
+def dnabla(a, da, gam, x, y):
+    """Exterior covariant derivative of an endomorphism field A,
+
+        (d^nabla A)(x, y) = d_x(A y) - d_y(A x) + Gamma(x, A y) - Gamma(y, A x),
+
+    for constant-coefficient tangent vectors x, y at one point.  ``a`` is A
+    there, ``da[k] = d A / d x^k`` and ``gam[k, i, j]`` are the connection
+    coefficients, ``nabla_{e_i} e_j = gam[k, i, j] e_k``.
+    """
+    return (np.einsum("i,ikj,j->k", x, da, y) - np.einsum("i,ikj,j->k", y, da, x)
+            + np.einsum("kij,i,j->k", gam, x, a @ y) - np.einsum("kij,i,j->k", gam, y, a @ x))
 
 
 def riemann_covariant(metric, p):

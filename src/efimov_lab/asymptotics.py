@@ -17,8 +17,8 @@ import numpy as np
 from . import _fd
 from .ambient import as_point
 from .connection import covariant_derivative_of_field
-from .curves import CurveTrace, parallel_transport_samples
-from .errors import ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
+from .curves import CurveTrace, parallel_transport_samples, rk4_samples
+from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
 
 __all__ = [
     "AsymptoticFrame",
@@ -223,40 +223,24 @@ def trace_asymptotic(data, q, which, length, step, margin=None):
 
     vec0, fr0 = direction(q, None)
     s_vals = [0.0]
-    pts = [q.copy()]
+    pts = [q]
     vels = [vec0]
     frames = [fr0]
     left = False
-    n = max(1, int(np.ceil(length / step - 1e-12)))
-    cur = q.copy()
     ref = vec0
-    for i in range(n):
-        h = min(step, length - i * step)
-        if h <= 0:
-            break
-
-        def f(qq):
-            return direction(qq, ref)[0]
-
-        try:
-            k1 = f(cur)
-            k2 = f(cur + 0.5 * h * k1)
-            k3 = f(cur + 0.5 * h * k2)
-            k4 = f(cur + h * k3)
-        except PointOutsideChart:
-            left = True
-            break
-        nxt = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not data.contains(nxt, margin=margin):
-            left = True
-            break
-        cur = nxt
-        vec, fr = direction(cur, ref)
-        ref = vec
-        s_vals.append(s_vals[-1] + h)
-        pts.append(cur.copy())
-        vels.append(vec)
-        frames.append(fr)
+    try:
+        # the flow reads the latest ref, so each step follows the sign of the last
+        for s, cur in rk4_samples(lambda t, qq: direction(qq, ref)[0], q, length, step):
+            if not data.contains(cur, margin=margin):
+                left = True
+                break
+            ref, fr = direction(cur, ref)
+            s_vals.append(s)
+            pts.append(cur)
+            vels.append(ref)
+            frames.append(fr)
+    except PointOutsideChart:
+        left = True
 
     s_arr = np.array(s_vals)
     pts = np.array(pts)
@@ -319,31 +303,15 @@ def _flow_curve(data, q, which, ref, length, step):
 
     ref_d = direction(q, np.asarray(ref, dtype=float))
     s_vals = [0.0]
-    pts = [q.copy()]
+    pts = [q]
     vels = [ref_d]
-    cur = q.copy()
-    n = max(1, int(np.ceil(length / step - 1e-12)))
     margin = 4.0 * step if data.mode == "immersion" else 0.0
-    for i in range(n):
-        h = min(step, length - i * step)
-        if h <= 0:
-            break
-
-        def f(qq):
-            return direction(qq, ref_d)
-
-        k1 = f(cur)
-        k2 = f(cur + 0.5 * h * k1)
-        k3 = f(cur + 0.5 * h * k2)
-        k4 = f(cur + h * k3)
-        nxt = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not data.contains(nxt, margin=margin):
-            from .errors import LeftPatch
-            raise LeftPatch(f"net flow left the patch near {nxt}")
-        cur = nxt
+    for s, cur in rk4_samples(lambda t, qq: direction(qq, ref_d), q, length, step):
+        if not data.contains(cur, margin=margin):
+            raise LeftPatch(f"net flow left the patch near {cur}")
         ref_d = direction(cur, ref_d)
-        s_vals.append(s_vals[-1] + h)
-        pts.append(cur.copy())
+        s_vals.append(s)
+        pts.append(cur)
         vels.append(ref_d)
     return CurveTrace.from_samples(np.array(s_vals), np.array(pts), np.array(vels))
 

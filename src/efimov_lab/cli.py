@@ -245,7 +245,9 @@ def cmd_transport(args):
     n1 = data.norm(trace.points[-1], w1)
     drift = abs(n1 - n0)
     checks = [{"name": "norm_preserved", "value": drift, "tolerance": 1e-8,
-               "pass": drift < 1e-8 * max(1.0, n0)}]
+               "pass": drift < 1e-8 * max(1.0, n0)},
+              {"name": "stayed_in_patch", "value": trace.left_patch,
+               "tolerance": False, "pass": not trace.left_patch}]
     payload = {"example": args.example, "start": args.start, "dir": args.dir,
                "vector": args.vector, "length": args.length, "step": args.step}
     report = _report("transport", payload, checks)
@@ -262,10 +264,13 @@ def cmd_jacobi(args):
     x0, y0, xp0, yp0 = (float(t) for t in args.init.split(","))
     jt = jacobi_field(data, base, x0, y0, xp0, yp0, args.step)
     resid = float(np.max(np.abs(jt.xp - jt.y * jt.tau_x)))
+    # the field also stops short where the K~ stencil around a base point
+    # no longer fits in the chart
+    left = base.left_patch or jt.left_patch
     checks = [{"name": "x_prime_equals_y_tau_x", "value": resid,
                "tolerance": 1e-10, "pass": resid < 1e-10},
-              {"name": "stayed_in_patch", "value": base.left_patch,
-               "tolerance": False, "pass": not base.left_patch}]
+              {"name": "stayed_in_patch", "value": left,
+               "tolerance": False, "pass": not left}]
     payload = {"example": args.example, "start": args.start, "dir": args.dir,
                "length": args.length, "step": args.step, "init": args.init}
     report = _report("jacobi", payload, checks)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import as_point, christoffel
+from .ambient import as_point, christoffel, dnabla
 from .errors import (
     DegenerateShapeOperator,
     InvalidPinching,
@@ -429,14 +429,8 @@ def dual_codazzi_residual(data, q, x=(1.0, 0.0), y=(0.0, 1.0), fd_step=1e-4):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dbt = np.stack([_fd.central(data.b_tilde, q, k, fd_step) for k in range(2)])
-    bt = data.b_tilde(q)
-    gam = data.gamma(q)
-
-    def nabla(direction, w):
-        dw = np.einsum("i,ikj,j->k", direction, dbt, w)
-        return dw + np.einsum("kij,i,j->k", gam, direction, bt @ w)
-
-    resid = nabla(x, y) - nabla(y, x)  # constant-coefficient fields commute
+    # constant-coefficient fields commute, so B~ [x, y] = 0
+    resid = dnabla(data.b_tilde(q), dbt, data.gamma(q), x, y)
     g = data.third_form(q)
     return float(np.sqrt(max(resid @ g @ resid, 0.0)))
 
@@ -592,12 +586,6 @@ def check_hypothesis(k1, k2, k3):
         th1_cond0=bool(pinching_ok),  # tau0 is the supremum of the left side
         th1_tau0=th1_tau0, tau0=tau0, k4=k4, k5=k5, pinching_ok=pinching_ok,
     )
-
-
-def ktilde_at(data, q, fd_step=1e-3):
-    """Connection curvature K~ at q (ratio form in immersion mode, moving
-    frame form otherwise)."""
-    return data.curvature(q, fd_step=fd_step)
 
 
 def measured_gradient_constants(data, sample_points, fd_step=1e-3):

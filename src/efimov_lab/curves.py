@@ -2,9 +2,11 @@
 Gauss-Bonnet with torsion and the normal-deformation rate formula, for
 surface connections that preserve a metric but may carry torsion.
 
-All integrations use a classical fixed-step 4th-order Runge-Kutta scheme;
-crossing times and interpolated states come from cubic Hermite interpolation
-between stored samples, so traces are deterministic and reproducible.
+Every integration in the package, here and in ``asymptotics`` and
+``odelab``, steps with the one classical fixed-step 4th-order Runge-Kutta
+generator :func:`rk4_samples`; interpolated states and crossing times come
+from the one cubic Hermite interpolant :func:`hermite` between stored
+samples, so traces are deterministic and reproducible.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ __all__ = [
     "JacobiTrace",
     "RegionSpec",
     "BoundarySegment",
+    "rk4_samples",
+    "hermite",
     "integrate_geodesic",
     "exponential_map",
     "parallel_transport",
@@ -77,20 +81,8 @@ class CurveTrace:
         sv = float(np.clip(sv, self.s[0], self.s[-1]))
         i = int(np.clip(np.searchsorted(self.s, sv) - 1, 0, len(self.s) - 2))
         h = self.s[i + 1] - self.s[i]
-        t = (sv - self.s[i]) / h
-        h00 = 2 * t ** 3 - 3 * t ** 2 + 1
-        h10 = t ** 3 - 2 * t ** 2 + t
-        h01 = -2 * t ** 3 + 3 * t ** 2
-        h11 = t ** 3 - t ** 2
-        p = (h00 * self.points[i] + h10 * h * self.velocities[i]
-             + h01 * self.points[i + 1] + h11 * h * self.velocities[i + 1])
-        d00 = 6 * t ** 2 - 6 * t
-        d10 = 3 * t ** 2 - 4 * t + 1
-        d01 = -d00
-        d11 = 3 * t ** 2 - 2 * t
-        v = (d00 * self.points[i] / h + d10 * self.velocities[i]
-             + d01 * self.points[i + 1] / h + d11 * self.velocities[i + 1])
-        return p, v
+        return hermite((sv - self.s[i]) / h, h, self.points[i], self.velocities[i],
+                       self.points[i + 1], self.velocities[i + 1])
 
     def acceleration(self, sv, h=None):
         """Second parameter derivative of the curve at sv."""
@@ -136,22 +128,67 @@ class CurveTrace:
                           closed=closed)
 
 
-def _rk4(f, state, h):
-    k1 = f(state)
-    k2 = f(state + 0.5 * h * k1)
-    k3 = f(state + 0.5 * h * k2)
-    k4 = f(state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(f, t, y, h):
+    k1 = f(t, y)
+    k2 = f(t + h / 2, y + h / 2 * k1)
+    k3 = f(t + h / 2, y + h / 2 * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def rk4_samples(f, y, length, step):
+    """Classical RK4 solution of ``y' = f(t, y)`` from ``y(0) = y``.
+
+    A lazy generator of ``(t, y)`` after each step of size ``step``; the
+    last step is shortened to end at ``length``.  Callers stop it by their
+    own rules (leaving the chart, a sign change), and ``f`` may read state
+    the caller updates between samples.
+    """
+    n = max(1, int(np.ceil(length / step - 1e-12)))
+    t = 0.0
+    for i in range(n):
+        h = min(step, length - i * step)
+        if h <= 0:
+            return
+        y = _rk4_step(f, t, y, h)
+        t = t + h
+        yield t, y
+
+
+def hermite(t, h, y0, d0, y1, d1):
+    """Cubic Hermite interpolant across one step of length h at the fraction
+    t of the step, from the end values y0, y1 and end derivatives d0, d1
+    (Hairer-Norsett-Wanner, *Solving ODEs I*, II.6).  Returns the value and
+    the derivative in the step's parameter."""
+    h00 = 2 * t ** 3 - 3 * t ** 2 + 1
+    h10 = t ** 3 - 2 * t ** 2 + t
+    h01 = -2 * t ** 3 + 3 * t ** 2
+    h11 = t ** 3 - t ** 2
+    y = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+    d00 = 6 * t ** 2 - 6 * t
+    d10 = 3 * t ** 2 - 4 * t + 1
+    d01 = -d00
+    d11 = 3 * t ** 2 - 2 * t
+    return y, d00 * y0 / h + d10 * d0 + d01 * y1 / h + d11 * d1
+
+
+def _geodesic_rhs(data):
+    def rhs(t, state):
+        vv = state[2:]
+        return np.concatenate([vv, -np.einsum("kij,i,j->k", data.gamma(state[:2]), vv, vv)])
+
+    return rhs
 
 
 def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=False):
     """Trace the geodesic of the connection from q with unit velocity v.
 
     Unit speed is preserved automatically because the connection is
-    compatible with the metric.  If the trace would leave the patch, the
-    partial trace is returned with ``left_patch`` set.  With
-    ``error_estimate=True`` the trace carries ``endpoint_error``, the
-    chart-coordinate gap to a half-step re-integration.
+    compatible with the metric.  If the trace would leave the patch (keeping
+    ``margin`` clear of its edge), the partial trace is returned with
+    ``left_patch`` set.  With ``error_estimate=True`` the trace carries
+    ``endpoint_error``, the chart-coordinate gap to a half-step
+    re-integration.
     """
     q = as_point(q, 2)
     v = np.asarray(v, dtype=float)
@@ -161,37 +198,23 @@ def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=Fal
     if margin is None:
         margin = 4.0 * step if data.mode == "immersion" else 0.0
 
-    def rhs(state):
-        qq, vv = state[:2], state[2:]
-        gam = data.gamma(qq)
-        return np.concatenate([vv, -np.einsum("kij,i,j->k", gam, vv, vv)])
-
-    n = max(1, int(np.ceil(length / step - 1e-12)))
     s_vals = [0.0]
-    pts = [q.copy()]
-    vels = [v.copy()]
-    state = np.concatenate([q, v])
+    states = [np.concatenate([q, v])]
     left = False
-    for i in range(n):
-        h = min(step, length - i * step)
-        if h <= 0:
-            break
-        try:
-            new = _rk4(rhs, state, h)
-        except PointOutsideChart:
-            left = True
-            break
-        if not data.contains(new[:2], margin=margin):
-            left = True
-            break
-        state = new
-        s_vals.append(s_vals[-1] + h)
-        pts.append(state[:2].copy())
-        vels.append(state[2:].copy())
+    try:
+        for s, state in rk4_samples(_geodesic_rhs(data), states[0], length, step):
+            if not data.contains(state[:2], margin=margin):
+                left = True
+                break
+            s_vals.append(s)
+            states.append(state)
+    except PointOutsideChart:
+        left = True
     s_arr = np.array(s_vals)
-    pts = np.array(pts)
+    states = np.array(states)
+    pts = states[:, :2]
     gap = np.linalg.norm(pts[-1] - pts[0])
-    trace = CurveTrace(s=s_arr, points=pts, velocities=np.array(vels), step=step,
+    trace = CurveTrace(s=s_arr, points=pts, velocities=states[:, 2:], step=step,
                        total_length=float(s_arr[-1]), closed=bool(gap < 10 * step),
                        left_patch=left)
     if error_estimate and not left:
@@ -203,40 +226,25 @@ def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=Fal
 
 def exponential_map(data, q, w, n_steps=8):
     """Endpoint of the geodesic with initial velocity w, run for unit time."""
-    q = as_point(q, 2)
-    w = np.asarray(w, dtype=float)
-
-    def rhs(state):
-        gam = data.gamma(state[:2])
-        vv = state[2:]
-        return np.concatenate([vv, -np.einsum("kij,i,j->k", gam, vv, vv)])
-
-    state = np.concatenate([q, w])
-    h = 1.0 / n_steps
-    for _ in range(n_steps):
-        state = _rk4(rhs, state, h)
+    state = np.concatenate([as_point(q, 2), np.asarray(w, dtype=float)])
+    for _, state in rk4_samples(_geodesic_rhs(data), state, 1.0, 1.0 / n_steps):
+        pass
     return state[:2]
 
 
 def parallel_transport_samples(data, trace, w):
     """Transport w along the trace; returns the field at every trace sample."""
-    w = np.asarray(w, dtype=float)
+
+    def rhs(sv, wv):
+        p, v = trace.eval(sv)
+        return -np.einsum("kij,i,j->k", data.gamma(p), v, wv)
+
     out = np.empty((len(trace.s), 2))
     out[0] = w
+    # one RK4 step per sample interval: the field is wanted at the trace's
+    # own samples, and their spacing need not be uniform
     for i in range(len(trace.s) - 1):
-        s0, s1 = trace.s[i], trace.s[i + 1]
-        h = s1 - s0
-
-        def rhs_at(sv, wv):
-            p, v = trace.eval(sv)
-            gam = data.gamma(p)
-            return -np.einsum("kij,i,j->k", gam, v, wv)
-
-        k1 = rhs_at(s0, out[i])
-        k2 = rhs_at(s0 + h / 2, out[i] + h / 2 * k1)
-        k3 = rhs_at(s0 + h / 2, out[i] + h / 2 * k2)
-        k4 = rhs_at(s1, out[i] + h * k3)
-        out[i + 1] = out[i] + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[i + 1] = _rk4_step(rhs, trace.s[i], out[i], trace.s[i + 1] - trace.s[i])
     return out
 
 
@@ -272,6 +280,7 @@ class JacobiTrace:
     ktilde: np.ndarray
     tau_x: np.ndarray
     tau_y: np.ndarray
+    left_patch: bool = False
 
     def to_csv(self, path):
         from .cli import write_csv
@@ -284,7 +293,9 @@ def integrate_jacobi(ktilde, tau_x, tau_y, init, length, step):
 
     The second equation is integrated through the exact first-order
     reformulation p := y' - y tau_y, p' = -K~ y, which avoids differentiating
-    the sampled product.  ``init`` is (x0, y0, x0', y0').
+    the sampled product.  ``init`` is (x0, y0, x0', y0').  If a coefficient
+    cannot be evaluated for lack of chart room (``PointOutsideChart``), the
+    partial field is returned with ``left_patch`` set.
     """
     x0, y0, xp0, yp0 = init
     state = np.array([x0, y0, yp0 - y0 * tau_y(0.0)])
@@ -293,21 +304,15 @@ def integrate_jacobi(ktilde, tau_x, tau_y, init, length, step):
         x, y, p = st
         return np.array([y * tau_x(t), p + y * tau_y(t), -ktilde(t) * y])
 
-    n = max(1, int(np.ceil(length / step - 1e-12)))
     ts = [0.0]
-    states = [state.copy()]
-    for i in range(n):
-        h = min(step, length - i * step)
-        if h <= 0:
-            break
-        t0 = ts[-1]
-        k1 = rhs(t0, state)
-        k2 = rhs(t0 + h / 2, state + h / 2 * k1)
-        k3 = rhs(t0 + h / 2, state + h / 2 * k2)
-        k4 = rhs(t0 + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ts.append(t0 + h)
-        states.append(state.copy())
+    states = [state]
+    left = False
+    try:
+        for t, state in rk4_samples(rhs, state, length, step):
+            ts.append(t)
+            states.append(state)
+    except PointOutsideChart:
+        left = True
     ts = np.array(ts)
     states = np.array(states)
     x, y, p = states[:, 0], states[:, 1], states[:, 2]
@@ -315,7 +320,7 @@ def integrate_jacobi(ktilde, tau_x, tau_y, init, length, step):
     tx = np.array([tau_x(t) for t in ts])
     ty = np.array([tau_y(t) for t in ts])
     return JacobiTrace(t=ts, x=x, y=y, xp=y * tx, yp=p + y * ty,
-                       ktilde=ktl, tau_x=tx, tau_y=ty)
+                       ktilde=ktl, tau_x=tx, tau_y=ty, left_patch=left)
 
 
 def sandwich_horizon(jt):

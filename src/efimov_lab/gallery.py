@@ -19,6 +19,7 @@ import numpy as np
 from .ambient import (
     ChartBox,
     MetricField,
+    dnabla,
     riemann_covariant,
     riemann_sectional,
     sectional_range,
@@ -805,13 +806,8 @@ def dnabla_h(sigma_field, h_field, q, fd_step=1e-5):
 
     q = np.asarray(q, dtype=float)
     dh = np.stack([_fd.central(h_field, q, k, fd_step) for k in range(2)])
-    gam = christoffel(sigma_field, q)
-    h = np.asarray(h_field(q), dtype=float)
-    # (nabla_i H)^k_j = d_i H^k_j + Gamma^k_{im} H^m_j - H^k_m Gamma^m_{ij}
-    term = (dh[0, :, 1] - dh[1, :, 0]
-            + np.einsum("km,m->k", gam[:, 0, :], h[:, 1])
-            - np.einsum("km,m->k", gam[:, 1, :], h[:, 0]))
-    return term
+    e1, e2 = np.eye(2)
+    return dnabla(np.asarray(h_field(q), dtype=float), dh, christoffel(sigma_field, q), e1, e2)
 
 
 def _gauss_curvature(field2d, q):

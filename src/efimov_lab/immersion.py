@@ -24,6 +24,7 @@ from .ambient import (
     MetricField,
     as_point,
     christoffel,
+    dnabla,
     riemann_covariant,
     riemann_operator,
     riemann_sectional,
@@ -275,19 +276,11 @@ def dnabla_b(patch, ambient, q, x, y, fd_step=1e-4):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     data = fundamental_forms(patch, ambient, q)
-    ifield = induced_metric_field(patch, ambient)
-    gam_i = christoffel(ifield, q)
+    gam_i = christoffel(induced_metric_field(patch, ambient), q)
     bfield = shape_operator_field(patch, ambient)
     db = np.stack([_fd.central(bfield, q, a, fd_step) for a in range(2)])  # db[a] = d_a B
-
-    def nabla(direction, w):
-        """(nabla_direction B)(w) = nabla_x(B w) - B nabla_x(w)."""
-        dbw = np.einsum("a,acb,b->c", direction, db, w)
-        g_bw = np.einsum("cab,a,b->c", gam_i, direction, data.shape_operator @ w)
-        g_w = np.einsum("cab,a,b->c", gam_i, direction, w)
-        return dbw + g_bw - data.shape_operator @ g_w
-
-    return nabla(x, y) - nabla(y, x)
+    # the torsion-free connection of I makes this (nabla_x B) y - (nabla_y B) x
+    return dnabla(data.shape_operator, db, gam_i, x, y)
 
 
 def codazzi_residual(patch, ambient, q, x, y, fd_step=1e-4):

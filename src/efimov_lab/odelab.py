@@ -15,6 +15,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.optimize import brentq
 
+from .curves import hermite, rk4_samples
 from .errors import BoundViolated, NoCrossing
 
 __all__ = [
@@ -45,12 +46,11 @@ def _check_bound(u, eps, lo, hi, n=512):
         raise BoundViolated(f"sup|u| = {worst:.6g} exceeds 1/eps = {bound:.6g}")
 
 
-def integrate_bump_system(u, eps, s_max, step, y0=1.0, z0=4.0, s_start=0.0, direction=1.0):
-    """RK4 samples of ``y' = yu + z, z' = -(eps + u^2/4) y``.
+def integrate_bump_system(u, eps, s_max, step):
+    """RK4 samples of ``y' = yu + z, z' = -(eps + u^2/4) y`` on [0, s_max],
+    started from y = 1, z = 4.
 
-    ``direction=-1`` integrates backward in s (used for the left closing
-    segment of the piecewise construction).  Returns (s, y, z) arrays with s
-    measured from ``s_start``.
+    Returns (s, y, z) arrays.
     """
     u = _as_profile(u)
 
@@ -59,25 +59,13 @@ def integrate_bump_system(u, eps, s_max, step, y0=1.0, z0=4.0, s_start=0.0, dire
         uu = u(s)
         return np.array([yy * uu + zz, -(eps + uu * uu / 4.0) * yy])
 
-    n = int(np.ceil(s_max / step - 1e-12))
-    s = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    zs = np.empty(n + 1)
-    s[0], ys[0], zs[0] = s_start, y0, z0
-    state = np.array([y0, z0])
-    cur = s_start
-    for i in range(n):
-        h = direction * min(step, s_max - i * step)
-        k1 = rhs(cur, state)
-        k2 = rhs(cur + h / 2, state + h / 2 * k1)
-        k3 = rhs(cur + h / 2, state + h / 2 * k2)
-        k4 = rhs(cur + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        cur += h
-        s[i + 1] = cur
-        ys[i + 1] = state[0]
-        zs[i + 1] = state[1]
-    return s, ys, zs
+    s = [0.0]
+    states = [np.array([1.0, 4.0])]
+    for t, state in rk4_samples(rhs, states[0], s_max, step):
+        s.append(t)
+        states.append(state)
+    states = np.array(states)
+    return np.array(s), states[:, 0], states[:, 1]
 
 
 def _hermite_root(sa, sb, ya, yb, da, db, target):
@@ -85,12 +73,7 @@ def _hermite_root(sa, sb, ya, yb, da, db, target):
     h = sb - sa
 
     def f(t):
-        tt = (t - sa) / h
-        h00 = 2 * tt ** 3 - 3 * tt ** 2 + 1
-        h10 = tt ** 3 - 2 * tt ** 2 + tt
-        h01 = -2 * tt ** 3 + 3 * tt ** 2
-        h11 = tt ** 3 - tt ** 2
-        return h00 * ya + h10 * h * da + h01 * yb + h11 * h * db - target
+        return hermite((t - sa) / h, h, ya, da, yb, db)[0] - target
 
     fa, fb = f(sa), f(sb)
     if fa == 0.0:
@@ -242,9 +225,6 @@ def construct_edo7(u, eps, n1, step=1e-3):
     breaks = []
 
     # left closing segment: from (y, y') = (1, 0) at -N1 backward to y = 0
-    def u_left(t):  # backward time
-        return u(-n1 - t)
-
     z0_left = 0.0 - 1.0 * u(-n1)  # z = y' - y u with y' = 0
     s_cap = np.pi / np.sqrt(eps) * 1.05 + 5 * step
 
@@ -254,23 +234,14 @@ def construct_edo7(u, eps, n1, step=1e-3):
         uu = u(-n1 - t)
         return -np.array([yy * uu + zz, -(eps + uu * uu / 4.0) * yy])
 
-    state = np.array([1.0, z0_left])
     ts = [0.0]
     ys = [1.0]
     zs = [z0_left]
-    n = int(np.ceil(s_cap / step))
-    for i in range(n):
-        h = step
-        t0 = ts[-1]
-        k1 = rhs_rev(t0, state)
-        k2 = rhs_rev(t0 + h / 2, state + h / 2 * k1)
-        k3 = rhs_rev(t0 + h / 2, state + h / 2 * k2)
-        k4 = rhs_rev(t0 + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        ts.append(t0 + h)
-        ys.append(state[0])
-        zs.append(state[1])
-        if state[0] <= 0.0:
+    for t, (y, z) in rk4_samples(rhs_rev, np.array([1.0, z0_left]), s_cap, step):
+        ts.append(t)
+        ys.append(y)
+        zs.append(z)
+        if y <= 0.0:
             break
     ys = np.array(ys)
     ts = np.array(ts)

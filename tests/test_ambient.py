@@ -110,6 +110,36 @@ def test_point_outside_chart():
         christoffel(m, [0.0, 0.0, 5.0])
 
 
+def test_chart_box_contains_edge_inputs():
+    box = ChartBox((-1.0, 0.0), (1.0, 2.0))
+    cases = [
+        ((0.0, 1.0), 0.0, True),
+        ((1.0, 2.0), 0.0, True),              # closed bounds
+        ((-1.0 - 5e-16, 0.0), 0.0, True),     # inside the 1e-15 slack
+        ((1.0 + 5e-16, 1.0), 0.0, True),
+        ((-1.0 - 3e-15, 1.0), 0.0, False),    # beyond the slack
+        ((0.0, 2.0 + 3e-15), 0.0, False),
+        ((0.9, 1.0), 0.1, True),              # margin shrinks the box
+        ((0.95, 1.0), 0.1, False),
+        ((0.0, 1.9 + 5e-16), 0.1, True),
+        ((np.nan, 1.0), 0.0, False),
+        ((0.0, np.nan), 0.0, False),
+        ((np.inf, 1.0), 0.0, False),
+        ((0.0, -np.inf), 0.0, False),
+        ((0.0, 1.0), np.nan, False),
+        ((0.0, 1.0), np.inf, False),
+    ]
+    for p, margin, expected in cases:
+        assert box.contains(np.array(p), margin=margin) is expected, (p, margin)
+        assert box.contains(list(p), margin=margin) is expected, (p, margin)
+    inf_box = ChartBox((-np.inf, 0), (np.inf, 1))
+    assert inf_box.contains((1e300, 1)) is True
+    assert inf_box.contains((np.inf, 0.5)) is True
+    assert inf_box.contains((np.nan, 0.5)) is False
+    with pytest.raises(ValueError):
+        box.contains([0.0, 1.0, 0.0])
+
+
 def test_non_invertible_metric():
     m = MetricField(3, lambda p: np.diag([p[0] ** 2, 1.0, 1.0]),
                     ChartBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))

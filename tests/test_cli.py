@@ -121,17 +121,40 @@ def test_jacobi_command():
     assert {c["name"]: c["pass"] for c in doc["checks"]}["stayed_in_patch"] is True
 
 
-def test_jacobi_command_reports_leaving_the_chart():
-    # the saddle's axis geodesic u = tan(s + atan 0.7) leaves the box |u| <= 1
-    # at s = pi/4 - atan 0.7 ~ 0.18, well short of the requested length
-    code, out, _ = run_cli("jacobi", "--example", "saddle", "--start", "0.7,0",
-                           "--dir", "1,0", "--length", "0.5", "--step", "1e-2",
-                           "--init", "0,0,0,1", "--json")
+def test_transport_command_reports_leaving_the_chart():
+    code, out, _ = run_cli("transport", "--example", "saddle", "--start", "0.5,0.2",
+                           "--dir", "1,0.3", "--length", "2", "--step", "1e-2",
+                           "--vector", "0,1", "--json")
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "fail"
     check = {c["name"]: c for c in doc["checks"]}["stayed_in_patch"]
     assert check["value"] is True and check["pass"] is False
+
+
+def test_jacobi_command_reports_leaving_the_chart():
+    for argv in (
+        # the saddle's axis geodesic u = tan(s + atan 0.7) leaves the box
+        # |u| <= 1 at s = pi/4 - atan 0.7 ~ 0.18, well short of the length
+        ("--example", "saddle", "--start", "0.7,0", "--dir", "1,0", "--length", "0.5"),
+        # the chart line v = 0 is a geodesic that runs into the edge u = 2.5;
+        # the K~ stencil around its last points no longer fits in the chart
+        ("--example", "abstract_sphere", "--start", "0,0", "--dir", "1,0",
+         "--length", "3"),
+        # a geodesic that grazes the edge r = 0.05 and turns back: every RK4
+        # sample keeps r >= 0.051, but the closest approach r ~ 0.0508 falls
+        # between two samples, where the field reads K~ and its stencil
+        # reaches past the edge
+        ("--example", "hyperbolic_deformed", "--param", "t=0", "--start", "0.9967,0",
+         "--dir=-0.99906,0.037119", "--length", "1.99"),
+    ):
+        code, out, _ = run_cli("jacobi", *argv, "--step", "1e-2", "--init", "0,0,0,1",
+                               "--json")
+        assert code == 1, argv
+        doc = json.loads(out)
+        assert doc["status"] == "fail"
+        check = {c["name"]: c for c in doc["checks"]}["stayed_in_patch"]
+        assert check["value"] is True and check["pass"] is False
 
 
 def test_gauss_bonnet_command(tmp_path):

@@ -9,7 +9,6 @@ from efimov_lab.connection import (
     curvature_bounds_k4k5,
     dual_codazzi_residual,
     dual_connection_at,
-    ktilde_at,
     metric_compatibility_residual,
     orthonormal_frame,
     torsion_bound_bruteforce,
@@ -153,8 +152,8 @@ def test_boundset_from_pinching():
 
 
 def test_ktilde_examples(sphere2_data, saddle_data):
-    assert abs(ktilde_at(sphere2_data, [1.0, 0.3]) - 1.0) < 1e-8
-    assert abs(ktilde_at(saddle_data, [0.0, 0.0]) - 1.0) < 1e-8
+    assert abs(sphere2_data.curvature([1.0, 0.3]) - 1.0) < 1e-8
+    assert abs(saddle_data.curvature([0.0, 0.0]) - 1.0) < 1e-8
 
 
 def test_ktilde_bounds_on_slice(slice_data):
@@ -170,13 +169,13 @@ def test_ktilde_bounds_on_slice(slice_data):
     assert k1 < k2 <= k3
     k4, k5 = curvature_bounds_k4k5(k1, k2, k3)
     for q in pts:
-        kt = ktilde_at(slice_data, q)
+        kt = slice_data.curvature(q)
         assert k4 - 1e-6 <= kt <= k5 + 1e-6
 
 
 def test_ktilde_abstract_matches_metric_curvature(abstract_sphere, hyperbolic_abstract):
-    assert abs(ktilde_at(abstract_sphere, [0.4, -0.1]) - 1.0) < 1e-9
-    assert abs(ktilde_at(hyperbolic_abstract, [1.3, 0.2]) + 1.0) < 1e-9
+    assert abs(abstract_sphere.curvature([0.4, -0.1]) - 1.0) < 1e-9
+    assert abs(hyperbolic_abstract.curvature([1.3, 0.2]) + 1.0) < 1e-9
 
 
 # --- hypothesis verdicts ----------------------------------------------------
