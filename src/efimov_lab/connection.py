@@ -29,22 +29,29 @@ memory, and it is safe for concurrent reads.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _fd
-from .ambient import as_point, christoffel, dnabla
+from .ambient import DET_FLOOR, as_point, christoffel, dnabla
 from .errors import (
     DegenerateShapeOperator,
     InvalidPinching,
     ModeUnsupported,
+    NonInvertibleMetric,
 )
 from .immersion import fundamental_forms, induced_metric_field
 
 DET_B_FLOOR = 1e-10
 MEMO_SIZE = 64  # fundamental data kept per immersion provider
+# finite-difference step of K~ from the frame connection form; its stencil
+# reaches this far (plus the metric's own stencil) around each point
+CURVATURE_FD_STEP = 1e-3
 EPS_2D = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eps_{ij}, eps_12 = +1
+_IJM = tuple(itertools.product((0, 1), repeat=3))  # (i, j, m) in row-major order
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +66,13 @@ def complex_structure(g):
     return np.sqrt(det) * (EPS_2D @ ginv).T
 
 
-def area_form(g):
-    """omega_{ij} = sqrt(det g) eps_{ij}."""
-    return np.sqrt(np.linalg.det(g)) * EPS_2D
+def _metric_det(g11, g12, g21, g22):
+    """det g of a 2x2 surface metric, which must be positive definite."""
+    det = g11 * g22 - g12 * g21
+    if not (g11 > 0.0 and det > DET_FLOOR):
+        raise NonInvertibleMetric(
+            f"2x2 metric is not positive definite: g11 = {g11:.3e}, det g = {det:.3e}")
+    return det
 
 
 def orthonormal_frame(g, dg=None):
@@ -72,39 +83,22 @@ def orthonormal_frame(g, dg=None):
     derivative; otherwise df is None.  Closed-form derivatives keep the
     connection-form differentiation to a single finite-difference layer.
     """
-    g11 = g[0, 0]
-    g12 = g[0, 1]
-    det = np.linalg.det(g)
-    a = 1.0 / np.sqrt(g11)
+    (g11, g12), (g21, g22) = g.tolist()
+    det = _metric_det(g11, g12, g21, g22)
+    a = 1.0 / math.sqrt(g11)
     c = g12 / g11
-    s = np.sqrt(det / g11)
+    s = math.sqrt(det / g11)
     f = np.array([[a, 0.0], [-c / s, 1.0 / s]])
     if dg is None:
         return f, None
-    df = np.zeros((2, 2, 2))
-    for k in range(2):
-        d11 = dg[k, 0, 0]
-        d12 = dg[k, 0, 1]
-        ddet = d11 * g[1, 1] + g11 * dg[k, 1, 1] - 2.0 * g12 * d12
+    df = []
+    for (d11, d12), (_, d22) in dg.tolist():
+        ddet = d11 * g22 + g11 * d22 - 2.0 * g12 * d12
         da = -0.5 * g11 ** (-1.5) * d11
         dc = (d12 * g11 - g12 * d11) / g11 ** 2
         ds = 0.5 / s * (ddet * g11 - det * d11) / g11 ** 2
-        df[k, 0] = (da, 0.0)
-        df[k, 1] = (-(dc * s - c * ds) / s ** 2, -ds / s ** 2)
-    return f, df
-
-
-def contorsion(g, tau):
-    """The correction K with ``D~ = LC + K`` for prescribed torsion
-    ``T(x, y) = omega(x, y) tau``; returns K[k, i, j]."""
-    omega = area_form(g)
-    tl = g @ tau
-    c = 0.5 * (
-        np.einsum("ij,m->ijm", omega, tl)
-        - np.einsum("jm,i->ijm", omega, tl)
-        + np.einsum("mi,j->ijm", omega, tl)
-    )
-    return np.einsum("km,ijm->kij", np.linalg.inv(g), c)
+        df.append(((da, 0.0), (-(dc * s - c * ds) / s ** 2, -ds / s ** 2)))
+    return f, np.array(df)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +124,32 @@ class _TorsionProvider:
         return self.iii_field.partials(q)
 
     def gamma(self, q):
+        """``Gamma~^k_ij = g^{km} (Gamma_ijm + C_ijm)`` in scalar 2x2
+        arithmetic: ``Gamma_ijm`` are the lowered Levi-Civita symbols of III
+        and ``C_ijm = (omega_ij t_m - omega_jm t_i + omega_mi t_j) / 2`` the
+        lowered contorsion of the torsion ``T(x, y) = omega(x, y) tau``, with
+        ``t = III(tau, .)`` and the area form ``omega``."""
         q = as_point(q, 2)
-        lc = christoffel(self.iii_field, q)
-        return lc + contorsion(self.iii_field.matrix(q), np.asarray(self.tau(q), dtype=float))
+        field = self.iii_field
+        field.require_inside(q, margin=field.fd_margin())
+        (g11, g12), (g21, g22) = field.matrix(q).tolist()
+        det = _metric_det(g11, g12, g21, g22)
+        dg = field.partials(q).tolist()
+        t1, t2 = self.torsion_vector(q).tolist()
+        s = math.sqrt(det)
+        st1 = s * (g11 * t1 + g12 * t2)
+        st2 = s * (g21 * t1 + g22 * t2)
+        # low[4i + 2j + m] = Gamma_ijm + C_ijm (0-based); the only non-zero
+        # entries of C are C_121 = -C_112 = s t_1 and C_221 = -C_212 = s t_2,
+        # with s = sqrt(det g) = omega_12
+        low = [0.5 * (dg[i][m][j] + dg[j][i][m] - dg[m][i][j]) for i, j, m in _IJM]
+        low[1] -= st1
+        low[2] += st1
+        low[5] -= st2
+        low[6] += st2
+        inv = ((g22 / det, -g12 / det), (-g21 / det, g11 / det))
+        return np.array([a * low[n] + b * low[n + 1] for a, b in inv
+                         for n in (0, 2, 4, 6)]).reshape(2, 2, 2)
 
     def torsion_vector(self, q):
         return np.asarray(self.tau(as_point(q, 2)), dtype=float)
@@ -304,7 +321,7 @@ class SurfaceConnectionData:
         return complex_structure(self.third_form(q))
 
     def area_density(self, q):
-        return float(np.sqrt(np.linalg.det(self.third_form(q))))
+        return math.sqrt(_metric_det(*self.third_form(q).ravel().tolist()))
 
     def norm(self, q, x):
         g = self.third_form(q)
@@ -338,7 +355,7 @@ class SurfaceConnectionData:
 
     # -- curvature ----------------------------------------------------------
 
-    def curvature(self, q, fd_step=1e-3):
+    def curvature(self, q):
         """K~ at q.
 
         In immersion mode this is the ratio K_I / K_e; in the abstract modes
@@ -351,29 +368,29 @@ class SurfaceConnectionData:
                 raise DegenerateShapeOperator(
                     f"|K_e| = {abs(data.k_extrinsic):.3e} below floor at q={q}")
             return data.k_intrinsic / data.k_extrinsic
-        return self.curvature_from_frame(q, fd_step=fd_step)
+        return self.curvature_from_frame(q)
 
     def connection_form(self, q):
         """omega_i(q) = III(D~_{d_i} f1, f2) for the Gram-Schmidt frame."""
         q = as_point(q, 2)
         g = self._p.third_form(q)
-        dg = self._p.third_form_partials(q)
-        f, df = orthonormal_frame(g, dg)
-        gam = self._p.gamma(q)
-        out = np.empty(2)
-        for i in range(2):
-            cov = df[i, 0] + gam[:, i, :] @ f[0]
-            out[i] = cov @ g @ f[1]
-        return out
+        f, df = orthonormal_frame(g, self._p.third_form_partials(q))
+        (f11, f12), (f21, f22) = f.tolist()
+        (g11, g12), (g21, g22) = g.tolist()
+        gam = self._p.gamma(q).tolist()
+        out = []
+        for i, (d1, d2) in enumerate(df[:, 0].tolist()):
+            # D~_{d_i} f1 = d_i f1 + Gamma(d_i, f1)
+            c1 = d1 + (gam[0][i][0] * f11 + gam[0][i][1] * f12)
+            c2 = d2 + (gam[1][i][0] * f11 + gam[1][i][1] * f12)
+            out.append((c1 * g11 + c2 * g21) * f21 + (c1 * g12 + c2 * g22) * f22)
+        return np.array(out)
 
-    def curvature_from_frame(self, q, fd_step=1e-3):
+    def curvature_from_frame(self, q):
         """-d omega / dv for the orthonormal-frame connection form omega."""
         q = as_point(q, 2)
-
-        def om(qq):
-            return self.connection_form(qq)
-
-        grad = np.stack([_fd.central(om, q, k, fd_step) for k in range(2)])
+        grad = np.stack([_fd.central(self.connection_form, q, k, CURVATURE_FD_STEP)
+                         for k in range(2)])
         domega = grad[0, 1] - grad[1, 0]
         return float(-domega / self.area_density(q))
 

@@ -11,6 +11,7 @@ samples, so traces are deterministic and reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy.integrate import simpson
 
 from . import _fd
 from .ambient import as_point
+from .connection import complex_structure, orthonormal_frame
 from .errors import EndpointSample, OpenBoundary, PointOutsideChart
 
 __all__ = [
@@ -233,11 +235,21 @@ def exponential_map(data, q, w, n_steps=8):
 
 
 def parallel_transport_samples(data, trace, w):
-    """Transport w along the trace; returns the field at every trace sample."""
+    """Transport w along the trace; returns the field at every trace sample.
+
+    The trace and the connection are read once per distinct parameter: the
+    RK4 stages k2 and k3 share the midpoint, and k4 lands on the next
+    interval's k1.
+    """
+
+    @functools.lru_cache(maxsize=2)
+    def at(sv):
+        p, v = trace.eval(sv)
+        return data.gamma(p), v
 
     def rhs(sv, wv):
-        p, v = trace.eval(sv)
-        return -np.einsum("kij,i,j->k", data.gamma(p), v, wv)
+        gam, v = at(sv)
+        return -np.einsum("kij,i,j->k", gam, v, wv)
 
     out = np.empty((len(trace.s), 2))
     out[0] = w
@@ -296,13 +308,24 @@ def integrate_jacobi(ktilde, tau_x, tau_y, init, length, step):
     the sampled product.  ``init`` is (x0, y0, x0', y0').  If a coefficient
     cannot be evaluated for lack of chart room (``PointOutsideChart``), the
     partial field is returned with ``left_patch`` set.
+
+    Each coefficient is evaluated once per distinct time: the RK4 stages k2
+    and k3 share ``t + h/2``, k4 lands on the next step's k1, and the
+    samples keep the values the steps used.
     """
+
+    @functools.lru_cache(maxsize=2)
+    def coefficients(t):
+        return tau_x(t), tau_y(t), ktilde(t)
+
     x0, y0, xp0, yp0 = init
-    state = np.array([x0, y0, yp0 - y0 * tau_y(0.0)])
+    samples = [coefficients(0.0)]
+    state = np.array([x0, y0, yp0 - y0 * samples[0][1]])
 
     def rhs(t, st):
         x, y, p = st
-        return np.array([y * tau_x(t), p + y * tau_y(t), -ktilde(t) * y])
+        tx, ty, k = coefficients(t)
+        return np.array([y * tx, p + y * ty, -k * y])
 
     ts = [0.0]
     states = [state]
@@ -311,14 +334,13 @@ def integrate_jacobi(ktilde, tau_x, tau_y, init, length, step):
         for t, state in rk4_samples(rhs, state, length, step):
             ts.append(t)
             states.append(state)
+            samples.append(coefficients(t))
     except PointOutsideChart:
         left = True
     ts = np.array(ts)
     states = np.array(states)
     x, y, p = states[:, 0], states[:, 1], states[:, 2]
-    ktl = np.array([ktilde(t) for t in ts])
-    tx = np.array([tau_x(t) for t in ts])
-    ty = np.array([tau_y(t) for t in ts])
+    tx, ty, ktl = np.array(samples, dtype=float).T
     return JacobiTrace(t=ts, x=x, y=y, xp=y * tx, yp=p + y * ty,
                        ktilde=ktl, tau_x=tx, tau_y=ty, left_patch=left)
 
@@ -336,31 +358,22 @@ def sandwich_horizon(jt):
     return float(jt.t[-1] if len(bad) == 0 else jt.t[bad[0] - 1])
 
 
-def jacobi_field(data, base_trace, x0, y0, xp0, yp0, step, curvature_step=1e-3):
+def jacobi_field(data, base_trace, x0, y0, xp0, yp0, step):
     """Jacobi-type field along a geodesic trace of ``data``.
 
-    K~ and the torsion components are sampled along the base trace.
+    K~ and the torsion components are sampled along the base trace, which
+    is read once per time for all three.
     """
+
+    @functools.lru_cache(maxsize=1)
     def at(t):
         p, v = base_trace.eval(t)
-        return p, v
-
-    def ktilde(t):
-        p, _ = at(t)
-        return data.curvature(p, fd_step=curvature_step)
-
-    def tau_x(t):
-        p, v = at(t)
         tau = data.torsion_vector(p)
-        return float(tau @ data.third_form(p) @ v)
+        g = data.third_form(p)
+        return p, float(tau @ g @ v), float(tau @ g @ (complex_structure(g) @ v))
 
-    def tau_y(t):
-        p, v = at(t)
-        tau = data.torsion_vector(p)
-        jv = data.complex_structure(p) @ v
-        return float(tau @ data.third_form(p) @ jv)
-
-    return integrate_jacobi(ktilde, tau_x, tau_y, (x0, y0, xp0, yp0),
+    return integrate_jacobi(lambda t: data.curvature(at(t)[0]), lambda t: at(t)[1],
+                            lambda t: at(t)[2], (x0, y0, xp0, yp0),
                             base_trace.total_length, step)
 
 
@@ -541,11 +554,11 @@ class RegionSpec:
                 wts.append(awi * bwi * jac)
         return np.array(pts), np.array(wts)
 
-    def curvature_integral(self, data, fd_step=1e-3):
+    def curvature_integral(self, data):
         pts, wts = self.interior_nodes()
         total = 0.0
         for p, w in zip(pts, wts):
-            total += data.curvature(p, fd_step=fd_step) * data.area_density(p) * w
+            total += data.curvature(p) * data.area_density(p) * w
         return float(total)
 
     # -- ready-made shapes ---------------------------------------------------
@@ -587,7 +600,6 @@ class RegionSpec:
         if ray_step is None:
             ray_step = radius / 64.0
         g = data.third_form(center)
-        from .connection import orthonormal_frame
         f, _ = orthonormal_frame(g)
         ga, wa = np.polynomial.legendre.leggauss(n_radial)
         s_nodes = 0.5 * (ga + 1.0) * radius
@@ -633,10 +645,10 @@ class RegionSpec:
         return RegionSpec([seg], interior)
 
 
-def gauss_bonnet_residual(data, region, fd_step=1e-3):
+def gauss_bonnet_residual(data, region):
     """| integral K~ dv + integral kappa ds + sum(exterior angles) - 2 pi |."""
     region.require_closed()
-    interior = region.curvature_integral(data, fd_step=fd_step)
+    interior = region.curvature_integral(data)
     boundary = region.boundary_kappa_integral(data)
     corners = sum(region.exterior_angles(data))
     return abs(interior + boundary + corners - 2 * np.pi)
@@ -652,13 +664,11 @@ def boundary_holonomy_angle(data, region):
         p0, _ = tr.eval(tr.s0)
         if w is None:
             g = data.third_form(p0)
-            from .connection import orthonormal_frame
             f, _ = orthonormal_frame(g)
             w = f[0]
             start_point = p0
         w = parallel_transport(data, tr, w)
     g = data.third_form(start_point)
-    from .connection import orthonormal_frame
     f, _ = orthonormal_frame(g)
     w0 = f[0]
     j = data.complex_structure(start_point)

@@ -17,7 +17,8 @@ class PointOutsideChart(GeometryError):
 
 
 class NonInvertibleMetric(GeometryError):
-    """|det g| fell below the invertibility floor."""
+    """|det g| fell below the invertibility floor, or a 2x2 surface metric
+    is not positive definite: det g at or below that floor, or g11 <= 0."""
 
 
 class DegeneratePlane(GeometryError):

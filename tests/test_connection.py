@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from efimov_lab import gallery
+from efimov_lab.ambient import ChartBox, MetricField, christoffel, metric_from_expressions
 from efimov_lab.connection import (
     BoundSet,
     SurfaceConnectionData,
@@ -14,7 +15,8 @@ from efimov_lab.connection import (
     torsion_bound_bruteforce,
     torsion_bound_tau0,
 )
-from efimov_lab.errors import InvalidPinching, ModeUnsupported
+from efimov_lab.errors import InvalidPinching, ModeUnsupported, NonInvertibleMetric
+from efimov_lab.expressions import Expression
 from efimov_lab.immersion import dnabla_b
 
 
@@ -65,6 +67,62 @@ def test_metric_compatibility(slice_data, sphere2_data, hyperbolic_abstract):
         for q in points:
             r = metric_compatibility_residual(data, q, [1.0, 0.0], [0.0, 1.0], [1.0, 1.0])
             assert r < 1e-4
+
+
+def _torsion_case(name):
+    """(connection, sample box) for the torsion-mode characterisation test."""
+    if name == "abstract_sphere":
+        return gallery.abstract_sphere(), ([-1.5, -1.5], [1.5, 1.5])
+    if name in ("tanh", "angular"):
+        return gallery.hyperbolic_deformed(1.3, profile=name), ([0.3, -2.0], [3.0, 2.0])
+    # a non-conformal metric with finite-difference partials and a varying torsion
+    uv = ("u", "v")
+    fields = {"g11": Expression("exp(u) + v^2", uv), "g12": Expression("0.3*sin(u*v)", uv),
+              "g22": Expression("2 + cos(u)", uv)}
+    metric = metric_from_expressions(fields, ChartBox.cube(2, 1.0), dim=2, variables=uv)
+    data = SurfaceConnectionData.from_metric_and_torsion(
+        metric, lambda q: np.array([0.4 * np.cos(q[1]), 0.1 * q[0] - 0.2]))
+    return data, ([-0.8, -0.8], [0.8, 0.8])
+
+
+@pytest.mark.parametrize("name", ["abstract_sphere", "tanh", "angular", "expressions"])
+def test_torsion_gamma_characterisation(name):
+    """Torsion-mode coefficients against facts that do not use them.  A
+    metric connection is fixed by its torsion: its difference K to the
+    Levi-Civita connection of III is III-skew, ``III(K(x, y), z) =
+    -III(y, K(x, z))``, and its torsion is the prescribed field.  The
+    difference is not symmetric, so only a torsion-free connection has the
+    Levi-Civita symbols as its symmetric part."""
+    data, (lo, hi) = _torsion_case(name)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        q = rng.uniform(lo, hi)
+        gam = data.gamma(q)
+        g = data.third_form(q)
+        lc = christoffel(data.provider.iii_field, q)
+        k_low = np.einsum("mk,kij->ijm", g, gam - lc)
+        scale = max(1.0, np.max(np.abs(g)) * np.max(np.abs(gam)))
+        assert np.max(np.abs(k_low + k_low.transpose(0, 2, 1))) <= 1e-12 * scale
+        tau = data.torsion_vector(q)
+        if not np.any(tau):
+            assert np.max(np.abs(gam - lc)) <= 1e-12 * scale
+        assert np.max(np.abs(data.torsion_from_coefficients(q) - tau)) <= 1e-12 * max(
+            1.0, np.max(np.abs(tau)))
+        x, y, z = rng.normal(size=(3, 2))
+        assert metric_compatibility_residual(data, q, x, y, z) < 1e-9
+
+
+@pytest.mark.parametrize("diag", [(1.0, -1.0), (-1.0, -1.0), (1.0, 0.0)])
+def test_torsion_mode_rejects_non_positive_third_form(diag):
+    """An indefinite, negative or degenerate III raises a typed error from
+    gamma and from K~, never a NaN."""
+    metric = MetricField(2, lambda q: np.diag(diag), ChartBox.cube(2, 1.0),
+                         partials=lambda q: np.zeros((2, 2, 2)),
+                         second_partials=lambda q: np.zeros((2, 2, 2, 2)))
+    data = SurfaceConnectionData.from_metric_and_torsion(metric, lambda q: np.array([0.1, 0.2]))
+    for evaluate in (data.gamma, data.curvature):
+        with pytest.raises(NonInvertibleMetric):
+            evaluate([0.1, 0.2])
 
 
 def test_dual_connection_linearity(slice_data):

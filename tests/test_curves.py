@@ -6,6 +6,7 @@ from efimov_lab.curves import (
     BoundarySegment,
     CurveTrace,
     RegionSpec,
+    _rk4_step,
     boundary_holonomy_angle,
     deformation_rate_check,
     gauss_bonnet_residual,
@@ -41,6 +42,28 @@ def latitude_trace(data, psi):
     return CurveTrace.from_path(path, (0.0, total), 1e-3, velocity=velocity,
                                 acceleration=acceleration, closed=True,
                                 arclength=total)
+
+
+def count_calls(monkeypatch, obj, name):
+    """Wrap the point evaluator ``obj.name``; the returned list collects the
+    point of every call."""
+    calls = []
+    fn = getattr(obj, name)
+
+    def counted(q, *args, **kwargs):
+        calls.append(tuple(np.asarray(q, dtype=float)))
+        return fn(q, *args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+def deformed_geodesic(data):
+    """A 50-step geodesic well inside the chart of ``hyperbolic_deformed``."""
+    q = np.array([1.2, 0.1])
+    tr = integrate_geodesic(data, q, data.unit(q, [1.0, 0.5]), 0.5, 0.01)
+    assert len(tr.s) == 51 and not tr.left_patch
+    return tr
 
 
 # --- geodesics --------------------------------------------------------------
@@ -122,6 +145,26 @@ def test_transport_preserves_norm(slice_data):
     n0 = slice_data.norm(tr.points[0], w0)
     n1 = slice_data.norm(tr.points[-1], ws[-1])
     assert abs(n1 - n0) < 1e-8
+
+
+def test_transport_reads_gamma_once_per_point(monkeypatch):
+    """One connection read per sample and per midpoint, 2n + 1 for n
+    intervals, with the field of an RK4 step that reads at every stage."""
+    data = gallery.hyperbolic_deformed(1.0)
+    tr = deformed_geodesic(data)
+    w0 = np.array([0.3, 1.0])
+
+    def rhs(sv, wv):
+        p, v = tr.eval(sv)
+        return -np.einsum("kij,i,j->k", data.gamma(p), v, wv)
+
+    ref = [w0]
+    for i in range(len(tr.s) - 1):
+        ref.append(_rk4_step(rhs, tr.s[i], ref[-1], tr.s[i + 1] - tr.s[i]))
+    calls = count_calls(monkeypatch, data.provider, "gamma")
+    ws = parallel_transport_samples(data, tr, w0)
+    assert len(calls) == 101 and len(set(calls)) == 101
+    np.testing.assert_array_equal(ws, np.array(ref))
 
 
 def test_deformed_small_loop_rotation():
@@ -220,6 +263,32 @@ def test_jacobi_along_data_trace(abstract_sphere):
     jt = jacobi_field(abstract_sphere, tr, 0.0, 0.0, 0.0, 1.0, 1e-3)
     assert np.max(np.abs(jt.y - np.sin(jt.t))) < 1e-6
     assert np.max(np.abs(jt.xp - jt.y * jt.tau_x)) < 1e-12
+
+
+def test_jacobi_field_reads_curvature_once_per_time(monkeypatch):
+    """K~ and the torsion are read once per distinct time, 2n + 1 for n
+    steps, and the field equals one built from a separate reader of K~ and
+    of each torsion component."""
+    data = gallery.hyperbolic_deformed(1.0)
+    tr = deformed_geodesic(data)
+
+    def tau_component(t, rotate):
+        p, v = tr.eval(t)
+        if rotate:
+            v = data.complex_structure(p) @ v
+        return float(data.torsion_vector(p) @ data.third_form(p) @ v)
+
+    ref = integrate_jacobi(lambda t: data.curvature(tr.eval(t)[0]),
+                           lambda t: tau_component(t, False), lambda t: tau_component(t, True),
+                           (0.0, 0.0, 0.0, 1.0), tr.total_length, 0.01)
+    calls = count_calls(monkeypatch, data, "curvature")
+    torsion_calls = count_calls(monkeypatch, data, "torsion_vector")
+    jt = jacobi_field(data, tr, 0.0, 0.0, 0.0, 1.0, 0.01)
+    assert len(jt.t) == 51 and not jt.left_patch
+    assert len(calls) == 101 and len(set(calls)) == 101
+    assert torsion_calls == calls  # one read serves both torsion components
+    for name in ("t", "x", "y", "xp", "yp", "ktilde", "tau_x", "tau_y"):
+        np.testing.assert_array_equal(getattr(jt, name), getattr(ref, name))
 
 
 # --- Gauss-Bonnet -----------------------------------------------------------
