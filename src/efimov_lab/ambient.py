@@ -130,11 +130,7 @@ class MetricField:
         return g
 
     def inverse(self, p):
-        g = self.matrix(p)
-        det = np.linalg.det(g)
-        if abs(det) < DET_FLOOR:
-            raise NonInvertibleMetric(f"|det g| = {abs(det):.3e} below floor at {p}")
-        return np.linalg.inv(g)
+        return _checked_inverse(self.matrix(p), p)
 
     def partials(self, p):
         p = as_point(p, self.dim)
@@ -146,24 +142,33 @@ class MetricField:
         p = as_point(p, self.dim)
         if self._second_partials is not None:
             return np.asarray(self._second_partials(p), dtype=float)
-        if self._partials is not None:
-            # differentiate the analytic first partials: d2g[k,l] = d_k (dg[l])
-            grad = _fd.gradient(self._partials, p, self.fd_step)  # [k][l,i,j]
-            d2 = grad
-        else:
-            n = self.dim
-            d2 = np.empty((n, n, n, n))
-            for k in range(n):
-                for l in range(k, n):
-                    d2[k, l] = _fd.second(self._matrix, p, k, l, self.fd_step)
-                    if l != k:
-                        d2[l, k] = d2[k, l]
+        if self._partials is None:
+            return self.jet(p)[2]
+        # differentiate the analytic first partials: d2g[k,l] = d_k (dg[l])
+        d2 = _fd.gradient(self._partials, p, self.fd_step)  # [k][l,i,j]
         return 0.5 * (d2 + np.swapaxes(d2, 0, 1))
+
+    def jet(self, p):
+        """``(g, dg, d2g)`` at p.  A metric without analytic derivatives
+        takes all three from one shared stencil of ``_fd.jet``: 37 metric
+        evaluations in 3D, 17 in 2D."""
+        p = as_point(p, self.dim)
+        if self._partials is None and self._second_partials is None:
+            g, dg, d2g = _fd.jet(self._matrix, p, self.fd_step)
+            return np.asarray(g, dtype=float), dg, d2g
+        return self.matrix(p), self.partials(p), self.second_partials(p)
 
     def norm(self, p, x):
         g = self.matrix(p)
         x = np.asarray(x, dtype=float)
         return float(np.sqrt(max(x @ g @ x, 0.0)))
+
+
+def _checked_inverse(g, p):
+    det = np.linalg.det(g)
+    if abs(det) < DET_FLOOR:
+        raise NonInvertibleMetric(f"|det g| = {abs(det):.3e} below floor at {p}")
+    return np.linalg.inv(g)
 
 
 def christoffel(metric, p):
@@ -181,14 +186,14 @@ def christoffel(metric, p):
     return 0.5 * np.einsum("km,ijm->kij", ginv, term)
 
 
-def riemann_operator(metric, p):
-    """Curvature operator coefficients ``R[m, i, j, k]`` with
-    ``R(e_i, e_j) e_k = R[m, i, j, k] e_m``."""
+def _curvature(metric, p):
+    """``(g, Gamma, R)`` at p from one jet of the metric: ``g_ij``, the
+    Levi-Civita symbols ``Gamma[k, i, j]`` and the curvature operator
+    coefficients ``R[m, i, j, k]``."""
     p = as_point(p, metric.dim)
     metric.require_inside(p, margin=2.0 * metric.fd_margin())
-    ginv = metric.inverse(p)
-    dg = metric.partials(p)
-    d2g = metric.second_partials(p)
+    g, dg, d2g = metric.jet(p)
+    ginv = _checked_inverse(g, p)
 
     # dGamma[i, k, j, l] = d_i Gamma^k_jl, assembled from g, dg, d2g directly
     # so no finite differences of Gamma are ever nested.
@@ -204,7 +209,13 @@ def riemann_operator(metric, p):
     #             - Gamma^m_ja Gamma^a_ik
     r = (np.einsum("imjk->mijk", dgamma) - np.einsum("jmik->mijk", dgamma)
          + np.einsum("mia,ajk->mijk", gam, gam) - np.einsum("mja,aik->mijk", gam, gam))
-    return r
+    return g, gam, r
+
+
+def riemann_operator(metric, p):
+    """Curvature operator coefficients ``R[m, i, j, k]`` with
+    ``R(e_i, e_j) e_k = R[m, i, j, k] e_m``."""
+    return _curvature(metric, p)[2]
 
 
 def dnabla(a, da, gam, x, y):
@@ -222,8 +233,7 @@ def dnabla(a, da, gam, x, y):
 
 def riemann_covariant(metric, p):
     """Fully covariant curvature ``Rm[i, j, k, l] = g(R(e_i,e_j)e_k, e_l)``."""
-    g = metric.matrix(as_point(p, metric.dim))
-    r = riemann_operator(metric, p)
+    g, _, r = _curvature(metric, p)
     return np.einsum("lm,mijk->ijkl", g, r)
 
 
@@ -273,6 +283,10 @@ def curvature_operator_matrices(metric, p, rm=None):
     g = metric.matrix(p)
     if rm is None:
         rm = riemann_covariant(metric, p)
+    return _operator_matrices(g, rm)
+
+
+def _operator_matrices(g, rm):
     m = len(_PAIRS)
     s = np.empty((m, m))
     gram = np.empty((m, m))
@@ -309,11 +323,12 @@ class CurvatureSample:
 
 
 def curvature_sample(metric, p):
+    """Christoffel symbols, curvature, sectional extremes and symmetry
+    residuals at p, all from one jet of the metric."""
     p = as_point(p, metric.dim)
-    g = metric.matrix(p)
-    gam = christoffel(metric, p)
-    rm = riemann_covariant(metric, p)
-    s, gram = curvature_operator_matrices(metric, p, rm=rm)
+    g, gam, r = _curvature(metric, p)
+    rm = np.einsum("lm,mijk->ijkl", g, r)
+    s, gram = _operator_matrices(g, rm)
     vals = eigh(s, gram, eigvals_only=True)
     return CurvatureSample(
         point=p,

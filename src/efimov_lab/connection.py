@@ -50,7 +50,6 @@ MEMO_SIZE = 64  # fundamental data kept per immersion provider
 # finite-difference step of K~ from the frame connection form; its stencil
 # reaches this far (plus the metric's own stencil) around each point
 CURVATURE_FD_STEP = 1e-3
-EPS_2D = np.array([[0.0, 1.0], [-1.0, 0.0]])  # eps_{ij}, eps_12 = +1
 _IJM = tuple(itertools.product((0, 1), repeat=3))  # (i, j, m) in row-major order
 
 
@@ -60,10 +59,11 @@ _IJM = tuple(itertools.product((0, 1), repeat=3))  # (i, j, m) in row-major orde
 
 def complex_structure(g):
     """Matrix of the rotation J by +pi/2 for a 2x2 metric g:
-    (Jx)^c = sqrt(det g) eps_{ab} g^{bc} x^a."""
-    det = np.linalg.det(g)
-    ginv = np.linalg.inv(g)
-    return np.sqrt(det) * (EPS_2D @ ginv).T
+    (Jx)^c = sqrt(det g) eps_{ab} g^{bc} x^a, which is
+    ((-g21, -g22), (g11, g12)) / sqrt(det g)."""
+    (g11, g12), (g21, g22) = np.asarray(g, dtype=float).tolist()
+    s = math.sqrt(_metric_det(g11, g12, g21, g22))
+    return np.array([[-g21 / s, -g22 / s], [g11 / s, g12 / s]])
 
 
 def _metric_det(g11, g12, g21, g22):
@@ -313,9 +313,7 @@ class SurfaceConnectionData:
         return t12 / np.sqrt(np.linalg.det(self.third_form(q)))
 
     def torsion_norm(self, q):
-        tau = self.torsion_vector(q)
-        g = self.third_form(q)
-        return float(np.sqrt(max(tau @ g @ tau, 0.0)))
+        return self.norm(q, self.torsion_vector(q))
 
     def complex_structure(self, q):
         return complex_structure(self.third_form(q))
@@ -325,7 +323,9 @@ class SurfaceConnectionData:
 
     def norm(self, q, x):
         g = self.third_form(q)
+        _metric_det(*g.ravel().tolist())
         x = np.asarray(x, dtype=float)
+        # III is positive definite here, so only rounding can make x.g.x < 0
         return float(np.sqrt(max(x @ g @ x, 0.0)))
 
     def inner(self, q, x, y):

@@ -1,17 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from efimov_lab import gallery
+from efimov_lab import _fd, gallery
 from efimov_lab.ambient import (
     ChartBox,
     MetricField,
     christoffel,
     curvature_sample,
+    metric_from_expressions,
     riemann_covariant,
     riemann_sectional,
     sectional_range,
 )
 from efimov_lab.errors import DegeneratePlane, NonInvertibleMetric, PointOutsideChart
+from efimov_lab.expressions import parse_assignments
 
 
 def polar_flat():
@@ -162,3 +168,79 @@ def test_metric_symmetry_and_positivity_sampled():
             g = m.matrix(p)
             assert np.max(np.abs(g - g.T)) < 1e-12
             assert np.all(np.linalg.eigvalsh(g) > 0)
+
+
+# --- one shared stencil per point for metrics without analytic partials ------
+
+
+def counted(metric):
+    """(copy of a pure-FD metric whose matrix callable counts its calls, calls)"""
+    calls = [0]
+
+    def matrix(p):
+        calls[0] += 1
+        return metric.matrix(p)
+
+    return MetricField(metric.dim, matrix, metric.box, fd_step=metric.fd_step,
+                       name=metric.name), calls
+
+
+@pytest.mark.parametrize("evaluate", [curvature_sample, riemann_covariant])
+def test_pure_fd_curvature_takes_one_stencil_per_point(evaluate):
+    """1 + 4n + 4n(n-1) = 37 distinct points in 3D, each evaluated once."""
+    m, calls = counted(gallery.g_lambda(1.0, analytic=False))
+    evaluate(m, [0.3, -0.4, 0.05])
+    assert calls[0] == 37
+
+
+def test_pure_fd_curvature_in_2d_takes_17_evaluations():
+    m, calls = counted(MetricField(2, lambda q: np.diag([1.0, np.sinh(q[0]) ** 2]),
+                                   ChartBox((0.5, -1.0), (2.0, 1.0))))
+    rm = riemann_covariant(m, [1.1, 0.2])
+    assert calls[0] == 17
+    k = rm[0, 1, 1, 0] / np.linalg.det(m.matrix([1.1, 0.2]))
+    assert abs(k + 1.0) < 1e-6  # dr^2 + sinh^2(r) dtheta^2 has K = -1
+
+
+def test_pure_fd_jet_equals_separate_derivatives():
+    """The jet's g, dg and d2g equal the separate central and second stencils
+    bit for bit, so curvature numbers do not move."""
+    m = gallery.g_lambda(0.7, analytic=False)
+    p = np.array([0.3, -0.4, 0.05])
+    g, dg, d2g = m.jet(p)
+    assert np.array_equal(g, m.matrix(p))
+    assert np.array_equal(dg, _fd.gradient(m.matrix, p, m.fd_step))
+    for k in range(3):
+        for l in range(k, 3):
+            d2 = _fd.second(m.matrix, p, k, l, m.fd_step)
+            assert np.array_equal(d2g[k, l], d2) and np.array_equal(d2g[l, k], d2)
+
+
+@pytest.mark.parametrize("evaluate", [curvature_sample, riemann_covariant])
+def test_pure_fd_curvature_typed_errors(evaluate):
+    """The 2 * fd_margin chart check and the determinant floor still hold,
+    and neither surfaces as a numpy warning."""
+    m = gallery.g_lambda(1.0, analytic=False)
+    edge = m.box.hi[2] - 1.5 * m.fd_margin()  # Christoffel-safe, not curvature-safe
+    degenerate = MetricField(3, lambda p: np.diag([1.0, 1.0, p[2] ** 2]), ChartBox.cube(3, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        christoffel(m, [0.1, 0.2, edge])
+        with pytest.raises(PointOutsideChart):
+            evaluate(m, [0.1, 0.2, edge])
+        with pytest.raises(NonInvertibleMetric):
+            evaluate(degenerate, [0.1, 0.2, 0.0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(0.3, 1.5), u=st.floats(-0.9, 0.9), v=st.floats(-0.9, 0.9),
+       w=st.floats(-0.45, 0.45))
+def test_expression_file_metric_has_constant_curvature(c, u, v, w):
+    """dw^2 + e^{2cw}(du^2 + dv^2) is hyperbolic space of curvature -c^2."""
+    fields, box = parse_assignments(
+        f"box = -1 1 -1 1 -0.5 0.5\ng11 = exp(2*{c!r}*w)\ng22 = exp(2*{c!r}*w)\ng33 = 1\n",
+        ("u", "v", "w"))
+    m = metric_from_expressions(fields, ChartBox(tuple(box[0::2]), tuple(box[1::2])))
+    s = curvature_sample(m, [u, v, w])
+    assert abs(s.k_min + c * c) < 1e-6 and abs(s.k_max + c * c) < 1e-6
+    assert max(s.symmetry_residuals.values()) < 1e-4

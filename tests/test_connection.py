@@ -7,6 +7,7 @@ from efimov_lab.connection import (
     BoundSet,
     SurfaceConnectionData,
     check_hypothesis,
+    complex_structure,
     curvature_bounds_k4k5,
     dual_codazzi_residual,
     dual_connection_at,
@@ -115,14 +116,35 @@ def test_torsion_gamma_characterisation(name):
 @pytest.mark.parametrize("diag", [(1.0, -1.0), (-1.0, -1.0), (1.0, 0.0)])
 def test_torsion_mode_rejects_non_positive_third_form(diag):
     """An indefinite, negative or degenerate III raises a typed error from
-    gamma and from K~, never a NaN."""
+    gamma, K~, the complex structure and the III-norms, never a NaN or a
+    silent 0."""
     metric = MetricField(2, lambda q: np.diag(diag), ChartBox.cube(2, 1.0),
                          partials=lambda q: np.zeros((2, 2, 2)),
                          second_partials=lambda q: np.zeros((2, 2, 2, 2)))
     data = SurfaceConnectionData.from_metric_and_torsion(metric, lambda q: np.array([0.1, 0.2]))
-    for evaluate in (data.gamma, data.curvature):
+    for evaluate in (data.gamma, data.curvature, data.complex_structure, data.torsion_norm,
+                     lambda q: data.norm(q, [0.3, 0.4]),
+                     lambda q: complex_structure(metric.matrix(q))):
         with pytest.raises(NonInvertibleMetric):
             evaluate([0.1, 0.2])
+
+
+def test_complex_structure_is_the_metric_rotation():
+    """J from the closed-form 2x2 arithmetic equals sqrt(det g) eps g^{-1}
+    and is a positively oriented isometry with J^2 = -1."""
+    eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        a = rng.normal(size=(2, 2))
+        g = a @ a.T + 0.1 * np.eye(2)
+        j = complex_structure(g)
+        ref = np.sqrt(np.linalg.det(g)) * (eps @ np.linalg.inv(g)).T
+        assert np.max(np.abs(j - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(j @ j + np.eye(2))) < 1e-12
+        assert np.max(np.abs(j.T @ g @ j - g)) < 1e-12 * np.max(np.abs(g))
+        x = rng.normal(size=2)
+        assert abs(x @ g @ (j @ x)) < 1e-12 * (x @ g @ x)
+        assert np.linalg.det(np.column_stack([x, j @ x])) > 0
 
 
 def test_dual_connection_linearity(slice_data):
