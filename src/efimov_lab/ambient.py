@@ -35,24 +35,9 @@ from .errors import DegeneratePlane, NonInvertibleMetric, PointOutsideChart
 DET_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of a coordinate chart; convenience wrapper over (u, v, w)."""
-
-    u: float
-    v: float
-    w: float = 0.0
-
-    def array(self):
-        return np.array([self.u, self.v, self.w], dtype=float)
-
-
 def as_point(p, dim):
-    """Coerce array-likes or ChartPoint to a float ndarray of length ``dim``."""
-    if isinstance(p, ChartPoint):
-        a = p.array()[:dim]
-    else:
-        a = np.asarray(p, dtype=float)
+    """Coerce an array-like to a float ndarray of length ``dim``."""
+    a = np.asarray(p, dtype=float)
     if a.shape != (dim,):
         raise ValueError(f"expected a point with {dim} coordinates, got shape {a.shape}")
     return a
@@ -157,11 +142,6 @@ class MetricField:
             g, dg, d2g = _fd.jet(self._matrix, p, self.fd_step)
             return np.asarray(g, dtype=float), dg, d2g
         return self.matrix(p), self.partials(p), self.second_partials(p)
-
-    def norm(self, p, x):
-        g = self.matrix(p)
-        x = np.asarray(x, dtype=float)
-        return float(np.sqrt(max(x @ g @ x, 0.0)))
 
 
 def _checked_inverse(g, p):
@@ -340,8 +320,7 @@ def curvature_sample(metric, p):
     )
 
 
-def metric_from_expressions(fields, box, dim=3, variables=("u", "v", "w"), fd_step=1e-3,
-                            name="custom"):
+def metric_from_expressions(fields, box, dim=3, variables=("u", "v", "w"), name="custom"):
     """Build a MetricField from a dict of coefficient Expressions.
 
     ``fields`` maps names like ``g11``, ``g12`` ... to Expression objects in
@@ -363,4 +342,4 @@ def metric_from_expressions(fields, box, dim=3, variables=("u", "v", "w"), fd_st
                 g[j, i] = g[i, j]
         return g
 
-    return MetricField(dim, matrix, box, fd_step=fd_step, name=name)
+    return MetricField(dim, matrix, box, name=name)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _fd
 from .ambient import as_point
-from .connection import covariant_derivative_of_field
+from .connection import FD_STEP, covariant_derivative_of_field
 from .curves import CurveTrace, parallel_transport_samples, rk4_samples
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
 
@@ -125,7 +125,7 @@ def _kappa_log(data, q):
     return 0.5 * np.log(-det)  # ln k
 
 
-def covariant_rate_check(data, q, fd_step=1e-4):
+def covariant_rate_check(data, q):
     """Residual norms of the two closed-form covariant rates of the frame:
 
         D~_V U = -(sin theta / 2)(U.kappa + III(tau, J U)) J U
@@ -145,10 +145,10 @@ def covariant_rate_check(data, q, fd_step=1e-4):
     def v_field(qq):
         return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).v
 
-    nabla_v_u = covariant_derivative_of_field(data, q, base.v, u_field, fd_step=fd_step)
-    nabla_u_v = covariant_derivative_of_field(data, q, base.u, v_field, fd_step=fd_step)
+    nabla_v_u = covariant_derivative_of_field(data, q, base.v, u_field)
+    nabla_u_v = covariant_derivative_of_field(data, q, base.u, v_field)
 
-    kappa_grad = _fd.gradient(lambda qq: _kappa_log(data, qq), q, fd_step)
+    kappa_grad = _fd.gradient(lambda qq: _kappa_log(data, qq), q, FD_STEP)
     u_kappa = float(base.u @ kappa_grad)
     v_kappa = float(base.v @ kappa_grad)
 

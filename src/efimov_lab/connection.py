@@ -46,6 +46,8 @@ from .errors import (
 from .immersion import fundamental_forms, induced_metric_field
 
 DET_B_FLOOR = 1e-10
+# finite-difference step of B, III and vector fields over the surface chart
+FD_STEP = 1e-4
 MEMO_SIZE = 64  # fundamental data kept per immersion provider
 # finite-difference step of K~ from the frame connection form; its stencil
 # reaches this far (plus the metric's own stencil) around each point
@@ -73,6 +75,20 @@ def _metric_det(g11, g12, g21, g22):
         raise NonInvertibleMetric(
             f"2x2 metric is not positive definite: g11 = {g11:.3e}, det g = {det:.3e}")
     return det
+
+
+def _torsion_from_gamma(gam, iii):
+    """Torsion vector ``(Gamma_12 - Gamma_21) / sqrt(det III)`` of the
+    connection coefficients ``gam[k, i, j]``."""
+    return (gam[:, 0, 1] - gam[:, 1, 0]) / np.sqrt(np.linalg.det(iii))
+
+
+def _inverse_shape_operator(b, q):
+    """B^{-1}, or DegenerateShapeOperator when |det B| is below the floor."""
+    det = np.linalg.det(b)
+    if abs(det) < DET_B_FLOOR:
+        raise DegenerateShapeOperator(f"|det B| = {abs(det):.3e} below floor at q={q}")
+    return np.linalg.inv(b)
 
 
 def orthonormal_frame(g, dg=None):
@@ -160,11 +176,9 @@ class _OperatorProvider:
 
     mode = "operator"
 
-    def __init__(self, sigma_field, b_field, b_partials=None, fd_step=1e-4, name=""):
+    def __init__(self, sigma_field, b_field, name=""):
         self.sigma_field = sigma_field
         self.b_field = b_field
-        self.b_partials = b_partials
-        self.fd_step = float(fd_step)
         self.name = name
 
     @property
@@ -175,17 +189,10 @@ class _OperatorProvider:
         return np.asarray(self.b_field(as_point(q, 2)), dtype=float)
 
     def b_matrix_partials(self, q):
-        q = as_point(q, 2)
-        if self.b_partials is not None:
-            return np.asarray(self.b_partials(q), dtype=float)
-        return np.stack([_fd.central(self.b_field, q, k, self.fd_step) for k in range(2)])
+        return _fd.gradient(self.b_field, as_point(q, 2), FD_STEP)
 
     def b_tilde(self, q):
-        b = self.b_matrix(q)
-        det = np.linalg.det(b)
-        if abs(det) < DET_B_FLOOR:
-            raise DegenerateShapeOperator(f"|det B| = {abs(det):.3e} below floor at q={q}")
-        return np.linalg.inv(b)
+        return _inverse_shape_operator(self.b_matrix(q), q)
 
     def third_form(self, q):
         b = self.b_matrix(q)
@@ -203,34 +210,27 @@ class _OperatorProvider:
     def gamma(self, q):
         q = as_point(q, 2)
         b = self.b_matrix(q)
-        det = np.linalg.det(b)
-        if abs(det) < DET_B_FLOOR:
-            raise DegenerateShapeOperator(f"|det B| = {abs(det):.3e} below floor at q={q}")
-        binv = np.linalg.inv(b)
+        binv = _inverse_shape_operator(b, q)
         db = self.b_matrix_partials(q)
         lc = christoffel(self.sigma_field, q)
         inner = db.transpose(1, 0, 2) + np.einsum("lim,mj->lij", lc, b)
         return np.einsum("kl,lij->kij", binv, inner)
 
     def torsion_vector(self, q):
-        gam = self.gamma(q)
-        t12 = gam[:, 0, 1] - gam[:, 1, 0]
-        iii = self.third_form(q)
-        return t12 / np.sqrt(np.linalg.det(iii))
+        return _torsion_from_gamma(self.gamma(q), self.third_form(q))
 
 
 class _ImmersionProvider(_OperatorProvider):
     mode = "immersion"
 
-    def __init__(self, patch, ambient, fd_step=1e-4):
+    def __init__(self, patch, ambient):
         self.patch = patch
         self.ambient = ambient
         # called through the module binding, so wrappers of fundamental_forms see it
         self._memo = functools.lru_cache(maxsize=MEMO_SIZE)(
             lambda u, v: fundamental_forms(patch, ambient, np.array([u, v])))
         sigma = induced_metric_field(patch, ambient)
-        super().__init__(sigma, self._shape_at, fd_step=fd_step,
-                         name=f"dual[{patch.name}]")
+        super().__init__(sigma, self._shape_at, name=f"dual[{patch.name}]")
 
     def fundamental(self, q):
         q = as_point(q, 2)
@@ -243,9 +243,7 @@ class _ImmersionProvider(_OperatorProvider):
         return self.fundamental(q).third
 
     def third_form_partials(self, q):
-        q = as_point(q, 2)
-        return np.stack([_fd.central(lambda qq: self.fundamental(qq).third, q, k, self.fd_step)
-                         for k in range(2)])
+        return _fd.gradient(lambda qq: self.fundamental(qq).third, as_point(q, 2), FD_STEP)
 
 
 class SurfaceConnectionData:
@@ -261,13 +259,12 @@ class SurfaceConnectionData:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_immersion(cls, patch, ambient, fd_step=1e-4):
-        return cls(_ImmersionProvider(patch, ambient, fd_step=fd_step))
+    def from_immersion(cls, patch, ambient):
+        return cls(_ImmersionProvider(patch, ambient))
 
     @classmethod
-    def from_operator(cls, sigma_field, b_field, b_partials=None, fd_step=1e-4, name=""):
-        return cls(_OperatorProvider(sigma_field, b_field, b_partials=b_partials,
-                                     fd_step=fd_step, name=name))
+    def from_operator(cls, sigma_field, b_field, name=""):
+        return cls(_OperatorProvider(sigma_field, b_field, name=name))
 
     @classmethod
     def from_metric_and_torsion(cls, iii_field, tau, name=""):
@@ -308,9 +305,7 @@ class SurfaceConnectionData:
 
     def torsion_from_coefficients(self, q):
         """Torsion vector recovered from the connection coefficients."""
-        gam = self.gamma(q)
-        t12 = gam[:, 0, 1] - gam[:, 1, 0]
-        return t12 / np.sqrt(np.linalg.det(self.third_form(q)))
+        return _torsion_from_gamma(self.gamma(q), self.third_form(q))
 
     def torsion_norm(self, q):
         return self.norm(q, self.torsion_vector(q))
@@ -389,8 +384,7 @@ class SurfaceConnectionData:
     def curvature_from_frame(self, q):
         """-d omega / dv for the orthonormal-frame connection form omega."""
         q = as_point(q, 2)
-        grad = np.stack([_fd.central(self.connection_form, q, k, CURVATURE_FD_STEP)
-                         for k in range(2)])
+        grad = _fd.gradient(self.connection_form, q, CURVATURE_FD_STEP)
         domega = grad[0, 1] - grad[1, 0]
         return float(-domega / self.area_density(q))
 
@@ -407,16 +401,16 @@ def dual_connection_at(data, q, x, y):
     return np.einsum("kij,i,j->k", gam, x, y)
 
 
-def covariant_derivative_of_field(data, q, x, field, fd_step=1e-4):
+def covariant_derivative_of_field(data, q, x, field):
     """D~_x (field) at q for a vector field given as a callable q -> vector."""
     q = as_point(q, 2)
     x = np.asarray(x, dtype=float)
-    dfield = np.stack([_fd.central(field, q, k, fd_step) for k in range(2)])
+    dfield = _fd.gradient(field, q, FD_STEP)
     gam = data.gamma(q)
     return np.einsum("i,ik->k", x, dfield) + np.einsum("kij,i,j->k", gam, x, field(q))
 
 
-def metric_compatibility_residual(data, q, x, y, z, fd_step=1e-4):
+def metric_compatibility_residual(data, q, x, y, z):
     """|d_x III(y,z) - III(D~_x y, z) - III(y, D~_x z)| for constant y, z."""
     q = as_point(q, 2)
     x = np.asarray(x, dtype=float)
@@ -426,7 +420,7 @@ def metric_compatibility_residual(data, q, x, y, z, fd_step=1e-4):
     def f(qq):
         return float(y @ data.third_form(qq) @ z)
 
-    dg = np.array([_fd.central(f, q, k, fd_step) for k in range(2)])
+    dg = _fd.gradient(f, q, FD_STEP)
     lhs = float(x @ dg)
     g = data.third_form(q)
     rhs = float(dual_connection_at(data, q, x, y) @ g @ z
@@ -434,8 +428,9 @@ def metric_compatibility_residual(data, q, x, y, z, fd_step=1e-4):
     return abs(lhs - rhs)
 
 
-def dual_codazzi_residual(data, q, x=(1.0, 0.0), y=(0.0, 1.0), fd_step=1e-4):
-    """Norm of ``D~_x(B~ y) - D~_y(B~ x) - B~ [x, y]`` for coordinate fields.
+def dual_codazzi_residual(data, q):
+    """Norm of ``D~_x(B~ y) - D~_y(B~ x) - B~ [x, y]`` for the coordinate
+    fields ``x = d_1``, ``y = d_2``.
 
     Zero in exact arithmetic: the inverse shape operator satisfies the dual
     Codazzi identity with respect to the compatible connection.
@@ -443,10 +438,9 @@ def dual_codazzi_residual(data, q, x=(1.0, 0.0), y=(0.0, 1.0), fd_step=1e-4):
     if data.mode == "torsion":
         raise ModeUnsupported("dual Codazzi residual requires a shape operator")
     q = as_point(q, 2)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    dbt = np.stack([_fd.central(data.b_tilde, q, k, fd_step) for k in range(2)])
-    # constant-coefficient fields commute, so B~ [x, y] = 0
+    x, y = np.eye(2)
+    dbt = _fd.gradient(data.b_tilde, q, FD_STEP)
+    # coordinate fields commute, so B~ [x, y] = 0
     resid = dnabla(data.b_tilde(q), dbt, data.gamma(q), x, y)
     g = data.third_form(q)
     return float(np.sqrt(max(resid @ g @ resid, 0.0)))
@@ -605,14 +599,13 @@ def check_hypothesis(k1, k2, k3):
     )
 
 
-def measured_gradient_constants(data, sample_points, fd_step=1e-3):
+def measured_gradient_constants(data, sample_points):
     """Sampled estimates (c_sigma, c_mu) of the curvature-gradient constants.
 
     c_sigma bounds |x.K_surface| / (|x| |K_surface|^{3/2}) and c_mu bounds
     the coordinate gradient of the ambient sectional curvature on the pushed
     tangent plane.  Informational only: no global verification is attempted.
     """
-    from . import _fd
     from .ambient import riemann_sectional
 
     if data.mode != "immersion":
@@ -631,13 +624,13 @@ def measured_gradient_constants(data, sample_points, fd_step=1e-3):
             return riemann_sectional(prov.ambient, fd.point,
                                      fd.jacobian[:, 0], fd.jacobian[:, 1])
 
-        grad_ki = _fd.gradient(k_intr, q, fd_step)
+        grad_ki = _fd.gradient(k_intr, q, 1e-3)
         first = prov.fundamental(q).first
         # sup over unit x of |<grad, x>| = norm of the gradient covector
         norm_grad = float(np.sqrt(grad_ki @ np.linalg.inv(first) @ grad_ki))
         ki = abs(prov.fundamental(q).k_intrinsic)
         c_sigma = max(c_sigma, norm_grad / ki ** 1.5)
-        grad_km = _fd.gradient(k_amb, q, fd_step)
+        grad_km = _fd.gradient(k_amb, q, 1e-3)
         c_mu = max(c_mu, float(np.sqrt(grad_km @ np.linalg.inv(first) @ grad_km)))
     return float(c_sigma), float(c_mu)
 

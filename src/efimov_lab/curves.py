@@ -86,12 +86,12 @@ class CurveTrace:
         return hermite((sv - self.s[i]) / h, h, self.points[i], self.velocities[i],
                        self.points[i + 1], self.velocities[i + 1])
 
-    def acceleration(self, sv, h=None):
-        """Second parameter derivative of the curve at sv."""
+    def acceleration(self, sv):
+        """Second parameter derivative of the curve at sv; without an analytic
+        acceleration, central differences of the velocity at the sample step."""
         if self.path_acceleration is not None:
             return np.asarray(self.path_acceleration(sv), dtype=float)
-        if h is None:
-            h = self.step
+        h = self.step
         if self.path is not None:
             return _fd.derivative_along(lambda t: self.eval(t)[1], sv, h)
         if sv - 2 * h < self.s[0] or sv + 2 * h > self.s[-1]:
@@ -226,10 +226,11 @@ def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=Fal
     return trace
 
 
-def exponential_map(data, q, w, n_steps=8):
-    """Endpoint of the geodesic with initial velocity w, run for unit time."""
+def exponential_map(data, q, w):
+    """Endpoint of the geodesic with initial velocity w, run for unit time in
+    8 RK4 steps."""
     state = np.concatenate([as_point(q, 2), np.asarray(w, dtype=float)])
-    for _, state in rk4_samples(_geodesic_rhs(data), state, 1.0, 1.0 / n_steps):
+    for _, state in rk4_samples(_geodesic_rhs(data), state, 1.0, 1.0 / 8):
         pass
     return state[:2]
 
@@ -265,10 +266,10 @@ def parallel_transport(data, trace, w):
     return parallel_transport_samples(data, trace, w)[-1]
 
 
-def geodesic_curvature(data, trace, sv, fd_step=None):
+def geodesic_curvature(data, trace, sv):
     """kappa(s) = III(D~_{c'} c', J c') / |c'|^3 at an interior parameter."""
     p, v = trace.eval(sv)
-    acc = trace.acceleration(sv, h=fd_step)
+    acc = trace.acceleration(sv)
     cov = acc + np.einsum("kij,i,j->k", data.gamma(p), v, v)
     g = data.third_form(p)
     jv = data.complex_structure(p) @ v
@@ -432,7 +433,7 @@ class BoundarySegment:
                             for t in s])
         return s, pts, vel, acc
 
-    def trace(self, step_hint=None):
+    def trace(self):
         s, pts, vel, _ = self.nodes()
         if self.path is not None:
             return CurveTrace.from_path(self.path, self.s_range,
@@ -453,10 +454,11 @@ class RegionSpec:
     over the unit square.
     """
 
-    def __init__(self, segments, interior, closure_tol=1e-6):
+    closure_tol = 1e-6  # largest endpoint gap between consecutive segments
+
+    def __init__(self, segments, interior):
         self.segments = segments
         self.interior = interior
-        self.closure_tol = closure_tol
 
     # -- boundary -----------------------------------------------------------
 
@@ -590,15 +592,14 @@ class RegionSpec:
                                   "n": (n_radial, n_angular)})
 
     @staticmethod
-    def geodesic_disk(data, center, radius, n_rays=256, n_radial=16, ray_step=None):
+    def geodesic_disk(data, center, radius, n_rays=256, n_radial=16):
         """Disk swept by geodesics of the connection from a center point.
 
-        The boundary is the endpoint curve of the rays; derivatives across
-        rays use 4th-order periodic differences.
+        Each ray takes 64 RK4 steps.  The boundary is the endpoint curve of
+        the rays; derivatives across rays use 4th-order periodic differences.
         """
         center = as_point(center, 2)
-        if ray_step is None:
-            ray_step = radius / 64.0
+        ray_step = radius / 64.0
         g = data.third_form(center)
         f, _ = orthonormal_frame(g)
         ga, wa = np.polynomial.legendre.leggauss(n_radial)
@@ -679,16 +680,16 @@ def boundary_holonomy_angle(data, region):
 # deformation rate
 
 
-def deformation_rate_check(data, trace, profile, sv, eps=1e-3, stencil=None):
+def deformation_rate_check(data, trace, profile, sv, eps=1e-3):
     """Compare the closed-form first variation of geodesic curvature under a
     normal deformation against a finite-difference oracle.
 
     The curve is deformed by the geodesic flow ``exp(eps * l(s) * J c'(s))``;
     the oracle differentiates the measured curvature of the deformed curves in
-    eps with first-order extrapolation.  Returns |formula - oracle|.
+    eps with first-order extrapolation.  Its stencil in s is the trace step,
+    but at least 1e-3.  Returns |formula - oracle|.
     """
-    if stencil is None:
-        stencil = max(trace.step, 1e-3)
+    stencil = max(trace.step, 1e-3)
     p, v = trace.eval(sv)
     g = data.third_form(p)
     speed = np.sqrt(v @ g @ v)

@@ -50,12 +50,18 @@ def test_slice_torsion_equals_dnabla_b_norm(slice_data):
 
 
 def test_torsion_roundtrip_from_coefficients(slice_data):
+    """The torsion read off the connection coefficients against
+    ``B^{-1} (d^nabla B)(d_1, d_2) / sqrt(det III)``, which is built from the
+    shape operator and the Levi-Civita connection of I, never from gamma."""
+    case = gallery.build_example("hyperbolic_slice", **{"lambda": 1.0})
     q = np.array([-0.3, 0.6])
-    stored = slice_data.torsion_vector(q)
-    recovered = slice_data.torsion_from_coefficients(q)
-    g = slice_data.third_form(q)
-    diff = stored - recovered
-    assert np.sqrt(diff @ g @ diff) < 1e-8
+    fd = slice_data.fundamental(q)
+    dnb = dnabla_b(case.patch, case.metric, q, [1.0, 0.0], [0.0, 1.0])
+    oracle = np.linalg.solve(fd.shape_operator, dnb) / np.sqrt(np.linalg.det(fd.third))
+    assert np.sqrt(oracle @ fd.third @ oracle) > 1e-2  # a genuinely twisted point
+    for tau in (slice_data.torsion_from_coefficients(q), slice_data.torsion_vector(q)):
+        diff = tau - oracle
+        assert np.sqrt(diff @ fd.third @ diff) < 1e-8
 
 
 def test_metric_compatibility(slice_data, sphere2_data, hyperbolic_abstract):

@@ -187,11 +187,3 @@ def test_virtual_third_form_wrong_sign():
     with pytest.raises(WrongSignDeterminant):
         gallery.virtual_third_form(sigma, h_pos, lambda q: 1.0, lambda q: np.zeros(2))
 
-
-def test_thread_env_does_not_change_results(monkeypatch):
-    rep1 = gallery.verify_example("sphere3")
-    monkeypatch.setenv("EFIMOV_LAB_THREADS", "2")
-    rep2 = gallery.verify_example("sphere3")
-    monkeypatch.setenv("EFIMOV_LAB_THREADS", "1")
-    rep3 = gallery.verify_example("sphere3")
-    assert rep1["fields"] == rep2["fields"] == rep3["fields"]
