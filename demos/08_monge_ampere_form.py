@@ -30,7 +30,7 @@ from efimov_lab.connection import orthonormal_frame
 
 def h_diag(q):
     g = sigma.matrix(q)
-    f, _ = orthonormal_frame(g)
+    f = orthonormal_frame(g)
     frame = np.column_stack([f[0], f[1]])
     return frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
 

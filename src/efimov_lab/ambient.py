@@ -217,6 +217,12 @@ def riemann_covariant(metric, p):
     return np.einsum("lm,mijk->ijkl", g, r)
 
 
+def gauss_curvature(metric2d, p):
+    """Gaussian curvature ``Rm[0, 1, 1, 0] / det g`` of a 2D metric at p."""
+    rm = riemann_covariant(metric2d, p)
+    return float(rm[0, 1, 1, 0] / np.linalg.det(metric2d.matrix(p)))
+
+
 def riemann_symmetry_residuals(g, rm):
     """Max violations of the four classical symmetries of ``rm``."""
     a1 = np.max(np.abs(rm + np.einsum("jikl->ijkl", rm)))

@@ -17,7 +17,7 @@ import numpy as np
 from . import _fd
 from .ambient import as_point
 from .connection import FD_STEP, covariant_derivative_of_field
-from .curves import CurveTrace, parallel_transport_samples, rk4_samples
+from .curves import CurveTrace, parallel_transport_samples, rk4_samples, trace_margin
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
 
 __all__ = [
@@ -199,7 +199,7 @@ class AsymptoticTrace:
                          "defect_running"], rows)
 
 
-def trace_asymptotic(data, q, which, length, step, margin=None):
+def trace_asymptotic(data, q, which, length, step):
     """Integrate the unit flow of U (or V) and collect the diagnostics:
     delta = pi + inf theta - sup theta, sigma = integral of sin theta, and
     the quasi-geodesic defect (max angle between the velocity and the
@@ -210,8 +210,7 @@ def trace_asymptotic(data, q, which, length, step, margin=None):
     which = which.upper()
     if which not in ("U", "V"):
         raise ValueError("direction must be 'U' or 'V'")
-    if margin is None:
-        margin = 4.0 * step if data.mode == "immersion" else 0.0
+    margin = trace_margin(data, step)
 
     def direction(qq, ref):
         fr = asymptotic_frame(data, qq, ref_u=ref if which == "U" else None,
@@ -305,7 +304,7 @@ def _flow_curve(data, q, which, ref, length, step):
     s_vals = [0.0]
     pts = [q]
     vels = [ref_d]
-    margin = 4.0 * step if data.mode == "immersion" else 0.0
+    margin = trace_margin(data, step)
     for s, cur in rk4_samples(lambda t, qq: direction(qq, ref_d), q, length, step):
         if not data.contains(cur, margin=margin):
             raise LeftPatch(f"net flow left the patch near {cur}")

@@ -125,7 +125,10 @@ def _surface_file_connection(path):
     for line in text.splitlines():
         stripped = line.strip()
         if stripped.startswith("ambient"):
-            ambient_name = stripped.split("=", 1)[1].strip()
+            _, sep, value = stripped.partition("=")
+            if not sep:
+                raise ValueError(f"surface file line {stripped!r} needs 'ambient = <metric>'")
+            ambient_name = value.strip()
         else:
             kept.append(line)
     fields, box = parse_assignments("\n".join(kept), ("u", "v"))
@@ -152,6 +155,8 @@ def _metric_for(spec_text):
 
 
 def region_from_json(data, spec):
+    if not (isinstance(spec, dict) and "center" in spec and "radius" in spec):
+        raise ValueError("region must be a JSON object with 'center' and 'radius' entries")
     kind = spec.get("kind")
     if kind == "coordinate_disk":
         return RegionSpec.coordinate_disk(
@@ -164,7 +169,7 @@ def region_from_json(data, spec):
             data, spec["center"], spec["radius"],
             n_rays=int(spec.get("n_rays", 256)),
             n_radial=int(spec.get("n_radial", 16)))
-    raise ValueError(f"unknown region kind {spec.get('kind')!r}")
+    raise ValueError(f"unknown region kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ Everything here is a pure evaluator over read-only inputs, and verdicts are
 plain value objects.  The only mutable state is the immersion provider's
 memo of fundamental data, a ``functools.lru_cache`` of ``MEMO_SIZE`` entries
 keyed on the parameter point.  It serves points that callers re-request
-close together: ``connection_form``, for one, reads III and B on the same
-finite-difference stencil.  Its fixed size keeps long traces in constant
+close together: ``torsion_vector``, for one, reads B through ``gamma`` and
+then III at the same point.  Its fixed size keeps long traces in constant
 memory, and it is safe for concurrent reads.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import DET_FLOOR, as_point, christoffel, dnabla
+from .ambient import DET_FLOOR, as_point, christoffel, dnabla, gauss_curvature
 from .errors import (
     DegenerateShapeOperator,
     InvalidPinching,
@@ -49,7 +49,7 @@ DET_B_FLOOR = 1e-10
 # finite-difference step of B, III and vector fields over the surface chart
 FD_STEP = 1e-4
 MEMO_SIZE = 64  # fundamental data kept per immersion provider
-# finite-difference step of K~ from the frame connection form; its stencil
+# finite-difference step of the torsion curl in torsion-mode K~; its stencil
 # reaches this far (plus the metric's own stencil) around each point
 CURVATURE_FD_STEP = 1e-3
 _IJM = tuple(itertools.product((0, 1), repeat=3))  # (i, j, m) in row-major order
@@ -91,30 +91,13 @@ def _inverse_shape_operator(b, q):
     return np.linalg.inv(b)
 
 
-def orthonormal_frame(g, dg=None):
-    """Gram-Schmidt frame (f1, f2) of a 2x2 metric, positively oriented.
-
-    Returns (f, df) where ``f[a]`` is the a-th frame vector and, when ``dg``
-    (the array ``dg[k, i, j]``) is given, ``df[k, a]`` is its coordinate
-    derivative; otherwise df is None.  Closed-form derivatives keep the
-    connection-form differentiation to a single finite-difference layer.
-    """
+def orthonormal_frame(g):
+    """Gram-Schmidt frame (f1, f2) of a 2x2 metric, positively oriented:
+    ``f[a]`` is the a-th frame vector."""
     (g11, g12), (g21, g22) = g.tolist()
     det = _metric_det(g11, g12, g21, g22)
-    a = 1.0 / math.sqrt(g11)
-    c = g12 / g11
     s = math.sqrt(det / g11)
-    f = np.array([[a, 0.0], [-c / s, 1.0 / s]])
-    if dg is None:
-        return f, None
-    df = []
-    for (d11, d12), (_, d22) in dg.tolist():
-        ddet = d11 * g22 + g11 * d22 - 2.0 * g12 * d12
-        da = -0.5 * g11 ** (-1.5) * d11
-        dc = (d12 * g11 - g12 * d11) / g11 ** 2
-        ds = 0.5 / s * (ddet * g11 - det * d11) / g11 ** 2
-        df.append(((da, 0.0), (-(dc * s - c * ds) / s ** 2, -ds / s ** 2)))
-    return f, np.array(df)
+    return np.array([[1.0 / math.sqrt(g11), 0.0], [-g12 / g11 / s, 1.0 / s]])
 
 
 # ---------------------------------------------------------------------------
@@ -135,9 +118,6 @@ class _TorsionProvider:
 
     def third_form(self, q):
         return self.iii_field.matrix(q)
-
-    def third_form_partials(self, q):
-        return self.iii_field.partials(q)
 
     def gamma(self, q):
         """``Gamma~^k_ij = g^{km} (Gamma_ijm + C_ijm)`` in scalar 2x2
@@ -169,6 +149,21 @@ class _TorsionProvider:
 
     def torsion_vector(self, q):
         return np.asarray(self.tau(as_point(q, 2)), dtype=float)
+
+    def curvature(self, q):
+        """Cartan's structure equation for a metric connection with torsion
+        ``T = omega (x) tau``: ``K~ = K(III) + (d_1 t_2 - d_2 t_1) /
+        sqrt(det III)`` with ``t = III(tau, .)`` (Kobayashi-Nomizu I,
+        Ch. III).  The curl of t is a finite difference at
+        ``CURVATURE_FD_STEP``."""
+        q = as_point(q, 2)
+        field = self.iii_field
+        field.require_inside(q, margin=CURVATURE_FD_STEP + field.fd_margin())
+        area = math.sqrt(_metric_det(*field.matrix(q).ravel().tolist()))
+        k_iii = gauss_curvature(field, q)
+        dt = _fd.gradient(lambda qq: field.matrix(qq) @ self.torsion_vector(qq), q,
+                          CURVATURE_FD_STEP)
+        return k_iii + float(dt[0, 1] - dt[1, 0]) / area
 
 
 class _OperatorProvider:
@@ -219,6 +214,12 @@ class _OperatorProvider:
     def torsion_vector(self, q):
         return _torsion_from_gamma(self.gamma(q), self.third_form(q))
 
+    def curvature(self, q):
+        """``K~ = K_sigma / det B``, because ``R~ = B^{-1} R B``."""
+        q = as_point(q, 2)
+        binv = _inverse_shape_operator(self.b_matrix(q), q)
+        return gauss_curvature(self.sigma_field, q) * float(np.linalg.det(binv))
+
 
 class _ImmersionProvider(_OperatorProvider):
     mode = "immersion"
@@ -242,8 +243,13 @@ class _ImmersionProvider(_OperatorProvider):
     def third_form(self, q):
         return self.fundamental(q).third
 
-    def third_form_partials(self, q):
-        return _fd.gradient(lambda qq: self.fundamental(qq).third, as_point(q, 2), FD_STEP)
+    def curvature(self, q):
+        """``K~ = K_I / K_e``."""
+        data = self.fundamental(q)
+        if abs(data.k_extrinsic) < DET_B_FLOOR:
+            raise DegenerateShapeOperator(
+                f"|K_e| = {abs(data.k_extrinsic):.3e} below floor at q={q}")
+        return data.k_intrinsic / data.k_extrinsic
 
 
 class SurfaceConnectionData:
@@ -295,6 +301,8 @@ class SurfaceConnectionData:
         return self._p.third_form(q)
 
     def third_form_partials(self, q):
+        if self.mode == "torsion":
+            raise ModeUnsupported("III partials require immersion or operator mode")
         return self._p.third_form_partials(q)
 
     def gamma(self, q):
@@ -351,42 +359,10 @@ class SurfaceConnectionData:
     # -- curvature ----------------------------------------------------------
 
     def curvature(self, q):
-        """K~ at q.
-
-        In immersion mode this is the ratio K_I / K_e; in the abstract modes
-        it is the curvature of the stored connection, measured from the
-        connection 1-form of a moving frame as -d omega / area.
-        """
-        if self.mode == "immersion":
-            data = self._p.fundamental(q)
-            if abs(data.k_extrinsic) < DET_B_FLOOR:
-                raise DegenerateShapeOperator(
-                    f"|K_e| = {abs(data.k_extrinsic):.3e} below floor at q={q}")
-            return data.k_intrinsic / data.k_extrinsic
-        return self.curvature_from_frame(q)
-
-    def connection_form(self, q):
-        """omega_i(q) = III(D~_{d_i} f1, f2) for the Gram-Schmidt frame."""
-        q = as_point(q, 2)
-        g = self._p.third_form(q)
-        f, df = orthonormal_frame(g, self._p.third_form_partials(q))
-        (f11, f12), (f21, f22) = f.tolist()
-        (g11, g12), (g21, g22) = g.tolist()
-        gam = self._p.gamma(q).tolist()
-        out = []
-        for i, (d1, d2) in enumerate(df[:, 0].tolist()):
-            # D~_{d_i} f1 = d_i f1 + Gamma(d_i, f1)
-            c1 = d1 + (gam[0][i][0] * f11 + gam[0][i][1] * f12)
-            c2 = d2 + (gam[1][i][0] * f11 + gam[1][i][1] * f12)
-            out.append((c1 * g11 + c2 * g21) * f21 + (c1 * g12 + c2 * g22) * f22)
-        return np.array(out)
-
-    def curvature_from_frame(self, q):
-        """-d omega / dv for the orthonormal-frame connection form omega."""
-        q = as_point(q, 2)
-        grad = _fd.gradient(self.connection_form, q, CURVATURE_FD_STEP)
-        domega = grad[0, 1] - grad[1, 0]
-        return float(-domega / self.area_density(q))
+        """K~ at q, in closed form per mode: ``K_I / K_e`` (immersion),
+        ``K_sigma / det B`` (operator), and Cartan's structure equation on
+        III and the torsion (torsion mode)."""
+        return self._p.curvature(q)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,13 @@ def _geodesic_rhs(data):
     return rhs
 
 
+def trace_margin(data, step):
+    """Default chart margin a trace keeps clear of the box edge: four steps
+    in immersion mode, where the shape layer's stencils need the room, and
+    none in the abstract modes."""
+    return 4.0 * step if data.mode == "immersion" else 0.0
+
+
 def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=False):
     """Trace the geodesic of the connection from q with unit velocity v.
 
@@ -198,7 +205,7 @@ def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=Fal
     if abs(nv - 1.0) > 1e-9:
         raise ValueError(f"initial velocity must be a unit vector, |v| = {nv}")
     if margin is None:
-        margin = 4.0 * step if data.mode == "immersion" else 0.0
+        margin = trace_margin(data, step)
 
     s_vals = [0.0]
     states = [np.concatenate([q, v])]
@@ -266,15 +273,19 @@ def parallel_transport(data, trace, w):
     return parallel_transport_samples(data, trace, w)[-1]
 
 
+def _kappa(data, p, v, acc):
+    """``III(D~_v v, J v) / |v|^3`` at p for a curve with velocity v and
+    coordinate acceleration acc."""
+    g = data.third_form(p)
+    cov = acc + np.einsum("kij,i,j->k", data.gamma(p), v, v)
+    jv = data.complex_structure(p) @ v
+    return float((cov @ g @ jv) / float(v @ g @ v) ** 1.5)
+
+
 def geodesic_curvature(data, trace, sv):
     """kappa(s) = III(D~_{c'} c', J c') / |c'|^3 at an interior parameter."""
     p, v = trace.eval(sv)
-    acc = trace.acceleration(sv)
-    cov = acc + np.einsum("kij,i,j->k", data.gamma(p), v, v)
-    g = data.third_form(p)
-    jv = data.complex_structure(p) @ v
-    speed = np.sqrt(max(v @ g @ v, 1e-300))
-    return float((cov @ g @ jv) / speed ** 3)
+    return _kappa(data, p, v, trace.acceleration(sv))
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +519,9 @@ class RegionSpec:
             s, pts, vel, acc = seg.nodes()
             vals = np.empty(len(s))
             for i in range(len(s)):
-                p, v, a = pts[i], vel[i], acc[i]
-                g = data.third_form(p)
-                cov = a + np.einsum("kij,i,j->k", data.gamma(p), v, v)
-                jv = data.complex_structure(p) @ v
-                speed2 = float(v @ g @ v)
-                kappa = float((cov @ g @ jv) / speed2 ** 1.5)
-                vals[i] = kappa * np.sqrt(speed2)  # kappa ds
+                p, v = pts[i], vel[i]
+                speed = np.sqrt(float(v @ data.third_form(p) @ v))
+                vals[i] = _kappa(data, p, v, acc[i]) * speed  # kappa ds
             if self._is_periodic(seg):
                 total += float(np.mean(vals[:-1]) * (s[-1] - s[0]))
             else:
@@ -601,7 +608,7 @@ class RegionSpec:
         center = as_point(center, 2)
         ray_step = radius / 64.0
         g = data.third_form(center)
-        f, _ = orthonormal_frame(g)
+        f = orthonormal_frame(g)
         ga, wa = np.polynomial.legendre.leggauss(n_radial)
         s_nodes = 0.5 * (ga + 1.0) * radius
         s_w = 0.5 * wa * radius
@@ -665,12 +672,12 @@ def boundary_holonomy_angle(data, region):
         p0, _ = tr.eval(tr.s0)
         if w is None:
             g = data.third_form(p0)
-            f, _ = orthonormal_frame(g)
+            f = orthonormal_frame(g)
             w = f[0]
             start_point = p0
         w = parallel_transport(data, tr, w)
     g = data.third_form(start_point)
-    f, _ = orthonormal_frame(g)
+    f = orthonormal_frame(g)
     w0 = f[0]
     j = data.complex_structure(start_point)
     return float(np.arctan2((j @ w0) @ g @ w, w0 @ g @ w))
@@ -728,12 +735,7 @@ def deformation_rate_check(data, trace, profile, sv, eps=1e-3):
         c2 = np.array([-1, 16, -30, 16, -1]) / (12 * stencil ** 2)
         vel = c1 @ pts
         acc = c2 @ pts
-        pm = pts[2]
-        gm = data.third_form(pm)
-        jm = data.complex_structure(pm)
-        cov = acc + np.einsum("kij,i,j->k", data.gamma(pm), vel, vel)
-        sp2 = float(vel @ gm @ vel)
-        return float((cov @ gm @ (jm @ vel)) / sp2 ** 1.5)
+        return _kappa(data, pts[2], vel, acc)
 
     k0 = deformed_kappa(0.0)
 

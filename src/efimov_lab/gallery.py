@@ -19,8 +19,8 @@ from .ambient import (
     ChartBox,
     MetricField,
     dnabla,
+    gauss_curvature,
     riemann_covariant,
-    riemann_sectional,
     sectional_range,
 )
 from .connection import SurfaceConnectionData, christoffel, orthonormal_frame
@@ -717,8 +717,22 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
     measured identities K~ = -K_sigma/b and ||tau~||_III = ||tau||_sigma / b
     (these hold for any H), and the system residuals |det H + b| and
     ||d^sigma H - tau (x) nu|| (these vanish only for actual solutions).
+    K~ is measured by Cartan's structure equation from III and the
+    connection's torsion, so the identity reads neither K_sigma nor det H.
     """
     data = SurfaceConnectionData.from_operator(sigma_field, h_field, name="monge_ampere")
+
+    def torsion(q):
+        # the connection's torsion H^{-1} (d^sigma H)(d_1, d_2) / sqrt(det III);
+        # the structure equation differentiates it again, so dH is taken at
+        # 1e-3, where rounding stays far below the 1e-8 scale of the identity
+        h = np.asarray(h_field(q), dtype=float)
+        dh = _fd.gradient(h_field, q, 1e-3)
+        twist = dnabla(h, dh, christoffel(sigma_field, q), *np.eye(2))
+        return np.linalg.solve(h, twist) / math.sqrt(np.linalg.det(data.third_form(q)))
+
+    structure = SurfaceConnectionData.from_metric_and_torsion(
+        MetricField(2, data.third_form, sigma_field.box, name="III[monge_ampere]"), torsion)
     if sample_points is None:
         lo = np.asarray(sigma_field.box.lo)
         hi = np.asarray(sigma_field.box.hi)
@@ -754,9 +768,9 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
         diff = dnh - target
         dnh_resid = max(dnh_resid, float(np.sqrt(diff @ sigma @ diff)))
 
-        k_sigma = _gauss_curvature(sigma_field, q)
+        k_sigma = gauss_curvature(sigma_field, q)
         sup_k_sigma = max(sup_k_sigma, k_sigma)
-        ktilde_resid = max(ktilde_resid, abs(data.curvature(q) - (-k_sigma / b)))
+        ktilde_resid = max(ktilde_resid, abs(structure.curvature(q) - (-k_sigma / b)))
 
         tau_tilde = data.torsion_from_coefficients(q)
         iii = data.third_form(q)
@@ -790,12 +804,6 @@ def dnabla_h(sigma_field, h_field, q):
     return dnabla(np.asarray(h_field(q), dtype=float), dh, christoffel(sigma_field, q), e1, e2)
 
 
-def _gauss_curvature(field2d, q):
-    rm = riemann_covariant(field2d, q)
-    g = field2d.matrix(q)
-    return float(rm[0, 1, 1, 0] / np.linalg.det(g))
-
-
 def random_monge_ampere_field(sigma_field, seed):
     """A smooth random symmetric endomorphism field with det H = -1, built in
     the orthonormal frame of sigma as R(eta)^T diag(e^m, -e^-m) R(eta), where
@@ -816,7 +824,7 @@ def random_monge_ampere_field(sigma_field, seed):
         m = scalar(q, am)
         eta = scalar(q, bm)
         g = sigma_field.matrix(q)
-        f, _ = orthonormal_frame(g)
+        f = orthonormal_frame(g)
         frame = np.column_stack([f[0], f[1]])
         c, s = np.cos(eta), np.sin(eta)
         rot = np.array([[c, -s], [s, c]])

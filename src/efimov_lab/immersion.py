@@ -20,7 +20,6 @@ import numpy as np
 
 from . import _fd
 from .ambient import (
-    ChartBox,
     MetricField,
     as_point,
     christoffel,

@@ -169,6 +169,19 @@ def test_gauss_bonnet_command(tmp_path):
     assert doc["checks"][0]["value"] < 1e-4
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "coordinate_disk", "radius": 0.5},  # no center
+    [{"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": 0.5}],  # an array
+])
+def test_gauss_bonnet_malformed_region_exits_2(tmp_path, spec):
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps(spec))
+    code, _, err = run_cli("gauss-bonnet", "--example", "abstract_sphere",
+                           "--region", str(region))
+    assert code == 2
+    assert "region" in err
+
+
 def test_asymptotic_command_csv(tmp_path):
     csv = tmp_path / "asym.csv"
     code, out, _ = run_cli("asymptotic", "--example", "saddle", "--which", "U",
@@ -267,6 +280,15 @@ def test_surface_expression_file(tmp_path):
     # the axis geodesic of the saddle's compatible connection obeys
     # u = tan(arclength): third-form-unit speed stretches the coordinate
     assert abs(doc["endpoint"][0] - np.tan(0.2)) < 1e-6
+
+
+def test_surface_file_ambient_line_without_value_exits_2(tmp_path):
+    f = tmp_path / "surface.txt"
+    f.write_text("ambient euclidean3\nbox = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = u*v\n")
+    code, _, err = run_cli("geodesic", "--example", f"file:{f}", "--start", "0,0",
+                           "--dir", "1,0", "--length", "0.2", "--step", "1e-2")
+    assert code == 2
+    assert "ambient" in err
 
 
 def test_edo_csv_output(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from efimov_lab import gallery
+from efimov_lab import _fd, gallery
 from efimov_lab.ambient import ChartBox, MetricField, christoffel, metric_from_expressions
 from efimov_lab.connection import (
+    CURVATURE_FD_STEP,
     BoundSet,
     SurfaceConnectionData,
     check_hypothesis,
@@ -16,7 +17,13 @@ from efimov_lab.connection import (
     torsion_bound_bruteforce,
     torsion_bound_tau0,
 )
-from efimov_lab.errors import InvalidPinching, ModeUnsupported, NonInvertibleMetric
+from efimov_lab.errors import (
+    DegenerateShapeOperator,
+    InvalidPinching,
+    ModeUnsupported,
+    NonInvertibleMetric,
+    PointOutsideChart,
+)
 from efimov_lab.expressions import Expression
 from efimov_lab.immersion import dnabla_b
 
@@ -43,7 +50,7 @@ def test_slice_torsion_equals_dnabla_b_norm(slice_data):
     case = gallery.build_example("hyperbolic_slice", **{"lambda": 1.0})
     q = np.array([0.2, 0.4])
     fd = slice_data.fundamental(q)
-    f, _ = orthonormal_frame(fd.third)
+    f = orthonormal_frame(fd.third)
     dnb = dnabla_b(case.patch, case.metric, q, f[0], f[1])
     norm_i = float(np.sqrt(dnb @ fd.first @ dnb))
     assert abs(slice_data.torsion_norm(q) - norm_i) < 1e-3
@@ -177,6 +184,12 @@ def test_dual_codazzi_needs_shape_operator(hyperbolic_abstract):
         dual_codazzi_residual(hyperbolic_abstract, [1.0, 0.0])
 
 
+def test_third_form_partials_need_shape_operator(hyperbolic_abstract):
+    """The product rule on B^T sigma B has no B to read in torsion mode."""
+    with pytest.raises(ModeUnsupported):
+        hyperbolic_abstract.third_form_partials([1.0, 0.0])
+
+
 # --- torsion bound ----------------------------------------------------------
 
 
@@ -262,6 +275,127 @@ def test_ktilde_bounds_on_slice(slice_data):
 def test_ktilde_abstract_matches_metric_curvature(abstract_sphere, hyperbolic_abstract):
     assert abs(abstract_sphere.curvature([0.4, -0.1]) - 1.0) < 1e-9
     assert abs(hyperbolic_abstract.curvature([1.3, 0.2]) + 1.0) < 1e-9
+
+
+def _frame_and_derivative(g, dg):
+    """Gram-Schmidt frame ``f[a]`` of g and its coordinate derivatives
+    ``df[k, a]`` in closed form from ``dg[k, i, j]``."""
+    (g11, g12), (g21, g22) = g.tolist()
+    det = g11 * g22 - g12 * g21
+    c = g12 / g11
+    s = np.sqrt(det / g11)
+    df = []
+    for (d11, d12), (_, d22) in dg.tolist():
+        ddet = d11 * g22 + g11 * d22 - 2.0 * g12 * d12
+        da = -0.5 * g11 ** (-1.5) * d11
+        dc = (d12 * g11 - g12 * d11) / g11 ** 2
+        ds = 0.5 / s * (ddet * g11 - det * d11) / g11 ** 2
+        df.append(((da, 0.0), (-(dc * s - c * ds) / s ** 2, -ds / s ** 2)))
+    return orthonormal_frame(g), np.array(df)
+
+
+def _frame_curvature(data, q):
+    """Frame oracle for K~: ``-d omega / dv`` for the connection 1-form
+    ``omega_i = III(D~_{d_i} f1, f2)`` of the Gram-Schmidt frame, which reads
+    the connection coefficients and never a curvature."""
+
+    def connection_form(qq):
+        g = data.third_form(qq)
+        if data.mode == "torsion":
+            dg = data.provider.iii_field.partials(qq)
+        else:
+            dg = data.third_form_partials(qq)
+        f, df = _frame_and_derivative(g, dg)
+        # D~_{d_i} f1 = d_i f1 + Gamma(d_i, f1)
+        cov = df[:, 0] + np.einsum("kij,j->ik", data.gamma(qq), f[0])
+        return cov @ g @ f[1]
+
+    grad = _fd.gradient(connection_form, q, CURVATURE_FD_STEP)
+    return float(-(grad[0, 1] - grad[1, 0]) / data.area_density(q))
+
+
+def _operator_case(name):
+    """(operator-mode connection, sample box) on the hyperbolic plane."""
+    sigma = gallery.hyperbolic_plane_polar(r_min=0.4, r_max=3.0)
+    if name == "h_diag":
+        def h(q):
+            frame = orthonormal_frame(sigma.matrix(q)).T
+            return frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
+    else:
+        field = gallery.random_monge_ampere_field(sigma, seed=int(name[-1]))
+
+        def h(q):
+            return 1.3 * field(q)  # det B = -1.69, so K_sigma / det B != K_sigma det B
+    return SurfaceConnectionData.from_operator(sigma, h), ([0.8, -2.0], [2.5, 2.0])
+
+
+@pytest.mark.parametrize("mode, name", [
+    ("torsion", "abstract_sphere"), ("torsion", "tanh"), ("torsion", "angular"),
+    ("torsion", "expressions"), ("operator", "seed3"), ("operator", "seed8"),
+    ("operator", "h_diag")])
+def test_curvature_matches_frame_oracle(mode, name):
+    """Closed-form K~ (structure equation, K_sigma / det B) against the
+    frame connection form at seeded points."""
+    data, (lo, hi) = _torsion_case(name) if mode == "torsion" else _operator_case(name)
+    assert data.mode == mode
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        q = rng.uniform(lo, hi)
+        assert abs(data.curvature(q) - _frame_curvature(data, q)) < 1e-8
+
+
+def test_torsion_curvature_reads_no_connection_coefficients(monkeypatch):
+    data = gallery.hyperbolic_deformed(1.3)
+    monkeypatch.setattr(data.provider, "gamma", lambda q: pytest.fail("gamma was called"))
+    assert abs(data.curvature([1.0, 0.2]) - (1.3 * np.tanh(1.0) - 1.0)) < 1e-9
+
+
+def test_operator_curvature_reads_b_once():
+    sigma = gallery.hyperbolic_plane_polar(r_min=0.4, r_max=3.0)
+    h = gallery.random_monge_ampere_field(sigma, seed=3)
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return h(q)
+
+    data = SurfaceConnectionData.from_operator(sigma, counted)
+    k = data.curvature([1.2, 0.3])
+    assert len(calls) == 1
+    assert abs(k + 1.0 / np.linalg.det(h([1.2, 0.3]))) < 1e-9  # K_sigma = -1
+
+
+def test_operator_curvature_rejects_degenerate_shape_operator():
+    sigma = gallery.hyperbolic_plane_polar(r_min=0.4, r_max=3.0)
+    data = SurfaceConnectionData.from_operator(sigma, lambda q: np.diag([1.0, 0.0]))
+    with pytest.raises(DegenerateShapeOperator):
+        data.curvature([1.2, 0.3])
+
+
+def test_torsion_curvature_needs_stencil_room():
+    """Within CURVATURE_FD_STEP of the edge the curl stencil would leave the
+    chart: PointOutsideChart, before the metric or the torsion is read."""
+    metric = gallery.hyperbolic_plane_polar(r_min=0.05, r_max=4.0)
+    assert metric.fd_margin() == 0.0
+    calls = []
+
+    def matrix(q):
+        calls.append(q)
+        return metric.matrix(q)
+
+    def tau(q):
+        calls.append(q)
+        return np.array([0.1, 0.2])
+
+    counted = MetricField(2, matrix, metric.box, partials=metric.partials,
+                          second_partials=metric.second_partials)
+    data = SurfaceConnectionData.from_metric_and_torsion(counted, tau)
+    for q in ([4.0 - 0.5 * CURVATURE_FD_STEP, 0.3], [1.0, -8.0 + 0.5 * CURVATURE_FD_STEP]):
+        with pytest.raises(PointOutsideChart):
+            data.curvature(q)
+    assert calls == []
+    data.curvature([4.0 - 2.0 * CURVATURE_FD_STEP, 0.3])
+    assert calls
 
 
 # --- hypothesis verdicts ----------------------------------------------------

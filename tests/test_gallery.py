@@ -127,7 +127,7 @@ def test_virtual_third_form_identity_magnitude():
 
     def h_diag(q):
         g = sigma.matrix(q)
-        f, _ = orthonormal_frame(g)
+        f = orthonormal_frame(g)
         frame = np.column_stack([f[0], f[1]])
         return frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
 
