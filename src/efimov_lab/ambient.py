@@ -171,7 +171,7 @@ def _curvature(metric, p):
     Levi-Civita symbols ``Gamma[k, i, j]`` and the curvature operator
     coefficients ``R[m, i, j, k]``."""
     p = as_point(p, metric.dim)
-    metric.require_inside(p, margin=2.0 * metric.fd_margin())
+    metric.require_inside(p, margin=metric.fd_margin())
     g, dg, d2g = metric.jet(p)
     ginv = _checked_inverse(g, p)
 

@@ -125,6 +125,21 @@ def _kappa_log(data, q):
     return 0.5 * np.log(-det)  # ln k
 
 
+def _frame_rates(data, q):
+    """The frame at q and the covariant derivatives ``D~_V U`` and ``D~_U V``
+    of its two frame fields, sign-aligned with it."""
+    base = asymptotic_frame(data, q)
+
+    def u_field(qq):
+        return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).u
+
+    def v_field(qq):
+        return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).v
+
+    return (base, covariant_derivative_of_field(data, q, base.v, u_field),
+            covariant_derivative_of_field(data, q, base.u, v_field))
+
+
 def covariant_rate_check(data, q):
     """Residual norms of the two closed-form covariant rates of the frame:
 
@@ -137,16 +152,7 @@ def covariant_rate_check(data, q):
     examples.  Returns (residual_VU, residual_UV).
     """
     q = as_point(q, 2)
-    base = asymptotic_frame(data, q)
-
-    def u_field(qq):
-        return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).u
-
-    def v_field(qq):
-        return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).v
-
-    nabla_v_u = covariant_derivative_of_field(data, q, base.v, u_field)
-    nabla_u_v = covariant_derivative_of_field(data, q, base.u, v_field)
+    base, nabla_v_u, nabla_u_v = _frame_rates(data, q)
 
     kappa_grad = _fd.gradient(lambda qq: _kappa_log(data, qq), q, FD_STEP)
     u_kappa = float(base.u @ kappa_grad)
@@ -178,9 +184,6 @@ class AsymptoticTrace:
     defect_running: np.ndarray = None
     left_patch: bool = False
     which: str = "U"
-
-    def curve_trace(self):
-        return CurveTrace.from_samples(self.s, self.points, self.velocities)
 
     def running_columns(self):
         """(delta_running, sigma_running, defect_running) arrays."""
@@ -271,16 +274,9 @@ def measured_tau1(data, points):
     worst = 0.0
     for q in points:
         q = as_point(q, 2)
-        base = asymptotic_frame(data, q)
-
-        def u_field(qq):
-            return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).u
-
-        def v_field(qq):
-            return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).v
-
-        nvu = data.norm(q, covariant_derivative_of_field(data, q, base.v, u_field))
-        nuv = data.norm(q, covariant_derivative_of_field(data, q, base.u, v_field))
+        base, nabla_v_u, nabla_u_v = _frame_rates(data, q)
+        nvu = data.norm(q, nabla_v_u)
+        nuv = data.norm(q, nabla_u_v)
         worst = max(worst, nvu / np.sin(base.theta), nuv / np.sin(base.theta))
     return float(worst)
 

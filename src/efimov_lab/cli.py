@@ -249,8 +249,9 @@ def cmd_transport(args):
     n0 = data.norm(trace.points[0], w0)
     n1 = data.norm(trace.points[-1], w1)
     drift = abs(n1 - n0)
-    checks = [{"name": "norm_preserved", "value": drift, "tolerance": 1e-8,
-               "pass": drift < 1e-8 * max(1.0, n0)},
+    tol = 1e-8 * max(1.0, n0)  # relative to the vector's norm once it exceeds 1
+    checks = [{"name": "norm_preserved", "value": drift, "tolerance": tol,
+               "pass": drift < tol},
               {"name": "stayed_in_patch", "value": trace.left_patch,
                "tolerance": False, "pass": not trace.left_patch}]
     payload = {"example": args.example, "start": args.start, "dir": args.dir,

@@ -331,10 +331,6 @@ class SurfaceConnectionData:
         # III is positive definite here, so only rounding can make x.g.x < 0
         return float(np.sqrt(max(x @ g @ x, 0.0)))
 
-    def inner(self, q, x, y):
-        g = self.third_form(q)
-        return float(np.asarray(x) @ g @ np.asarray(y))
-
     def unit(self, q, x):
         x = np.asarray(x, dtype=float)
         return x / self.norm(q, x)

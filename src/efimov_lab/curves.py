@@ -26,7 +26,6 @@ __all__ = [
     "CurveTrace",
     "JacobiTrace",
     "RegionSpec",
-    "BoundarySegment",
     "rk4_samples",
     "hermite",
     "integrate_geodesic",
@@ -48,7 +47,11 @@ __all__ = [
 
 @dataclass
 class CurveTrace:
-    """A sampled curve on the surface; optionally backed by an analytic path."""
+    """A sampled curve on the surface; optionally backed by an analytic path.
+
+    ``accelerations``, when set, holds the second parameter derivative at
+    the samples; region boundaries need it for their curvature integral.
+    """
 
     s: np.ndarray
     points: np.ndarray
@@ -57,6 +60,7 @@ class CurveTrace:
     total_length: float
     closed: bool = False
     left_patch: bool = False
+    accelerations: np.ndarray = None
     path: object = None          # optional callable s -> (2,) point
     path_velocity: object = None
     path_acceleration: object = None
@@ -74,12 +78,8 @@ class CurveTrace:
         """(point, velocity) at parameter sv, by the analytic path if there is
         one, else by cubic Hermite interpolation between samples."""
         if self.path is not None:
-            p = np.asarray(self.path(sv), dtype=float)
-            if self.path_velocity is not None:
-                v = np.asarray(self.path_velocity(sv), dtype=float)
-            else:
-                v = _fd.derivative_along(self.path, sv, 1e-6)
-            return p, v
+            return (np.asarray(self.path(sv), dtype=float),
+                    np.asarray(self.path_velocity(sv), dtype=float))
         sv = float(np.clip(sv, self.s[0], self.s[-1]))
         i = int(np.clip(np.searchsorted(self.s, sv) - 1, 0, len(self.s) - 2))
         h = self.s[i + 1] - self.s[i]
@@ -87,13 +87,12 @@ class CurveTrace:
                        self.points[i + 1], self.velocities[i + 1])
 
     def acceleration(self, sv):
-        """Second parameter derivative of the curve at sv; without an analytic
-        acceleration, central differences of the velocity at the sample step."""
-        if self.path_acceleration is not None:
+        """Second parameter derivative of the curve at sv: the analytic
+        acceleration of a path-backed trace, else central differences of the
+        interpolated velocity at the sample step."""
+        if self.path is not None:
             return np.asarray(self.path_acceleration(sv), dtype=float)
         h = self.step
-        if self.path is not None:
-            return _fd.derivative_along(lambda t: self.eval(t)[1], sv, h)
         if sv - 2 * h < self.s[0] or sv + 2 * h > self.s[-1]:
             raise EndpointSample(f"s={sv} too close to the trace ends for differentiation")
         return _fd.derivative_along(lambda t: self.eval(t)[1], sv, h)
@@ -104,30 +103,32 @@ class CurveTrace:
         write_csv(path, ["s", "u", "v", "du", "dv"], rows)
 
     @staticmethod
-    def from_path(path, s_range, step, velocity=None, acceleration=None, closed=False,
+    def from_path(path, s_range, step, velocity, acceleration, closed=False,
                   arclength=None):
+        """Sample an analytic path, its velocity and its acceleration on the
+        uniform grid of ``s_range`` nearest to ``step``."""
         a, b = float(s_range[0]), float(s_range[1])
         n = max(2, int(round((b - a) / step)) + 1)
         s = np.linspace(a, b, n)
-        pts = np.array([np.asarray(path(t), dtype=float) for t in s])
-        if velocity is not None:
-            vel = np.array([np.asarray(velocity(t), dtype=float) for t in s])
-        else:
-            vel = np.array([_fd.derivative_along(path, t, 1e-6) for t in s])
+
+        def sample(f):
+            return np.array([np.asarray(f(t), dtype=float) for t in s])
+
         length = arclength if arclength is not None else b - a
-        return CurveTrace(s=s, points=pts, velocities=vel, step=float(s[1] - s[0]),
-                          total_length=float(length), closed=closed, path=path,
+        return CurveTrace(s=s, points=sample(path), velocities=sample(velocity),
+                          step=float(s[1] - s[0]), total_length=float(length),
+                          closed=closed, accelerations=sample(acceleration), path=path,
                           path_velocity=velocity, path_acceleration=acceleration)
 
     @staticmethod
-    def from_samples(s, points, velocities, closed=False, total_length=None):
+    def from_samples(s, points, velocities, accelerations=None):
         s = np.asarray(s, dtype=float)
         step = float(s[1] - s[0]) if len(s) > 1 else 0.0
         return CurveTrace(s=s, points=np.asarray(points, dtype=float),
                           velocities=np.asarray(velocities, dtype=float), step=step,
-                          total_length=float(total_length if total_length is not None
-                                             else s[-1] - s[0]),
-                          closed=closed)
+                          total_length=float(s[-1] - s[0]),
+                          accelerations=None if accelerations is None
+                          else np.asarray(accelerations, dtype=float))
 
 
 def _rk4_step(f, t, y, h):
@@ -393,76 +394,18 @@ def jacobi_field(data, base_trace, x0, y0, xp0, yp0, step):
 # regions and Gauss-Bonnet
 
 
-class BoundarySegment:
-    """One smooth piece of a region boundary.
-
-    Either callable-backed (path, velocity, acceleration as functions of the
-    segment parameter) or sample-backed (arrays on a uniform parameter grid;
-    periodic sample grids difference cleanly).
-    """
-
-    def __init__(self, path=None, s_range=None, n_samples=None, velocity=None,
-                 acceleration=None, samples=None):
-        self.path = path
-        self.s_range = s_range
-        self.n_samples = n_samples
-        self.velocity = velocity
-        self.acceleration = acceleration
-        self.samples = samples  # dict with keys s, points, velocities, accelerations
-
-    @staticmethod
-    def from_samples(s, points, velocities, accelerations):
-        return BoundarySegment(samples={
-            "s": np.asarray(s, dtype=float),
-            "points": np.asarray(points, dtype=float),
-            "velocities": np.asarray(velocities, dtype=float),
-            "accelerations": np.asarray(accelerations, dtype=float),
-        })
-
-    def nodes(self):
-        """(s, points, velocities, accelerations) arrays for quadrature."""
-        if self.samples is not None:
-            d = self.samples
-            return d["s"], d["points"], d["velocities"], d["accelerations"]
-        a, b = self.s_range
-        n = self.n_samples if self.n_samples % 2 == 1 else self.n_samples + 1
-        s = np.linspace(a, b, n)
-        pts = np.array([self.path(t) for t in s], dtype=float)
-        if self.velocity is not None:
-            vel = np.array([self.velocity(t) for t in s], dtype=float)
-        else:
-            vel = np.array([_fd.derivative_along(self.path, t, 1e-6) for t in s])
-        if self.acceleration is not None:
-            acc = np.array([self.acceleration(t) for t in s], dtype=float)
-        else:
-            if self.velocity is not None:
-                vfun = self.velocity
-            else:
-                def vfun(tt):
-                    return _fd.derivative_along(self.path, tt, 1e-6)
-            acc = np.array([_fd.derivative_along(lambda tt: np.asarray(vfun(tt)), t, 1e-5)
-                            for t in s])
-        return s, pts, vel, acc
-
-    def trace(self):
-        s, pts, vel, _ = self.nodes()
-        if self.path is not None:
-            return CurveTrace.from_path(self.path, self.s_range,
-                                        (self.s_range[1] - self.s_range[0]) / (len(s) - 1),
-                                        velocity=self.velocity,
-                                        acceleration=self.acceleration)
-        return CurveTrace.from_samples(s, pts, vel)
-
-
 class RegionSpec:
     """A compact region: ordered boundary segments plus an interior quadrature.
 
-    ``interior`` is either a dict with an explicit node set
-    ``{"points": (m,2), "weights": (m,)}`` such that
-    ``integral f dv ~ sum f(p_i) w_i / sqrt(det III)``-free (weights already
-    include the chart Jacobian but NOT the metric area density), or a mapping
-    ``{"map": E, "jacobian": DE or None, "n": (na, nb), "periodic_b": bool}``
-    over the unit square.
+    Each segment is a :class:`CurveTrace` that carries ``accelerations``;
+    the boundary integrals read its samples, which Simpson's rule wants odd
+    in number, and a segment whose ends meet is integrated as periodic.
+    ``interior`` is either an explicit node set
+    ``{"points": (m, 2), "weights": (m,)}`` or a mapping
+    ``{"map": E, "jacobian": det DE, "n": (na, nb)}`` of the unit square,
+    with Gauss-Legendre nodes in a and the midpoint rule in b.  The weights
+    include the chart Jacobian but not the metric area density, so
+    ``integral f dv ~ sum f(p_i) w_i sqrt(det III(p_i))``.
     """
 
     closure_tol = 1e-6  # largest endpoint gap between consecutive segments
@@ -474,17 +417,9 @@ class RegionSpec:
     # -- boundary -----------------------------------------------------------
 
     def closure_gap(self):
-        gaps = []
-        ends = []
-        starts = []
-        for seg in self.segments:
-            s, pts, _, _ = seg.nodes()
-            starts.append(pts[0])
-            ends.append(pts[-1])
-        for i in range(len(self.segments)):
-            nxt = (i + 1) % len(self.segments)
-            gaps.append(float(np.linalg.norm(ends[i] - starts[nxt])))
-        return max(gaps)
+        segs = self.segments
+        return max(float(np.linalg.norm(seg.points[-1] - segs[(i + 1) % len(segs)].points[0]))
+                   for i, seg in enumerate(segs))
 
     def require_closed(self):
         gap = self.closure_gap()
@@ -494,20 +429,12 @@ class RegionSpec:
     def exterior_angles(self, data):
         """Signed corner turning angles, via the metric angle with orientation
         sign from J."""
-        vel_out = []
-        vel_in = []
-        pts = []
-        for seg in self.segments:
-            s, p, v, _ = seg.nodes()
-            vel_out.append(v[0])
-            vel_in.append(v[-1])
-            pts.append((p[0], p[-1]))
         angles = []
-        for i in range(len(self.segments)):
-            nxt = (i + 1) % len(self.segments)
-            p_corner = pts[i][1]
-            a = vel_in[i]
-            b = vel_out[nxt]
+        for i, seg in enumerate(self.segments):
+            nxt = self.segments[(i + 1) % len(self.segments)]
+            p_corner = seg.points[-1]
+            a = seg.velocities[-1]
+            b = nxt.velocities[0]
             g = data.third_form(p_corner)
             j = data.complex_structure(p_corner)
             angles.append(float(np.arctan2((j @ a) @ g @ b, a @ g @ b)))
@@ -516,22 +443,17 @@ class RegionSpec:
     def boundary_kappa_integral(self, data):
         total = 0.0
         for seg in self.segments:
-            s, pts, vel, acc = seg.nodes()
+            s, pts = seg.s, seg.points
             vals = np.empty(len(s))
             for i in range(len(s)):
-                p, v = pts[i], vel[i]
+                p, v = pts[i], seg.velocities[i]
                 speed = np.sqrt(float(v @ data.third_form(p) @ v))
-                vals[i] = _kappa(data, p, v, acc[i]) * speed  # kappa ds
-            if self._is_periodic(seg):
+                vals[i] = _kappa(data, p, v, seg.accelerations[i]) * speed  # kappa ds
+            if np.linalg.norm(pts[-1] - pts[0]) < 1e-9:  # periodic: trapezoid rule
                 total += float(np.mean(vals[:-1]) * (s[-1] - s[0]))
             else:
                 total += float(simpson(vals, x=s))
         return total
-
-    @staticmethod
-    def _is_periodic(seg):
-        s, pts, _, _ = seg.nodes()
-        return np.linalg.norm(pts[-1] - pts[0]) < 1e-9
 
     # -- interior -----------------------------------------------------------
 
@@ -541,7 +463,7 @@ class RegionSpec:
         if "points" in self.interior:
             return np.asarray(self.interior["points"]), np.asarray(self.interior["weights"])
         emap = self.interior["map"]
-        najac = self.interior.get("jacobian")
+        ejac = self.interior["jacobian"]
         na, nb = self.interior["n"]
         ga, wa = np.polynomial.legendre.leggauss(na)
         a_nodes = 0.5 * (ga + 1.0)
@@ -552,15 +474,8 @@ class RegionSpec:
         wts = []
         for ai, awi in zip(a_nodes, a_w):
             for bi, bwi in zip(b_nodes, b_w):
-                p = np.asarray(emap(ai, bi), dtype=float)
-                if najac is not None:
-                    jac = abs(float(najac(ai, bi)))
-                else:
-                    da = _fd.derivative_along(lambda t: np.asarray(emap(t, bi)), ai, 1e-5)
-                    db = _fd.derivative_along(lambda t: np.asarray(emap(ai, t)), bi, 1e-5)
-                    jac = abs(float(da[0] * db[1] - da[1] * db[0]))
-                pts.append(p)
-                wts.append(awi * bwi * jac)
+                pts.append(np.asarray(emap(ai, bi), dtype=float))
+                wts.append(awi * bwi * abs(float(ejac(ai, bi))))
         return np.array(pts), np.array(wts)
 
     def curvature_integral(self, data):
@@ -586,8 +501,9 @@ class RegionSpec:
         def acceleration(t):
             return -radius * np.array([np.cos(t), np.sin(t)])
 
-        seg = BoundarySegment(path=path, s_range=(0.0, 2 * np.pi), n_samples=n_boundary,
-                              velocity=velocity, acceleration=acceleration)
+        # an odd sample count, as Simpson's rule wants
+        seg = CurveTrace.from_path(path, (0.0, 2 * np.pi), 2 * np.pi / ((n_boundary | 1) - 1),
+                                   velocity, acceleration)
 
         def emap(a, b):
             return c + a * radius * np.array([np.cos(2 * np.pi * b), np.sin(2 * np.pi * b)])
@@ -637,7 +553,7 @@ class RegionSpec:
         pts_closed = np.vstack([ends, ends[:1]])
         vel_closed = np.vstack([b_vel, b_vel[:1]])
         acc_closed = np.vstack([b_acc, b_acc[:1]])
-        seg = BoundarySegment.from_samples(phis_closed, pts_closed, vel_closed, acc_closed)
+        seg = CurveTrace.from_samples(phis_closed, pts_closed, vel_closed, acc_closed)
 
         dp_dphi = dphi(ray_pts)  # (n_rays, n_radial, 2)
         pts = []
@@ -668,14 +584,13 @@ def boundary_holonomy_angle(data, region):
     w = None
     start_point = None
     for seg in region.segments:
-        tr = seg.trace()
-        p0, _ = tr.eval(tr.s0)
+        p0, _ = seg.eval(seg.s0)
         if w is None:
             g = data.third_form(p0)
             f = orthonormal_frame(g)
             w = f[0]
             start_point = p0
-        w = parallel_transport(data, tr, w)
+        w = parallel_transport(data, seg, w)
     g = data.third_form(start_point)
     f = orthonormal_frame(g)
     w0 = f[0]

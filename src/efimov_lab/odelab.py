@@ -113,7 +113,8 @@ class EdoSolution:
 
 def solve_prop_edo(u, eps, step=1e-4):
     """Integrate the bump system from (1, 4) and locate the first return of y
-    to 1 (s0) and the first zero of y (s1) by Hermite-interpolated bisection.
+    to 1 (s0) and the first zero of y (s1) by Brent's method on the Hermite
+    interpolant.
 
     Raises NoCrossing if the zero does not appear before pi/sqrt(eps) plus a
     safety margin, which the spiral analysis guarantees.

@@ -218,14 +218,16 @@ def test_pure_fd_jet_equals_separate_derivatives():
 
 @pytest.mark.parametrize("evaluate", [curvature_sample, riemann_covariant])
 def test_pure_fd_curvature_typed_errors(evaluate):
-    """The 2 * fd_margin chart check and the determinant floor still hold,
-    and neither surfaces as a numpy warning."""
+    """The fd_margin chart check and the determinant floor still hold, and
+    neither surfaces as a numpy warning."""
     m = gallery.g_lambda(1.0, analytic=False)
-    edge = m.box.hi[2] - 1.5 * m.fd_margin()  # Christoffel-safe, not curvature-safe
+    room = m.box.hi[2] - m.fd_margin()  # just room for the stencil
+    edge = m.box.hi[2] - 0.5 * m.fd_margin()  # inside the box, short of the stencil
     degenerate = MetricField(3, lambda p: np.diag([1.0, 1.0, p[2] ** 2]), ChartBox.cube(3, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        christoffel(m, [0.1, 0.2, edge])
+        christoffel(m, [0.1, 0.2, room])
+        evaluate(m, [0.1, 0.2, room])
         with pytest.raises(PointOutsideChart):
             evaluate(m, [0.1, 0.2, edge])
         with pytest.raises(NonInvertibleMetric):

@@ -111,6 +111,16 @@ def test_transport_command():
     assert np.max(np.abs(np.array(doc["transported"]) - [0.0, 1.0])) < 1e-12
 
 
+def test_transport_command_reports_the_tolerance_it_applies():
+    code, out, _ = run_cli("transport", "--example", "hyperbolic_deformed", "--param",
+                           "t=1.5", "--start", "1.2,0.1", "--dir", "1,0.4", "--length", "1",
+                           "--step", "1e-2", "--vector", "30,40", "--json")
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "norm_preserved"
+    assert check["pass"] == (check["value"] < check["tolerance"])
+
+
 def test_jacobi_command():
     code, out, _ = run_cli("jacobi", "--example", "abstract_sphere", "--start", "1,0",
                            "--dir", "0,1", "--length", "1.5", "--step", "1e-3",

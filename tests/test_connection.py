@@ -398,6 +398,12 @@ def test_torsion_curvature_needs_stencil_room():
     assert calls
 
 
+def test_torsion_curvature_near_the_edge_of_a_pure_fd_metric():
+    """K(III) needs only the reach of its metric's stencil, fd_margin, from
+    the chart edge: 3.5e-3 of room suffices for the round sphere's 2e-3."""
+    assert abs(gallery.abstract_sphere().curvature([2.4965, 0.0]) - 1.0) < 1e-8
+
+
 # --- hypothesis verdicts ----------------------------------------------------
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from efimov_lab import gallery
 from efimov_lab.curves import (
-    BoundarySegment,
     CurveTrace,
     RegionSpec,
     _rk4_step,
@@ -110,7 +109,8 @@ def test_flat_loop_transport_identity(abstract_plane):
     circ = CurveTrace.from_path(
         lambda s: 0.7 * np.array([np.cos(s), np.sin(s)]) + np.array([0.3, 0.1]),
         (0.0, 2 * np.pi), 1e-3,
-        velocity=lambda s: 0.7 * np.array([-np.sin(s), np.cos(s)]), closed=True)
+        velocity=lambda s: 0.7 * np.array([-np.sin(s), np.cos(s)]),
+        acceleration=lambda s: -0.7 * np.array([np.cos(s), np.sin(s)]), closed=True)
     w = parallel_transport(abstract_plane, circ, np.array([1.0, 2.0]))
     assert np.max(np.abs(w - [1.0, 2.0])) < 1e-12
 
@@ -118,16 +118,17 @@ def test_flat_loop_transport_identity(abstract_plane):
 def test_sphere_triangle_holonomy(abstract_sphere):
     """Transport around a geodesic triangle with three right angles rotates
     by its area, pi/2."""
-    seg1 = BoundarySegment(path=lambda s: np.array([np.cos(s), np.sin(s)]),
-                           s_range=(0.0, np.pi / 2), n_samples=201,
-                           velocity=lambda s: np.array([-np.sin(s), np.cos(s)]),
-                           acceleration=lambda s: -np.array([np.cos(s), np.sin(s)]))
-    seg2 = BoundarySegment(path=lambda s: np.array([0.0, 1.0 - s]), s_range=(0.0, 1.0),
-                           n_samples=101, velocity=lambda s: np.array([0.0, -1.0]),
-                           acceleration=lambda s: np.zeros(2))
-    seg3 = BoundarySegment(path=lambda s: np.array([s, 0.0]), s_range=(0.0, 1.0),
-                           n_samples=101, velocity=lambda s: np.array([1.0, 0.0]),
-                           acceleration=lambda s: np.zeros(2))
+    seg1 = CurveTrace.from_path(lambda s: np.array([np.cos(s), np.sin(s)]),
+                                (0.0, np.pi / 2), np.pi / 400,
+                                velocity=lambda s: np.array([-np.sin(s), np.cos(s)]),
+                                acceleration=lambda s: -np.array([np.cos(s), np.sin(s)]))
+    seg2 = CurveTrace.from_path(lambda s: np.array([0.0, 1.0 - s]), (0.0, 1.0), 1e-2,
+                                velocity=lambda s: np.array([0.0, -1.0]),
+                                acceleration=lambda s: np.zeros(2))
+    seg3 = CurveTrace.from_path(lambda s: np.array([s, 0.0]), (0.0, 1.0), 1e-2,
+                                velocity=lambda s: np.array([1.0, 0.0]),
+                                acceleration=lambda s: np.zeros(2))
+    assert [len(seg.s) for seg in (seg1, seg2, seg3)] == [201, 101, 101]
     octant = RegionSpec([seg1, seg2, seg3],
                         {"map": lambda a, b: a * np.array([np.cos(b * np.pi / 2),
                                                            np.sin(b * np.pi / 2)]),
@@ -323,10 +324,29 @@ def test_holonomy_consistent_with_curvature_integral(abstract_sphere):
     assert abs(np.exp(1j * hol) - np.exp(1j * ik)) < 1e-3
 
 
+def test_coordinate_disk_boundary_samples_are_odd():
+    disk = RegionSpec.coordinate_disk([0.0, 0.0], 0.5, n_boundary=100)
+    assert len(disk.segments[0].s) == 101
+
+
+def test_gauss_bonnet_reads_boundary_samples_only(abstract_sphere, monkeypatch):
+    """The boundary's path, velocity and acceleration are sampled once, when
+    the region is built; the Gauss-Bonnet sums read only those samples."""
+    disk = RegionSpec.coordinate_disk([0.0, 0.0], 0.5, n_boundary=101)
+    seg = disk.segments[0]
+    calls = []
+    for name in ("path", "path_velocity", "path_acceleration"):
+        fn = getattr(seg, name)
+        monkeypatch.setattr(seg, name, lambda t, fn=fn: calls.append(t) or fn(t))
+    assert gauss_bonnet_residual(abstract_sphere, disk) < 1e-4
+    assert calls == []
+
+
 def test_open_boundary_raises(abstract_plane):
-    seg = BoundarySegment(path=lambda s: np.array([s, 0.0]), s_range=(0.0, 1.0),
-                          n_samples=51, velocity=lambda s: np.array([1.0, 0.0]),
-                          acceleration=lambda s: np.zeros(2))
+    seg = CurveTrace.from_path(lambda s: np.array([s, 0.0]), (0.0, 1.0), 2e-2,
+                               velocity=lambda s: np.array([1.0, 0.0]),
+                               acceleration=lambda s: np.zeros(2))
+    assert len(seg.s) == 51
     region = RegionSpec([seg], {"map": lambda a, b: np.array([a, b]),
                                 "jacobian": lambda a, b: 1.0, "n": (4, 4)})
     with pytest.raises(OpenBoundary):
