@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import _fd
 from .errors import DegeneratePlane, NonInvertibleMetric, PointOutsideChart
@@ -292,8 +291,25 @@ def sectional_range(metric, p):
     Lambda^2 with its metric-induced inner product.
     """
     s, gram = curvature_operator_matrices(metric, p)
-    vals = eigh(s, gram, eigvals_only=True)
+    vals = _pencil_eigvals(s, gram)
     return float(vals[0]), float(vals[-1])
+
+
+def _pencil_eigvals(s, gram):
+    """Ascending eigenvalues of the symmetric-definite pencil (S, G).
+
+    With G = L L^T, they are the eigenvalues of L^{-1} S L^{-T} (Golub-Van
+    Loan, *Matrix Computations*, 8.7).  A G that is not positive definite
+    (an indefinite or degenerate metric) raises NonInvertibleMetric.
+    """
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise NonInvertibleMetric(
+            "the metric's Gram matrix on 2-planes is not positive definite") from None
+    half = np.linalg.solve(lower, s)  # L^{-1} S
+    c = np.linalg.solve(lower, half.T)  # L^{-1} (L^{-1} S)^T = L^{-1} S L^{-T}
+    return np.linalg.eigvalsh(0.5 * (c + c.T))
 
 
 @dataclass
@@ -315,7 +331,7 @@ def curvature_sample(metric, p):
     g, gam, r = _curvature(metric, p)
     rm = np.einsum("lm,mijk->ijkl", g, r)
     s, gram = _operator_matrices(g, rm)
-    vals = eigh(s, gram, eigvals_only=True)
+    vals = _pencil_eigvals(s, gram)
     return CurvatureSample(
         point=p,
         gamma=gam,

@@ -154,21 +154,33 @@ def _metric_for(spec_text):
     return metric_from_expressions(fields, chart, dim=3)
 
 
+def _region_count(spec, key, default, least):
+    n = int(spec.get(key, default))
+    if n < least:
+        raise ValueError(f"region {key!r} must be at least {least}, got {n}")
+    return n
+
+
 def region_from_json(data, spec):
     if not (isinstance(spec, dict) and "center" in spec and "radius" in spec):
         raise ValueError("region must be a JSON object with 'center' and 'radius' entries")
+    radius = spec["radius"]
+    if not (isinstance(radius, (int, float)) and not isinstance(radius, bool)
+            and np.isfinite(radius) and radius > 0):
+        raise ValueError(f"region 'radius' must be a finite positive number, got {radius!r}")
     kind = spec.get("kind")
     if kind == "coordinate_disk":
         return RegionSpec.coordinate_disk(
-            spec["center"], spec["radius"],
-            n_boundary=int(spec.get("n_boundary", 201)),
-            n_radial=int(spec.get("n_radial", 24)),
-            n_angular=int(spec.get("n_angular", 64)))
+            spec["center"], radius,
+            n_boundary=_region_count(spec, "n_boundary", 201, 2),
+            n_radial=_region_count(spec, "n_radial", 24, 1),
+            n_angular=_region_count(spec, "n_angular", 64, 1))
     if kind == "geodesic_disk":
         return RegionSpec.geodesic_disk(
-            data, spec["center"], spec["radius"],
-            n_rays=int(spec.get("n_rays", 256)),
-            n_radial=int(spec.get("n_radial", 16)))
+            data, spec["center"], radius,
+            # the boundary's 4th-order periodic difference spans five rays
+            n_rays=_region_count(spec, "n_rays", 256, 5),
+            n_radial=_region_count(spec, "n_radial", 16, 1))
     raise ValueError(f"unknown region kind {kind!r}")
 
 

@@ -6,7 +6,8 @@ Every integration in the package, here and in ``asymptotics`` and
 ``odelab``, steps with the one classical fixed-step 4th-order Runge-Kutta
 generator :func:`rk4_samples`; interpolated states and crossing times come
 from the one cubic Hermite interpolant :func:`hermite` between stored
-samples, so traces are deterministic and reproducible.
+samples, so traces are deterministic and reproducible.  Quadrature over
+stored samples uses the one composite Simpson rule :func:`simpson`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import _fd
 from .ambient import as_point
@@ -28,6 +28,7 @@ __all__ = [
     "RegionSpec",
     "rk4_samples",
     "hermite",
+    "simpson",
     "integrate_geodesic",
     "exponential_map",
     "parallel_transport",
@@ -173,6 +174,39 @@ def hermite(t, h, y0, d0, y1, d1):
     d01 = -d00
     d11 = 3 * t ** 2 - 2 * t
     return y, d00 * y0 / h + d10 * d0 + d01 * y1 / h + d11 * d1
+
+
+def simpson(y, x):
+    """Composite Simpson integral of the samples y over strictly increasing,
+    possibly uneven nodes x.
+
+    Parabolas through consecutive node triples; with an even sample count the
+    last interval gets Cartwright's three-point end correction, and with two
+    samples the rule is the trapezoid.  The operation order follows
+    ``scipy.integrate.simpson``, so the two agree to rounding.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = len(y)
+    if n < 2 or x.shape != y.shape:
+        raise ValueError(f"simpson needs matching 1-D y and x with at least 2 samples, "
+                         f"got shapes {y.shape} and {x.shape}")
+    if n == 2:
+        return float(0.5 * (x[1] - x[0]) * (y[1] + y[0]))
+    h = np.diff(x)
+    stop = n - 2 if n % 2 else n - 3  # parabolic panels cover nodes 0..stop
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
+                                 + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[2:stop + 2:2] * (2.0 - ratio)))
+    if n % 2 == 0:
+        a, b = h[-2], h[-1]
+        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
+                  - b ** 3 / (6 * a * (a + b)) * y[-3])
+    return float(total)
 
 
 def _geodesic_rhs(data):
@@ -452,7 +486,7 @@ class RegionSpec:
             if np.linalg.norm(pts[-1] - pts[0]) < 1e-9:  # periodic: trapezoid rule
                 total += float(np.mean(vals[:-1]) * (s[-1] - s[0]))
             else:
-                total += float(simpson(vals, x=s))
+                total += simpson(vals, s)
         return total
 
     # -- interior -----------------------------------------------------------

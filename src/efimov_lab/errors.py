@@ -18,7 +18,8 @@ class PointOutsideChart(GeometryError):
 
 class NonInvertibleMetric(GeometryError):
     """|det g| fell below the invertibility floor, or a 2x2 surface metric
-    is not positive definite: det g at or below that floor, or g11 <= 0."""
+    is not positive definite: det g at or below that floor, or g11 <= 0, or
+    the Gram matrix a metric induces on 2-planes is not positive definite."""
 
 
 class DegeneratePlane(GeometryError):

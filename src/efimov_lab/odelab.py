@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
 
-from .curves import hermite, rk4_samples
+from .curves import hermite, rk4_samples, simpson
 from .errors import BoundViolated, NoCrossing
 
 __all__ = [
@@ -69,19 +67,47 @@ def integrate_bump_system(u, eps, s_max, step):
 
 
 def _hermite_root(sa, sb, ya, yb, da, db, target):
-    """Root of the cubic Hermite interpolant of y - target on [sa, sb]."""
+    """Root of the cubic Hermite interpolant of y - target on [sa, sb].
+
+    Newton steps on the interpolant's own derivative, kept inside a shrinking
+    sign-change bracket and replaced by bisection when they would leave it or
+    stop halving the step (Press et al., *Numerical Recipes*, 9.4, rtsafe),
+    until a step is shorter than 1e-12.
+    """
     h = sb - sa
 
-    def f(t):
-        return hermite((t - sa) / h, h, ya, da, yb, db)[0] - target
+    def f(s):
+        y, dy = hermite((s - sa) / h, h, ya, da, yb, db)
+        return y - target, dy
 
-    fa, fb = f(sa), f(sb)
+    fa, fb = f(sa)[0], f(sb)[0]
     if fa == 0.0:
         return sa
     if fa * fb > 0:
         # fall back to the endpoint closer to the target
         return sa if abs(fa) < abs(fb) else sb
-    return brentq(f, sa, sb, xtol=1e-12)
+    lo, hi = (sa, sb) if fa < 0 else (sb, sa)  # f(lo) < 0 < f(hi)
+    x = 0.5 * (sa + sb)
+    dx = dx_old = abs(h)
+    fx, dfx = f(x)
+    for _ in range(200):
+        if fx == 0.0:
+            break
+        newton_leaves = ((x - hi) * dfx - fx) * ((x - lo) * dfx - fx) > 0
+        if newton_leaves or abs(2.0 * fx) > abs(dx_old * dfx):
+            dx_old, dx = dx, 0.5 * (hi - lo)
+            x = lo + dx
+        else:
+            dx_old, dx = dx, fx / dfx
+            x = x - dx
+        if abs(dx) < 1e-12:
+            break
+        fx, dfx = f(x)
+        if fx < 0:
+            lo = x
+        else:
+            hi = x
+    return float(x)
 
 
 @dataclass
@@ -344,7 +370,7 @@ def weak_inequality_residual(bump, u, n_tests=50, seed=20240):
         d2 = _bspline_bump_d2(tt) / width ** 2
         uu = np.array([u(x) for x in gg])
         integrand = yy * (d2 + uu * d1 + (bump.eps + uu ** 2 / 4.0) * phi)
-        return float(simpson(integrand, x=gg))
+        return simpson(integrand, gg)
 
     worst = np.inf
     for _ in range(n_tests):

@@ -153,6 +153,18 @@ def test_non_invertible_metric():
         m.inverse([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("evaluate", [sectional_range, curvature_sample])
+def test_lorentzian_metric_sectional_extremes_raise_typed_error(evaluate):
+    """An indefinite metric has no positive definite Gram matrix on 2-planes,
+    so the sectional pencil is not symmetric-definite."""
+    m = MetricField(3, lambda p: np.diag([1.0, 1.0, -1.0 - 0.1 * p[0] ** 2]),
+                    ChartBox.cube(3, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonInvertibleMetric):
+            evaluate(m, [0.1, 0.2, 0.3])
+
+
 def test_degenerate_plane():
     m = gallery.build_example("sphere3").metric
     with pytest.raises(DegeneratePlane):

@@ -182,6 +182,16 @@ def test_gauss_bonnet_command(tmp_path):
 @pytest.mark.parametrize("spec", [
     {"kind": "coordinate_disk", "radius": 0.5},  # no center
     [{"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": 0.5}],  # an array
+    {"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": 0.5, "n_boundary": 0},
+    {"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": 0.5, "n_boundary": 1},
+    {"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": 0.5, "n_radial": 0},
+    {"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": 0.5, "n_angular": 0},
+    {"kind": "geodesic_disk", "center": [0.0, 0.0], "radius": 0.5, "n_rays": 1},
+    {"kind": "geodesic_disk", "center": [0.0, 0.0], "radius": 0.5, "n_radial": 0},
+    {"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": 0},
+    {"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": -0.5},
+    {"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": "0.5"},
+    {"kind": "coordinate_disk", "center": [0.0, 0.0], "radius": float("inf")},
 ])
 def test_gauss_bonnet_malformed_region_exits_2(tmp_path, spec):
     region = tmp_path / "region.json"
@@ -190,6 +200,16 @@ def test_gauss_bonnet_malformed_region_exits_2(tmp_path, spec):
                            "--region", str(region))
     assert code == 2
     assert "region" in err
+
+
+def test_package_imports_without_scipy():
+    """The runtime is numpy-only: scipy is a test oracle, never imported by
+    the package or its console script."""
+    probe = ("import sys, efimov_lab, efimov_lab.cli\n"
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_asymptotic_command_csv(tmp_path):
