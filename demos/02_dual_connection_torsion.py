@@ -16,8 +16,7 @@ from efimov_lab.connection import dual_codazzi_residual, torsion_bound_tau0
 print("space forms: torsion and dual-Codazzi residual")
 for name in ("sphere2", "saddle", "clifford_torus"):
     data = gallery.build_example(name).data
-    mid = 0.5 * (np.asarray(data.provider.patch.box.lo)
-                 + np.asarray(data.provider.patch.box.hi))
+    mid = 0.5 * (np.asarray(data.patch.box.lo) + np.asarray(data.patch.box.hi))
     print(f"  {name:16s} |tau| = {data.torsion_norm(mid):.2e}   "
           f"dual Codazzi = {dual_codazzi_residual(data, mid):.2e}")
 

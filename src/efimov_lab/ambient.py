@@ -237,7 +237,7 @@ def riemann_symmetry_residuals(g, rm):
     }
 
 
-def riemann_sectional(metric, p, x, y, rm=None):
+def riemann_sectional(metric, p, x, y):
     """Sectional curvature of the plane spanned by tangent vectors x, y."""
     p = as_point(p, metric.dim)
     g = metric.matrix(p)
@@ -246,16 +246,14 @@ def riemann_sectional(metric, p, x, y, rm=None):
     gram = (x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2
     if gram < 1e-12 * max(1.0, float(x @ g @ x)) * max(1.0, float(y @ g @ y)):
         raise DegeneratePlane(f"plane spanned by {x} and {y} is degenerate (gram={gram:.3e})")
-    if rm is None:
-        rm = riemann_covariant(metric, p)
-    num = np.einsum("ijkl,i,j,k,l->", rm, x, y, y, x)
+    num = np.einsum("ijkl,i,j,k,l->", riemann_covariant(metric, p), x, y, y, x)
     return float(num / gram)
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def curvature_operator_matrices(metric, p, rm=None):
+def curvature_operator_matrices(metric, p):
     """Quadratic form S and Gram matrix G of the curvature operator on
     Lambda^2 in the ordered basis (e1^e2, e1^e3, e2^e3).
 
@@ -265,10 +263,7 @@ def curvature_operator_matrices(metric, p, rm=None):
     extremes.
     """
     p = as_point(p, metric.dim)
-    g = metric.matrix(p)
-    if rm is None:
-        rm = riemann_covariant(metric, p)
-    return _operator_matrices(g, rm)
+    return _operator_matrices(metric.matrix(p), riemann_covariant(metric, p))
 
 
 def _operator_matrices(g, rm):

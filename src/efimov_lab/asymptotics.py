@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _fd
 from .ambient import as_point
-from .connection import FD_STEP, covariant_derivative_of_field
+from .connection import FD_STEP, complex_structure, covariant_derivative_of_field
 from .curves import CurveTrace, parallel_transport_samples, rk4_samples, trace_margin
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
 
@@ -64,14 +64,14 @@ def asymptotic_frame(data, q, ref_u=None, ref_v=None):
     if det >= 0:
         raise NonHyperbolicPoint(f"det B~ = {det:.3e} >= 0 at q={q}")
     k = float(np.sqrt(-det))
-    j = data.complex_structure(q)
+    g = data.third_form(q)
+    j = complex_structure(g)
     m = -j @ bt
     vals, vecs = np.linalg.eig(m)
     vals = np.real(vals)
     vecs = np.real(vecs)
     iu = int(np.argmin(np.abs(vals - k)))
     iv = 1 - iu
-    g = data.third_form(q)
 
     def unit(w):
         return w / np.sqrt(w @ g @ w)
@@ -202,6 +202,29 @@ class AsymptoticTrace:
                          "defect_running"], rows)
 
 
+def _asymptotic_flow(data, q, which, ref, length, step):
+    """RK4 samples ``(s, point, direction, frame)`` of the unit flow of U (or
+    V) from q, starting with s = 0.  Each direction is sign-aligned with the
+    one before, the first with ``ref`` (by :func:`asymptotic_frame`'s own
+    rule when ``ref`` is None).  Raises LeftPatch when a step comes within
+    the trace margin of the box edge."""
+
+    def direction(qq, r):
+        fr = asymptotic_frame(data, qq, ref_u=r if which == "U" else None,
+                              ref_v=r if which == "V" else None)
+        return (fr.u if which == "U" else fr.v), fr
+
+    vec, fr = direction(q, ref)
+    yield 0.0, q, vec, fr
+    margin = trace_margin(data, step)
+    # the flow reads the latest vec, so each step follows the sign of the last
+    for s, cur in rk4_samples(lambda t, qq: direction(qq, vec)[0], q, length, step):
+        if not data.contains(cur, margin=margin):
+            raise LeftPatch(f"asymptotic flow left the patch near {cur}")
+        vec, fr = direction(cur, vec)
+        yield s, cur, vec, fr
+
+
 def trace_asymptotic(data, q, which, length, step):
     """Integrate the unit flow of U (or V) and collect the diagnostics:
     delta = pi + inf theta - sup theta, sigma = integral of sin theta, and
@@ -213,40 +236,17 @@ def trace_asymptotic(data, q, which, length, step):
     which = which.upper()
     if which not in ("U", "V"):
         raise ValueError("direction must be 'U' or 'V'")
-    margin = trace_margin(data, step)
-
-    def direction(qq, ref):
-        fr = asymptotic_frame(data, qq, ref_u=ref if which == "U" else None,
-                              ref_v=ref if which == "V" else None)
-        vec = fr.u if which == "U" else fr.v
-        if ref is not None and float(vec @ data.third_form(qq) @ ref) < 0:
-            vec = -vec
-        return vec, fr
-
-    vec0, fr0 = direction(q, None)
-    s_vals = [0.0]
-    pts = [q]
-    vels = [vec0]
-    frames = [fr0]
+    flow = _asymptotic_flow(data, q, which, None, length, step)
+    samples = [next(flow)]
     left = False
-    ref = vec0
     try:
-        # the flow reads the latest ref, so each step follows the sign of the last
-        for s, cur in rk4_samples(lambda t, qq: direction(qq, ref)[0], q, length, step):
-            if not data.contains(cur, margin=margin):
-                left = True
-                break
-            ref, fr = direction(cur, ref)
-            s_vals.append(s)
-            pts.append(cur)
-            vels.append(ref)
-            frames.append(fr)
-    except PointOutsideChart:
+        for sample in flow:
+            samples.append(sample)
+    except (LeftPatch, PointOutsideChart):
         left = True
 
-    s_arr = np.array(s_vals)
-    pts = np.array(pts)
-    vels = np.array(vels)
+    s_vals, pts, vels, frames = zip(*samples)
+    s_arr, pts, vels = np.array(s_vals), np.array(pts), np.array(vels)
     thetas = np.array([fr.theta for fr in frames])
     delta = float(np.pi + thetas.min() - thetas.max())
     sigma = float(np.trapezoid(np.sin(thetas), s_arr)) if len(s_arr) > 1 else 0.0
@@ -262,7 +262,7 @@ def trace_asymptotic(data, q, which, length, step):
         defects[i] = abs(float(np.arctan2((j @ a) @ g @ b, a @ g @ b)))
     defect_run = np.maximum.accumulate(defects)
     return AsymptoticTrace(s=s_arr, points=pts, velocities=vels, thetas=thetas,
-                           frames=frames, delta=delta, sigma=sigma,
+                           frames=list(frames), delta=delta, sigma=sigma,
                            quasi_defect=float(defect_run[-1]),
                            defect_running=defect_run, left_patch=left, which=which)
 
@@ -286,28 +286,11 @@ def measured_tau1(data, points):
 
 
 def _flow_curve(data, q, which, ref, length, step):
-    """Integrate the sign-aligned asymptotic flow; plain curve, no diagnostics."""
-    q = as_point(q, 2)
-
-    def direction(qq, r):
-        fr = asymptotic_frame(data, qq)
-        vec = fr.u if which == "U" else fr.v
-        if float(vec @ data.third_form(qq) @ r) < 0:
-            vec = -vec
-        return vec
-
-    ref_d = direction(q, np.asarray(ref, dtype=float))
-    s_vals = [0.0]
-    pts = [q]
-    vels = [ref_d]
-    margin = trace_margin(data, step)
-    for s, cur in rk4_samples(lambda t, qq: direction(qq, ref_d), q, length, step):
-        if not data.contains(cur, margin=margin):
-            raise LeftPatch(f"net flow left the patch near {cur}")
-        ref_d = direction(cur, ref_d)
-        s_vals.append(s)
-        pts.append(cur)
-        vels.append(ref_d)
+    """The asymptotic flow from q as a plain curve, no diagnostics; raises
+    LeftPatch if it leaves the patch."""
+    flow = _asymptotic_flow(data, as_point(q, 2), which, np.asarray(ref, dtype=float),
+                            length, step)
+    s_vals, pts, vels, _ = zip(*flow)
     return CurveTrace.from_samples(np.array(s_vals), np.array(pts), np.array(vels))
 
 

@@ -154,11 +154,10 @@ def _metric_for(spec_text):
     return metric_from_expressions(fields, chart, dim=3)
 
 
-def _region_count(spec, key, default, least):
-    n = int(spec.get(key, default))
-    if n < least:
-        raise ValueError(f"region {key!r} must be at least {least}, got {n}")
-    return n
+def _region_counts(spec, *keys):
+    """The counts ``spec`` sets among ``keys``, as ints; the region
+    constructors check their ranges."""
+    return {key: int(spec[key]) for key in keys if key in spec}
 
 
 def region_from_json(data, spec):
@@ -171,16 +170,10 @@ def region_from_json(data, spec):
     kind = spec.get("kind")
     if kind == "coordinate_disk":
         return RegionSpec.coordinate_disk(
-            spec["center"], radius,
-            n_boundary=_region_count(spec, "n_boundary", 201, 2),
-            n_radial=_region_count(spec, "n_radial", 24, 1),
-            n_angular=_region_count(spec, "n_angular", 64, 1))
+            spec["center"], radius, **_region_counts(spec, "n_boundary", "n_radial", "n_angular"))
     if kind == "geodesic_disk":
-        return RegionSpec.geodesic_disk(
-            data, spec["center"], radius,
-            # the boundary's 4th-order periodic difference spans five rays
-            n_rays=_region_count(spec, "n_rays", 256, 5),
-            n_radial=_region_count(spec, "n_radial", 16, 1))
+        return RegionSpec.geodesic_disk(data, spec["center"], radius,
+                                        **_region_counts(spec, "n_rays", "n_radial"))
     raise ValueError(f"unknown region kind {kind!r}")
 
 

@@ -1,25 +1,29 @@
 """The compatible connection with torsion on a surface, its bound constants,
 and the non-existence-hypothesis verdicts.
 
-Three ways of owning such a connection:
+:class:`SurfaceConnectionData` is the connection.  It has one subclass per
+way of owning one, and its ``from_*`` constructors return that subclass:
 
-* immersion mode: a surface patch in an ambient 3-metric.  The connection is
+* immersion mode (:meth:`~SurfaceConnectionData.from_immersion`): a surface
+  patch in an ambient 3-metric.  The connection is
   ``D~_x y = B^{-1} D_x(B y)`` for the shape operator B and the Levi-Civita
   connection D of the induced metric; it is compatible with the third
   fundamental form and its torsion is controlled by the ambient pinching.
-* operator mode: an abstract pair (2D metric sigma, symmetric endomorphism
-  field B) with the same formula; this is the hyperbolic Monge-Ampere setup.
-* torsion mode: an abstract pair (2D metric, torsion vector field).  The
-  connection is the unique metric-compatible one with that torsion
-  (Levi-Civita plus the canonical contorsion correction).
+* operator mode (:meth:`~SurfaceConnectionData.from_operator`): an abstract
+  pair (2D metric sigma, symmetric endomorphism field B) with the same
+  formula; this is the hyperbolic Monge-Ampere setup.
+* torsion mode (:meth:`~SurfaceConnectionData.from_metric_and_torsion`): an
+  abstract pair (2D metric, torsion vector field).  The connection is the
+  unique metric-compatible one with that torsion (Levi-Civita plus the
+  canonical contorsion correction).
 
 Torsion 2-forms are identified with vector fields through the metric the
 connection preserves: ``tau := T(f1, f2)`` for a positively oriented
 orthonormal frame (f1, f2).
 
 Everything here is a pure evaluator over read-only inputs, and verdicts are
-plain value objects.  The only mutable state is the immersion provider's
-memo of fundamental data, a ``functools.lru_cache`` of ``MEMO_SIZE`` entries
+plain value objects.  The only mutable state is the immersion mode's memo
+of fundamental data, a ``functools.lru_cache`` of ``MEMO_SIZE`` entries
 keyed on the parameter point.  It serves points that callers re-request
 close together: ``torsion_vector``, for one, reads B through ``gamma`` and
 then III at the same point.  Its fixed size keeps long traces in constant
@@ -39,6 +43,7 @@ from . import _fd
 from .ambient import DET_FLOOR, as_point, christoffel, dnabla, gauss_curvature
 from .errors import (
     DegenerateShapeOperator,
+    DegenerateVector,
     InvalidPinching,
     ModeUnsupported,
     NonInvertibleMetric,
@@ -48,7 +53,7 @@ from .immersion import fundamental_forms, induced_metric_field
 DET_B_FLOOR = 1e-10
 # finite-difference step of B, III and vector fields over the surface chart
 FD_STEP = 1e-4
-MEMO_SIZE = 64  # fundamental data kept per immersion provider
+MEMO_SIZE = 64  # fundamental data kept per immersion-mode connection
 # finite-difference step of the torsion curl in torsion-mode K~; its stencil
 # reaches this far (plus the metric's own stencil) around each point
 CURVATURE_FD_STEP = 1e-3
@@ -101,20 +106,97 @@ def orthonormal_frame(g):
 
 
 # ---------------------------------------------------------------------------
-# providers
+# the connection: one class per mode
 
 
-class _TorsionProvider:
+class SurfaceConnectionData:
+    """A surface with a metric-compatible connection with torsion.
+
+    Construct with one of :meth:`from_immersion`, :meth:`from_operator`,
+    :meth:`from_metric_and_torsion`; each returns the class of its mode.
+    Every mode class sets ``mode``, ``name`` and ``box`` and defines
+    ``third_form``, ``gamma``, ``torsion_vector`` and ``_curvature``.  The
+    shape accessors here raise ModeUnsupported; the modes that have a shape
+    operator override them.
+    """
+
+    @staticmethod
+    def from_immersion(patch, ambient):
+        return _ImmersionProvider(patch, ambient)
+
+    @staticmethod
+    def from_operator(sigma_field, b_field, name=""):
+        return _OperatorProvider(sigma_field, b_field, name=name)
+
+    @staticmethod
+    def from_metric_and_torsion(iii_field, tau, name=""):
+        return _TorsionProvider(iii_field, tau, name=name)
+
+    # -- mode-generic ---------------------------------------------------------
+
+    def contains(self, q, margin=0.0):
+        return self.box.contains(as_point(q, 2), margin=margin)
+
+    def torsion_from_coefficients(self, q):
+        """Torsion vector recovered from the connection coefficients."""
+        return _torsion_from_gamma(self.gamma(q), self.third_form(q))
+
+    def torsion_norm(self, q):
+        return self.norm(q, self.torsion_vector(q))
+
+    def complex_structure(self, q):
+        return complex_structure(self.third_form(q))
+
+    def area_density(self, q):
+        return math.sqrt(_metric_det(*self.third_form(q).ravel().tolist()))
+
+    def norm(self, q, x):
+        g = self.third_form(q)
+        _metric_det(*g.ravel().tolist())
+        x = np.asarray(x, dtype=float)
+        if not np.isfinite(x).all():
+            raise DegenerateVector(f"non-finite tangent vector {x} at q={q}")
+        # III is positive definite here, so only rounding can make x.g.x < 0
+        return float(np.sqrt(max(x @ g @ x, 0.0)))
+
+    def unit(self, q, x):
+        x = np.asarray(x, dtype=float)
+        n = self.norm(q, x)
+        if n == 0.0:
+            raise DegenerateVector(f"cannot normalise the zero vector at q={q}")
+        return x / n
+
+    def curvature(self, q):
+        """K~ at q, in closed form per mode: ``K_I / K_e`` (immersion),
+        ``K_sigma / det B`` (operator), and Cartan's structure equation on
+        III and the torsion (torsion mode)."""
+        return self._curvature(q)
+
+    # -- shape data, where the mode has it ------------------------------------
+
+    def third_form_partials(self, q):
+        raise ModeUnsupported("III partials require immersion or operator mode")
+
+    def b_matrix(self, q):
+        raise ModeUnsupported("shape operator requires immersion or operator mode")
+
+    def b_tilde(self, q):
+        raise ModeUnsupported("inverse shape operator requires immersion or operator mode")
+
+    def fundamental(self, q):
+        raise ModeUnsupported("fundamental data requires immersion mode")
+
+
+class _TorsionProvider(SurfaceConnectionData):
+    """III + torsion vector field tau: the metric connection with that torsion."""
+
     mode = "torsion"
 
     def __init__(self, iii_field, tau, name=""):
         self.iii_field = iii_field
         self.tau = tau
         self.name = name or iii_field.name
-
-    @property
-    def box(self):
-        return self.iii_field.box
+        self.box = iii_field.box
 
     def third_form(self, q):
         return self.iii_field.matrix(q)
@@ -131,7 +213,7 @@ class _TorsionProvider:
         (g11, g12), (g21, g22) = field.matrix(q).tolist()
         det = _metric_det(g11, g12, g21, g22)
         dg = field.partials(q).tolist()
-        t1, t2 = self.torsion_vector(q).tolist()
+        t1, t2 = np.asarray(self.tau(q), dtype=float).tolist()
         s = math.sqrt(det)
         st1 = s * (g11 * t1 + g12 * t2)
         st2 = s * (g21 * t1 + g22 * t2)
@@ -150,7 +232,7 @@ class _TorsionProvider:
     def torsion_vector(self, q):
         return np.asarray(self.tau(as_point(q, 2)), dtype=float)
 
-    def curvature(self, q):
+    def _curvature(self, q):
         """Cartan's structure equation for a metric connection with torsion
         ``T = omega (x) tau``: ``K~ = K(III) + (d_1 t_2 - d_2 t_1) /
         sqrt(det III)`` with ``t = III(tau, .)`` (Kobayashi-Nomizu I,
@@ -161,12 +243,11 @@ class _TorsionProvider:
         field.require_inside(q, margin=CURVATURE_FD_STEP + field.fd_margin())
         area = math.sqrt(_metric_det(*field.matrix(q).ravel().tolist()))
         k_iii = gauss_curvature(field, q)
-        dt = _fd.gradient(lambda qq: field.matrix(qq) @ self.torsion_vector(qq), q,
-                          CURVATURE_FD_STEP)
+        dt = _fd.gradient(lambda qq: field.matrix(qq) @ self.tau(qq), q, CURVATURE_FD_STEP)
         return k_iii + float(dt[0, 1] - dt[1, 0]) / area
 
 
-class _OperatorProvider:
+class _OperatorProvider(SurfaceConnectionData):
     """sigma + endomorphism field B; D~_x y = B^{-1} D^sigma_x (B y)."""
 
     mode = "operator"
@@ -175,10 +256,7 @@ class _OperatorProvider:
         self.sigma_field = sigma_field
         self.b_field = b_field
         self.name = name
-
-    @property
-    def box(self):
-        return self.sigma_field.box
+        self.box = sigma_field.box
 
     def b_matrix(self, q):
         return np.asarray(self.b_field(as_point(q, 2)), dtype=float)
@@ -214,7 +292,7 @@ class _OperatorProvider:
     def torsion_vector(self, q):
         return _torsion_from_gamma(self.gamma(q), self.third_form(q))
 
-    def curvature(self, q):
+    def _curvature(self, q):
         """``K~ = K_sigma / det B``, because ``R~ = B^{-1} R B``."""
         q = as_point(q, 2)
         binv = _inverse_shape_operator(self.b_matrix(q), q)
@@ -222,6 +300,9 @@ class _OperatorProvider:
 
 
 class _ImmersionProvider(_OperatorProvider):
+    """A surface patch in an ambient 3-metric: sigma = I and B the shape
+    operator, both from the patch's fundamental data."""
+
     mode = "immersion"
 
     def __init__(self, patch, ambient):
@@ -243,122 +324,13 @@ class _ImmersionProvider(_OperatorProvider):
     def third_form(self, q):
         return self.fundamental(q).third
 
-    def curvature(self, q):
+    def _curvature(self, q):
         """``K~ = K_I / K_e``."""
         data = self.fundamental(q)
         if abs(data.k_extrinsic) < DET_B_FLOOR:
             raise DegenerateShapeOperator(
                 f"|K_e| = {abs(data.k_extrinsic):.3e} below floor at q={q}")
         return data.k_intrinsic / data.k_extrinsic
-
-
-class SurfaceConnectionData:
-    """A surface with a metric-compatible connection with torsion.
-
-    Construct with one of :meth:`from_immersion`, :meth:`from_operator`,
-    :meth:`from_metric_and_torsion`.
-    """
-
-    def __init__(self, provider):
-        self._p = provider
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_immersion(cls, patch, ambient):
-        return cls(_ImmersionProvider(patch, ambient))
-
-    @classmethod
-    def from_operator(cls, sigma_field, b_field, name=""):
-        return cls(_OperatorProvider(sigma_field, b_field, name=name))
-
-    @classmethod
-    def from_metric_and_torsion(cls, iii_field, tau, name=""):
-        return cls(_TorsionProvider(iii_field, tau, name=name))
-
-    # -- basic accessors ----------------------------------------------------
-
-    @property
-    def mode(self):
-        return self._p.mode
-
-    @property
-    def name(self):
-        return self._p.name
-
-    @property
-    def box(self):
-        return self._p.box
-
-    @property
-    def provider(self):
-        return self._p
-
-    def contains(self, q, margin=0.0):
-        return self.box.contains(as_point(q, 2), margin=margin)
-
-    def third_form(self, q):
-        return self._p.third_form(q)
-
-    def third_form_partials(self, q):
-        if self.mode == "torsion":
-            raise ModeUnsupported("III partials require immersion or operator mode")
-        return self._p.third_form_partials(q)
-
-    def gamma(self, q):
-        return self._p.gamma(q)
-
-    def torsion_vector(self, q):
-        return self._p.torsion_vector(q)
-
-    def torsion_from_coefficients(self, q):
-        """Torsion vector recovered from the connection coefficients."""
-        return _torsion_from_gamma(self.gamma(q), self.third_form(q))
-
-    def torsion_norm(self, q):
-        return self.norm(q, self.torsion_vector(q))
-
-    def complex_structure(self, q):
-        return complex_structure(self.third_form(q))
-
-    def area_density(self, q):
-        return math.sqrt(_metric_det(*self.third_form(q).ravel().tolist()))
-
-    def norm(self, q, x):
-        g = self.third_form(q)
-        _metric_det(*g.ravel().tolist())
-        x = np.asarray(x, dtype=float)
-        # III is positive definite here, so only rounding can make x.g.x < 0
-        return float(np.sqrt(max(x @ g @ x, 0.0)))
-
-    def unit(self, q, x):
-        x = np.asarray(x, dtype=float)
-        return x / self.norm(q, x)
-
-    # -- immersion-mode extras ---------------------------------------------
-
-    def fundamental(self, q):
-        if self.mode != "immersion":
-            raise ModeUnsupported("fundamental data requires immersion mode")
-        return self._p.fundamental(q)
-
-    def b_tilde(self, q):
-        if self.mode == "torsion":
-            raise ModeUnsupported("inverse shape operator requires immersion or operator mode")
-        return self._p.b_tilde(q)
-
-    def b_matrix(self, q):
-        if self.mode == "torsion":
-            raise ModeUnsupported("shape operator requires immersion or operator mode")
-        return self._p.b_matrix(q)
-
-    # -- curvature ----------------------------------------------------------
-
-    def curvature(self, q):
-        """K~ at q, in closed form per mode: ``K_I / K_e`` (immersion),
-        ``K_sigma / det B`` (operator), and Cartan's structure equation on
-        III and the torsion (torsion mode)."""
-        return self._p.curvature(q)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +377,9 @@ def dual_codazzi_residual(data, q):
     fields ``x = d_1``, ``y = d_2``.
 
     Zero in exact arithmetic: the inverse shape operator satisfies the dual
-    Codazzi identity with respect to the compatible connection.
+    Codazzi identity with respect to the compatible connection.  Torsion
+    mode has no shape operator, so ``b_tilde`` raises ModeUnsupported there.
     """
-    if data.mode == "torsion":
-        raise ModeUnsupported("dual Codazzi residual requires a shape operator")
     q = as_point(q, 2)
     x, y = np.eye(2)
     dbt = _fd.gradient(data.b_tilde, q, FD_STEP)
@@ -582,25 +553,24 @@ def measured_gradient_constants(data, sample_points):
 
     if data.mode != "immersion":
         raise ModeUnsupported("gradient constants require immersion mode")
-    prov = data.provider
     c_sigma = 0.0
     c_mu = 0.0
     for q in sample_points:
         q = as_point(q, 2)
 
         def k_intr(qq):
-            return prov.fundamental(qq).k_intrinsic
+            return data.fundamental(qq).k_intrinsic
 
         def k_amb(qq):
-            fd = prov.fundamental(qq)
-            return riemann_sectional(prov.ambient, fd.point,
+            fd = data.fundamental(qq)
+            return riemann_sectional(data.ambient, fd.point,
                                      fd.jacobian[:, 0], fd.jacobian[:, 1])
 
         grad_ki = _fd.gradient(k_intr, q, 1e-3)
-        first = prov.fundamental(q).first
+        first = data.fundamental(q).first
         # sup over unit x of |<grad, x>| = norm of the gradient covector
         norm_grad = float(np.sqrt(grad_ki @ np.linalg.inv(first) @ grad_ki))
-        ki = abs(prov.fundamental(q).k_intrinsic)
+        ki = abs(data.fundamental(q).k_intrinsic)
         c_sigma = max(c_sigma, norm_grad / ki ** 1.5)
         grad_km = _fd.gradient(k_amb, q, 1e-3)
         c_mu = max(c_mu, float(np.sqrt(grad_km @ np.linalg.inv(first) @ grad_km)))
@@ -618,15 +588,14 @@ def measured_pinching(data, sample_points):
 
     if data.mode != "immersion":
         raise ModeUnsupported("measured pinching requires immersion mode")
-    prov = data.provider
     k1 = -np.inf
     k2 = np.inf
     k3 = -np.inf
     per_point = []
     for q in sample_points:
-        fd = prov.fundamental(q)
+        fd = data.fundamental(q)
         k1 = max(k1, fd.k_intrinsic)
-        k_min, k_max = sectional_range(prov.ambient, fd.point)
+        k_min, k_max = sectional_range(data.ambient, fd.point)
         k2 = min(k2, k_min)
         k3 = max(k3, k_max)
         per_point.append((fd.k_intrinsic, k_min, k_max))

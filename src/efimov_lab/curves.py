@@ -20,7 +20,7 @@ import numpy as np
 from . import _fd
 from .ambient import as_point
 from .connection import complex_structure, orthonormal_frame
-from .errors import EndpointSample, OpenBoundary, PointOutsideChart
+from .errors import EndpointSample, OpenBoundary, ParameterOutOfRange, PointOutsideChart
 
 __all__ = [
     "CurveTrace",
@@ -148,6 +148,9 @@ def rk4_samples(f, y, length, step):
     own rules (leaving the chart, a sign change), and ``f`` may read state
     the caller updates between samples.
     """
+    if not (0.0 < step < np.inf and np.isfinite(length)):
+        raise ParameterOutOfRange(
+            f"RK4 needs a finite step > 0 and a finite length, got step={step}, length={length}")
     n = max(1, int(np.ceil(length / step - 1e-12)))
     t = 0.0
     for i in range(n):
@@ -428,6 +431,11 @@ def jacobi_field(data, base_trace, x0, y0, xp0, yp0, step):
 # regions and Gauss-Bonnet
 
 
+def _require_count(key, n, least):
+    if not n >= least:
+        raise ParameterOutOfRange(f"region {key!r} must be at least {least}, got {n}")
+
+
 class RegionSpec:
     """A compact region: ordered boundary segments plus an interior quadrature.
 
@@ -524,6 +532,9 @@ class RegionSpec:
     @staticmethod
     def coordinate_disk(center, radius, n_boundary=201, n_radial=24, n_angular=64):
         """Disk in chart coordinates: boundary circle plus polar quadrature."""
+        _require_count("n_boundary", n_boundary, 2)
+        _require_count("n_radial", n_radial, 1)
+        _require_count("n_angular", n_angular, 1)
         c = np.asarray(center, dtype=float)
 
         def path(t):
@@ -555,6 +566,9 @@ class RegionSpec:
         Each ray takes 64 RK4 steps.  The boundary is the endpoint curve of
         the rays; derivatives across rays use 4th-order periodic differences.
         """
+        # the boundary's 4th-order periodic difference spans five rays
+        _require_count("n_rays", n_rays, 5)
+        _require_count("n_radial", n_radial, 1)
         center = as_point(center, 2)
         ray_step = radius / 64.0
         g = data.third_form(center)

@@ -26,6 +26,10 @@ class DegeneratePlane(GeometryError):
     """The two vectors supposed to span a tangent 2-plane are (nearly) parallel."""
 
 
+class DegenerateVector(GeometryError):
+    """A tangent vector to be normalised has zero or non-finite length."""
+
+
 class DegenerateImmersion(GeometryError):
     """The differential of a surface map has rank < 2 at the requested point."""
 
@@ -67,7 +71,8 @@ class WrongSignDeterminant(GeometryError):
 
 
 class ParameterOutOfRange(GeometryError):
-    """An example builder received parameters outside its documented range."""
+    """A builder, constructor or solver received parameters outside their
+    documented range, non-finite values included."""
 
 
 class LeftPatch(GeometryError):

@@ -106,20 +106,20 @@ def hyperbolic3(half_width=0.5):
     return _conformal3(-1.0, half_width, "hyperbolic3")
 
 
-def g_lambda(lam, xy_half=2.0, z_half=None, analytic=True, fd_step=1e-3):
+def g_lambda(lam, z_half=None, analytic=True, fd_step=1e-3):
     """The pinched slab metric
 
         (1 + 2 lam z) cosh^2(y) cosh^2(z) dx^2
         + (1 - 2 lam z) cosh^2(z) dy^2 + dz^2
 
-    on |z| <= min(0.2, 1/(4 lam)); hyperbolic for lam = 0.  With
+    on |x|, |y| <= 2 and |z| <= min(0.2, 1/(4 lam)); hyperbolic for lam = 0.  With
     ``analytic=True`` it carries closed-form first partials (second
     derivatives fall back to finite differences of those); with
     ``analytic=False`` the whole derivative stack is pure central
     differences, which is what the sharpest verification exercises.
     """
-    if lam < 0:
-        raise ParameterOutOfRange(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise ParameterOutOfRange(f"lambda must be finite and >= 0, got {lam}")
     if z_half is None:
         z_half = min(0.2, 1.0 / (4.0 * lam)) if lam > 0 else 0.2
     elif lam > 0 and 2.0 * lam * z_half >= 1.0:
@@ -145,7 +145,7 @@ def g_lambda(lam, xy_half=2.0, z_half=None, analytic=True, fd_step=1e-3):
         d[2, 1, 1] = -2.0 * lam * cz * cz + (1.0 - 2.0 * lam * z) * 2.0 * cz * sz
         return d
 
-    box = ChartBox((-xy_half, -xy_half, -z_half), (xy_half, xy_half, z_half))
+    box = ChartBox((-2.0, -2.0, -z_half), (2.0, 2.0, z_half))
     return MetricField(3, matrix, box, partials=partials if analytic else None,
                        fd_step=fd_step, name=f"g_lambda({lam})")
 
@@ -190,8 +190,9 @@ def measured_g_lambda_entries(metric, p):
 # 2D metrics and abstract connections
 
 
-def hyperbolic_plane_polar(r_min=1e-3, r_max=4.0, theta_half=8.0):
-    """dr^2 + sinh^2(r) dtheta^2; curvature -1, polar coordinate chart."""
+def hyperbolic_plane_polar(r_min=1e-3, r_max=4.0):
+    """dr^2 + sinh^2(r) dtheta^2; curvature -1, polar coordinate chart
+    with |theta| <= 8."""
 
     def matrix(q):
         return np.diag([1.0, np.sinh(q[0]) ** 2])
@@ -206,7 +207,7 @@ def hyperbolic_plane_polar(r_min=1e-3, r_max=4.0, theta_half=8.0):
         d[0, 0, 1, 1] = 2.0 * np.cosh(2.0 * q[0])
         return d
 
-    return MetricField(2, matrix, ChartBox((r_min, -theta_half), (r_max, theta_half)),
+    return MetricField(2, matrix, ChartBox((r_min, -8.0), (r_max, 8.0)),
                        partials=partials, second_partials=second_partials,
                        name="hyperbolic_polar")
 
@@ -245,7 +246,7 @@ def _gudermannian(r):
     return np.arcsin(np.tanh(r))
 
 
-def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, theta_half=8.0, profile="tanh"):
+def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, profile="tanh"):
     """The hyperbolic plane with a rotationally invariant torsion field of
     exact norm t.
 
@@ -255,11 +256,11 @@ def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, theta_half=8.0, profile="tanh"
     Both closed forms are attached as reference evaluators, and verification
     reports how each matches the measured curvature.
     """
-    if t < 0:
-        raise ParameterOutOfRange(f"t must be >= 0, got {t}")
+    if not 0.0 <= t < np.inf:
+        raise ParameterOutOfRange(f"t must be finite and >= 0, got {t}")
     if profile not in ("tanh", "angular"):
         raise ParameterOutOfRange(f"unknown profile {profile!r}")
-    metric = hyperbolic_plane_polar(r_min=r_min, r_max=r_max, theta_half=theta_half)
+    metric = hyperbolic_plane_polar(r_min=r_min, r_max=r_max)
 
     if profile == "angular":
         def tau(q):
@@ -308,8 +309,9 @@ def saddle_patch(half_width=1.0):
         hessian=hess, name="saddle")
 
 
-def sphere2_patch(radius=1.0, u_range=(0.3, 2.8), v_half=3.0):
-    """Round sphere of the given radius about the origin, spherical angles."""
+def sphere2_patch(radius=1.0):
+    """Round sphere of the given radius about the origin, spherical angles
+    0.3 <= u <= 2.8 and |v| <= 3."""
 
     def smap(q):
         u, v = q
@@ -330,12 +332,13 @@ def sphere2_patch(radius=1.0, u_range=(0.3, 2.8), v_half=3.0):
         h[:, 1, 1] = radius * np.array([-np.sin(u) * np.cos(v), -np.sin(u) * np.sin(v), 0.0])
         return h
 
-    return SurfacePatch(smap, ChartBox((u_range[0], -v_half), (u_range[1], v_half)),
+    return SurfacePatch(smap, ChartBox((0.3, -3.0), (2.8, 3.0)),
                         jacobian=sjac, hessian=shess, name=f"sphere2(r={radius})")
 
 
-def pseudosphere_patch(scale=1.0, u_range=(0.5, 2.0), v_half=1.5):
-    """Tractroid scaled by ``scale``; constant curvature -1/scale^2."""
+def pseudosphere_patch(scale=1.0):
+    """Tractroid scaled by ``scale`` on 0.5 <= u <= 2, |v| <= 1.5; constant
+    curvature -1/scale^2."""
     a = scale
 
     def tmap(q):
@@ -363,7 +366,7 @@ def pseudosphere_patch(scale=1.0, u_range=(0.5, 2.0), v_half=1.5):
         h[:, 1, 1] = a * np.array([-se * np.cos(v), -se * np.sin(v), 0.0])
         return h
 
-    return SurfacePatch(tmap, ChartBox((u_range[0], -v_half), (u_range[1], v_half)),
+    return SurfacePatch(tmap, ChartBox((0.5, -1.5), (2.0, 1.5)),
                         jacobian=tjac, hessian=thess, name=f"pseudosphere(a={scale})")
 
 

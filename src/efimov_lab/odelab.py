@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import hermite, rk4_samples, simpson
-from .errors import BoundViolated, NoCrossing
+from .errors import BoundViolated, NoCrossing, ParameterOutOfRange
 
 __all__ = [
     "EdoSolution",
@@ -40,7 +40,7 @@ def _check_bound(u, eps, lo, hi, n=512):
     ss = np.linspace(lo, hi, n)
     vals = np.array([u(s) for s in ss])
     worst = float(np.max(np.abs(vals)))
-    if worst > bound * (1 + 1e-12):
+    if not worst <= bound * (1 + 1e-12):  # a NaN profile fails too
         raise BoundViolated(f"sup|u| = {worst:.6g} exceeds 1/eps = {bound:.6g}")
 
 
@@ -145,8 +145,8 @@ def solve_prop_edo(u, eps, step=1e-4):
     Raises NoCrossing if the zero does not appear before pi/sqrt(eps) plus a
     safety margin, which the spiral analysis guarantees.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ParameterOutOfRange(f"eps must be finite and positive, got {eps}")
     u = _as_profile(u)
     s_cap = np.pi / np.sqrt(eps) * 1.05 + 5 * step
     _check_bound(u, eps, 0.0, s_cap)
@@ -242,8 +242,9 @@ def construct_edo7(u, eps, n1, step=1e-3):
     The result satisfies the bump inequality in the distributional sense
     (positive velocity jumps at the junctions).
     """
-    if eps <= 0 or n1 <= 0:
-        raise ValueError("eps and n1 must be positive")
+    if not (0.0 < eps < np.inf and 0.0 < n1 < np.inf):
+        raise ParameterOutOfRange(
+            f"eps and n1 must be finite and positive, got eps={eps}, n1={n1}")
     u = _as_profile(u)
     m1p = 2.0 * np.pi / np.sqrt(eps)
     _check_bound(u, eps, -n1 - 2 * m1p, n1 + 2 * m1p)

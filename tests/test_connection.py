@@ -19,6 +19,7 @@ from efimov_lab.connection import (
 )
 from efimov_lab.errors import (
     DegenerateShapeOperator,
+    DegenerateVector,
     InvalidPinching,
     ModeUnsupported,
     NonInvertibleMetric,
@@ -113,7 +114,7 @@ def test_torsion_gamma_characterisation(name):
         q = rng.uniform(lo, hi)
         gam = data.gamma(q)
         g = data.third_form(q)
-        lc = christoffel(data.provider.iii_field, q)
+        lc = christoffel(data.iii_field, q)
         k_low = np.einsum("mk,kij->ijm", g, gam - lc)
         scale = max(1.0, np.max(np.abs(g)) * np.max(np.abs(gam)))
         assert np.max(np.abs(k_low + k_low.transpose(0, 2, 1))) <= 1e-12 * scale
@@ -188,6 +189,26 @@ def test_third_form_partials_need_shape_operator(hyperbolic_abstract):
     """The product rule on B^T sigma B has no B to read in torsion mode."""
     with pytest.raises(ModeUnsupported):
         hyperbolic_abstract.third_form_partials([1.0, 0.0])
+
+
+@pytest.mark.parametrize("mode, accessor", [
+    ("torsion", "third_form_partials"), ("torsion", "b_matrix"), ("torsion", "b_tilde"),
+    ("torsion", "fundamental"), ("operator", "fundamental")])
+def test_mode_without_the_data_raises_mode_unsupported(mode, accessor):
+    """Each constructor returns the class of its mode, and an accessor whose
+    data that mode lacks raises ModeUnsupported, not an AttributeError."""
+    data, (lo, hi) = _torsion_case("tanh") if mode == "torsion" else _operator_case("seed3")
+    assert isinstance(data, SurfaceConnectionData) and data.mode == mode
+    q = 0.5 * (np.asarray(lo) + np.asarray(hi))
+    data.gamma(q)  # the point is inside the chart
+    with pytest.raises(ModeUnsupported):
+        getattr(data, accessor)(q)
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+def test_unit_of_degenerate_vector_raises(abstract_sphere, x):
+    with pytest.raises(DegenerateVector):
+        abstract_sphere.unit([0.3, 0.2], x)
 
 
 # --- torsion bound ----------------------------------------------------------
@@ -302,7 +323,7 @@ def _frame_curvature(data, q):
     def connection_form(qq):
         g = data.third_form(qq)
         if data.mode == "torsion":
-            dg = data.provider.iii_field.partials(qq)
+            dg = data.iii_field.partials(qq)
         else:
             dg = data.third_form_partials(qq)
         f, df = _frame_and_derivative(g, dg)
@@ -346,7 +367,7 @@ def test_curvature_matches_frame_oracle(mode, name):
 
 def test_torsion_curvature_reads_no_connection_coefficients(monkeypatch):
     data = gallery.hyperbolic_deformed(1.3)
-    monkeypatch.setattr(data.provider, "gamma", lambda q: pytest.fail("gamma was called"))
+    monkeypatch.setattr(data, "gamma", lambda q: pytest.fail("gamma was called"))
     assert abs(data.curvature([1.0, 0.2]) - (1.3 * np.tanh(1.0) - 1.0)) < 1e-9
 
 
@@ -516,7 +537,7 @@ def test_immersion_memo_is_bounded(saddle_data):
     from efimov_lab.connection import MEMO_SIZE
     from efimov_lab.curves import integrate_geodesic
 
-    memo = saddle_data.provider._memo
+    memo = saddle_data._memo
     memo.cache_clear()
     q = np.array([0.0, 0.0])
     tr = integrate_geodesic(saddle_data, q, saddle_data.unit(q, [1.0, 0.3]), 0.2, 1e-3)

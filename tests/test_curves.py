@@ -16,7 +16,7 @@ from efimov_lab.curves import (
     parallel_transport,
     parallel_transport_samples,
 )
-from efimov_lab.errors import OpenBoundary
+from efimov_lab.errors import OpenBoundary, ParameterOutOfRange
 
 
 def latitude_trace(data, psi):
@@ -162,7 +162,7 @@ def test_transport_reads_gamma_once_per_point(monkeypatch):
     ref = [w0]
     for i in range(len(tr.s) - 1):
         ref.append(_rk4_step(rhs, tr.s[i], ref[-1], tr.s[i + 1] - tr.s[i]))
-    calls = count_calls(monkeypatch, data.provider, "gamma")
+    calls = count_calls(monkeypatch, data, "gamma")
     ws = parallel_transport_samples(data, tr, w0)
     assert len(calls) == 101 and len(set(calls)) == 101
     np.testing.assert_array_equal(ws, np.array(ref))
@@ -340,6 +340,30 @@ def test_gauss_bonnet_reads_boundary_samples_only(abstract_sphere, monkeypatch):
         monkeypatch.setattr(seg, name, lambda t, fn=fn: calls.append(t) or fn(t))
     assert gauss_bonnet_residual(abstract_sphere, disk) < 1e-4
     assert calls == []
+
+
+@pytest.mark.parametrize("counts", [
+    {"n_boundary": 0}, {"n_boundary": 1}, {"n_radial": 0}, {"n_angular": 0},
+    {"n_boundary": float("nan")}])
+def test_coordinate_disk_rejects_degenerate_counts(counts):
+    with pytest.raises(ParameterOutOfRange, match="region"):
+        RegionSpec.coordinate_disk([0.0, 0.0], 0.5, **counts)
+
+
+@pytest.mark.parametrize("counts", [{"n_rays": 1}, {"n_rays": 2}, {"n_rays": 4},
+                                    {"n_radial": 0}])
+def test_geodesic_disk_rejects_degenerate_counts(abstract_sphere, counts):
+    """The boundary's periodic difference spans five rays, so fewer would
+    wrap onto themselves."""
+    with pytest.raises(ParameterOutOfRange, match="region"):
+        RegionSpec.geodesic_disk(abstract_sphere, [0.0, 0.0], 0.5, **counts)
+
+
+@pytest.mark.parametrize("length, step", [(1.0, 0.0), (1.0, -1e-3), (1.0, np.nan),
+                                          (1.0, np.inf), (np.nan, 1e-3), (np.inf, 1e-3)])
+def test_integrate_geodesic_rejects_bad_length_or_step(abstract_plane, length, step):
+    with pytest.raises(ParameterOutOfRange):
+        integrate_geodesic(abstract_plane, [0.0, 0.0], [1.0, 0.0], length, step)
 
 
 def test_open_boundary_raises(abstract_plane):

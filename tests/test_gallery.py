@@ -18,6 +18,13 @@ def test_unknown_name():
         gallery.build_example("nonsense")
 
 
+@pytest.mark.parametrize("builder", [gallery.g_lambda, gallery.hyperbolic_deformed])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_builders_reject_non_finite_or_negative_parameter(builder, value):
+    with pytest.raises(ParameterOutOfRange):
+        builder(value)
+
+
 def test_g_lambda_zero_is_hyperbolic():
     m = gallery.g_lambda(0.0)
     for p in ([0.0, 0.0, 0.0], [0.5, -0.7, 0.1], [1.2, 0.9, -0.15]):

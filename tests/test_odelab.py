@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efimov_lab.errors import BoundViolated, NoCrossing
+from efimov_lab.errors import BoundViolated, NoCrossing, ParameterOutOfRange
 from efimov_lab.odelab import (
     construct_edo7,
     integrate_bump_system,
@@ -62,6 +62,24 @@ def test_constant_u_oscillation_period():
 def test_bound_violated():
     with pytest.raises(BoundViolated):
         solve_prop_edo(lambda s: 3.0, 1.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_solve_prop_edo_rejects_bad_eps(eps):
+    with pytest.raises(ParameterOutOfRange):
+        solve_prop_edo(0.0, eps)
+
+
+def test_solve_prop_edo_rejects_nan_profile():
+    with pytest.raises(BoundViolated):
+        solve_prop_edo(np.nan, 1.0)
+
+
+@pytest.mark.parametrize("eps, n1", [(np.nan, 1.0), (1.0, np.nan), (1.0, np.inf),
+                                     (0.0, 1.0), (1.0, -1.0)])
+def test_construct_edo7_rejects_bad_parameters(eps, n1):
+    with pytest.raises(ParameterOutOfRange):
+        construct_edo7(0.0, eps, n1)
 
 
 def test_spiral_eigenvalues_cases():
