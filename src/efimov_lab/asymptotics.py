@@ -194,13 +194,6 @@ class AsymptoticTrace:
             0.5 * (np.sin(self.thetas[1:]) + np.sin(self.thetas[:-1])) * np.diff(self.s))])
         return delta_run, sigma_run, self.defect_running
 
-    def to_csv(self, path):
-        from .cli import write_csv
-        d, sg, df = self.running_columns()
-        rows = np.column_stack([self.s, self.points, self.thetas, d, sg, df])
-        write_csv(path, ["s", "u", "v", "theta", "delta_running", "sigma_running",
-                         "defect_running"], rows)
-
 
 def _asymptotic_flow(data, q, which, ref, length, step):
     """RK4 samples ``(s, point, direction, frame)`` of the unit flow of U (or

@@ -19,7 +19,6 @@ from . import gallery
 from .ambient import ChartBox, curvature_sample, metric_from_expressions
 from .connection import SurfaceConnectionData, check_hypothesis
 from .curves import (
-    CurveTrace,
     RegionSpec,
     boundary_holonomy_angle,
     gauss_bonnet_residual,
@@ -45,14 +44,53 @@ def config_digest(payload):
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
+# a check passes when ``value rel tolerance`` holds; ``slack`` widens the
+# bound in the passing direction, to absorb rounding in the computed side
+_RELATIONS = {
+    "<": lambda v, t, s: v < t + s,
+    "<=": lambda v, t, s: v <= t + s,
+    ">=": lambda v, t, s: v >= t - s,
+    "==": lambda v, t, s: v == t,
+    "within": lambda v, t, s: v[0] >= t[0] - s and v[1] <= t[1] + s,
+}
+
+
+def _check(name, value, rel, tolerance, slack=0.0):
+    """One report check; a ``tolerance`` of None marks an informational,
+    ungated check, which passes."""
+    ok = tolerance is None or _RELATIONS[rel](value, tolerance, slack)
+    return {"name": name, "value": value, "tolerance": tolerance, "pass": ok}
+
+
+def _stayed_in_patch(left):
+    return _check("stayed_in_patch", left, "==", False)
+
+
+def _inputs(args, *names):
+    return {name: getattr(args, name) for name in names}
+
+
 def _report(command, payload, checks):
-    ok = all(c["pass"] for c in checks) if checks else True
+    ok = all(c["pass"] for c in checks)
     return {
         "command": command,
         "config_digest": config_digest(payload),
         "checks": checks,
         "status": "pass" if ok else "fail",
     }
+
+
+def _finish(args, payload, checks, csv=None, **extras):
+    """Build the report with ``extras``, write ``csv`` = (header, columns)
+    to ``--csv`` when asked, print it, and return the exit code."""
+    report = _report(args.report, payload, checks)
+    report.update(extras)
+    if csv is not None and args.csv:
+        header, columns = csv
+        write_csv(args.csv, header, np.column_stack(columns))
+        report["csv"] = args.csv
+    _emit(report, args.json)
+    return 0 if report["status"] == "pass" else 1
 
 
 def _emit(report, as_json):
@@ -98,17 +136,15 @@ def _pair(text):
     return np.array(parts)
 
 
-def _connection_for(name, params):
-    """Resolve an example name (or ``file:PATH``) to SurfaceConnectionData."""
-    if name.startswith("file:"):
-        return _surface_file_connection(name[5:])
-    if name == "abstract_sphere":
-        return gallery.abstract_sphere()
-    if name == "abstract_plane":
-        return gallery.abstract_plane()
-    case = gallery.build_example(name, **params)
+def _connection_for(args):
+    """Resolve ``--example`` (a built-in name or ``file:PATH``) with its
+    ``--param`` values to a surface connection."""
+    params = _parse_params(args.param)
+    if args.example.startswith("file:"):
+        return _surface_file_connection(args.example[5:])
+    case = gallery.build_example(args.example, **params)
     if case.data is None:
-        raise ValueError(f"example {name!r} has no surface connection attached")
+        raise ValueError(f"example {args.example!r} has no surface connection attached")
     return case.data
 
 
@@ -164,9 +200,8 @@ def region_from_json(data, spec):
     if not (isinstance(spec, dict) and "center" in spec and "radius" in spec):
         raise ValueError("region must be a JSON object with 'center' and 'radius' entries")
     radius = spec["radius"]
-    if not (isinstance(radius, (int, float)) and not isinstance(radius, bool)
-            and np.isfinite(radius) and radius > 0):
-        raise ValueError(f"region 'radius' must be a finite positive number, got {radius!r}")
+    if not isinstance(radius, (int, float)) or isinstance(radius, bool):
+        raise ValueError(f"region 'radius' must be a number, got {radius!r}")
     kind = spec.get("kind")
     if kind == "coordinate_disk":
         return RegionSpec.coordinate_disk(
@@ -183,11 +218,7 @@ def region_from_json(data, spec):
 
 def cmd_check_hypothesis(args):
     verdict = check_hypothesis(args.k1, args.k2, args.k3)
-    payload = {"k1": args.k1, "k2": args.k2, "k3": args.k3}
-    report = _report("check-hypothesis", payload, [])
-    report.update(verdict.to_json_dict())
-    _emit(report, args.json)
-    return 0
+    return _finish(args, _inputs(args, "k1", "k2", "k3"), [], **verdict.to_json_dict())
 
 
 def cmd_curvature_report(args):
@@ -211,124 +242,83 @@ def cmd_curvature_report(args):
                 k_lo = min(k_lo, s.k_min)
                 k_hi = max(k_hi, s.k_max)
     tol = 1e-8 if metric.has_analytic_partials else 1e-4
-    checks = [{"name": f"riemann_{k}", "value": v, "tolerance": tol, "pass": v < tol}
-              for k, v in worst.items()]
-    payload = {"metric": args.metric, "grid": args.grid}
-    report = _report("curvature-report", payload, checks)
-    report["sectional_min"] = k_lo
-    report["sectional_max"] = k_hi
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    checks = [_check(f"riemann_{k}", v, "<", tol) for k, v in worst.items()]
+    return _finish(args, _inputs(args, "metric", "grid"), checks,
+                   sectional_min=k_lo, sectional_max=k_hi)
+
+
+def _geodesic_for(args):
+    """The connection of ``--example`` and its geodesic from ``--start`` in
+    the unit direction of ``--dir``."""
+    data = _connection_for(args)
+    start = _pair(args.start)
+    v = data.unit(start, _pair(args.dir))
+    return data, integrate_geodesic(data, start, v, args.length, args.step)
+
+
+_GEODESIC_INPUTS = ("example", "start", "dir", "length", "step")
 
 
 def cmd_geodesic(args):
-    data = _connection_for(args.example, _parse_params(args.param))
-    start = _pair(args.start)
-    v = data.unit(start, _pair(args.dir))
-    trace = integrate_geodesic(data, start, v, args.length, args.step)
+    data, trace = _geodesic_for(args)
     drift = abs(data.norm(trace.points[-1], trace.velocities[-1]) - 1.0)
-    checks = [{"name": "unit_speed_drift", "value": drift,
-               "tolerance": 1e-8 * max(1.0, args.length), "pass":
-               drift < 1e-8 * max(1.0, args.length)},
-              {"name": "stayed_in_patch", "value": trace.left_patch,
-               "tolerance": False, "pass": not trace.left_patch}]
-    payload = {"example": args.example, "start": args.start, "dir": args.dir,
-               "length": args.length, "step": args.step}
-    report = _report("geodesic", payload, checks)
-    report["endpoint"] = trace.points[-1].tolist()
-    report["end_velocity"] = trace.velocities[-1].tolist()
-    if args.csv:
-        trace.to_csv(args.csv)
-        report["csv"] = args.csv
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    checks = [_check("unit_speed_drift", drift, "<", 1e-8 * max(1.0, args.length)),
+              _stayed_in_patch(trace.left_patch)]
+    return _finish(args, _inputs(args, *_GEODESIC_INPUTS), checks,
+                   csv=(["s", "u", "v", "du", "dv"], [trace.s, trace.points, trace.velocities]),
+                   endpoint=trace.points[-1].tolist(),
+                   end_velocity=trace.velocities[-1].tolist())
 
 
 def cmd_transport(args):
-    data = _connection_for(args.example, _parse_params(args.param))
-    start = _pair(args.start)
-    v = data.unit(start, _pair(args.dir))
-    trace = integrate_geodesic(data, start, v, args.length, args.step)
+    data, trace = _geodesic_for(args)
     w0 = _pair(args.vector)
     w1 = parallel_transport(data, trace, w0)
     n0 = data.norm(trace.points[0], w0)
     n1 = data.norm(trace.points[-1], w1)
-    drift = abs(n1 - n0)
-    tol = 1e-8 * max(1.0, n0)  # relative to the vector's norm once it exceeds 1
-    checks = [{"name": "norm_preserved", "value": drift, "tolerance": tol,
-               "pass": drift < tol},
-              {"name": "stayed_in_patch", "value": trace.left_patch,
-               "tolerance": False, "pass": not trace.left_patch}]
-    payload = {"example": args.example, "start": args.start, "dir": args.dir,
-               "vector": args.vector, "length": args.length, "step": args.step}
-    report = _report("transport", payload, checks)
-    report["transported"] = w1.tolist()
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    # relative to the vector's norm once it exceeds 1
+    checks = [_check("norm_preserved", abs(n1 - n0), "<", 1e-8 * max(1.0, n0)),
+              _stayed_in_patch(trace.left_patch)]
+    return _finish(args, _inputs(args, *_GEODESIC_INPUTS, "vector"), checks,
+                   transported=w1.tolist())
 
 
 def cmd_jacobi(args):
-    data = _connection_for(args.example, _parse_params(args.param))
-    start = _pair(args.start)
-    v = data.unit(start, _pair(args.dir))
-    base = integrate_geodesic(data, start, v, args.length, args.step)
+    data, base = _geodesic_for(args)
     x0, y0, xp0, yp0 = (float(t) for t in args.init.split(","))
     jt = jacobi_field(data, base, x0, y0, xp0, yp0, args.step)
     resid = float(np.max(np.abs(jt.xp - jt.y * jt.tau_x)))
     # the field also stops short where the K~ stencil around a base point
     # no longer fits in the chart
-    left = base.left_patch or jt.left_patch
-    checks = [{"name": "x_prime_equals_y_tau_x", "value": resid,
-               "tolerance": 1e-10, "pass": resid < 1e-10},
-              {"name": "stayed_in_patch", "value": left,
-               "tolerance": False, "pass": not left}]
-    payload = {"example": args.example, "start": args.start, "dir": args.dir,
-               "length": args.length, "step": args.step, "init": args.init}
-    report = _report("jacobi", payload, checks)
-    report["final"] = {"x": jt.x[-1], "y": jt.y[-1], "xp": jt.xp[-1], "yp": jt.yp[-1]}
-    if args.csv:
-        jt.to_csv(args.csv)
-        report["csv"] = args.csv
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    checks = [_check("x_prime_equals_y_tau_x", resid, "<", 1e-10),
+              _stayed_in_patch(base.left_patch or jt.left_patch)]
+    return _finish(args, _inputs(args, *_GEODESIC_INPUTS, "init"), checks,
+                   csv=(["t", "x", "y", "xp", "yp"], [jt.t, jt.x, jt.y, jt.xp, jt.yp]),
+                   final={"x": jt.x[-1], "y": jt.y[-1], "xp": jt.xp[-1], "yp": jt.yp[-1]})
 
 
 def cmd_gauss_bonnet(args):
-    data = _connection_for(args.example, _parse_params(args.param))
+    data = _connection_for(args)
     with open(args.region, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     region = region_from_json(data, spec)
     resid = gauss_bonnet_residual(data, region)
-    tol = float(args.tolerance)
     holonomy = boundary_holonomy_angle(data, region)
-    checks = [{"name": "gauss_bonnet_residual", "value": resid, "tolerance": tol,
-               "pass": resid < tol}]
-    payload = {"example": args.example, "region": spec}
-    report = _report("gauss-bonnet", payload, checks)
-    report["holonomy_angle"] = holonomy
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    checks = [_check("gauss_bonnet_residual", resid, "<", float(args.tolerance))]
+    return _finish(args, {"example": args.example, "region": spec}, checks,
+                   holonomy_angle=holonomy)
 
 
 def cmd_asymptotic(args):
     from .asymptotics import trace_asymptotic
 
-    data = _connection_for(args.example, _parse_params(args.param))
-    start = _pair(args.start)
-    tr = trace_asymptotic(data, start, args.which, args.length, args.step)
-    checks = [{"name": "stayed_in_patch", "value": tr.left_patch,
-               "tolerance": False, "pass": not tr.left_patch}]
-    payload = {"example": args.example, "which": args.which, "start": args.start,
-               "length": args.length, "step": args.step}
-    report = _report("asymptotic", payload, checks)
-    report["delta"] = tr.delta
-    report["sigma"] = tr.sigma
-    report["quasi_defect"] = tr.quasi_defect
-    if args.csv:
-        tr.to_csv(args.csv)
-        report["csv"] = args.csv
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    data = _connection_for(args)
+    tr = trace_asymptotic(data, _pair(args.start), args.which, args.length, args.step)
+    return _finish(args, _inputs(args, "example", "which", "start", "length", "step"),
+                   [_stayed_in_patch(tr.left_patch)],
+                   csv=(["s", "u", "v", "theta", "delta_running", "sigma_running",
+                         "defect_running"], [tr.s, tr.points, tr.thetas, *tr.running_columns()]),
+                   delta=tr.delta, sigma=tr.sigma, quasi_defect=tr.quasi_defect)
 
 
 def _profile_from(text):
@@ -341,22 +331,12 @@ def _profile_from(text):
 
 
 def cmd_edo(args):
-    u = _profile_from(args.u)
-    sol = solve_prop_edo(u, args.eps, step=args.step)
-    s1_cap = np.pi / np.sqrt(args.eps)
-    checks = [
-        {"name": "s0_le_s1", "value": sol.s0, "tolerance": sol.s1, "pass": sol.s0 <= sol.s1},
-        {"name": "s1_le_pi_over_sqrt_eps", "value": sol.s1, "tolerance": s1_cap + 1e-9,
-         "pass": sol.s1 <= s1_cap + 1e-9},
-    ]
-    payload = {"u": args.u, "eps": args.eps, "step": args.step}
-    report = _report("edo", payload, checks)
-    report.update(sol.header())
-    if args.csv:
-        sol.to_csv(args.csv)
-        report["csv"] = args.csv
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    sol = solve_prop_edo(_profile_from(args.u), args.eps, step=args.step)
+    checks = [_check("s0_le_s1", sol.s0, "<=", sol.s1),
+              _check("s1_le_pi_over_sqrt_eps", sol.s1, "<=", np.pi / np.sqrt(args.eps) + 1e-9)]
+    return _finish(args, _inputs(args, "u", "eps", "step"), checks,
+                   csv=(["s", "y", "z"], [sol.s, sol.y, sol.z]),
+                   epsilon=sol.eps, s0=sol.s0, s1=sol.s1, M0=sol.m0)
 
 
 def cmd_edo7(args):
@@ -364,68 +344,40 @@ def cmd_edo7(args):
     bump = construct_edo7(u, args.eps, args.n1, step=args.step)
     lo, hi = bump.support
     m1 = bump.m1_prime
-    xs = np.linspace(-args.n1, args.n1, 501)
-    floor = float(np.min(bump(xs)))
-    weak = weak_inequality_residual(bump, u)
+    floor = float(np.min(bump(np.linspace(-args.n1, args.n1, 501))))
     checks = [
-        {"name": "support_in_window", "value": [lo, hi],
-         "tolerance": [-args.n1 - m1, args.n1 + m1],
-         "pass": lo >= -args.n1 - m1 - 1e-9 and hi <= args.n1 + m1 + 1e-9},
-        {"name": "floor_ge_1_on_core", "value": floor, "tolerance": 1.0,
-         "pass": floor >= 1.0 - 1e-9},
-        {"name": "lipschitz_le_m1", "value": bump.lipschitz, "tolerance": m1,
-         "pass": bump.lipschitz <= m1 + 1e-9},
-        {"name": "weak_inequality", "value": weak, "tolerance": -1e-6,
-         "pass": weak >= -1e-6},
+        _check("support_in_window", [lo, hi], "within", [-args.n1 - m1, args.n1 + m1],
+               slack=1e-9),
+        _check("floor_ge_1_on_core", floor, ">=", 1.0, slack=1e-9),
+        _check("lipschitz_le_m1", bump.lipschitz, "<=", m1, slack=1e-9),
+        _check("weak_inequality", weak_inequality_residual(bump, u), ">=", -1e-6),
     ]
-    payload = {"u": args.u, "eps": args.eps, "n1": args.n1, "step": args.step}
-    report = _report("edo7", payload, checks)
-    report["support"] = [lo, hi]
-    report["m1_prime"] = m1
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    return _finish(args, _inputs(args, "u", "eps", "n1", "step"), checks,
+                   support=[lo, hi], m1_prime=m1)
 
 
 def cmd_example(args):
-    if args.action != "verify":
-        raise ValueError(f"unknown example action {args.action!r}")
     rep = gallery.verify_example(args.name, _parse_params(args.param))
-    checks = [{"name": f["name"], "value": f["max_abs_err"],
-               "tolerance": f["tolerance"], "pass": f["pass"]} for f in rep["fields"]]
-    payload = {"name": args.name, "param": sorted(args.param or [])}
-    report = _report("example-verify", payload, checks)
-    if "notes" in rep:
-        report["notes"] = rep["notes"]
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+    checks = [_check(f["name"], f["max_abs_err"], "<", f["tolerance"]) for f in rep["fields"]]
+    notes = {"notes": rep["notes"]} if "notes" in rep else {}
+    return _finish(args, {"name": args.name, "param": sorted(args.param or [])}, checks,
+                   **notes)
 
 
 def cmd_net_check(args):
     from .asymptotics import net_expansion_check
 
-    data = _connection_for(args.example, _parse_params(args.param))
+    data = _connection_for(args)
     rep = net_expansion_check(data, _pair(args.start), (args.lu, args.lv),
                               n_u=args.nu, n_v=args.nv)
     checks = []
     if not rep.get("trivial"):
-        bound = rep["bound"]
-        tol = bound + args.slack
-        checks = [
-            {"name": "sup_du_alpha_over_alpha_beta", "value": rep["sup_dua_over_ab"],
-             "tolerance": tol, "pass": rep["sup_dua_over_ab"] <= tol},
-            {"name": "sup_dv_beta_over_alpha_beta", "value": rep["sup_dvb_over_ab"],
-             "tolerance": tol, "pass": rep["sup_dvb_over_ab"] <= tol},
-        ]
-    payload = {"example": args.example, "start": args.start, "lu": args.lu,
-               "lv": args.lv, "nu": args.nu, "nv": args.nv}
-    report = _report("net-check", payload, checks)
-    for key in ("tau0", "tau1", "bound"):
-        if key in rep:
-            report[key] = rep[key]
-    if rep.get("trivial"):
-        report["trivial"] = True
-    _emit(report, args.json)
-    return 0 if report["status"] == "pass" else 1
+        tol = rep["bound"] + args.slack
+        checks = [_check("sup_du_alpha_over_alpha_beta", rep["sup_dua_over_ab"], "<=", tol),
+                  _check("sup_dv_beta_over_alpha_beta", rep["sup_dvb_over_ab"], "<=", tol)]
+    extras = {key: rep[key] for key in ("tau0", "tau1", "bound", "trivial") if key in rep}
+    return _finish(args, _inputs(args, "example", "start", "lu", "lv", "nu", "nv"), checks,
+                   **extras)
 
 
 # ---------------------------------------------------------------------------
@@ -439,27 +391,28 @@ def build_parser():
                     "in pinched-curvature 3-spaces.")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_json(sp):
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
+    def add(name, fn, example=False, report=None, **kw):
+        sp = sub.add_parser(name, **kw)
+        sp.set_defaults(fn=fn, report=report or name)
+        if example:
+            sp.add_argument("--example", required=True)
+            sp.add_argument("--param", action="append")
+        return sp
 
-    sp = sub.add_parser("check-hypothesis", help="evaluate the exclusion inequalities")
+    sp = add("check-hypothesis", cmd_check_hypothesis,
+             help="evaluate the exclusion inequalities")
     sp.add_argument("--k1", type=float, required=True)
     sp.add_argument("--k2", type=float, required=True)
     sp.add_argument("--k3", type=float, required=True)
-    add_json(sp)
-    sp.set_defaults(fn=cmd_check_hypothesis)
 
-    sp = sub.add_parser("curvature-report", help="Riemann symmetries and sectional range")
+    sp = add("curvature-report", cmd_curvature_report,
+             help="Riemann symmetries and sectional range")
     sp.add_argument("--metric", required=True, help="builtin name or expression file")
     sp.add_argument("--grid", default="5x5x3")
-    add_json(sp)
-    sp.set_defaults(fn=cmd_curvature_report)
 
     for name, fn in (("geodesic", cmd_geodesic), ("transport", cmd_transport),
                      ("jacobi", cmd_jacobi)):
-        sp = sub.add_parser(name)
-        sp.add_argument("--example", required=True)
-        sp.add_argument("--param", action="append")
+        sp = add(name, fn, example=True)
         sp.add_argument("--start", required=True, help="u,v")
         sp.add_argument("--dir", required=True, help="a,b (normalized internally)")
         sp.add_argument("--length", type=float, required=True)
@@ -470,63 +423,45 @@ def build_parser():
             sp.add_argument("--init", default="0,0,0,1", help="x0,y0,xp0,yp0")
         if name in ("geodesic", "jacobi"):
             sp.add_argument("--csv")
-        add_json(sp)
-        sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("gauss-bonnet")
-    sp.add_argument("--example", required=True)
-    sp.add_argument("--param", action="append")
+    sp = add("gauss-bonnet", cmd_gauss_bonnet, example=True)
     sp.add_argument("--region", required=True, help="region JSON file")
     sp.add_argument("--tolerance", type=float, default=1e-4)
-    add_json(sp)
-    sp.set_defaults(fn=cmd_gauss_bonnet)
 
-    sp = sub.add_parser("asymptotic")
-    sp.add_argument("--example", required=True)
-    sp.add_argument("--param", action="append")
+    sp = add("asymptotic", cmd_asymptotic, example=True)
     sp.add_argument("--which", choices=["U", "V"], default="U")
     sp.add_argument("--start", required=True)
     sp.add_argument("--length", type=float, required=True)
     sp.add_argument("--step", type=float, default=1e-3)
     sp.add_argument("--csv")
-    add_json(sp)
-    sp.set_defaults(fn=cmd_asymptotic)
 
-    sp = sub.add_parser("edo", help="single-bump solution")
+    sp = add("edo", cmd_edo, help="single-bump solution")
     sp.add_argument("--u", default="0", help="constant or expression in s")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--step", type=float, default=1e-4)
     sp.add_argument("--csv")
-    add_json(sp)
-    sp.set_defaults(fn=cmd_edo)
 
-    sp = sub.add_parser("edo7", help="piecewise bump profile")
+    sp = add("edo7", cmd_edo7, help="piecewise bump profile")
     sp.add_argument("--u", default="0")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--n1", type=float, required=True)
     sp.add_argument("--step", type=float, default=1e-3)
-    add_json(sp)
-    sp.set_defaults(fn=cmd_edo7)
 
-    sp = sub.add_parser("example", help="example operations")
+    sp = add("example", cmd_example, report="example-verify", help="example operations")
     sp.add_argument("action", choices=["verify"])
     sp.add_argument("name")
     sp.add_argument("--param", action="append")
-    add_json(sp)
-    sp.set_defaults(fn=cmd_example)
 
-    sp = sub.add_parser("net-check")
-    sp.add_argument("--example", required=True)
-    sp.add_argument("--param", action="append")
+    sp = add("net-check", cmd_net_check, example=True)
     sp.add_argument("--start", required=True)
     sp.add_argument("--lu", type=float, required=True)
     sp.add_argument("--lv", type=float, required=True)
     sp.add_argument("--nu", type=int, default=4)
     sp.add_argument("--nv", type=int, default=4)
     sp.add_argument("--slack", type=float, default=0.05)
-    add_json(sp)
-    sp.set_defaults(fn=cmd_net_check)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--json", action="store_true", help="machine-readable output")
     return p
 
 

@@ -156,8 +156,12 @@ class SurfaceConnectionData:
         x = np.asarray(x, dtype=float)
         if not np.isfinite(x).all():
             raise DegenerateVector(f"non-finite tangent vector {x} at q={q}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            xgx = x @ g @ x
+        if not np.isfinite(xgx):
+            raise DegenerateVector(f"tangent vector {x} has no finite length at q={q}")
         # III is positive definite here, so only rounding can make x.g.x < 0
-        return float(np.sqrt(max(x @ g @ x, 0.0)))
+        return float(np.sqrt(max(xgx, 0.0)))
 
     def unit(self, q, x):
         x = np.asarray(x, dtype=float)

@@ -98,16 +98,13 @@ class CurveTrace:
             raise EndpointSample(f"s={sv} too close to the trace ends for differentiation")
         return _fd.derivative_along(lambda t: self.eval(t)[1], sv, h)
 
-    def to_csv(self, path):
-        from .cli import write_csv  # local import; formatting lives with the CLI
-        rows = np.column_stack([self.s, self.points, self.velocities])
-        write_csv(path, ["s", "u", "v", "du", "dv"], rows)
-
     @staticmethod
     def from_path(path, s_range, step, velocity, acceleration, closed=False,
                   arclength=None):
         """Sample an analytic path, its velocity and its acceleration on the
         uniform grid of ``s_range`` nearest to ``step``."""
+        if not 0.0 < step < np.inf:
+            raise ParameterOutOfRange(f"path sampling needs a finite step > 0, got {step}")
         a, b = float(s_range[0]), float(s_range[1])
         n = max(2, int(round((b - a) / step)) + 1)
         s = np.linspace(a, b, n)
@@ -144,13 +141,14 @@ def rk4_samples(f, y, length, step):
     """Classical RK4 solution of ``y' = f(t, y)`` from ``y(0) = y``.
 
     A lazy generator of ``(t, y)`` after each step of size ``step``; the
-    last step is shortened to end at ``length``.  Callers stop it by their
-    own rules (leaving the chart, a sign change), and ``f`` may read state
-    the caller updates between samples.
+    last step is shortened to end at ``length``, and a zero length yields
+    nothing.  Callers stop it by their own rules (leaving the chart, a sign
+    change), and ``f`` may read state the caller updates between samples.
     """
-    if not (0.0 < step < np.inf and np.isfinite(length)):
+    if not (0.0 < step < np.inf and 0.0 <= length < np.inf):
         raise ParameterOutOfRange(
-            f"RK4 needs a finite step > 0 and a finite length, got step={step}, length={length}")
+            f"RK4 needs a finite step > 0 and a finite length >= 0, "
+            f"got step={step}, length={length}")
     n = max(1, int(np.ceil(length / step - 1e-12)))
     t = 0.0
     for i in range(n):
@@ -344,11 +342,6 @@ class JacobiTrace:
     tau_y: np.ndarray
     left_patch: bool = False
 
-    def to_csv(self, path):
-        from .cli import write_csv
-        rows = np.column_stack([self.t, self.x, self.y, self.xp, self.yp])
-        write_csv(path, ["t", "x", "y", "xp", "yp"], rows)
-
 
 def integrate_jacobi(ktilde, tau_x, tau_y, init, length, step):
     """Integrate ``x' = y tau_x`` and ``y'' = -K~ y + (y tau_y)'``.
@@ -434,6 +427,11 @@ def jacobi_field(data, base_trace, x0, y0, xp0, yp0, step):
 def _require_count(key, n, least):
     if not n >= least:
         raise ParameterOutOfRange(f"region {key!r} must be at least {least}, got {n}")
+
+
+def _require_radius(radius):
+    if not 0.0 < radius < np.inf:
+        raise ParameterOutOfRange(f"region radius must be finite and positive, got {radius}")
 
 
 class RegionSpec:
@@ -532,6 +530,7 @@ class RegionSpec:
     @staticmethod
     def coordinate_disk(center, radius, n_boundary=201, n_radial=24, n_angular=64):
         """Disk in chart coordinates: boundary circle plus polar quadrature."""
+        _require_radius(radius)
         _require_count("n_boundary", n_boundary, 2)
         _require_count("n_radial", n_radial, 1)
         _require_count("n_angular", n_angular, 1)
@@ -566,6 +565,7 @@ class RegionSpec:
         Each ray takes 64 RK4 steps.  The boundary is the endpoint curve of
         the rays; derivatives across rays use 4th-order periodic differences.
         """
+        _require_radius(radius)
         # the boundary's 4th-order periodic difference spans five rays
         _require_count("n_rays", n_rays, 5)
         _require_count("n_radial", n_radial, 1)

@@ -454,7 +454,7 @@ class ExampleCase:
 _METRIC_NAMES = ("euclidean3", "sphere3", "hyperbolic3", "g_lambda")
 _SURFACE_NAMES = ("saddle", "clifford_torus", "constant_k_surface", "plane",
                   "sphere2", "pseudosphere", "hyperbolic_slice", "geodesic_sphere_hyp3")
-_CONNECTION_NAMES = ("hyperbolic_deformed",)
+_CONNECTION_NAMES = ("hyperbolic_deformed", "abstract_sphere", "abstract_plane")
 
 
 def builtin_names():
@@ -493,6 +493,10 @@ def build_example(name, **params):
                                "curvature_tanh_form": deformed_curvature_tanh(t),
                                "curvature_coth_form": deformed_curvature_coth(t),
                            })
+    if name == "abstract_sphere":
+        return ExampleCase(name, params, "connection", data=abstract_sphere())
+    if name == "abstract_plane":
+        return ExampleCase(name, params, "connection", data=abstract_plane())
     if name == "saddle":
         patch = saddle_patch()
         amb = euclidean3()
@@ -603,7 +607,7 @@ def verify_example(name, params=None):
         notes["z_cap"] = z_cap
         notes["slab_deviation"] = float(np.max(all_errs[~z0])) if np.any(~z0) else 0.0
 
-    elif name in ("euclidean3", "sphere3", "hyperbolic3"):
+    elif case.kind == "metric":
         m = case.metric
         ref = case.references["sectional"]
         lo = np.asarray(m.box.lo) * 0.6
@@ -673,8 +677,7 @@ def verify_example(name, params=None):
         fields.append(_field("gauss_residual", ge, tol))
         fields.append(_field("third_equals_first", third, tol))
 
-    elif name in ("saddle", "plane", "sphere2", "pseudosphere", "constant_k_surface",
-                  "hyperbolic_slice", "geodesic_sphere_hyp3"):
+    elif case.kind == "surface":
         data = case.data
         lo = np.asarray(case.patch.box.lo)
         hi = np.asarray(case.patch.box.hi)

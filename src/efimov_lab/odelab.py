@@ -129,13 +129,6 @@ class EdoSolution:
         uu = np.array([_as_profile(self.u)(t) for t in self.s])
         return self.y * uu + self.z
 
-    def to_csv(self, path):
-        from .cli import write_csv
-        write_csv(path, ["s", "y", "z"], np.column_stack([self.s, self.y, self.z]))
-
-    def header(self):
-        return {"epsilon": self.eps, "s0": self.s0, "s1": self.s1, "M0": self.m0}
-
 
 def solve_prop_edo(u, eps, step=1e-4):
     """Integrate the bump system from (1, 4) and locate the first return of y

@@ -1,10 +1,13 @@
+import ast
 import json
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import efimov_lab
 from efimov_lab.cli import main, write_csv
 
 
@@ -339,3 +342,81 @@ def test_jacobi_csv_output(tmp_path):
                          "--init", "0,0,0,1", "--csv", str(csv))
     assert code == 0
     assert csv.read_text().splitlines()[0] == "t,x,y,xp,yp"
+
+
+@pytest.mark.parametrize("argv", [
+    ("asymptotic", "--example", "saddle", "--which", "U", "--start", "0,0", "--length", "-1"),
+    ("geodesic", "--example", "abstract_plane", "--start", "0,0", "--dir", "1,0",
+     "--length", "-1"),
+])
+def test_negative_length_exits_2(argv):
+    code, out, err = run_cli(*argv, "--json")
+    assert code == 2 and out == ""
+    assert "length" in err
+
+
+def _imports_cli(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("cli", "efimov_lab.cli") or (
+                    module in ("", "efimov_lab") and any(a.name == "cli" for a in node.names)):
+                return True
+        if isinstance(node, ast.Import) and any(a.name == "efimov_lab.cli" for a in node.names):
+            return True
+    return False
+
+
+def test_only_the_cli_imports_the_cli():
+    """The library never reaches back into its front end: report and CSV
+    formatting live in cli.py alone."""
+    package = pathlib.Path(efimov_lab.__file__).parent
+    offenders = [path.name for path in sorted(package.glob("*.py"))
+                 if path.name != "cli.py"
+                 and _imports_cli(ast.parse(path.read_text(encoding="utf-8")))]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-hypothesis", "--k1", "-1", "--k2", "0", "--k3", "0"),
+    ("curvature-report", "--metric", "sphere3", "--grid", "3x3x3"),
+    ("geodesic", "--example", "abstract_plane", "--start", "0,0", "--dir", "1,0",
+     "--length", "1", "--step", "1e-2"),
+    ("geodesic", "--example", "saddle", "--start", "0.5,0.2", "--dir", "1,0.3",
+     "--length", "2", "--step", "1e-2"),
+    ("transport", "--example", "abstract_plane", "--start", "0,0", "--dir", "1,0",
+     "--length", "2", "--step", "1e-2", "--vector", "0,1"),
+    ("transport", "--example", "saddle", "--start", "0.5,0.2", "--dir", "1,0.3",
+     "--length", "2", "--step", "1e-2", "--vector", "0,1"),
+    ("jacobi", "--example", "abstract_sphere", "--start", "1,0", "--dir", "0,1",
+     "--length", "0.5", "--step", "1e-2"),
+    ("jacobi", "--example", "saddle", "--start", "0.7,0", "--dir", "1,0",
+     "--length", "0.5", "--step", "1e-2"),
+    ("asymptotic", "--example", "saddle", "--start", "0,0", "--length", "0.1",
+     "--step", "5e-3"),
+    ("asymptotic", "--example", "saddle", "--which", "V", "--start", "0.5,0.5",
+     "--length", "3", "--step", "1e-2"),
+    ("edo", "--u", "0", "--eps", "1", "--step", "1e-3"),
+    ("edo7", "--u", "0", "--eps", "1", "--n1", "1"),
+    ("edo7", "--u", "0.3", "--eps", "2", "--n1", "2"),
+    ("example", "verify", "clifford_torus"),
+    ("example", "verify", "hyperbolic_deformed", "--param", "t=2"),
+    ("net-check", "--example", "saddle", "--start", "0,0", "--lu", "0.08", "--lv", "0.08",
+     "--nu", "3", "--nv", "3"),
+    ("gauss-bonnet", "--example", "abstract_sphere", "--region", "fine"),
+    ("gauss-bonnet", "--example", "abstract_sphere", "--region", "coarse"),
+])
+def test_exit_code_follows_reported_status(tmp_path, argv):
+    """Every subcommand exits 0 exactly when its report says pass, else 1."""
+    if argv[0] == "gauss-bonnet":
+        # a one-node interior quadrature misses the Gauss-Bonnet balance
+        counts = {"fine": (101, 8, 24), "coarse": (5, 1, 1)}[argv[-1]]
+        region = tmp_path / "region.json"
+        region.write_text(json.dumps(dict(zip(("n_boundary", "n_radial", "n_angular"), counts),
+                                          kind="coordinate_disk", center=[0.0, 0.0],
+                                          radius=0.5)))
+        argv = argv[:-1] + (str(region),)
+    code, out, _ = run_cli(*argv, "--json")
+    doc = json.loads(out)
+    assert code == (0 if doc["status"] == "pass" else 1)
+    assert doc["status"] == ("pass" if all(c["pass"] for c in doc["checks"]) else "fail")

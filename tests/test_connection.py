@@ -211,6 +211,13 @@ def test_unit_of_degenerate_vector_raises(abstract_sphere, x):
         abstract_sphere.unit([0.3, 0.2], x)
 
 
+def test_norm_without_finite_length_raises(abstract_plane):
+    """Entries that are finite but whose III-length overflows raise the
+    typed error, not numpy's overflow warning."""
+    with pytest.raises(DegenerateVector):
+        abstract_plane.norm([0.0, 0.0], [1e200, 0.0])
+
+
 # --- torsion bound ----------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ from efimov_lab.curves import (
     jacobi_field,
     parallel_transport,
     parallel_transport_samples,
+    rk4_samples,
 )
 from efimov_lab.errors import OpenBoundary, ParameterOutOfRange
 
@@ -360,10 +361,35 @@ def test_geodesic_disk_rejects_degenerate_counts(abstract_sphere, counts):
 
 
 @pytest.mark.parametrize("length, step", [(1.0, 0.0), (1.0, -1e-3), (1.0, np.nan),
-                                          (1.0, np.inf), (np.nan, 1e-3), (np.inf, 1e-3)])
+                                          (1.0, np.inf), (np.nan, 1e-3), (np.inf, 1e-3),
+                                          (-1.0, 0.1)])
 def test_integrate_geodesic_rejects_bad_length_or_step(abstract_plane, length, step):
     with pytest.raises(ParameterOutOfRange):
         integrate_geodesic(abstract_plane, [0.0, 0.0], [1.0, 0.0], length, step)
+
+
+def test_zero_length_trace_is_its_start(abstract_plane):
+    """A zero length takes no step: the trace is the start sample alone, as
+    a Jacobi field needs when its base geodesic left the chart at once."""
+    tr = integrate_geodesic(abstract_plane, [0.5, 0.0], [1.0, 0.0], 0.0, 0.1)
+    assert tr.s.tolist() == [0.0] and tr.points.tolist() == [[0.5, 0.0]]
+    assert list(rk4_samples(lambda t, y: y, np.ones(1), 0.0, 0.1)) == []
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
+def test_from_path_rejects_bad_step(step):
+    with pytest.raises(ParameterOutOfRange, match="step"):
+        CurveTrace.from_path(lambda s: np.array([s, 0.0]), (0.0, 1.0), step,
+                             velocity=lambda s: np.array([1.0, 0.0]),
+                             acceleration=lambda s: np.zeros(2))
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.5, np.nan, np.inf])
+def test_disks_reject_bad_radius(abstract_sphere, radius):
+    with pytest.raises(ParameterOutOfRange, match="region"):
+        RegionSpec.coordinate_disk([0.0, 0.0], radius)
+    with pytest.raises(ParameterOutOfRange, match="region"):
+        RegionSpec.geodesic_disk(abstract_sphere, [0.0, 0.0], radius)
 
 
 def test_open_boundary_raises(abstract_plane):

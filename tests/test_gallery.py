@@ -13,6 +13,15 @@ def test_builtin_names_buildable():
         assert case.kind in ("metric", "surface", "connection")
 
 
+def test_abstract_charts_are_connection_examples():
+    for name in ("abstract_sphere", "abstract_plane"):
+        assert name in gallery.builtin_names()
+        case = gallery.build_example(name)
+        assert case.kind == "connection" and case.data.mode == "torsion"
+        with pytest.raises(ParameterOutOfRange, match="no verification"):
+            gallery.verify_example(name)
+
+
 def test_unknown_name():
     with pytest.raises(ParameterOutOfRange):
         gallery.build_example("nonsense")
