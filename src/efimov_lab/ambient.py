@@ -122,25 +122,21 @@ class MetricField:
             return np.asarray(self._partials(p), dtype=float)
         return _fd.gradient(self._matrix, p, self.fd_step)
 
-    def second_partials(self, p):
-        p = as_point(p, self.dim)
-        if self._second_partials is not None:
-            return np.asarray(self._second_partials(p), dtype=float)
-        if self._partials is None:
-            return self.jet(p)[2]
-        # differentiate the analytic first partials: d2g[k,l] = d_k (dg[l])
-        d2 = _fd.gradient(self._partials, p, self.fd_step)  # [k][l,i,j]
-        return 0.5 * (d2 + np.swapaxes(d2, 0, 1))
-
     def jet(self, p):
         """``(g, dg, d2g)`` at p.  A metric without analytic derivatives
         takes all three from one shared stencil of ``_fd.jet``: 37 metric
-        evaluations in 3D, 17 in 2D."""
+        evaluations in 3D, 17 in 2D.  One with analytic first partials only
+        differences them for ``d2g``."""
         p = as_point(p, self.dim)
         if self._partials is None and self._second_partials is None:
             g, dg, d2g = _fd.jet(self._matrix, p, self.fd_step)
             return np.asarray(g, dtype=float), dg, d2g
-        return self.matrix(p), self.partials(p), self.second_partials(p)
+        g, dg = self.matrix(p), self.partials(p)
+        if self._second_partials is not None:
+            return g, dg, np.asarray(self._second_partials(p), dtype=float)
+        # d2g[k, l] = d_k (dg[l])
+        d2 = _fd.gradient(self._partials, p, self.fd_step)
+        return g, dg, 0.5 * (d2 + np.swapaxes(d2, 0, 1))
 
 
 def _checked_inverse(g, p):

@@ -177,13 +177,11 @@ class AsymptoticTrace:
     points: np.ndarray
     velocities: np.ndarray
     thetas: np.ndarray
-    frames: list
     delta: float
     sigma: float
     quasi_defect: float
     defect_running: np.ndarray = None
     left_patch: bool = False
-    which: str = "U"
 
     def running_columns(self):
         """(delta_running, sigma_running, defect_running) arrays."""
@@ -255,9 +253,9 @@ def trace_asymptotic(data, q, which, length, step):
         defects[i] = abs(float(np.arctan2((j @ a) @ g @ b, a @ g @ b)))
     defect_run = np.maximum.accumulate(defects)
     return AsymptoticTrace(s=s_arr, points=pts, velocities=vels, thetas=thetas,
-                           frames=list(frames), delta=delta, sigma=sigma,
+                           delta=delta, sigma=sigma,
                            quasi_defect=float(defect_run[-1]),
-                           defect_running=defect_run, left_patch=left, which=which)
+                           defect_running=defect_run, left_patch=left)
 
 
 def measured_tau1(data, points):

@@ -66,8 +66,15 @@ def _stayed_in_patch(left):
     return _check("stayed_in_patch", left, "==", False)
 
 
-def _inputs(args, *names):
-    return {name: getattr(args, name) for name in names}
+def _inputs(args, **parsed):
+    """The digest payload: every parsed argument but the output-only
+    ``--json`` and ``--csv``.  ``--param`` enters as its parsed dict, and
+    ``parsed`` replaces options that name a file by the file's content."""
+    payload = {k: v for k, v in vars(args).items() if k not in ("json", "csv", "fn")}
+    if "param" in payload:
+        payload["param"] = _parse_params(args.param)
+    payload.update(parsed)
+    return payload
 
 
 def _report(command, payload, checks):
@@ -97,6 +104,8 @@ def _emit(report, as_json):
     if as_json:
         print(json.dumps(report, sort_keys=True, indent=2, default=_json_default))
         return
+    # numpy values print as plain numbers, as in the JSON report
+    report = json.loads(json.dumps(report, default=_json_default))
     print(f"# {report['command']}  [digest {report['config_digest']}]")
     for c in report.get("checks", []):
         mark = "PASS" if c["pass"] else "FAIL"
@@ -218,7 +227,7 @@ def region_from_json(data, spec):
 
 def cmd_check_hypothesis(args):
     verdict = check_hypothesis(args.k1, args.k2, args.k3)
-    return _finish(args, _inputs(args, "k1", "k2", "k3"), [], **verdict.to_json_dict())
+    return _finish(args, _inputs(args), [], **verdict.to_json_dict())
 
 
 def cmd_curvature_report(args):
@@ -243,7 +252,7 @@ def cmd_curvature_report(args):
                 k_hi = max(k_hi, s.k_max)
     tol = 1e-8 if metric.has_analytic_partials else 1e-4
     checks = [_check(f"riemann_{k}", v, "<", tol) for k, v in worst.items()]
-    return _finish(args, _inputs(args, "metric", "grid"), checks,
+    return _finish(args, _inputs(args), checks,
                    sectional_min=k_lo, sectional_max=k_hi)
 
 
@@ -256,15 +265,12 @@ def _geodesic_for(args):
     return data, integrate_geodesic(data, start, v, args.length, args.step)
 
 
-_GEODESIC_INPUTS = ("example", "start", "dir", "length", "step")
-
-
 def cmd_geodesic(args):
     data, trace = _geodesic_for(args)
     drift = abs(data.norm(trace.points[-1], trace.velocities[-1]) - 1.0)
     checks = [_check("unit_speed_drift", drift, "<", 1e-8 * max(1.0, args.length)),
               _stayed_in_patch(trace.left_patch)]
-    return _finish(args, _inputs(args, *_GEODESIC_INPUTS), checks,
+    return _finish(args, _inputs(args), checks,
                    csv=(["s", "u", "v", "du", "dv"], [trace.s, trace.points, trace.velocities]),
                    endpoint=trace.points[-1].tolist(),
                    end_velocity=trace.velocities[-1].tolist())
@@ -279,7 +285,7 @@ def cmd_transport(args):
     # relative to the vector's norm once it exceeds 1
     checks = [_check("norm_preserved", abs(n1 - n0), "<", 1e-8 * max(1.0, n0)),
               _stayed_in_patch(trace.left_patch)]
-    return _finish(args, _inputs(args, *_GEODESIC_INPUTS, "vector"), checks,
+    return _finish(args, _inputs(args), checks,
                    transported=w1.tolist())
 
 
@@ -292,7 +298,7 @@ def cmd_jacobi(args):
     # no longer fits in the chart
     checks = [_check("x_prime_equals_y_tau_x", resid, "<", 1e-10),
               _stayed_in_patch(base.left_patch or jt.left_patch)]
-    return _finish(args, _inputs(args, *_GEODESIC_INPUTS, "init"), checks,
+    return _finish(args, _inputs(args), checks,
                    csv=(["t", "x", "y", "xp", "yp"], [jt.t, jt.x, jt.y, jt.xp, jt.yp]),
                    final={"x": jt.x[-1], "y": jt.y[-1], "xp": jt.xp[-1], "yp": jt.yp[-1]})
 
@@ -305,7 +311,7 @@ def cmd_gauss_bonnet(args):
     resid = gauss_bonnet_residual(data, region)
     holonomy = boundary_holonomy_angle(data, region)
     checks = [_check("gauss_bonnet_residual", resid, "<", float(args.tolerance))]
-    return _finish(args, {"example": args.example, "region": spec}, checks,
+    return _finish(args, _inputs(args, region=spec), checks,
                    holonomy_angle=holonomy)
 
 
@@ -314,7 +320,7 @@ def cmd_asymptotic(args):
 
     data = _connection_for(args)
     tr = trace_asymptotic(data, _pair(args.start), args.which, args.length, args.step)
-    return _finish(args, _inputs(args, "example", "which", "start", "length", "step"),
+    return _finish(args, _inputs(args),
                    [_stayed_in_patch(tr.left_patch)],
                    csv=(["s", "u", "v", "theta", "delta_running", "sigma_running",
                          "defect_running"], [tr.s, tr.points, tr.thetas, *tr.running_columns()]),
@@ -334,7 +340,7 @@ def cmd_edo(args):
     sol = solve_prop_edo(_profile_from(args.u), args.eps, step=args.step)
     checks = [_check("s0_le_s1", sol.s0, "<=", sol.s1),
               _check("s1_le_pi_over_sqrt_eps", sol.s1, "<=", np.pi / np.sqrt(args.eps) + 1e-9)]
-    return _finish(args, _inputs(args, "u", "eps", "step"), checks,
+    return _finish(args, _inputs(args), checks,
                    csv=(["s", "y", "z"], [sol.s, sol.y, sol.z]),
                    epsilon=sol.eps, s0=sol.s0, s1=sol.s1, M0=sol.m0)
 
@@ -352,7 +358,7 @@ def cmd_edo7(args):
         _check("lipschitz_le_m1", bump.lipschitz, "<=", m1, slack=1e-9),
         _check("weak_inequality", weak_inequality_residual(bump, u), ">=", -1e-6),
     ]
-    return _finish(args, _inputs(args, "u", "eps", "n1", "step"), checks,
+    return _finish(args, _inputs(args), checks,
                    support=[lo, hi], m1_prime=m1)
 
 
@@ -360,8 +366,7 @@ def cmd_example(args):
     rep = gallery.verify_example(args.name, _parse_params(args.param))
     checks = [_check(f["name"], f["max_abs_err"], "<", f["tolerance"]) for f in rep["fields"]]
     notes = {"notes": rep["notes"]} if "notes" in rep else {}
-    return _finish(args, {"name": args.name, "param": sorted(args.param or [])}, checks,
-                   **notes)
+    return _finish(args, _inputs(args), checks, **notes)
 
 
 def cmd_net_check(args):
@@ -376,7 +381,7 @@ def cmd_net_check(args):
         checks = [_check("sup_du_alpha_over_alpha_beta", rep["sup_dua_over_ab"], "<=", tol),
                   _check("sup_dv_beta_over_alpha_beta", rep["sup_dvb_over_ab"], "<=", tol)]
     extras = {key: rep[key] for key in ("tau0", "tau1", "bound", "trivial") if key in rep}
-    return _finish(args, _inputs(args, "example", "start", "lu", "lv", "nu", "nv"), checks,
+    return _finish(args, _inputs(args), checks,
                    **extras)
 
 

@@ -293,8 +293,7 @@ class _OperatorProvider(SurfaceConnectionData):
         inner = db.transpose(1, 0, 2) + np.einsum("lim,mj->lij", lc, b)
         return np.einsum("kl,lij->kij", binv, inner)
 
-    def torsion_vector(self, q):
-        return _torsion_from_gamma(self.gamma(q), self.third_form(q))
+    torsion_vector = SurfaceConnectionData.torsion_from_coefficients
 
     def _curvature(self, q):
         """``K~ = K_sigma / det B``, because ``R~ = B^{-1} R B``."""
@@ -553,8 +552,6 @@ def measured_gradient_constants(data, sample_points):
     the coordinate gradient of the ambient sectional curvature on the pushed
     tangent plane.  Informational only: no global verification is attempted.
     """
-    from .ambient import riemann_sectional
-
     if data.mode != "immersion":
         raise ModeUnsupported("gradient constants require immersion mode")
     c_sigma = 0.0
@@ -566,9 +563,7 @@ def measured_gradient_constants(data, sample_points):
             return data.fundamental(qq).k_intrinsic
 
         def k_amb(qq):
-            fd = data.fundamental(qq)
-            return riemann_sectional(data.ambient, fd.point,
-                                     fd.jacobian[:, 0], fd.jacobian[:, 1])
+            return data.fundamental(qq).k_ambient_tangent
 
         grad_ki = _fd.gradient(k_intr, q, 1e-3)
         first = data.fundamental(q).first

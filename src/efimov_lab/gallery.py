@@ -290,23 +290,28 @@ def deformed_curvature_coth(t):
 # surface patches
 
 
-def plane_patch(half_width=2.0):
+def _flat_patch(half_width, name):
+    """The coordinate plane z = 0 of a 3D chart."""
     return SurfacePatch(
         lambda q: np.array([q[0], q[1], 0.0]), ChartBox.cube(2, half_width),
-        jacobian=lambda q: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-        hessian=lambda q: np.zeros((3, 2, 2)), name="plane")
+        derivatives=lambda q: (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
+                               np.zeros((3, 2, 2))),
+        name=name)
+
+
+def plane_patch(half_width=2.0):
+    return _flat_patch(half_width, "plane")
 
 
 def saddle_patch(half_width=1.0):
-    def hess(q):
+    def derivatives(q):
         h = np.zeros((3, 2, 2))
         h[2, 0, 1] = h[2, 1, 0] = 1.0
-        return h
+        return np.array([[1.0, 0.0], [0.0, 1.0], [q[1], q[0]]]), h
 
     return SurfacePatch(
         lambda q: np.array([q[0], q[1], q[0] * q[1]]), ChartBox.cube(2, half_width),
-        jacobian=lambda q: np.array([[1.0, 0.0], [0.0, 1.0], [q[1], q[0]]]),
-        hessian=hess, name="saddle")
+        derivatives=derivatives, name="saddle")
 
 
 def sphere2_patch(radius=1.0):
@@ -317,23 +322,21 @@ def sphere2_patch(radius=1.0):
         u, v = q
         return radius * np.array([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)])
 
-    def sjac(q):
+    def sderivatives(q):
         u, v = q
-        return radius * np.array([
-            [np.cos(u) * np.cos(v), -np.sin(u) * np.sin(v)],
-            [np.cos(u) * np.sin(v), np.sin(u) * np.cos(v)],
-            [-np.sin(u), 0.0]])
-
-    def shess(q):
-        u, v = q
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        jac = radius * np.array([
+            [cu * cv, -su * sv],
+            [cu * sv, su * cv],
+            [-su, 0.0]])
         h = np.empty((3, 2, 2))
-        h[:, 0, 0] = radius * np.array([-np.sin(u) * np.cos(v), -np.sin(u) * np.sin(v), -np.cos(u)])
-        h[:, 0, 1] = h[:, 1, 0] = radius * np.array([-np.cos(u) * np.sin(v), np.cos(u) * np.cos(v), 0.0])
-        h[:, 1, 1] = radius * np.array([-np.sin(u) * np.cos(v), -np.sin(u) * np.sin(v), 0.0])
-        return h
+        h[:, 0, 0] = radius * np.array([-su * cv, -su * sv, -cu])
+        h[:, 0, 1] = h[:, 1, 0] = radius * np.array([-cu * sv, cu * cv, 0.0])
+        h[:, 1, 1] = radius * np.array([-su * cv, -su * sv, 0.0])
+        return jac, h
 
     return SurfacePatch(smap, ChartBox((0.3, -3.0), (2.8, 3.0)),
-                        jacobian=sjac, hessian=shess, name=f"sphere2(r={radius})")
+                        derivatives=sderivatives, name=f"sphere2(r={radius})")
 
 
 def pseudosphere_patch(scale=1.0):
@@ -346,28 +349,24 @@ def pseudosphere_patch(scale=1.0):
         se = 1.0 / np.cosh(u)
         return a * np.array([se * np.cos(v), se * np.sin(v), u - np.tanh(u)])
 
-    def tjac(q):
+    def tderivatives(q):
         u, v = q
         se = 1.0 / np.cosh(u)
         th = np.tanh(u)
-        return a * np.array([
-            [-se * th * np.cos(v), -se * np.sin(v)],
-            [-se * th * np.sin(v), se * np.cos(v)],
+        cv, sv = np.cos(v), np.sin(v)
+        jac = a * np.array([
+            [-se * th * cv, -se * sv],
+            [-se * th * sv, se * cv],
             [th * th, 0.0]])
-
-    def thess(q):
-        u, v = q
-        se = 1.0 / np.cosh(u)
-        th = np.tanh(u)
         dsth = -se * th * th + se * se * se  # d/du of (se*th)
         h = np.empty((3, 2, 2))
-        h[:, 0, 0] = a * np.array([-dsth * np.cos(v), -dsth * np.sin(v), 2.0 * th * se * se])
-        h[:, 0, 1] = h[:, 1, 0] = a * np.array([se * th * np.sin(v), -se * th * np.cos(v), 0.0])
-        h[:, 1, 1] = a * np.array([-se * np.cos(v), -se * np.sin(v), 0.0])
-        return h
+        h[:, 0, 0] = a * np.array([-dsth * cv, -dsth * sv, 2.0 * th * se * se])
+        h[:, 0, 1] = h[:, 1, 0] = a * np.array([se * th * sv, -se * th * cv, 0.0])
+        h[:, 1, 1] = a * np.array([-se * cv, -se * sv, 0.0])
+        return jac, h
 
     return SurfacePatch(tmap, ChartBox((0.5, -1.5), (2.0, 1.5)),
-                        jacobian=tjac, hessian=thess, name=f"pseudosphere(a={scale})")
+                        derivatives=tderivatives, name=f"pseudosphere(a={scale})")
 
 
 def constant_k_surface(k):
@@ -389,49 +388,39 @@ def clifford_torus():
         d = 1.0 + k * np.sin(v)
         return np.array([k * np.cos(u) / d, k * np.sin(u) / d, k * np.cos(v) / d])
 
-    def djac(q):
+    def dderivatives(q):
         u, v = q
         cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
         d = 1.0 + k * sv
         dd = k * cv
-        return np.array([
+        jac = np.array([
             [-k * su / d, -k * cu * dd / d ** 2],
             [k * cu / d, -k * su * dd / d ** 2],
             [0.0, -k * (sv + k) / d ** 2]])
-
-    def dhess(q):
-        u, v = q
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        d = 1.0 + k * sv
-        dd = k * cv
         h = np.empty((3, 2, 2))
         h[:, 0, 0] = [-k * cu / d, -k * su / d, 0.0]
         h[:, 0, 1] = h[:, 1, 0] = [k * su * dd / d ** 2, -k * cu * dd / d ** 2, 0.0]
         h[0, 1, 1] = k * k * cu * (sv * d + 2.0 * k * cv * cv) / d ** 3
         h[1, 1, 1] = k * k * su * (sv * d + 2.0 * k * cv * cv) / d ** 3
         h[2, 1, 1] = k * k * cv * sv / d ** 3
-        return h
+        return jac, h
 
-    return SurfacePatch(dmap, ChartBox.cube(2, 3.2), jacobian=djac, hessian=dhess,
+    return SurfacePatch(dmap, ChartBox.cube(2, 3.2), derivatives=dderivatives,
                         name="clifford_torus")
 
 
 def hyperbolic_slice(lam, half_width=1.8):
     """The totally geodesic-looking z = 0 plane inside the slab metric; its
     induced metric is the hyperbolic plane."""
-    return SurfacePatch(
-        lambda q: np.array([q[0], q[1], 0.0]), ChartBox.cube(2, half_width),
-        jacobian=lambda q: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-        hessian=lambda q: np.zeros((3, 2, 2)), name=f"hyperbolic_slice(lam={lam})")
+    return _flat_patch(half_width, f"hyperbolic_slice(lam={lam})")
 
 
 def geodesic_sphere_hyp3(radius=0.3):
     """Coordinate sphere about the origin of the conformal ball chart; a
     geodesic sphere of hyperbolic 3-space."""
     base = sphere2_patch(radius=radius)
-
-    return SurfacePatch(base._map, base.box, jacobian=base._jacobian,
-                        hessian=base._hessian, name=f"geodesic_sphere_hyp3(r={radius})")
+    return SurfacePatch(base._map, base.box, base._derivatives,
+                        name=f"geodesic_sphere_hyp3(r={radius})")
 
 
 # ---------------------------------------------------------------------------

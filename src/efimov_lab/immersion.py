@@ -40,31 +40,30 @@ class SurfacePatch:
     ----------
     chart_map : callable, (2,) -> (3,) chart coordinates of the image point.
     box : ChartBox of the (u, v) parameter domain.
-    jacobian : optional callable, (2,) -> (3, 2) array ``d phi^i / d q^a``.
-    hessian : optional callable, (2,) -> (3, 2, 2) array of second partials.
+    derivatives : optional callable, (2,) -> ``(jacobian, hessian)``: the
+        (3, 2) array ``d phi^i / d q^a`` and the (3, 2, 2) array
+        ``d^2 phi^i / d q^a d q^b``.
     orientation : +1 or -1; flips the unit normal.
 
-    Missing derivatives fall back to central differences at step ``fd_step``.
+    Without ``derivatives`` the partials are central differences at step
+    ``fd_step``.
     """
 
     fd_step = 1e-4
 
-    def __init__(self, chart_map, box, jacobian=None, hessian=None, orientation=1, name=""):
+    def __init__(self, chart_map, box, derivatives=None, orientation=1, name=""):
         self._map = chart_map
         self.box = box
-        self._jacobian = jacobian
-        self._hessian = hessian
+        self._derivatives = derivatives
         self.orientation = int(orientation)
         self.name = name
 
     @property
     def has_analytic_partials(self):
-        return self._jacobian is not None
+        return self._derivatives is not None
 
     def fd_margin(self):
-        if self._jacobian is not None and self._hessian is not None:
-            return 0.0
-        return 2.0 * self.fd_step
+        return 0.0 if self._derivatives is not None else 2.0 * self.fd_step
 
     def require_inside(self, q, margin=0.0):
         if not self.box.contains(q, margin=margin):
@@ -78,24 +77,26 @@ class SurfacePatch:
 
     def jacobian(self, q):
         q = as_point(q, 2)
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(q), dtype=float)
+        if self._derivatives is not None:
+            return np.asarray(self._derivatives(q)[0], dtype=float)
         # in C order: the rounding of the matmuls downstream depends on the layout
         return np.ascontiguousarray(_fd.gradient(self._map, q, self.fd_step).T)
 
-    def hessian(self, q):
+    def jet(self, q):
+        """``(point, jacobian, hessian)`` at q.  Without analytic derivatives
+        all three come from one 17-point stencil of ``_fd.jet``, whose centre
+        value is the point; its Jacobian equals ``jacobian(q)`` bit for bit."""
         q = as_point(q, 2)
-        if self._hessian is not None:
-            return np.asarray(self._hessian(q), dtype=float)
-        if self._jacobian is not None:
-            h = np.einsum("aib->iab", _fd.gradient(self._jacobian, q, self.fd_step))
-        else:
-            # one shared 17-point stencil, equal to _fd.second bit for bit
-            h = np.ascontiguousarray(np.moveaxis(_fd.jet(self._map, q, self.fd_step)[2], 2, 0))
-        return 0.5 * (h + np.swapaxes(h, 1, 2))
+        if self._derivatives is not None:
+            jac, hess = self._derivatives(q)
+            return (np.asarray(self._map(q), dtype=float), np.asarray(jac, dtype=float),
+                    np.asarray(hess, dtype=float))
+        p, grad, hess = _fd.jet(self._map, q, self.fd_step)
+        return (np.asarray(p, dtype=float), np.ascontiguousarray(grad.T),
+                np.ascontiguousarray(np.moveaxis(hess, 2, 0)))
 
     def flipped(self):
-        return SurfacePatch(self._map, self.box, self._jacobian, self._hessian,
+        return SurfacePatch(self._map, self.box, self._derivatives,
                             orientation=-self.orientation, name=self.name)
 
 
@@ -190,9 +191,7 @@ def induced_metric_field(patch, ambient):
     partials = None
     if patch.has_analytic_partials and ambient.has_analytic_partials:
         def partials(q):
-            p = patch.point(q)
-            jac = patch.jacobian(q)
-            hess = patch.hessian(q)
+            p, jac, hess = patch.jet(q)
             g = ambient.matrix(p)
             dg = ambient.partials(p)
             dg_along = np.einsum("kij,ka->aij", dg, jac)  # d(g o phi)/dq^a
@@ -209,14 +208,12 @@ def fundamental_forms(patch, ambient, q):
     layer now, the curvature layer on first read (see FundamentalData)."""
     q = as_point(q, 2)
     patch.require_inside(q, margin=patch.fd_margin())
-    p = patch.point(q)
+    p, jac, hess = patch.jet(q)
     ambient.require_inside(p)
     g = ambient.matrix(p)
-    jac = patch.jacobian(q)
     first, n = _frame(patch, q, g, jac)
 
     gam = christoffel(ambient, p)
-    hess = patch.hessian(q)
     # covariant second derivative of phi: S^i_ab = phi^i_{,ab} + Gamma^i_jk phi^j_a phi^k_b
     s = hess + np.einsum("ijk,ja,kb->iab", gam, jac, jac)
     # II(x, y) = I(Bx, y) with B = grad N, so II = -g(S, N)
@@ -233,15 +230,6 @@ def gauss_residual(patch, ambient, q):
     """|det B - (K_I - K_M(T Sigma))| at q."""
     data = fundamental_forms(patch, ambient, q)
     return abs(float(np.linalg.det(data.shape_operator)) - data.k_extrinsic)
-
-
-def shape_operator_field(patch, ambient):
-    """q -> B(q); used for finite differences of the shape operator."""
-
-    def field(q):
-        return fundamental_forms(patch, ambient, q).shape_operator
-
-    return field
 
 
 def surface_from_expressions(fields, box, name="custom-surface"):
@@ -271,8 +259,8 @@ def dnabla_b(patch, ambient, q, x, y):
     y = np.asarray(y, dtype=float)
     data = fundamental_forms(patch, ambient, q)
     gam_i = christoffel(induced_metric_field(patch, ambient), q)
-    bfield = shape_operator_field(patch, ambient)
-    db = _fd.gradient(bfield, q, patch.fd_step)  # db[a] = d_a B
+    db = _fd.gradient(lambda qq: fundamental_forms(patch, ambient, qq).shape_operator,
+                      q, patch.fd_step)  # db[a] = d_a B
     # the torsion-free connection of I makes this (nabla_x B) y - (nabla_y B) x
     return dnabla(data.shape_operator, db, gam_i, x, y)
 

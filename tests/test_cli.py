@@ -205,6 +205,39 @@ def test_gauss_bonnet_malformed_region_exits_2(tmp_path, spec):
     assert "region" in err
 
 
+def _digest(out):
+    """The digest of a text or a JSON report."""
+    if out.startswith("{"):
+        return json.loads(out)["config_digest"]
+    return out.split("[digest ", 1)[1].split("]", 1)[0]
+
+
+def test_digest_covers_every_input_but_the_output_options(tmp_path):
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"kind": "coordinate_disk", "center": [1.2, 0.3],
+                                  "radius": 0.3, "n_boundary": 41, "n_radial": 4,
+                                  "n_angular": 8}))
+    argv = ("gauss-bonnet", "--example", "hyperbolic_deformed", "--region", str(region))
+    digests = {t: _digest(run_cli(*argv, "--param", f"t={t}")[1]) for t in (2, 3)}
+    assert digests[2] != digests[3]
+    assert _digest(run_cli(*argv, "--param", "t=2", "--json")[1]) == digests[2]
+    edo = ("edo", "--u", "0", "--eps", "1", "--step", "1e-3")
+    plain = _digest(run_cli(*edo)[1])
+    assert _digest(run_cli(*edo, "--json")[1]) == plain
+    assert _digest(run_cli(*edo, "--csv", str(tmp_path / "edo.csv"))[1]) == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("edo", "--u", "0", "--eps", "1"),
+    ("jacobi", "--example", "abstract_sphere", "--start", "1,0", "--dir", "0,1",
+     "--length", "1.5", "--init", "0,0,0,1"),
+])
+def test_text_report_prints_plain_numbers(argv):
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert "np." not in out
+
+
 def test_package_imports_without_scipy():
     """The runtime is numpy-only: scipy is a test oracle, never imported by
     the package or its console script."""

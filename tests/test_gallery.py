@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efimov_lab import gallery
+from efimov_lab import _fd, gallery
 from efimov_lab.ambient import sectional_range
 from efimov_lab.connection import orthonormal_frame
 from efimov_lab.errors import ParameterOutOfRange, WrongSignDeterminant
@@ -32,6 +32,57 @@ def test_unknown_name():
 def test_builders_reject_non_finite_or_negative_parameter(builder, value):
     with pytest.raises(ParameterOutOfRange):
         builder(value)
+
+
+def _oracle_points(box, n=20, seed=5):
+    """n random points of the box, kept clear of its edges by 5% a side."""
+    lo = np.asarray(box.lo)
+    hi = np.asarray(box.hi)
+    rng = np.random.default_rng(seed)
+    return [lo + (hi - lo) * (0.05 + 0.9 * rng.random(lo.size)) for _ in range(n)]
+
+
+def _assert_close(value, reference, rel):
+    assert np.max(np.abs(value - reference)) <= rel * max(1.0, np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("name", [n for n in gallery.builtin_names()
+                                  if gallery.build_example(n).kind == "surface"])
+def test_patch_derivatives_match_fd_jet_of_the_map(name):
+    """The hand-written Jacobian and Hessian of each gallery patch against
+    ``_fd.jet`` of its map at h = 1e-3."""
+    patch = gallery.build_example(name).patch
+    assert patch.has_analytic_partials
+    for q in _oracle_points(patch.box):
+        point, jac, hess = patch.jet(q)
+        p_fd, grad_fd, hess_fd = _fd.jet(patch.point, q, 1e-3)
+        assert np.array_equal(point, p_fd)
+        _assert_close(jac, grad_fd.T, 1e-9)
+        _assert_close(hess, np.moveaxis(hess_fd, 2, 0), 1e-6)
+
+
+_GALLERY_METRICS = {
+    **{n: (lambda n=n: gallery.build_example(n).metric)
+       for n in ("euclidean3", "sphere3", "hyperbolic3", "g_lambda")},
+    "hyperbolic_plane_polar": gallery.hyperbolic_plane_polar,
+    "abstract_sphere": lambda: gallery.abstract_sphere().iii_field,
+    "abstract_plane": lambda: gallery.abstract_plane().iii_field,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GALLERY_METRICS))
+def test_metric_partials_match_fd_jet_of_the_matrix(name):
+    """The hand-written first partials of each gallery metric, and its
+    second partials where it has them (else differences of the first),
+    against ``_fd.jet`` of its matrix at h = 1e-3."""
+    metric = _GALLERY_METRICS[name]()
+    assert metric.has_analytic_partials
+    for p in _oracle_points(metric.box):
+        g, dg, d2g = metric.jet(p)
+        g_fd, dg_fd, d2g_fd = _fd.jet(metric.matrix, p, 1e-3)
+        assert np.array_equal(g, g_fd)
+        _assert_close(dg, dg_fd, 1e-9)
+        _assert_close(d2g, d2g_fd, 1e-6)
 
 
 def test_g_lambda_zero_is_hyperbolic():

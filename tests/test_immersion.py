@@ -105,11 +105,15 @@ def test_degenerate_immersion(euclid):
         unit_normal(bad, euclid, [0.0, 0.0])
 
 
-def test_fd_hessian_from_one_stencil():
-    """Without analytic derivatives the patch Hessian comes from one 17-point
-    stencil, each point evaluated once, and equals the separate
-    ``_fd.second`` stencils (19 map evaluations) bit for bit."""
+def test_map_only_patch_jet_from_one_stencil(euclid):
+    """A patch without analytic derivatives takes its point, Jacobian and
+    Hessian from one 17-point stencil, equal to the map, ``_fd.gradient``
+    and ``_fd.second`` bit for bit.  Map evaluations: 17 per
+    fundamental_forms; 153 per K_I (17 points of I, 9 each); 234 per
+    immersion gamma at a fresh point (17 for B, 8 x 17 for dB, 9 for I and
+    8 x 9 for dI)."""
     from efimov_lab import _fd
+    from efimov_lab.connection import SurfaceConnectionData
 
     def smap(q):
         return np.array([q[0], q[1], q[0] * q[1]])
@@ -122,13 +126,27 @@ def test_fd_hessian_from_one_stencil():
 
     patch = SurfacePatch(counted, ChartBox.cube(2, 1.0), name="fd-saddle")
     q = np.array([0.3, -0.2])
-    hess = patch.hessian(q)
+    h = patch.fd_step
+    point, jac, hess = patch.jet(q)
     assert len(calls) == len(set(calls)) == 17
+    assert np.array_equal(point, smap(q))
+    assert np.array_equal(jac, _fd.gradient(smap, q, h).T)
+    assert np.array_equal(jac, patch.jacobian(q))
     for a in range(2):
         for b in range(a, 2):
-            expected = _fd.second(smap, q, a, b, patch.fd_step)
+            expected = _fd.second(smap, q, a, b, h)
             assert np.array_equal(hess[:, a, b], expected)
             assert np.array_equal(hess[:, b, a], expected)
+
+    calls.clear()
+    data = fundamental_forms(patch, euclid, q)
+    assert len(calls) == 17
+    calls.clear()
+    data.k_intrinsic
+    assert len(calls) == 153
+    calls.clear()
+    SurfaceConnectionData.from_immersion(patch, euclid).gamma(q)
+    assert len(calls) == 234
 
 
 def test_gallery_gauss_residuals_small(euclid):
