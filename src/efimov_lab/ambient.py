@@ -240,7 +240,7 @@ def riemann_sectional(metric, p, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     gram = (x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2
-    if gram < 1e-12 * max(1.0, float(x @ g @ x)) * max(1.0, float(y @ g @ y)):
+    if not gram >= 1e-12 * max(1.0, float(x @ g @ x)) * max(1.0, float(y @ g @ y)):
         raise DegeneratePlane(f"plane spanned by {x} and {y} is degenerate (gram={gram:.3e})")
     num = np.einsum("ijkl,i,j,k,l->", riemann_covariant(metric, p), x, y, y, x)
     return float(num / gram)

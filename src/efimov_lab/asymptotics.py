@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _fd
 from .ambient import as_point
-from .connection import FD_STEP, complex_structure, covariant_derivative_of_field
+from .connection import FD_STEP, complex_structure
 from .curves import CurveTrace, parallel_transport_samples, rk4_samples, trace_margin
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
 
@@ -130,14 +130,19 @@ def _frame_rates(data, q):
     of its two frame fields, sign-aligned with it."""
     base = asymptotic_frame(data, q)
 
-    def u_field(qq):
-        return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).u
+    def frame_fields(qq):
+        frame = asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v)
+        return np.stack([frame.u, frame.v])
 
-    def v_field(qq):
-        return asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v).v
+    # one stencil for both fields: d[i, 0] = d_i U, d[i, 1] = d_i V
+    d = _fd.gradient(frame_fields, q, FD_STEP)
+    gam = data.gamma(q)
 
-    return (base, covariant_derivative_of_field(data, q, base.v, u_field),
-            covariant_derivative_of_field(data, q, base.u, v_field))
+    def rate(x, dfield, y):
+        """D~_x Y from the partials ``dfield`` of Y and its value y at q."""
+        return np.einsum("i,ik->k", x, dfield) + np.einsum("kij,i,j->k", gam, x, y)
+
+    return base, rate(base.v, d[:, 0], base.u), rate(base.u, d[:, 1], base.v)
 
 
 def covariant_rate_check(data, q):

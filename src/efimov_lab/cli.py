@@ -66,13 +66,23 @@ def _stayed_in_patch(left):
     return _check("stayed_in_patch", left, "==", False)
 
 
+def _read(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _inputs(args, **parsed):
     """The digest payload: every parsed argument but the output-only
-    ``--json`` and ``--csv``.  ``--param`` enters as its parsed dict, and
-    ``parsed`` replaces options that name a file by the file's content."""
+    ``--json`` and ``--csv``.  ``--param`` enters as its parsed dict, and a
+    file input by its content: the text of a ``--metric FILE`` or an
+    ``--example file:PATH``, and ``parsed`` for the others."""
     payload = {k: v for k, v in vars(args).items() if k not in ("json", "csv", "fn")}
     if "param" in payload:
         payload["param"] = _parse_params(args.param)
+    if "metric" in payload and args.metric not in gallery.builtin_names():
+        payload["metric"] = _read(args.metric)
+    if payload.get("example", "").startswith("file:"):
+        payload["example"] = _read(args.example[5:])
     payload.update(parsed)
     return payload
 
@@ -163,8 +173,7 @@ def _surface_file_connection(path):
     optional ``ambient = <builtin metric>`` line (default euclidean3)."""
     from .immersion import surface_from_expressions
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read(path)
     ambient_name = "euclidean3"
     kept = []
     for line in text.splitlines():
@@ -191,8 +200,7 @@ def _metric_for(spec_text):
         if case.metric is None:
             raise ValueError(f"{spec_text!r} is not an ambient metric")
         return case.metric
-    with open(spec_text, "r", encoding="utf-8") as fh:
-        fields, box = parse_assignments(fh.read(), ("u", "v", "w"))
+    fields, box = parse_assignments(_read(spec_text), ("u", "v", "w"))
     if box is None or len(box) != 6:
         raise ValueError("metric file needs a 'box = lo hi lo hi lo hi' line")
     chart = ChartBox((box[0], box[2], box[4]), (box[1], box[3], box[5]))
@@ -305,8 +313,7 @@ def cmd_jacobi(args):
 
 def cmd_gauss_bonnet(args):
     data = _connection_for(args)
-    with open(args.region, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
+    spec = json.loads(_read(args.region))
     region = region_from_json(data, spec)
     resid = gauss_bonnet_residual(data, region)
     holonomy = boundary_holonomy_angle(data, region)

@@ -345,6 +345,8 @@ def dual_connection_at(data, q, x, y):
     gam = data.gamma(q)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DegenerateVector(f"non-finite tangent vector {x} or {y} at q={q}")
     return np.einsum("kij,i,j->k", gam, x, y)
 
 

@@ -20,7 +20,13 @@ import numpy as np
 from . import _fd
 from .ambient import as_point
 from .connection import complex_structure, orthonormal_frame
-from .errors import EndpointSample, OpenBoundary, ParameterOutOfRange, PointOutsideChart
+from .errors import (
+    DegenerateVector,
+    EndpointSample,
+    OpenBoundary,
+    ParameterOutOfRange,
+    PointOutsideChart,
+)
 
 __all__ = [
     "CurveTrace",
@@ -285,6 +291,8 @@ def parallel_transport_samples(data, trace, w):
     RK4 stages k2 and k3 share the midpoint, and k4 lands on the next
     interval's k1.
     """
+    if not np.isfinite(w).all():
+        raise DegenerateVector(f"cannot transport the non-finite vector {w}")
 
     @functools.lru_cache(maxsize=2)
     def at(sv):
@@ -356,6 +364,8 @@ def integrate_jacobi(ktilde, tau_x, tau_y, init, length, step):
     and k3 share ``t + h/2``, k4 lands on the next step's k1, and the
     samples keep the values the steps used.
     """
+    if not np.isfinite(init).all():
+        raise ParameterOutOfRange(f"Jacobi initial data must be finite, got {init}")
 
     @functools.lru_cache(maxsize=2)
     def coefficients(t):

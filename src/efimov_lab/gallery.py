@@ -57,12 +57,17 @@ __all__ = [
 # ambient metrics
 
 
-def euclidean3(half_width=10.0):
+def _flat(dim, half_width, name):
+    """The identity metric on a cube chart, with zero partials."""
     return MetricField(
-        3, lambda p: np.eye(3), ChartBox.cube(3, half_width),
-        partials=lambda p: np.zeros((3, 3, 3)),
-        second_partials=lambda p: np.zeros((3, 3, 3, 3)),
-        name="euclidean3")
+        dim, lambda p: np.eye(dim), ChartBox.cube(dim, half_width),
+        partials=lambda p: np.zeros((dim,) * 3),
+        second_partials=lambda p: np.zeros((dim,) * 4),
+        name=name)
+
+
+def euclidean3(half_width=10.0):
+    return _flat(3, half_width, "euclidean3")
 
 
 def _conformal3(sign, half_width, name):
@@ -234,16 +239,9 @@ def abstract_sphere(half_width=2.5):
 
 
 def abstract_plane(half_width=6.0):
-    m = MetricField(2, lambda q: np.eye(2), ChartBox.cube(2, half_width),
-                    partials=lambda q: np.zeros((2, 2, 2)),
-                    second_partials=lambda q: np.zeros((2, 2, 2, 2)),
-                    name="plane2_abstract")
+    m = _flat(2, half_width, "plane2_abstract")
     return SurfaceConnectionData.from_metric_and_torsion(m, lambda q: np.zeros(2),
                                                          name="plane2_abstract")
-
-
-def _gudermannian(r):
-    return np.arcsin(np.tanh(r))
 
 
 def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, profile="tanh"):
@@ -269,21 +267,12 @@ def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, profile="tanh"):
         def tau(q):
             r = q[0]
             sh = np.sinh(r)
-            qr = (sh - _gudermannian(r)) / sh
+            qr = (sh - np.arcsin(np.tanh(r))) / sh  # gd(r) = arcsin(tanh r)
             b = t * np.sqrt(max(0.0, 1.0 - qr * qr))
             return np.array([-b, t * qr / sh])
 
-    data = SurfaceConnectionData.from_metric_and_torsion(
+    return SurfaceConnectionData.from_metric_and_torsion(
         metric, tau, name=f"hyperbolic_deformed(t={t},{profile})")
-    return data
-
-
-def deformed_curvature_tanh(t):
-    return lambda r: t * np.tanh(r) - 1.0
-
-
-def deformed_curvature_coth(t):
-    return lambda r: t / np.tanh(r) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +306,8 @@ def saddle_patch(half_width=1.0):
 def sphere2_patch(radius=1.0):
     """Round sphere of the given radius about the origin, spherical angles
     0.3 <= u <= 2.8 and |v| <= 3."""
+    if not (math.isfinite(radius) and radius != 0.0):
+        raise ParameterOutOfRange(f"radius must be finite and nonzero, got {radius}")
 
     def smap(q):
         u, v = q
@@ -371,6 +362,8 @@ def pseudosphere_patch(scale=1.0):
 
 def constant_k_surface(k):
     """A patch of constant intrinsic curvature k in Euclidean 3-space."""
+    if not math.isfinite(k):
+        raise ParameterOutOfRange(f"k must be finite, got {k}")
     if k < 0:
         return pseudosphere_patch(scale=1.0 / math.sqrt(-k))
     if k > 0:
@@ -418,9 +411,9 @@ def hyperbolic_slice(lam, half_width=1.8):
 def geodesic_sphere_hyp3(radius=0.3):
     """Coordinate sphere about the origin of the conformal ball chart; a
     geodesic sphere of hyperbolic 3-space."""
-    base = sphere2_patch(radius=radius)
-    return SurfacePatch(base._map, base.box, base._derivatives,
-                        name=f"geodesic_sphere_hyp3(r={radius})")
+    patch = sphere2_patch(radius=radius)
+    patch.name = f"geodesic_sphere_hyp3(r={radius})"
+    return patch
 
 
 # ---------------------------------------------------------------------------
@@ -440,108 +433,80 @@ class ExampleCase:
     references: dict = field(default_factory=dict)
 
 
-_METRIC_NAMES = ("euclidean3", "sphere3", "hyperbolic3", "g_lambda")
-_SURFACE_NAMES = ("saddle", "clifford_torus", "constant_k_surface", "plane",
-                  "sphere2", "pseudosphere", "hyperbolic_slice", "geodesic_sphere_hyp3")
-_CONNECTION_NAMES = ("hyperbolic_deformed", "abstract_sphere", "abstract_plane")
+def _metric(metric, sectional=None):
+    """The fields of a metric case; ``sectional`` is its constant sectional
+    curvature, where it has one."""
+    references = {} if sectional is None else {"sectional": lambda p: sectional}
+    return {"kind": "metric", "metric": metric, "references": references}
+
+
+def _surface(patch, ambient=None, k_intrinsic=None):
+    """The fields of a surface case: the patch immersed in ``ambient``
+    (default euclidean3), with its constant intrinsic curvature, if any."""
+    ambient = euclidean3() if ambient is None else ambient
+    references = {} if k_intrinsic is None else {"k_intrinsic": k_intrinsic}
+    return {"kind": "surface", "metric": ambient, "patch": patch,
+            "data": SurfaceConnectionData.from_immersion(patch, ambient),
+            "references": references}
+
+
+def _connection(data, **references):
+    return {"kind": "connection", "data": data, "references": references}
+
+
+# name -> (builder, parameter defaults); the builder takes the parameter
+# values in the order of the defaults, each converted to its default's type
+_EXAMPLES = {
+    "euclidean3": (lambda: _metric(euclidean3(), 0.0), {}),
+    "sphere3": (lambda: _metric(sphere3(), 1.0), {}),
+    "hyperbolic3": (lambda: _metric(hyperbolic3(), -1.0), {}),
+    "g_lambda": (lambda lam: _metric(g_lambda(lam)), {"lambda": 1.0}),
+    "saddle": (lambda: _surface(saddle_patch()), {}),
+    # the stereographic image of the torus reaches |x| ~ 1 + sqrt(2)
+    "clifford_torus": (lambda: _surface(clifford_torus(), sphere3(half_width=2.6), 0.0), {}),
+    "constant_k_surface": (lambda k: _surface(constant_k_surface(k), k_intrinsic=k),
+                           {"k": -1.0}),
+    "plane": (lambda: _surface(plane_patch(), k_intrinsic=0.0), {}),
+    "sphere2": (lambda radius: _surface(sphere2_patch(radius), k_intrinsic=1.0 / radius ** 2),
+                {"radius": 1.0}),
+    "pseudosphere": (lambda: _surface(pseudosphere_patch(), k_intrinsic=-1.0), {}),
+    "hyperbolic_slice": (lambda lam: _surface(hyperbolic_slice(lam), g_lambda(lam), -1.0),
+                         {"lambda": 1.0}),
+    "geodesic_sphere_hyp3": (lambda radius: _surface(geodesic_sphere_hyp3(radius), hyperbolic3()),
+                             {"radius": 0.3}),
+    "hyperbolic_deformed": (
+        lambda t, profile: _connection(hyperbolic_deformed(t, profile=profile),
+                                       curvature_tanh_form=lambda r: t * np.tanh(r) - 1.0,
+                                       curvature_coth_form=lambda r: t / np.tanh(r) - 1.0),
+        {"t": 1.0, "profile": "tanh"}),
+    "abstract_sphere": (lambda: _connection(abstract_sphere()), {}),
+    "abstract_plane": (lambda: _connection(abstract_plane()), {}),
+}
 
 
 def builtin_names():
-    return _METRIC_NAMES + _SURFACE_NAMES + _CONNECTION_NAMES
+    return tuple(_EXAMPLES)
 
 
 def build_example(name, **params):
     """Build a named example with its reference data attached.
 
-    Raises ParameterOutOfRange for parameters outside the documented ranges.
+    Raises ParameterOutOfRange for an unknown name, a parameter the example
+    does not take, and parameters outside the documented ranges.
     """
-    if name == "euclidean3":
-        m = euclidean3()
-        return ExampleCase(name, params, "metric", metric=m,
-                           references={"sectional": lambda p: 0.0})
-    if name == "sphere3":
-        m = sphere3()
-        return ExampleCase(name, params, "metric", metric=m,
-                           references={"sectional": lambda p: 1.0})
-    if name == "hyperbolic3":
-        m = hyperbolic3()
-        return ExampleCase(name, params, "metric", metric=m,
-                           references={"sectional": lambda p: -1.0})
-    if name == "g_lambda":
-        lam = float(params.get("lambda", params.get("lam", 1.0)))
-        m = g_lambda(lam)
-        refs = dict(g_lambda_reference_entries(lam))
-        return ExampleCase(name, {"lambda": lam}, "metric", metric=m, references=refs)
-    if name == "hyperbolic_deformed":
-        t = float(params.get("t", 1.0))
-        profile = params.get("profile", "tanh")
-        data = hyperbolic_deformed(t, profile=profile)
-        return ExampleCase(name, {"t": t, "profile": profile}, "connection", data=data,
-                           references={
-                               "torsion_norm": lambda q: t,
-                               "curvature_tanh_form": deformed_curvature_tanh(t),
-                               "curvature_coth_form": deformed_curvature_coth(t),
-                           })
-    if name == "abstract_sphere":
-        return ExampleCase(name, params, "connection", data=abstract_sphere())
-    if name == "abstract_plane":
-        return ExampleCase(name, params, "connection", data=abstract_plane())
-    if name == "saddle":
-        patch = saddle_patch()
-        amb = euclidean3()
-        data = SurfaceConnectionData.from_immersion(patch, amb)
-        return ExampleCase(name, params, "surface", metric=amb, patch=patch, data=data,
-                           references={"k_intrinsic_origin": -1.0, "det_b_origin": -1.0})
-    if name == "plane":
-        patch = plane_patch()
-        amb = euclidean3()
-        return ExampleCase(name, params, "surface", metric=amb, patch=patch,
-                           data=SurfaceConnectionData.from_immersion(patch, amb),
-                           references={"k_intrinsic": 0.0, "det_b": 0.0})
-    if name == "sphere2":
-        radius = float(params.get("radius", 1.0))
-        patch = sphere2_patch(radius=radius)
-        amb = euclidean3()
-        return ExampleCase(name, {"radius": radius}, "surface", metric=amb, patch=patch,
-                           data=SurfaceConnectionData.from_immersion(patch, amb),
-                           references={"k_intrinsic": 1.0 / radius ** 2})
-    if name == "pseudosphere":
-        patch = pseudosphere_patch()
-        amb = euclidean3()
-        return ExampleCase(name, params, "surface", metric=amb, patch=patch,
-                           data=SurfaceConnectionData.from_immersion(patch, amb),
-                           references={"k_intrinsic": -1.0})
-    if name == "constant_k_surface":
-        k = float(params.get("k", -1.0))
-        patch = constant_k_surface(k)
-        amb = euclidean3()
-        return ExampleCase(name, {"k": k}, "surface", metric=amb, patch=patch,
-                           data=SurfaceConnectionData.from_immersion(patch, amb),
-                           references={"k_intrinsic": k})
-    if name == "clifford_torus":
-        patch = clifford_torus()
-        # the stereographic image of the torus reaches |x| ~ 1 + sqrt(2)
-        amb = sphere3(half_width=2.6)
-        return ExampleCase(name, params, "surface", metric=amb, patch=patch,
-                           data=SurfaceConnectionData.from_immersion(patch, amb),
-                           references={"k_intrinsic": 0.0, "det_b": -1.0,
-                                       "k_extrinsic": -1.0})
-    if name == "hyperbolic_slice":
-        lam = float(params.get("lambda", params.get("lam", 1.0)))
-        patch = hyperbolic_slice(lam)
-        amb = g_lambda(lam)
-        return ExampleCase(name, {"lambda": lam}, "surface", metric=amb, patch=patch,
-                           data=SurfaceConnectionData.from_immersion(patch, amb),
-                           references={"k_intrinsic": -1.0, "det_b": -lam * lam,
-                                       "ktilde": (1.0 / lam ** 2) if lam > 0 else None})
-    if name == "geodesic_sphere_hyp3":
-        radius = float(params.get("radius", 0.3))
-        patch = geodesic_sphere_hyp3(radius=radius)
-        amb = hyperbolic3()
-        return ExampleCase(name, {"radius": radius}, "surface", metric=amb, patch=patch,
-                           data=SurfaceConnectionData.from_immersion(patch, amb),
-                           references={})
-    raise ParameterOutOfRange(f"unknown example name {name!r}")
+    if name not in _EXAMPLES:
+        raise ParameterOutOfRange(f"unknown example name {name!r}")
+    builder, defaults = _EXAMPLES[name]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ParameterOutOfRange(
+            f"example {name!r} takes no parameter {', '.join(unknown)}; "
+            f"it accepts {', '.join(defaults) or 'none'}")
+    try:
+        values = {k: type(d)(params.get(k, d)) for k, d in defaults.items()}
+    except (TypeError, ValueError) as exc:
+        raise ParameterOutOfRange(f"example {name!r}: {exc}") from None
+    return ExampleCase(name, values, **builder(*values.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +544,7 @@ def verify_example(name, params=None):
         xs = np.linspace(-1, 1, 11)
         ys = np.linspace(-1, 1, 11)
         zs = np.linspace(-z_cap, z_cap, 3)
-        names = [n for n, _ in g_lambda_reference_entries(lam)]
-        refs = [f for _, f in g_lambda_reference_entries(lam)]
+        names, refs = zip(*g_lambda_reference_entries(lam))
         grid = [np.array([x, y, z]) for x in xs for y in ys for z in zs]
 
         def errs_at(p):
@@ -674,7 +638,7 @@ def verify_example(name, params=None):
         span = 0.25 * (hi - lo)
         rng = np.random.default_rng(11)
         pts = [mid + span * (2 * rng.random(2) - 1) for _ in range(9)]
-        if "k_intrinsic" in case.references and case.references["k_intrinsic"] is not None:
+        if "k_intrinsic" in case.references:
             ref = case.references["k_intrinsic"]
             err = max(abs(data.fundamental(q).k_intrinsic - ref) for q in pts)
             fields.append(_field("k_intrinsic", err, 1e-6))

@@ -191,6 +191,8 @@ def spiral_eigenvalues(t, lam, k):
     Oscillatory (complex pair) iff ``4 Lambda K > T^2``; otherwise beta holds
     the real root gap.
     """
+    if not np.isfinite([t, lam, k]).all():
+        raise ParameterOutOfRange(f"T, Lambda, K must be finite, got {t}, {lam}, {k}")
     alpha = t / 2.0
     disc = lam * k - t * t / 4.0
     if disc > 0:
@@ -384,5 +386,7 @@ def weak_inequality_residual(bump, u, n_tests=50, seed=20240):
                     gg = np.array([p, 0.5 * (p + q), q])
                     yy = np.interp(gg, grid, vals)
                 total += piece_integral(gg, yy, center, width)
+        if not np.isfinite(total):  # a NaN profile fails, as in _check_bound
+            raise BoundViolated(f"the weak inequality's integral is {total} for this profile")
         worst = min(worst, total)
     return worst

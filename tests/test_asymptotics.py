@@ -86,6 +86,28 @@ def test_rate_bounded_by_measured_tau1(slice_data_half):
         assert nuv <= tau1 * np.sin(base.theta) * (1.0 + 1e-9) + 1e-12
 
 
+@pytest.mark.parametrize("name, params, q", [
+    ("saddle", {}, [0.1, 0.05]),
+    ("hyperbolic_slice", {"lambda": 0.5}, [0.2, 0.3]),
+    ("pseudosphere", {}, [1.2, 0.3]),
+])
+def test_frame_rates_equal_the_two_field_route(name, params, q):
+    """One stencil over the stacked frame fields (U, V) gives D~_V U and
+    D~_U V bit for bit as one ``covariant_derivative_of_field`` per field."""
+    from efimov_lab.asymptotics import _frame_rates
+    from efimov_lab.connection import covariant_derivative_of_field
+
+    data = gallery.build_example(name, **params).data
+    q = np.array(q)
+    base, nabla_v_u, nabla_u_v = _frame_rates(data, q)
+
+    def field(which):
+        return lambda qq: getattr(asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v), which)
+
+    assert np.array_equal(nabla_v_u, covariant_derivative_of_field(data, q, base.v, field("u")))
+    assert np.array_equal(nabla_u_v, covariant_derivative_of_field(data, q, base.u, field("v")))
+
+
 def test_trace_saddle_axis(saddle_data):
     tr = trace_asymptotic(saddle_data, [0.0, 0.0], "U", 0.2, 5e-3)
     assert not tr.left_patch

@@ -225,6 +225,18 @@ def test_digest_covers_every_input_but_the_output_options(tmp_path):
     plain = _digest(run_cli(*edo)[1])
     assert _digest(run_cli(*edo, "--json")[1]) == plain
     assert _digest(run_cli(*edo, "--csv", str(tmp_path / "edo.csv"))[1]) == plain
+    # a metric or surface file is keyed by its text, not its path
+    metric = tmp_path / "m.txt"
+    surface = tmp_path / "s.txt"
+    curvature = ("curvature-report", "--metric", str(metric), "--grid", "3x3x3")
+    net = ("net-check", "--example", f"file:{surface}", "--start", "0,0",
+           "--lu", "0.05", "--lv", "0.05", "--nu", "2", "--nv", "2")
+    digests = []
+    for g11, phi3 in (("cosh(v)^2", "u*v"), ("cosh(2*v)^2", "u*v + u^3")):
+        metric.write_text(f"box = -1 1 -1 1 -0.2 0.2\ng11 = {g11}\ng22 = 1\ng33 = 1\n")
+        surface.write_text(f"box = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = {phi3}\n")
+        digests.append((_digest(run_cli(*curvature)[1]), _digest(run_cli(*net)[1])))
+    assert digests[0][0] != digests[1][0] and digests[0][1] != digests[1][1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,6 +398,19 @@ def test_negative_length_exits_2(argv):
     code, out, err = run_cli(*argv, "--json")
     assert code == 2 and out == ""
     assert "length" in err
+
+
+@pytest.mark.parametrize("argv, word", [
+    (("geodesic", "--example", "hyperbolic_slice", "--param", "lamda=2"), "lamda"),
+    (("geodesic", "--example", "saddle", "--param", "radius=3"), "radius"),
+    (("jacobi", "--example", "hyperbolic_deformed", "--param", "t=2", "--init", "0,nan,0,1"),
+     "finite"),
+])
+def test_unknown_parameter_or_non_finite_input_exits_2(argv, word):
+    code, out, err = run_cli(*argv, "--start", "1,0", "--dir", "1,1", "--length", "0.1",
+                             "--step", "0.01", "--json")
+    assert code == 2 and out == ""
+    assert word in err
 
 
 def _imports_cli(tree):

@@ -17,7 +17,16 @@ from efimov_lab.curves import (
     parallel_transport_samples,
     rk4_samples,
 )
-from efimov_lab.errors import OpenBoundary, ParameterOutOfRange
+from efimov_lab.ambient import riemann_sectional
+from efimov_lab.connection import dual_connection_at
+from efimov_lab.errors import (
+    BoundViolated,
+    DegeneratePlane,
+    DegenerateVector,
+    OpenBoundary,
+    ParameterOutOfRange,
+)
+from efimov_lab.odelab import construct_edo7, spiral_eigenvalues, weak_inequality_residual
 
 
 def latitude_trace(data, psi):
@@ -490,3 +499,24 @@ def test_geodesic_error_estimate(abstract_sphere):
     tr = integrate_geodesic(abstract_sphere, [1.0, 0.0], [0.0, 1.0], 1.0, 1e-2,
                             error_estimate=True)
     assert tr.endpoint_error < 1e-8
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda plane: spiral_eigenvalues(np.nan, 1.0, 1.0), ParameterOutOfRange),
+    (lambda plane: integrate_jacobi(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0,
+                                    (0.0, np.nan, 0.0, 1.0), 0.1, 0.01), ParameterOutOfRange),
+    (lambda plane: parallel_transport(
+        plane, integrate_geodesic(plane, [0.0, 0.0], [1.0, 0.0], 0.1, 0.05), [np.nan, 1.0]),
+     DegenerateVector),
+    (lambda plane: dual_connection_at(plane, [0.0, 0.0], [np.nan, 1.0], [1.0, 0.0]),
+     DegenerateVector),
+    (lambda plane: riemann_sectional(gallery.euclidean3(), [0.0, 0.0, 0.0], [np.nan, 1.0, 0.0],
+                                     [0.0, 0.0, 1.0]), DegeneratePlane),
+    # a NaN integral must not pass as the +inf of an empty minimum
+    (lambda plane: weak_inequality_residual(construct_edo7(0.0, 1.0, 1.0), lambda s: np.nan),
+     BoundViolated),
+], ids=["spiral_eigenvalues", "integrate_jacobi", "parallel_transport", "dual_connection_at",
+        "riemann_sectional", "weak_inequality_residual"])
+def test_non_finite_input_raises_typed_error(abstract_plane, call, error):
+    with pytest.raises(error):
+        call(abstract_plane)

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,38 @@ def test_abstract_charts_are_connection_examples():
 def test_unknown_name():
     with pytest.raises(ParameterOutOfRange):
         gallery.build_example("nonsense")
+
+
+@pytest.mark.parametrize("name, params, match", [
+    ("hyperbolic_slice", {"lamda": 2.0}, "no parameter lamda; it accepts lambda"),
+    ("g_lambda", {"lam": 2.0}, "no parameter lam; it accepts lambda"),
+    ("saddle", {"radius": 3.0}, "no parameter radius; it accepts none"),
+    ("g_lambda", {"lambda": "abc"}, "g_lambda"),
+    ("sphere2", {"radius": 0.0}, "radius"),
+    ("geodesic_sphere_hyp3", {"radius": np.nan}, "radius"),
+    ("constant_k_surface", {"k": np.inf}, "k must be finite"),
+])
+def test_build_example_rejects_unknown_or_bad_parameters(name, params, match):
+    with pytest.raises(ParameterOutOfRange, match=match):
+        gallery.build_example(name, **params)
+
+
+def test_params_record_every_parameter_with_its_default():
+    case = gallery.build_example("hyperbolic_deformed", t=2)
+    assert case.params == {"t": 2.0, "profile": "tanh"} and type(case.params["t"]) is float
+    assert gallery.build_example("sphere2").params == {"radius": 1.0}
+    assert gallery.build_example("saddle").params == {}
+
+
+def test_readme_lists_every_example_with_its_parameters():
+    """README's example paragraph names every built-in example and every
+    parameter of the table with its default."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Built-in example names", 1)[1].split("\n### ", 1)[0]
+    for name, (_, defaults) in gallery._EXAMPLES.items():
+        assert f"`{name}`" in paragraph
+        for key, default in defaults.items():
+            assert f"{key}={default}" in paragraph, (name, key)
 
 
 @pytest.mark.parametrize("builder", [gallery.g_lambda, gallery.hyperbolic_deformed])
