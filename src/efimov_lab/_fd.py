@@ -3,11 +3,33 @@
 All derivative fallbacks in the package funnel through these helpers so the
 error model is uniform: plain central differences are O(h^2), and the single
 Richardson step promotes them to O(h^4) on smooth data.
+
+The point ``x`` may be one point of shape (n,) or a batch of shape (N, n).
+For a batch, ``f`` is called on the shifted batch and must map (..., n)
+points to (...,) + value shape; the derivative axes follow the batch axis.
+Each row equals the single-point result bit for bit whenever ``f`` computes
+each point of a batch as it computes that point alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def pointwise(f):
+    """``f``, which takes one (n,) point, as a callable of the batch
+    contract: it maps (..., n) points to the stacked values, calling ``f``
+    once per point, in row order."""
+
+    def batched(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return f(x)
+        rows = x.reshape(-1, x.shape[-1])
+        vals = np.stack([np.asarray(f(row), dtype=float) for row in rows])
+        return vals.reshape(x.shape[:-1] + vals.shape[1:])
+
+    return batched
 
 
 def _basis(n, i):
@@ -22,7 +44,7 @@ def central(f, x, i, h):
     ``f`` maps an (n,) array to a scalar or ndarray.
     """
     x = np.asarray(x, dtype=float)
-    e = _basis(x.size, i)
+    e = _basis(x.shape[-1], i)
 
     def d(hh):
         return (np.asarray(f(x + hh * e)) - np.asarray(f(x - hh * e))) / (2.0 * hh)
@@ -33,8 +55,8 @@ def central(f, x, i, h):
 def second(f, x, i, j, h):
     """d^2 f / dx_i dx_j at x by central stencils."""
     x = np.asarray(x, dtype=float)
-    ei = _basis(x.size, i)
-    ej = _basis(x.size, j)
+    ei = _basis(x.shape[-1], i)
+    ej = _basis(x.shape[-1], j)
     f0 = np.asarray(f(x))
 
     if i == j:
@@ -53,9 +75,10 @@ def second(f, x, i, j, h):
 
 
 def gradient(f, x, h):
-    """Stack of central(f, x, i) over all coordinates; leading axis indexes i."""
+    """Stack of central(f, x, i) over all coordinates; the axis after the
+    batch axes indexes i (the leading axis for one point)."""
     x = np.asarray(x, dtype=float)
-    return np.stack([central(f, x, i, h) for i in range(x.size)])
+    return np.stack([central(f, x, i, h) for i in range(x.shape[-1])], axis=x.ndim - 1)
 
 
 def jet(f, x, h):
@@ -63,14 +86,16 @@ def jet(f, x, h):
 
     ``central`` and ``second`` at steps h and h/2 visit the centre,
     ``+-hh e_i`` and ``+-hh e_i +-hh e_j`` (i < j): 1 + 4n + 4n(n-1) distinct
-    points, 37 in 3D and 17 in 2D.  Each is evaluated once here, and the
-    values are combined with the same operations as in ``central`` and
-    ``second``, so the gradient equals ``gradient(f, x, h)`` and the Hessian
-    entries ``[i, j]`` and ``[j, i]`` equal ``second(f, x, i, j, h)`` for
-    i <= j, bit for bit.  The leading axes index the coordinates.
+    points, 37 in 3D and 17 in 2D.  ``f`` is called once, on the stencils
+    of all points stacked, shape (S, n) for one point and (S, N, n) for a
+    batch.  The values are combined with the same operations as in
+    ``central`` and ``second``, so the gradient equals ``gradient(f, x, h)``
+    and the Hessian entries ``[i, j]`` and ``[j, i]`` equal
+    ``second(f, x, i, j, h)`` for i <= j, bit for bit.  The coordinate axes
+    follow the batch axis.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     eye = np.eye(n)
     ii, jj = np.triu_indices(n, 1)
     steps = np.array([h, h / 2.0])
@@ -82,8 +107,10 @@ def jet(f, x, h):
     si = sh[:, [0, 0, 1, 1]]
     sj = sh[:, [0, 1, 0, 1]]
     mixed = si * eye[ii] + sj * eye[jj]
-    pts = np.concatenate([x[None], x + axis.reshape(-1, n), x + mixed.reshape(-1, n)])
-    vals = np.stack([np.asarray(f(pt)) for pt in pts])
+    offsets = np.concatenate([axis.reshape(-1, n), mixed.reshape(-1, n)])
+    # the stencil axis leads: pts[s] is stencil point s of x, or of every row
+    pts = np.concatenate([x[None], x + offsets.reshape((-1,) + (1,) * (x.ndim - 1) + (n,))])
+    vals = np.asarray(f(pts))
 
     f0 = vals[0]
     tail = (1,) * f0.ndim
@@ -98,7 +125,10 @@ def jet(f, x, h):
     fpp, fpm, fmp, fmm = np.moveaxis(vals[1 + 4 * n:].reshape((2, 4, ii.size) + f0.shape), 1, 0)
     dm = (fpp - fpm - fmp + fmm) / (4.0 * hh * hh)
     hess[ii, jj] = hess[jj, ii] = (4.0 * dm[1] - dm[0]) / 3.0
-    return f0, grad, hess
+    if x.ndim == 1:
+        return f0, grad, hess
+    return (np.ascontiguousarray(f0), np.ascontiguousarray(np.moveaxis(grad, 0, 1)),
+            np.ascontiguousarray(np.moveaxis(hess, (0, 1), (1, 2))))
 
 
 def derivative_along(f, s, h):

@@ -11,6 +11,9 @@ multiple threads is safe (no shared mutable state).
 
 Conventions
 -----------
+* The curvature evaluators take one point ``p`` of shape (dim,) or a batch
+  of shape (N, dim); for a batch every result gains a leading axis over the
+  rows.
 * ``g(p)`` is the metric matrix ``g_ij`` at chart point ``p``.
 * ``partials(p)[k, i, j]`` is the coordinate derivative ``d g_ij / d x^k``.
 * The curvature tensor is ``R(X,Y)Z = D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z`` and
@@ -32,6 +35,9 @@ from . import _fd
 from .errors import DegeneratePlane, NonInvertibleMetric, PointOutsideChart
 
 DET_FLOOR = 1e-12
+# rows per stacked metric-leaf call of the batched curvature: bounds the
+# stencil values and the einsum temporaries of a grid, whatever its size
+CHUNK = 64
 
 
 def as_point(p, dim):
@@ -40,6 +46,21 @@ def as_point(p, dim):
     if a.shape != (dim,):
         raise ValueError(f"expected a point with {dim} coordinates, got shape {a.shape}")
     return a
+
+
+def as_points(p, dim):
+    """Coerce an array-like to one point, shape (dim,), or a batch of
+    points, shape (N, dim), as a float ndarray."""
+    a = np.asarray(p, dtype=float)
+    if a.ndim not in (1, 2) or a.shape[-1] != dim or a.size == 0:
+        raise ValueError(f"expected a point or rows of points with {dim} coordinates, "
+                         f"got shape {a.shape}")
+    return a
+
+
+def _scalar(a):
+    """A float for one point, the array for a batch."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 @dataclass(frozen=True)
@@ -65,6 +86,12 @@ class ChartBox:
                 return False
         return True
 
+    def inside(self, pts, margin=0.0):
+        """``contains`` for each row of an (N, dim) array: a boolean (N,) array."""
+        lo = np.asarray(self.lo, dtype=float) + margin - 1e-15
+        hi = np.asarray(self.hi, dtype=float) - margin + 1e-15
+        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+
 
 class MetricField:
     """A Riemannian metric on one coordinate chart.
@@ -72,13 +99,21 @@ class MetricField:
     Parameters
     ----------
     dim : chart dimension (3 for ambient spaces, 2 for surface metrics).
-    matrix : callable, point -> (dim, dim) symmetric positive matrix.
+    matrix : callable, points (..., dim) -> (..., dim, dim) symmetric
+        positive matrices.
     box : ChartBox with per-axis bounds.
-    partials : optional callable, point -> (dim, dim, dim) array of first
-        coordinate derivatives ``dg[k, i, j] = d g_ij / d x^k``.
-    second_partials : optional callable, point -> (dim, dim, dim, dim) array
-        ``d2g[k, l, i, j] = d^2 g_ij / d x^k d x^l``.
+    partials : optional callable, points (..., dim) -> (..., dim, dim, dim)
+        first coordinate derivatives ``dg[..., k, i, j] = d g_ij / d x^k``.
+    second_partials : optional callable, points (..., dim) ->
+        (..., dim, dim, dim, dim) ``d2g[..., k, l, i, j] = d^2 g_ij / d x^k d x^l``.
     fd_step : finite-difference step used for any missing derivative.
+
+    The three leaves broadcast over the leading axes of their argument; a
+    leaf that returns one value for every point (a constant) is broadcast
+    to the batch.  A leaf that can only take one (dim,) point is wrapped
+    in ``_fd.pointwise``, which calls it once per point.  The curvature
+    evaluators take one point or an (N, dim) batch and call each leaf once
+    per ``CHUNK`` rows of the batch.
     """
 
     def __init__(self, dim, matrix, box, partials=None, second_partials=None,
@@ -96,11 +131,22 @@ class MetricField:
         return self._partials is not None
 
     def require_inside(self, p, margin=0.0):
-        if not self.box.contains(p, margin=margin):
-            raise PointOutsideChart(
-                f"point {np.asarray(p)} outside chart box of {self.name or 'metric'}"
-                + (f" (margin {margin})" if margin else "")
-            )
+        """Raise PointOutsideChart unless p, or every row of a batch p,
+        lies in the box shrunk by ``margin``; the error names the first
+        point outside."""
+        if getattr(p, "ndim", 1) < 2:
+            if self.box.contains(p, margin=margin):
+                return
+            p = np.asarray(p)
+        else:
+            outside = ~self.box.inside(p, margin)
+            if not outside.any():
+                return
+            p = p[np.argmax(outside)]
+        raise PointOutsideChart(
+            f"point {p} outside chart box of {self.name or 'metric'}"
+            + (f" (margin {margin})" if margin else "")
+        )
 
     def fd_margin(self):
         """Stencil reach of the widest finite-difference formula in use."""
@@ -108,42 +154,59 @@ class MetricField:
             return 0.0
         return 2.0 * self.fd_step
 
+    def _leaf(self, fn, p, rank):
+        """``fn(p)`` as floats of shape p.shape[:-1] + (dim,) * rank."""
+        p = np.asarray(p, dtype=float)
+        if p.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected points with {self.dim} coordinates, got shape {p.shape}")
+        value = np.asarray(fn(p), dtype=float)
+        if value.ndim < p.ndim - 1 + rank:  # one value for every point
+            value = np.broadcast_to(value, p.shape[:-1] + (self.dim,) * rank)
+        return value
+
     def matrix(self, p):
-        p = as_point(p, self.dim)
-        g = np.asarray(self._matrix(p), dtype=float)
-        return g
+        return self._leaf(self._matrix, p, 2)
 
     def inverse(self, p):
         return _checked_inverse(self.matrix(p), p)
 
     def partials(self, p):
-        p = as_point(p, self.dim)
         if self._partials is not None:
-            return np.asarray(self._partials(p), dtype=float)
-        return _fd.gradient(self._matrix, p, self.fd_step)
+            return self._leaf(self._partials, p, 3)
+        return _fd.gradient(self.matrix, p, self.fd_step)
 
     def jet(self, p):
-        """``(g, dg, d2g)`` at p.  A metric without analytic derivatives
-        takes all three from one shared stencil of ``_fd.jet``: 37 metric
-        evaluations in 3D, 17 in 2D.  One with analytic first partials only
-        differences them for ``d2g``."""
-        p = as_point(p, self.dim)
+        """``(g, dg, d2g)`` at p, one point or an (N, dim) batch.  A metric
+        without analytic derivatives takes all three from one shared stencil
+        of ``_fd.jet``: one call of the matrix leaf on 37 points per row in
+        3D, 17 in 2D.  One with analytic first partials only differences
+        them for ``d2g``."""
         if self._partials is None and self._second_partials is None:
-            g, dg, d2g = _fd.jet(self._matrix, p, self.fd_step)
-            return np.asarray(g, dtype=float), dg, d2g
+            return _fd.jet(self.matrix, p, self.fd_step)
         g, dg = self.matrix(p), self.partials(p)
         if self._second_partials is not None:
-            return g, dg, np.asarray(self._second_partials(p), dtype=float)
-        # d2g[k, l] = d_k (dg[l])
-        d2 = _fd.gradient(self._partials, p, self.fd_step)
-        return g, dg, 0.5 * (d2 + np.swapaxes(d2, 0, 1))
+            return g, dg, self._leaf(self._second_partials, p, 4)
+        # d2g[..., k, l] = d_k (dg[..., l])
+        d2 = _fd.gradient(self.partials, p, self.fd_step)
+        return g, dg, 0.5 * (d2 + np.swapaxes(d2, -4, -3))
 
 
 def _checked_inverse(g, p):
+    """g^{-1} for one metric matrix or a stack of them; a determinant below
+    DET_FLOOR (or not finite) raises NonInvertibleMetric naming the point."""
     det = np.linalg.det(g)
-    if abs(det) < DET_FLOOR:
-        raise NonInvertibleMetric(f"|det g| = {abs(det):.3e} below floor at {p}")
-    return np.linalg.inv(g)
+    # plain float comparison for one point: christoffel runs at every RK4 stage
+    if g.ndim == 2:
+        if abs(det) >= DET_FLOOR:
+            return np.linalg.inv(g)
+        k = ()
+    else:
+        small = ~(np.abs(det) >= DET_FLOOR)
+        if not small.any():
+            return np.linalg.inv(g)
+        k = np.argmax(small)
+    raise NonInvertibleMetric(
+        f"|det g| = {abs(det[k]):.3e} below floor at {np.asarray(p, dtype=float)[k]}")
 
 
 def christoffel(metric, p):
@@ -161,35 +224,59 @@ def christoffel(metric, p):
     return 0.5 * np.einsum("km,ijm->kij", ginv, term)
 
 
-def _curvature(metric, p):
-    """``(g, Gamma, R)`` at p from one jet of the metric: ``g_ij``, the
+def _curvature(metric, p, finish=None):
+    """``(g, Gamma, R)`` from one jet of the metric: ``g_ij``, the
     Levi-Civita symbols ``Gamma[k, i, j]`` and the curvature operator
-    coefficients ``R[m, i, j, k]``."""
-    p = as_point(p, metric.dim)
-    metric.require_inside(p, margin=metric.fd_margin())
-    g, dg, d2g = metric.jet(p)
-    ginv = _checked_inverse(g, p)
+    coefficients ``R[m, i, j, k]``, at one point p or, with a leading axis,
+    at each row of an (N, dim) batch, evaluated ``CHUNK`` rows at a time.
+    The chart margin and the determinant floor are checked on every row.
+
+    ``finish(g, gam, r, rows)``, when given, maps the three arrays of each
+    chunk to the per-row arrays returned instead, so that a grid keeps only
+    what its caller asks for."""
+    pts = as_points(p, metric.dim)
+    metric.require_inside(pts, margin=metric.fd_margin())
+    finish = finish or (lambda g, gam, r, rows: (g, gam, r))
+    if pts.ndim == 1:
+        # the leaves take the point itself, where numpy scalars are fastest
+        jet = [a[None] for a in metric.jet(pts)]
+        return tuple(a[0] for a in finish(*_curvature_rows(*jet, pts[None]), pts[None]))
+    out = None
+    for i in range(0, len(pts), CHUNK):
+        rows = pts[i:i + CHUNK]
+        part = finish(*_curvature_rows(*metric.jet(rows), rows), rows)
+        if out is None:
+            out = tuple(np.empty((len(pts),) + a.shape[1:], a.dtype) for a in part)
+        for o, a in zip(out, part):
+            o[i:i + CHUNK] = a
+    return out
+
+
+def _curvature_rows(g, dg, d2g, pts):
+    """``(g, Gamma, R)`` at the rows of pts from the metric's jet there."""
+    ginv = _checked_inverse(g, pts)
 
     # dGamma[i, k, j, l] = d_i Gamma^k_jl, assembled from g, dg, d2g directly
     # so no finite differences of Gamma are ever nested.
-    dginv = -np.einsum("la,iab,bm->ilm", ginv, dg, ginv)
-    sym = np.einsum("jml->jlm", dg) + np.einsum("ljm->jlm", dg) - np.einsum("mjl->jlm", dg)
-    dsym = (np.einsum("ijml->ijlm", d2g) + np.einsum("iljm->ijlm", d2g)
-            - np.einsum("imjl->ijlm", d2g))
-    dgamma = 0.5 * (np.einsum("ikm,jlm->ikjl", dginv, sym)
-                    + np.einsum("km,ijlm->ikjl", ginv, dsym))
+    dginv = -np.einsum("nla,niab,nbm->nilm", ginv, dg, ginv)
+    sym = (np.einsum("njml->njlm", dg) + np.einsum("nljm->njlm", dg)
+           - np.einsum("nmjl->njlm", dg))
+    dsym = (np.einsum("nijml->nijlm", d2g) + np.einsum("niljm->nijlm", d2g)
+            - np.einsum("nimjl->nijlm", d2g))
+    dgamma = 0.5 * (np.einsum("nikm,njlm->nikjl", dginv, sym)
+                    + np.einsum("nkm,nijlm->nikjl", ginv, dsym))
 
-    gam = 0.5 * np.einsum("km,jlm->kjl", ginv, sym)
+    gam = 0.5 * np.einsum("nkm,njlm->nkjl", ginv, sym)
     # R^m_{ijk} = d_i Gamma^m_jk - d_j Gamma^m_ik + Gamma^m_ia Gamma^a_jk
     #             - Gamma^m_ja Gamma^a_ik
-    r = (np.einsum("imjk->mijk", dgamma) - np.einsum("jmik->mijk", dgamma)
-         + np.einsum("mia,ajk->mijk", gam, gam) - np.einsum("mja,aik->mijk", gam, gam))
+    r = (np.einsum("nimjk->nmijk", dgamma) - np.einsum("njmik->nmijk", dgamma)
+         + np.einsum("nmia,najk->nmijk", gam, gam) - np.einsum("nmja,naik->nmijk", gam, gam))
     return g, gam, r
 
 
 def riemann_operator(metric, p):
     """Curvature operator coefficients ``R[m, i, j, k]`` with
-    ``R(e_i, e_j) e_k = R[m, i, j, k] e_m``."""
+    ``R(e_i, e_j) e_k = R[m, i, j, k] e_m`` (with a leading axis for a batch)."""
     return _curvature(metric, p)[2]
 
 
@@ -207,30 +294,39 @@ def dnabla(a, da, gam, x, y):
 
 
 def riemann_covariant(metric, p):
-    """Fully covariant curvature ``Rm[i, j, k, l] = g(R(e_i,e_j)e_k, e_l)``."""
-    g, _, r = _curvature(metric, p)
-    return np.einsum("lm,mijk->ijkl", g, r)
+    """Fully covariant curvature ``Rm[i, j, k, l] = g(R(e_i,e_j)e_k, e_l)``
+    at one point, or with a leading axis at each row of an (N, dim) batch."""
+    return _curvature(metric, p, lambda g, gam, r, rows: (_lower(g, r),))[0]
+
+
+def _lower(g, r):
+    """Rm[n, i, j, k, l] = g[n, l, m] R[n, m, i, j, k] on a chunk."""
+    return np.einsum("nlm,nmijk->nijkl", g, r)
 
 
 def gauss_curvature(metric2d, p):
-    """Gaussian curvature ``Rm[0, 1, 1, 0] / det g`` of a 2D metric at p."""
+    """Gaussian curvature ``Rm[0, 1, 1, 0] / det g`` of a 2D metric at p
+    (an array over the rows of a batch p)."""
     rm = riemann_covariant(metric2d, p)
-    return float(rm[0, 1, 1, 0] / np.linalg.det(metric2d.matrix(p)))
+    return _scalar(rm[..., 0, 1, 1, 0] / np.linalg.det(metric2d.matrix(p)))
+
+
+_RESIDUALS = ("antisym_first_pair", "antisym_second_pair", "pair_swap", "first_bianchi")
 
 
 def riemann_symmetry_residuals(g, rm):
-    """Max violations of the four classical symmetries of ``rm``."""
-    a1 = np.max(np.abs(rm + np.einsum("jikl->ijkl", rm)))
-    a2 = np.max(np.abs(rm + np.einsum("ijlk->ijkl", rm)))
-    pair = np.max(np.abs(rm - np.einsum("klij->ijkl", rm)))
-    bianchi = np.max(np.abs(rm + np.einsum("jkil->ijkl", rm) + np.einsum("kijl->ijkl", rm)))
-    scale = max(1.0, float(np.max(np.abs(rm))))
-    return {
-        "antisym_first_pair": float(a1) / scale,
-        "antisym_second_pair": float(a2) / scale,
-        "pair_swap": float(pair) / scale,
-        "first_bianchi": float(bianchi) / scale,
-    }
+    """Max violations of the four classical symmetries of ``rm`` (arrays
+    over the rows of a batch)."""
+
+    def worst(a):
+        return np.max(np.abs(a), axis=(-4, -3, -2, -1))
+
+    a1 = worst(rm + np.einsum("...jikl->...ijkl", rm))
+    a2 = worst(rm + np.einsum("...ijlk->...ijkl", rm))
+    pair = worst(rm - np.einsum("...klij->...ijkl", rm))
+    bianchi = worst(rm + np.einsum("...jkil->...ijkl", rm) + np.einsum("...kijl->...ijkl", rm))
+    scale = np.maximum(1.0, worst(rm))
+    return {k: _scalar(v / scale) for k, v in zip(_RESIDUALS, (a1, a2, pair, bianchi))}
 
 
 def riemann_sectional(metric, p, x, y):
@@ -246,66 +342,86 @@ def riemann_sectional(metric, p, x, y):
     return float(num / gram)
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
+# the ordered basis (e1^e2, e1^e3, e2^e3) of Lambda^2
+_PAIR_I = np.array([0, 0, 1])
+_PAIR_J = np.array([1, 2, 2])
 
 
 def curvature_operator_matrices(metric, p):
     """Quadratic form S and Gram matrix G of the curvature operator on
-    Lambda^2 in the ordered basis (e1^e2, e1^e3, e2^e3).
+    Lambda^2 in the ordered basis (e1^e2, e1^e3, e2^e3), at one point or
+    at each row of a batch.
 
     The Rayleigh quotient of (S, G) on a decomposable 2-vector x^y equals the
     sectional curvature K(x, y); in dimension 3 every 2-vector is
     decomposable, so the generalized eigenvalues of (S, G) are the sectional
     extremes.
     """
-    p = as_point(p, metric.dim)
+    p = as_points(p, metric.dim)
     return _operator_matrices(metric.matrix(p), riemann_covariant(metric, p))
 
 
 def _operator_matrices(g, rm):
-    m = len(_PAIRS)
-    s = np.empty((m, m))
-    gram = np.empty((m, m))
-    for a, (i, j) in enumerate(_PAIRS):
-        for b, (k, l) in enumerate(_PAIRS):
-            s[a, b] = rm[i, j, l, k]
-            gram[a, b] = g[i, k] * g[j, l] - g[i, l] * g[j, k]
-    s = 0.5 * (s + s.T)
-    gram = 0.5 * (gram + gram.T)
+    # s[a, b] = rm[i_a, j_a, j_b, i_b], gram[a, b] = g[i_a, i_b] g[j_a, j_b]
+    # - g[i_a, j_b] g[j_a, i_b]
+    i, j = _PAIR_I[:, None], _PAIR_J[:, None]
+    k, l = _PAIR_I[None, :], _PAIR_J[None, :]
+    s = rm[..., i, j, l, k]
+    gram = g[..., i, k] * g[..., j, l] - g[..., i, l] * g[..., j, k]
+    s = 0.5 * (s + np.swapaxes(s, -1, -2))
+    gram = 0.5 * (gram + np.swapaxes(gram, -1, -2))
     return s, gram
 
 
 def sectional_range(metric, p):
-    """(K_min, K_max) over all tangent 2-planes at p.
+    """(K_min, K_max) over all tangent 2-planes at p; for a batch p of
+    shape (N, 3), two (N,) arrays.
 
     Computed as the eigenvalue extremes of the curvature operator on
     Lambda^2 with its metric-induced inner product.
     """
     s, gram = curvature_operator_matrices(metric, p)
-    vals = _pencil_eigvals(s, gram)
-    return float(vals[0]), float(vals[-1])
+    vals = _pencil_eigvals(s, gram, p)
+    return _scalar(vals[..., 0]), _scalar(vals[..., -1])
 
 
-def _pencil_eigvals(s, gram):
-    """Ascending eigenvalues of the symmetric-definite pencil (S, G).
+def _pencil_eigvals(s, gram, points=None):
+    """Ascending eigenvalues of the symmetric-definite pencil (S, G), or of
+    each pencil of a stack.
 
     With G = L L^T, they are the eigenvalues of L^{-1} S L^{-T} (Golub-Van
     Loan, *Matrix Computations*, 8.7).  A G that is not positive definite
-    (an indefinite or degenerate metric) raises NonInvertibleMetric.
+    (an indefinite or degenerate metric) raises NonInvertibleMetric, naming
+    the first such point of ``points`` when they are given.
     """
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
+        where = ""
+        if points is not None:
+            stack = gram.reshape((-1,) + gram.shape[-2:])
+            rows = np.asarray(points, dtype=float).reshape(len(stack), -1)
+            where = f" at {rows[_first_indefinite(stack)]}"
         raise NonInvertibleMetric(
-            "the metric's Gram matrix on 2-planes is not positive definite") from None
+            f"the metric's Gram matrix on 2-planes is not positive definite{where}") from None
     half = np.linalg.solve(lower, s)  # L^{-1} S
-    c = np.linalg.solve(lower, half.T)  # L^{-1} (L^{-1} S)^T = L^{-1} S L^{-T}
-    return np.linalg.eigvalsh(0.5 * (c + c.T))
+    c = np.linalg.solve(lower, np.swapaxes(half, -1, -2))  # L^{-1} (L^{-1} S)^T = L^{-1} S L^{-T}
+    return np.linalg.eigvalsh(0.5 * (c + np.swapaxes(c, -1, -2)))
+
+
+def _first_indefinite(stack):
+    """Index of the first matrix of the stack without a Cholesky factor."""
+    for k, m in enumerate(stack):
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return k
 
 
 @dataclass
 class CurvatureSample:
-    """All curvature data computed at a single chart point."""
+    """All curvature data computed at a chart point, or at each row of a
+    batch: then every field has a leading axis over the rows."""
 
     point: np.ndarray
     gamma: np.ndarray
@@ -317,20 +433,25 @@ class CurvatureSample:
 
 def curvature_sample(metric, p):
     """Christoffel symbols, curvature, sectional extremes and symmetry
-    residuals at p, all from one jet of the metric."""
-    p = as_point(p, metric.dim)
-    g, gam, r = _curvature(metric, p)
-    rm = np.einsum("lm,mijk->ijkl", g, r)
-    s, gram = _operator_matrices(g, rm)
-    vals = _pencil_eigvals(s, gram)
+    residuals at p, or at each row of an (N, dim) batch, all from one jet of
+    the metric."""
+    p = as_points(p, metric.dim)
+    gam, rm, k_min, k_max, *residuals = _curvature(metric, p, _sample_rows)
     return CurvatureSample(
         point=p,
         gamma=gam,
         riemann=rm,
-        k_min=float(vals[0]),
-        k_max=float(vals[-1]),
-        symmetry_residuals=riemann_symmetry_residuals(g, rm),
+        k_min=_scalar(k_min),
+        k_max=_scalar(k_max),
+        symmetry_residuals={k: _scalar(v) for k, v in zip(_RESIDUALS, residuals)},
     )
+
+
+def _sample_rows(g, gam, r, rows):
+    rm = _lower(g, r)
+    s, gram = _operator_matrices(g, rm)
+    vals = _pencil_eigvals(s, gram, rows)
+    return (gam, rm, vals[:, 0], vals[:, -1], *riemann_symmetry_residuals(g, rm).values())
 
 
 def metric_from_expressions(fields, box, dim=3, variables=("u", "v", "w"), name="custom"):
@@ -342,17 +463,17 @@ def metric_from_expressions(fields, box, dim=3, variables=("u", "v", "w"), name=
     vnames = variables[:dim]
 
     def matrix(p):
-        values = dict(zip(vnames, p))
-        g = np.zeros((dim, dim))
+        values = {name: p[..., k] for k, name in enumerate(vnames)}
+        g = np.zeros(p.shape[:-1] + (dim, dim))
         for i in range(dim):
             for j in range(i, dim):
                 key = f"g{i + 1}{j + 1}"
                 alt = f"g{j + 1}{i + 1}"
                 if key in fields:
-                    g[i, j] = fields[key](**values)
+                    g[..., i, j] = fields[key](**values)
                 elif alt in fields:
-                    g[i, j] = fields[alt](**values)
-                g[j, i] = g[i, j]
+                    g[..., i, j] = fields[alt](**values)
+                g[..., j, i] = g[..., i, j]
         return g
 
     return MetricField(dim, matrix, box, name=name)

@@ -74,8 +74,9 @@ def _read(path):
 def _inputs(args, **parsed):
     """The digest payload: every parsed argument but the output-only
     ``--json`` and ``--csv``.  ``--param`` enters as its parsed dict, and a
-    file input by its content: the text of a ``--metric FILE`` or an
-    ``--example file:PATH``, and ``parsed`` for the others."""
+    file input by its content: the text of a ``--metric FILE``, of an
+    ``--example file:PATH`` and of the metric file its ``ambient`` line
+    names, and ``parsed`` for the others."""
     payload = {k: v for k, v in vars(args).items() if k not in ("json", "csv", "fn")}
     if "param" in payload:
         payload["param"] = _parse_params(args.param)
@@ -83,6 +84,9 @@ def _inputs(args, **parsed):
         payload["metric"] = _read(args.metric)
     if payload.get("example", "").startswith("file:"):
         payload["example"] = _read(args.example[5:])
+        ambient = _split_ambient(payload["example"])[1]
+        if ambient not in gallery.builtin_names():
+            payload["ambient"] = _read(ambient)
     payload.update(parsed)
     return payload
 
@@ -170,10 +174,23 @@ def _connection_for(args):
 def _surface_file_connection(path):
     """Immersion data from a surface expression file: lines ``phi1 = ...``,
     ``phi2``, ``phi3`` in (u, v), a ``box = lo hi lo hi`` line, and an
-    optional ``ambient = <builtin metric>`` line (default euclidean3)."""
+    optional ``ambient = <builtin metric or metric file>`` line (default
+    euclidean3)."""
     from .immersion import surface_from_expressions
 
-    text = _read(path)
+    text, ambient_name = _split_ambient(_read(path))
+    fields, box = parse_assignments(text, ("u", "v"))
+    if box is None or len(box) != 4:
+        raise ValueError("surface file needs a 'box = lo hi lo hi' line")
+    chart = ChartBox((box[0], box[2]), (box[1], box[3]))
+    patch = surface_from_expressions(fields, chart, name=path)
+    metric = _metric_for(ambient_name)
+    return SurfaceConnectionData.from_immersion(patch, metric)
+
+
+def _split_ambient(text):
+    """A surface file's text without its ``ambient`` line, and the metric
+    that line names (default euclidean3)."""
     ambient_name = "euclidean3"
     kept = []
     for line in text.splitlines():
@@ -185,13 +202,7 @@ def _surface_file_connection(path):
             ambient_name = value.strip()
         else:
             kept.append(line)
-    fields, box = parse_assignments("\n".join(kept), ("u", "v"))
-    if box is None or len(box) != 4:
-        raise ValueError("surface file needs a 'box = lo hi lo hi' line")
-    chart = ChartBox((box[0], box[2]), (box[1], box[3]))
-    patch = surface_from_expressions(fields, chart, name=path)
-    metric = _metric_for(ambient_name)
-    return SurfaceConnectionData.from_immersion(patch, metric)
+    return "\n".join(kept), ambient_name
 
 
 def _metric_for(spec_text):
@@ -241,27 +252,19 @@ def cmd_check_hypothesis(args):
 def cmd_curvature_report(args):
     metric = _metric_for(args.metric)
     dims = [int(x) for x in args.grid.lower().split("x")]
-    if len(dims) != 3:
-        raise ValueError("grid must look like 5x5x3")
+    if len(dims) != 3 or min(dims) < 1:
+        raise ValueError("grid must look like 5x5x3, with at least one point per axis")
     lo = np.asarray(metric.box.lo)
     hi = np.asarray(metric.box.hi)
     pad = 0.15 * (hi - lo) + 2 * metric.fd_margin()
     axes = [np.linspace(lo[i] + pad[i], hi[i] - pad[i], dims[i]) for i in range(3)]
-    worst = {"antisym_first_pair": 0.0, "antisym_second_pair": 0.0,
-             "pair_swap": 0.0, "first_bianchi": 0.0}
-    k_lo, k_hi = np.inf, -np.inf
-    for x in axes[0]:
-        for y in axes[1]:
-            for z in axes[2]:
-                s = curvature_sample(metric, np.array([x, y, z]))
-                for k in worst:
-                    worst[k] = max(worst[k], s.symmetry_residuals[k])
-                k_lo = min(k_lo, s.k_min)
-                k_hi = max(k_hi, s.k_max)
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    s = curvature_sample(metric, grid)
+    worst = {k: float(np.max(v)) for k, v in s.symmetry_residuals.items()}
     tol = 1e-8 if metric.has_analytic_partials else 1e-4
     checks = [_check(f"riemann_{k}", v, "<", tol) for k, v in worst.items()]
     return _finish(args, _inputs(args), checks,
-                   sectional_min=k_lo, sectional_max=k_hi)
+                   sectional_min=float(np.min(s.k_min)), sectional_max=float(np.max(s.k_max)))
 
 
 def _geodesic_for(args):

@@ -11,23 +11,30 @@ Grammar (in rough precedence order, lowest first)::
 Recognised functions: cosh, sinh, tanh, exp, ln, sin, cos.
 Variable names are declared by the caller (u, v, w for ambient metrics;
 u, v for surfaces; s for scalar ODE profiles).
+
+An expression evaluates numbers or numpy arrays of any matching shapes,
+elementwise, with numpy's float arithmetic and ufuncs.  Overflow, an
+invalid operation (``ln`` of a negative number, ``(-1)^0.5``) and division
+by zero raise ExpressionEvaluationError naming the first point at which
+the expression is undefined; they never return inf or NaN.
 """
 
 from __future__ import annotations
 
-import math
 import re
+
+import numpy as np
 
 from .errors import ExpressionError, ExpressionEvaluationError
 
 _FUNCTIONS = {
-    "cosh": math.cosh,
-    "sinh": math.sinh,
-    "tanh": math.tanh,
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
+    "cosh": np.cosh,
+    "sinh": np.sinh,
+    "tanh": np.tanh,
+    "exp": np.exp,
+    "ln": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
 }
 
 _TOKEN = re.compile(
@@ -47,7 +54,7 @@ def _tokenize(text):
                 break
             raise ExpressionError(f"unexpected character {text[pos]!r} in {text!r}")
         if m.group("num") is not None:
-            tokens.append(("num", float(m.group(0))))
+            tokens.append(("num", np.float64(m.group(0))))
         elif m.group("name") is not None:
             tokens.append(("name", m.group("name")))
         else:
@@ -65,12 +72,28 @@ class Expression:
         self._ast = _Parser(_tokenize(text), set(self.variables)).parse()
 
     def __call__(self, **values):
+        # [()] makes a number a numpy scalar, which the ufuncs take faster
+        arrays = {name: np.asarray(v, dtype=float)[()] for name, v in values.items()}
         try:
-            return _eval(self._ast, values)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            return _checked_eval(self._ast, arrays)
+        except FloatingPointError as exc:
+            point = self._failing_point(arrays)
             raise ExpressionEvaluationError(
-                f"failed to evaluate {self.text!r} at {values}: {exc}", point=values
+                f"failed to evaluate {self.text!r} at {point}: {exc}", point=point
             ) from exc
+
+    def _failing_point(self, arrays):
+        """The first point, in C order over the broadcast values, at which
+        the expression alone fails to evaluate, as {name: float}."""
+        names = list(arrays)
+        columns = [a.ravel() for a in np.broadcast_arrays(*arrays.values())]
+        for row in zip(*columns):
+            point = {name: float(x) for name, x in zip(names, row)}
+            try:
+                _checked_eval(self._ast, {name: np.float64(x) for name, x in point.items()})
+            except FloatingPointError:
+                return point
+        return {name: a.tolist() for name, a in arrays.items()}
 
     def __repr__(self):
         return f"Expression({self.text!r})"
@@ -149,6 +172,13 @@ class _Parser:
             self.expect_op(")")
             return node
         raise ExpressionError(f"unexpected token {value!r}")
+
+
+@np.errstate(over="raise", invalid="raise", divide="raise")
+def _checked_eval(node, values):
+    """``_eval`` with overflow, invalid operations and division by zero
+    raised as FloatingPointError."""
+    return _eval(node, values)
 
 
 def _eval(node, values):

@@ -70,32 +70,37 @@ def euclidean3(half_width=10.0):
     return _flat(3, half_width, "euclidean3")
 
 
+def _square_norm(p):
+    """|p|^2 over the last axis; the stacked matmul of a batch rounds each
+    row as ``p @ p`` does."""
+    return p @ p if p.ndim == 1 else (p[..., None, :] @ p[..., None])[..., 0, 0]
+
+
 def _conformal3(sign, half_width, name):
     """g = lam(x)^2 delta with lam = 2/(1 + sign*|x|^2): the round 3-sphere
     (sign=+1) or hyperbolic 3-space (sign=-1) in a conformal chart."""
 
-    def lam(p):
-        return 2.0 / (1.0 + sign * float(p @ p))
+    eye = np.eye(3)
 
+    def lam(p):
+        return 2.0 / (1.0 + sign * _square_norm(p))
+
+    # powers are taken before axes are added: for one point they are then
+    # numpy scalar powers, which round as Python's float ** does
     def matrix(p):
-        return lam(p) ** 2 * np.eye(3)
+        return (lam(p) ** 2)[..., None, None] * eye
 
     def partials(p):
-        l = lam(p)
+        l = lam(p)[..., None]
         dl = -sign * l * l * p
-        out = np.zeros((3, 3, 3))
-        for k in range(3):
-            out[k] = 2.0 * l * dl[k] * np.eye(3)
-        return out
+        # dg[k] = 2 l d_k l delta
+        return (2.0 * l * dl)[..., None, None] * eye
 
     def second_partials(p):
         l = lam(p)
-        out = np.zeros((3, 3, 3, 3))
-        for k in range(3):
-            for m in range(3):
-                coeff = 6.0 * l ** 4 * p[k] * p[m] - sign * 2.0 * l ** 3 * (1 if k == m else 0)
-                out[k, m] = coeff * np.eye(3)
-        return out
+        coeff = (6.0 * l ** 4)[..., None, None] * p[..., :, None] * p[..., None, :] \
+            - (sign * 2.0 * l ** 3)[..., None, None] * eye
+        return coeff[..., None, None] * eye
 
     return MetricField(3, matrix, ChartBox.cube(3, half_width), partials=partials,
                        second_partials=second_partials, name=name)
@@ -132,22 +137,22 @@ def g_lambda(lam, z_half=None, analytic=True, fd_step=1e-3):
             f"z-box {z_half} too wide: 1 - 2*lambda*z vanishes inside it")
 
     def matrix(p):
-        x, y, z = p
-        return np.diag([
-            (1.0 + 2.0 * lam * z) * np.cosh(y) ** 2 * np.cosh(z) ** 2,
-            (1.0 - 2.0 * lam * z) * np.cosh(z) ** 2,
-            1.0,
-        ])
+        y, z = p[..., 1], p[..., 2]
+        g = np.zeros(p.shape[:-1] + (3, 3))
+        g[..., 0, 0] = (1.0 + 2.0 * lam * z) * np.cosh(y) ** 2 * np.cosh(z) ** 2
+        g[..., 1, 1] = (1.0 - 2.0 * lam * z) * np.cosh(z) ** 2
+        g[..., 2, 2] = 1.0
+        return g
 
     def partials(p):
-        x, y, z = p
+        y, z = p[..., 1], p[..., 2]
         cy, sy = np.cosh(y), np.sinh(y)
         cz, sz = np.cosh(z), np.sinh(z)
-        d = np.zeros((3, 3, 3))
-        d[1, 0, 0] = (1.0 + 2.0 * lam * z) * 2.0 * cy * sy * cz * cz
-        d[2, 0, 0] = 2.0 * lam * cy * cy * cz * cz \
+        d = np.zeros(p.shape[:-1] + (3, 3, 3))
+        d[..., 1, 0, 0] = (1.0 + 2.0 * lam * z) * 2.0 * cy * sy * cz * cz
+        d[..., 2, 0, 0] = 2.0 * lam * cy * cy * cz * cz \
             + (1.0 + 2.0 * lam * z) * cy * cy * 2.0 * cz * sz
-        d[2, 1, 1] = -2.0 * lam * cz * cz + (1.0 - 2.0 * lam * z) * 2.0 * cz * sz
+        d[..., 2, 1, 1] = -2.0 * lam * cz * cz + (1.0 - 2.0 * lam * z) * 2.0 * cz * sz
         return d
 
     box = ChartBox((-2.0, -2.0, -z_half), (2.0, 2.0, z_half))
@@ -162,27 +167,31 @@ def g_lambda_reference_entries(lam):
     The first three are the sectional curvatures of the coordinate planes;
     the last three are the mixed entries Rm(e1,e2,e1,e3), Rm(e2,e1,e2,e3),
     Rm(e3,e1,e3,e2).  These closed forms are exact on the z = 0 slice.
+    Each takes a point or an (N, 3) batch of points.
     """
     return [
         ("sectional_12", lambda p: lam ** 2 - 1.0),
         ("sectional_13", lambda p: lam ** 2 - 1.0),
         ("sectional_32", lambda p: lam ** 2 - 1.0),
-        ("mixed_1213", lambda p: 2.0 * lam * np.tanh(p[1])),
+        ("mixed_1213", lambda p: 2.0 * lam * np.tanh(np.asarray(p)[..., 1])),
         ("mixed_2123", lambda p: 0.0),
         ("mixed_3132", lambda p: 0.0),
     ]
 
 
 def measured_g_lambda_entries(metric, p):
-    """The same six entries measured through the curvature pipeline."""
+    """The same six entries measured through the curvature pipeline, as
+    floats at one point or as (N,) arrays over the rows of a batch."""
     g = metric.matrix(p)
     rm = riemann_covariant(metric, p)
-    e = [np.zeros(3) for _ in range(3)]
-    for i in range(3):
-        e[i][i] = 1.0 / np.sqrt(g[i, i])
+    # the unit vectors along the axes: e_a = scale[a] d_a
+    scale = [1.0 / np.sqrt(g[..., i, i]) for i in range(3)]
 
     def rm_e(a, b, c, d):
-        return float(np.einsum("ijkl,i,j,k,l->", rm, e[a], e[b], e[c], e[d]))
+        # the single nonzero term of Rm(e_a, e_b, e_c, e_d), multiplied in
+        # the order of the four-vector contraction
+        value = rm[..., a, b, c, d] * scale[a] * scale[b] * scale[c] * scale[d]
+        return float(value) if value.ndim == 0 else value
 
     def sec(a, b):
         return rm_e(a, b, b, a)  # orthonormal pair, so the Gram factor is 1
@@ -200,16 +209,19 @@ def hyperbolic_plane_polar(r_min=1e-3, r_max=4.0):
     with |theta| <= 8."""
 
     def matrix(q):
-        return np.diag([1.0, np.sinh(q[0]) ** 2])
+        g = np.zeros(q.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = np.sinh(q[..., 0]) ** 2
+        return g
 
     def partials(q):
-        d = np.zeros((2, 2, 2))
-        d[0, 1, 1] = 2.0 * np.sinh(q[0]) * np.cosh(q[0])
+        d = np.zeros(q.shape[:-1] + (2, 2, 2))
+        d[..., 0, 1, 1] = 2.0 * np.sinh(q[..., 0]) * np.cosh(q[..., 0])
         return d
 
     def second_partials(q):
-        d = np.zeros((2, 2, 2, 2))
-        d[0, 0, 1, 1] = 2.0 * np.cosh(2.0 * q[0])
+        d = np.zeros(q.shape[:-1] + (2, 2, 2, 2))
+        d[..., 0, 0, 1, 1] = 2.0 * np.cosh(2.0 * q[..., 0])
         return d
 
     return MetricField(2, matrix, ChartBox((r_min, -8.0), (r_max, 8.0)),
@@ -220,17 +232,19 @@ def hyperbolic_plane_polar(r_min=1e-3, r_max=4.0):
 def abstract_sphere(half_width=2.5):
     """Round 2-sphere in a stereographic chart with zero torsion."""
 
+    eye = np.eye(2)
+
+    def lam(q):
+        return 2.0 / (1.0 + _square_norm(q))
+
     def matrix(q):
-        l = 2.0 / (1.0 + float(q @ q))
-        return l * l * np.eye(2)
+        l = lam(q)[..., None, None]
+        return l * l * eye
 
     def partials(q):
-        l = 2.0 / (1.0 + float(q @ q))
+        l = lam(q)[..., None]
         dl = -l * l * q
-        out = np.zeros((2, 2, 2))
-        for k in range(2):
-            out[k] = 2.0 * l * dl[k] * np.eye(2)
-        return out
+        return (2.0 * l * dl)[..., None, None] * eye
 
     m = MetricField(2, matrix, ChartBox.cube(2, half_width), partials=partials,
                     name="sphere2_abstract")
@@ -545,14 +559,10 @@ def verify_example(name, params=None):
         ys = np.linspace(-1, 1, 11)
         zs = np.linspace(-z_cap, z_cap, 3)
         names, refs = zip(*g_lambda_reference_entries(lam))
-        grid = [np.array([x, y, z]) for x in xs for y in ys for z in zs]
-
-        def errs_at(p):
-            measured = measured_g_lambda_entries(m, p)
-            return [abs(measured[i] - refs[i](p)) for i in range(6)]
-
-        all_errs = np.array([errs_at(p) for p in grid])
-        z0 = np.array([abs(p[2]) < 1e-12 for p in grid])
+        grid = np.array([[x, y, z] for x in xs for y in ys for z in zs])
+        measured = measured_g_lambda_entries(m, grid)
+        all_errs = np.column_stack([np.abs(measured[i] - refs[i](grid)) for i in range(6)])
+        z0 = np.abs(grid[:, 2]) < 1e-12
         tol = 1e-3
         for i, nm in enumerate(names):
             fields.append(_field(nm, np.max(all_errs[:, i]), tol))
@@ -566,15 +576,11 @@ def verify_example(name, params=None):
         lo = np.asarray(m.box.lo) * 0.6
         hi = np.asarray(m.box.hi) * 0.6
         rng = np.random.default_rng(7)
-        pts = [lo + (hi - lo) * rng.random(3) for _ in range(20)]
-
-        def err_at(p):
-            kmin, kmax = sectional_range(m, p)
-            r = ref(p)
-            return max(abs(kmin - r), abs(kmax - r))
-
-        errs = [err_at(p) for p in pts]
-        fields.append(_field("sectional_range", max(errs), 1e-5))
+        pts = np.array([lo + (hi - lo) * rng.random(3) for _ in range(20)])
+        kmin, kmax = sectional_range(m, pts)
+        r = ref(pts)
+        errs = np.maximum(np.abs(kmin - r), np.abs(kmax - r))
+        fields.append(_field("sectional_range", np.max(errs), 1e-5))
 
     elif name == "hyperbolic_deformed":
         t = case.params["t"]
@@ -691,7 +697,8 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
         return np.linalg.solve(h, twist) / math.sqrt(np.linalg.det(data.third_form(q)))
 
     structure = SurfaceConnectionData.from_metric_and_torsion(
-        MetricField(2, data.third_form, sigma_field.box, name="III[monge_ampere]"), torsion)
+        MetricField(2, _fd.pointwise(data.third_form), sigma_field.box,
+                    name="III[monge_ampere]"), torsion)
     if sample_points is None:
         lo = np.asarray(sigma_field.box.lo)
         hi = np.asarray(sigma_field.box.hi)

@@ -91,7 +91,7 @@ class SurfacePatch:
             jac, hess = self._derivatives(q)
             return (np.asarray(self._map(q), dtype=float), np.asarray(jac, dtype=float),
                     np.asarray(hess, dtype=float))
-        p, grad, hess = _fd.jet(self._map, q, self.fd_step)
+        p, grad, hess = _fd.jet(_fd.pointwise(self._map), q, self.fd_step)
         return (np.asarray(p, dtype=float), np.ascontiguousarray(grad.T),
                 np.ascontiguousarray(np.moveaxis(hess, 2, 0)))
 
@@ -181,8 +181,10 @@ def induced_metric_field(patch, ambient):
 
     Carries analytic first partials whenever both the patch and the ambient
     metric do, so intrinsic curvature goes through the same pipeline as
-    ambient curvature with one less coordinate.
+    ambient curvature with one less coordinate.  The patch takes one
+    point at a time, so both leaves are pointwise.
     """
+    @_fd.pointwise
     def first(q):
         jac = patch.jacobian(q)
         g = ambient.matrix(patch.point(q))
@@ -190,6 +192,7 @@ def induced_metric_field(patch, ambient):
 
     partials = None
     if patch.has_analytic_partials and ambient.has_analytic_partials:
+        @_fd.pointwise
         def partials(q):
             p, jac, hess = patch.jet(q)
             g = ambient.matrix(p)

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from efimov_lab import _fd, gallery
 from efimov_lab.ambient import (
+    CHUNK,
     ChartBox,
     MetricField,
     christoffel,
@@ -20,8 +22,18 @@ from efimov_lab.errors import DegeneratePlane, NonInvertibleMetric, PointOutside
 from efimov_lab.expressions import parse_assignments
 
 
+def diagonal(*entries):
+    """A metric leaf diag(entries) written to broadcast: each entry maps
+    (..., dim) points to (...,) values, or is a constant."""
+    def matrix(p):
+        diag = np.stack(np.broadcast_arrays(*(e(p) if callable(e) else np.float64(e)
+                                              for e in entries)), axis=-1)
+        return diag[..., None] * np.eye(len(entries))
+    return matrix
+
+
 def polar_flat():
-    return MetricField(3, lambda p: np.diag([1.0, p[0] ** 2, 1.0]),
+    return MetricField(3, diagonal(1.0, lambda p: p[..., 0] ** 2, 1.0),
                        ChartBox((0.5, -3.0, -1.0), (3.0, 3.0, 1.0)), name="polar")
 
 
@@ -138,6 +150,9 @@ def test_chart_box_contains_edge_inputs():
     for p, margin, expected in cases:
         assert box.contains(np.array(p), margin=margin) is expected, (p, margin)
         assert box.contains(list(p), margin=margin) is expected, (p, margin)
+        # the row-wise form agrees on every row of a batch
+        rows = box.inside(np.array([p, (0.0, 1.0), p]), margin=margin)
+        assert rows.tolist() == [expected, box.contains((0.0, 1.0), margin), expected], (p, margin)
     inf_box = ChartBox((-np.inf, 0), (np.inf, 1))
     assert inf_box.contains((1e300, 1)) is True
     assert inf_box.contains((np.inf, 0.5)) is True
@@ -147,7 +162,7 @@ def test_chart_box_contains_edge_inputs():
 
 
 def test_non_invertible_metric():
-    m = MetricField(3, lambda p: np.diag([p[0] ** 2, 1.0, 1.0]),
+    m = MetricField(3, _fd.pointwise(lambda p: np.diag([p[0] ** 2, 1.0, 1.0])),
                     ChartBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))
     with pytest.raises(NonInvertibleMetric):
         m.inverse([0.0, 0.0, 0.0])
@@ -156,13 +171,20 @@ def test_non_invertible_metric():
 @pytest.mark.parametrize("evaluate", [sectional_range, curvature_sample])
 def test_lorentzian_metric_sectional_extremes_raise_typed_error(evaluate):
     """An indefinite metric has no positive definite Gram matrix on 2-planes,
-    so the sectional pencil is not symmetric-definite."""
-    m = MetricField(3, lambda p: np.diag([1.0, 1.0, -1.0 - 0.1 * p[0] ** 2]),
-                    ChartBox.cube(3, 1.0))
+    so the sectional pencil is not symmetric-definite: at one point and in
+    a batch."""
+    m = lorentzian()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonInvertibleMetric):
             evaluate(m, [0.1, 0.2, 0.3])
+        with pytest.raises(NonInvertibleMetric, match=re.escape(str(np.zeros(3)))):
+            evaluate(m, np.zeros((4, 3)))
+
+
+def lorentzian():
+    return MetricField(3, diagonal(1.0, 1.0, lambda p: -1.0 - 0.1 * p[..., 0] ** 2),
+                       ChartBox.cube(3, 1.0))
 
 
 def test_degenerate_plane():
@@ -186,46 +208,104 @@ def test_metric_symmetry_and_positivity_sampled():
 
 
 def counted(metric):
-    """(copy of a pure-FD metric whose matrix callable counts its calls, calls)"""
-    calls = [0]
+    """(copy of a pure-FD metric whose matrix leaf records the point count
+    of each call, counts)"""
+    counts = []
 
     def matrix(p):
-        calls[0] += 1
+        counts.append(int(np.prod(np.shape(p)[:-1])))
         return metric.matrix(p)
 
     return MetricField(metric.dim, matrix, metric.box, fd_step=metric.fd_step,
-                       name=metric.name), calls
+                       name=metric.name), counts
+
+
+def batch_3d(n):
+    """n points inside the g_lambda(1) stencil margin."""
+    rng = np.random.default_rng(n)
+    return np.column_stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n),
+                            rng.uniform(-0.15, 0.15, n)])
 
 
 @pytest.mark.parametrize("evaluate", [curvature_sample, riemann_covariant])
 def test_pure_fd_curvature_takes_one_stencil_per_point(evaluate):
-    """1 + 4n + 4n(n-1) = 37 distinct points in 3D, each evaluated once."""
-    m, calls = counted(gallery.g_lambda(1.0, analytic=False))
+    """1 + 4n + 4n(n-1) = 37 distinct points in 3D, each evaluated once, in
+    one leaf call per batch: one point, then N points."""
+    m, counts = counted(gallery.g_lambda(1.0, analytic=False))
     evaluate(m, [0.3, -0.4, 0.05])
-    assert calls[0] == 37
+    assert counts == [37]
+    counts.clear()
+    evaluate(m, batch_3d(5))
+    assert counts == [5 * 37]
+
+
+def sinh_polar():
+    """dr^2 + sinh^2(r) dtheta^2, written to broadcast, without partials."""
+    return MetricField(2, diagonal(1.0, lambda q: np.sinh(q[..., 0]) ** 2),
+                       ChartBox((0.5, -1.0), (2.0, 1.0)))
 
 
 def test_pure_fd_curvature_in_2d_takes_17_evaluations():
-    m, calls = counted(MetricField(2, lambda q: np.diag([1.0, np.sinh(q[0]) ** 2]),
-                                   ChartBox((0.5, -1.0), (2.0, 1.0))))
+    m, counts = counted(sinh_polar())
     rm = riemann_covariant(m, [1.1, 0.2])
-    assert calls[0] == 17
+    assert counts == [17]
     k = rm[0, 1, 1, 0] / np.linalg.det(m.matrix([1.1, 0.2]))
     assert abs(k + 1.0) < 1e-6  # dr^2 + sinh^2(r) dtheta^2 has K = -1
+    counts.clear()
+    qs = np.column_stack([np.linspace(0.6, 1.9, 6), np.linspace(-0.9, 0.9, 6)])
+    rm = riemann_covariant(m, qs)
+    assert counts == [6 * 17]
+    k = rm[:, 0, 1, 1, 0] / np.linalg.det(m.matrix(qs))
+    assert np.max(np.abs(k + 1.0)) < 1e-6
+
+
+def test_grid_beyond_one_chunk_takes_one_leaf_call_per_chunk():
+    """Grids are evaluated CHUNK rows at a time: ceil(N / CHUNK) leaf calls
+    of at most CHUNK stencils, and every row has the closed-form curvature
+    of dw^2 + e^{2w}(du^2 + dv^2), -1."""
+    fields, box = parse_assignments(
+        "box = -1 1 -1 1 -0.5 0.5\ng11 = exp(2*w)\ng22 = exp(2*w)\ng33 = 1\n", ("u", "v", "w"))
+    m, counts = counted(metric_from_expressions(fields, ChartBox(tuple(box[0::2]),
+                                                                 tuple(box[1::2]))))
+    n = 2 * CHUNK + 3
+    rng = np.random.default_rng(8)
+    pts = rng.uniform([-0.9, -0.9, -0.45], [0.9, 0.9, 0.45], (n, 3))
+    s = curvature_sample(m, pts)
+    assert counts == [37 * CHUNK, 37 * CHUNK, 37 * 3] and len(counts) == -(-n // CHUNK)
+    assert s.k_min.shape == s.k_max.shape == (n,) and s.riemann.shape == (n, 3, 3, 3, 3)
+    assert np.max(np.abs(s.k_min + 1.0)) < 1e-6 and np.max(np.abs(s.k_max + 1.0)) < 1e-6
 
 
 def test_pure_fd_jet_equals_separate_derivatives():
     """The jet's g, dg and d2g equal the separate central and second stencils
-    bit for bit, so curvature numbers do not move."""
+    bit for bit, so curvature numbers do not move: at one point, and at each
+    row of an (N, 3) batch against the stencils of that batch.  (The leaf of
+    a batch squares with numpy's array power, which can round differently
+    from the scalar power of one point, so rows are compared with stencils
+    evaluated the same way.)"""
     m = gallery.g_lambda(0.7, analytic=False)
+    h = m.fd_step
     p = np.array([0.3, -0.4, 0.05])
-    g, dg, d2g = m.jet(p)
-    assert np.array_equal(g, m.matrix(p))
-    assert np.array_equal(dg, _fd.gradient(m.matrix, p, m.fd_step))
-    for k in range(3):
-        for l in range(k, 3):
-            d2 = _fd.second(m.matrix, p, k, l, m.fd_step)
-            assert np.array_equal(d2g[k, l], d2) and np.array_equal(d2g[l, k], d2)
+    batch = np.vstack([p, batch_3d(6)])
+
+    def assert_jet_matches(q, pick):
+        g, dg, d2g = (pick(a) for a in m.jet(q))
+        assert np.array_equal(g, pick(m.matrix(q)))
+        assert np.array_equal(dg, pick(_fd.gradient(m.matrix, q, h)))
+        for k in range(3):
+            assert np.array_equal(dg[k], pick(_fd.central(m.matrix, q, k, h)))
+            for l in range(k, 3):
+                d2 = pick(_fd.second(m.matrix, q, k, l, h))
+                assert np.array_equal(d2g[k, l], d2) and np.array_equal(d2g[l, k], d2)
+
+    assert_jet_matches(p, lambda a: a)
+    for row in range(len(batch)):
+        assert_jet_matches(batch, lambda a: a[row])
+
+
+def degenerate_metric():
+    """diag(1, 1, w^2): degenerate on the plane w = 0."""
+    return MetricField(3, diagonal(1.0, 1.0, lambda p: p[..., 2] ** 2), ChartBox.cube(3, 1.0))
 
 
 @pytest.mark.parametrize("evaluate", [curvature_sample, riemann_covariant])
@@ -235,7 +315,6 @@ def test_pure_fd_curvature_typed_errors(evaluate):
     m = gallery.g_lambda(1.0, analytic=False)
     room = m.box.hi[2] - m.fd_margin()  # just room for the stencil
     edge = m.box.hi[2] - 0.5 * m.fd_margin()  # inside the box, short of the stencil
-    degenerate = MetricField(3, lambda p: np.diag([1.0, 1.0, p[2] ** 2]), ChartBox.cube(3, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         christoffel(m, [0.1, 0.2, room])
@@ -243,7 +322,28 @@ def test_pure_fd_curvature_typed_errors(evaluate):
         with pytest.raises(PointOutsideChart):
             evaluate(m, [0.1, 0.2, edge])
         with pytest.raises(NonInvertibleMetric):
-            evaluate(degenerate, [0.1, 0.2, 0.0])
+            evaluate(degenerate_metric(), [0.1, 0.2, 0.0])
+
+
+@pytest.mark.parametrize("evaluate", [curvature_sample, riemann_covariant, sectional_range])
+def test_batch_typed_errors_name_the_failing_row(evaluate):
+    """One bad row of a batch raises the typed error of a single point,
+    naming that row's point, and no numpy warning: a row short of the
+    stencil margin and a row where the metric degenerates."""
+    m = gallery.g_lambda(1.0, analytic=False)
+    edge = m.box.hi[2] - 0.5 * m.fd_margin()
+    batch = batch_3d(7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluate(m, batch)
+        bad = batch.copy()
+        bad[4] = [0.1, 0.2, edge]
+        with pytest.raises(PointOutsideChart, match=re.escape(str(bad[4]))):
+            evaluate(m, bad)
+        flat = 0.5 * batch
+        flat[3, 2] = 0.0
+        with pytest.raises(NonInvertibleMetric, match=re.escape(str(flat[3]))):
+            evaluate(degenerate_metric(), flat)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -3,6 +3,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,25 @@ def test_digest_covers_every_input_but_the_output_options(tmp_path):
     assert digests[0][0] != digests[1][0] and digests[0][1] != digests[1][1]
 
 
+def test_digest_keys_a_surface_files_metric_file_by_its_text(tmp_path):
+    """A surface file's ``ambient = FILE`` line enters the digest by that
+    metric file's text: rewriting the metric file changes the digest."""
+    metric = tmp_path / "m.txt"
+    surface = tmp_path / "s.txt"
+    surface.write_text(f"ambient = {metric}\nbox = -0.5 0.5 -0.5 0.5\n"
+                       "phi1 = u\nphi2 = v\nphi3 = u*v\n")
+    geodesic = ("geodesic", "--example", f"file:{surface}", "--start", "0.1,0.1",
+                "--dir", "1,0", "--length", "0.02", "--step", "0.01", "--json")
+    digests = []
+    for scale in ("1", "1.5"):
+        metric.write_text(f"box = -1 1 -1 1 -1 1\ng11 = {scale}\ng22 = {scale}\ng33 = 1\n")
+        code, out, err = run_cli(*geodesic)
+        assert code in (0, 1), err  # a report, pass or fail
+        digests.append(_digest(out))
+    assert digests[0] != digests[1]
+    assert _digest(run_cli(*geodesic)[1]) == digests[1]
+
+
 @pytest.mark.parametrize("argv", [
     ("edo", "--u", "0", "--eps", "1"),
     ("jacobi", "--example", "abstract_sphere", "--start", "1,0", "--dir", "0,1",
@@ -311,6 +331,19 @@ def test_bad_metric_file_exits_2(tmp_path):
     f.write_text("g11 = 1\n")  # no box line
     code, _, err = run_cli("curvature-report", "--metric", str(f))
     assert code == 2
+
+
+@pytest.mark.parametrize("g11", ["(u-2)^0.5", "ln(u)", "1/u"])
+def test_metric_file_undefined_inside_the_box_exits_2(tmp_path, g11):
+    """An expression undefined at a grid point (or its stencil) is a typed
+    error naming the point, exit 2, and never a numpy warning."""
+    f = tmp_path / "metric.txt"
+    f.write_text(f"box = -1 1 -1 1 -0.5 0.5\ng11 = {g11}\ng22 = 1\ng33 = 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("curvature-report", "--metric", str(f), "--grid", "3x3x3")
+    assert code == 2 and out == ""
+    assert f"failed to evaluate '{g11}' at {{'u': " in err
 
 
 def test_net_check_command():
