@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _fd
-from .errors import DegeneratePlane, NonInvertibleMetric, PointOutsideChart
+from .errors import DegeneratePlane, NonFiniteMetric, NonInvertibleMetric, PointOutsideChart
 
 DET_FLOOR = 1e-12
 # rows per stacked metric-leaf call of the batched curvature: bounds the
@@ -229,7 +229,8 @@ def _curvature(metric, p, finish=None):
     Levi-Civita symbols ``Gamma[k, i, j]`` and the curvature operator
     coefficients ``R[m, i, j, k]``, at one point p or, with a leading axis,
     at each row of an (N, dim) batch, evaluated ``CHUNK`` rows at a time.
-    The chart margin and the determinant floor are checked on every row.
+    The chart margin, the finiteness of the jet and the determinant floor
+    are checked on every row.
 
     ``finish(g, gam, r, rows)``, when given, maps the three arrays of each
     chunk to the per-row arrays returned instead, so that a grid keeps only
@@ -239,17 +240,32 @@ def _curvature(metric, p, finish=None):
     finish = finish or (lambda g, gam, r, rows: (g, gam, r))
     if pts.ndim == 1:
         # the leaves take the point itself, where numpy scalars are fastest
-        jet = [a[None] for a in metric.jet(pts)]
+        jet = [a[None] for a in _finite_jet(metric, pts)]
         return tuple(a[0] for a in finish(*_curvature_rows(*jet, pts[None]), pts[None]))
     out = None
     for i in range(0, len(pts), CHUNK):
         rows = pts[i:i + CHUNK]
-        part = finish(*_curvature_rows(*metric.jet(rows), rows), rows)
+        part = finish(*_curvature_rows(*_finite_jet(metric, rows), rows), rows)
         if out is None:
             out = tuple(np.empty((len(pts),) + a.shape[1:], a.dtype) for a in part)
         for o, a in zip(out, part):
             o[i:i + CHUNK] = a
     return out
+
+
+def _finite_jet(metric, p):
+    """``metric.jet(p)``; a point where it is not finite (an overflow in the
+    stencil differences, say) raises NonFiniteMetric naming the first such
+    point, in place of numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        jet = metric.jet(p)
+    rows = p.reshape(-1, metric.dim)
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(rows), -1).all(axis=1) for a in jet])
+    if not finite.all():
+        raise NonFiniteMetric(
+            f"the metric or its derivatives are not finite at {rows[np.argmin(finite)]}")
+    return jet
 
 
 def _curvature_rows(g, dg, d2g, pts):

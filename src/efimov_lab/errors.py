@@ -22,6 +22,11 @@ class NonInvertibleMetric(GeometryError):
     the Gram matrix a metric induces on 2-planes is not positive definite."""
 
 
+class NonFiniteMetric(GeometryError):
+    """A metric's values or its finite-difference derivatives at a point are
+    inf or NaN: the metric overflows there, or its stencil differences do."""
+
+
 class DegeneratePlane(GeometryError):
     """The two vectors supposed to span a tangent 2-plane are (nearly) parallel."""
 

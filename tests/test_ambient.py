@@ -18,7 +18,12 @@ from efimov_lab.ambient import (
     riemann_sectional,
     sectional_range,
 )
-from efimov_lab.errors import DegeneratePlane, NonInvertibleMetric, PointOutsideChart
+from efimov_lab.errors import (
+    DegeneratePlane,
+    NonFiniteMetric,
+    NonInvertibleMetric,
+    PointOutsideChart,
+)
 from efimov_lab.expressions import parse_assignments
 
 
@@ -344,6 +349,23 @@ def test_batch_typed_errors_name_the_failing_row(evaluate):
         flat[3, 2] = 0.0
         with pytest.raises(NonInvertibleMetric, match=re.escape(str(flat[3]))):
             evaluate(degenerate_metric(), flat)
+
+
+@pytest.mark.parametrize("evaluate", [curvature_sample, riemann_covariant, sectional_range])
+def test_overflowing_stencil_raises_typed_error_naming_the_row(evaluate):
+    """g11 = e^{709 x} is finite on the chart, but its second differences at
+    x = 0.998 overflow: NonFiniteMetric naming that point, at one point and
+    in a batch, and no numpy warning."""
+    m = MetricField(3, diagonal(lambda p: np.exp(709.0 * p[..., 0]), 1.0, 1.0),
+                    ChartBox.cube(3, 1.0))
+    hot = np.array([0.998, 0.1, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        evaluate(m, [0.5, 0.1, 0.0])
+        with pytest.raises(NonFiniteMetric, match=re.escape(str(hot))):
+            evaluate(m, hot)
+        with pytest.raises(NonFiniteMetric, match=re.escape(str(hot))):
+            evaluate(m, np.array([[0.5, 0.1, 0.0], hot, [0.9, 0.0, 0.0]]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
