@@ -322,9 +322,12 @@ def _lower(g, r):
 
 def gauss_curvature(metric2d, p):
     """Gaussian curvature ``Rm[0, 1, 1, 0] / det g`` of a 2D metric at p
-    (an array over the rows of a batch p)."""
-    rm = riemann_covariant(metric2d, p)
-    return _scalar(rm[..., 0, 1, 1, 0] / np.linalg.det(metric2d.matrix(p)))
+    (an array over the rows of a batch p), with g from the same jet."""
+    return _scalar(_curvature(metric2d, p, _gauss_rows)[0])
+
+
+def _gauss_rows(g, gam, r, rows):
+    return (_lower(g, r)[:, 0, 1, 1, 0] / np.linalg.det(g),)
 
 
 _RESIDUALS = ("antisym_first_pair", "antisym_second_pair", "pair_swap", "first_bianchi")
@@ -363,21 +366,9 @@ _PAIR_I = np.array([0, 0, 1])
 _PAIR_J = np.array([1, 2, 2])
 
 
-def curvature_operator_matrices(metric, p):
-    """Quadratic form S and Gram matrix G of the curvature operator on
-    Lambda^2 in the ordered basis (e1^e2, e1^e3, e2^e3), at one point or
-    at each row of a batch.
-
-    The Rayleigh quotient of (S, G) on a decomposable 2-vector x^y equals the
-    sectional curvature K(x, y); in dimension 3 every 2-vector is
-    decomposable, so the generalized eigenvalues of (S, G) are the sectional
-    extremes.
-    """
-    p = as_points(p, metric.dim)
-    return _operator_matrices(metric.matrix(p), riemann_covariant(metric, p))
-
-
 def _operator_matrices(g, rm):
+    """Quadratic form S and Gram matrix G of the curvature operator on
+    Lambda^2 in the ordered basis (e1^e2, e1^e3, e2^e3), for each row."""
     # s[a, b] = rm[i_a, j_a, j_b, i_b], gram[a, b] = g[i_a, i_b] g[j_a, j_b]
     # - g[i_a, j_b] g[j_a, i_b]
     i, j = _PAIR_I[:, None], _PAIR_J[:, None]
@@ -394,11 +385,19 @@ def sectional_range(metric, p):
     shape (N, 3), two (N,) arrays.
 
     Computed as the eigenvalue extremes of the curvature operator on
-    Lambda^2 with its metric-induced inner product.
+    Lambda^2 with its metric-induced inner product: the Rayleigh quotient
+    of the pencil (S, G) of ``_operator_matrices`` on a decomposable
+    2-vector x^y equals the sectional curvature K(x, y), and in dimension 3
+    every 2-vector is decomposable.  g comes from the same jet as the
+    curvature.
     """
-    s, gram = curvature_operator_matrices(metric, p)
-    vals = _pencil_eigvals(s, gram, p)
-    return _scalar(vals[..., 0]), _scalar(vals[..., -1])
+    k_min, k_max = _curvature(metric, p, _range_rows)
+    return _scalar(k_min), _scalar(k_max)
+
+
+def _range_rows(g, gam, r, rows):
+    vals = _pencil_eigvals(*_operator_matrices(g, _lower(g, r)), rows)
+    return vals[:, 0], vals[:, -1]
 
 
 def _pencil_eigvals(s, gram, points=None):
@@ -465,8 +464,7 @@ def curvature_sample(metric, p):
 
 def _sample_rows(g, gam, r, rows):
     rm = _lower(g, r)
-    s, gram = _operator_matrices(g, rm)
-    vals = _pencil_eigvals(s, gram, rows)
+    vals = _pencil_eigvals(*_operator_matrices(g, rm), rows)
     return (gam, rm, vals[:, 0], vals[:, -1], *riemann_symmetry_residuals(g, rm).values())
 
 

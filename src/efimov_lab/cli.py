@@ -304,6 +304,11 @@ def cmd_jacobi(args):
     data, base = _geodesic_for(args)
     x0, y0, xp0, yp0 = (float(t) for t in args.init.split(","))
     jt = jacobi_field(data, base, x0, y0, xp0, yp0, args.step)
+    # x' = y tau_x fixes x0' from y0; a different value would be ignored
+    implied = float(jt.xp[0])
+    if not abs(xp0 - implied) <= 1e-12 * max(1.0, abs(implied)):
+        raise ValueError(f"--init x0' = {xp0!r} contradicts x' = y tau_x, which fixes it at "
+                         f"y0 * tau_x(0) = {implied!r}")
     resid = float(np.max(np.abs(jt.xp - jt.y * jt.tau_x)))
     # the field also stops short where the K~ stencil around a base point
     # no longer fits in the chart
@@ -435,7 +440,8 @@ def build_parser():
         if name == "transport":
             sp.add_argument("--vector", required=True, help="a,b")
         if name == "jacobi":
-            sp.add_argument("--init", default="0,0,0,1", help="x0,y0,xp0,yp0")
+            sp.add_argument("--init", default="0,0,0,1",
+                            help="x0,y0,xp0,yp0, where xp0 must equal y0 * tau_x(0)")
         if name in ("geodesic", "jacobi"):
             sp.add_argument("--csv")
 

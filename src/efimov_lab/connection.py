@@ -19,7 +19,20 @@ way of owning one, and its ``from_*`` constructors return that subclass:
 
 Torsion 2-forms are identified with vector fields through the metric the
 connection preserves: ``tau := T(f1, f2)`` for a positively oriented
-orthonormal frame (f1, f2).
+orthonormal frame (f1, f2).  A torsion field maps (..., 2) points to
+(..., 2) vectors, and one that returns a single vector for every point (a
+constant) is broadcast; a callable of one (2,) point is wrapped in
+``_fd.pointwise``.
+
+Batch contract: ``gamma``, ``third_form``, ``curvature`` and
+``area_density`` take one point of shape (2,) or a batch of shape (N, 2),
+and for a batch every result gains a leading axis over the rows.  Torsion
+mode evaluates a batch in one vectorised pass of the same 2x2 formulas it
+applies to one point (on Python floats there, on (N,) arrays for a batch),
+so each row equals the one-point result bit for bit; it checks every row
+for the chart margin, a positive definite III and finite coefficients, and
+the error names the first failing point.  Operator and immersion modes
+evaluate a batch one row at a time.
 
 Everything here is a pure evaluator over read-only inputs, and verdicts are
 plain value objects.  The only mutable state is the immersion mode's memo
@@ -40,12 +53,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import DET_FLOOR, as_point, christoffel, dnabla, gauss_curvature
+from .ambient import (
+    DET_FLOOR,
+    _scalar,
+    as_point,
+    as_points,
+    christoffel,
+    dnabla,
+    gauss_curvature,
+)
 from .errors import (
     DegenerateShapeOperator,
     DegenerateVector,
     InvalidPinching,
     ModeUnsupported,
+    NonFiniteMetric,
     NonInvertibleMetric,
 )
 from .immersion import fundamental_forms, induced_metric_field
@@ -64,22 +86,84 @@ _IJM = tuple(itertools.product((0, 1), repeat=3))  # (i, j, m) in row-major orde
 # small 2D helpers
 
 
+def _entries(a, rank):
+    """The entries of one rank-``rank`` array as nested Python floats, where
+    scalar arithmetic is fastest, or of a stack of such arrays as nested
+    (N,) arrays over its rows: ``e[i][j]`` is a float or an (N,) array, and
+    one 2x2 formula serves both."""
+    a = np.asarray(a, dtype=float)
+    return a.tolist() if a.ndim == rank else np.moveaxis(a, 0, -1)
+
+
+def _assemble(entries, rank):
+    """The array of nested entries, the inverse of ``_entries``: rank
+    ``rank``, or with a leading row axis when the entries are arrays."""
+    a = np.array(entries)
+    return a if a.ndim == rank else np.moveaxis(a, -1, 0)
+
+
+def _sqrt(x):
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
 def complex_structure(g):
-    """Matrix of the rotation J by +pi/2 for a 2x2 metric g:
+    """Matrix of the rotation J by +pi/2 for a 2x2 metric g, or for each
+    metric of an (N, 2, 2) stack:
     (Jx)^c = sqrt(det g) eps_{ab} g^{bc} x^a, which is
     ((-g21, -g22), (g11, g12)) / sqrt(det g)."""
-    (g11, g12), (g21, g22) = np.asarray(g, dtype=float).tolist()
-    s = math.sqrt(_metric_det(g11, g12, g21, g22))
-    return np.array([[-g21 / s, -g22 / s], [g11 / s, g12 / s]])
+    (g11, g12), (g21, g22) = _entries(g, 2)
+    s = _sqrt(_metric_det(g11, g12, g21, g22))
+    return _assemble([[-g21 / s, -g22 / s], [g11 / s, g12 / s]], 2)
 
 
-def _metric_det(g11, g12, g21, g22):
-    """det g of a 2x2 surface metric, which must be positive definite."""
+def _metric_det(g11, g12, g21, g22, points=None):
+    """det g of a 2x2 surface metric, which must be positive definite; for
+    entries given as (N,) arrays, the determinant of each row, and the
+    error names the first failing row, or its point when ``points`` are
+    given."""
     det = g11 * g22 - g12 * g21
-    if not (g11 > 0.0 and det > DET_FLOOR):
-        raise NonInvertibleMetric(
-            f"2x2 metric is not positive definite: g11 = {g11:.3e}, det g = {det:.3e}")
-    return det
+    if isinstance(det, float):
+        if g11 > 0.0 and det > DET_FLOOR:
+            return det
+        where = "" if points is None else f" at {points}"
+    else:
+        bad = ~((g11 > 0.0) & (det > DET_FLOOR))
+        if not bad.any():
+            return det
+        k = int(np.argmax(bad))
+        g11, det = g11[k], det[k]
+        where = f" at row {k}" if points is None else f" at {points[k]}"
+    raise NonInvertibleMetric(
+        f"2x2 metric is not positive definite{where}: g11 = {g11:.3e}, det g = {det:.3e}")
+
+
+def _require_finite(entries, q):
+    """NonFiniteMetric unless the coefficient entries at q (floats for one
+    point, (N,) arrays over the rows of a batch) are all finite; the error
+    names the first failing point."""
+    if isinstance(entries[0], float):
+        if all(map(math.isfinite, entries)):
+            return
+        bad = q
+    else:
+        finite = np.isfinite(entries).all(axis=0)
+        if finite.all():
+            return
+        bad = q[np.argmin(finite)]
+    raise NonFiniteMetric(f"the connection coefficients are not finite at {bad}")
+
+
+def _each_row(method):
+    """A method of one (2,) point, extended to an (N, 2) batch by calling
+    it once per row through ``_fd.pointwise``."""
+
+    @functools.wraps(method)
+    def batched(self, q):
+        if np.ndim(q) == 2:
+            return _fd.pointwise(functools.partial(method, self))(q)
+        return method(self, q)
+
+    return batched
 
 
 def _torsion_from_gamma(gam, iii):
@@ -148,7 +232,9 @@ class SurfaceConnectionData:
         return complex_structure(self.third_form(q))
 
     def area_density(self, q):
-        return math.sqrt(_metric_det(*self.third_form(q).ravel().tolist()))
+        """sqrt(det III) at q, or at each row of an (N, 2) batch."""
+        (g11, g12), (g21, g22) = _entries(self.third_form(q), 2)
+        return _sqrt(_metric_det(g11, g12, g21, g22, as_points(q, 2)))
 
     def norm(self, q, x):
         g = self.third_form(q)
@@ -171,9 +257,9 @@ class SurfaceConnectionData:
         return x / n
 
     def curvature(self, q):
-        """K~ at q, in closed form per mode: ``K_I / K_e`` (immersion),
-        ``K_sigma / det B`` (operator), and Cartan's structure equation on
-        III and the torsion (torsion mode)."""
+        """K~ at q, or at each row of an (N, 2) batch, in closed form per
+        mode: ``K_I / K_e`` (immersion), ``K_sigma / det B`` (operator), and
+        Cartan's structure equation on III and the torsion (torsion mode)."""
         return self._curvature(q)
 
     # -- shape data, where the mode has it ------------------------------------
@@ -206,19 +292,20 @@ class _TorsionProvider(SurfaceConnectionData):
         return self.iii_field.matrix(q)
 
     def gamma(self, q):
-        """``Gamma~^k_ij = g^{km} (Gamma_ijm + C_ijm)`` in scalar 2x2
-        arithmetic: ``Gamma_ijm`` are the lowered Levi-Civita symbols of III
-        and ``C_ijm = (omega_ij t_m - omega_jm t_i + omega_mi t_j) / 2`` the
+        """``Gamma~^k_ij = g^{km} (Gamma_ijm + C_ijm)`` in 2x2 arithmetic:
+        ``Gamma_ijm`` are the lowered Levi-Civita symbols of III and
+        ``C_ijm = (omega_ij t_m - omega_jm t_i + omega_mi t_j) / 2`` the
         lowered contorsion of the torsion ``T(x, y) = omega(x, y) tau``, with
-        ``t = III(tau, .)`` and the area form ``omega``."""
-        q = as_point(q, 2)
+        ``t = III(tau, .)`` and the area form ``omega``.  The formulas run on
+        the floats of one point or on the (N,) arrays of a batch."""
+        q = as_points(q, 2)
         field = self.iii_field
         field.require_inside(q, margin=field.fd_margin())
-        (g11, g12), (g21, g22) = field.matrix(q).tolist()
-        det = _metric_det(g11, g12, g21, g22)
-        dg = field.partials(q).tolist()
-        t1, t2 = np.asarray(self.tau(q), dtype=float).tolist()
-        s = math.sqrt(det)
+        (g11, g12), (g21, g22) = _entries(field.matrix(q), 2)
+        det = _metric_det(g11, g12, g21, g22, q)
+        dg = _entries(field.partials(q), 3)
+        t1, t2 = _entries(self._torsion(q), 1)
+        s = _sqrt(det)
         st1 = s * (g11 * t1 + g12 * t2)
         st2 = s * (g21 * t1 + g22 * t2)
         # low[4i + 2j + m] = Gamma_ijm + C_ijm (0-based); the only non-zero
@@ -230,25 +317,43 @@ class _TorsionProvider(SurfaceConnectionData):
         low[5] -= st2
         low[6] += st2
         inv = ((g22 / det, -g12 / det), (-g21 / det, g11 / det))
-        return np.array([a * low[n] + b * low[n + 1] for a, b in inv
-                         for n in (0, 2, 4, 6)]).reshape(2, 2, 2)
+        entries = [a * low[n] + b * low[n + 1] for a, b in inv for n in (0, 2, 4, 6)]
+        _require_finite(entries, q)
+        return _assemble(entries, 1).reshape(q.shape[:-1] + (2, 2, 2))
 
     def torsion_vector(self, q):
-        return np.asarray(self.tau(as_point(q, 2)), dtype=float)
+        """The torsion field at q, or at each row of an (N, 2) batch."""
+        return self._torsion(as_points(q, 2))
+
+    def _torsion(self, q):
+        """The field ``tau`` at the point array q, a constant broadcast.
+        ``gamma`` and K~ read it here, not through ``torsion_vector``, so
+        that a caller counting ``torsion_vector`` reads sees only its own."""
+        tau = np.asarray(self.tau(q), dtype=float)
+        if tau.shape != q.shape:
+            if tau.shape != (2,):
+                raise ValueError(f"a torsion field maps (..., 2) points to (..., 2) vectors; "
+                                 f"points of shape {q.shape} gave shape {tau.shape}")
+            tau = np.broadcast_to(tau, q.shape)  # one vector for every point
+        return tau
+
+    def _lowered_torsion(self, q):
+        """``t = III(tau, .)`` at q, or at each row of a batch."""
+        return (self.iii_field.matrix(q) @ self._torsion(q)[..., None])[..., 0]
 
     def _curvature(self, q):
         """Cartan's structure equation for a metric connection with torsion
         ``T = omega (x) tau``: ``K~ = K(III) + (d_1 t_2 - d_2 t_1) /
         sqrt(det III)`` with ``t = III(tau, .)`` (Kobayashi-Nomizu I,
         Ch. III).  The curl of t is a finite difference at
-        ``CURVATURE_FD_STEP``."""
-        q = as_point(q, 2)
+        ``CURVATURE_FD_STEP``, taken on the whole batch at once."""
+        q = as_points(q, 2)
         field = self.iii_field
         field.require_inside(q, margin=CURVATURE_FD_STEP + field.fd_margin())
-        area = math.sqrt(_metric_det(*field.matrix(q).ravel().tolist()))
+        area = self.area_density(q)
         k_iii = gauss_curvature(field, q)
-        dt = _fd.gradient(lambda qq: field.matrix(qq) @ self.tau(qq), q, CURVATURE_FD_STEP)
-        return k_iii + float(dt[0, 1] - dt[1, 0]) / area
+        dt = _fd.gradient(self._lowered_torsion, q, CURVATURE_FD_STEP)
+        return _scalar(k_iii + (dt[..., 0, 1] - dt[..., 1, 0]) / area)
 
 
 class _OperatorProvider(SurfaceConnectionData):
@@ -271,6 +376,7 @@ class _OperatorProvider(SurfaceConnectionData):
     def b_tilde(self, q):
         return _inverse_shape_operator(self.b_matrix(q), q)
 
+    @_each_row
     def third_form(self, q):
         b = self.b_matrix(q)
         sigma = self.sigma_field.matrix(q)
@@ -284,6 +390,7 @@ class _OperatorProvider(SurfaceConnectionData):
         term = np.einsum("kca,cd,db->kab", db, sigma, b)
         return term + np.swapaxes(term, 1, 2) + np.einsum("ca,kcd,db->kab", b, dsigma, b)
 
+    @_each_row
     def gamma(self, q):
         q = as_point(q, 2)
         b = self.b_matrix(q)
@@ -295,6 +402,7 @@ class _OperatorProvider(SurfaceConnectionData):
 
     torsion_vector = SurfaceConnectionData.torsion_from_coefficients
 
+    @_each_row
     def _curvature(self, q):
         """``K~ = K_sigma / det B``, because ``R~ = B^{-1} R B``."""
         q = as_point(q, 2)
@@ -324,9 +432,11 @@ class _ImmersionProvider(_OperatorProvider):
     def _shape_at(self, q):
         return self.fundamental(q).shape_operator
 
+    @_each_row
     def third_form(self, q):
         return self.fundamental(q).third
 
+    @_each_row
     def _curvature(self, q):
         """``K~ = K_I / K_e``."""
         data = self.fundamental(q)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import as_point
+from .ambient import _scalar, as_point
 from .connection import complex_structure, orthonormal_frame
 from .errors import (
     DegenerateVector,
@@ -217,9 +217,13 @@ def simpson(y, x):
 
 
 def _geodesic_rhs(data):
+    """``(q, v)' = (v, -Gamma(v, v))`` for one state (4,) or the rows of an
+    (N, 4) state."""
+
     def rhs(t, state):
-        vv = state[2:]
-        return np.concatenate([vv, -np.einsum("kij,i,j->k", data.gamma(state[:2]), vv, vv)])
+        vv = state[..., 2:]
+        acc = np.einsum("...kij,...i,...j->...k", data.gamma(state[..., :2]), vv, vv)
+        return np.concatenate([vv, -acc], axis=-1)
 
     return rhs
 
@@ -317,13 +321,19 @@ def parallel_transport(data, trace, w):
     return parallel_transport_samples(data, trace, w)[-1]
 
 
+def _quadratic(x, g, y):
+    """``x . g . y`` for one point, or for each row of stacked vectors and
+    matrices; a stacked matmul rounds each row as the one-point product."""
+    return (x[..., None, :] @ g @ y[..., None])[..., 0, 0]
+
+
 def _kappa(data, p, v, acc):
     """``III(D~_v v, J v) / |v|^3`` at p for a curve with velocity v and
-    coordinate acceleration acc."""
+    coordinate acceleration acc, or at each row of stacked (N, 2) arrays."""
     g = data.third_form(p)
-    cov = acc + np.einsum("kij,i,j->k", data.gamma(p), v, v)
-    jv = data.complex_structure(p) @ v
-    return float((cov @ g @ jv) / float(v @ g @ v) ** 1.5)
+    cov = acc + np.einsum("...kij,...i,...j->...k", data.gamma(p), v, v)
+    jv = (data.complex_structure(p) @ v[..., None])[..., 0]
+    return _scalar(_quadratic(cov, g, jv) / _quadratic(v, g, v) ** 1.5)
 
 
 def geodesic_curvature(data, trace, sv):
@@ -491,14 +501,13 @@ class RegionSpec:
         return angles
 
     def boundary_kappa_integral(self, data):
+        """The integral of kappa ds over the boundary, with one batched
+        evaluation of the connection per segment."""
         total = 0.0
         for seg in self.segments:
-            s, pts = seg.s, seg.points
-            vals = np.empty(len(s))
-            for i in range(len(s)):
-                p, v = pts[i], seg.velocities[i]
-                speed = np.sqrt(float(v @ data.third_form(p) @ v))
-                vals[i] = _kappa(data, p, v, seg.accelerations[i]) * speed  # kappa ds
+            s, pts, vel = seg.s, seg.points, seg.velocities
+            speed = np.sqrt(_quadratic(vel, data.third_form(pts), vel))
+            vals = _kappa(data, pts, vel, seg.accelerations) * speed  # kappa ds
             if np.linalg.norm(pts[-1] - pts[0]) < 1e-9:  # periodic: trapezoid rule
                 total += float(np.mean(vals[:-1]) * (s[-1] - s[0]))
             else:
@@ -529,11 +538,10 @@ class RegionSpec:
         return np.array(pts), np.array(wts)
 
     def curvature_integral(self, data):
+        """The integral of K~ dv, with one batched K~ and one area-density
+        evaluation over the node set."""
         pts, wts = self.interior_nodes()
-        total = 0.0
-        for p, w in zip(pts, wts):
-            total += data.curvature(p) * data.area_density(p) * w
-        return float(total)
+        return float(np.sum(data.curvature(pts) * data.area_density(pts) * wts))
 
     # -- ready-made shapes ---------------------------------------------------
 
@@ -572,32 +580,29 @@ class RegionSpec:
     def geodesic_disk(data, center, radius, n_rays=256, n_radial=16):
         """Disk swept by geodesics of the connection from a center point.
 
-        Each ray takes 64 RK4 steps.  The boundary is the endpoint curve of
-        the rays; derivatives across rays use 4th-order periodic differences.
+        The rays run as one RK4 of 64 steps over the stacked (n_rays, 4)
+        state.  A ray that leaves the chart before reaching ``radius``
+        raises PointOutsideChart naming its direction.  The boundary is the
+        endpoint curve of the rays; derivatives across rays use 4th-order
+        periodic differences.
         """
         _require_radius(radius)
         # the boundary's 4th-order periodic difference spans five rays
         _require_count("n_rays", n_rays, 5)
         _require_count("n_radial", n_radial, 1)
         center = as_point(center, 2)
-        ray_step = radius / 64.0
-        g = data.third_form(center)
-        f = orthonormal_frame(g)
+        f = orthonormal_frame(data.third_form(center))
         ga, wa = np.polynomial.legendre.leggauss(n_radial)
         s_nodes = 0.5 * (ga + 1.0) * radius
         s_w = 0.5 * wa * radius
         phis = 2 * np.pi * np.arange(n_rays) / n_rays
-        ray_pts = np.empty((n_rays, len(s_nodes), 2))
-        ray_vel = np.empty((n_rays, len(s_nodes), 2))
-        ends = np.empty((n_rays, 2))
-        for k, phi in enumerate(phis):
-            v0 = np.cos(phi) * f[0] + np.sin(phi) * f[1]
-            tr = integrate_geodesic(data, center, v0, radius, ray_step)
-            for m, sn in enumerate(s_nodes):
-                p, vv = tr.eval(sn)
-                ray_pts[k, m] = p
-                ray_vel[k, m] = vv
-            ends[k] = tr.eval(radius)[0]
+        dirs = np.cos(phis)[:, None] * f[0] + np.sin(phis)[:, None] * f[1]
+        # one trace whose samples stack every ray: points[i] is (n_rays, 2)
+        fan = _ray_fan(data, center, dirs, radius, radius / 64.0)
+        nodes = [fan.eval(sn) for sn in s_nodes]
+        ray_pts = np.stack([p for p, _ in nodes], axis=1)  # (n_rays, n_radial, 2)
+        ray_vel = np.stack([v for _, v in nodes], axis=1)
+        ends = fan.eval(radius)[0]
 
         def dphi(arr):
             # 4th-order centered periodic difference in the ray index
@@ -613,18 +618,50 @@ class RegionSpec:
         acc_closed = np.vstack([b_acc, b_acc[:1]])
         seg = CurveTrace.from_samples(phis_closed, pts_closed, vel_closed, acc_closed)
 
-        dp_dphi = dphi(ray_pts)  # (n_rays, n_radial, 2)
-        pts = []
-        wts = []
+        dp_dphi = dphi(ray_pts)
+        jac = np.abs(ray_vel[..., 0] * dp_dphi[..., 1] - ray_vel[..., 1] * dp_dphi[..., 0])
         h_phi = 2 * np.pi / n_rays
-        for k in range(n_rays):
-            for m in range(len(s_nodes)):
-                jac = abs(float(ray_vel[k, m, 0] * dp_dphi[k, m, 1]
-                                - ray_vel[k, m, 1] * dp_dphi[k, m, 0]))
-                pts.append(ray_pts[k, m])
-                wts.append(s_w[m] * h_phi * jac)
-        interior = {"points": np.array(pts), "weights": np.array(wts)}
+        interior = {"points": ray_pts.reshape(-1, 2), "weights": (s_w * h_phi * jac).reshape(-1)}
         return RegionSpec([seg], interior)
+
+
+def _ray_fan(data, center, dirs, length, step):
+    """The geodesics from ``center`` in the unit directions ``dirs`` (n, 2),
+    as one RK4 over the stacked (n, 4) state, every row checked at each
+    step; a ray that leaves the chart (keeping ``trace_margin`` clear of its
+    edge, or the connection's own stencil room) raises PointOutsideChart
+    naming its direction.  Returns a trace whose samples stack the rays."""
+    margin = trace_margin(data, step)
+    rhs = _geodesic_rhs(data)
+
+    def left(k, reason):
+        return PointOutsideChart(
+            f"the geodesic_disk ray in direction {dirs[k]} from {center} leaves the chart "
+            f"before length {length}: {reason}")
+
+    def stage(t, state):
+        try:
+            return rhs(t, state)
+        except PointOutsideChart:
+            # find the ray: the first row the connection rejects on its own
+            for k, row in enumerate(state[:, :2]):
+                try:
+                    data.gamma(row)
+                except PointOutsideChart as exc:
+                    raise left(k, exc) from None
+            raise
+
+    s_vals = [0.0]
+    states = [np.hstack([np.broadcast_to(center, dirs.shape), dirs])]
+    for s, state in rk4_samples(stage, states[0], length, step):
+        outside = ~data.box.inside(state[:, :2], margin)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise left(k, f"it reaches {state[k, :2]} at length {s}")
+        s_vals.append(s)
+        states.append(state)
+    states = np.array(states)
+    return CurveTrace.from_samples(s_vals, states[..., :2], states[..., 2:])
 
 
 def gauss_bonnet_residual(data, region):

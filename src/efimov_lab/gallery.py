@@ -211,7 +211,8 @@ def hyperbolic_plane_polar(r_min=1e-3, r_max=4.0):
     def matrix(q):
         g = np.zeros(q.shape[:-1] + (2, 2))
         g[..., 0, 0] = 1.0
-        g[..., 1, 1] = np.sinh(q[..., 0]) ** 2
+        sh = np.sinh(q[..., 0])
+        g[..., 1, 1] = sh * sh  # a product rounds alike for one point and a batch
         return g
 
     def partials(q):
@@ -274,16 +275,21 @@ def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, profile="tanh"):
         raise ParameterOutOfRange(f"unknown profile {profile!r}")
     metric = hyperbolic_plane_polar(r_min=r_min, r_max=r_max)
 
+    # the torsion fields broadcast over (..., 2) points
     if profile == "angular":
         def tau(q):
-            return np.array([0.0, t / np.sinh(q[0])])
+            out = np.zeros(q.shape)
+            out[..., 1] = t / np.sinh(q[..., 0])
+            return out
     else:
         def tau(q):
-            r = q[0]
+            r = q[..., 0]
             sh = np.sinh(r)
             qr = (sh - np.arcsin(np.tanh(r))) / sh  # gd(r) = arcsin(tanh r)
-            b = t * np.sqrt(max(0.0, 1.0 - qr * qr))
-            return np.array([-b, t * qr / sh])
+            out = np.empty(q.shape)
+            out[..., 0] = -t * np.sqrt(np.maximum(0.0, 1.0 - qr * qr))
+            out[..., 1] = t * qr / sh
+            return out
 
     return SurfaceConnectionData.from_metric_and_torsion(
         metric, tau, name=f"hyperbolic_deformed(t={t},{profile})")
@@ -698,7 +704,7 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
 
     structure = SurfaceConnectionData.from_metric_and_torsion(
         MetricField(2, _fd.pointwise(data.third_form), sigma_field.box,
-                    name="III[monge_ampere]"), torsion)
+                    name="III[monge_ampere]"), _fd.pointwise(torsion))
     if sample_points is None:
         lo = np.asarray(sigma_field.box.lo)
         hi = np.asarray(sigma_field.box.hi)

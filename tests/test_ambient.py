@@ -13,6 +13,7 @@ from efimov_lab.ambient import (
     MetricField,
     christoffel,
     curvature_sample,
+    gauss_curvature,
     metric_from_expressions,
     riemann_covariant,
     riemann_sectional,
@@ -279,6 +280,46 @@ def test_grid_beyond_one_chunk_takes_one_leaf_call_per_chunk():
     assert counts == [37 * CHUNK, 37 * CHUNK, 37 * 3] and len(counts) == -(-n // CHUNK)
     assert s.k_min.shape == s.k_max.shape == (n,) and s.riemann.shape == (n, 3, 3, 3, 3)
     assert np.max(np.abs(s.k_min + 1.0)) < 1e-6 and np.max(np.abs(s.k_max + 1.0)) < 1e-6
+
+
+def test_gauss_curvature_reads_g_from_its_jet():
+    """K = Rm_0110 / det g takes g from the curvature's own jet: one matrix
+    leaf call of 17 points per row and per chunk, and the value of
+    riemann_covariant over det of a separate g, bit for bit.  (The leaf
+    multiplies, so one point and a batch round alike.)"""
+    base = MetricField(2, diagonal(1.0, lambda q: np.sinh(q[..., 0]) * np.sinh(q[..., 0])),
+                       ChartBox((0.5, -1.0), (2.0, 1.0)))
+    m, counts = counted(base)
+    p = np.array([1.1, 0.2])
+    k = gauss_curvature(m, p)
+    assert counts == [17]
+    assert k == riemann_covariant(base, p)[0, 1, 1, 0] / np.linalg.det(base.matrix(p))
+    counts.clear()
+    n = CHUNK + 2
+    qs = np.column_stack([np.linspace(0.6, 1.9, n), np.linspace(-0.9, 0.9, n)])
+    k = gauss_curvature(m, qs)
+    assert counts == [17 * CHUNK, 17 * 2]
+    ref = riemann_covariant(base, qs)[:, 0, 1, 1, 0] / np.linalg.det(base.matrix(qs))
+    assert np.array_equal(k, ref) and np.max(np.abs(k + 1.0)) < 1e-6
+
+
+def test_sectional_range_reads_g_from_its_jet():
+    """The pencil of sectional_range takes g from the curvature's own jet:
+    one matrix leaf call of 37 points per row and per chunk, and the
+    extremes of curvature_sample, bit for bit."""
+    base = gallery.g_lambda(1.0, analytic=False)
+    m, counts = counted(base)
+    p = np.array([0.3, -0.4, 0.05])
+    lo, hi = sectional_range(m, p)
+    assert counts == [37]
+    s = curvature_sample(base, p)
+    assert (lo, hi) == (s.k_min, s.k_max)
+    counts.clear()
+    pts = batch_3d(CHUNK + 2)
+    lo, hi = sectional_range(m, pts)
+    assert counts == [37 * CHUNK, 37 * 2]
+    s = curvature_sample(base, pts)
+    assert np.array_equal(lo, s.k_min) and np.array_equal(hi, s.k_max)
 
 
 def test_pure_fd_jet_equals_separate_derivatives():

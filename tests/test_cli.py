@@ -1,6 +1,7 @@
 import ast
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -133,6 +134,21 @@ def test_jacobi_command():
     doc = json.loads(out)
     assert abs(doc["final"]["y"] - np.sin(1.5)) < 1e-5
     assert {c["name"]: c["pass"] for c in doc["checks"]}["stayed_in_patch"] is True
+
+
+def test_jacobi_rejects_an_initial_x_prime_the_system_overrides():
+    """x' = y tau_x fixes x0' from y0: a different --init x0' exits 2 with
+    the implied value, which is accepted, as is 0,0,0,1."""
+    argv = ("jacobi", "--example", "hyperbolic_deformed", "--param", "t=2", "--start", "1,0",
+            "--dir", "0,1", "--length", "0.3", "--step", "0.01", "--json")
+    code, out, err = run_cli(*argv, "--init", "0,1,5,1")
+    assert code == 2 and out == ""
+    implied = float(re.search(r"y0 \* tau_x\(0\) = (\S+)$", err.strip()).group(1))
+    assert abs(implied - 0.5266) < 1e-4  # the x' the field's first row reports
+    code, out, _ = run_cli(*argv, "--init", f"0,1,{implied!r},1")
+    assert code == 0 and json.loads(out)["final"]["x"] != 0.0
+    assert run_cli(*argv, "--init", "0,1,0,1")[0] == 2
+    assert run_cli(*argv, "--init", "0,0,0,1")[0] == 0
 
 
 def test_transport_command_reports_leaving_the_chart():

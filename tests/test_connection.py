@@ -1,5 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from efimov_lab import _fd, gallery
 from efimov_lab.ambient import ChartBox, MetricField, christoffel, metric_from_expressions
@@ -22,6 +27,7 @@ from efimov_lab.errors import (
     DegenerateVector,
     InvalidPinching,
     ModeUnsupported,
+    NonFiniteMetric,
     NonInvertibleMetric,
     PointOutsideChart,
 )
@@ -430,6 +436,107 @@ def test_torsion_curvature_near_the_edge_of_a_pure_fd_metric():
     """K(III) needs only the reach of its metric's stencil, fd_margin, from
     the chart edge: 3.5e-3 of room suffices for the round sphere's 2e-3."""
     assert abs(gallery.abstract_sphere().curvature([2.4965, 0.0]) - 1.0) < 1e-8
+
+
+# --- the batch contract -----------------------------------------------------
+
+BATCH_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# batches of 1 to 12 points in the unit square, scaled into a sample box
+UNIT_BATCHES = st.integers(1, 12).flatmap(
+    lambda n: arrays(float, (n, 2), elements=st.floats(0.0, 1.0)))
+BATCH_METHODS = ("gamma", "curvature", "third_form", "area_density")
+
+
+def _batch_case(name):
+    """(torsion-mode connection, sample box that leaves K~ its stencil room)."""
+    if name == "abstract_sphere":
+        return gallery.abstract_sphere(), (np.array([-2.4, -2.4]), np.array([2.4, 2.4]))
+    return (gallery.hyperbolic_deformed(1.3, profile=name),
+            (np.array([0.06, -7.9]), np.array([3.9, 7.9])))
+
+
+def assert_batch_equals_points(data, pts):
+    for method in BATCH_METHODS:
+        evaluate = getattr(data, method)
+        batch = evaluate(pts)
+        single = np.array([evaluate(p) for p in pts])
+        assert batch.shape == single.shape and np.array_equal(batch, single), method
+
+
+@pytest.mark.parametrize("name", ["tanh", "angular", "abstract_sphere"])
+@BATCH_PROPERTY
+@given(unit=UNIT_BATCHES)
+def test_torsion_batch_equals_one_point_calls(name, unit):
+    """A batch runs the one-point 2x2 formulas on (N,) arrays, so each row
+    of gamma, K~, III and the area density equals its one-point call bit for
+    bit."""
+    data, (lo, hi) = _batch_case(name)
+    assert_batch_equals_points(data, lo + unit * (hi - lo))
+
+
+@pytest.mark.parametrize("name, outside", [("tanh", [0.04, 0.3]), ("angular", [4.2, -1.0]),
+                                           ("abstract_sphere", [0.5, 2.6])])
+@BATCH_PROPERTY
+@given(unit=UNIT_BATCHES, where=st.floats(0.0, 1.0))
+def test_torsion_batch_names_the_row_outside_the_chart(name, outside, unit, where):
+    data, (lo, hi) = _batch_case(name)
+    pts = lo + unit * (hi - lo)
+    k = min(int(where * len(pts)), len(pts) - 1)
+    pts[k] = outside
+    for evaluate in (data.gamma, data.curvature):
+        with pytest.raises(PointOutsideChart, match=re.escape(str(pts[k]))):
+            evaluate(pts)
+
+
+def test_torsion_batch_names_the_row_with_non_finite_coefficients():
+    """A torsion field that is NaN at a point makes the coefficients there
+    NaN: NonFiniteMetric naming the first such row, never a NaN result."""
+    def tau(q):
+        out = np.zeros(q.shape)
+        out[..., 1] = np.where(q[..., 0] > 2.0, np.nan, 0.1)
+        return out
+
+    data = SurfaceConnectionData.from_metric_and_torsion(gallery.hyperbolic_plane_polar(), tau)
+    pts = np.array([[1.0, 0.0], [2.5, 0.3], [3.0, 0.0]])
+    with pytest.raises(NonFiniteMetric, match=re.escape(str(pts[1]))):
+        data.gamma(pts)
+    with pytest.raises(NonFiniteMetric, match=re.escape(str(pts[2]))):
+        data.gamma(pts[2])
+    assert np.isfinite(data.gamma(pts[:1])).all()
+
+
+def test_torsion_field_contract():
+    """A constant field is broadcast, a one-point callable wrapped in
+    _fd.pointwise gives the values of its broadcasting twin, and a field of
+    the wrong shape raises ValueError."""
+    metric = gallery.hyperbolic_plane_polar()
+    pts = np.array([[0.8, 0.1], [1.5, -0.7], [2.2, 1.3]])
+    constant = SurfaceConnectionData.from_metric_and_torsion(metric, lambda q: np.array([0.1, 0.2]))
+    assert constant.torsion_vector(pts).tolist() == [[0.1, 0.2]] * 3
+    assert_batch_equals_points(constant, pts)
+
+    def one_point(q):
+        return np.array([0.4 * np.cos(q[1]), 0.1 * q[0] - 0.2])
+
+    def broadcasting(q):
+        return np.stack([0.4 * np.cos(q[..., 1]), 0.1 * q[..., 0] - 0.2], axis=-1)
+
+    wrapped = SurfaceConnectionData.from_metric_and_torsion(metric, _fd.pointwise(one_point))
+    twin = SurfaceConnectionData.from_metric_and_torsion(metric, broadcasting)
+    for method in BATCH_METHODS:
+        assert np.array_equal(getattr(wrapped, method)(pts), getattr(twin, method)(pts)), method
+    bad = SurfaceConnectionData.from_metric_and_torsion(metric, lambda q: np.zeros(3))
+    with pytest.raises(ValueError, match="torsion field"):
+        bad.gamma(pts)
+
+
+def test_operator_and_immersion_batches_loop_over_rows(saddle_data):
+    """Operator and immersion modes evaluate a batch one row at a time, so
+    each row is its one-point call."""
+    operator = SurfaceConnectionData.from_operator(
+        gallery.hyperbolic_plane_polar(), lambda q: np.array([[1.0, 0.2], [0.2, 2.0 + q[0]]]))
+    assert_batch_equals_points(operator, np.array([[0.8, 0.1], [1.5, -0.7], [2.2, 1.3]]))
+    assert_batch_equals_points(saddle_data, np.array([[0.1, 0.2], [-0.3, 0.05]]))
 
 
 # --- hypothesis verdicts ----------------------------------------------------

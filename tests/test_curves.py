@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efimov_lab import gallery
 from efimov_lab.curves import (
@@ -18,13 +22,14 @@ from efimov_lab.curves import (
     rk4_samples,
 )
 from efimov_lab.ambient import riemann_sectional
-from efimov_lab.connection import dual_connection_at
+from efimov_lab.connection import dual_connection_at, orthonormal_frame
 from efimov_lab.errors import (
     BoundViolated,
     DegeneratePlane,
     DegenerateVector,
     OpenBoundary,
     ParameterOutOfRange,
+    PointOutsideChart,
 )
 from efimov_lab.odelab import construct_edo7, spiral_eigenvalues, weak_inequality_residual
 
@@ -324,6 +329,66 @@ def test_gauss_bonnet_deformed_disk():
     hol = boundary_holonomy_angle(dt, disk)
     ik = disk.curvature_integral(dt)
     assert abs(np.exp(1j * hol) - np.exp(1j * ik)) < 1e-3
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(["tanh", "angular", "abstract_sphere"]),
+       where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       radius=st.floats(0.1, 0.5), n_rays=st.integers(5, 9), n_radial=st.integers(1, 4))
+def test_geodesic_disk_rays_equal_integrate_geodesic(case, where, radius, n_rays, n_radial):
+    """The one RK4 over the stacked rays gives each ray, its interior nodes
+    and its boundary end exactly as integrate_geodesic traces it alone."""
+    if case == "abstract_sphere":
+        data, lo, hi = gallery.abstract_sphere(), np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    else:
+        data = gallery.hyperbolic_deformed(1.5, profile=case)
+        lo, hi = np.array([1.0, -1.0]), np.array([2.5, 1.0])
+    center = lo + np.array(where) * (hi - lo)
+    disk = RegionSpec.geodesic_disk(data, center, radius, n_rays=n_rays, n_radial=n_radial)
+    f = orthonormal_frame(data.third_form(center))
+    s_nodes = 0.5 * (np.polynomial.legendre.leggauss(n_radial)[0] + 1.0) * radius
+    nodes = disk.interior["points"].reshape(n_rays, n_radial, 2)
+    for k in range(n_rays):
+        phi = 2 * np.pi * k / n_rays
+        tr = integrate_geodesic(data, center, np.cos(phi) * f[0] + np.sin(phi) * f[1], radius,
+                                radius / 64.0)
+        assert not tr.left_patch
+        assert np.array_equal(nodes[k], [tr.eval(s)[0] for s in s_nodes])
+        assert np.array_equal(disk.segments[0].points[k], tr.eval(radius)[0])
+
+
+def test_geodesic_disk_raises_when_a_ray_leaves_the_chart():
+    """Rays towards the edge r = 0.05 of the polar chart leave it before the
+    radius: PointOutsideChart naming a ray whose own geodesic leaves the
+    chart, where the region used to be built from rays truncated at the
+    edge."""
+    data = gallery.hyperbolic_deformed(1.0)
+    center = np.array([0.3, 0.0])
+    with pytest.raises(PointOutsideChart, match="ray in direction") as info:
+        RegionSpec.geodesic_disk(data, center, 0.4, n_rays=32, n_radial=6)
+    direction = np.array(re.search(r"direction \[([^\]]*)\]", str(info.value)).group(1).split(),
+                         dtype=float)
+    assert abs(data.norm(center, direction) - 1.0) < 1e-6  # printed to 8 digits
+    assert integrate_geodesic(data, center, data.unit(center, direction), 0.4, 0.4 / 64).left_patch
+
+
+def test_region_integrals_equal_the_per_point_sums():
+    """The batched K~ integral and boundary integral agree with sums of
+    one-point evaluations up to summation order."""
+    data = gallery.hyperbolic_deformed(1.5)
+    disk = RegionSpec.geodesic_disk(data, [1.2, 0.3], 0.4, n_rays=32, n_radial=6)
+    pts, wts = disk.interior_nodes()
+    ref = sum(data.curvature(p) * data.area_density(p) * w for p, w in zip(pts, wts))
+    assert abs(disk.curvature_integral(data) - ref) <= 1e-14 * abs(ref)
+
+    seg = disk.segments[0]
+    kappa_ds = []
+    for p, v, acc in zip(seg.points, seg.velocities, seg.accelerations):
+        g = data.third_form(p)
+        cov = acc + np.einsum("kij,i,j->k", data.gamma(p), v, v)
+        kappa_ds.append(cov @ g @ (data.complex_structure(p) @ v) / (v @ g @ v))
+    ref = np.mean(kappa_ds[:-1]) * (seg.s[-1] - seg.s[0])  # periodic: trapezoid rule
+    assert abs(disk.boundary_kappa_integral(data) - ref) <= 1e-13 * abs(ref)
 
 
 def test_holonomy_consistent_with_curvature_integral(abstract_sphere):
