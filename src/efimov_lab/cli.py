@@ -62,8 +62,8 @@ def _check(name, value, rel, tolerance, slack=0.0):
     return {"name": name, "value": value, "tolerance": tolerance, "pass": ok}
 
 
-def _stayed_in_patch(left):
-    return _check("stayed_in_patch", left, "==", False)
+def _left_patch(left):
+    return _check("left_patch", left, "==", False)
 
 
 def _read(path):
@@ -280,7 +280,7 @@ def cmd_geodesic(args):
     data, trace = _geodesic_for(args)
     drift = abs(data.norm(trace.points[-1], trace.velocities[-1]) - 1.0)
     checks = [_check("unit_speed_drift", drift, "<", 1e-8 * max(1.0, args.length)),
-              _stayed_in_patch(trace.left_patch)]
+              _left_patch(trace.left_patch)]
     return _finish(args, _inputs(args), checks,
                    csv=(["s", "u", "v", "du", "dv"], [trace.s, trace.points, trace.velocities]),
                    endpoint=trace.points[-1].tolist(),
@@ -295,7 +295,7 @@ def cmd_transport(args):
     n1 = data.norm(trace.points[-1], w1)
     # relative to the vector's norm once it exceeds 1
     checks = [_check("norm_preserved", abs(n1 - n0), "<", 1e-8 * max(1.0, n0)),
-              _stayed_in_patch(trace.left_patch)]
+              _left_patch(trace.left_patch)]
     return _finish(args, _inputs(args), checks,
                    transported=w1.tolist())
 
@@ -313,7 +313,7 @@ def cmd_jacobi(args):
     # the field also stops short where the K~ stencil around a base point
     # no longer fits in the chart
     checks = [_check("x_prime_equals_y_tau_x", resid, "<", 1e-10),
-              _stayed_in_patch(base.left_patch or jt.left_patch)]
+              _left_patch(base.left_patch or jt.left_patch)]
     return _finish(args, _inputs(args), checks,
                    csv=(["t", "x", "y", "xp", "yp"], [jt.t, jt.x, jt.y, jt.xp, jt.yp]),
                    final={"x": jt.x[-1], "y": jt.y[-1], "xp": jt.xp[-1], "yp": jt.yp[-1]})
@@ -336,7 +336,7 @@ def cmd_asymptotic(args):
     data = _connection_for(args)
     tr = trace_asymptotic(data, _pair(args.start), args.which, args.length, args.step)
     return _finish(args, _inputs(args),
-                   [_stayed_in_patch(tr.left_patch)],
+                   [_left_patch(tr.left_patch)],
                    csv=(["s", "u", "v", "theta", "delta_running", "sigma_running",
                          "defect_running"], [tr.s, tr.points, tr.thetas, *tr.running_columns()]),
                    delta=tr.delta, sigma=tr.sigma, quasi_defect=tr.quasi_defect)

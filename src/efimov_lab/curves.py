@@ -3,11 +3,15 @@ Gauss-Bonnet with torsion and the normal-deformation rate formula, for
 surface connections that preserve a metric but may carry torsion.
 
 Every integration in the package, here and in ``asymptotics`` and
-``odelab``, steps with the one classical fixed-step 4th-order Runge-Kutta
-generator :func:`rk4_samples`; interpolated states and crossing times come
-from the one cubic Hermite interpolant :func:`hermite` between stored
-samples, so traces are deterministic and reproducible.  Quadrature over
-stored samples uses the one composite Simpson rule :func:`simpson`.
+``odelab``, steps with the one classical 4th-order Runge-Kutta step
+:func:`_rk4_step` on the one step grid :func:`_step_sizes` (fixed steps,
+the last one shortened).  Traces step one state at a time through the
+generator :func:`rk4_samples`; the linear bump system of ``odelab`` takes
+every step's 2x2 propagator in one batched step over the whole grid.
+Interpolated states and crossing times come from the one cubic Hermite
+interpolant :func:`hermite` between stored samples, so traces are
+deterministic and reproducible.  Quadrature over stored samples uses the
+one composite Simpson rule :func:`simpson`.
 """
 
 from __future__ import annotations
@@ -143,24 +147,33 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def rk4_samples(f, y, length, step):
-    """Classical RK4 solution of ``y' = f(t, y)`` from ``y(0) = y``.
-
-    A lazy generator of ``(t, y)`` after each step of size ``step``; the
-    last step is shortened to end at ``length``, and a zero length yields
-    nothing.  Callers stop it by their own rules (leaving the chart, a sign
-    change), and ``f`` may read state the caller updates between samples.
-    """
+def _step_sizes(length, step):
+    """The RK4 step grid on [0, length], one step size at a time: steps of
+    ``step``, the last one shortened to end at ``length``; a zero length has
+    no step.  The sample times are the running sums ``t + h`` from 0.  Lazy,
+    so a caller that stops early never builds the rest of the grid."""
     if not (0.0 < step < np.inf and 0.0 <= length < np.inf):
         raise ParameterOutOfRange(
             f"RK4 needs a finite step > 0 and a finite length >= 0, "
             f"got step={step}, length={length}")
     n = max(1, int(np.ceil(length / step - 1e-12)))
-    t = 0.0
     for i in range(n):
         h = min(step, length - i * step)
         if h <= 0:
             return
+        yield h
+
+
+def rk4_samples(f, y, length, step):
+    """Classical RK4 solution of ``y' = f(t, y)`` from ``y(0) = y`` on the
+    step grid of :func:`_step_sizes`.
+
+    A lazy generator of ``(t, y)`` after each step.  Callers stop it by
+    their own rules (leaving the chart, a sign change), and ``f`` may read
+    state the caller updates between samples.
+    """
+    t = 0.0
+    for h in _step_sizes(length, step):
         y = _rk4_step(f, t, y, h)
         t = t + h
         yield t, y

@@ -4,7 +4,15 @@ inequality control, and the 2x2 spiral eigenvalue analysis.
 
 The bump equation is ``y'' = (y u)' - (eps + u^2/4) y`` integrated as the
 first-order system ``y' = y u + z``, ``z' = -(eps + u^2/4) y`` from
-``(y, z)(0) = (1, 4)``, so ``y'(0) = u(0) + 4``.
+``(y, z)(0) = (1, 4)``, so ``y'(0) = u(0) + 4``.  The system is linear,
+``Y' = A(s) Y`` with ``A = [[u, 1], [-(eps + u^2/4), 0]]``, so one RK4 step
+is a 2x2 matrix: every step's matrix comes from one batched RK4 step over
+the whole step grid, and the samples from their running product.
+
+A profile ``u`` is a constant or a callable that is called on arrays of
+``s`` and returns an array of their shape (or a scalar, which is
+broadcast), as ``Expression`` and numpy ufunc expressions do; any other
+result raises ``ParameterOutOfRange``.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import hermite, rk4_samples, simpson
+from .curves import _rk4_step, _step_sizes, hermite, simpson
 from .errors import BoundViolated, NoCrossing, ParameterOutOfRange
 
 __all__ = [
@@ -35,35 +43,74 @@ def _as_profile(u):
     return lambda s: c
 
 
+def _sample(u, ss):
+    """The profile on the array ``ss`` of s, from one call of ``u``; a scalar
+    result is broadcast to the shape of ``ss``."""
+    ss = np.asarray(ss, dtype=float)
+    vals = np.asarray(u(ss), dtype=float)
+    try:
+        return np.broadcast_to(vals, ss.shape)
+    except ValueError:
+        raise ParameterOutOfRange(
+            f"a profile u is called on an array of s and must return an array of its "
+            f"shape or a scalar; it returned shape {vals.shape} for s of shape "
+            f"{ss.shape}") from None
+
+
 def _check_bound(u, eps, lo, hi, n=512):
     bound = 1.0 / eps
-    ss = np.linspace(lo, hi, n)
-    vals = np.array([u(s) for s in ss])
+    vals = _sample(u, np.linspace(lo, hi, n))
     worst = float(np.max(np.abs(vals)))
     if not worst <= bound * (1 + 1e-12):  # a NaN profile fails too
         raise BoundViolated(f"sup|u| = {worst:.6g} exceeds 1/eps = {bound:.6g}")
 
 
+def _bump_run(u, eps, length, step, y, z, sign=1.0, stop_at_zero=False):
+    """RK4 samples of ``Y' = sign * A(t) Y``, ``A = [[u, 1], [-(eps + u^2/4),
+    0]]``, on [0, length] from ``Y(0) = (y, z)``; with ``stop_at_zero`` the
+    run ends at the first ``y <= 0``.  Returns (t, y, z) arrays.
+
+    One batched RK4 step over all steps integrates each step's increment
+    ``Q' = sign * A(t) (I + Q)`` from ``Q = 0``, which samples the profile
+    once per stage; the samples ``Y_{i+1} = Y_i + Q_i Y_i`` then run on
+    Python floats.  ``Q`` is kept apart from ``I`` so that it is not rounded
+    against it: with constant ``u`` the same rounded ``I + Q`` would repeat
+    at every step, and the samples would drift from the state-by-state RK4
+    by about one ulp per step."""
+    h = np.fromiter(_step_sizes(length, step), dtype=float)
+    t = np.concatenate([[0.0], np.add.accumulate(h)])  # bit for bit the running t + h
+    eye = np.eye(2)
+
+    def generator(tt, q):
+        uu = _sample(u, tt)
+        m = eye + q
+        top = m[:, :1]
+        return sign * np.concatenate([uu * top + m[:, 1:], -(eps + uu * uu / 4.0) * top],
+                                     axis=1)
+
+    q = _rk4_step(generator, t[:-1, None, None], np.zeros((len(h), 2, 2)), h[:, None, None])
+    ys, zs = np.empty(len(t)), np.empty(len(t))
+    ys[0], zs[0] = y, z
+    # a memoryview yields its entries as Python floats one at a time, so the
+    # run holds no list of n float objects
+    columns = [memoryview(q[:, j, k].copy()) for j in (0, 1) for k in (0, 1)]
+    i = 0
+    for i, (a, b, c, d) in enumerate(zip(*columns), 1):
+        y, z = y + (a * y + b * z), z + (c * y + d * z)
+        ys[i], zs[i] = y, z
+        if stop_at_zero and y <= 0.0:
+            break
+    return t[: i + 1], ys[: i + 1], zs[: i + 1]
+
+
 def integrate_bump_system(u, eps, s_max, step):
     """RK4 samples of ``y' = yu + z, z' = -(eps + u^2/4) y`` on [0, s_max],
-    started from y = 1, z = 4.
+    started from y = 1, z = 4.  The profile ``u`` is a constant or is called
+    on arrays of s (see the module docstring).
 
     Returns (s, y, z) arrays.
     """
-    u = _as_profile(u)
-
-    def rhs(s, st):
-        yy, zz = st
-        uu = u(s)
-        return np.array([yy * uu + zz, -(eps + uu * uu / 4.0) * yy])
-
-    s = [0.0]
-    states = [np.array([1.0, 4.0])]
-    for t, state in rk4_samples(rhs, states[0], s_max, step):
-        s.append(t)
-        states.append(state)
-    states = np.array(states)
-    return np.array(s), states[:, 0], states[:, 1]
+    return _bump_run(_as_profile(u), eps, s_max, step, 1.0, 4.0)
 
 
 def _hermite_root(sa, sb, ya, yb, da, db, target):
@@ -126,8 +173,7 @@ class EdoSolution:
 
     @property
     def yprime(self):
-        uu = np.array([_as_profile(self.u)(t) for t in self.s])
-        return self.y * uu + self.z
+        return self.y * _sample(_as_profile(self.u), self.s) + self.z
 
 
 def solve_prop_edo(u, eps, step=1e-4):
@@ -144,21 +190,21 @@ def solve_prop_edo(u, eps, step=1e-4):
     s_cap = np.pi / np.sqrt(eps) * 1.05 + 5 * step
     _check_bound(u, eps, 0.0, s_cap)
     s, y, z = integrate_bump_system(u, eps, s_cap, step)
-    uu = np.array([u(t) for t in s])
-    yp = y * uu + z
+    yp = y * _sample(u, s) + z
 
-    s0 = None
-    s1 = None
-    for i in range(1, len(s)):
-        if s1 is None and y[i] <= 0.0 < y[i - 1]:
-            s1 = _hermite_root(s[i - 1], s[i], y[i - 1], y[i], yp[i - 1], yp[i], 0.0)
-            break
-        if s0 is None and i > 1 and (y[i] - 1.0) * (y[i - 1] - 1.0) <= 0.0 and y[i - 1] > 1.0:
-            s0 = _hermite_root(s[i - 1], s[i], y[i - 1], y[i], yp[i - 1], yp[i], 1.0)
-    if s1 is None:
+    def root(i, target):
+        return _hermite_root(s[i - 1], s[i], y[i - 1], y[i], yp[i - 1], yp[i], target)
+
+    # the first step into y <= 0, then the first return through 1 before it
+    # (from above, not counting the first step)
+    zeros = np.flatnonzero((y[1:] <= 0.0) & (y[:-1] > 0.0)) + 1
+    if not zeros.size:
         raise NoCrossing(f"y did not reach 0 before s = {s_cap:.6g}; numerical fault")
-    if s0 is None:
-        s0 = s1
+    i1 = zeros[0]
+    returns = np.flatnonzero(((y[2:i1] - 1.0) * (y[1:i1 - 1] - 1.0) <= 0.0)
+                             & (y[1:i1 - 1] > 1.0)) + 2
+    s1 = root(i1, 0.0)
+    s0 = root(returns[0], 1.0) if returns.size else s1
 
     mask0 = s <= s0 + 1e-12
     m0 = float(max(np.max(np.abs(y[mask0])), np.max(np.abs(yp[mask0]))))
@@ -252,25 +298,11 @@ def construct_edo7(u, eps, n1, step=1e-3):
     s_cap = np.pi / np.sqrt(eps) * 1.05 + 5 * step
 
     # integrate backward in the curve parameter: t = -(x + n1) >= 0
-    def rhs_rev(t, st):
-        yy, zz = st
-        uu = u(-n1 - t)
-        return -np.array([yy * uu + zz, -(eps + uu * uu / 4.0) * yy])
-
-    ts = [0.0]
-    ys = [1.0]
-    zs = [z0_left]
-    for t, (y, z) in rk4_samples(rhs_rev, np.array([1.0, z0_left]), s_cap, step):
-        ts.append(t)
-        ys.append(y)
-        zs.append(z)
-        if y <= 0.0:
-            break
-    ys = np.array(ys)
-    ts = np.array(ts)
+    ts, ys, zs = _bump_run(lambda t: u(-n1 - t), eps, s_cap, step, 1.0, z0_left, sign=-1.0,
+                           stop_at_zero=True)
     if ys[-1] > 0:
         raise NoCrossing("left closing segment did not reach zero")
-    ypl = ys * np.array([u(-n1 - t) for t in ts]) + np.array(zs)
+    ypl = ys * _sample(u, -n1 - ts) + zs
     t_zero = _hermite_root(ts[-2], ts[-1], ys[-2], ys[-1], -ypl[-2], -ypl[-1], 0.0)
     x_left = -n1 - t_zero
     grid = -n1 - ts[ts <= t_zero + step]
@@ -364,7 +396,7 @@ def weak_inequality_residual(bump, u, n_tests=50, seed=20240):
         phi = _bspline_bump(tt)
         d1 = _bspline_bump_d1(tt) / width
         d2 = _bspline_bump_d2(tt) / width ** 2
-        uu = np.array([u(x) for x in gg])
+        uu = _sample(u, gg)
         integrand = yy * (d2 + uu * d1 + (bump.eps + uu ** 2 / 4.0) * phi)
         return simpson(integrand, gg)
 

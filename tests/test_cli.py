@@ -133,7 +133,7 @@ def test_jacobi_command():
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["final"]["y"] - np.sin(1.5)) < 1e-5
-    assert {c["name"]: c["pass"] for c in doc["checks"]}["stayed_in_patch"] is True
+    assert {c["name"]: c["pass"] for c in doc["checks"]}["left_patch"] is True
 
 
 def test_jacobi_rejects_an_initial_x_prime_the_system_overrides():
@@ -158,7 +158,7 @@ def test_transport_command_reports_leaving_the_chart():
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "fail"
-    check = {c["name"]: c for c in doc["checks"]}["stayed_in_patch"]
+    check = {c["name"]: c for c in doc["checks"]}["left_patch"]
     assert check["value"] is True and check["pass"] is False
 
 
@@ -183,7 +183,7 @@ def test_jacobi_command_reports_leaving_the_chart():
         assert code == 1, argv
         doc = json.loads(out)
         assert doc["status"] == "fail"
-        check = {c["name"]: c for c in doc["checks"]}["stayed_in_patch"]
+        check = {c["name"]: c for c in doc["checks"]}["left_patch"]
         assert check["value"] is True and check["pass"] is False
 
 
@@ -533,3 +533,12 @@ def test_exit_code_follows_reported_status(tmp_path, argv):
     doc = json.loads(out)
     assert code == (0 if doc["status"] == "pass" else 1)
     assert doc["status"] == ("pass" if all(c["pass"] for c in doc["checks"]) else "fail")
+
+
+@pytest.mark.parametrize("command", [("edo",), ("edo7", "--n1", "1")])
+def test_undefined_edo_profile_exits_2_naming_the_point(command):
+    """The profile is sampled on arrays; an expression undefined on the grid
+    still raises ExpressionEvaluationError naming the first failing point."""
+    code, out, err = run_cli(*command, "--u", "ln(s)", "--eps", "1", "--json")
+    assert code == 2 and out == ""
+    assert "failed to evaluate 'ln(s)' at {'s': " in err

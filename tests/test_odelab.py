@@ -1,14 +1,140 @@
 import numpy as np
 import pytest
 
+from efimov_lab.curves import rk4_samples
 from efimov_lab.errors import BoundViolated, NoCrossing, ParameterOutOfRange
+from efimov_lab.expressions import Expression
 from efimov_lab.odelab import (
+    _hermite_root,
     construct_edo7,
     integrate_bump_system,
     solve_prop_edo,
     spiral_eigenvalues,
     weak_inequality_residual,
 )
+
+_EXPR = Expression("0.37*sin(s)", ("s",))
+PROFILES = {"zero": 0.0, "cos": lambda s: 0.5 * np.cos(s), "expression": lambda s: _EXPR(s=s)}
+
+
+def _scalar_profile(u):
+    return u if callable(u) else (lambda s: u)
+
+
+def _reference_bump(u, eps, length, step, x0=0.0, sign=1.0, stop_at_zero=False):
+    """The per-stage formulation as the oracle: ``rk4_samples`` on the state
+    (y, z) with ``sign * [y u + z, -(eps + u^2/4) y]`` and one scalar
+    profile call ``u(x0 + sign * t)`` per stage."""
+    prof = _scalar_profile(u)
+
+    def rhs(t, st):
+        yy, zz = st
+        uu = prof(x0 + sign * t)
+        return sign * np.array([yy * uu + zz, -(eps + uu * uu / 4.0) * yy])
+
+    s, states = [0.0], [np.array([1.0, 4.0 if sign > 0 else -prof(x0)])]
+    for t, st in rk4_samples(rhs, states[0], length, step):
+        s.append(t)
+        states.append(st)
+        if stop_at_zero and st[0] <= 0.0:
+            break
+    states = np.array(states)
+    s = np.array(s)
+    yp = states[:, 0] * np.array([prof(x0 + sign * t) for t in s]) + states[:, 1]
+    return s, states[:, 0], states[:, 1], yp
+
+
+def _reference_edo(u, eps, step, x0=0.0):
+    """s, y, z, s0, s1, m0 and lipschitz by the per-stage formulation and the
+    scalar crossing loop."""
+    s_cap = np.pi / np.sqrt(eps) * 1.05 + 5 * step
+    s, y, z, yp = _reference_bump(u, eps, s_cap, step, x0=x0)
+    s0 = s1 = None
+    for i in range(1, len(s)):
+        if y[i] <= 0.0 < y[i - 1]:
+            s1 = _hermite_root(s[i - 1], s[i], y[i - 1], y[i], yp[i - 1], yp[i], 0.0)
+            break
+        if s0 is None and i > 1 and (y[i] - 1.0) * (y[i - 1] - 1.0) <= 0.0 and y[i - 1] > 1.0:
+            s0 = _hermite_root(s[i - 1], s[i], y[i - 1], y[i], yp[i - 1], yp[i], 1.0)
+    s0 = s1 if s0 is None else s0
+    m0 = max(np.max(np.abs(y[s <= s0 + 1e-12])), np.max(np.abs(yp[s <= s0 + 1e-12])))
+    lip = np.max(np.abs(yp[s <= s1 + 1e-12]))
+    keep = s <= s1 + step
+    return dict(s=s[keep], y=y[keep], z=z[keep], s0=s0, s1=s1, m0=m0, lipschitz=lip)
+
+
+def _reference_breakpoints(u, eps, n1, step):
+    """construct_edo7's breakpoints with the left closing segment run by the
+    reversed per-stage closure and every bump by ``_reference_edo``."""
+    s_cap = np.pi / np.sqrt(eps) * 1.05 + 5 * step
+    ts, ys, _, yp = _reference_bump(u, eps, s_cap, step, x0=-n1, sign=-1.0, stop_at_zero=True)
+    t_zero = _hermite_root(ts[-2], ts[-1], ys[-2], ys[-1], -yp[-2], -yp[-1], 0.0)
+    breaks = [-n1 - t_zero, -n1]
+    x = -n1
+    while True:
+        ref = _reference_edo(u, eps, step, x0=x)
+        if x + ref["s0"] > n1:
+            breaks += [x + ref["s0"], x + ref["s1"]]
+            return np.unique(breaks)
+        x += ref["s0"]
+        breaks.append(x)
+
+
+def _close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))))
+
+
+@pytest.mark.parametrize("eps", [0.25, 1.0, 4.0])
+@pytest.mark.parametrize("name", PROFILES)
+def test_bump_system_equals_the_per_stage_formulation(name, eps):
+    """The batched propagator path against the per-stage formulation: the
+    same step grid bit for bit, and the samples, crossings and constants to
+    1e-12 relative."""
+    u = PROFILES[name]
+    length = np.pi / np.sqrt(eps) * 1.05 + 5e-3
+    s, y, z = integrate_bump_system(u, eps, length, 1e-3)
+    s_ref, y_ref, z_ref, _ = _reference_bump(u, eps, length, 1e-3)
+    assert np.array_equal(s, s_ref)
+    assert _close(y, y_ref) and _close(z, z_ref)
+    if name != "zero" and eps == 4.0:  # sup|u| > 1/eps
+        with pytest.raises(BoundViolated):
+            solve_prop_edo(u, eps, step=1e-3)
+        return
+    sol = solve_prop_edo(u, eps, step=1e-3)
+    ref = _reference_edo(u, eps, 1e-3)
+    assert np.array_equal(sol.s, ref["s"])
+    for key in ("y", "z", "s0", "s1", "m0", "lipschitz"):
+        assert _close(getattr(sol, key), ref[key]), key
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_edo7_equals_the_reversed_closure_reference(name):
+    u = PROFILES[name]
+    bump = construct_edo7(u, 1.0, 1.5, step=1e-3)
+    ref = _reference_breakpoints(u, 1.0, 1.5, 1e-3)
+    assert _close(bump.breakpoints, ref)
+    assert _close(bump.support, (ref[0], ref[-1]))
+
+
+def test_zero_profile_samples_equal_the_closed_form():
+    """u = 0, eps = 1: y = cos s + 4 sin s and z = y' at every sample, to
+    RK4's O(h^4) global error at h = 1e-3 (measured 8.4e-13)."""
+    s, y, z = integrate_bump_system(0.0, 1.0, np.pi, 1e-3)
+    assert np.max(np.abs(y - (np.cos(s) + 4.0 * np.sin(s)))) < 1e-11
+    assert np.max(np.abs(z - (4.0 * np.cos(s) - np.sin(s)))) < 1e-11
+
+
+def test_profile_that_does_not_broadcast_raises_typed_error():
+    """A profile is called on arrays of s; a result that does not broadcast
+    to their shape names the contract."""
+    bad = lambda s: [1.0, 2.0]  # noqa: E731
+    for run in (lambda: solve_prop_edo(bad, 1.0, step=1e-3),
+                lambda: integrate_bump_system(bad, 1.0, 1.0, 1e-3),
+                lambda: construct_edo7(bad, 1.0, 1.0)):
+        with pytest.raises(ParameterOutOfRange, match="called on an array of s"):
+            run()
+
 
 
 def test_bump_zero_profile_closed_form():
@@ -73,6 +199,8 @@ def test_solve_prop_edo_rejects_bad_eps(eps):
 def test_solve_prop_edo_rejects_nan_profile():
     with pytest.raises(BoundViolated):
         solve_prop_edo(np.nan, 1.0)
+    with pytest.raises(BoundViolated):  # NaN on part of the sampled grid
+        solve_prop_edo(lambda s: np.where(s > 1.0, np.nan, 0.1), 1.0, step=1e-3)
 
 
 @pytest.mark.parametrize("eps, n1", [(np.nan, 1.0), (1.0, np.nan), (1.0, np.inf),
