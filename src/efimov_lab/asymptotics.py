@@ -17,7 +17,8 @@ import numpy as np
 from . import _fd
 from .ambient import as_point
 from .connection import FD_STEP, complex_structure
-from .curves import CurveTrace, parallel_transport_samples, rk4_samples, trace_margin
+from .curves import CurveTrace, _quadratic, parallel_transport_samples, rk4_samples
+from .curves import trace_margin
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
 
 __all__ = [
@@ -95,15 +96,6 @@ def asymptotic_frame(data, q, ref_u=None, ref_v=None):
     cos_t = float(np.clip(u @ g @ v, -1.0, 1.0))
     theta = float(np.arccos(cos_t))
     return AsymptoticFrame(u=u, v=v, theta=theta, k=k)
-
-
-def frame_residuals(data, q, frame):
-    """Norms of B~U - kJU and B~V + kJV; both vanish for a correct frame."""
-    bt = data.b_tilde(q)
-    j = data.complex_structure(q)
-    r1 = bt @ frame.u - frame.k * (j @ frame.u)
-    r2 = bt @ frame.v + frame.k * (j @ frame.v)
-    return data.norm(q, r1), data.norm(q, r2)
 
 
 def theta_mean_curvature_residual(data, q):
@@ -249,13 +241,11 @@ def trace_asymptotic(data, q, which, length, step):
 
     trace = CurveTrace.from_samples(s_arr, pts, vels)
     transported = parallel_transport_samples(data, trace, vels[0])
-    defects = np.empty(len(s_arr))
-    for i in range(len(s_arr)):
-        g = data.third_form(pts[i])
-        j = data.complex_structure(pts[i])
-        a = vels[i]
-        b = transported[i]
-        defects[i] = abs(float(np.arctan2((j @ a) @ g @ b, a @ g @ b)))
+    # the angle from each velocity to its transported vector, from one III read
+    g = data.third_form(pts)
+    jv = (complex_structure(g) @ vels[..., None])[..., 0]
+    defects = np.abs(np.arctan2(_quadratic(jv, g, transported),
+                                _quadratic(vels, g, transported)))
     defect_run = np.maximum.accumulate(defects)
     return AsymptoticTrace(s=s_arr, points=pts, velocities=vels, thetas=thetas,
                            delta=delta, sigma=sigma,

@@ -24,11 +24,11 @@ orthonormal frame (f1, f2).  A torsion field maps (..., 2) points to
 constant) is broadcast; a callable of one (2,) point is wrapped in
 ``_fd.pointwise``.
 
-Batch contract: ``gamma``, ``third_form``, ``curvature`` and
-``area_density`` take one point of shape (2,) or a batch of shape (N, 2),
-and for a batch every result gains a leading axis over the rows.  Torsion
-mode evaluates a batch in one vectorised pass of the same 2x2 formulas it
-applies to one point (on Python floats there, on (N,) arrays for a batch),
+Batch contract: ``gamma``, ``third_form``, ``torsion_vector``, ``curvature``
+and ``area_density`` take one point of shape (2,) or a batch of shape
+(N, 2), and for a batch every result gains a leading axis over the rows.
+Torsion mode evaluates a batch in one vectorised pass of the same 2x2
+formulas it applies to one point (on Python floats there, on (N,) arrays),
 so each row equals the one-point result bit for bit; it checks every row
 for the chart margin, a positive definite III and finite coefficients, and
 the error names the first failing point.  Operator and immersion modes
@@ -168,8 +168,9 @@ def _each_row(method):
 
 def _torsion_from_gamma(gam, iii):
     """Torsion vector ``(Gamma_12 - Gamma_21) / sqrt(det III)`` of the
-    connection coefficients ``gam[k, i, j]``."""
-    return (gam[:, 0, 1] - gam[:, 1, 0]) / np.sqrt(np.linalg.det(iii))
+    connection coefficients ``gam[..., k, i, j]``, at one point or at each
+    row of a batch."""
+    return (gam[..., 0, 1] - gam[..., 1, 0]) / np.sqrt(np.linalg.det(iii))[..., None]
 
 
 def _inverse_shape_operator(b, q):
@@ -655,37 +656,6 @@ def check_hypothesis(k1, k2, k3):
         th1_cond0=bool(pinching_ok),  # tau0 is the supremum of the left side
         th1_tau0=th1_tau0, tau0=tau0, k4=k4, k5=k5, pinching_ok=pinching_ok,
     )
-
-
-def measured_gradient_constants(data, sample_points):
-    """Sampled estimates (c_sigma, c_mu) of the curvature-gradient constants.
-
-    c_sigma bounds |x.K_surface| / (|x| |K_surface|^{3/2}) and c_mu bounds
-    the coordinate gradient of the ambient sectional curvature on the pushed
-    tangent plane.  Informational only: no global verification is attempted.
-    """
-    if data.mode != "immersion":
-        raise ModeUnsupported("gradient constants require immersion mode")
-    c_sigma = 0.0
-    c_mu = 0.0
-    for q in sample_points:
-        q = as_point(q, 2)
-
-        def k_intr(qq):
-            return data.fundamental(qq).k_intrinsic
-
-        def k_amb(qq):
-            return data.fundamental(qq).k_ambient_tangent
-
-        grad_ki = _fd.gradient(k_intr, q, 1e-3)
-        first = data.fundamental(q).first
-        # sup over unit x of |<grad, x>| = norm of the gradient covector
-        norm_grad = float(np.sqrt(grad_ki @ np.linalg.inv(first) @ grad_ki))
-        ki = abs(data.fundamental(q).k_intrinsic)
-        c_sigma = max(c_sigma, norm_grad / ki ** 1.5)
-        grad_km = _fd.gradient(k_amb, q, 1e-3)
-        c_mu = max(c_mu, float(np.sqrt(grad_km @ np.linalg.inv(first) @ grad_km)))
-    return float(c_sigma), float(c_mu)
 
 
 def measured_pinching(data, sample_points):

@@ -6,17 +6,19 @@ Every integration in the package, here and in ``asymptotics`` and
 ``odelab``, steps with the one classical 4th-order Runge-Kutta step
 :func:`_rk4_step` on the one step grid :func:`_step_sizes` (fixed steps,
 the last one shortened).  Traces step one state at a time through the
-generator :func:`rk4_samples`; the linear bump system of ``odelab`` takes
-every step's 2x2 propagator in one batched step over the whole grid.
-Interpolated states and crossing times come from the one cubic Hermite
-interpolant :func:`hermite` between stored samples, so traces are
-deterministic and reproducible.  Quadrature over stored samples uses the
-one composite Simpson rule :func:`simpson`.
+generator :func:`rk4_samples`.  The linear systems ``Y' = A(t) Y`` (parallel
+transport, the Jacobi-type field and the bump system of ``odelab``) read A
+once, as one batch over the distinct stage times of all steps, and take
+every step's increment from one batched RK4 step in
+:func:`_linear_samples`.  Interpolated states and crossing times come from
+the one cubic Hermite interpolant :func:`hermite` between stored samples,
+so traces are deterministic and reproducible.  Quadrature over stored
+samples uses the one composite Simpson rule :func:`simpson`.
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +88,20 @@ class CurveTrace:
         return float(self.s[-1])
 
     def eval(self, sv):
-        """(point, velocity) at parameter sv, by the analytic path if there is
-        one, else by cubic Hermite interpolation between samples."""
+        """(point, velocity) at parameter sv, or at each entry of an array of
+        parameters (with a leading axis over them), by the analytic path if
+        there is one, else by cubic Hermite interpolation between samples."""
+        sv = np.asarray(sv, dtype=float)
         if self.path is not None:
-            return (np.asarray(self.path(sv), dtype=float),
-                    np.asarray(self.path_velocity(sv), dtype=float))
-        sv = float(np.clip(sv, self.s[0], self.s[-1]))
-        i = int(np.clip(np.searchsorted(self.s, sv) - 1, 0, len(self.s) - 2))
-        h = self.s[i + 1] - self.s[i]
-        return hermite((sv - self.s[i]) / h, h, self.points[i], self.velocities[i],
+            pts, vel = (np.array([f(t) for t in sv.ravel()], dtype=float)
+                        for f in (self.path, self.path_velocity))
+            return pts.reshape(sv.shape + pts.shape[1:]), vel.reshape(sv.shape + vel.shape[1:])
+        s = self.s
+        sv = np.clip(sv, s[0], s[-1])
+        i = np.clip(np.searchsorted(s, sv) - 1, 0, len(s) - 2)
+        h = s[i + 1] - s[i]
+        lead = (...,) + (None,) * (self.points.ndim - 1)  # against each sample coordinate
+        return hermite(((sv - s[i]) / h)[lead], h[lead], self.points[i], self.velocities[i],
                        self.points[i + 1], self.velocities[i + 1])
 
     def acceleration(self, sv):
@@ -177,6 +184,73 @@ def rk4_samples(f, y, length, step):
         y = _rk4_step(f, t, y, h)
         t = t + h
         yield t, y
+
+
+def _step_grid(length, step):
+    """The sample times and the steps of the grid of :func:`_step_sizes`,
+    as arrays; the times are bit for bit the running sums ``t + h``."""
+    h = np.fromiter(_step_sizes(length, step), dtype=float)
+    return np.concatenate([[0.0], np.add.accumulate(h)]), h
+
+
+def _stage_times(t, h):
+    """The 2n + 1 distinct RK4 stage times of the n steps ``h`` between the
+    sample times ``t``: every sample, and between each two the midpoint
+    ``t + h/2``.  A linear system reads its coefficients there."""
+    out = np.empty(2 * len(h) + 1)
+    out[0::2] = t
+    out[1::2] = t[:-1] + h / 2
+    return out
+
+
+def _sample(f, tt, what, var):
+    """``f`` on the array ``tt`` of its variable ``var``, from one call; a
+    scalar result is broadcast to the shape of ``tt``.  ``what`` names f in
+    the error."""
+    tt = np.asarray(tt, dtype=float)
+    vals = np.asarray(f(tt), dtype=float)
+    try:
+        return np.broadcast_to(vals, tt.shape)
+    except ValueError:
+        raise ParameterOutOfRange(
+            f"{what} is called on an array of {var} and must return an array of its "
+            f"shape or a scalar; it returned shape {vals.shape} for {var} of shape "
+            f"{tt.shape}") from None
+
+
+def _linear_samples(a, h, y):
+    """RK4 samples of the linear system ``Y' = A(t) Y`` from ``Y(0) = y``
+    over the steps ``h``: the (n + 1, d) states after 0, 1, ..., n steps.
+
+    ``a`` (2n + 1, d, d) holds A at the stage times of the steps
+    (:func:`_stage_times`).  One batched RK4 step integrates every step's
+    increment ``Q_i' = A(t) (I + Q_i)`` from 0, so ``Y_{i+1} = Y_i + Q_i
+    Y_i``.  The samples compose the increments in blocks of about sqrt(n)
+    steps, ``P_j = P_{j-1} + Q_j + Q_j P_{j-1}``, one pass per position over
+    all blocks, and a loop carries the state across the block starts.
+    Increments are kept apart from I so that they are not rounded against
+    it: with constant A a rounded ``I + Q`` would repeat at every step, and
+    the samples would drift from the state-by-state RK4 by an ulp per step."""
+    n, d = len(h), len(y)
+    eye = np.eye(d)
+    # _rk4_step reads its stages at the step's start, its midpoint (twice)
+    # and its end, in that order
+    stages = iter((a[:-1:2], a[1::2], a[1::2], a[2::2]))
+    q = _rk4_step(lambda _, qq: next(stages) @ (eye + qq), 0.0, np.zeros((n, d, d)),
+                  h[:, None, None])
+    b = max(1, math.isqrt(n))
+    m = -(-n // b)
+    p = np.zeros((m * b, d, d))  # zero increments pad the last block
+    p[:n] = q
+    p = p.reshape(m, b, d, d)
+    for j in range(1, b):
+        p[:, j] += p[:, j - 1] + p[:, j] @ p[:, j - 1]
+    starts = [np.asarray(y, dtype=float)]
+    for total in p[:, -1]:
+        starts.append(starts[-1] + total @ starts[-1])
+    starts = np.array(starts)
+    inner = starts[:-1, None] + (p @ starts[:-1, None, :, None])[..., 0]
+    return np.concatenate([starts[:1], inner.reshape(-1, d)[:n]])
 
 
 def hermite(t, h, y0, d0, y1, d1):
@@ -304,29 +378,20 @@ def exponential_map(data, q, w):
 def parallel_transport_samples(data, trace, w):
     """Transport w along the trace; returns the field at every trace sample.
 
-    The trace and the connection are read once per distinct parameter: the
-    RK4 stages k2 and k3 share the midpoint, and k4 lands on the next
-    interval's k1.
+    ``w' = -Gamma(v, w)`` is linear in w.  It takes one RK4 step per sample
+    interval, since the field is wanted at the trace's own samples and their
+    spacing need not be uniform.  The trace and the connection are read once,
+    as one batch over every sample and midpoint; a one-sample trace reads
+    nothing.
     """
+    w = np.asarray(w, dtype=float)
     if not np.isfinite(w).all():
         raise DegenerateVector(f"cannot transport the non-finite vector {w}")
-
-    @functools.lru_cache(maxsize=2)
-    def at(sv):
-        p, v = trace.eval(sv)
-        return data.gamma(p), v
-
-    def rhs(sv, wv):
-        gam, v = at(sv)
-        return -np.einsum("kij,i,j->k", gam, v, wv)
-
-    out = np.empty((len(trace.s), 2))
-    out[0] = w
-    # one RK4 step per sample interval: the field is wanted at the trace's
-    # own samples, and their spacing need not be uniform
-    for i in range(len(trace.s) - 1):
-        out[i + 1] = _rk4_step(rhs, trace.s[i], out[i], trace.s[i + 1] - trace.s[i])
-    return out
+    if len(trace.s) == 1:
+        return w[None]
+    h = np.diff(trace.s)
+    p, v = trace.eval(_stage_times(trace.s, h))
+    return _linear_samples(-np.einsum("nkij,ni->nkj", data.gamma(p), v), h, w)
 
 
 def parallel_transport(data, trace, w):
@@ -379,46 +444,57 @@ def integrate_jacobi(ktilde, tau_x, tau_y, init, length, step):
 
     The second equation is integrated through the exact first-order
     reformulation p := y' - y tau_y, p' = -K~ y, which avoids differentiating
-    the sampled product.  ``init`` is (x0, y0, x0', y0').  If a coefficient
-    cannot be evaluated for lack of chart room (``PointOutsideChart``), the
-    partial field is returned with ``left_patch`` set.
-
-    Each coefficient is evaluated once per distinct time: the RK4 stages k2
-    and k3 share ``t + h/2``, k4 lands on the next step's k1, and the
-    samples keep the values the steps used.
+    the sampled product.  ``init`` is (x0, y0, x0', y0').  Each coefficient
+    is a callable that is called once, on the array of the run's 2n + 1
+    distinct stage times, and returns an array of their shape or a scalar,
+    which is broadcast; any other result raises ``ParameterOutOfRange``.  If
+    a coefficient cannot be evaluated for lack of chart room
+    (``PointOutsideChart``), the field stops after the last whole step whose
+    stage times all evaluate and is returned with ``left_patch`` set.
     """
+    def read(tt):
+        return [_sample(f, tt, "a Jacobi coefficient", "t") for f in (tau_x, tau_y, ktilde)]
+
+    return _jacobi(read, init, length, step)
+
+
+def _jacobi(read, init, length, step):
+    """The Jacobi-type field with ``read(tt) -> (tau_x, tau_y, K~)`` at the
+    array of stage times ``tt``."""
     if not np.isfinite(init).all():
         raise ParameterOutOfRange(f"Jacobi initial data must be finite, got {init}")
+    t, h = _step_grid(length, step)
+    times = _stage_times(t, h)
+    values, n, left = _whole_steps(read, times)
+    tx, ty, k = np.array(values, dtype=float)  # broadcast constants made whole
+    # the state (x, y, p): x' = tau_x y, y' = tau_y y + p, p' = -K~ y
+    a = np.zeros((2 * n + 1, 3, 3))
+    a[:, 0, 1], a[:, 1, 1], a[:, 1, 2], a[:, 2, 1] = tx, ty, 1.0, -k
+    x0, y0, _, yp0 = init
+    x, y, p = _linear_samples(a, h[:n], (x0, y0, yp0 - y0 * ty[0])).T
+    tx, ty, k = tx[::2], ty[::2], k[::2]  # at the sample times
+    return JacobiTrace(t=t[:n + 1], x=x, y=y, xp=y * tx, yp=p + y * ty,
+                       ktilde=k, tau_x=tx, tau_y=ty, left_patch=left)
 
-    @functools.lru_cache(maxsize=2)
-    def coefficients(t):
-        return tau_x(t), tau_y(t), ktilde(t)
 
-    x0, y0, xp0, yp0 = init
-    samples = [coefficients(0.0)]
-    state = np.array([x0, y0, yp0 - y0 * samples[0][1]])
-
-    def rhs(t, st):
-        x, y, p = st
-        tx, ty, k = coefficients(t)
-        return np.array([y * tx, p + y * ty, -k * y])
-
-    ts = [0.0]
-    states = [state]
-    left = False
+def _whole_steps(read, times):
+    """``read`` at all stage times, or where that raises PointOutsideChart,
+    at those of the longest run of whole steps that all evaluate, found by
+    bisection; returns (values, steps, stopped short).  A first time that
+    does not evaluate raises."""
+    n = len(times) // 2
     try:
-        for t, state in rk4_samples(rhs, state, length, step):
-            ts.append(t)
-            states.append(state)
-            samples.append(coefficients(t))
+        return read(times), n, False
     except PointOutsideChart:
-        left = True
-    ts = np.array(ts)
-    states = np.array(states)
-    x, y, p = states[:, 0], states[:, 1], states[:, 2]
-    tx, ty, ktl = np.array(samples, dtype=float).T
-    return JacobiTrace(t=ts, x=x, y=y, xp=y * tx, yp=p + y * ty,
-                       ktilde=ktl, tau_x=tx, tau_y=ty, left_patch=left)
+        pass
+    lo, hi, values = 0, n, None  # the first lo steps evaluate, the first hi do not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            values, lo = read(times[:2 * mid + 1]), mid
+        except PointOutsideChart:
+            hi = mid
+    return (read(times[:1]) if values is None else values), lo, True
 
 
 def sandwich_horizon(jt):
@@ -437,20 +513,18 @@ def sandwich_horizon(jt):
 def jacobi_field(data, base_trace, x0, y0, xp0, yp0, step):
     """Jacobi-type field along a geodesic trace of ``data``.
 
-    K~ and the torsion components are sampled along the base trace, which
-    is read once per time for all three.
+    K~ and the torsion components are read once, as one batch over the
+    stage times: one read of the base trace, ``torsion_vector``, III and K~.
     """
 
-    @functools.lru_cache(maxsize=1)
-    def at(t):
-        p, v = base_trace.eval(t)
+    def read(tt):
+        p, v = base_trace.eval(tt)
         tau = data.torsion_vector(p)
         g = data.third_form(p)
-        return p, float(tau @ g @ v), float(tau @ g @ (complex_structure(g) @ v))
+        jv = (complex_structure(g) @ v[..., None])[..., 0]
+        return _quadratic(tau, g, v), _quadratic(tau, g, jv), data.curvature(p)
 
-    return integrate_jacobi(lambda t: data.curvature(at(t)[0]), lambda t: at(t)[1],
-                            lambda t: at(t)[2], (x0, y0, xp0, yp0),
-                            base_trace.total_length, step)
+    return _jacobi(read, (x0, y0, xp0, yp0), base_trace.total_length, step)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +686,8 @@ class RegionSpec:
         dirs = np.cos(phis)[:, None] * f[0] + np.sin(phis)[:, None] * f[1]
         # one trace whose samples stack every ray: points[i] is (n_rays, 2)
         fan = _ray_fan(data, center, dirs, radius, radius / 64.0)
-        nodes = [fan.eval(sn) for sn in s_nodes]
-        ray_pts = np.stack([p for p, _ in nodes], axis=1)  # (n_rays, n_radial, 2)
-        ray_vel = np.stack([v for _, v in nodes], axis=1)
+        # (n_rays, n_radial, 2)
+        ray_pts, ray_vel = (np.swapaxes(a, 0, 1) for a in fan.eval(s_nodes))
         ends = fan.eval(radius)[0]
 
         def dphi(arr):

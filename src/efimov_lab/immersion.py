@@ -164,18 +164,6 @@ def _frame(patch, q, g, jac):
     return first, patch.orientation * n / np.sqrt(norm2)
 
 
-def unit_normal(patch, ambient, q):
-    """The g-unit normal with the patch's orientation sign.
-
-    Chosen so that (d1 phi, d2 phi, N) is positively oriented with respect to
-    the ambient chart orientation times the orientation sign.
-    """
-    q = as_point(q, 2)
-    p = patch.point(q)
-    ambient.require_inside(p)
-    return _frame(patch, q, ambient.matrix(p), patch.jacobian(q))[1]
-
-
 def induced_metric_field(patch, ambient):
     """The first fundamental form as a 2D MetricField on the parameter box.
 

@@ -5,9 +5,10 @@ inequality control, and the 2x2 spiral eigenvalue analysis.
 The bump equation is ``y'' = (y u)' - (eps + u^2/4) y`` integrated as the
 first-order system ``y' = y u + z``, ``z' = -(eps + u^2/4) y`` from
 ``(y, z)(0) = (1, 4)``, so ``y'(0) = u(0) + 4``.  The system is linear,
-``Y' = A(s) Y`` with ``A = [[u, 1], [-(eps + u^2/4), 0]]``, so one RK4 step
-is a 2x2 matrix: every step's matrix comes from one batched RK4 step over
-the whole step grid, and the samples from their running product.
+``Y' = A(s) Y`` with ``A = [[u, 1], [-(eps + u^2/4), 0]]``: it runs on the
+linear-system stepper of ``curves`` (``curves._linear_samples``), which
+takes every step's increment from one batched RK4 step over the whole step
+grid.
 
 A profile ``u`` is a constant or a callable that is called on arrays of
 ``s`` and returns an array of their shape (or a scalar, which is
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _rk4_step, _step_sizes, hermite, simpson
+from .curves import _linear_samples, _sample, _stage_times, _step_grid, hermite, simpson
 from .errors import BoundViolated, NoCrossing, ParameterOutOfRange
 
 __all__ = [
@@ -43,23 +44,14 @@ def _as_profile(u):
     return lambda s: c
 
 
-def _sample(u, ss):
-    """The profile on the array ``ss`` of s, from one call of ``u``; a scalar
-    result is broadcast to the shape of ``ss``."""
-    ss = np.asarray(ss, dtype=float)
-    vals = np.asarray(u(ss), dtype=float)
-    try:
-        return np.broadcast_to(vals, ss.shape)
-    except ValueError:
-        raise ParameterOutOfRange(
-            f"a profile u is called on an array of s and must return an array of its "
-            f"shape or a scalar; it returned shape {vals.shape} for s of shape "
-            f"{ss.shape}") from None
+def _profile(u, ss):
+    """The profile on the array ``ss`` of s, from one call of ``u``."""
+    return _sample(u, ss, "a profile u", "s")
 
 
 def _check_bound(u, eps, lo, hi, n=512):
     bound = 1.0 / eps
-    vals = _sample(u, np.linspace(lo, hi, n))
+    vals = _profile(u, np.linspace(lo, hi, n))
     worst = float(np.max(np.abs(vals)))
     if not worst <= bound * (1 + 1e-12):  # a NaN profile fails too
         raise BoundViolated(f"sup|u| = {worst:.6g} exceeds 1/eps = {bound:.6g}")
@@ -68,39 +60,16 @@ def _check_bound(u, eps, lo, hi, n=512):
 def _bump_run(u, eps, length, step, y, z, sign=1.0, stop_at_zero=False):
     """RK4 samples of ``Y' = sign * A(t) Y``, ``A = [[u, 1], [-(eps + u^2/4),
     0]]``, on [0, length] from ``Y(0) = (y, z)``; with ``stop_at_zero`` the
-    run ends at the first ``y <= 0``.  Returns (t, y, z) arrays.
-
-    One batched RK4 step over all steps integrates each step's increment
-    ``Q' = sign * A(t) (I + Q)`` from ``Q = 0``, which samples the profile
-    once per stage; the samples ``Y_{i+1} = Y_i + Q_i Y_i`` then run on
-    Python floats.  ``Q`` is kept apart from ``I`` so that it is not rounded
-    against it: with constant ``u`` the same rounded ``I + Q`` would repeat
-    at every step, and the samples would drift from the state-by-state RK4
-    by about one ulp per step."""
-    h = np.fromiter(_step_sizes(length, step), dtype=float)
-    t = np.concatenate([[0.0], np.add.accumulate(h)])  # bit for bit the running t + h
-    eye = np.eye(2)
-
-    def generator(tt, q):
-        uu = _sample(u, tt)
-        m = eye + q
-        top = m[:, :1]
-        return sign * np.concatenate([uu * top + m[:, 1:], -(eps + uu * uu / 4.0) * top],
-                                     axis=1)
-
-    q = _rk4_step(generator, t[:-1, None, None], np.zeros((len(h), 2, 2)), h[:, None, None])
-    ys, zs = np.empty(len(t)), np.empty(len(t))
-    ys[0], zs[0] = y, z
-    # a memoryview yields its entries as Python floats one at a time, so the
-    # run holds no list of n float objects
-    columns = [memoryview(q[:, j, k].copy()) for j in (0, 1) for k in (0, 1)]
-    i = 0
-    for i, (a, b, c, d) in enumerate(zip(*columns), 1):
-        y, z = y + (a * y + b * z), z + (c * y + d * z)
-        ys[i], zs[i] = y, z
-        if stop_at_zero and y <= 0.0:
-            break
-    return t[: i + 1], ys[: i + 1], zs[: i + 1]
+    run ends at the first ``y <= 0``.  Returns (t, y, z) arrays.  The
+    profile is sampled once, at every stage time of the whole grid."""
+    t, h = _step_grid(length, step)
+    uu = _profile(u, _stage_times(t, h))
+    a = np.zeros((len(uu), 2, 2))
+    a[:, 0, 0], a[:, 0, 1], a[:, 1, 0] = sign * uu, sign, -sign * (eps + uu * uu / 4.0)
+    ys, zs = _linear_samples(a, h, (y, z)).T
+    zero = np.flatnonzero(ys[1:] <= 0.0) if stop_at_zero else []
+    end = zero[0] + 2 if len(zero) else len(t)  # through the first step into y <= 0
+    return t[:end], ys[:end], zs[:end]
 
 
 def integrate_bump_system(u, eps, s_max, step):
@@ -173,7 +142,7 @@ class EdoSolution:
 
     @property
     def yprime(self):
-        return self.y * _sample(_as_profile(self.u), self.s) + self.z
+        return self.y * _profile(_as_profile(self.u), self.s) + self.z
 
 
 def solve_prop_edo(u, eps, step=1e-4):
@@ -190,7 +159,7 @@ def solve_prop_edo(u, eps, step=1e-4):
     s_cap = np.pi / np.sqrt(eps) * 1.05 + 5 * step
     _check_bound(u, eps, 0.0, s_cap)
     s, y, z = integrate_bump_system(u, eps, s_cap, step)
-    yp = y * _sample(u, s) + z
+    yp = y * _profile(u, s) + z
 
     def root(i, target):
         return _hermite_root(s[i - 1], s[i], y[i - 1], y[i], yp[i - 1], yp[i], target)
@@ -302,7 +271,7 @@ def construct_edo7(u, eps, n1, step=1e-3):
                            stop_at_zero=True)
     if ys[-1] > 0:
         raise NoCrossing("left closing segment did not reach zero")
-    ypl = ys * _sample(u, -n1 - ts) + zs
+    ypl = ys * _profile(u, -n1 - ts) + zs
     t_zero = _hermite_root(ts[-2], ts[-1], ys[-2], ys[-1], -ypl[-2], -ypl[-1], 0.0)
     x_left = -n1 - t_zero
     grid = -n1 - ts[ts <= t_zero + step]
@@ -396,7 +365,7 @@ def weak_inequality_residual(bump, u, n_tests=50, seed=20240):
         phi = _bspline_bump(tt)
         d1 = _bspline_bump_d1(tt) / width
         d2 = _bspline_bump_d2(tt) / width ** 2
-        uu = _sample(u, gg)
+        uu = _profile(u, gg)
         integrand = yy * (d2 + uu * d1 + (bump.eps + uu ** 2 / 4.0) * phi)
         return simpson(integrand, gg)
 

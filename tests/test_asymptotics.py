@@ -5,13 +5,22 @@ from efimov_lab import gallery
 from efimov_lab.asymptotics import (
     asymptotic_frame,
     covariant_rate_check,
-    frame_residuals,
     measured_tau1,
     net_expansion_check,
     theta_mean_curvature_residual,
     trace_asymptotic,
 )
 from efimov_lab.errors import ModeUnsupported, NonHyperbolicPoint
+
+
+def frame_residuals(data, q, frame):
+    """The eigen-equations as the oracle: the III-norms of B~U - kJU and
+    B~V + kJV, which vanish for a correct frame."""
+    bt = data.b_tilde(q)
+    j = data.complex_structure(q)
+    r1 = bt @ frame.u - frame.k * (j @ frame.u)
+    r2 = bt @ frame.v + frame.k * (j @ frame.v)
+    return data.norm(q, r1), data.norm(q, r2)
 
 
 def test_saddle_frame(saddle_data):

@@ -539,6 +539,25 @@ def test_operator_and_immersion_batches_loop_over_rows(saddle_data):
     assert_batch_equals_points(saddle_data, np.array([[0.1, 0.2], [-0.3, 0.05]]))
 
 
+@pytest.mark.parametrize("mode", ["torsion", "operator", "immersion"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_torsion_batch_rows_equal_one_point_calls(mode, n, saddle_data):
+    """``torsion_vector`` and ``torsion_from_coefficients`` of an (N, 2)
+    batch equal the one-point calls row by row, N = 2 included (a 2-row
+    batch must not be read as one point's coefficients)."""
+    data, pts = {
+        "torsion": (gallery.hyperbolic_deformed(1.3), [[1.2, 0.1], [1.5, -0.4], [0.9, 0.3]]),
+        "operator": (_operator_case("seed3")[0], [[0.8, 0.1], [1.5, -0.7], [2.2, 1.3]]),
+        "immersion": (saddle_data, [[0.1, 0.2], [-0.3, 0.05], [0.2, -0.1]]),
+    }[mode]
+    pts = np.array(pts[:n])
+    for method in ("torsion_vector", "torsion_from_coefficients"):
+        evaluate = getattr(data, method)
+        batch = evaluate(pts)
+        single = np.array([evaluate(p) for p in pts])
+        assert batch.shape == (n, 2) and np.array_equal(batch, single), method
+
+
 # --- hypothesis verdicts ----------------------------------------------------
 
 
@@ -607,17 +626,6 @@ def test_excluded_implies_sit_check():
             count += 1
             assert v.sit_check
     assert count > 50  # the sample genuinely hits the excluded regime
-
-
-def test_measured_gradient_constants(slice_data):
-    from efimov_lab.connection import measured_gradient_constants
-
-    c_sigma, c_mu = measured_gradient_constants(slice_data, [[0.2, 0.3], [0.0, 0.1]])
-    # both curvatures are constant along the slice (K_I = -1 and the ambient
-    # sectional on the tangent plane is lambda^2 - 1), so the sampled
-    # estimates are numerical-noise small
-    assert 0.0 <= c_sigma < 1e-4
-    assert 0.0 <= c_mu < 1e-3
 
 
 def test_immersion_gamma_and_third_form_skip_curvature(monkeypatch):

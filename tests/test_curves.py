@@ -59,13 +59,13 @@ def latitude_trace(data, psi):
 
 
 def count_calls(monkeypatch, obj, name):
-    """Wrap the point evaluator ``obj.name``; the returned list collects the
-    point of every call."""
+    """Wrap the evaluator ``obj.name``; the returned list collects the points
+    of every call, one array per call."""
     calls = []
     fn = getattr(obj, name)
 
     def counted(q, *args, **kwargs):
-        calls.append(tuple(np.asarray(q, dtype=float)))
+        calls.append(np.array(q, dtype=float))
         return fn(q, *args, **kwargs)
 
     monkeypatch.setattr(obj, name, counted)
@@ -163,24 +163,77 @@ def test_transport_preserves_norm(slice_data):
     assert abs(n1 - n0) < 1e-8
 
 
-def test_transport_reads_gamma_once_per_point(monkeypatch):
-    """One connection read per sample and per midpoint, 2n + 1 for n
-    intervals, with the field of an RK4 step that reads at every stage."""
-    data = gallery.hyperbolic_deformed(1.0)
-    tr = deformed_geodesic(data)
-    w0 = np.array([0.3, 1.0])
+def _close(a, b):
+    """Agreement to 1e-12 relative (absolute below 1)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(b))))
+
+
+def per_stage_transport(data, tr, w0):
+    """The per-stage formulation as the oracle: one RK4 step per trace
+    interval, reading the trace and the connection at every stage."""
 
     def rhs(sv, wv):
         p, v = tr.eval(sv)
         return -np.einsum("kij,i,j->k", data.gamma(p), v, wv)
 
-    ref = [w0]
+    ref = [np.asarray(w0, dtype=float)]
     for i in range(len(tr.s) - 1):
         ref.append(_rk4_step(rhs, tr.s[i], ref[-1], tr.s[i + 1] - tr.s[i]))
+    return np.array(ref)
+
+
+def per_stage_jacobi(ktilde, tau_x, tau_y, init, length, step):
+    """The per-stage formulation as the oracle: ``rk4_samples`` on the state
+    (x, y, p) with one scalar read of each coefficient per stage, stopping
+    where a read raises PointOutsideChart.  Returns (t, x, y, yp)."""
+
+    def rhs(t, st):
+        x, y, p = st
+        return np.array([y * tau_x(t), p + y * tau_y(t), -ktilde(t) * y])
+
+    x0, y0, _, yp0 = init
+    ts, states = [0.0], [np.array([x0, y0, yp0 - y0 * tau_y(0.0)])]
+    try:
+        for t, st in rk4_samples(rhs, states[0], length, step):
+            ts.append(t)
+            states.append(st)
+    except PointOutsideChart:
+        pass
+    x, y, p = np.array(states).T
+    return np.array(ts), x, y, p + y * np.array([tau_y(t) for t in ts])
+
+
+def test_transport_reads_gamma_once_as_one_batch(monkeypatch):
+    """One batched connection read of the 2n + 1 distinct stage points for
+    n intervals, and the per-stage formulation's field to 1e-12."""
+    data = gallery.hyperbolic_deformed(1.0)
+    tr = deformed_geodesic(data)
+    w0 = np.array([0.3, 1.0])
+    ref = per_stage_transport(data, tr, w0)
     calls = count_calls(monkeypatch, data, "gamma")
     ws = parallel_transport_samples(data, tr, w0)
-    assert len(calls) == 101 and len(set(calls)) == 101
-    np.testing.assert_array_equal(ws, np.array(ref))
+    assert len(calls) == 1 and calls[0].shape == (101, 2)
+    assert len(np.unique(calls[0], axis=0)) == 101
+    assert _close(ws, ref)
+
+
+def test_transport_along_a_path_backed_trace_equals_per_stage():
+    """A path-backed trace evaluates its path at the stage times; a closed
+    latitude circle on the sphere transports as the per-stage oracle."""
+    data = gallery.abstract_sphere()
+    tr = latitude_trace(data, np.pi / 3)
+    w0 = np.array([0.2, -0.4])
+    assert _close(parallel_transport_samples(data, tr, w0), per_stage_transport(data, tr, w0))
+
+
+def test_one_sample_trace_transports_to_itself(monkeypatch):
+    data = gallery.hyperbolic_deformed(1.0)
+    tr = integrate_geodesic(data, [1.2, 0.1], data.unit([1.2, 0.1], [1.0, 0.5]), 0.0, 0.01)
+    assert len(tr.s) == 1
+    calls = count_calls(monkeypatch, data, "gamma")
+    ws = parallel_transport_samples(data, tr, [0.3, 1.0])
+    assert ws.shape == (1, 2) and np.array_equal(ws[0], [0.3, 1.0]) and calls == []
 
 
 def test_deformed_small_loop_rotation():
@@ -281,10 +334,11 @@ def test_jacobi_along_data_trace(abstract_sphere):
     assert np.max(np.abs(jt.xp - jt.y * jt.tau_x)) < 1e-12
 
 
-def test_jacobi_field_reads_curvature_once_per_time(monkeypatch):
-    """K~ and the torsion are read once per distinct time, 2n + 1 for n
-    steps, and the field equals one built from a separate reader of K~ and
-    of each torsion component."""
+def test_jacobi_field_reads_coefficients_once_as_one_batch(monkeypatch):
+    """K~ and the torsion are read once, as one batch of the 2n + 1 distinct
+    stage points for n steps, and the field equals the per-stage
+    formulation with separate readers of K~ and each torsion component to
+    1e-12."""
     data = gallery.hyperbolic_deformed(1.0)
     tr = deformed_geodesic(data)
 
@@ -294,17 +348,52 @@ def test_jacobi_field_reads_curvature_once_per_time(monkeypatch):
             v = data.complex_structure(p) @ v
         return float(data.torsion_vector(p) @ data.third_form(p) @ v)
 
-    ref = integrate_jacobi(lambda t: data.curvature(tr.eval(t)[0]),
-                           lambda t: tau_component(t, False), lambda t: tau_component(t, True),
-                           (0.0, 0.0, 0.0, 1.0), tr.total_length, 0.01)
+    t, x, y, yp = per_stage_jacobi(lambda t: data.curvature(tr.eval(t)[0]),
+                                   lambda t: tau_component(t, False),
+                                   lambda t: tau_component(t, True),
+                                   (0.0, 0.0, 0.0, 1.0), tr.total_length, 0.01)
     calls = count_calls(monkeypatch, data, "curvature")
     torsion_calls = count_calls(monkeypatch, data, "torsion_vector")
     jt = jacobi_field(data, tr, 0.0, 0.0, 0.0, 1.0, 0.01)
     assert len(jt.t) == 51 and not jt.left_patch
-    assert len(calls) == 101 and len(set(calls)) == 101
-    assert torsion_calls == calls  # one read serves both torsion components
-    for name in ("t", "x", "y", "xp", "yp", "ktilde", "tau_x", "tau_y"):
-        np.testing.assert_array_equal(getattr(jt, name), getattr(ref, name))
+    assert len(calls) == 1 and calls[0].shape == (101, 2)
+    assert len(np.unique(calls[0], axis=0)) == 101
+    assert len(torsion_calls) == 1 and np.array_equal(torsion_calls[0], calls[0])
+    assert np.array_equal(jt.t, t)
+    for got, want in ((jt.x, x), (jt.y, y), (jt.yp, yp)):
+        assert _close(got, want)
+
+
+@pytest.mark.parametrize("cut", [0.2525, 0.2555])
+def test_jacobi_stops_after_the_last_whole_step_that_evaluates(cut):
+    """Where a coefficient raises PointOutsideChart past ``cut`` (at a
+    midpoint, or at a sample), the field stops where the per-stage
+    formulation stops: after the last whole step before it."""
+
+    def ktilde(t):
+        if np.max(t) > cut:
+            raise PointOutsideChart(f"t = {np.max(t)} is past {cut}")
+        return 1.0
+
+    jt = integrate_jacobi(ktilde, lambda t: 0.1, lambda t: 0.2, (0.0, 0.0, 0.0, 1.0), 1.0, 0.01)
+    t, x, y, yp = per_stage_jacobi(ktilde, lambda t: 0.1, lambda t: 0.2,
+                                   (0.0, 0.0, 0.0, 1.0), 1.0, 0.01)
+    assert jt.left_patch and len(jt.t) == len(t) == 26
+    assert _close(jt.x, x) and _close(jt.y, y) and _close(jt.yp, yp)
+
+
+def test_zero_length_jacobi_field_returns_its_initial_row():
+    jt = integrate_jacobi(lambda t: 1.0, lambda t: 0.3, lambda t: 0.5,
+                          (0.0, 2.0, 0.6, 1.0), 0.0, 0.01)
+    assert list(jt.t) == [0.0] and not jt.left_patch
+    assert (jt.x[0], jt.y[0], jt.xp[0], jt.yp[0]) == (0.0, 2.0, 0.6, 1.0)
+    assert (jt.ktilde[0], jt.tau_x[0], jt.tau_y[0]) == (1.0, 0.3, 0.5)
+
+
+def test_jacobi_coefficient_that_does_not_broadcast_raises_typed_error():
+    with pytest.raises(ParameterOutOfRange, match="called on an array of t"):
+        integrate_jacobi(lambda t: [1.0, 2.0], lambda t: 0.0, lambda t: 0.0,
+                         (0.0, 0.0, 0.0, 1.0), 0.5, 0.1)
 
 
 # --- Gauss-Bonnet -----------------------------------------------------------

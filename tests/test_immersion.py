@@ -9,7 +9,6 @@ from efimov_lab.immersion import (
     dnabla_b,
     fundamental_forms,
     gauss_residual,
-    unit_normal,
 )
 from efimov_lab.ambient import ChartBox
 
@@ -27,7 +26,6 @@ def test_unit_sphere_shape_operator(euclid):
     d = fundamental_forms(patch, euclid, [1.1, 0.7])
     # outward normal: B is the identity, det B = 1, K_I = 1
     assert np.max(np.abs(d.normal - d.point)) < 1e-12
-    assert np.array_equal(unit_normal(patch, euclid, [1.1, 0.7]), d.normal)
     assert np.max(np.abs(d.shape_operator - np.eye(2))) < 1e-10
     assert abs(np.linalg.det(d.shape_operator) - 1.0) < 1e-10
     assert abs(d.k_intrinsic - 1.0) < 1e-6
@@ -101,8 +99,6 @@ def test_degenerate_immersion(euclid):
                        ChartBox.cube(2, 1.0), name="collapsed")
     with pytest.raises(DegenerateImmersion):
         fundamental_forms(bad, euclid, [0.0, 0.0])
-    with pytest.raises(DegenerateImmersion):
-        unit_normal(bad, euclid, [0.0, 0.0])
 
 
 def test_map_only_patch_jet_from_one_stencil(euclid):
