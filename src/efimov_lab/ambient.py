@@ -220,8 +220,10 @@ def christoffel(metric, p):
     ginv = metric.inverse(p)
     dg = metric.partials(p)
     # Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_im - d_m g_ij)
-    term = np.einsum("imj->ijm", dg) + np.einsum("jim->ijm", dg) - np.einsum("mij->ijm", dg)
-    return 0.5 * np.einsum("km,ijm->kij", ginv, term)
+    # the bracket indexed [m, i, j], so that g^{km} contracts it by one matmul
+    term = dg.transpose(1, 0, 2) + dg.transpose(2, 1, 0) - dg
+    dim = metric.dim
+    return 0.5 * (ginv @ term.reshape(dim, dim * dim)).reshape(dim, dim, dim)
 
 
 def _curvature(metric, p, finish=None):

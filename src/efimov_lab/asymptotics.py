@@ -10,6 +10,8 @@ form.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import _fd
 from .ambient import as_point
 from .connection import FD_STEP, complex_structure
-from .curves import CurveTrace, _quadratic, parallel_transport_samples, rk4_samples
+from .curves import CurveTrace, _quadratic, hermite, parallel_transport_samples, rk4_samples
 from .curves import trace_margin
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
 
@@ -53,48 +55,77 @@ def _require_shape_mode(data):
 def asymptotic_frame(data, q, ref_u=None, ref_v=None):
     """The asymptotic frame at q, oriented so theta lies in (0, pi).
 
-    Signs: U takes the eigendirection with positive first chart component
-    (ties broken by the second); V is then oriented so the frame is
-    positively ordered.  When ``ref_u``/``ref_v`` are given, signs maximize
-    the metric inner product with them instead (continuity along traces).
+    U and V are the eigenvectors of ``M = -J B~`` for its eigenvalues k and
+    -k.  The eigenpairs come in closed form: the eigenvalues are
+    ``tr/2 +- sqrt(tr^2/4 - det)`` of M, U takes the one nearest k, and each
+    eigenvector is orthogonal to the better-conditioned row of ``M - lambda``
+    (the one of larger norm).  Both are then III-unit.
+
+    Signs: U takes the eigendirection with positive first chart component.
+    Where ``|u[0]| <= 1e-6 |u[1]|`` that component is rounding noise (U runs
+    along the v-axis, as on the saddle) and the sign of the second decides
+    instead.  V is then oriented so the frame is positively ordered.  When
+    ``ref_u``/``ref_v`` are given, signs maximize the metric inner product
+    with them instead (continuity along traces).
     """
     _require_shape_mode(data)
     q = as_point(q, 2)
-    bt = data.b_tilde(q)
-    det = float(np.linalg.det(bt))
+    (b11, b12), (b21, b22) = data.b_tilde(q).tolist()
+    det = b11 * b22 - b12 * b21
     if det >= 0:
         raise NonHyperbolicPoint(f"det B~ = {det:.3e} >= 0 at q={q}")
-    k = float(np.sqrt(-det))
+    k = math.sqrt(-det)
     g = data.third_form(q)
-    j = complex_structure(g)
-    m = -j @ bt
-    vals, vecs = np.linalg.eig(m)
-    vals = np.real(vals)
-    vecs = np.real(vecs)
-    iu = int(np.argmin(np.abs(vals - k)))
-    iv = 1 - iu
+    (g11, g12), (g21, g22) = g.tolist()
+    (j11, j12), (j21, j22) = complex_structure(g).tolist()
 
-    def unit(w):
-        return w / np.sqrt(w @ g @ w)
+    # 2x2 arithmetic on Python floats: this runs at every stage of every flow
+    def inner(x, y):
+        """III(x, y) for two pairs of floats."""
+        return (x[0] * g11 + x[1] * g21) * y[0] + (x[0] * g12 + x[1] * g22) * y[1]
 
-    u = unit(vecs[:, iu])
-    v = unit(vecs[:, iv])
+    def rotated(x):
+        """J x."""
+        return (j11 * x[0] + j12 * x[1], j21 * x[0] + j22 * x[1])
+
+    m11, m12 = -(j11 * b11 + j12 * b21), -(j11 * b12 + j12 * b22)
+    m21, m22 = -(j21 * b11 + j22 * b21), -(j21 * b12 + j22 * b22)
+    half = 0.5 * (m11 + m22)
+    # tr^2/4 - det M >= -det M = -det B~ > 0: the two eigenvalues are real
+    root = math.sqrt(max(half * half - (m11 * m22 - m12 * m21), 0.0))
+    lam_u, lam_v = half + root, half - root
+    if abs(lam_v - k) < abs(lam_u - k):
+        lam_u, lam_v = lam_v, lam_u
+
+    def unit_eigenvector(lam):
+        if math.hypot(m11 - lam, m12) >= math.hypot(m21, m22 - lam):
+            w = (m12, lam - m11)
+        else:
+            w = (lam - m22, m21)
+        n = math.sqrt(inner(w, w))
+        return (w[0] / n, w[1] / n)
+
+    def flip(x):
+        return (-x[0], -x[1])
+
+    u = unit_eigenvector(lam_u)
+    v = unit_eigenvector(lam_v)
 
     if ref_u is not None:
-        if float(u @ g @ np.asarray(ref_u)) < 0:
-            u = -u
+        if inner(u, np.asarray(ref_u, dtype=float).tolist()) < 0:
+            u = flip(u)
     elif ref_v is None:
-        if u[0] < 0 or (u[0] == 0 and u[1] < 0):
-            u = -u
+        if (u[0] < 0) if abs(u[0]) > 1e-6 * abs(u[1]) else (u[1] < 0):
+            u = flip(u)
     if ref_v is not None:
-        if float(v @ g @ np.asarray(ref_v)) < 0:
-            v = -v
-        if ref_u is None and float((j @ u) @ g @ v) < 0:
-            u = -u  # orientation fixes the remaining sign
-    elif float((j @ u) @ g @ v) < 0:
-        v = -v
-    cos_t = float(np.clip(u @ g @ v, -1.0, 1.0))
-    theta = float(np.arccos(cos_t))
+        if inner(v, np.asarray(ref_v, dtype=float).tolist()) < 0:
+            v = flip(v)
+        if ref_u is None and inner(rotated(u), v) < 0:
+            u = flip(u)  # orientation fixes the remaining sign
+    elif inner(rotated(u), v) < 0:
+        v = flip(v)
+    theta = math.acos(min(max(inner(u, v), -1.0), 1.0))
+    u, v = np.array(u) + 0.0, np.array(v) + 0.0  # + 0.0 turns a -0.0 entry into 0.0
     return AsymptoticFrame(u=u, v=v, theta=theta, k=k)
 
 
@@ -202,11 +233,17 @@ def _asymptotic_flow(data, q, which, ref, length, step):
                               ref_v=r if which == "V" else None)
         return (fr.u if which == "U" else fr.v), fr
 
+    def rhs(t, qq):
+        # a step's first stage reads the sample just taken, whose direction
+        # is known: recomputing it with itself as reference gives vec again
+        return vec if qq is cur else direction(qq, vec)[0]
+
     vec, fr = direction(q, ref)
     yield 0.0, q, vec, fr
     margin = trace_margin(data, step)
+    cur = q
     # the flow reads the latest vec, so each step follows the sign of the last
-    for s, cur in rk4_samples(lambda t, qq: direction(qq, vec)[0], q, length, step):
+    for s, cur in rk4_samples(rhs, cur, length, step):
         if not data.contains(cur, margin=margin):
             raise LeftPatch(f"asymptotic flow left the patch near {cur}")
         vec, fr = direction(cur, vec)
@@ -271,46 +308,47 @@ def measured_tau1(data, points):
 # coordinate net
 
 
-def _flow_curve(data, q, which, ref, length, step):
-    """The asymptotic flow from q as a plain curve, no diagnostics; raises
-    LeftPatch if it leaves the patch."""
-    flow = _asymptotic_flow(data, as_point(q, 2), which, np.asarray(ref, dtype=float),
-                            length, step)
-    s_vals, pts, vels, _ = zip(*flow)
-    return CurveTrace.from_samples(np.array(s_vals), np.array(pts), np.array(vels))
+class _NetLine:
+    """One asymptotic line of the net: the samples of its flow from q,
+    pulled from the generator only as far as an evaluation reaches."""
 
+    def __init__(self, data, q, which, ref, length, step):
+        self._flow = _asymptotic_flow(data, q, which, ref, length, step)
+        s, p, vel, _ = next(self._flow)
+        self.s, self.points, self.velocities = [s], [p], [vel]
 
-def _intersect(data, c, b, ref_u, ref_v, du, dv, step):
-    """Newton solve for flow_U(c, s) = flow_V(b, t) near (du, dv).
-
-    The two flows are integrated once up to 2.5 times the expected arc and
-    the Newton iteration moves only the evaluation parameters.
-    """
-    tr_u = _flow_curve(data, c, "U", ref_u, 2.5 * du, step)
-    tr_v = _flow_curve(data, b, "V", ref_v, 2.5 * dv, step)
-    s, t = du, dv
-    pu, vu = tr_u.eval(s)
-    for _ in range(30):
-        pu, vu = tr_u.eval(s)
-        pv, vv = tr_v.eval(t)
-        f = pu - pv
-        if np.linalg.norm(f) < 1e-12:
-            break
-        jac = np.column_stack([vu, -vv])
-        ds, dt = np.linalg.solve(jac, -f)
-        s = float(np.clip(s + ds, 0.0, 2.45 * du))
-        t = float(np.clip(t + dt, 0.0, 2.45 * dv))
-    return s, t, pu, vu, tr_v.eval(t)[1]
+    def eval(self, sv):
+        """(point, velocity) at arclength sv, by cubic Hermite interpolation
+        between samples as in ``CurveTrace.eval``; sv is clipped to the
+        flow's full length."""
+        s = self.s
+        if s[-1] < sv or len(s) < 2:
+            for t, p, vel, _ in self._flow:
+                s.append(t)
+                self.points.append(p)
+                self.velocities.append(vel)
+                if t >= sv:
+                    break
+        sv = min(max(sv, s[0]), s[-1])
+        i = min(max(bisect.bisect_left(s, sv) - 1, 0), len(s) - 2)
+        h = s[i + 1] - s[i]
+        return hermite((sv - s[i]) / h, h, self.points[i], self.velocities[i],
+                       self.points[i + 1], self.velocities[i + 1])
 
 
 def net_expansion_check(data, q, lengths, n_u=6, n_v=6, step=None):
     """Build the asymptotic coordinate net and test the expansion bounds.
 
-    The net point P[i][j] is the intersection of the V-curve through the
-    base U-curve at arclength u_i with the U-curve through the base V-curve
-    at arclength v_j.  alpha and beta are the V- and U-speeds of the net
-    parametrization; the report compares their logarithmic derivatives along
-    the net with the measured torsion-rate bound tau0 + 2 tau1.
+    Each net line is one asymptotic flow, extended lazily: the U-line
+    through ``P[0][j]`` (the base V-line at arclength v_j) and the V-line
+    through ``P[i][0]`` (the base U-line at arclength u_i).  ``P[i][j]`` is
+    the intersection of the U-line j with the V-line i, found by a Newton
+    solve in the two arclengths that starts one cell past ``P[i-1][j]`` and
+    ``P[i][j-1]``; a line is integrated only as far as that solve reads it.
+    beta and alpha, the U- and V-speeds of the net parametrization, are the
+    arclength differences along the two lines divided by the cell sides.
+    The report compares their logarithmic derivatives along the net with
+    the measured torsion-rate bound tau0 + 2 tau1.
     """
     _require_shape_mode(data)
     q = as_point(q, 2)
@@ -327,40 +365,46 @@ def net_expansion_check(data, q, lengths, n_u=6, n_v=6, step=None):
 
     du = l_u / n_u
     dv = l_v / n_v
-    fr0 = asymptotic_frame(data, q)
-    base_u = _flow_curve(data, q, "U", fr0.u, l_u, step)
-    base_v = _flow_curve(data, q, "V", fr0.v, l_v, step)
+    # a Newton solve moves at most 2.45 cells along a line per net point
+    base_u = _NetLine(data, q, "U", asymptotic_frame(data, q).u, 2.5 * l_u, step)
 
     pts = np.empty((n_u + 1, n_v + 1, 2))
-    u_dirs = np.empty((n_u + 1, n_v + 1, 2))
-    v_dirs = np.empty((n_u + 1, n_v + 1, 2))
+    arc_u = np.zeros((n_u + 1, n_v + 1))  # arclength of P[i][j] on the U-line j
+    arc_v = np.zeros((n_u + 1, n_v + 1))  # arclength of P[i][j] on the V-line i
     alpha = np.ones((n_u + 1, n_v + 1))
     beta = np.ones((n_u + 1, n_v + 1))
 
+    v_lines = []
     for i in range(n_u + 1):
         p, vel = base_u.eval(i * du)
         pts[i, 0] = p
-        u_dirs[i, 0] = vel
-        fr = asymptotic_frame(data, p, ref_u=vel)
-        v_dirs[i, 0] = fr.v
-    for j in range(n_v + 1):
-        p, vel = base_v.eval(j * dv)
+        v_lines.append(_NetLine(data, p, "V", asymptotic_frame(data, p, ref_u=vel).v,
+                                2.5 * l_v, step))
+    u_lines = [base_u]
+    for j in range(1, n_v + 1):
+        p, vel = v_lines[0].eval(j * dv)
         pts[0, j] = p
-        v_dirs[0, j] = vel
-        fr = asymptotic_frame(data, p, ref_v=vel)
-        u_dirs[0, j] = fr.u
+        u_lines.append(_NetLine(data, p, "U", asymptotic_frame(data, p, ref_v=vel).u,
+                                2.5 * l_u, step))
 
     for i in range(1, n_u + 1):
         for j in range(1, n_v + 1):
-            c = pts[i - 1, j]     # previous point on the same U-line
-            b = pts[i, j - 1]     # previous point on the same V-line
-            s_len, t_len, p_new, udir, vdir = _intersect(
-                data, c, b, u_dirs[i - 1, j], v_dirs[i, j - 1], du, dv, step)
-            pts[i, j] = p_new
-            u_dirs[i, j] = udir
-            v_dirs[i, j] = vdir
-            beta[i, j] = s_len / du
-            alpha[i, j] = t_len / dv
+            # Newton solve for U-line j at s = V-line i at t near one cell on
+            s0, t0 = arc_u[i - 1, j], arc_v[i, j - 1]
+            s, t = s0 + du, t0 + dv
+            for _ in range(30):
+                pu, vu = u_lines[j].eval(s)
+                pv, vv = v_lines[i].eval(t)
+                f = pu - pv
+                if np.linalg.norm(f) < 1e-12:
+                    break
+                ds, dt = np.linalg.solve(np.column_stack([vu, -vv]), -f)
+                s = float(np.clip(s + ds, s0, s0 + 2.45 * du))
+                t = float(np.clip(t + dt, t0, t0 + 2.45 * dv))
+            pts[i, j] = pu
+            arc_u[i, j], arc_v[i, j] = s, t
+            beta[i, j] = (s - s0) / du
+            alpha[i, j] = (t - t0) / dv
 
     # row 0 / column 0 speeds are exactly 1 by the base parametrization
     report["alpha"] = alpha

@@ -174,11 +174,13 @@ def _torsion_from_gamma(gam, iii):
 
 
 def _inverse_shape_operator(b, q):
-    """B^{-1}, or DegenerateShapeOperator when |det B| is below the floor."""
-    det = np.linalg.det(b)
+    """B^{-1} of a 2x2 B in closed form, or DegenerateShapeOperator when
+    |det B| is below the floor."""
+    (b11, b12), (b21, b22) = b.tolist()
+    det = b11 * b22 - b12 * b21
     if abs(det) < DET_B_FLOOR:
         raise DegenerateShapeOperator(f"|det B| = {abs(det):.3e} below floor at q={q}")
-    return np.linalg.inv(b)
+    return np.array([[b22 / det, -b12 / det], [-b21 / det, b11 / det]])
 
 
 def orthonormal_frame(g):

@@ -154,16 +154,23 @@ def _rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def _step_count(length, step):
+    """The number of candidate steps of the grid of :func:`_step_sizes`,
+    after checking that step and length are finite, step > 0 and
+    length >= 0."""
+    if not (0.0 < step < np.inf and 0.0 <= length < np.inf):
+        raise ParameterOutOfRange(
+            f"RK4 needs a finite step > 0 and a finite length >= 0, "
+            f"got step={step}, length={length}")
+    return max(1, int(np.ceil(length / step - 1e-12)))
+
+
 def _step_sizes(length, step):
     """The RK4 step grid on [0, length], one step size at a time: steps of
     ``step``, the last one shortened to end at ``length``; a zero length has
     no step.  The sample times are the running sums ``t + h`` from 0.  Lazy,
     so a caller that stops early never builds the rest of the grid."""
-    if not (0.0 < step < np.inf and 0.0 <= length < np.inf):
-        raise ParameterOutOfRange(
-            f"RK4 needs a finite step > 0 and a finite length >= 0, "
-            f"got step={step}, length={length}")
-    n = max(1, int(np.ceil(length / step - 1e-12)))
+    n = _step_count(length, step)
     for i in range(n):
         h = min(step, length - i * step)
         if h <= 0:
@@ -188,8 +195,10 @@ def rk4_samples(f, y, length, step):
 
 def _step_grid(length, step):
     """The sample times and the steps of the grid of :func:`_step_sizes`,
-    as arrays; the times are bit for bit the running sums ``t + h``."""
-    h = np.fromiter(_step_sizes(length, step), dtype=float)
+    as arrays, step for step the same float operations; the times are bit
+    for bit the running sums ``t + h``."""
+    h = np.minimum(step, length - np.arange(_step_count(length, step)) * step)
+    h = h[h > 0]  # h never grows along the grid: this cuts it at the first h <= 0
     return np.concatenate([[0.0], np.add.accumulate(h)]), h
 
 

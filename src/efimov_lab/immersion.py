@@ -149,10 +149,11 @@ class FundamentalData:
 
 
 def _frame(patch, q, g, jac):
-    """I and the oriented g-unit normal from the ambient metric and the
-    Jacobian at q; checks the rank once."""
+    """I, its Gram determinant and the oriented g-unit normal from the
+    ambient metric and the Jacobian at q; checks the rank once."""
     first = jac.T @ g @ jac
-    gram = np.linalg.det(first)
+    (f11, f12), (f21, f22) = first.tolist()
+    gram = f11 * f22 - f12 * f21
     # d1 phi x d2 phi annihilates the tangent plane; written out because
     # np.cross costs more than the rest of the frame on 3-vectors
     (a0, b0), (a1, b1), (a2, b2) = jac.tolist()
@@ -161,7 +162,7 @@ def _frame(patch, q, g, jac):
     norm2 = n @ g @ n
     if norm2 <= 0 or gram < RANK_FLOOR:
         raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
-    return first, patch.orientation * n / np.sqrt(norm2)
+    return first, gram, patch.orientation * n / np.sqrt(norm2)
 
 
 def induced_metric_field(patch, ambient):
@@ -202,14 +203,15 @@ def fundamental_forms(patch, ambient, q):
     p, jac, hess = patch.jet(q)
     ambient.require_inside(p)
     g = ambient.matrix(p)
-    first, n = _frame(patch, q, g, jac)
+    first, gram, n = _frame(patch, q, g, jac)
 
     gam = christoffel(ambient, p)
     # covariant second derivative of phi: S^i_ab = phi^i_{,ab} + Gamma^i_jk phi^j_a phi^k_b
-    s = hess + np.einsum("ijk,ja,kb->iab", gam, jac, jac)
+    s = hess + jac.T @ gam @ jac
     # II(x, y) = I(Bx, y) with B = grad N, so II = -g(S, N)
-    second = -np.einsum("iab,ij,j->ab", s, g, n)
-    shape = np.linalg.solve(first, second)
+    second = -((g @ n) @ s.reshape(3, 4)).reshape(2, 2)
+    (f11, f12), (f21, f22) = first.tolist()
+    shape = np.array([[f22, -f12], [-f21, f11]]) @ second / gram  # I^{-1} II
     third = shape.T @ first @ shape
     return FundamentalData(
         q=q, point=p, jacobian=jac, first=first, second=second, third=third,

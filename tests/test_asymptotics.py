@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from efimov_lab import gallery
+from efimov_lab.ambient import ChartBox
 from efimov_lab.asymptotics import (
     asymptotic_frame,
     covariant_rate_check,
@@ -10,7 +11,11 @@ from efimov_lab.asymptotics import (
     theta_mean_curvature_residual,
     trace_asymptotic,
 )
+from efimov_lab.connection import SurfaceConnectionData
+from efimov_lab.curves import rk4_samples
 from efimov_lab.errors import ModeUnsupported, NonHyperbolicPoint
+from efimov_lab.expressions import parse_assignments
+from efimov_lab.immersion import surface_from_expressions
 
 
 def frame_residuals(data, q, frame):
@@ -32,6 +37,31 @@ def test_saddle_frame(saddle_data):
     assert min(abs(fr.v[0]), abs(fr.v[1])) < 1e-12
     r1, r2 = frame_residuals(saddle_data, [0.0, 0.0], fr)
     assert r1 < 1e-12 and r2 < 1e-12
+
+
+@pytest.mark.parametrize("name", ["pseudosphere", "clifford_torus"])
+def test_frame_eigen_equations_at_random_points(name):
+    """B~U = kJU and B~V = -kJV to 1e-10 relative to |B~U| at random points
+    of the box."""
+    data = gallery.build_example(name).data
+    lo, hi = np.array(data.box.lo) + 0.1, np.array(data.box.hi) - 0.1
+    rng = np.random.default_rng(5)
+    for _ in range(8):
+        q = lo + (hi - lo) * rng.random(2)
+        fr = asymptotic_frame(data, q)
+        r1, r2 = frame_residuals(data, q, fr)
+        bt = data.b_tilde(q)
+        assert r1 <= 1e-10 * data.norm(q, bt @ fr.u)
+        assert r2 <= 1e-10 * data.norm(q, bt @ fr.v)
+
+
+def test_saddle_frame_sign_ignores_rounding_noise(saddle_data):
+    """On the saddle U runs along the v-axis, so its first component is
+    rounding noise; the tie rule orients U along +v at every point."""
+    rng = np.random.default_rng(11)
+    for q in rng.uniform(-0.4, 0.4, (12, 2)):
+        fr = asymptotic_frame(saddle_data, q)
+        assert abs(fr.u[0]) <= 1e-12 and fr.u[1] > 0
 
 
 def test_sphere_not_hyperbolic(sphere2_data):
@@ -117,6 +147,31 @@ def test_frame_rates_equal_the_two_field_route(name, params, q):
     assert np.array_equal(nabla_u_v, covariant_derivative_of_field(data, q, base.u, field("v")))
 
 
+@pytest.mark.parametrize("name, q, which", [
+    ("pseudosphere", [1.0, 0.1], "U"),
+    ("hyperbolic_slice", [0.1, -0.2], "V"),
+])
+def test_flow_reuses_sample_direction_bit_for_bit(name, q, which):
+    """The flow takes a step's first RK4 stage from the sample's direction;
+    the trace equals the one that evaluates the frame at every stage."""
+    data = gallery.build_example(name).data
+    tr = trace_asymptotic(data, q, which, 0.2, 0.01)
+    key = which.lower()
+
+    def direction(qq, ref):
+        refs = {"ref_u": ref} if which == "U" else {"ref_v": ref}
+        return getattr(asymptotic_frame(data, qq, **refs), key)
+
+    vec = getattr(asymptotic_frame(data, q), key)
+    pts, vels = [np.array(q, dtype=float)], [vec]
+    for _, cur in rk4_samples(lambda t, qq: direction(qq, vec), pts[0], 0.2, 0.01):
+        vec = direction(cur, vec)
+        pts.append(cur)
+        vels.append(vec)
+    assert np.array_equal(tr.points, np.array(pts))
+    assert np.array_equal(tr.velocities, np.array(vels))
+
+
 def test_trace_saddle_axis(saddle_data):
     tr = trace_asymptotic(saddle_data, [0.0, 0.0], "U", 0.2, 5e-3)
     assert not tr.left_patch
@@ -177,3 +232,57 @@ def test_net_degenerate_length(saddle_data):
     rep = net_expansion_check(saddle_data, [0.0, 0.0], (0.0, 0.1), n_u=0, n_v=4)
     assert rep.get("trivial")
     assert np.all(rep["alpha"] == 1.0)
+
+
+def _file_saddle():
+    """z = uv as a declarative surface: map-only, so every partial is a
+    central difference."""
+    fields, box = parse_assignments("box = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = u*v\n",
+                                    ("u", "v"))
+    patch = surface_from_expressions(fields, ChartBox((box[0], box[2]), (box[1], box[3])),
+                                     name="saddle-file")
+    return SurfaceConnectionData.from_immersion(patch, gallery.euclidean3())
+
+
+@pytest.mark.parametrize("q", [(0.1, 0.2), (0.05, -0.05), (-0.07, 0.03)])
+def test_builtin_and_file_saddle_nets_agree(saddle_data, q):
+    """The same surface with analytic and with FD partials builds the same
+    net: the frame's sign rule does not read rounding noise."""
+    a = net_expansion_check(saddle_data, q, (0.1, 0.1), n_u=3, n_v=3)
+    b = net_expansion_check(_file_saddle(), q, (0.1, 0.1), n_u=3, n_v=3)
+    assert np.max(np.abs(a["points"] - b["points"])) < 1e-9
+    assert np.max(np.abs(a["alpha"] - b["alpha"])) < 1e-8
+    assert np.max(np.abs(a["beta"] - b["beta"])) < 1e-8
+    assert abs(a["bound"] - b["bound"]) < 1e-5 * a["bound"]
+
+
+def on_rulings(pts):
+    """The grid of the u of each P[0][j] and the v of each P[i][0]: where a
+    saddle net's points lie, since the asymptotic lines of z = uv are its
+    coordinate lines."""
+    return np.stack(np.broadcast_arrays(pts[0, :, 0][None, :], pts[:, 0, 1][:, None]), axis=-1)
+
+
+def test_saddle_net_lies_on_the_rulings(saddle_data):
+    rep = net_expansion_check(saddle_data, [0.05, -0.05], (0.12, 0.12), n_u=4, n_v=4)
+    assert np.max(np.abs(rep["points"] - on_rulings(rep["points"]))) < 1e-10
+
+
+def test_pseudosphere_net_is_chebyshev():
+    """On a K = -1 surface the asymptotic lines parametrized by arclength
+    form a Chebyshev net (Hazzidakis 1880): every net speed is 1."""
+    data = gallery.build_example("pseudosphere").data
+    rep = net_expansion_check(data, [0.9, 0.0], (0.2, 0.2), n_u=8, n_v=8)
+    assert np.max(np.abs(rep["alpha"] - 1.0)) <= 1e-9
+    assert np.max(np.abs(rep["beta"] - 1.0)) <= 1e-9
+
+
+def test_net_lines_stop_where_the_net_ends(saddle_data):
+    """A line is integrated only as far as the intersections read it, so a
+    net whose far side comes near the box edge builds: from (0, 0.55) the
+    net ends at v = 0.847, short of the trace margin 0.05 inside v = 1.
+    Flows run 2.5 cells past every net point would leave the patch."""
+    rep = net_expansion_check(saddle_data, [0.0, 0.55], (0.2, 0.2), n_u=2, n_v=2)
+    pts = rep["points"]
+    assert np.max(np.abs(pts)) < 0.85
+    assert np.max(np.abs(pts - on_rulings(pts))) < 1e-10

@@ -10,6 +10,8 @@ from efimov_lab.curves import (
     CurveTrace,
     RegionSpec,
     _rk4_step,
+    _step_grid,
+    _step_sizes,
     boundary_holonomy_angle,
     deformation_rate_check,
     gauss_bonnet_residual,
@@ -537,6 +539,30 @@ def test_zero_length_trace_is_its_start(abstract_plane):
     tr = integrate_geodesic(abstract_plane, [0.5, 0.0], [1.0, 0.0], 0.0, 0.1)
     assert tr.s.tolist() == [0.0] and tr.points.tolist() == [[0.5, 0.0]]
     assert list(rk4_samples(lambda t, y: y, np.ones(1), 0.0, 0.1)) == []
+
+
+def test_step_grid_array_equals_the_lazy_grid():
+    """The array form of the step grid is bit for bit the lazy one, on
+    random grids and on lengths that are whole multiples of the step."""
+    rng = np.random.default_rng(19)
+    cases = [(float(a), float(b)) for a, b in zip(rng.uniform(0.0, 3.0, 200),
+                                                 10.0 ** rng.uniform(-3.0, 0.5, 200))]
+    cases += [(0.0, 0.1), (1.0, 0.1), (0.3, 0.1), (0.7, 0.07), (2.0, 0.25), (1e-13, 0.1)]
+    for length, step in cases:
+        t, h = _step_grid(length, step)
+        lazy = list(_step_sizes(length, step))
+        assert h.tolist() == lazy
+        times = [0.0]
+        for hh in lazy:
+            times.append(times[-1] + hh)
+        assert t.tolist() == times
+
+
+@pytest.mark.parametrize("length, step", [(1.0, 0.0), (1.0, np.nan), (np.inf, 1e-3),
+                                          (-1.0, 0.1)])
+def test_step_grid_rejects_bad_length_or_step(length, step):
+    with pytest.raises(ParameterOutOfRange):
+        _step_grid(length, step)
 
 
 @pytest.mark.parametrize("step", [0.0, -0.1, np.nan, np.inf])
