@@ -18,10 +18,10 @@ import numpy as np
 
 from . import _fd
 from .ambient import as_point
-from .connection import FD_STEP, complex_structure
-from .curves import CurveTrace, _quadratic, hermite, parallel_transport_samples, rk4_samples
-from .curves import trace_margin
-from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
+from .connection import FD_STEP, _torsion_from_gamma, complex_structure
+from .curves import CurveTrace, _chart_flow, _chart_read, _quadratic, hermite
+from .curves import parallel_transport_samples, trace_margin
+from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint
 
 __all__ = [
     "AsymptoticFrame",
@@ -140,24 +140,18 @@ def theta_mean_curvature_residual(data, q):
     return abs(abs(cot) - abs(h) * np.sqrt(det_bt))
 
 
-def _kappa_log(data, q):
-    bt = data.b_tilde(q)
-    det = float(np.linalg.det(bt))
-    if det >= 0:
-        raise NonHyperbolicPoint(f"det B~ = {det:.3e} >= 0 at q={q}")
-    return 0.5 * np.log(-det)  # ln k
-
-
 def _frame_rates(data, q):
-    """The frame at q and the covariant derivatives ``D~_V U`` and ``D~_U V``
-    of its two frame fields, sign-aligned with it."""
+    """The frame at q, the covariant derivatives ``D~_V U`` and ``D~_U V``
+    of its two frame fields, sign-aligned with it, the gradient of ln k, and
+    the connection coefficients at q: one FD stencil over the stacked fields
+    (U, V, ln k) and one Gamma read."""
     base = asymptotic_frame(data, q)
 
     def frame_fields(qq):
         frame = asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v)
-        return np.stack([frame.u, frame.v])
+        return np.concatenate([frame.u, frame.v, [math.log(frame.k)]])
 
-    # one stencil for both fields: d[i, 0] = d_i U, d[i, 1] = d_i V
+    # d[i] = (d_i U, d_i V, d_i ln k)
     d = _fd.gradient(frame_fields, q, FD_STEP)
     gam = data.gamma(q)
 
@@ -165,7 +159,8 @@ def _frame_rates(data, q):
         """D~_x Y from the partials ``dfield`` of Y and its value y at q."""
         return np.einsum("i,ik->k", x, dfield) + np.einsum("kij,i,j->k", gam, x, y)
 
-    return base, rate(base.v, d[:, 0], base.u), rate(base.u, d[:, 1], base.v)
+    return (base, rate(base.v, d[:, 0:2], base.u), rate(base.u, d[:, 2:4], base.v), d[:, 4],
+            gam)
 
 
 def covariant_rate_check(data, q):
@@ -180,15 +175,13 @@ def covariant_rate_check(data, q):
     examples.  Returns (residual_VU, residual_UV).
     """
     q = as_point(q, 2)
-    base, nabla_v_u, nabla_u_v = _frame_rates(data, q)
-
-    kappa_grad = _fd.gradient(lambda qq: _kappa_log(data, qq), q, FD_STEP)
+    base, nabla_v_u, nabla_u_v, kappa_grad, gam = _frame_rates(data, q)
     u_kappa = float(base.u @ kappa_grad)
     v_kappa = float(base.v @ kappa_grad)
 
     g = data.third_form(q)
-    j = data.complex_structure(q)
-    tau = data.torsion_vector(q)
+    j = complex_structure(g)
+    tau = _torsion_from_gamma(gam, g)
     ju = j @ base.u
     jv = j @ base.v
     sin_t = np.sin(base.theta)
@@ -225,8 +218,9 @@ def _asymptotic_flow(data, q, which, ref, length, step):
     """RK4 samples ``(s, point, direction, frame)`` of the unit flow of U (or
     V) from q, starting with s = 0.  Each direction is sign-aligned with the
     one before, the first with ``ref`` (by :func:`asymptotic_frame`'s own
-    rule when ``ref`` is None).  Raises LeftPatch when a step comes within
-    the trace margin of the box edge."""
+    rule when ``ref`` is None).  The steps run on the chart flow of
+    ``curves``, which raises LeftPatch where the flow leaves the chart; so
+    does a frame read at a sample that lacks chart room."""
 
     def direction(qq, r):
         fr = asymptotic_frame(data, qq, ref_u=r if which == "U" else None,
@@ -240,13 +234,10 @@ def _asymptotic_flow(data, q, which, ref, length, step):
 
     vec, fr = direction(q, ref)
     yield 0.0, q, vec, fr
-    margin = trace_margin(data, step)
     cur = q
     # the flow reads the latest vec, so each step follows the sign of the last
-    for s, cur in rk4_samples(rhs, cur, length, step):
-        if not data.contains(cur, margin=margin):
-            raise LeftPatch(f"asymptotic flow left the patch near {cur}")
-        vec, fr = direction(cur, vec)
+    for s, cur in _chart_flow(data, rhs, cur, length, step, trace_margin(data, step)):
+        vec, fr = _chart_read(lambda _, qq: direction(qq, vec), s, cur)
         yield s, cur, vec, fr
 
 
@@ -267,7 +258,7 @@ def trace_asymptotic(data, q, which, length, step):
     try:
         for sample in flow:
             samples.append(sample)
-    except (LeftPatch, PointOutsideChart):
+    except LeftPatch:
         left = True
 
     s_vals, pts, vels, frames = zip(*samples)
@@ -297,7 +288,7 @@ def measured_tau1(data, points):
     worst = 0.0
     for q in points:
         q = as_point(q, 2)
-        base, nabla_v_u, nabla_u_v = _frame_rates(data, q)
+        base, nabla_v_u, nabla_u_v, _, _ = _frame_rates(data, q)
         nvu = data.norm(q, nabla_v_u)
         nuv = data.norm(q, nabla_u_v)
         worst = max(worst, nvu / np.sin(base.theta), nuv / np.sin(base.theta))

@@ -665,24 +665,16 @@ def measured_pinching(data, sample_points):
 
     K1 is the largest sampled intrinsic curvature, K2/K3 the extreme sampled
     ambient sectional curvatures; tau0 is the supremum of the pointwise
-    closed-form bound.  Immersion mode only.
+    closed-form bound.  The sectional ranges come from one batched call over
+    the sample points' ambient images.  Immersion mode only.
     """
     from .ambient import sectional_range
 
     if data.mode != "immersion":
         raise ModeUnsupported("measured pinching requires immersion mode")
-    k1 = -np.inf
-    k2 = np.inf
-    k3 = -np.inf
-    per_point = []
-    for q in sample_points:
-        fd = data.fundamental(q)
-        k1 = max(k1, fd.k_intrinsic)
-        k_min, k_max = sectional_range(data.ambient, fd.point)
-        k2 = min(k2, k_min)
-        k3 = max(k3, k_max)
-        per_point.append((fd.k_intrinsic, k_min, k_max))
-    tau0 = 0.0
-    for k_i, k_min, k_max in per_point:
-        tau0 = max(tau0, torsion_bound_tau0(k_min, k_max, k1) if k1 < k_min else np.inf)
-    return float(k1), float(k2), float(k3), float(tau0)
+    forms = [data.fundamental(q) for q in sample_points]
+    k1 = max(fd.k_intrinsic for fd in forms)
+    k_min, k_max = sectional_range(data.ambient, np.array([fd.point for fd in forms]))
+    tau0 = max(torsion_bound_tau0(lo, hi, k1) if k1 < lo else np.inf
+               for lo, hi in zip(k_min.tolist(), k_max.tolist()))
+    return float(k1), float(np.min(k_min)), float(np.max(k_max)), float(tau0)

@@ -5,12 +5,14 @@ surface connections that preserve a metric but may carry torsion.
 Every integration in the package, here and in ``asymptotics`` and
 ``odelab``, steps with the one classical 4th-order Runge-Kutta step
 :func:`_rk4_step` on the one step grid :func:`_step_sizes` (fixed steps,
-the last one shortened).  Traces step one state at a time through the
-generator :func:`rk4_samples`.  The linear systems ``Y' = A(t) Y`` (parallel
-transport, the Jacobi-type field and the bump system of ``odelab``) read A
-once, as one batch over the distinct stage times of all steps, and take
-every step's increment from one batched RK4 step in
-:func:`_linear_samples`.  Interpolated states and crossing times come from
+the last one shortened).  Geodesics, geodesic-disk fans, exponential maps
+and asymptotic lines step one state, or one stacked batch of states,
+through the generator :func:`rk4_samples` inside the one chart-bounded flow
+:func:`_chart_flow`, which stops them where they leave the chart.  The
+linear systems ``Y' = A(t) Y`` (parallel transport, the Jacobi-type field
+and the bump system of ``odelab``) read A once, as one batch over the
+distinct stage times of all steps, and take every step's increment from
+one batched RK4 step in :func:`_linear_samples`.  Interpolated states and crossing times come from
 the one cubic Hermite interpolant :func:`hermite` between stored samples,
 so traces are deterministic and reproducible.  Quadrature over stored
 samples uses the one composite Simpson rule :func:`simpson`.
@@ -24,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import _scalar, as_point
+from .ambient import _scalar, as_point, as_points
 from .connection import complex_structure, orthonormal_frame
 from .errors import (
     DegenerateVector,
     EndpointSample,
+    LeftPatch,
     OpenBoundary,
     ParameterOutOfRange,
     PointOutsideChart,
@@ -183,8 +186,8 @@ def rk4_samples(f, y, length, step):
     step grid of :func:`_step_sizes`.
 
     A lazy generator of ``(t, y)`` after each step.  Callers stop it by
-    their own rules (leaving the chart, a sign change), and ``f`` may read
-    state the caller updates between samples.
+    their own rules (:func:`_chart_flow` where a trace leaves the chart),
+    and ``f`` may read state the caller updates between samples.
     """
     t = 0.0
     for h in _step_sizes(length, step):
@@ -324,6 +327,55 @@ def _geodesic_rhs(data):
     return rhs
 
 
+def _chart_read(f, t, y):
+    """``f(t, y)``, where a PointOutsideChart becomes LeftPatch naming the
+    row of y that f rejects on its own: row 0 for one state, the first such
+    row of an (N, d) batch (when no row fails alone, the error stands)."""
+    try:
+        return f(t, y)
+    except PointOutsideChart as exc:
+        if y.ndim == 1:
+            raise LeftPatch(str(exc)) from None
+        for k, row in enumerate(y):
+            try:
+                f(t, row)
+            except PointOutsideChart as row_exc:
+                raise LeftPatch(str(row_exc), row=k) from None
+        raise
+
+
+def _chart_flow(data, rhs, y, length, step, margin):
+    """The samples ``(t, y)`` of :func:`rk4_samples` for ``y' = rhs(t, y)``,
+    for one state or the stacked rows of an (N, d) batch, each state's first
+    two entries a chart point.  At the first step where a row comes within
+    ``margin`` of the box edge, or where a stage read raises
+    PointOutsideChart, it raises LeftPatch naming that row.  ``rhs`` gets
+    the state objects that rk4_samples passes, so it may test them by
+    identity."""
+    for t, y in rk4_samples(lambda tt, yy: _chart_read(rhs, tt, yy), y, length, step):
+        outside = ~data.box.inside(y[..., :2], margin)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise LeftPatch(f"the trace leaves the chart at length {t}, near "
+                            f"{np.atleast_2d(y)[k, :2]}", row=k)
+        yield t, y
+
+
+def _geodesic_samples(data, y, length, step, margin):
+    """``(s, states, exc)``: the sample times and the stacked states of the
+    geodesic chart flow from the state y, (4,) or (N, 4), through its last
+    sample before it raised LeftPatch ``exc`` (None when it ran its whole
+    length)."""
+    s_vals, states, exc = [0.0], [y], None
+    try:
+        for s, state in _chart_flow(data, _geodesic_rhs(data), y, length, step, margin):
+            s_vals.append(s)
+            states.append(state)
+    except LeftPatch as left:
+        exc = left
+    return np.array(s_vals), np.array(states), exc
+
+
 def trace_margin(data, step):
     """Default chart margin a trace keeps clear of the box edge: four steps
     in immersion mode, where the shape layer's stencils need the room, and
@@ -349,25 +401,11 @@ def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=Fal
     if margin is None:
         margin = trace_margin(data, step)
 
-    s_vals = [0.0]
-    states = [np.concatenate([q, v])]
-    left = False
-    try:
-        for s, state in rk4_samples(_geodesic_rhs(data), states[0], length, step):
-            if not data.contains(state[:2], margin=margin):
-                left = True
-                break
-            s_vals.append(s)
-            states.append(state)
-    except PointOutsideChart:
-        left = True
-    s_arr = np.array(s_vals)
-    states = np.array(states)
+    s_arr, states, exc = _geodesic_samples(data, np.concatenate([q, v]), length, step, margin)
+    left = exc is not None
     pts = states[:, :2]
-    gap = np.linalg.norm(pts[-1] - pts[0])
     trace = CurveTrace(s=s_arr, points=pts, velocities=states[:, 2:], step=step,
-                       total_length=float(s_arr[-1]), closed=bool(gap < 10 * step),
-                       left_patch=left)
+                       total_length=float(s_arr[-1]), left_patch=left)
     if error_estimate and not left:
         fine = integrate_geodesic(data, q, v, trace.total_length, step / 2.0,
                                   margin=margin)
@@ -376,12 +414,14 @@ def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=Fal
 
 
 def exponential_map(data, q, w):
-    """Endpoint of the geodesic with initial velocity w, run for unit time in
-    8 RK4 steps."""
-    state = np.concatenate([as_point(q, 2), np.asarray(w, dtype=float)])
-    for _, state in rk4_samples(_geodesic_rhs(data), state, 1.0, 1.0 / 8):
+    """Endpoint of the geodesic from q with initial velocity w, run for unit
+    time in 8 RK4 steps; for (N, 2) rows of q and w, the endpoint of each
+    row, from one flow over the stacked rows.  A geodesic that leaves the
+    chart raises LeftPatch naming its row."""
+    state = np.concatenate([as_points(q, 2), as_points(w, 2)], axis=-1)
+    for _, state in _chart_flow(data, _geodesic_rhs(data), state, 1.0, 1.0 / 8, 0.0):
         pass
-    return state[:2]
+    return np.ascontiguousarray(state[..., :2])
 
 
 def parallel_transport_samples(data, trace, w):
@@ -676,9 +716,9 @@ class RegionSpec:
     def geodesic_disk(data, center, radius, n_rays=256, n_radial=16):
         """Disk swept by geodesics of the connection from a center point.
 
-        The rays run as one RK4 of 64 steps over the stacked (n_rays, 4)
-        state.  A ray that leaves the chart before reaching ``radius``
-        raises PointOutsideChart naming its direction.  The boundary is the
+        The rays run as one chart flow of 64 steps over the stacked
+        (n_rays, 4) state.  A ray that leaves the chart before reaching
+        ``radius`` raises PointOutsideChart naming its direction.  The boundary is the
         endpoint curve of the rays; derivatives across rays use 4th-order
         periodic differences.
         """
@@ -693,8 +733,16 @@ class RegionSpec:
         s_w = 0.5 * wa * radius
         phis = 2 * np.pi * np.arange(n_rays) / n_rays
         dirs = np.cos(phis)[:, None] * f[0] + np.sin(phis)[:, None] * f[1]
+        step = radius / 64.0
+        s_vals, states, exc = _geodesic_samples(
+            data, np.hstack([np.broadcast_to(center, dirs.shape), dirs]), radius, step,
+            trace_margin(data, step))
+        if exc is not None:
+            raise PointOutsideChart(
+                f"the geodesic_disk ray in direction {dirs[exc.row]} from {center} leaves the "
+                f"chart before length {radius}: {exc}")
         # one trace whose samples stack every ray: points[i] is (n_rays, 2)
-        fan = _ray_fan(data, center, dirs, radius, radius / 64.0)
+        fan = CurveTrace.from_samples(s_vals, states[..., :2], states[..., 2:])
         # (n_rays, n_radial, 2)
         ray_pts, ray_vel = (np.swapaxes(a, 0, 1) for a in fan.eval(s_nodes))
         ends = fan.eval(radius)[0]
@@ -718,45 +766,6 @@ class RegionSpec:
         h_phi = 2 * np.pi / n_rays
         interior = {"points": ray_pts.reshape(-1, 2), "weights": (s_w * h_phi * jac).reshape(-1)}
         return RegionSpec([seg], interior)
-
-
-def _ray_fan(data, center, dirs, length, step):
-    """The geodesics from ``center`` in the unit directions ``dirs`` (n, 2),
-    as one RK4 over the stacked (n, 4) state, every row checked at each
-    step; a ray that leaves the chart (keeping ``trace_margin`` clear of its
-    edge, or the connection's own stencil room) raises PointOutsideChart
-    naming its direction.  Returns a trace whose samples stack the rays."""
-    margin = trace_margin(data, step)
-    rhs = _geodesic_rhs(data)
-
-    def left(k, reason):
-        return PointOutsideChart(
-            f"the geodesic_disk ray in direction {dirs[k]} from {center} leaves the chart "
-            f"before length {length}: {reason}")
-
-    def stage(t, state):
-        try:
-            return rhs(t, state)
-        except PointOutsideChart:
-            # find the ray: the first row the connection rejects on its own
-            for k, row in enumerate(state[:, :2]):
-                try:
-                    data.gamma(row)
-                except PointOutsideChart as exc:
-                    raise left(k, exc) from None
-            raise
-
-    s_vals = [0.0]
-    states = [np.hstack([np.broadcast_to(center, dirs.shape), dirs])]
-    for s, state in rk4_samples(stage, states[0], length, step):
-        outside = ~data.box.inside(state[:, :2], margin)
-        if outside.any():
-            k = int(np.argmax(outside))
-            raise left(k, f"it reaches {state[k, :2]} at length {s}")
-        s_vals.append(s)
-        states.append(state)
-    states = np.array(states)
-    return CurveTrace.from_samples(s_vals, states[..., :2], states[..., 2:])
 
 
 def gauss_bonnet_residual(data, region):
@@ -799,7 +808,9 @@ def deformation_rate_check(data, trace, profile, sv, eps=1e-3):
     The curve is deformed by the geodesic flow ``exp(eps * l(s) * J c'(s))``;
     the oracle differentiates the measured curvature of the deformed curves in
     eps with first-order extrapolation.  Its stencil in s is the trace step,
-    but at least 1e-3.  Returns |formula - oracle|.
+    but at least 1e-3.  The deformed points of all three curves (deformations
+    0, eps/2 and eps) run as one batched exponential map.  Returns
+    |formula - oracle|.
     """
     stencil = max(trace.step, 1e-3)
     p, v = trace.eval(sv)
@@ -826,26 +837,18 @@ def deformation_rate_check(data, trace, profile, sv, eps=1e-3):
     formula = lv * (ktilde + kappa0 * (kappa0 + tau_x)) + lpp - d_ltau
 
     offsets = np.array([-2, -1, 0, 1, 2]) * stencil
-
-    def deformed_kappa(e):
-        pts = []
-        for d in offsets:
-            pd, vd = trace.eval(sv + d)
-            jd = data.complex_structure(pd)
-            w = e * profile(sv + d) * (jd @ vd)
-            pts.append(exponential_map(data, pd, w))
-        pts = np.array(pts)
-        # 5-point first and second derivative at the middle node
-        c1 = np.array([1, -8, 0, 8, -1]) / (12 * stencil)
-        c2 = np.array([-1, 16, -30, 16, -1]) / (12 * stencil ** 2)
-        vel = c1 @ pts
-        acc = c2 @ pts
-        return _kappa(data, pts[2], vel, acc)
-
-    k0 = deformed_kappa(0.0)
-
-    def rate(e):
-        return (deformed_kappa(e) - k0) / e
-
-    oracle = 2.0 * rate(eps / 2) - rate(eps)
+    nodes = []  # (point, profile value, J v) at each stencil node
+    for d in offsets:
+        pd, vd = trace.eval(sv + d)
+        nodes.append((pd, profile(sv + d), data.complex_structure(pd) @ vd))
+    es = (0.0, eps / 2, eps)
+    ends = exponential_map(data, np.array([pd for e in es for pd, _, _ in nodes]),
+                           np.array([e * ld * jv for e in es for _, ld, jv in nodes]))
+    # 5-point first and second derivative at the middle node
+    c1 = np.array([1, -8, 0, 8, -1]) / (12 * stencil)
+    c2 = np.array([-1, 16, -30, 16, -1]) / (12 * stencil ** 2)
+    # each curve's five points are contiguous rows, as the stencil matmul wants
+    k0, k_half, k_full = (_kappa(data, pts[2], c1 @ pts, c2 @ pts)
+                          for pts in ends.reshape(len(es), len(offsets), 2))
+    oracle = 2.0 * ((k_half - k0) / (eps / 2)) - (k_full - k0) / eps
     return abs(float(formula - oracle))

@@ -81,11 +81,12 @@ class ParameterOutOfRange(GeometryError):
 
 
 class LeftPatch(GeometryError):
-    """A construction needed points beyond the declared patch."""
+    """A construction needed points beyond the declared patch; ``row`` is
+    the row of a batched trace that left it (0 for one state)."""
 
-    def __init__(self, message, trace=None):
+    def __init__(self, message, row=0):
         super().__init__(message)
-        self.trace = trace
+        self.row = row
 
 
 class ExpressionError(GeometryError):

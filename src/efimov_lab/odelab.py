@@ -57,19 +57,16 @@ def _check_bound(u, eps, lo, hi, n=512):
         raise BoundViolated(f"sup|u| = {worst:.6g} exceeds 1/eps = {bound:.6g}")
 
 
-def _bump_run(u, eps, length, step, y, z, sign=1.0, stop_at_zero=False):
-    """RK4 samples of ``Y' = sign * A(t) Y``, ``A = [[u, 1], [-(eps + u^2/4),
-    0]]``, on [0, length] from ``Y(0) = (y, z)``; with ``stop_at_zero`` the
-    run ends at the first ``y <= 0``.  Returns (t, y, z) arrays.  The
+def _bump_run(u, eps, length, step, y, z):
+    """RK4 samples of ``Y' = A(t) Y``, ``A = [[u, 1], [-(eps + u^2/4), 0]]``,
+    on [0, length] from ``Y(0) = (y, z)``.  Returns (t, y, z) arrays.  The
     profile is sampled once, at every stage time of the whole grid."""
     t, h = _step_grid(length, step)
     uu = _profile(u, _stage_times(t, h))
     a = np.zeros((len(uu), 2, 2))
-    a[:, 0, 0], a[:, 0, 1], a[:, 1, 0] = sign * uu, sign, -sign * (eps + uu * uu / 4.0)
+    a[:, 0, 0], a[:, 0, 1], a[:, 1, 0] = uu, 1.0, -(eps + uu * uu / 4.0)
     ys, zs = _linear_samples(a, h, (y, z)).T
-    zero = np.flatnonzero(ys[1:] <= 0.0) if stop_at_zero else []
-    end = zero[0] + 2 if len(zero) else len(t)  # through the first step into y <= 0
-    return t[:end], ys[:end], zs[:end]
+    return t, ys, zs
 
 
 def integrate_bump_system(u, eps, s_max, step):
@@ -266,11 +263,15 @@ def construct_edo7(u, eps, n1, step=1e-3):
     z0_left = 0.0 - 1.0 * u(-n1)  # z = y' - y u with y' = 0
     s_cap = np.pi / np.sqrt(eps) * 1.05 + 5 * step
 
-    # integrate backward in the curve parameter: t = -(x + n1) >= 0
-    ts, ys, zs = _bump_run(lambda t: u(-n1 - t), eps, s_cap, step, 1.0, z0_left, sign=-1.0,
-                           stop_at_zero=True)
-    if ys[-1] > 0:
+    # integrate backward in the curve parameter, t = -(x + n1) >= 0:
+    # (y, z)' = -A(t) (y, z) is, in (y, -z), the forward system with the
+    # profile -u(-n1 - t), the sign flips of diag(1, -1) being exact
+    ts, ys, zs = _bump_run(lambda t: -u(-n1 - t), eps, s_cap, step, 1.0, -z0_left)
+    zero = np.flatnonzero(ys[1:] <= 0.0)
+    if not zero.size:
         raise NoCrossing("left closing segment did not reach zero")
+    end = zero[0] + 2  # through the first step into y <= 0
+    ts, ys, zs = ts[:end], ys[:end], -zs[:end]
     ypl = ys * _profile(u, -n1 - ts) + zs
     t_zero = _hermite_root(ts[-2], ts[-1], ys[-2], ys[-1], -ypl[-2], -ypl[-1], 0.0)
     x_left = -n1 - t_zero

@@ -13,7 +13,7 @@ from efimov_lab.asymptotics import (
 )
 from efimov_lab.connection import SurfaceConnectionData
 from efimov_lab.curves import rk4_samples
-from efimov_lab.errors import ModeUnsupported, NonHyperbolicPoint
+from efimov_lab.errors import ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
 from efimov_lab.expressions import parse_assignments
 from efimov_lab.immersion import surface_from_expressions
 
@@ -138,7 +138,7 @@ def test_frame_rates_equal_the_two_field_route(name, params, q):
 
     data = gallery.build_example(name, **params).data
     q = np.array(q)
-    base, nabla_v_u, nabla_u_v = _frame_rates(data, q)
+    base, nabla_v_u, nabla_u_v, _, _ = _frame_rates(data, q)
 
     def field(which):
         return lambda qq: getattr(asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v), which)
@@ -170,6 +170,28 @@ def test_flow_reuses_sample_direction_bit_for_bit(name, q, which):
         vels.append(vec)
     assert np.array_equal(tr.points, np.array(pts))
     assert np.array_equal(tr.velocities, np.array(vels))
+
+
+def test_trace_stops_where_a_stage_read_leaves_the_chart(monkeypatch):
+    """A frame read that raises PointOutsideChart inside an RK4 step ends the
+    trace after the last whole step, with left_patch set: B~ here cannot be
+    read beyond |q| = 0.053, which the U-line along the saddle's axis
+    reaches in the stages of its sixth step."""
+    data = gallery.build_example("saddle").data
+    full = trace_asymptotic(data, [0.0, 0.0], "U", 0.2, 0.01)
+    b_tilde = data.b_tilde
+
+    def clipped(q):
+        if np.hypot(*q) > 0.053:
+            raise PointOutsideChart(f"no room at {q}")
+        return b_tilde(q)
+
+    monkeypatch.setattr(data, "b_tilde", clipped)
+    tr = trace_asymptotic(data, [0.0, 0.0], "U", 0.2, 0.01)
+    assert tr.left_patch and not full.left_patch
+    assert len(tr.s) == 6
+    assert np.array_equal(tr.points, full.points[:6])
+    assert np.array_equal(tr.thetas, full.thetas[:6])
 
 
 def test_trace_saddle_axis(saddle_data):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efimov_lab import gallery
+from efimov_lab import curves, gallery
 from efimov_lab.curves import (
     CurveTrace,
     RegionSpec,
@@ -14,6 +14,7 @@ from efimov_lab.curves import (
     _step_sizes,
     boundary_holonomy_angle,
     deformation_rate_check,
+    exponential_map,
     gauss_bonnet_residual,
     geodesic_curvature,
     integrate_geodesic,
@@ -24,11 +25,12 @@ from efimov_lab.curves import (
     rk4_samples,
 )
 from efimov_lab.ambient import riemann_sectional
-from efimov_lab.connection import dual_connection_at, orthonormal_frame
+from efimov_lab.connection import SurfaceConnectionData, dual_connection_at, orthonormal_frame
 from efimov_lab.errors import (
     BoundViolated,
     DegeneratePlane,
     DegenerateVector,
+    LeftPatch,
     OpenBoundary,
     ParameterOutOfRange,
     PointOutsideChart,
@@ -36,7 +38,7 @@ from efimov_lab.errors import (
 from efimov_lab.odelab import construct_edo7, spiral_eigenvalues, weak_inequality_residual
 
 
-def latitude_trace(data, psi):
+def latitude_trace(data, psi, step=1e-3):
     """Unit-speed latitude circle at colatitude psi from the pole sitting at
     the origin of the stereographic sphere chart."""
     rho = np.tan(psi / 2.0)  # chart radius of the circle
@@ -55,7 +57,7 @@ def latitude_trace(data, psi):
         a = s / (rho * lam)
         return -np.array([np.cos(a), np.sin(a)]) / (rho * lam * lam)
 
-    return CurveTrace.from_path(path, (0.0, total), 1e-3, velocity=velocity,
+    return CurveTrace.from_path(path, (0.0, total), step, velocity=velocity,
                                 acceleration=acceleration, closed=True,
                                 arclength=total)
 
@@ -653,6 +655,64 @@ def test_deformation_rate_deformed_connection():
                               arclength=total)
     assert deformation_rate_check(dt, tr, lambda s: 1.0, total / 3.0,
                                   eps=1e-3) < 1e-3
+
+
+@pytest.mark.parametrize("psi, amp, frac", [(0.8, 0.0, 0.2), (1.1, 0.15, 0.5), (1.4, 0.3, 0.8)])
+def test_deformation_rate_batch_equals_one_point_maps(abstract_sphere, monkeypatch, psi, amp,
+                                                      frac):
+    """On the benchmark's latitude traces (step 1e-2), the one batched
+    exponential map over the 3 x 5 deformed points gives the float that one
+    exponential map per point gives."""
+    tr = latitude_trace(abstract_sphere, psi, step=1e-2)
+
+    def check():
+        return deformation_rate_check(abstract_sphere, tr, lambda s: 1.0 + amp * np.sin(s),
+                                      frac * tr.total_length)
+
+    batched = check()
+    one_point = curves.exponential_map
+    monkeypatch.setattr(curves, "exponential_map", lambda data, q, w: np.array(
+        [one_point(data, qq, ww) for qq, ww in zip(q, w)]))
+    assert batched == check()
+    assert batched < 1e-4
+
+
+def _operator_data():
+    sigma = gallery.hyperbolic_plane_polar(r_min=0.4, r_max=3.0)
+    return SurfaceConnectionData.from_operator(
+        sigma, gallery.random_monge_ampere_field(sigma, seed=3))
+
+
+@pytest.mark.parametrize("name, build, center", [
+    ("abstract_sphere", gallery.abstract_sphere, (0.2, -0.1)),
+    ("hyperbolic_deformed", lambda: gallery.hyperbolic_deformed(1.5), (1.3, 0.2)),
+    ("operator", _operator_data, (1.5, 0.3)),
+    ("saddle", lambda: gallery.build_example("saddle").data, (0.1, 0.05)),
+])
+def test_exponential_map_rows_equal_per_row_calls(name, build, center):
+    """One flow over stacked (N, 2) rows ends every row bit for bit where its
+    one-point call ends, in torsion, operator and immersion modes."""
+    data = build()
+    rng = np.random.default_rng(5)
+    q = np.array(center) + 0.2 * (rng.random((6, 2)) - 0.5)
+    w = 0.4 * (rng.random((6, 2)) - 0.5)
+    w[0] = 0.0
+    ends = exponential_map(data, q, w)
+    assert ends.shape == (6, 2) and ends.flags.c_contiguous
+    assert np.array_equal(ends[0], q[0])
+    for k in range(6):
+        assert np.array_equal(ends[k], exponential_map(data, q[k], w[k]))
+
+
+def test_exponential_map_names_the_row_that_leaves_the_chart(abstract_plane):
+    q = np.array([[0.0, 0.0], [5.5, 0.0], [0.0, 5.5]])
+    w = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(exponential_map(abstract_plane, q[:2], w[:2]), [[1.0, 0.0], [5.5, 1.0]])
+    with pytest.raises(LeftPatch) as info:
+        exponential_map(abstract_plane, q, w)
+    assert info.value.row == 2
+    with pytest.raises(ValueError):
+        exponential_map(abstract_plane, q, w[:2])
 
 
 def test_endpoint_sample_raises(slice_data):

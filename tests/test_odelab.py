@@ -5,6 +5,8 @@ from efimov_lab.curves import rk4_samples
 from efimov_lab.errors import BoundViolated, NoCrossing, ParameterOutOfRange
 from efimov_lab.expressions import Expression
 from efimov_lab.odelab import (
+    _as_profile,
+    _bump_run,
     _hermite_root,
     construct_edo7,
     integrate_bump_system,
@@ -115,6 +117,22 @@ def test_edo7_equals_the_reversed_closure_reference(name):
     ref = _reference_breakpoints(u, 1.0, 1.5, 1e-3)
     assert _close(bump.breakpoints, ref)
     assert _close(bump.support, (ref[0], ref[-1]))
+
+
+@pytest.mark.parametrize("name", PROFILES)
+def test_left_closing_segment_equals_the_reversed_per_stage_formulation(name):
+    """construct_edo7's left closing segment runs ``(y, z)' = -A (y, z)`` as
+    the forward bump system in (y, -z) with the profile -u(-n1 - t): the
+    same grid, and y and z to 1e-12 relative of the reversed per-stage
+    closure, over the whole capped run."""
+    u, eps, n1, step = _as_profile(PROFILES[name]), 1.0, 1.5, 1e-3
+    length = np.pi / np.sqrt(eps) * 1.05 + 5 * step
+    t, y, w = _bump_run(lambda tt: -u(-n1 - tt), eps, length, step, 1.0, u(-n1))
+    t_ref, y_ref, z_ref, _ = _reference_bump(PROFILES[name], eps, length, step, x0=-n1,
+                                             sign=-1.0)
+    assert np.array_equal(t, t_ref)
+    assert _close(y, y_ref) and _close(-w, z_ref)
+    assert y[-1] <= 0.0  # the run crosses zero, where construct_edo7 cuts it
 
 
 def test_zero_profile_samples_equal_the_closed_form():
