@@ -29,9 +29,8 @@ from efimov_lab.connection import orthonormal_frame
 
 
 def h_diag(q):
-    g = sigma.matrix(q)
-    f = orthonormal_frame(g)
-    frame = np.column_stack([f[0], f[1]])
+    # one point or a (..., 2) array of them, as virtual_third_form passes
+    frame = np.swapaxes(orthonormal_frame(sigma.matrix(q)), -1, -2)  # columns f1, f2
     return frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
 
 

@@ -27,6 +27,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,8 @@ class ChartBox:
 
     def contains(self, p, margin=0.0):
         # plain float comparisons: this runs at every RK4 stage of every trace
-        for x, lo, hi in zip(p, self.lo, self.hi, strict=True):
+        for x, lo, hi in zip(p.tolist() if isinstance(p, np.ndarray) else p,
+                             self.lo, self.hi, strict=True):
             x = float(x)
             if not (x >= lo + margin - 1e-15 and x <= hi - margin + 1e-15):
                 return False
@@ -194,36 +196,69 @@ class MetricField:
 def _checked_inverse(g, p):
     """g^{-1} for one metric matrix or a stack of them; a determinant below
     DET_FLOOR (or not finite) raises NonInvertibleMetric naming the point."""
-    det = np.linalg.det(g)
-    # plain float comparison for one point: christoffel runs at every RK4 stage
+    # plain floats for one point: christoffel runs at every RK4 stage
     if g.ndim == 2:
+        det = _small_det(g)
         if abs(det) >= DET_FLOOR:
             return np.linalg.inv(g)
-        k = ()
     else:
+        det = np.linalg.det(g)
         small = ~(np.abs(det) >= DET_FLOOR)
         if not small.any():
             return np.linalg.inv(g)
-        k = np.argmax(small)
+        k = np.unravel_index(np.argmax(small), small.shape)
+        det, p = det[k], np.asarray(p, dtype=float)[k]
     raise NonInvertibleMetric(
-        f"|det g| = {abs(det[k]):.3e} below floor at {np.asarray(p, dtype=float)[k]}")
+        f"|det g| = {abs(det):.3e} below floor at {np.asarray(p, dtype=float)}")
+
+
+def _small_det(m):
+    """det of one 2x2 or 3x3 matrix on plain floats, where it is several
+    times faster than ``np.linalg.det``; other sizes go to numpy."""
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.tolist()
+        return a * d - b * c
+    if m.shape == (3, 3):
+        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return float(np.linalg.det(m))
 
 
 def christoffel(metric, p):
-    """Levi-Civita symbols ``Gamma[k, i, j]``, symmetric in (i, j).
+    """Levi-Civita symbols ``Gamma[k, i, j]``, symmetric in (i, j), at one
+    point p or, with the leading axes of p, at each row of (..., dim) points.
 
     Uses analytic partials when the metric carries them, otherwise central
-    differences with one Richardson step.
+    differences with one Richardson step.  A metric or partial that is not
+    finite raises NonFiniteMetric naming the first such point, in place of
+    numpy warnings.
     """
-    p = as_point(p, metric.dim)
-    metric.require_inside(p, margin=metric.fd_margin())
-    ginv = metric.inverse(p)
-    dg = metric.partials(p)
-    # Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_im - d_m g_ij)
-    # the bracket indexed [m, i, j], so that g^{km} contracts it by one matmul
-    term = dg.transpose(1, 0, 2) + dg.transpose(2, 1, 0) - dg
     dim = metric.dim
-    return 0.5 * (ginv @ term.reshape(dim, dim * dim)).reshape(dim, dim, dim)
+    p = np.asarray(p, dtype=float)
+    if p.shape == (dim,):
+        rows = p[None]
+        metric.require_inside(p, margin=metric.fd_margin())
+    elif p.ndim > 1 and p.shape[-1] == dim and p.size:
+        rows = p.reshape(-1, dim)
+        metric.require_inside(rows, margin=metric.fd_margin())
+    else:
+        raise ValueError(f"expected a point or rows of points with {dim} coordinates, "
+                         f"got shape {p.shape}")
+    if metric.has_analytic_partials:
+        g, dg = metric.matrix(p), metric.partials(p)
+    else:
+        # a stencil point where the metric is not finite is caught below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g, dg = metric.matrix(p), metric.partials(p)
+    _require_finite(rows, g, dg)
+    ginv = _checked_inverse(g, p)
+    # Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_im - d_m g_ij)
+    # the bracket indexed [..., m, i, j], so that g^{km} contracts it by one matmul
+    n = p.ndim - 1  # leading axes
+    lead = tuple(range(n))
+    term = dg.transpose(lead + (n + 1, n, n + 2)) + dg.transpose(lead + (n + 2, n + 1, n)) - dg
+    shape = p.shape[:-1]
+    return 0.5 * (ginv @ term.reshape(shape + (dim, dim * dim))).reshape(shape + (dim, dim, dim))
 
 
 def _curvature(metric, p, finish=None):
@@ -261,13 +296,23 @@ def _finite_jet(metric, p):
     point, in place of numpy warnings."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         jet = metric.jet(p)
-    rows = p.reshape(-1, metric.dim)
-    finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(len(rows), -1).all(axis=1) for a in jet])
-    if not finite.all():
-        raise NonFiniteMetric(
-            f"the metric or its derivatives are not finite at {rows[np.argmin(finite)]}")
+    _require_finite(p.reshape(-1, metric.dim), *jet)
     return jet
+
+
+def _require_finite(rows, *arrays):
+    """NonFiniteMetric unless the arrays, each with one leading row per
+    point of ``rows``, are finite; the error names the first failing point."""
+    # one point: a sum of plain floats is finite unless an entry is not, or
+    # the sum overflows, which the exact check below sorts out
+    if len(rows) == 1 and math.isfinite(sum(sum(a.ravel().tolist()) for a in arrays)):
+        return
+    finite = np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(rows), -1).all(axis=1) for a in arrays])
+    if finite.all():
+        return
+    raise NonFiniteMetric(
+        f"the metric or its derivatives are not finite at {rows[np.argmin(finite)]}")
 
 
 def _curvature_rows(g, dg, d2g, pts):
@@ -303,12 +348,15 @@ def dnabla(a, da, gam, x, y):
 
         (d^nabla A)(x, y) = d_x(A y) - d_y(A x) + Gamma(x, A y) - Gamma(y, A x),
 
-    for constant-coefficient tangent vectors x, y at one point.  ``a`` is A
-    there, ``da[k] = d A / d x^k`` and ``gam[k, i, j]`` are the connection
-    coefficients, ``nabla_{e_i} e_j = gam[k, i, j] e_k``.
+    for constant-coefficient tangent vectors x, y at one point, or with
+    leading axes at each row of a batch.  ``a`` is A there,
+    ``da[..., k, :, :] = d A / d x^k`` and ``gam[..., k, i, j]`` are the
+    connection coefficients, ``nabla_{e_i} e_j = gam[..., k, i, j] e_k``.
     """
-    return (np.einsum("i,ikj,j->k", x, da, y) - np.einsum("i,ikj,j->k", y, da, x)
-            + np.einsum("kij,i,j->k", gam, x, a @ y) - np.einsum("kij,i,j->k", gam, y, a @ x))
+    return (np.einsum("...i,...ikj,...j->...k", x, da, y)
+            - np.einsum("...i,...ikj,...j->...k", y, da, x)
+            + np.einsum("...kij,...i,...j->...k", gam, x, a @ y)
+            - np.einsum("...kij,...i,...j->...k", gam, y, a @ x))
 
 
 def riemann_covariant(metric, p):

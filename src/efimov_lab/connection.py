@@ -22,7 +22,8 @@ connection preserves: ``tau := T(f1, f2)`` for a positively oriented
 orthonormal frame (f1, f2).  A torsion field maps (..., 2) points to
 (..., 2) vectors, and one that returns a single vector for every point (a
 constant) is broadcast; a callable of one (2,) point is wrapped in
-``_fd.pointwise``.
+``_fd.pointwise``.  The B field of operator mode follows the same contract
+with (..., 2, 2) matrices.
 
 Batch contract: ``gamma``, ``third_form``, ``torsion_vector``, ``curvature``
 and ``area_density`` take one point of shape (2,) or a batch of shape
@@ -31,8 +32,13 @@ Torsion mode evaluates a batch in one vectorised pass of the same 2x2
 formulas it applies to one point (on Python floats there, on (N,) arrays),
 so each row equals the one-point result bit for bit; it checks every row
 for the chart margin, a positive definite III and finite coefficients, and
-the error names the first failing point.  Operator and immersion modes
-evaluate a batch one row at a time.
+the error names the first failing point.  Operator mode evaluates
+``b_matrix``, ``b_tilde``, ``third_form`` and K~ of a batch with one read
+of B, checks |det B| on every row and names the first failing point.  Its
+``gamma`` and ``b_matrix_partials`` still loop over rows: immersion mode
+inherits them, its shape operator is a one-point source read through
+``_fd.pointwise``, and the order of those reads is what its memo serves.
+Immersion mode evaluates every batch one row at a time.
 
 Everything here is a pure evaluator over read-only inputs, and verdicts are
 plain value objects.  The only mutable state is the immersion mode's memo
@@ -88,18 +94,20 @@ _IJM = tuple(itertools.product((0, 1), repeat=3))  # (i, j, m) in row-major orde
 
 def _entries(a, rank):
     """The entries of one rank-``rank`` array as nested Python floats, where
-    scalar arithmetic is fastest, or of a stack of such arrays as nested
-    (N,) arrays over its rows: ``e[i][j]`` is a float or an (N,) array, and
-    one 2x2 formula serves both."""
+    scalar arithmetic is fastest, or of a stack of such arrays, shape
+    (...,) + (2,) * rank, as nested arrays over its leading axes:
+    ``e[i][j]`` is a float or an array of shape (...,), and one 2x2 formula
+    serves both."""
     a = np.asarray(a, dtype=float)
-    return a.tolist() if a.ndim == rank else np.moveaxis(a, 0, -1)
+    lead = a.ndim - rank
+    return a.tolist() if lead == 0 else a.transpose(tuple(range(lead, a.ndim)) + tuple(range(lead)))
 
 
 def _assemble(entries, rank):
     """The array of nested entries, the inverse of ``_entries``: rank
-    ``rank``, or with a leading row axis when the entries are arrays."""
+    ``rank``, or with the leading axes of the entries when they are arrays."""
     a = np.array(entries)
-    return a if a.ndim == rank else np.moveaxis(a, -1, 0)
+    return a if a.ndim == rank else a.transpose(tuple(range(rank, a.ndim)) + tuple(range(rank)))
 
 
 def _sqrt(x):
@@ -118,9 +126,9 @@ def complex_structure(g):
 
 def _metric_det(g11, g12, g21, g22, points=None):
     """det g of a 2x2 surface metric, which must be positive definite; for
-    entries given as (N,) arrays, the determinant of each row, and the
-    error names the first failing row, or its point when ``points`` are
-    given."""
+    entries given as arrays, the determinant of each row, and the error
+    names the first failing row (in row-major order), or its point when
+    ``points`` are given."""
     det = g11 * g22 - g12 * g21
     if isinstance(det, float):
         if g11 > 0.0 and det > DET_FLOOR:
@@ -131,8 +139,8 @@ def _metric_det(g11, g12, g21, g22, points=None):
         if not bad.any():
             return det
         k = int(np.argmax(bad))
-        g11, det = g11[k], det[k]
-        where = f" at row {k}" if points is None else f" at {points[k]}"
+        g11, det = np.ravel(g11)[k], det.ravel()[k]
+        where = f" at row {k}" if points is None else f" at {np.reshape(points, (-1, 2))[k]}"
     raise NonInvertibleMetric(
         f"2x2 metric is not positive definite{where}: g11 = {g11:.3e}, det g = {det:.3e}")
 
@@ -174,22 +182,28 @@ def _torsion_from_gamma(gam, iii):
 
 
 def _inverse_shape_operator(b, q):
-    """B^{-1} of a 2x2 B in closed form, or DegenerateShapeOperator when
-    |det B| is below the floor."""
-    (b11, b12), (b21, b22) = b.tolist()
+    """B^{-1} of a 2x2 B in closed form, or of each B of a stack at the
+    points q; DegenerateShapeOperator when |det B| is below the floor, naming
+    the first such point."""
+    (b11, b12), (b21, b22) = _entries(b, 2)
     det = b11 * b22 - b12 * b21
-    if abs(det) < DET_B_FLOOR:
-        raise DegenerateShapeOperator(f"|det B| = {abs(det):.3e} below floor at q={q}")
-    return np.array([[b22 / det, -b12 / det], [-b21 / det, b11 / det]])
+    if isinstance(det, float):
+        if abs(det) < DET_B_FLOOR:
+            raise DegenerateShapeOperator(f"|det B| = {abs(det):.3e} below floor at q={q}")
+    elif (small := np.abs(det) < DET_B_FLOOR).any():
+        k = int(np.argmax(small))
+        raise DegenerateShapeOperator(f"|det B| = {abs(det.ravel()[k]):.3e} below floor "
+                                      f"at q={np.reshape(q, (-1, 2))[k]}")
+    return _assemble([[b22 / det, -b12 / det], [-b21 / det, b11 / det]], 2)
 
 
 def orthonormal_frame(g):
     """Gram-Schmidt frame (f1, f2) of a 2x2 metric, positively oriented:
-    ``f[a]`` is the a-th frame vector."""
-    (g11, g12), (g21, g22) = g.tolist()
-    det = _metric_det(g11, g12, g21, g22)
-    s = math.sqrt(det / g11)
-    return np.array([[1.0 / math.sqrt(g11), 0.0], [-g12 / g11 / s, 1.0 / s]])
+    ``f[a]`` is the a-th frame vector; for a stack of metrics, shape
+    (..., 2, 2), the frame of each."""
+    (g11, g12), (g21, g22) = _entries(g, 2)
+    s = _sqrt(_metric_det(g11, g12, g21, g22) / g11)
+    return _assemble([[1.0 / _sqrt(g11), 0.0 * g11], [-g12 / g11 / s, 1.0 / s]], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +374,13 @@ class _TorsionProvider(SurfaceConnectionData):
 
 
 class _OperatorProvider(SurfaceConnectionData):
-    """sigma + endomorphism field B; D~_x y = B^{-1} D^sigma_x (B y)."""
+    """sigma + endomorphism field B; D~_x y = B^{-1} D^sigma_x (B y).
+
+    ``b_field`` maps (..., 2) points to (..., 2, 2) matrices, and one that
+    returns a single matrix for every point (a constant) is broadcast; a
+    callable of one (2,) point is wrapped in ``_fd.pointwise``.  ``b_matrix``
+    and ``third_form`` take points with any leading axes, so that III can be
+    the matrix leaf of a MetricField."""
 
     mode = "operator"
 
@@ -371,19 +391,28 @@ class _OperatorProvider(SurfaceConnectionData):
         self.box = sigma_field.box
 
     def b_matrix(self, q):
-        return np.asarray(self.b_field(as_point(q, 2)), dtype=float)
+        """B at one point or at each point of a (..., 2) array."""
+        q = np.asarray(q, dtype=float)
+        b = np.asarray(self.b_field(q), dtype=float)
+        if b.shape != q.shape + (2,):
+            if b.shape != (2, 2) or q.shape[-1:] != (2,):
+                raise ValueError(f"a B field maps (..., 2) points to (..., 2, 2) matrices; "
+                                 f"points of shape {q.shape} gave shape {b.shape}")
+            b = np.broadcast_to(b, q.shape + (2,))  # one matrix for every point
+        return b
 
     def b_matrix_partials(self, q):
         return _fd.gradient(self.b_field, as_point(q, 2), FD_STEP)
 
     def b_tilde(self, q):
+        q = as_points(q, 2)
         return _inverse_shape_operator(self.b_matrix(q), q)
 
-    @_each_row
     def third_form(self, q):
+        """``III = B^T sigma B`` at one point or at each point of a (..., 2)
+        array."""
         b = self.b_matrix(q)
-        sigma = self.sigma_field.matrix(q)
-        return b.T @ sigma @ b
+        return np.swapaxes(b, -1, -2) @ self.sigma_field.matrix(q) @ b
 
     def third_form_partials(self, q):
         b = self.b_matrix(q)
@@ -405,12 +434,11 @@ class _OperatorProvider(SurfaceConnectionData):
 
     torsion_vector = SurfaceConnectionData.torsion_from_coefficients
 
-    @_each_row
     def _curvature(self, q):
         """``K~ = K_sigma / det B``, because ``R~ = B^{-1} R B``."""
-        q = as_point(q, 2)
+        q = as_points(q, 2)
         binv = _inverse_shape_operator(self.b_matrix(q), q)
-        return gauss_curvature(self.sigma_field, q) * float(np.linalg.det(binv))
+        return _scalar(gauss_curvature(self.sigma_field, q) * np.linalg.det(binv))
 
 
 class _ImmersionProvider(_OperatorProvider):
@@ -426,7 +454,7 @@ class _ImmersionProvider(_OperatorProvider):
         self._memo = functools.lru_cache(maxsize=MEMO_SIZE)(
             lambda u, v: fundamental_forms(patch, ambient, np.array([u, v])))
         sigma = induced_metric_field(patch, ambient)
-        super().__init__(sigma, self._shape_at, name=f"dual[{patch.name}]")
+        super().__init__(sigma, _fd.pointwise(self._shape_at), name=f"dual[{patch.name}]")
 
     def fundamental(self, q):
         q = as_point(q, 2)

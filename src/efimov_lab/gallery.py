@@ -23,7 +23,8 @@ from .ambient import (
     riemann_covariant,
     sectional_range,
 )
-from .connection import SurfaceConnectionData, christoffel, orthonormal_frame
+from .connection import SurfaceConnectionData, _assemble, christoffel, orthonormal_frame
+from .curves import _quadratic
 from .errors import ParameterOutOfRange, WrongSignDeterminant
 from .immersion import SurfacePatch
 
@@ -690,6 +691,12 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
     ||d^sigma H - tau (x) nu|| (these vanish only for actual solutions).
     K~ is measured by Cartan's structure equation from III and the
     connection's torsion, so the identity reads neither K_sigma nor det H.
+
+    ``h_field`` follows the batch contract of an operator-mode B field: it
+    maps (..., 2) points to (..., 2, 2) matrices (a constant is broadcast),
+    and every layer of the check evaluates all sample points in one call.
+    ``b_field`` and ``tau_field`` take one (2,) point and are called once
+    per sample point.
     """
     data = SurfaceConnectionData.from_operator(sigma_field, h_field, name="monge_ampere")
 
@@ -697,14 +704,14 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
         # the connection's torsion H^{-1} (d^sigma H)(d_1, d_2) / sqrt(det III);
         # the structure equation differentiates it again, so dH is taken at
         # 1e-3, where rounding stays far below the 1e-8 scale of the identity
-        h = np.asarray(h_field(q), dtype=float)
-        dh = _fd.gradient(h_field, q, 1e-3)
+        h = data.b_matrix(q)
+        dh = _fd.gradient(data.b_matrix, q, 1e-3)
         twist = dnabla(h, dh, christoffel(sigma_field, q), *np.eye(2))
-        return np.linalg.solve(h, twist) / math.sqrt(np.linalg.det(data.third_form(q)))
+        area = np.sqrt(np.linalg.det(data.third_form(q)))
+        return np.linalg.solve(h, twist[..., None])[..., 0] / area[..., None]
 
     structure = SurfaceConnectionData.from_metric_and_torsion(
-        MetricField(2, _fd.pointwise(data.third_form), sigma_field.box,
-                    name="III[monge_ampere]"), _fd.pointwise(torsion))
+        MetricField(2, data.third_form, sigma_field.box, name="III[monge_ampere]"), torsion)
     if sample_points is None:
         lo = np.asarray(sigma_field.box.lo)
         hi = np.asarray(sigma_field.box.hi)
@@ -712,64 +719,49 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
         span = 0.3 * (hi - lo)
         rng = np.random.default_rng(3)
         sample_points = [mid + span * (2 * rng.random(2) - 1) for _ in range(12)]
+    pts = np.array(sample_points, dtype=float).reshape(-1, 2)
 
-    det_resid = 0.0
-    dnh_resid = 0.0
-    ktilde_resid = 0.0
-    torsion_resid = 0.0
-    sup_tau = 0.0
-    b_min, b_max = np.inf, -np.inf
-    sup_k_sigma = -np.inf
-    for q in sample_points:
-        q = np.asarray(q, dtype=float)
-        h = np.asarray(h_field(q), dtype=float)
-        b = float(b_field(q))
-        det = float(np.linalg.det(h))
-        if det >= 0:
-            raise WrongSignDeterminant(f"det H = {det:.3e} >= 0 at {q}")
-        det_resid = max(det_resid, abs(det + b))
-        b_min, b_max = min(b_min, b), max(b_max, b)
+    det = np.linalg.det(data.b_matrix(pts))
+    wrong = det >= 0
+    if wrong.any():
+        k = int(np.argmax(wrong))
+        raise WrongSignDeterminant(f"det H = {det[k]:.3e} >= 0 at {pts[k]}")
+    b = np.array([float(b_field(q)) for q in pts])
+    tau = np.array([np.asarray(tau_field(q), dtype=float) for q in pts])
 
-        sigma = sigma_field.matrix(q)
-        tau = np.asarray(tau_field(q), dtype=float)
-        ntau = float(np.sqrt(max(tau @ sigma @ tau, 0.0)))
-        sup_tau = max(sup_tau, ntau)
-
-        dnh = dnabla_h(sigma_field, h_field, q)
-        target = np.sqrt(np.linalg.det(sigma)) * tau
-        diff = dnh - target
-        dnh_resid = max(dnh_resid, float(np.sqrt(diff @ sigma @ diff)))
-
-        k_sigma = gauss_curvature(sigma_field, q)
-        sup_k_sigma = max(sup_k_sigma, k_sigma)
-        ktilde_resid = max(ktilde_resid, abs(structure.curvature(q) - (-k_sigma / b)))
-
-        tau_tilde = data.torsion_from_coefficients(q)
-        iii = data.third_form(q)
-        nt = float(np.sqrt(max(tau_tilde @ iii @ tau_tilde, 0.0)))
-        # the connection's own torsion satisfies ||tau~|| = ||d^sigma H||/... ;
-        # against the supplied tau the identity is ||tau~|| = ||tau||_sigma / b
-        torsion_resid = max(torsion_resid, abs(nt - ntau / b))
+    sigma = sigma_field.matrix(pts)
+    ntau = np.sqrt(np.maximum(_quadratic(tau, sigma, tau), 0.0))
+    diff = dnabla_h(sigma_field, data.b_matrix, pts) - np.sqrt(np.linalg.det(sigma))[:, None] * tau
+    k_sigma = gauss_curvature(sigma_field, pts)
+    ktilde = structure.curvature(pts)
+    # the connection's own torsion satisfies ||tau~|| = ||d^sigma H||/... ;
+    # against the supplied tau the identity is ||tau~|| = ||tau||_sigma / b
+    tau_tilde = data.torsion_from_coefficients(pts)
+    nt = np.sqrt(np.maximum(_quadratic(tau_tilde, data.third_form(pts), tau_tilde), 0.0))
 
     report = {
-        "det_residual": det_resid,
-        "dnabla_residual": dnh_resid,
-        "ktilde_identity_residual": ktilde_resid,
-        "torsion_identity_residual": torsion_resid,
-        "sup_tau": sup_tau,
-        "b_range": (float(b_min), float(b_max)),
+        "det_residual": float(np.max(np.abs(det + b))),
+        "dnabla_residual": float(np.max(np.sqrt(_quadratic(diff, sigma, diff)))),
+        "ktilde_identity_residual": float(np.max(np.abs(ktilde - (-k_sigma / b)))),
+        "torsion_identity_residual": float(np.max(np.abs(nt - ntau / b))),
+        "sup_tau": float(np.max(ntau)),
+        "b_range": (float(np.min(b)), float(np.max(b))),
     }
+    sup_k_sigma = float(np.max(k_sigma))
     if eps0 is None and sup_k_sigma < 0:
         eps0 = -sup_k_sigma
     if eps0 is not None:
+        b_min, b_max = report["b_range"]
         report["eps0"] = float(eps0)
         report["hypothesis_bM_tau0sq_lt_4eps0_bm2"] = bool(
-            b_max * sup_tau ** 2 < 4.0 * eps0 * b_min ** 2)
+            b_max * report["sup_tau"] ** 2 < 4.0 * eps0 * b_min ** 2)
     return data, report
 
 
 def dnabla_h(sigma_field, h_field, q):
-    """(d^sigma H)(d1, d2) for the Levi-Civita connection of sigma."""
+    """(d^sigma H)(d1, d2) for the Levi-Civita connection of sigma, at one
+    point q or at each point of a (..., 2) array; ``h_field`` maps (..., 2)
+    points to (..., 2, 2) matrices."""
     q = np.asarray(q, dtype=float)
     dh = _fd.gradient(h_field, q, 1e-5)
     e1, e2 = np.eye(2)
@@ -779,28 +771,30 @@ def dnabla_h(sigma_field, h_field, q):
 def random_monge_ampere_field(sigma_field, seed):
     """A smooth random symmetric endomorphism field with det H = -1, built in
     the orthonormal frame of sigma as R(eta)^T diag(e^m, -e^-m) R(eta), where
-    m and eta are sums of two random sine-cosine modes of amplitude <= 0.3."""
+    m and eta are sums of two random sine-cosine modes of amplitude <= 0.3.
+    It maps one (2,) point or points of shape (..., 2) to (..., 2, 2)."""
     rng = np.random.default_rng(seed)
     am = 0.3 * (2 * rng.random(2) - 1)
     bm = 0.3 * (2 * rng.random(2) - 1)
     freq = rng.integers(1, 3, size=(2, 2))
     phase = 2 * np.pi * rng.random((2, 2))
 
-    def scalar(q, coeffs):
-        return float(sum(c * np.sin(freq[i, 0] * q[0] + phase[i, 0])
-                         * np.cos(freq[i, 1] * q[1] + phase[i, 1])
-                         for i, c in enumerate(coeffs)))
+    def scalar(coeffs, sin, cos):
+        terms = coeffs * sin * cos
+        return terms[..., 0] + terms[..., 1]
 
     def h(q):
         q = np.asarray(q, dtype=float)
-        m = scalar(q, am)
-        eta = scalar(q, bm)
-        g = sigma_field.matrix(q)
-        f = orthonormal_frame(g)
-        frame = np.column_stack([f[0], f[1]])
+        # the two modes sin(.) cos(.), shared by m and eta, on a last axis
+        sin = np.sin(freq[:, 0] * q[..., :1] + phase[:, 0])
+        cos = np.cos(freq[:, 1] * q[..., 1:] + phase[:, 1])
+        m = scalar(am, sin, cos)
+        eta = scalar(bm, sin, cos)
+        frame = np.swapaxes(orthonormal_frame(sigma_field.matrix(q)), -1, -2)  # columns f1, f2
         c, s = np.cos(eta), np.sin(eta)
-        rot = np.array([[c, -s], [s, c]])
-        core = rot.T @ np.diag([np.exp(m), -np.exp(-m)]) @ rot
+        a, b = np.exp(m), -np.exp(-m)
+        # R(eta)^T diag(a, b) R(eta)
+        core = _assemble([[c * a, s * b], [-s * a, c * b]], 2) @ _assemble([[c, -s], [s, c]], 2)
         return frame @ core @ np.linalg.inv(frame)
 
     return h

@@ -13,6 +13,7 @@ from efimov_lab.ambient import (
     MetricField,
     christoffel,
     curvature_sample,
+    dnabla,
     gauss_curvature,
     metric_from_expressions,
     riemann_covariant,
@@ -421,3 +422,71 @@ def test_expression_file_metric_has_constant_curvature(c, u, v, w):
     s = curvature_sample(m, [u, v, w])
     assert abs(s.k_min + c * c) < 1e-6 and abs(s.k_max + c * c) < 1e-6
     assert max(s.symmetry_residuals.values()) < 1e-4
+
+
+# --- batched christoffel and d^nabla -----------------------------------------
+
+
+@pytest.mark.parametrize("metric, scale", [
+    (gallery.g_lambda(1.0), 1.0), (gallery.g_lambda(1.0, analytic=False), 1.0),
+    (gallery.hyperbolic3(), 0.3)], ids=["analytic", "pure_fd", "conformal"])
+def test_christoffel_batch_rows_equal_one_point_calls(metric, scale):
+    """Each row of an (N, 3) batch, and of a (rows, cols, 3) array, is its
+    one-point call bit for bit, with analytic partials and without."""
+    pts = scale * batch_3d(6)
+    single = np.array([christoffel(metric, p) for p in pts])
+    assert np.array_equal(christoffel(metric, pts), single)
+    assert np.array_equal(christoffel(metric, pts.reshape(2, 3, 3)), single.reshape(2, 3, 3, 3, 3))
+
+
+def inf_beside(metric, x0):
+    """A copy of a 3D metric without analytic partials whose matrix leaf is
+    inf at every point with x > x0."""
+    def matrix(p):
+        g = np.array(metric.matrix(p))
+        g[p[..., 0] > x0] = np.inf
+        return g
+
+    return MetricField(3, matrix, metric.box, fd_step=metric.fd_step)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_christoffel_non_finite_metric_raises_typed_error_naming_the_row():
+    """A metric that is inf beside the point, inside its stencil, or a
+    partial that is inf at the point: NonFiniteMetric naming that point, at
+    one point and in a batch, never a numpy warning or a NaN."""
+    base = gallery.g_lambda(1.0, analytic=False)
+    hot = np.array([0.5, 0.1, 0.0])
+    m = inf_beside(base, 0.5 + 0.5 * base.fd_step)
+    assert np.array_equal(christoffel(m, [0.4, 0.1, 0.0]), christoffel(base, [0.4, 0.1, 0.0]))
+    with pytest.raises(NonFiniteMetric, match=re.escape(str(hot))):
+        christoffel(m, hot)
+    with pytest.raises(NonFiniteMetric, match=re.escape(str(hot))):
+        christoffel(m, np.array([[0.2, 0.0, 0.0], hot, [0.9, 0.0, 0.0]]))
+
+    def partials(p):
+        dg = np.array(gallery.g_lambda(1.0).partials(p))
+        dg[p[..., 1] < 0] = np.inf
+        return dg
+
+    analytic = MetricField(3, base.matrix, base.box, partials=partials)
+    cold = np.array([0.2, -0.1, 0.0])
+    with pytest.raises(NonFiniteMetric, match=re.escape(str(cold))):
+        christoffel(analytic, cold)
+    with pytest.raises(NonFiniteMetric, match=re.escape(str(cold))):
+        christoffel(analytic, np.array([[0.2, 0.1, 0.0], cold]))
+
+
+def test_dnabla_batch_rows_equal_one_point_calls():
+    """d^nabla of stacked (A, dA, Gamma) is, row by row, the one-point value,
+    and zero for the identity of a torsion-free connection (Gamma(x, y) =
+    Gamma(y, x))."""
+    rng = np.random.default_rng(9)
+    a, da, gam = rng.normal(size=(5, 2, 2)), rng.normal(size=(5, 2, 2, 2)), rng.normal(size=(5, 2, 2, 2))
+    x, y = rng.normal(size=(2, 2))
+    batch = dnabla(a, da, gam, x, y)
+    single = np.array([dnabla(a[n], da[n], gam[n], x, y) for n in range(5)])
+    assert batch.shape == (5, 2) and np.array_equal(batch, single)
+    sym = gam + np.swapaxes(gam, -1, -2)
+    assert np.max(np.abs(dnabla(np.broadcast_to(np.eye(2), (5, 2, 2)), np.zeros((5, 2, 2, 2)),
+                                sym, x, y))) < 1e-14

@@ -353,7 +353,7 @@ def _operator_case(name):
     sigma = gallery.hyperbolic_plane_polar(r_min=0.4, r_max=3.0)
     if name == "h_diag":
         def h(q):
-            frame = orthonormal_frame(sigma.matrix(q)).T
+            frame = np.swapaxes(orthonormal_frame(sigma.matrix(q)), -1, -2)
             return frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
     else:
         field = gallery.random_monge_ampere_field(sigma, seed=int(name[-1]))
@@ -530,13 +530,107 @@ def test_torsion_field_contract():
         bad.gamma(pts)
 
 
-def test_operator_and_immersion_batches_loop_over_rows(saddle_data):
-    """Operator and immersion modes evaluate a batch one row at a time, so
-    each row is its one-point call."""
-    operator = SurfaceConnectionData.from_operator(
-        gallery.hyperbolic_plane_polar(), lambda q: np.array([[1.0, 0.2], [0.2, 2.0 + q[0]]]))
-    assert_batch_equals_points(operator, np.array([[0.8, 0.1], [1.5, -0.7], [2.2, 1.3]]))
+def _affine_b(q):
+    """B = ((1, 0.2), (0.2, 2 + u)) at one point or at each of (..., 2) points."""
+    b = np.empty(q.shape[:-1] + (2, 2))
+    b[...] = [[1.0, 0.2], [0.2, 2.0]]
+    b[..., 1, 1] += q[..., 0]
+    return b
+
+
+def test_operator_batches_in_one_pass_and_immersion_loops_over_rows(saddle_data):
+    """Operator mode reads B once for the III and once for the K~ of a whole
+    batch, while ``gamma`` and immersion mode still go one row at a time;
+    either way each row is its one-point call."""
+    calls = []
+
+    def counted(q):
+        calls.append(q.shape)
+        return _affine_b(q)
+
+    operator = SurfaceConnectionData.from_operator(gallery.hyperbolic_plane_polar(), counted)
+    pts = np.array([[0.8, 0.1], [1.5, -0.7], [2.2, 1.3]])
+    assert_batch_equals_points(operator, pts)
+    calls.clear()
+    operator.third_form(pts)
+    operator.curvature(pts)
+    assert calls == [(3, 2), (3, 2)]
     assert_batch_equals_points(saddle_data, np.array([[0.1, 0.2], [-0.3, 0.05]]))
+
+
+@pytest.mark.parametrize("name", ["seed3", "seed8", "h_diag"])
+def test_operator_batch_rows_equal_one_point_calls(name):
+    """B, B^{-1}, III and K~ of an (N, 2) batch, and B and III of a
+    (rows, cols, 2) array, equal the one-point calls row by row."""
+    data, (lo, hi) = _operator_case(name)
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(lo, hi, size=(7, 2))
+    for method in ("b_matrix", "b_tilde", "third_form", "curvature"):
+        evaluate = getattr(data, method)
+        batch = evaluate(pts)
+        single = np.array([evaluate(p) for p in pts])
+        assert batch.shape == single.shape and np.array_equal(batch, single), method
+    grid = pts[:6].reshape(2, 3, 2)
+    for method in ("b_matrix", "third_form"):
+        evaluate = getattr(data, method)
+        assert np.array_equal(evaluate(grid), evaluate(pts[:6]).reshape(2, 3, 2, 2)), method
+
+
+def test_operator_b_field_contract():
+    """A constant B is broadcast, a one-point callable wrapped in
+    _fd.pointwise gives the values of its broadcasting twin, and a field of
+    the wrong shape raises ValueError."""
+    sigma = gallery.hyperbolic_plane_polar()
+    pts = np.array([[0.8, 0.1], [1.5, -0.7], [2.2, 1.3]])
+    constant = SurfaceConnectionData.from_operator(sigma, lambda q: np.diag([1.0, -2.0]))
+    assert constant.b_matrix(pts).tolist() == [[[1.0, 0.0], [0.0, -2.0]]] * 3
+    assert_batch_equals_points(constant, pts)
+
+    def one_point(q):
+        return np.array([[1.0, 0.2], [0.2, 2.0 + q[0]]])
+
+    wrapped = SurfaceConnectionData.from_operator(sigma, _fd.pointwise(one_point))
+    twin = SurfaceConnectionData.from_operator(sigma, _affine_b)
+    for method in BATCH_METHODS + ("b_matrix", "b_tilde"):
+        assert np.array_equal(getattr(wrapped, method)(pts), getattr(twin, method)(pts)), method
+    bad = SurfaceConnectionData.from_operator(sigma, lambda q: np.zeros(3))
+    with pytest.raises(ValueError, match="B field"):
+        bad.third_form(pts)
+
+
+def test_operator_batch_names_the_row_with_degenerate_b():
+    """|det B| below DET_B_FLOOR at one row of a batch: DegenerateShapeOperator
+    naming that point, from B^{-1} and from K~."""
+    def b_field(q):
+        b = _affine_b(q)
+        b[..., 1, 1] = np.where(q[..., 0] > 2.0, 0.04, b[..., 1, 1])  # det B = 0
+        return b
+
+    data = SurfaceConnectionData.from_operator(gallery.hyperbolic_plane_polar(), b_field)
+    pts = np.array([[1.0, 0.0], [2.5, 0.3], [3.0, 0.0]])
+    for evaluate in (data.b_tilde, data.curvature):
+        with pytest.raises(DegenerateShapeOperator, match=re.escape(str(pts[1]))):
+            evaluate(pts)
+    assert np.isfinite(data.curvature(pts[:1])).all()
+
+
+def test_orthonormal_frame_batch_rows_equal_one_point_calls():
+    """The frame of a (..., 2, 2) stack of metrics is, metric by metric, the
+    one-point frame: orthonormal and positively oriented.  A metric that is
+    not positive definite raises NonInvertibleMetric naming its row."""
+    sigma = gallery.hyperbolic_plane_polar(r_min=0.4, r_max=3.0)
+    g = sigma.matrix(np.random.default_rng(6).uniform([0.5, -7.0], [2.9, 7.0], size=(2, 3, 2)))
+    g[..., 0, 1] = g[..., 1, 0] = 0.3  # off-diagonal, so f2 has both components
+    frames = orthonormal_frame(g)
+    assert frames.shape == (2, 3, 2, 2)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(frames[idx], orthonormal_frame(g[idx]))
+        f = frames[idx]
+        assert np.allclose(f @ g[idx] @ f.T, np.eye(2), atol=1e-14)
+        assert np.linalg.det(f) > 0
+    g[1, 0, 1, 1] = 0.0
+    with pytest.raises(NonInvertibleMetric, match="row 3"):
+        orthonormal_frame(g)
 
 
 @pytest.mark.parametrize("mode", ["torsion", "operator", "immersion"])

@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -227,9 +228,7 @@ def test_virtual_third_form_identity_magnitude():
     sigma = _hyperbolic_sigma()
 
     def h_diag(q):
-        g = sigma.matrix(q)
-        f = orthonormal_frame(g)
-        frame = np.column_stack([f[0], f[1]])
+        frame = np.swapaxes(orthonormal_frame(sigma.matrix(q)), -1, -2)  # columns f1, f2
         return frame @ np.diag([1.0, -1.0]) @ np.linalg.inv(frame)
 
     data, rep = gallery.virtual_third_form(sigma, h_diag, lambda q: 1.0,
@@ -280,11 +279,78 @@ def test_virtual_third_form_scaling_homogeneity():
 
 
 def test_virtual_third_form_wrong_sign():
+    """A constant H is broadcast to every sample point; with det H > 0 the
+    error names the first one."""
     sigma = _hyperbolic_sigma()
+    pts = np.array([[1.0, 0.2], [1.5, -0.3]])
+    with pytest.raises(WrongSignDeterminant, match=re.escape(f"at {pts[0]}")):
+        gallery.virtual_third_form(sigma, lambda q: np.eye(2), lambda q: 1.0,
+                                   lambda q: np.zeros(2), sample_points=pts)
 
-    def h_pos(q):
-        return np.eye(2)
 
-    with pytest.raises(WrongSignDeterminant):
-        gallery.virtual_third_form(sigma, h_pos, lambda q: 1.0, lambda q: np.zeros(2))
+def test_virtual_third_form_names_the_first_sample_with_wrong_sign():
+    """Only the third of four samples has det H >= 0, and the error names it;
+    b and tau are read one sample at a time only once every det H passed."""
+    sigma = _hyperbolic_sigma()
+    h = gallery.random_monge_ampere_field(sigma, seed=5)
+    pts = np.array([[1.0, 0.2], [1.5, -0.3], [2.0, 0.4], [1.2, 1.1]])
+    bad = pts[2]
+
+    def h_flipped(q):
+        # H, but the identity (det +1) at the bad point
+        out = np.array(h(q))
+        out[np.all(q == bad, axis=-1)] = np.eye(2)
+        return out
+
+    reads = []
+    with pytest.raises(WrongSignDeterminant, match=re.escape(f"at {bad}")):
+        gallery.virtual_third_form(sigma, h_flipped, lambda q: reads.append(q) or 1.0,
+                                   lambda q: np.zeros(2), sample_points=pts)
+    assert reads == []
+
+
+def _oracle_monge_ampere_field(sigma_field, seed):
+    """The one-point construction of ``random_monge_ampere_field``: the same
+    random modes, summed one at a time on floats, and the Gram-Schmidt
+    frame of sigma as the inverse transpose of its Cholesky factor."""
+    rng = np.random.default_rng(seed)
+    am = 0.3 * (2 * rng.random(2) - 1)
+    bm = 0.3 * (2 * rng.random(2) - 1)
+    freq = rng.integers(1, 3, size=(2, 2))
+    phase = 2 * np.pi * rng.random((2, 2))
+
+    def scalar(q, coeffs):
+        return float(sum(c * np.sin(freq[i, 0] * q[0] + phase[i, 0])
+                         * np.cos(freq[i, 1] * q[1] + phase[i, 1])
+                         for i, c in enumerate(coeffs)))
+
+    def h(q):
+        q = np.asarray(q, dtype=float)
+        m = scalar(q, am)
+        eta = scalar(q, bm)
+        frame = np.linalg.inv(np.linalg.cholesky(sigma_field.matrix(q))).T
+        c, s = np.cos(eta), np.sin(eta)
+        rot = np.array([[c, -s], [s, c]])
+        core = rot.T @ np.diag([np.exp(m), -np.exp(-m)]) @ rot
+        return frame @ core @ np.linalg.inv(frame)
+
+    return h
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8, 11])
+def test_random_monge_ampere_field_matches_one_point_oracle(seed):
+    """On a grid of the chart, the batched field (one call on the grid, and
+    one on a (rows, cols, 2) array) matches the one-point oracle to 1e-14
+    relative, and det H = -1 to 1e-12."""
+    sigma = _hyperbolic_sigma()
+    h = gallery.random_monge_ampere_field(sigma, seed)
+    oracle = _oracle_monge_ampere_field(sigma, seed)
+    grid = np.stack(np.meshgrid(np.linspace(0.45, 2.95, 9), np.linspace(-7.5, 7.5, 11)), -1)
+    ref = np.array([[oracle(q) for q in row] for row in grid])
+    for batch in (h(grid.reshape(-1, 2)).reshape(ref.shape), h(grid)):
+        assert batch.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+        assert np.max(np.abs(batch - ref) / scale) < 1e-14
+    assert np.max(np.abs(np.linalg.det(h(grid)) + 1.0)) < 1e-12
+    assert np.array_equal(h(grid[3, 4]), h(grid)[3, 4])
 
