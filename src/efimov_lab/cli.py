@@ -9,6 +9,7 @@ the canonicalized inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -486,10 +487,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first call of ``main`` and then reused:
+    ``parse_args`` returns a fresh namespace and leaves the parser as it is."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -282,37 +282,59 @@ def hermite(t, h, y0, d0, y1, d1):
     return y, d00 * y0 / h + d10 * d0 + d01 * y1 / h + d11 * d1
 
 
-def simpson(y, x):
+def _ragged_range(starts, counts):
+    """The concatenation of ``range(s, s + c)`` over the pairs of ``starts``
+    and ``counts``."""
+    counts = np.asarray(counts)
+    return np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+
+
+def simpson(y, x, lengths=None):
     """Composite Simpson integral of the samples y over strictly increasing,
     possibly uneven nodes x.
+
+    With ``lengths``, y and x hold the nodes of consecutive pieces of those
+    lengths, each increasing on its own, and the result is the array of the
+    pieces' integrals; a single array is the one-piece case and returns a
+    float.
 
     Parabolas through consecutive node triples; with an even sample count the
     last interval gets Cartwright's three-point end correction, and with two
     samples the rule is the trapezoid.  The operation order follows
-    ``scipy.integrate.simpson``, so the two agree to rounding.
+    ``scipy.integrate.simpson``, so the two agree to rounding on every piece.
+    Node gaps between pieces are never read.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = len(y)
-    if n < 2 or x.shape != y.shape:
-        raise ValueError(f"simpson needs matching 1-D y and x with at least 2 samples, "
-                         f"got shapes {y.shape} and {x.shape}")
-    if n == 2:
-        return float(0.5 * (x[1] - x[0]) * (y[1] + y[0]))
+    n = np.array([len(y)] if lengths is None else lengths, dtype=int).reshape(-1)
+    if y.ndim != 1 or x.shape != y.shape or np.any(n < 2) or n.sum() != len(y):
+        raise ValueError(f"simpson needs matching 1-D y and x split into pieces of at least "
+                         f"2 samples, got shapes {y.shape} and {x.shape} and lengths {n}")
+    start = np.cumsum(n) - n
+    total = np.zeros(len(n))
     h = np.diff(x)
-    stop = n - 2 if n % 2 else n - 3  # parabolic panels cover nodes 0..stop
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    two = n == 2
+    i = start[two]
+    total[two] = 0.5 * (x[i + 1] - x[i]) * (y[i + 1] + y[i])
+    panels = (n - 1) // 2  # parabolic panels from each piece's node 0, 2, 4, ...
+    i = np.repeat(start, panels) + 2 * _ragged_range(0, panels)
+    h0, h1 = h[i], h[i + 1]
     hsum = h0 + h1
     ratio = h0 / h1
-    total = np.sum(hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / ratio)
-                                 + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-                                 + y[2:stop + 2:2] * (2.0 - ratio)))
-    if n % 2 == 0:
-        a, b = h[-2], h[-1]
-        total += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[-1]
-                  + (b ** 2 + 3.0 * a * b) / (6 * a) * y[-2]
-                  - b ** 3 / (6 * a * (a + b)) * y[-3])
-    return float(total)
+    vals = hsum / 6.0 * (y[i] * (2.0 - 1.0 / ratio)
+                         + y[i + 1] * (hsum * (hsum / (h0 * h1)))
+                         + y[i + 2] * (2.0 - ratio))
+    if len(n) == 1:  # the pairwise sum of numpy and scipy
+        total[panels > 0] = np.sum(vals)
+    elif vals.size:  # one sum per piece in node order
+        total[panels > 0] = np.add.reduceat(vals, (np.cumsum(panels) - panels)[panels > 0])
+    corrected = (n % 2 == 0) & ~two
+    end = (start + n - 1)[corrected]
+    a, b = h[end - 2], h[end - 1]
+    total[corrected] += ((2 * b ** 2 + 3 * a * b) / (6 * (b + a)) * y[end]
+                         + (b ** 2 + 3.0 * a * b) / (6 * a) * y[end - 1]
+                         - b ** 3 / (6 * a * (a + b)) * y[end - 2])
+    return float(total[0]) if lengths is None else total
 
 
 def _geodesic_rhs(data):

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _linear_samples, _sample, _stage_times, _step_grid, hermite, simpson
+from .curves import (
+    _linear_samples,
+    _ragged_range,
+    _sample,
+    _stage_times,
+    _step_grid,
+    hermite,
+    simpson,
+)
 from .errors import BoundViolated, NoCrossing, ParameterOutOfRange
 
 __all__ = [
@@ -135,11 +143,6 @@ class EdoSolution:
     z: np.ndarray
     m0: float          # envelope: max of |y|, |y'| on [0, s0]
     lipschitz: float   # max |y'| on [0, s1]
-    u: object = None
-
-    @property
-    def yprime(self):
-        return self.y * _profile(_as_profile(self.u), self.s) + self.z
 
 
 def solve_prop_edo(u, eps, step=1e-4):
@@ -178,7 +181,7 @@ def solve_prop_edo(u, eps, step=1e-4):
     lip = float(np.max(np.abs(yp[mask1])))
     keep = s <= s1 + step
     return EdoSolution(eps=eps, s0=float(s0), s1=float(s1), s=s[keep], y=y[keep],
-                       z=z[keep], m0=m0, lipschitz=lip, u=u)
+                       z=z[keep], m0=m0, lipschitz=lip)
 
 
 @dataclass
@@ -341,54 +344,100 @@ def _bspline_bump_d2(x):
     return out
 
 
+_CHUNK_TESTS = 4  # test functions per Simpson pass; bounds the memory of a pass
+
+
 def weak_inequality_residual(bump, u, n_tests=50, seed=20240):
     """Minimum over a family of nonnegative C^2 bump test functions phi of
 
         integral y (phi'' + u phi' + (eps + u^2/4) phi) ds,
 
     which is >= 0 exactly when the profile satisfies the bump inequality as a
-    distribution.  Quadrature runs segment by segment on the solver's own
-    sample grids, so the kinks of y at the junctions never cross a panel.
-    Test centers and widths come from a seeded generator; widths stay well
-    above the solver step.
+    distribution.
+
+    Each phi is the cubic B-spline bump of a center c and a width w, drawn
+    from a seeded generator (c, then w, test by test; widths stay well above
+    the solver step), and is supported on [c - 2w, c + 2w].  Quadrature runs
+    on the solver's own segment grids, so the kinks of y at the junctions
+    never cross a panel, and cuts each segment at the five spline knots, so
+    the integrand is smooth on every piece.  A piece from cut p to cut q has
+    the grid nodes strictly between them plus p and q, with y interpolated
+    there; a piece with no such grid node takes its midpoint as a third node.
+    Pieces outside the support integrate zeros and are left out.
+
+    u is read once, on all grid nodes and cuts together.  The pieces of
+    ``_CHUNK_TESTS`` tests at a time are gathered into one flat node array
+    and integrated by one call of ``curves.simpson`` with their lengths;
+    each test sums its pieces in segment order.
+
+    Raises BoundViolated when a test's integral is not finite, as for a NaN
+    profile.
     """
-    u = _as_profile(u)
+    totals = _weak_integrals(bump, _as_profile(u), n_tests, seed)
+    bad = totals[~np.isfinite(totals)]
+    if bad.size:  # a NaN profile fails, as in _check_bound
+        raise BoundViolated(f"the weak inequality's integral is {bad[0]} for this profile")
+    return float(np.min(totals, initial=np.inf))
+
+
+def _weak_integrals(bump, u, n_tests, seed):
+    """The integral of each test function of ``weak_inequality_residual``,
+    in the order of the draws."""
     lo, hi = bump.support
     rng = np.random.default_rng(seed)
+    wmax = max(0.4, (hi - lo) / 2.0)
+    center, width = np.array([(rng.uniform(lo, hi), rng.uniform(0.3, wmax))
+                              for _ in range(n_tests)]).reshape(-1, 2).T
+    knots = center[:, None] + width[:, None] * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
-    seg_grids = []
-    for (a, b, grid, vals) in bump.segments:
-        mask = (grid >= a - 1e-12) & (grid <= b + 1e-12)
-        seg_grids.append((float(a), float(b), grid[mask], vals[mask]))
+    # per segment, the four pieces of each test between consecutive knots
+    # clipped to the segment; empty ones drop.  `first` indexes the pieces'
+    # first inner node in the concatenated grids, `inner` counts them.
+    grids, ys, test, xcuts, ycuts, first, inner = [], [], [], [], [], [], []
+    offset = 0
+    for a, b, grid, vals in bump.segments:
+        keep = (grid >= a - 1e-12) & (grid <= b + 1e-12)
+        grid, vals = grid[keep], vals[keep]
+        clipped = np.clip(knots, a, b)
+        t, j = np.nonzero(clipped[:, 1:] > clipped[:, :-1])
+        p, q = clipped[t, j], clipped[t, j + 1]
+        k = np.searchsorted(grid, p + 1e-12, side="right")
+        inner.append(np.maximum(np.searchsorted(grid, q - 1e-12, side="left") - k, 0))
+        first.append(k + offset)
+        test.append(t)
+        xcuts.append(np.stack([p, 0.5 * (p + q), q]))  # rows: p, the midpoint, q
+        ycuts.append(np.interp(xcuts[-1], grid, vals))
+        grids.append(grid)
+        ys.append(vals)
+        offset += len(grid)
+    test, first, inner = (np.concatenate(v) for v in (test, first, inner))
+    xc, yc = np.concatenate(xcuts, axis=1), np.concatenate(ycuts, axis=1)
+    # nodes are indices into the grids followed by the rows of the cuts
+    xs = np.concatenate([*grids, xc.ravel()])
+    yv = np.concatenate([*ys, yc.ravel()])
+    uv = _profile(u, xs)
+    n_pieces = len(test)
+    at_p = offset + np.arange(n_pieces)
+    # a piece's inner nodes are its grid nodes, or else its midpoint
+    padded = inner == 0
+    count = np.where(padded, 1, inner)
+    first = np.where(padded, at_p + n_pieces, first)
+    size = count + 2
 
-    def piece_integral(gg, yy, center, width):
-        tt = (gg - center) / width
+    piece_total = np.empty(n_pieces)
+    for t0 in range(0, n_tests, _CHUNK_TESTS):
+        k = np.flatnonzero((test >= t0) & (test < t0 + _CHUNK_TESTS))
+        start = np.cumsum(size[k]) - size[k]
+        src = np.empty(size[k].sum(), dtype=int)
+        src[start] = at_p[k]
+        src[start + size[k] - 1] = at_p[k] + 2 * n_pieces
+        src[_ragged_range(start + 1, count[k])] = _ragged_range(first[k], count[k])
+        gg, yy, uu = xs[src], yv[src], uv[src]
+        c, w = (np.repeat(v[test[k]], size[k]) for v in (center, width))
+        tt = (gg - c) / w
         phi = _bspline_bump(tt)
-        d1 = _bspline_bump_d1(tt) / width
-        d2 = _bspline_bump_d2(tt) / width ** 2
-        uu = _profile(u, gg)
+        d1 = _bspline_bump_d1(tt) / w
+        d2 = _bspline_bump_d2(tt) / w ** 2
         integrand = yy * (d2 + uu * d1 + (bump.eps + uu ** 2 / 4.0) * phi)
-        return simpson(integrand, gg)
-
-    worst = np.inf
-    for _ in range(n_tests):
-        center = rng.uniform(lo, hi)
-        width = rng.uniform(0.3, max(0.4, (hi - lo) / 2.0))
-        knots = center + width * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        total = 0.0
-        for a, b, grid, vals in seg_grids:
-            # split at the spline knots: the integrand is smooth on each piece
-            cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
-            for p, q in zip(cuts[:-1], cuts[1:]):
-                inner = (grid > p + 1e-12) & (grid < q - 1e-12)
-                gg = np.concatenate([[p], grid[inner], [q]])
-                yy = np.concatenate([[np.interp(p, grid, vals)], vals[inner],
-                                     [np.interp(q, grid, vals)]])
-                if len(gg) < 3:
-                    gg = np.array([p, 0.5 * (p + q), q])
-                    yy = np.interp(gg, grid, vals)
-                total += piece_integral(gg, yy, center, width)
-        if not np.isfinite(total):  # a NaN profile fails, as in _check_bound
-            raise BoundViolated(f"the weak inequality's integral is {total} for this profile")
-        worst = min(worst, total)
-    return worst
+        piece_total[k] = simpson(integrand, gg, size[k])
+    return np.bincount(test, weights=piece_total, minlength=n_tests)

@@ -54,6 +54,35 @@ def test_unknown_subcommand_exits_2(capsys):
     assert code == 2
 
 
+def test_one_parser_serves_every_call_of_a_process(monkeypatch):
+    """main builds its parser once per process.  A usage error, appended
+    --param values and a change of subcommand leave nothing behind: each call
+    gives the exit code and JSON of the same call made first."""
+    from efimov_lab import cli
+
+    geodesic = ["geodesic", "--example", "hyperbolic_deformed", "--start", "1,0",
+                "--dir", "1,0.3", "--length", "0.05", "--step", "1e-2", "--json"]
+    calls = [
+        ["check-hypothesis", "--k1", "-1", "--frobnicate"],
+        ["check-hypothesis", "--k1", "-1", "--k2", "0", "--k3", "0", "--json"],
+        [*geodesic, "--param", "t=1.5", "--param", "profile=tanh"],
+        [*geodesic, "--param", "t=1"],
+        ["edo", "--u", "0", "--eps", "1", "--step", "1e-3", "--json"],
+        ["check-hypothesis", "--k1", "-2", "--k2", "-1", "--k3", "0", "--json"],
+    ]
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(run_cli(*argv)[:2])
+    assert [code for code, _ in first] == [2, 0, 0, 0, 0, 0]
+    cli._parser.cache_clear()
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    assert [run_cli(*argv)[:2] for argv in calls] == first
+    assert len(built) == 1
+
+
 def test_edo_header_values():
     code, out, _ = run_cli("edo", "--u", "0", "--eps", "1", "--step", "1e-4", "--json")
     assert code == 0

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from efimov_lab.curves import rk4_samples
+from efimov_lab.curves import rk4_samples, simpson
 from efimov_lab.errors import BoundViolated, NoCrossing, ParameterOutOfRange
 from efimov_lab.expressions import Expression
 from efimov_lab.odelab import (
+    PiecewiseBump,
     _as_profile,
+    _bspline_bump,
+    _bspline_bump_d1,
+    _bspline_bump_d2,
     _bump_run,
     _hermite_root,
+    _weak_integrals,
     construct_edo7,
     integrate_bump_system,
     solve_prop_edo,
@@ -283,13 +288,130 @@ def test_edo7_weak_inequality_varying_u():
     assert np.min(bump(xs)) >= 1.0 - 1e-9
 
 
+def _reference_weak_integrals(bump, u, n_tests, seed):
+    """The integral of each test function of the weak residual by one
+    Simpson call per piece: the loop over tests, segments and knot pieces,
+    with every piece outside the test's support integrated too."""
+    u = _as_profile(u)
+    lo, hi = bump.support
+    rng = np.random.default_rng(seed)
+
+    seg_grids = []
+    for (a, b, grid, vals) in bump.segments:
+        mask = (grid >= a - 1e-12) & (grid <= b + 1e-12)
+        seg_grids.append((float(a), float(b), grid[mask], vals[mask]))
+
+    def piece_integral(gg, yy, center, width):
+        tt = (gg - center) / width
+        phi = _bspline_bump(tt)
+        d1 = _bspline_bump_d1(tt) / width
+        d2 = _bspline_bump_d2(tt) / width ** 2
+        uu = np.broadcast_to(u(gg), gg.shape)
+        integrand = yy * (d2 + uu * d1 + (bump.eps + uu ** 2 / 4.0) * phi)
+        return simpson(integrand, gg)
+
+    totals = []
+    for _ in range(n_tests):
+        center = rng.uniform(lo, hi)
+        width = rng.uniform(0.3, max(0.4, (hi - lo) / 2.0))
+        knots = center + width * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        total = 0.0
+        for a, b, grid, vals in seg_grids:
+            cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
+            for p, q in zip(cuts[:-1], cuts[1:]):
+                inner = (grid > p + 1e-12) & (grid < q - 1e-12)
+                gg = np.concatenate([[p], grid[inner], [q]])
+                yy = np.concatenate([[np.interp(p, grid, vals)], vals[inner],
+                                     [np.interp(q, grid, vals)]])
+                if len(gg) < 3:
+                    gg = np.array([p, 0.5 * (p + q), q])
+                    yy = np.interp(gg, grid, vals)
+                total += piece_integral(gg, yy, center, width)
+        totals.append(total)
+    return np.array(totals)
+
+
+_COARSE_EDGES = (-4.0, -1.0, 2.0, 5.0, 20.0)
+
+
+def _coarse_bump():
+    """Four segments on grids of step about 0.45, coarser than the knot
+    spacing of the narrower tests, so that some knot pieces hold no grid
+    node; the domain is long enough that narrow tests miss whole segments."""
+    segments = []
+    for a, b in zip(_COARSE_EDGES[:-1], _COARSE_EDGES[1:]):
+        grid = np.linspace(a, b, round((b - a) / 0.45) + 1)
+        segments.append((a, b, grid, 1.0 + 0.3 * np.sin(grid)))
+    return PiecewiseBump(eps=1.0, n1=1.0, breakpoints=np.array(_COARSE_EDGES),
+                         segments=segments, m1_prime=2.0 * np.pi, lipschitz=1.0)
+
+
+def _coarse_cover(n_tests, seed):
+    """For the tests drawn as the residual draws them on the coarse bump: the
+    number of knot pieces inside a support with no grid node strictly inside,
+    and for each test the segments its support reaches."""
+    lo, hi = _COARSE_EDGES[0], _COARSE_EDGES[-1]
+    rng = np.random.default_rng(seed)
+    segments = _coarse_bump().segments
+    empty, reached = 0, []
+    for _ in range(n_tests):
+        c = rng.uniform(lo, hi)
+        w = rng.uniform(0.3, max(0.4, (hi - lo) / 2.0))
+        knots = c + w * np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        reached.append(set())
+        for i, (a, b, grid, _) in enumerate(segments):
+            cuts = np.clip(knots, a, b)
+            for p, q in zip(cuts[:-1], cuts[1:]):
+                if q > p:
+                    reached[-1].add(i)
+                    empty += not np.any((grid > p + 1e-12) & (grid < q - 1e-12))
+    return empty, reached
+
+
+def _bench_edo7(eps):
+    """construct_edo7 as the benchmark's edo7 operation calls it: u = 0,
+    three bumps, 1000 steps per pi / sqrt(eps)."""
+    r = np.sqrt(eps)
+    return construct_edo7(0.0, eps, 2.5 * np.arctan(4.0 / r) / r, step=np.pi / r / 1000)
+
+
+@pytest.mark.parametrize("case", ["zero", "cos", "bench-0.5", "bench-2", "coarse",
+                                  "coarse-2-tests", "coarse-5-tests"])
+def test_weak_residual_equals_the_per_piece_loop(case):
+    """The chunked vectorised integrals, and so the residual, their minimum,
+    against one Simpson call per piece, to 1e-12 absolute."""
+    u, n_tests, seed = 0.0, 50, 20240
+    if case == "zero":
+        bump = construct_edo7(0.0, 1.0, 1.0)
+    elif case == "cos":
+        u = lambda s: 0.2 * np.cos(s)
+        bump = construct_edo7(u, 1.0, 1.0)
+    elif case.startswith("bench"):
+        bump = _bench_edo7(float(case.split("-")[1]))
+    else:
+        u = lambda s: 0.3 * np.sin(s)
+        bump = _coarse_bump()
+        n_tests, seed = {"coarse": (50, 20240), "coarse-2-tests": (2, 4),
+                         "coarse-5-tests": (5, 0)}[case]
+        empty, reached = _coarse_cover(n_tests, seed)
+        assert any(len(r) < 4 for r in reached)  # a test that misses a segment
+        if case == "coarse":
+            assert empty > 0  # a piece padded with its midpoint
+        if case == "coarse-2-tests":
+            assert set.union(*reached) == {3}  # segments that no test reaches
+    ref = _reference_weak_integrals(bump, u, n_tests, seed)
+    got = _weak_integrals(bump, _as_profile(u), n_tests, seed)
+    assert got.shape == ref.shape and np.max(np.abs(got - ref)) <= 1e-12
+    assert abs(weak_inequality_residual(bump, u, n_tests=n_tests, seed=seed) - ref.min()) <= 1e-12
+
+
 def test_bump_boundary_slopes():
     """y'(s0) stays below the re-start slope u(s0) + 4 and y'(s1) <= 0."""
     for u in (0.0, lambda s: 0.6 * np.cos(1.3 * s)):
         sol = solve_prop_edo(u, 1.0, step=1e-4)
         prof = u if callable(u) else (lambda s: u)
         i0 = int(np.searchsorted(sol.s, sol.s0))
-        yp = sol.yprime
+        yp = sol.y * prof(sol.s) + sol.z
         assert yp[min(i0, len(yp) - 1)] <= prof(sol.s0) + 4.0 + 1e-6
         assert yp[-1] <= 1e-3
         assert abs(sol.y[0] - 1.0) < 1e-15

@@ -1,6 +1,7 @@
 """scipy as the independent oracle for the package's numpy-only numerics: the
-composite Simpson rule, the symmetric-definite pencil eigenvalues and the
-Hermite crossing root.  scipy is a test dependency only."""
+composite Simpson rule on one array and on concatenated pieces, the
+symmetric-definite pencil eigenvalues and the Hermite crossing root.  scipy
+is a test dependency only."""
 
 import numpy as np
 import pytest
@@ -35,6 +36,22 @@ def test_simpson_matches_scipy_on_uneven_grids(samples):
     x, y = samples
     scale = (x[-1] - x[0]) * max(1.0, float(np.max(np.abs(y))))
     assert abs(simpson(y, x) - scipy_simpson(y, x=x)) <= 1e-13 * scale
+
+
+@PROPERTY
+@given(st.lists(uneven_samples(), min_size=1, max_size=6))
+@example([(np.array([0.0, 0.3]), np.array([1.0, -2.0])),              # 2 samples
+          (np.array([-1.0, -0.5, 0.2]), np.array([3.0, 1.0, -4.0])),  # odd count
+          (np.array([4.0, 4.1, 4.5, 5.0]), np.array([0.5, 2.0, -1.0, 7.0]))])  # even count
+def test_simpson_pieces_match_scipy_piece_by_piece(pieces):
+    """Concatenated pieces, in any order along x, integrate piece by piece."""
+    x = np.concatenate([p[0] for p in pieces])
+    y = np.concatenate([p[1] for p in pieces])
+    got = simpson(y, x, [len(p[0]) for p in pieces])
+    assert got.shape == (len(pieces),)
+    for value, (xp, yp) in zip(got, pieces):
+        scale = (xp[-1] - xp[0]) * max(1.0, float(np.max(np.abs(yp))))
+        assert abs(value - scipy_simpson(yp, x=xp)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("x", [[0.0, 0.1, 0.35, 0.4, 1.0], [0.0, 0.1, 0.35, 0.4, 0.7, 1.0]])
