@@ -233,6 +233,13 @@ def christoffel(metric, p):
     finite raises NonFiniteMetric naming the first such point, in place of
     numpy warnings.
     """
+    return _christoffel(metric, p)[2]
+
+
+def _christoffel(metric, p):
+    """``(g, g^{-1}, Gamma)`` at p, as ``christoffel`` computes them: one
+    read of the matrix leaf, one of the partials leaf and one inverse, after
+    the chart margin, finiteness and determinant checks."""
     dim = metric.dim
     p = np.asarray(p, dtype=float)
     if p.shape == (dim,):
@@ -258,7 +265,8 @@ def christoffel(metric, p):
     lead = tuple(range(n))
     term = dg.transpose(lead + (n + 1, n, n + 2)) + dg.transpose(lead + (n + 2, n + 1, n)) - dg
     shape = p.shape[:-1]
-    return 0.5 * (ginv @ term.reshape(shape + (dim, dim * dim))).reshape(shape + (dim, dim, dim))
+    gam = 0.5 * (ginv @ term.reshape(shape + (dim, dim * dim))).reshape(shape + (dim, dim, dim))
+    return g, ginv, gam
 
 
 def _curvature(metric, p, finish=None):

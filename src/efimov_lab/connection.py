@@ -38,15 +38,20 @@ of B, checks |det B| on every row and names the first failing point.  Its
 ``gamma`` and ``b_matrix_partials`` still loop over rows: immersion mode
 inherits them, its shape operator is a one-point source read through
 ``_fd.pointwise``, and the order of those reads is what its memo serves.
-Immersion mode evaluates every batch one row at a time.
+Immersion mode evaluates every batch one row at a time.  Its ``gamma``
+takes sigma's symbols from the fundamental data at the point
+(``FundamentalData.christoffel_first``, exact by the Gauss formula), where
+operator mode differentiates sigma through ``christoffel``.
 
 Everything here is a pure evaluator over read-only inputs, and verdicts are
 plain value objects.  The only mutable state is the immersion mode's memo
 of fundamental data, a ``functools.lru_cache`` of ``MEMO_SIZE`` entries
 keyed on the parameter point.  It serves points that callers re-request
-close together: ``torsion_vector``, for one, reads B through ``gamma`` and
-then III at the same point.  Its fixed size keeps long traces in constant
-memory, and it is safe for concurrent reads.
+close together: ``gamma`` reads B and the symbols of I at a point from one
+entry, and ``torsion_vector`` then reads III there; the 8 points of the dB
+stencil read only B, so they never build III or the symbols.  Its fixed
+size keeps long traces in constant memory, and it is safe for concurrent
+reads.
 """
 
 from __future__ import annotations
@@ -428,9 +433,13 @@ class _OperatorProvider(SurfaceConnectionData):
         b = self.b_matrix(q)
         binv = _inverse_shape_operator(b, q)
         db = self.b_matrix_partials(q)
-        lc = christoffel(self.sigma_field, q)
+        lc = self._sigma_christoffel(q)
         inner = db.transpose(1, 0, 2) + np.einsum("lim,mj->lij", lc, b)
         return np.einsum("kl,lij->kij", binv, inner)
+
+    def _sigma_christoffel(self, q):
+        """Levi-Civita symbols of sigma at one point."""
+        return christoffel(self.sigma_field, q)
 
     torsion_vector = SurfaceConnectionData.torsion_from_coefficients
 
@@ -462,6 +471,12 @@ class _ImmersionProvider(_OperatorProvider):
 
     def _shape_at(self, q):
         return self.fundamental(q).shape_operator
+
+    def _sigma_christoffel(self, q):
+        """The symbols of I from the fundamental data at q (Gauss formula),
+        inside the chart margin that sigma's own symbols would need."""
+        self.sigma_field.require_inside(q, margin=self.sigma_field.fd_margin())
+        return self.fundamental(q).christoffel_first
 
     @_each_row
     def third_form(self, q):

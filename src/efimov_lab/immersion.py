@@ -7,8 +7,9 @@ second fundamental form is ``II(x, y) = I(Bx, y)`` and the third is
 ``III(x, y) = I(Bx, By)``.
 
 Evaluators are pure; patches are safe for concurrent reads.  Fundamental
-data fill their curvature fields on first read; the fill is idempotent, so
-concurrent reads of one object are safe too.
+data fill their lazy fields (III, the symbols of I and the curvature layer)
+on first read; the fill is idempotent, so concurrent reads of one object are
+safe too.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ import numpy as np
 from . import _fd
 from .ambient import (
     MetricField,
+    _christoffel,
+    _require_finite,
     as_point,
-    christoffel,
     dnabla,
     riemann_covariant,
     riemann_operator,
@@ -104,19 +106,22 @@ class SurfacePatch:
 class FundamentalData:
     """First/second/third fundamental forms and friends at one parameter point.
 
-    The shape layer (point, Jacobian, I, II, B, III and the normal) is filled
-    on construction and costs one ambient metric, the ambient Christoffel
-    symbols and the patch's first and second partials.  The curvature layer
-    is computed on first read and then kept:
+    The shape layer (point, Jacobian, I, II, B and the normal) is built on
+    construction from the patch's jet and one read of the ambient metric
+    and its partials, with one inverse of g.  The rest is computed on first
+    read and then kept, so a caller that reads only B (the finite-difference
+    stencil of dB, say) pays for none of it:
 
+    * ``third``, III = B^T I B, and ``christoffel_first``, the Levi-Civita
+      symbols of I by the Gauss formula, cost a few 2x2 products;
     * ``k_intrinsic``, the curvature of I, costs one Riemann tensor of the
       induced metric (finite-difference second partials of I);
     * ``k_ambient_tangent``, the ambient sectional curvature on the tangent
       plane, costs one ambient Riemann tensor;
     * ``k_extrinsic = K_I - K_M(T Sigma)`` costs both.
 
-    Connection coefficients need only the shape layer, so they never pay
-    for the curvature layer.
+    Connection coefficients need only B, III and the symbols of I, so they
+    never pay for the curvature layer.
     """
 
     q: np.ndarray
@@ -124,11 +129,31 @@ class FundamentalData:
     jacobian: np.ndarray
     first: np.ndarray        # I, 2x2
     second: np.ndarray       # II, 2x2
-    third: np.ndarray        # III, 2x2
     shape_operator: np.ndarray  # B, 2x2
     normal: np.ndarray       # N, 3 components, g-unit
+    metric: np.ndarray = field(repr=False)  # ambient g at the point, 3x3
+    covariant_hessian: np.ndarray = field(repr=False)  # S, 3x2x2 (fundamental_forms)
     patch: SurfacePatch = field(repr=False, compare=False)
     ambient: MetricField = field(repr=False, compare=False)
+
+    @cached_property
+    def third(self):
+        """III = B^T I B."""
+        return self.shape_operator.T @ self.first @ self.shape_operator
+
+    @cached_property
+    def christoffel_first(self):
+        """Levi-Civita symbols ``Gamma[c, a, b]`` of I, by the Gauss
+        formula: the tangential part of ``S_ab`` is ``Gamma^c_ab d_c phi``,
+        so ``Gamma^c_ab = I^{cd} g(S_ab, d_d phi)``.  No difference is
+        taken beyond the patch's jet; symbols that are not finite raise
+        NonFiniteMetric."""
+        tangential = (self.jacobian.T @ self.metric) @ self.covariant_hessian.reshape(3, 4)
+        (f11, f12), (f21, f22) = self.first.tolist()
+        gram = f11 * f22 - f12 * f21
+        gam = (np.array([[f22, -f12], [-f21, f11]]) @ tangential / gram).reshape(2, 2, 2)
+        _require_finite(self.q[None], gam)
+        return gam
 
     @cached_property
     def k_intrinsic(self):
@@ -148,9 +173,10 @@ class FundamentalData:
         return self.k_intrinsic - self.k_ambient_tangent
 
 
-def _frame(patch, q, g, jac):
+def _frame(patch, q, g, ginv, jac):
     """I, its Gram determinant and the oriented g-unit normal from the
-    ambient metric and the Jacobian at q; checks the rank once."""
+    ambient metric, its inverse and the Jacobian at q; checks the rank
+    once."""
     first = jac.T @ g @ jac
     (f11, f12), (f21, f22) = first.tolist()
     gram = f11 * f22 - f12 * f21
@@ -158,7 +184,7 @@ def _frame(patch, q, g, jac):
     # np.cross costs more than the rest of the frame on 3-vectors
     (a0, b0), (a1, b1), (a2, b2) = jac.tolist()
     cov = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    n = np.linalg.solve(g, cov)
+    n = ginv @ cov
     norm2 = n @ g @ n
     if norm2 <= 0 or gram < RANK_FLOOR:
         raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
@@ -172,6 +198,10 @@ def induced_metric_field(patch, ambient):
     metric do, so intrinsic curvature goes through the same pipeline as
     ambient curvature with one less coordinate.  The patch takes one
     point at a time, so both leaves are pointwise.
+
+    It serves ``k_intrinsic``; the immersion-mode connection keeps it as
+    sigma only for the III partials and the chart margin of ``gamma``.  The
+    symbols of I come from ``FundamentalData.christoffel_first``.
     """
     @_fd.pointwise
     def first(q):
@@ -201,21 +231,18 @@ def fundamental_forms(patch, ambient, q):
     q = as_point(q, 2)
     patch.require_inside(q, margin=patch.fd_margin())
     p, jac, hess = patch.jet(q)
-    ambient.require_inside(p)
-    g = ambient.matrix(p)
-    first, gram, n = _frame(patch, q, g, jac)
+    g, ginv, gam = _christoffel(ambient, p)
+    first, gram, n = _frame(patch, q, g, ginv, jac)
 
-    gam = christoffel(ambient, p)
     # covariant second derivative of phi: S^i_ab = phi^i_{,ab} + Gamma^i_jk phi^j_a phi^k_b
     s = hess + jac.T @ gam @ jac
     # II(x, y) = I(Bx, y) with B = grad N, so II = -g(S, N)
     second = -((g @ n) @ s.reshape(3, 4)).reshape(2, 2)
     (f11, f12), (f21, f22) = first.tolist()
     shape = np.array([[f22, -f12], [-f21, f11]]) @ second / gram  # I^{-1} II
-    third = shape.T @ first @ shape
     return FundamentalData(
-        q=q, point=p, jacobian=jac, first=first, second=second, third=third,
-        shape_operator=shape, normal=n, patch=patch, ambient=ambient,
+        q=q, point=p, jacobian=jac, first=first, second=second, shape_operator=shape,
+        normal=n, metric=g, covariant_hessian=s, patch=patch, ambient=ambient,
     )
 
 
@@ -251,11 +278,10 @@ def dnabla_b(patch, ambient, q, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     data = fundamental_forms(patch, ambient, q)
-    gam_i = christoffel(induced_metric_field(patch, ambient), q)
     db = _fd.gradient(lambda qq: fundamental_forms(patch, ambient, qq).shape_operator,
                       q, patch.fd_step)  # db[a] = d_a B
     # the torsion-free connection of I makes this (nabla_x B) y - (nabla_y B) x
-    return dnabla(data.shape_operator, db, gam_i, x, y)
+    return dnabla(data.shape_operator, db, data.christoffel_first, x, y)
 
 
 def codazzi_residual(patch, ambient, q, x, y):
@@ -274,6 +300,5 @@ def codazzi_residual(patch, ambient, q, x, y):
     xa = data.jacobian @ np.asarray(x, dtype=float)
     ya = data.jacobian @ np.asarray(y, dtype=float)
     rn = np.einsum("mijk,i,j,k->m", r_op, xa, ya, data.normal)
-    g = ambient.matrix(data.point)
     diff = lhs - rn
-    return float(np.sqrt(max(diff @ g @ diff, 0.0)))
+    return float(np.sqrt(max(diff @ data.metric @ diff, 0.0)))

@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 
 from efimov_lab import gallery
-from efimov_lab.errors import DegenerateImmersion
+from efimov_lab.errors import (
+    DegenerateImmersion,
+    NonFiniteMetric,
+    NonInvertibleMetric,
+    PointOutsideChart,
+)
+from efimov_lab.expressions import parse_assignments
 from efimov_lab.immersion import (
     SurfacePatch,
     codazzi_residual,
     dnabla_b,
     fundamental_forms,
     gauss_residual,
+    surface_from_expressions,
 )
-from efimov_lab.ambient import ChartBox
+from efimov_lab.ambient import ChartBox, MetricField
 
 
 def test_plane_is_flat(euclid):
@@ -105,9 +112,9 @@ def test_map_only_patch_jet_from_one_stencil(euclid):
     """A patch without analytic derivatives takes its point, Jacobian and
     Hessian from one 17-point stencil, equal to the map, ``_fd.gradient``
     and ``_fd.second`` bit for bit.  Map evaluations: 17 per
-    fundamental_forms; 153 per K_I (17 points of I, 9 each); 234 per
-    immersion gamma at a fresh point (17 for B, 8 x 17 for dB, 9 for I and
-    8 x 9 for dI)."""
+    fundamental_forms; 153 per K_I (17 points of I, 9 each); 153 per
+    immersion gamma at a fresh point (17 for B and the symbols of I, 8 x 17
+    for dB)."""
     from efimov_lab import _fd
     from efimov_lab.connection import SurfaceConnectionData
 
@@ -142,7 +149,7 @@ def test_map_only_patch_jet_from_one_stencil(euclid):
     assert len(calls) == 153
     calls.clear()
     SurfaceConnectionData.from_immersion(patch, euclid).gamma(q)
-    assert len(calls) == 234
+    assert len(calls) == 153
 
 
 def test_gallery_gauss_residuals_small(euclid):
@@ -168,8 +175,9 @@ def test_shape_operator_symmetric_wrt_first_form():
 
 
 def test_curvature_layer_is_lazy(monkeypatch):
-    """The shape layer is built on construction; the curvature fields are
-    computed on first read, once, and K_e = K_I - K_M(T Sigma) holds."""
+    """The shape layer is built on construction; III, the symbols of I and
+    the curvature fields are computed on first read, once, and
+    K_e = K_I - K_M(T Sigma) holds."""
     from efimov_lab import ambient, immersion
 
     calls = []
@@ -184,10 +192,92 @@ def test_curvature_layer_is_lazy(monkeypatch):
     case = gallery.build_example("hyperbolic_slice", **{"lambda": 1.0})
     d = fundamental_forms(case.patch, case.metric, [0.2, 0.4])
     assert calls == []
-    assert not {"k_intrinsic", "k_ambient_tangent", "k_extrinsic"} & set(vars(d))
+    assert not ({"third", "christoffel_first", "k_intrinsic", "k_ambient_tangent",
+                 "k_extrinsic"} & set(vars(d)))
     k_e = d.k_extrinsic
     assert len(calls) == 2  # one Riemann tensor of I, one of the ambient
     assert k_e == d.k_intrinsic - d.k_ambient_tangent
     assert len(calls) == 2
     assert abs(d.k_intrinsic + 1.0) < 1e-6
     assert abs(k_e - np.linalg.det(d.shape_operator)) < 1e-6
+
+
+# --- the symbols of I by the Gauss formula ---------------------------------
+
+
+def _symbols(entries):
+    """``Gamma[c, a, b]`` from a dict {(c, a, b): value}, symmetric in (a, b)."""
+    gam = np.zeros((2, 2, 2))
+    for (c, a, b), value in entries.items():
+        gam[c, a, b] = gam[c, b, a] = value
+    return gam
+
+
+@pytest.mark.parametrize("q", [(1.1, 0.7), (0.4, -2.5), (2.6, 1.9)])
+def test_christoffel_first_sphere_closed_form(euclid, q):
+    """I = du^2 + sin^2 u dv^2: Gamma^u_vv = -sin u cos u, Gamma^v_uv = cot u."""
+    u = q[0]
+    expected = _symbols({(0, 1, 1): -np.sin(u) * np.cos(u), (1, 0, 1): 1.0 / np.tan(u)})
+    got = fundamental_forms(gallery.sphere2_patch(), euclid, q).christoffel_first
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("q", [(0.2, 0.4), (-1.3, -1.5), (0.7, 1.6)])
+def test_christoffel_first_hyperbolic_slice_closed_form(q):
+    """I = cosh^2 y dx^2 + dy^2 on the z = 0 slice of the slab metric:
+    Gamma^x_xy = tanh y, Gamma^y_xx = -sinh y cosh y."""
+    y = q[1]
+    expected = _symbols({(0, 0, 1): np.tanh(y), (1, 0, 0): -np.sinh(y) * np.cosh(y)})
+    case = gallery.build_example("hyperbolic_slice", **{"lambda": 1.0})
+    got = fundamental_forms(case.patch, case.metric, q).christoffel_first
+    assert np.max(np.abs(got - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("q", [(0.13, 0.21), (0.3, -0.2), (-0.6, 0.5)])
+def test_christoffel_first_map_only_saddle_exact(euclid, q):
+    """phi = (u, v, uv) with every partial a central difference, against the
+    exact ``I^{-1} <phi_ab, phi_d>``: only phi_uv = (0, 0, 1) is non-zero,
+    so Gamma^c_uv = I^{-1} (v, u) and the other symbols vanish.  The error
+    is the rounding of the difference Hessian, about eps |phi| / h^2: 3e-10
+    at (0.13, 0.21), 2e-8 at (0.8, 0.9)."""
+    fields, box = parse_assignments("box = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = u*v\n",
+                                    ("u", "v"))
+    patch = surface_from_expressions(fields, ChartBox((box[0], box[2]), (box[1], box[3])))
+    u, v = q
+    first = np.array([[1.0 + v * v, u * v], [u * v, 1.0 + u * u]])
+    mixed = np.linalg.solve(first, [v, u])
+    expected = _symbols({(0, 0, 1): mixed[0], (1, 0, 1): mixed[1]})
+    got = fundamental_forms(patch, euclid, q).christoffel_first
+    assert np.max(np.abs(got - expected)) < 1e-8
+
+
+def test_immersion_gamma_keeps_the_chart_margin_of_sigma():
+    """Immersion gamma reads the symbols of I from the fundamental data, and
+    still raises inside the 2e-4 margin that differencing I would need."""
+    data = gallery.build_example("saddle").data
+    data.gamma([0.9997, 0.0])
+    with pytest.raises(PointOutsideChart):
+        data.gamma([0.99985, 0.0])
+
+
+def test_immersion_gamma_on_a_non_finite_jet_raises_typed_error(euclid):
+    """A map-only patch that is NaN only past the corner (h, h) of the jet
+    stencil at q: the shape layer carries the NaN, and the symbols of I
+    raise NonFiniteMetric in place of NaN coefficients."""
+    from efimov_lab.connection import SurfaceConnectionData
+
+    def smap(q):
+        return np.array([q[0], q[1], np.nan if q[0] + q[1] > 0.5001 else q[0] * q[1]])
+
+    patch = SurfacePatch(smap, ChartBox.cube(2, 1.0), name="nan-corner")
+    with pytest.raises(NonFiniteMetric):
+        SurfaceConnectionData.from_immersion(patch, euclid).gamma([0.25, 0.25])
+
+
+def test_singular_ambient_metric_raises_typed_error():
+    """g is inverted once per point, with the determinant floor, before the
+    normal is formed: a singular ambient metric is a NonInvertibleMetric."""
+    zero = MetricField(3, lambda p: np.zeros(p.shape[:-1] + (3, 3)), ChartBox.cube(3, 2.0),
+                       partials=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)), name="zero")
+    with pytest.raises(NonInvertibleMetric):
+        fundamental_forms(gallery.saddle_patch(), zero, [0.1, 0.2])
