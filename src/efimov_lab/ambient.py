@@ -64,6 +64,24 @@ def _scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
+def _entries(a, rank):
+    """The entries of one rank-``rank`` array as nested Python floats, where
+    scalar arithmetic is fastest, or of a stack of such arrays, shape
+    (...,) + entry shape, as nested arrays over its leading axes:
+    ``e[i][j]`` is a float or an array of shape (...,), and one 2x2 formula
+    serves both."""
+    a = np.asarray(a, dtype=float)
+    lead = a.ndim - rank
+    return a.tolist() if lead == 0 else a.transpose(tuple(range(lead, a.ndim)) + tuple(range(lead)))
+
+
+def _assemble(entries, rank):
+    """The array of nested entries, the inverse of ``_entries``: rank
+    ``rank``, or with the leading axes of the entries when they are arrays."""
+    a = np.array(entries)
+    return a if a.ndim == rank else a.transpose(tuple(range(rank, a.ndim)) + tuple(range(rank)))
+
+
 @dataclass(frozen=True)
 class ChartBox:
     """Per-axis closed bounds of a coordinate chart."""
@@ -308,9 +326,10 @@ def _finite_jet(metric, p):
     return jet
 
 
-def _require_finite(rows, *arrays):
+def _require_finite(rows, *arrays, what="the metric or its derivatives"):
     """NonFiniteMetric unless the arrays, each with one leading row per
-    point of ``rows``, are finite; the error names the first failing point."""
+    point of ``rows``, are finite; the error names ``what`` and the first
+    failing point."""
     # one point: a sum of plain floats is finite unless an entry is not, or
     # the sum overflows, which the exact check below sorts out
     if len(rows) == 1 and math.isfinite(sum(sum(a.ravel().tolist()) for a in arrays)):
@@ -319,8 +338,7 @@ def _require_finite(rows, *arrays):
         [np.isfinite(a).reshape(len(rows), -1).all(axis=1) for a in arrays])
     if finite.all():
         return
-    raise NonFiniteMetric(
-        f"the metric or its derivatives are not finite at {rows[np.argmin(finite)]}")
+    raise NonFiniteMetric(f"{what} are not finite at {rows[np.argmin(finite)]}")
 
 
 def _curvature_rows(g, dg, d2g, pts):
@@ -407,16 +425,30 @@ def riemann_symmetry_residuals(g, rm):
 
 
 def riemann_sectional(metric, p, x, y):
-    """Sectional curvature of the plane spanned by tangent vectors x, y."""
-    p = as_point(p, metric.dim)
+    """Sectional curvature of the plane spanned by tangent vectors x, y at
+    p, or of the plane at each row of an (N, dim) batch p, with x and y
+    stacked the same way; the error names the first degenerate plane."""
+    p = as_points(p, metric.dim)
     g = metric.matrix(p)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gram = (x @ g @ x) * (y @ g @ y) - (x @ g @ y) ** 2
-    if not gram >= 1e-12 * max(1.0, float(x @ g @ x)) * max(1.0, float(y @ g @ y)):
-        raise DegeneratePlane(f"plane spanned by {x} and {y} is degenerate (gram={gram:.3e})")
-    num = np.einsum("ijkl,i,j,k,l->", riemann_covariant(metric, p), x, y, y, x)
-    return float(num / gram)
+    xx, yy, xy = _quadratic(x, g, x), _quadratic(y, g, y), _quadratic(x, g, y)
+    gram = xx * yy - xy * xy  # a product: a float and an array square alike
+    flat = ~(gram >= 1e-12 * np.maximum(1.0, xx) * np.maximum(1.0, yy))
+    if flat.any():
+        k = np.unravel_index(np.argmax(flat), flat.shape)
+        raise DegeneratePlane(f"plane spanned by {x[k]} and {y[k]} is degenerate "
+                              f"(gram={gram[k]:.3e})")
+    # in C order: the einsum sums in the order of the tensor's layout
+    rm = np.ascontiguousarray(riemann_covariant(metric, p))
+    num = np.einsum("...ijkl,...i,...j,...k,...l->...", rm, x, y, y, x)
+    return _scalar(num / gram)
+
+
+def _quadratic(x, g, y):
+    """``x . g . y`` for one point, or for each row of stacked vectors and
+    matrices; a stacked matmul rounds each row as the one-point product."""
+    return (x[..., None, :] @ g @ y[..., None])[..., 0, 0]
 
 
 # the ordered basis (e1^e2, e1^e3, e2^e3) of Lambda^2

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import as_point
+from .ambient import _quadratic, as_point
 from .connection import FD_STEP, _torsion_from_gamma, complex_structure
-from .curves import CurveTrace, _chart_flow, _chart_read, _quadratic, hermite
+from .curves import CurveTrace, _chart_flow, _chart_read, hermite
 from .curves import parallel_transport_samples, trace_margin
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint
 

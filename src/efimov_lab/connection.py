@@ -28,30 +28,32 @@ with (..., 2, 2) matrices.
 Batch contract: ``gamma``, ``third_form``, ``torsion_vector``, ``curvature``
 and ``area_density`` take one point of shape (2,) or a batch of shape
 (N, 2), and for a batch every result gains a leading axis over the rows.
-Torsion mode evaluates a batch in one vectorised pass of the same 2x2
-formulas it applies to one point (on Python floats there, on (N,) arrays),
-so each row equals the one-point result bit for bit; it checks every row
-for the chart margin, a positive definite III and finite coefficients, and
-the error names the first failing point.  Operator mode evaluates
-``b_matrix``, ``b_tilde``, ``third_form`` and K~ of a batch with one read
-of B, checks |det B| on every row and names the first failing point.  Its
-``gamma`` and ``b_matrix_partials`` still loop over rows: immersion mode
-inherits them, its shape operator is a one-point source read through
-``_fd.pointwise``, and the order of those reads is what its memo serves.
-Immersion mode evaluates every batch one row at a time.  Its ``gamma``
-takes sigma's symbols from the fundamental data at the point
-(``FundamentalData.christoffel_first``, exact by the Gauss formula), where
-operator mode differentiates sigma through ``christoffel``.
+Every mode evaluates a batch in one vectorised pass of the formulas it
+applies to one point (on Python floats there, on (N,) arrays, or on stacked
+matrices whose matmuls round each row as the one-point product), so each
+row equals the one-point result bit for bit; the checks (chart margin,
+positive definite III, finite coefficients, |det B|, the rank of the
+immersion) hold on every row, and the error names the first failing point.
+Torsion mode reads III and the torsion once per batch.  Operator mode reads
+B once for ``b_matrix``, ``b_tilde``, ``third_form`` and K~; its ``gamma``
+reads B and sigma's symbols once and B 8 more times for ``dB``
+(``b_matrix_partials``, central differences over the whole batch).
+Immersion mode inherits that ``gamma``, with B and sigma's symbols from one
+read of the fundamental data (``FundamentalData.christoffel_first``, exact
+by the Gauss formula, where operator mode differentiates sigma through
+``christoffel``), and reads III and K~ from the same kernel: a batch is
+one call of ``immersion._fundamental_rows`` per read.
 
 Everything here is a pure evaluator over read-only inputs, and verdicts are
 plain value objects.  The only mutable state is the immersion mode's memo
 of fundamental data, a ``functools.lru_cache`` of ``MEMO_SIZE`` entries
-keyed on the parameter point.  It serves points that callers re-request
-close together: ``gamma`` reads B and the symbols of I at a point from one
-entry, and ``torsion_vector`` then reads III there; the 8 points of the dB
-stencil read only B, so they never build III or the symbols.  Its fixed
-size keeps long traces in constant memory, and it is safe for concurrent
-reads.
+keyed on the parameter point.  It serves one-point reads only, through
+``immersion.fundamental_forms``, at points that callers re-request close
+together: a one-point ``gamma`` reads B and the symbols of I at a point
+from one entry, and ``torsion_vector`` then reads III there; the 8 points
+of the dB stencil read only B, so they never build III or the symbols.
+Batches go to the kernel and never touch it.  Its fixed size keeps long
+traces in constant memory, and it is safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ import numpy as np
 from . import _fd
 from .ambient import (
     DET_FLOOR,
+    _assemble,
+    _entries,
     _scalar,
     as_point,
     as_points,
@@ -81,7 +85,7 @@ from .errors import (
     NonFiniteMetric,
     NonInvertibleMetric,
 )
-from .immersion import fundamental_forms, induced_metric_field
+from .immersion import _fundamental_rows, fundamental_forms, induced_metric_field
 
 DET_B_FLOOR = 1e-10
 # finite-difference step of B, III and vector fields over the surface chart
@@ -95,24 +99,6 @@ _IJM = tuple(itertools.product((0, 1), repeat=3))  # (i, j, m) in row-major orde
 
 # ---------------------------------------------------------------------------
 # small 2D helpers
-
-
-def _entries(a, rank):
-    """The entries of one rank-``rank`` array as nested Python floats, where
-    scalar arithmetic is fastest, or of a stack of such arrays, shape
-    (...,) + (2,) * rank, as nested arrays over its leading axes:
-    ``e[i][j]`` is a float or an array of shape (...,), and one 2x2 formula
-    serves both."""
-    a = np.asarray(a, dtype=float)
-    lead = a.ndim - rank
-    return a.tolist() if lead == 0 else a.transpose(tuple(range(lead, a.ndim)) + tuple(range(lead)))
-
-
-def _assemble(entries, rank):
-    """The array of nested entries, the inverse of ``_entries``: rank
-    ``rank``, or with the leading axes of the entries when they are arrays."""
-    a = np.array(entries)
-    return a if a.ndim == rank else a.transpose(tuple(range(rank, a.ndim)) + tuple(range(rank)))
 
 
 def _sqrt(x):
@@ -164,19 +150,6 @@ def _require_finite(entries, q):
             return
         bad = q[np.argmin(finite)]
     raise NonFiniteMetric(f"the connection coefficients are not finite at {bad}")
-
-
-def _each_row(method):
-    """A method of one (2,) point, extended to an (N, 2) batch by calling
-    it once per row through ``_fd.pointwise``."""
-
-    @functools.wraps(method)
-    def batched(self, q):
-        if np.ndim(q) == 2:
-            return _fd.pointwise(functools.partial(method, self))(q)
-        return method(self, q)
-
-    return batched
 
 
 def _torsion_from_gamma(gam, iii):
@@ -285,9 +258,6 @@ class SurfaceConnectionData:
         return self._curvature(q)
 
     # -- shape data, where the mode has it ------------------------------------
-
-    def third_form_partials(self, q):
-        raise ModeUnsupported("III partials require immersion or operator mode")
 
     def b_matrix(self, q):
         raise ModeUnsupported("shape operator requires immersion or operator mode")
@@ -407,7 +377,9 @@ class _OperatorProvider(SurfaceConnectionData):
         return b
 
     def b_matrix_partials(self, q):
-        return _fd.gradient(self.b_field, as_point(q, 2), FD_STEP)
+        """``dB[..., a, i, j] = d_a B_ij`` at one point or at each row of an
+        (N, 2) batch: central differences at ``FD_STEP``, 8 reads of B."""
+        return _fd.gradient(self.b_matrix, as_points(q, 2), FD_STEP)
 
     def b_tilde(self, q):
         q = as_points(q, 2)
@@ -419,27 +391,20 @@ class _OperatorProvider(SurfaceConnectionData):
         b = self.b_matrix(q)
         return np.swapaxes(b, -1, -2) @ self.sigma_field.matrix(q) @ b
 
-    def third_form_partials(self, q):
-        b = self.b_matrix(q)
-        db = self.b_matrix_partials(q)
-        sigma = self.sigma_field.matrix(q)
-        dsigma = self.sigma_field.partials(q)
-        term = np.einsum("kca,cd,db->kab", db, sigma, b)
-        return term + np.swapaxes(term, 1, 2) + np.einsum("ca,kcd,db->kab", b, dsigma, b)
-
-    @_each_row
     def gamma(self, q):
-        q = as_point(q, 2)
-        b = self.b_matrix(q)
+        """``Gamma~^k_ij = (B^{-1})^k_l (d_i B^l_j + Gamma^l_im B^m_j)`` at
+        one point or at each row of an (N, 2) batch, in one vectorised
+        pass: one read of B and of sigma's symbols, and 8 of B for dB."""
+        q = as_points(q, 2)
+        b, lc = self._shape_and_symbols(q)
         binv = _inverse_shape_operator(b, q)
         db = self.b_matrix_partials(q)
-        lc = self._sigma_christoffel(q)
-        inner = db.transpose(1, 0, 2) + np.einsum("lim,mj->lij", lc, b)
-        return np.einsum("kl,lij->kij", binv, inner)
+        inner = np.swapaxes(db, -3, -2) + np.einsum("...lim,...mj->...lij", lc, b)
+        return np.einsum("...kl,...lij->...kij", binv, inner)
 
-    def _sigma_christoffel(self, q):
-        """Levi-Civita symbols of sigma at one point."""
-        return christoffel(self.sigma_field, q)
+    def _shape_and_symbols(self, q):
+        """B and the Levi-Civita symbols of sigma at q."""
+        return self.b_matrix(q), christoffel(self.sigma_field, q)
 
     torsion_vector = SurfaceConnectionData.torsion_from_coefficients
 
@@ -463,33 +428,44 @@ class _ImmersionProvider(_OperatorProvider):
         self._memo = functools.lru_cache(maxsize=MEMO_SIZE)(
             lambda u, v: fundamental_forms(patch, ambient, np.array([u, v])))
         sigma = induced_metric_field(patch, ambient)
-        super().__init__(sigma, _fd.pointwise(self._shape_at), name=f"dual[{patch.name}]")
+        super().__init__(sigma, None, name=f"dual[{patch.name}]")
 
     def fundamental(self, q):
-        q = as_point(q, 2)
-        return self._memo(float(q[0]), float(q[1]))
+        """Fundamental data at one point, from the memo, or at each row of
+        an (N, 2) batch, from one call of the batch kernel."""
+        q = as_points(q, 2)
+        if q.ndim == 1:
+            return self._memo(float(q[0]), float(q[1]))
+        return _fundamental_rows(self.patch, self.ambient, q)
 
-    def _shape_at(self, q):
+    def b_matrix(self, q):
+        """B, the shape operator, at one point or at each row of an (N, 2)
+        batch (no B field: it is read from the fundamental data)."""
         return self.fundamental(q).shape_operator
 
-    def _sigma_christoffel(self, q):
-        """The symbols of I from the fundamental data at q (Gauss formula),
-        inside the chart margin that sigma's own symbols would need."""
+    def _shape_and_symbols(self, q):
+        """B and the symbols of I from one read of the fundamental data
+        (Gauss formula), inside the chart margin that sigma's own symbols
+        would need."""
         self.sigma_field.require_inside(q, margin=self.sigma_field.fd_margin())
-        return self.fundamental(q).christoffel_first
+        data = self.fundamental(q)
+        return data.shape_operator, data.christoffel_first
 
-    @_each_row
     def third_form(self, q):
+        """III at one point or at each row of an (N, 2) batch."""
         return self.fundamental(q).third
 
-    @_each_row
     def _curvature(self, q):
         """``K~ = K_I / K_e``."""
+        q = as_points(q, 2)
         data = self.fundamental(q)
-        if abs(data.k_extrinsic) < DET_B_FLOOR:
+        k_e = data.k_extrinsic
+        small = np.abs(k_e) < DET_B_FLOOR
+        if small.any():
+            k = np.argmax(small) if q.ndim > 1 else ()
             raise DegenerateShapeOperator(
-                f"|K_e| = {abs(data.k_extrinsic):.3e} below floor at q={q}")
-        return data.k_intrinsic / data.k_extrinsic
+                f"|K_e| = {abs(np.asarray(k_e)[k]):.3e} below floor at q={q[k]}")
+        return data.k_intrinsic / k_e
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import _scalar, as_point, as_points
+from .ambient import _quadratic, _scalar, as_point, as_points
 from .connection import complex_structure, orthonormal_frame
 from .errors import (
     DegenerateVector,
@@ -468,12 +468,6 @@ def parallel_transport_samples(data, trace, w):
 def parallel_transport(data, trace, w):
     """The parallel transport of w at the end of the trace."""
     return parallel_transport_samples(data, trace, w)[-1]
-
-
-def _quadratic(x, g, y):
-    """``x . g . y`` for one point, or for each row of stacked vectors and
-    matrices; a stacked matmul rounds each row as the one-point product."""
-    return (x[..., None, :] @ g @ y[..., None])[..., 0, 0]
 
 
 def _kappa(data, p, v, acc):

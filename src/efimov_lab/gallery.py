@@ -18,13 +18,14 @@ from . import _fd
 from .ambient import (
     ChartBox,
     MetricField,
+    _assemble,
+    _quadratic,
     dnabla,
     gauss_curvature,
     riemann_covariant,
     sectional_range,
 )
-from .connection import SurfaceConnectionData, _assemble, christoffel, orthonormal_frame
-from .curves import _quadratic
+from .connection import SurfaceConnectionData, christoffel, orthonormal_frame
 from .errors import ParameterOutOfRange, WrongSignDeterminant
 from .immersion import SurfacePatch
 
@@ -86,10 +87,11 @@ def _conformal3(sign, half_width, name):
     def lam(p):
         return 2.0 / (1.0 + sign * _square_norm(p))
 
-    # powers are taken before axes are added: for one point they are then
-    # numpy scalar powers, which round as Python's float ** does
+    # powers as products: numpy raises a float and an array to a power by
+    # different routines, and a row of a batch must equal its point
     def matrix(p):
-        return (lam(p) ** 2)[..., None, None] * eye
+        l = lam(p)
+        return (l * l)[..., None, None] * eye
 
     def partials(p):
         l = lam(p)[..., None]
@@ -99,8 +101,9 @@ def _conformal3(sign, half_width, name):
 
     def second_partials(p):
         l = lam(p)
-        coeff = (6.0 * l ** 4)[..., None, None] * p[..., :, None] * p[..., None, :] \
-            - (sign * 2.0 * l ** 3)[..., None, None] * eye
+        l2 = l * l
+        coeff = (6.0 * (l2 * l2))[..., None, None] * p[..., :, None] * p[..., None, :] \
+            - (sign * 2.0 * (l2 * l))[..., None, None] * eye
         return coeff[..., None, None] * eye
 
     return MetricField(3, matrix, ChartBox.cube(3, half_width), partials=partials,
@@ -139,9 +142,12 @@ def g_lambda(lam, z_half=None, analytic=True, fd_step=1e-3):
 
     def matrix(p):
         y, z = p[..., 1], p[..., 2]
+        cy, cz = np.cosh(y), np.cosh(z)
+        # squares as products: numpy squares a float and an array by
+        # different routines, and a row of a batch must equal its point
         g = np.zeros(p.shape[:-1] + (3, 3))
-        g[..., 0, 0] = (1.0 + 2.0 * lam * z) * np.cosh(y) ** 2 * np.cosh(z) ** 2
-        g[..., 1, 1] = (1.0 - 2.0 * lam * z) * np.cosh(z) ** 2
+        g[..., 0, 0] = (1.0 + 2.0 * lam * z) * (cy * cy) * (cz * cz)
+        g[..., 1, 1] = (1.0 - 2.0 * lam * z) * (cz * cz)
         g[..., 2, 2] = 1.0
         return g
 
@@ -300,10 +306,28 @@ def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, profile="tanh"):
 # surface patches
 
 
+def _uv(q):
+    """The coordinates (u, v) of parameter points: numpy floats for one
+    point, arrays over the leading axes of a batch."""
+    return (q[0], q[1]) if q.ndim == 1 else (q[..., 0], q[..., 1])
+
+
+def _stacked(entries, lead):
+    """Nested entries, each a float or an array of shape ``lead``, as one
+    array of shape lead + nesting shape; a float is broadcast.  For one
+    point (``lead == ()``) this is ``np.array(entries)``."""
+    if not lead:
+        return np.array(entries)
+    if isinstance(entries, list):
+        return np.stack([_stacked(e, lead) for e in entries], axis=len(lead))
+    return np.broadcast_to(entries, lead)
+
+
 def _flat_patch(half_width, name):
     """The coordinate plane z = 0 of a 3D chart."""
     return SurfacePatch(
-        lambda q: np.array([q[0], q[1], 0.0]), ChartBox.cube(2, half_width),
+        lambda q: _stacked([*_uv(q), 0.0], q.shape[:-1]),
+        ChartBox.cube(2, half_width),
         derivatives=lambda q: (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
                                np.zeros((3, 2, 2))),
         name=name)
@@ -315,13 +339,17 @@ def plane_patch(half_width=2.0):
 
 def saddle_patch(half_width=1.0):
     def derivatives(q):
-        h = np.zeros((3, 2, 2))
+        u, v = _uv(q)
+        h = np.zeros((3, 2, 2))  # one Hessian for every point
         h[2, 0, 1] = h[2, 1, 0] = 1.0
-        return np.array([[1.0, 0.0], [0.0, 1.0], [q[1], q[0]]]), h
+        return _stacked([[1.0, 0.0], [0.0, 1.0], [v, u]], q.shape[:-1]), h
 
-    return SurfacePatch(
-        lambda q: np.array([q[0], q[1], q[0] * q[1]]), ChartBox.cube(2, half_width),
-        derivatives=derivatives, name="saddle")
+    def smap(q):
+        u, v = _uv(q)
+        return _stacked([u, v, u * v], q.shape[:-1])
+
+    return SurfacePatch(smap, ChartBox.cube(2, half_width), derivatives=derivatives,
+                        name="saddle")
 
 
 def sphere2_patch(radius=1.0):
@@ -331,20 +359,22 @@ def sphere2_patch(radius=1.0):
         raise ParameterOutOfRange(f"radius must be finite and nonzero, got {radius}")
 
     def smap(q):
-        u, v = q
-        return radius * np.array([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)])
+        u, v = _uv(q)
+        return radius * _stacked([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)],
+                                 q.shape[:-1])
 
     def sderivatives(q):
-        u, v = q
+        u, v = _uv(q)
+        lead = q.shape[:-1]
         cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        jac = radius * np.array([
+        jac = radius * _stacked([
             [cu * cv, -su * sv],
             [cu * sv, su * cv],
-            [-su, 0.0]])
-        h = np.empty((3, 2, 2))
-        h[:, 0, 0] = radius * np.array([-su * cv, -su * sv, -cu])
-        h[:, 0, 1] = h[:, 1, 0] = radius * np.array([-cu * sv, cu * cv, 0.0])
-        h[:, 1, 1] = radius * np.array([-su * cv, -su * sv, 0.0])
+            [-su, 0.0]], lead)
+        h = np.empty(lead + (3, 2, 2))
+        h[..., 0, 0] = radius * _stacked([-su * cv, -su * sv, -cu], lead)
+        h[..., 0, 1] = h[..., 1, 0] = radius * _stacked([-cu * sv, cu * cv, 0.0], lead)
+        h[..., 1, 1] = radius * _stacked([-su * cv, -su * sv, 0.0], lead)
         return jac, h
 
     return SurfacePatch(smap, ChartBox((0.3, -3.0), (2.8, 3.0)),
@@ -357,24 +387,25 @@ def pseudosphere_patch(scale=1.0):
     a = scale
 
     def tmap(q):
-        u, v = q
+        u, v = _uv(q)
         se = 1.0 / np.cosh(u)
-        return a * np.array([se * np.cos(v), se * np.sin(v), u - np.tanh(u)])
+        return a * _stacked([se * np.cos(v), se * np.sin(v), u - np.tanh(u)], q.shape[:-1])
 
     def tderivatives(q):
-        u, v = q
+        u, v = _uv(q)
+        lead = q.shape[:-1]
         se = 1.0 / np.cosh(u)
         th = np.tanh(u)
         cv, sv = np.cos(v), np.sin(v)
-        jac = a * np.array([
+        jac = a * _stacked([
             [-se * th * cv, -se * sv],
             [-se * th * sv, se * cv],
-            [th * th, 0.0]])
+            [th * th, 0.0]], lead)
         dsth = -se * th * th + se * se * se  # d/du of (se*th)
-        h = np.empty((3, 2, 2))
-        h[:, 0, 0] = a * np.array([-dsth * cv, -dsth * sv, 2.0 * th * se * se])
-        h[:, 0, 1] = h[:, 1, 0] = a * np.array([se * th * sv, -se * th * cv, 0.0])
-        h[:, 1, 1] = a * np.array([-se * cv, -se * sv, 0.0])
+        h = np.empty(lead + (3, 2, 2))
+        h[..., 0, 0] = a * _stacked([-dsth * cv, -dsth * sv, 2.0 * th * se * se], lead)
+        h[..., 0, 1] = h[..., 1, 0] = a * _stacked([se * th * sv, -se * th * cv, 0.0], lead)
+        h[..., 1, 1] = a * _stacked([-se * cv, -se * sv, 0.0], lead)
         return jac, h
 
     return SurfacePatch(tmap, ChartBox((0.5, -1.5), (2.0, 1.5)),
@@ -398,25 +429,30 @@ def clifford_torus():
     k = 1.0 / math.sqrt(2.0)
 
     def dmap(q):
-        u, v = q
+        u, v = _uv(q)
         d = 1.0 + k * np.sin(v)
-        return np.array([k * np.cos(u) / d, k * np.sin(u) / d, k * np.cos(v) / d])
+        return _stacked([k * np.cos(u) / d, k * np.sin(u) / d, k * np.cos(v) / d], q.shape[:-1])
 
     def dderivatives(q):
-        u, v = q
+        u, v = _uv(q)
+        lead = q.shape[:-1]
         cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
         d = 1.0 + k * sv
+        # powers as products: numpy raises a float and an array to a power
+        # by different routines, and a row of a batch must equal its point
+        d2 = d * d
+        d3 = d2 * d
         dd = k * cv
-        jac = np.array([
-            [-k * su / d, -k * cu * dd / d ** 2],
-            [k * cu / d, -k * su * dd / d ** 2],
-            [0.0, -k * (sv + k) / d ** 2]])
-        h = np.empty((3, 2, 2))
-        h[:, 0, 0] = [-k * cu / d, -k * su / d, 0.0]
-        h[:, 0, 1] = h[:, 1, 0] = [k * su * dd / d ** 2, -k * cu * dd / d ** 2, 0.0]
-        h[0, 1, 1] = k * k * cu * (sv * d + 2.0 * k * cv * cv) / d ** 3
-        h[1, 1, 1] = k * k * su * (sv * d + 2.0 * k * cv * cv) / d ** 3
-        h[2, 1, 1] = k * k * cv * sv / d ** 3
+        jac = _stacked([
+            [-k * su / d, -k * cu * dd / d2],
+            [k * cu / d, -k * su * dd / d2],
+            [0.0, -k * (sv + k) / d2]], lead)
+        h = np.empty(lead + (3, 2, 2))
+        h[..., 0, 0] = _stacked([-k * cu / d, -k * su / d, 0.0], lead)
+        h[..., 0, 1] = h[..., 1, 0] = _stacked([k * su * dd / d2, -k * cu * dd / d2, 0.0], lead)
+        h[..., 0, 1, 1] = k * k * cu * (sv * d + 2.0 * k * cv * cv) / d3
+        h[..., 1, 1, 1] = k * k * su * (sv * d + 2.0 * k * cv * cv) / d3
+        h[..., 2, 1, 1] = k * k * cv * sv / d3
         return jac, h
 
     return SurfacePatch(dmap, ChartBox.cube(2, 3.2), derivatives=dderivatives,

@@ -6,6 +6,16 @@ sign flip), so on the unit sphere with outward normal B is the identity.  The
 second fundamental form is ``II(x, y) = I(Bx, y)`` and the third is
 ``III(x, y) = I(Bx, By)``.
 
+A patch's map and ``derivatives`` hook broadcast over (..., 2) parameter
+points, as the leaves of a MetricField do, and the shape layer of
+:class:`FundamentalData` is built for one (2,) point or for every row of an
+(N, 2) batch by one kernel: one patch jet, one batched read of the ambient
+metric and its symbols, and one chain of stacked products.  Its 2x2
+formulas run on the Python floats of one point or on the (N,) arrays of a
+batch, and a stacked matmul rounds each row as the one-point product, so a
+row of a batch equals the one-point result bit for bit.
+:func:`fundamental_forms` is the one-point entry.
+
 Evaluators are pure; patches are safe for concurrent reads.  Fundamental
 data fill their lazy fields (III, the symbols of I and the curvature layer)
 on first read; the fill is idempotent, so concurrent reads of one object are
@@ -14,6 +24,7 @@ safe too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,8 +33,12 @@ import numpy as np
 from . import _fd
 from .ambient import (
     MetricField,
+    _assemble,
     _christoffel,
+    _entries,
+    _quadratic,
     _require_finite,
+    _scalar,
     as_point,
     dnabla,
     riemann_covariant,
@@ -40,15 +55,19 @@ class SurfacePatch:
 
     Parameters
     ----------
-    chart_map : callable, (2,) -> (3,) chart coordinates of the image point.
+    chart_map : callable, points (..., 2) -> (..., 3) chart coordinates of
+        the image points.
     box : ChartBox of the (u, v) parameter domain.
-    derivatives : optional callable, (2,) -> ``(jacobian, hessian)``: the
-        (3, 2) array ``d phi^i / d q^a`` and the (3, 2, 2) array
-        ``d^2 phi^i / d q^a d q^b``.
+    derivatives : optional callable, points (..., 2) -> ``(jacobian,
+        hessian)``: the (..., 3, 2) arrays ``d phi^i / d q^a`` and the
+        (..., 3, 2, 2) arrays ``d^2 phi^i / d q^a d q^b``.  A hook that
+        returns one pair for every point (a constant) is broadcast.
     orientation : +1 or -1; flips the unit normal.
 
-    Without ``derivatives`` the partials are central differences at step
-    ``fd_step``.
+    The map and the hook broadcast over the leading axes of their argument.
+    A map that takes one (2,) point only is wrapped in ``_fd.pointwise``,
+    which calls it once per point.  Without ``derivatives`` the partials
+    are central differences at step ``fd_step``.
     """
 
     fd_step = 1e-4
@@ -68,49 +87,79 @@ class SurfacePatch:
         return 0.0 if self._derivatives is not None else 2.0 * self.fd_step
 
     def require_inside(self, q, margin=0.0):
-        if not self.box.contains(q, margin=margin):
-            raise PointOutsideChart(
-                f"parameter point {np.asarray(q)} outside patch box of {self.name or 'patch'}"
-            )
+        """Raise PointOutsideChart unless q, or every row of an (N, 2) batch
+        q, lies in the box shrunk by ``margin``; the error names the first
+        point outside."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            if self.box.contains(q, margin=margin):
+                return
+        else:
+            outside = ~self.box.inside(q, margin)
+            if not outside.any():
+                return
+            q = q[np.argmax(outside)]
+        raise PointOutsideChart(f"parameter point {q} outside patch box of {self.name or 'patch'}")
+
+    def _checked(self, q, value, shape):
+        """``value``, the map's or the hook's value at q, as floats.  For a
+        batch it must have shape q.shape[:-1] + shape, and a constant (one
+        value for every point) is broadcast."""
+        value = np.asarray(value, dtype=float)
+        if q.ndim == 1 or value.shape == q.shape[:-1] + shape:
+            return value
+        if value.shape != shape:
+            raise ValueError(f"a patch map or derivatives hook maps (..., 2) points to (...,) + "
+                             f"{shape} arrays; points of shape {q.shape} gave shape {value.shape}")
+        return np.broadcast_to(value, q.shape[:-1] + shape)  # one value for every point
 
     def point(self, q):
-        q = as_point(q, 2)
-        return np.asarray(self._map(q), dtype=float)
+        q = _parameters(q)
+        return self._checked(q, self._map(q), (3,))
 
     def jacobian(self, q):
-        q = as_point(q, 2)
+        q = _parameters(q)
         if self._derivatives is not None:
-            return np.asarray(self._derivatives(q)[0], dtype=float)
+            return self._checked(q, self._derivatives(q)[0], (3, 2))
         # in C order: the rounding of the matmuls downstream depends on the layout
-        return np.ascontiguousarray(_fd.gradient(self._map, q, self.fd_step).T)
+        return np.ascontiguousarray(np.swapaxes(_fd.gradient(self._map, q, self.fd_step), -1, -2))
 
     def jet(self, q):
-        """``(point, jacobian, hessian)`` at q.  Without analytic derivatives
-        all three come from one 17-point stencil of ``_fd.jet``, whose centre
-        value is the point; its Jacobian equals ``jacobian(q)`` bit for bit."""
-        q = as_point(q, 2)
+        """``(point, jacobian, hessian)`` at q, with the leading axes of q.
+        Without analytic derivatives all three come from one 17-point
+        stencil of ``_fd.jet`` per point, whose centre value is the point;
+        its Jacobian equals ``jacobian(q)`` bit for bit."""
+        return self._jet(_parameters(q))
+
+    def _jet(self, q):
         if self._derivatives is not None:
             jac, hess = self._derivatives(q)
-            return (np.asarray(self._map(q), dtype=float), np.asarray(jac, dtype=float),
-                    np.asarray(hess, dtype=float))
-        p, grad, hess = _fd.jet(_fd.pointwise(self._map), q, self.fd_step)
-        return (np.asarray(p, dtype=float), np.ascontiguousarray(grad.T),
-                np.ascontiguousarray(np.moveaxis(hess, 2, 0)))
+            return (self._checked(q, self._map(q), (3,)), self._checked(q, jac, (3, 2)),
+                    self._checked(q, hess, (3, 2, 2)))
+        p, grad, hess = _fd.jet(self._map, q, self.fd_step)
+        return (self._checked(q, p, (3,)), np.ascontiguousarray(np.swapaxes(grad, -1, -2)),
+                np.ascontiguousarray(np.moveaxis(hess, -1, -3)))
 
-    def flipped(self):
-        return SurfacePatch(self._map, self.box, self._derivatives,
-                            orientation=-self.orientation, name=self.name)
+
+def _parameters(q):
+    """Parameter points of shape (..., 2) as floats."""
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1:] != (2,):
+        raise ValueError(f"expected parameter points with 2 coordinates, got shape {q.shape}")
+    return q
 
 
 @dataclass
 class FundamentalData:
-    """First/second/third fundamental forms and friends at one parameter point.
+    """First/second/third fundamental forms and friends at one parameter
+    point q, shape (2,), or at each row of an (N, 2) batch q: then every
+    field, lazy or not, has a leading axis over the rows.
 
     The shape layer (point, Jacobian, I, II, B and the normal) is built on
     construction from the patch's jet and one read of the ambient metric
-    and its partials, with one inverse of g.  The rest is computed on first
-    read and then kept, so a caller that reads only B (the finite-difference
-    stencil of dB, say) pays for none of it:
+    and its symbols, with one inverse of g per row.  The rest is computed
+    on first read and then kept, so a caller that reads only B (the
+    finite-difference stencil of dB, say) pays for none of it:
 
     * ``third``, III = B^T I B, and ``christoffel_first``, the Levi-Civita
       symbols of I by the Gauss formula, cost a few 2x2 products;
@@ -120,26 +169,27 @@ class FundamentalData:
       plane, costs one ambient Riemann tensor;
     * ``k_extrinsic = K_I - K_M(T Sigma)`` costs both.
 
-    Connection coefficients need only B, III and the symbols of I, so they
-    never pay for the curvature layer.
+    Each curvature field is one batched call for all rows.  Connection
+    coefficients need only B, III and the symbols of I, so they never pay
+    for the curvature layer.
     """
 
-    q: np.ndarray
-    point: np.ndarray
-    jacobian: np.ndarray
+    q: np.ndarray            # (2,) or (N, 2); the fields below lead with the same axes
+    point: np.ndarray        # phi(q), 3
+    jacobian: np.ndarray     # d phi, 3x2
     first: np.ndarray        # I, 2x2
     second: np.ndarray       # II, 2x2
     shape_operator: np.ndarray  # B, 2x2
     normal: np.ndarray       # N, 3 components, g-unit
     metric: np.ndarray = field(repr=False)  # ambient g at the point, 3x3
-    covariant_hessian: np.ndarray = field(repr=False)  # S, 3x2x2 (fundamental_forms)
+    covariant_hessian: np.ndarray = field(repr=False)  # S, 3x2x2
     patch: SurfacePatch = field(repr=False, compare=False)
     ambient: MetricField = field(repr=False, compare=False)
 
     @cached_property
     def third(self):
         """III = B^T I B."""
-        return self.shape_operator.T @ self.first @ self.shape_operator
+        return np.swapaxes(self.shape_operator, -1, -2) @ self.first @ self.shape_operator
 
     @cached_property
     def christoffel_first(self):
@@ -147,25 +197,29 @@ class FundamentalData:
         formula: the tangential part of ``S_ab`` is ``Gamma^c_ab d_c phi``,
         so ``Gamma^c_ab = I^{cd} g(S_ab, d_d phi)``.  No difference is
         taken beyond the patch's jet; symbols that are not finite raise
-        NonFiniteMetric."""
-        tangential = (self.jacobian.T @ self.metric) @ self.covariant_hessian.reshape(3, 4)
-        (f11, f12), (f21, f22) = self.first.tolist()
+        NonFiniteMetric naming the first such point."""
+        lead = self.q.shape[:-1]
+        tangential = ((np.swapaxes(self.jacobian, -1, -2) @ self.metric)
+                      @ self.covariant_hessian.reshape(lead + (3, 4)))
+        (f11, f12), (f21, f22) = _entries(self.first, 2)
         gram = f11 * f22 - f12 * f21
-        gam = (np.array([[f22, -f12], [-f21, f11]]) @ tangential / gram).reshape(2, 2, 2)
-        _require_finite(self.q[None], gam)
+        adj = _assemble([[f22, -f12], [-f21, f11]], 2)
+        gam = (adj @ tangential / (gram if not lead else gram[:, None, None])).reshape(
+            lead + (2, 2, 2))
+        _require_finite(self.q.reshape(-1, 2), gam)
         return gam
 
     @cached_property
     def k_intrinsic(self):
         """Curvature of I."""
         rm2 = riemann_covariant(induced_metric_field(self.patch, self.ambient), self.q)
-        return float(rm2[0, 1, 1, 0] / np.linalg.det(self.first))
+        return _scalar(rm2[..., 0, 1, 1, 0] / np.linalg.det(self.first))
 
     @cached_property
     def k_ambient_tangent(self):
         """Ambient sectional curvature on the tangent plane."""
         return riemann_sectional(self.ambient, self.point,
-                                 self.jacobian[:, 0], self.jacobian[:, 1])
+                                 self.jacobian[..., 0], self.jacobian[..., 1])
 
     @cached_property
     def k_extrinsic(self):
@@ -173,22 +227,44 @@ class FundamentalData:
         return self.k_intrinsic - self.k_ambient_tangent
 
 
-def _frame(patch, q, g, ginv, jac):
-    """I, its Gram determinant and the oriented g-unit normal from the
-    ambient metric, its inverse and the Jacobian at q; checks the rank
-    once."""
-    first = jac.T @ g @ jac
-    (f11, f12), (f21, f22) = first.tolist()
+def _matvec(m, v):
+    """``m . v`` for one point, or for each row of stacked matrices and
+    vectors, rounded as the one-point product."""
+    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
+
+
+def _vecmat(v, m):
+    """``v . m`` for one point, or for each row of stacked vectors and
+    matrices, rounded as the one-point product."""
+    return v @ m if v.ndim == 1 else (v[..., None, :] @ m)[..., 0, :]
+
+
+def _frame(patch, q, g, ginv, jac, jac_t):
+    """I, its adjugate, its Gram determinant and the oriented g-unit normal
+    from the ambient metric, its inverse and the Jacobian (and its
+    transpose) at q, or at each row of a batch; checks the rank on every
+    row."""
+    first = jac_t @ g @ jac
+    (f11, f12), (f21, f22) = _entries(first, 2)
     gram = f11 * f22 - f12 * f21
     # d1 phi x d2 phi annihilates the tangent plane; written out because
     # np.cross costs more than the rest of the frame on 3-vectors
-    (a0, b0), (a1, b1), (a2, b2) = jac.tolist()
-    cov = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    n = ginv @ cov
-    norm2 = n @ g @ n
-    if norm2 <= 0 or gram < RANK_FLOOR:
-        raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
-    return first, gram, patch.orientation * n / np.sqrt(norm2)
+    (a0, b0), (a1, b1), (a2, b2) = _entries(jac, 2)
+    cov = _assemble([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], 1)
+    n = _matvec(ginv, cov)
+    if q.ndim == 1:
+        norm2 = n @ g @ n
+        if norm2 <= 0 or gram < RANK_FLOOR:
+            raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
+        n = patch.orientation * n / np.sqrt(norm2)
+    else:
+        norm2 = _quadratic(n, g, n)
+        flat = (norm2 <= 0) | (gram < RANK_FLOOR)
+        if flat.any():
+            k = np.argmax(flat)
+            raise DegenerateImmersion(f"rank of d phi < 2 at q={q[k]} (gram={gram[k]:.3e})")
+        n = patch.orientation * n / np.sqrt(norm2)[:, None]
+    return first, _assemble([[f22, -f12], [-f21, f11]], 2), gram, n
 
 
 def induced_metric_field(patch, ambient):
@@ -196,54 +272,77 @@ def induced_metric_field(patch, ambient):
 
     Carries analytic first partials whenever both the patch and the ambient
     metric do, so intrinsic curvature goes through the same pipeline as
-    ambient curvature with one less coordinate.  The patch takes one
-    point at a time, so both leaves are pointwise.
+    ambient curvature with one less coordinate.  Both leaves broadcast over
+    (..., 2) points, as the patch does, so a batch of K_I makes one leaf
+    call per stencil point of the whole batch.
 
     It serves ``k_intrinsic``; the immersion-mode connection keeps it as
-    sigma only for the III partials and the chart margin of ``gamma``.  The
-    symbols of I come from ``FundamentalData.christoffel_first``.
+    sigma only for the chart margin of ``gamma``.  The symbols of I come
+    from ``FundamentalData.christoffel_first``.
     """
-    @_fd.pointwise
     def first(q):
         jac = patch.jacobian(q)
         g = ambient.matrix(patch.point(q))
-        return jac.T @ g @ jac
+        return np.swapaxes(jac, -1, -2) @ g @ jac
 
     partials = None
     if patch.has_analytic_partials and ambient.has_analytic_partials:
-        @_fd.pointwise
         def partials(q):
             p, jac, hess = patch.jet(q)
             g = ambient.matrix(p)
             dg = ambient.partials(p)
-            dg_along = np.einsum("kij,ka->aij", dg, jac)  # d(g o phi)/dq^a
-            term = np.einsum("ica,ij,jb->cab", hess, g, jac)
-            out = term + np.swapaxes(term, 1, 2) + np.einsum("ia,cij,jb->cab", jac, dg_along, jac)
-            return out
+            dg_along = np.einsum("...kij,...ka->...aij", dg, jac)  # d(g o phi)/dq^a
+            term = np.einsum("...ica,...ij,...jb->...cab", hess, g, jac)
+            return (term + np.swapaxes(term, -2, -1)
+                    + np.einsum("...ia,...cij,...jb->...cab", jac, dg_along, jac))
 
     return MetricField(2, first, patch.box, partials=partials, fd_step=patch.fd_step,
                        name=f"I[{patch.name}]")
 
 
-def fundamental_forms(patch, ambient, q):
-    """Fundamental data of the immersion at parameter point q: the shape
-    layer now, the curvature layer on first read (see FundamentalData)."""
-    q = as_point(q, 2)
+def _fundamental_rows(patch, ambient, q):
+    """The shape layer of the immersion at one parameter point q, shape
+    (2,), or at each row of an (N, 2) batch: one patch jet, one batched
+    read of the ambient symbols and one chain of stacked products.  The
+    chart margin, the finiteness of the jet (in place of numpy warnings),
+    the ambient checks and the rank are checked on every row, and the error
+    names the first failing point."""
     patch.require_inside(q, margin=patch.fd_margin())
-    p, jac, hess = patch.jet(q)
+    if patch.has_analytic_partials:
+        p, jac, hess = patch._jet(q)
+    else:  # a map that is infinite at a stencil point is caught below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            p, jac, hess = patch._jet(q)
+    one = q.ndim == 1
+    # one point: a sum of plain floats is finite unless an entry is not, or
+    # the sum overflows, which the exact check sorts out
+    if not one or not math.isfinite(sum(p.tolist()) + sum(jac.ravel().tolist())
+                                    + sum(hess.ravel().tolist())):
+        _require_finite(q.reshape(-1, 2), p, jac, hess,
+                        what="the patch's point, Jacobian or Hessian")
     g, ginv, gam = _christoffel(ambient, p)
-    first, gram, n = _frame(patch, q, g, ginv, jac)
+    jac_t = jac.T if one else np.swapaxes(jac, -1, -2)
+    first, adj, gram, n = _frame(patch, q, g, ginv, jac, jac_t)
 
-    # covariant second derivative of phi: S^i_ab = phi^i_{,ab} + Gamma^i_jk phi^j_a phi^k_b
-    s = hess + jac.T @ gam @ jac
+    # covariant second derivative of phi: S^i_ab = phi^i_{,ab} + Gamma^i_jk phi^j_a phi^k_b;
+    # one point's Jacobian broadcasts over the index i of Gamma, a batch's is stacked beside it
+    lead = q.shape[:-1]
+    s = hess + (jac_t @ gam @ jac if one else jac_t[:, None] @ gam @ jac[:, None])
     # II(x, y) = I(Bx, y) with B = grad N, so II = -g(S, N)
-    second = -((g @ n) @ s.reshape(3, 4)).reshape(2, 2)
-    (f11, f12), (f21, f22) = first.tolist()
-    shape = np.array([[f22, -f12], [-f21, f11]]) @ second / gram  # I^{-1} II
+    second = -_vecmat(_matvec(g, n), s.reshape(lead + (3, 4))).reshape(lead + (2, 2))
+    shape = adj @ second / (gram if one else gram[:, None, None])  # I^{-1} II
     return FundamentalData(
         q=q, point=p, jacobian=jac, first=first, second=second, shape_operator=shape,
         normal=n, metric=g, covariant_hessian=s, patch=patch, ambient=ambient,
     )
+
+
+def fundamental_forms(patch, ambient, q):
+    """Fundamental data of the immersion at one parameter point q: the
+    shape layer now, the curvature layer on first read (see
+    FundamentalData).  A batch of points goes to the kernel in one call,
+    through the immersion-mode connection's ``fundamental``."""
+    return _fundamental_rows(patch, ambient, as_point(q, 2))
 
 
 def gauss_residual(patch, ambient, q):
@@ -256,7 +355,8 @@ def surface_from_expressions(fields, box, name="custom-surface"):
     """Build a SurfacePatch from expressions for the map components.
 
     ``fields`` maps ``phi1``, ``phi2``, ``phi3`` to Expression objects in the
-    variables (u, v); derivatives fall back to central differences.
+    variables (u, v); derivatives fall back to central differences.  The
+    map takes one point and is called once per point of a batch.
     """
     for key in ("phi1", "phi2", "phi3"):
         if key not in fields:
@@ -267,7 +367,7 @@ def surface_from_expressions(fields, box, name="custom-surface"):
         return np.array([fields["phi1"](**values), fields["phi2"](**values),
                          fields["phi3"](**values)])
 
-    return SurfacePatch(chart_map, box, name=name)
+    return SurfacePatch(_fd.pointwise(chart_map), box, name=name)
 
 
 def dnabla_b(patch, ambient, q, x, y):

@@ -23,6 +23,7 @@ from efimov_lab.connection import (
     torsion_bound_tau0,
 )
 from efimov_lab.errors import (
+    DegenerateImmersion,
     DegenerateShapeOperator,
     DegenerateVector,
     InvalidPinching,
@@ -31,8 +32,8 @@ from efimov_lab.errors import (
     NonInvertibleMetric,
     PointOutsideChart,
 )
-from efimov_lab.expressions import Expression
-from efimov_lab.immersion import dnabla_b
+from efimov_lab.expressions import Expression, parse_assignments
+from efimov_lab.immersion import SurfacePatch, dnabla_b, surface_from_expressions
 
 
 # --- dual connection --------------------------------------------------------
@@ -191,14 +192,8 @@ def test_dual_codazzi_needs_shape_operator(hyperbolic_abstract):
         dual_codazzi_residual(hyperbolic_abstract, [1.0, 0.0])
 
 
-def test_third_form_partials_need_shape_operator(hyperbolic_abstract):
-    """The product rule on B^T sigma B has no B to read in torsion mode."""
-    with pytest.raises(ModeUnsupported):
-        hyperbolic_abstract.third_form_partials([1.0, 0.0])
-
-
 @pytest.mark.parametrize("mode, accessor", [
-    ("torsion", "third_form_partials"), ("torsion", "b_matrix"), ("torsion", "b_tilde"),
+    ("torsion", "b_matrix"), ("torsion", "b_tilde"),
     ("torsion", "fundamental"), ("operator", "fundamental")])
 def test_mode_without_the_data_raises_mode_unsupported(mode, accessor):
     """Each constructor returns the class of its mode, and an accessor whose
@@ -328,6 +323,18 @@ def _frame_and_derivative(g, dg):
     return orthonormal_frame(g), np.array(df)
 
 
+def _third_form_partials(data, q):
+    """``d_k III`` of ``III = B^T sigma B`` by the product rule, from the
+    central differences of B and sigma's own partials: the oracle's III
+    partials where the connection has a shape operator."""
+    b = data.b_matrix(q)
+    db = data.b_matrix_partials(q)
+    sigma = data.sigma_field.matrix(q)
+    dsigma = data.sigma_field.partials(q)
+    term = np.einsum("kca,cd,db->kab", db, sigma, b)
+    return term + np.swapaxes(term, 1, 2) + np.einsum("ca,kcd,db->kab", b, dsigma, b)
+
+
 def _frame_curvature(data, q):
     """Frame oracle for K~: ``-d omega / dv`` for the connection 1-form
     ``omega_i = III(D~_{d_i} f1, f2)`` of the Gram-Schmidt frame, which reads
@@ -338,7 +345,7 @@ def _frame_curvature(data, q):
         if data.mode == "torsion":
             dg = data.iii_field.partials(qq)
         else:
-            dg = data.third_form_partials(qq)
+            dg = _third_form_partials(data, qq)
         f, df = _frame_and_derivative(g, dg)
         # D~_{d_i} f1 = d_i f1 + Gamma(d_i, f1)
         cov = df[:, 0] + np.einsum("kij,j->ik", data.gamma(qq), f[0])
@@ -445,6 +452,8 @@ BATCH_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, data
 UNIT_BATCHES = st.integers(1, 12).flatmap(
     lambda n: arrays(float, (n, 2), elements=st.floats(0.0, 1.0)))
 BATCH_METHODS = ("gamma", "curvature", "third_form", "area_density")
+# for connections whose one-point calls cost milliseconds
+SLOW_BATCH_PROPERTY = settings(max_examples=12, deadline=None, derandomize=True, database=None)
 
 
 def _batch_case(name):
@@ -538,10 +547,10 @@ def _affine_b(q):
     return b
 
 
-def test_operator_batches_in_one_pass_and_immersion_loops_over_rows(saddle_data):
+def test_operator_and_immersion_batches_in_one_pass(saddle_data):
     """Operator mode reads B once for the III and once for the K~ of a whole
-    batch, while ``gamma`` and immersion mode still go one row at a time;
-    either way each row is its one-point call."""
+    batch, and ``gamma`` and immersion mode evaluate a batch in one
+    vectorised pass too; either way each row is its one-point call."""
     calls = []
 
     def counted(q):
@@ -631,6 +640,73 @@ def test_orthonormal_frame_batch_rows_equal_one_point_calls():
     g[1, 0, 1, 1] = 0.0
     with pytest.raises(NonInvertibleMetric, match="row 3"):
         orthonormal_frame(g)
+
+
+@pytest.mark.parametrize("name", ["seed3", "seed8", "h_diag"])
+@SLOW_BATCH_PROPERTY
+@given(unit=UNIT_BATCHES)
+def test_operator_batch_equals_one_point_calls(name, unit):
+    """Operator-mode gamma, K~, III and the area density of a batch are
+    one vectorised pass, and each row equals its one-point call bit for
+    bit."""
+    data, (lo, hi) = _operator_case(name)
+    assert_batch_equals_points(data, np.asarray(lo) + unit * (np.subtract(hi, lo)))
+
+
+_IMMERSIONS = {}
+
+
+def _immersion_case(name):
+    """Immersion-mode connection of a gallery surface, or of the saddle
+    ``u v`` declared by expressions (map only: every partial a central
+    difference), built once per test session."""
+    if name not in _IMMERSIONS:
+        if name == "file_saddle":
+            fields, box = parse_assignments(
+                "box = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = u*v\n", ("u", "v"))
+            patch = surface_from_expressions(fields, ChartBox((box[0], box[2]), (box[1], box[3])))
+            _IMMERSIONS[name] = SurfaceConnectionData.from_immersion(patch, gallery.euclidean3())
+        else:
+            params = {"lambda": 1.0} if name == "hyperbolic_slice" else {}
+            _IMMERSIONS[name] = gallery.build_example(name, **params).data
+    return _IMMERSIONS[name]
+
+
+@pytest.mark.parametrize("name", ["saddle", "hyperbolic_slice", "clifford_torus", "sphere2",
+                                  "pseudosphere", "file_saddle"])
+@SLOW_BATCH_PROPERTY
+@given(unit=UNIT_BATCHES)
+def test_immersion_batch_rows_equal_one_point_calls(name, unit):
+    """Immersion mode evaluates a batch in one vectorised pass of the shape
+    layer, and each row of gamma, III, the torsion, K~ and the area density
+    equals its one-point call bit for bit."""
+    data = _immersion_case(name)
+    lo, hi = np.asarray(data.box.lo), np.asarray(data.box.hi)
+    pts = lo + (0.01 + 0.98 * unit) * (hi - lo)
+    for method in BATCH_METHODS + ("torsion_vector",):
+        evaluate = getattr(data, method)
+        batch = evaluate(pts)
+        single = np.array([evaluate(p) for p in pts])
+        assert batch.shape == single.shape and np.array_equal(batch, single), method
+
+
+def test_immersion_batch_names_the_row_outside_the_chart(saddle_data):
+    pts = np.array([[0.1, 0.2], [1.2, 0.0], [-0.3, 0.05]])
+    for method in BATCH_METHODS + ("torsion_vector",):
+        with pytest.raises(PointOutsideChart, match=re.escape(str(pts[1]))):
+            getattr(saddle_data, method)(pts)
+
+
+def test_immersion_batch_names_the_degenerate_row(euclid):
+    """``(u, v^2, 0)`` has rank 1 on the u-axis: DegenerateImmersion naming
+    that row, from every batched read of the shape layer."""
+    patch = SurfacePatch(_fd.pointwise(lambda q: np.array([q[0], q[1] * q[1], 0.0])),
+                         ChartBox.cube(2, 1.0), name="folded")
+    data = SurfaceConnectionData.from_immersion(patch, euclid)
+    pts = np.array([[0.2, 0.3], [0.1, 0.0], [-0.3, 0.4]])
+    for method in ("third_form", "area_density", "curvature", "fundamental"):
+        with pytest.raises(DegenerateImmersion, match=re.escape(str(pts[1]))):
+            getattr(data, method)(pts)
 
 
 @pytest.mark.parametrize("mode", ["torsion", "operator", "immersion"])
@@ -743,7 +819,6 @@ def test_immersion_gamma_and_third_form_skip_curvature(monkeypatch):
     for q in ([0.2, 0.4], [-0.3, 0.1]):
         data.gamma(q)
         data.third_form(q)
-        data.third_form_partials(q)
     assert calls == []
     data.curvature([0.2, 0.4])
     assert calls  # the counter does see the curvature layer

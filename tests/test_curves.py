@@ -222,6 +222,65 @@ def test_transport_reads_gamma_once_as_one_batch(monkeypatch):
     assert _close(ws, ref)
 
 
+def count_shape_layer(monkeypatch):
+    """Wrap the immersion connection's two ways to the shape layer: the batch
+    kernel, called directly for (N, 2) rows, and the one-point
+    ``fundamental_forms`` behind its memo.  Returns the row shapes of each."""
+    from efimov_lab import connection
+
+    kernel_calls, point_calls = [], []
+    kernel, one_point = connection._fundamental_rows, connection.fundamental_forms
+
+    def counted_kernel(patch, ambient, q):
+        kernel_calls.append(q.shape)
+        return kernel(patch, ambient, q)
+
+    def counted_point(patch, ambient, q):
+        point_calls.append(np.shape(q))
+        return one_point(patch, ambient, q)
+
+    monkeypatch.setattr(connection, "_fundamental_rows", counted_kernel)
+    monkeypatch.setattr(connection, "fundamental_forms", counted_point)
+    return kernel_calls, point_calls
+
+
+@pytest.mark.parametrize("length", [0.1, 0.3])
+def test_immersion_transport_reads_the_shape_layer_nine_times(monkeypatch, length):
+    """An immersion-mode transport reads the shape layer in 9 batched kernel
+    calls, B and the symbols of I once and B 8 times for dB, each over all
+    2n + 1 stage points, whatever the trace length; no one-point read."""
+    data = gallery.build_example("saddle").data
+    q = np.array([0.1, -0.2])
+    tr = integrate_geodesic(data, q, data.unit(q, [0.6, 0.8]), length, 0.01)
+    kernel_calls, point_calls = count_shape_layer(monkeypatch)
+    parallel_transport_samples(data, tr, [0.3, -0.5])
+    assert kernel_calls == [(2 * len(tr.s) - 1, 2)] * 9 and point_calls == []
+
+
+@pytest.mark.parametrize("length", [0.1, 0.3])
+def test_immersion_jacobi_field_reads_the_shape_layer_a_fixed_number_of_times(
+        monkeypatch, length):
+    """An immersion-mode Jacobi field reads the shape layer in 12 batched
+    kernel calls over all stage points, whatever the trace length: 10 for
+    the torsion (9 for gamma, 1 for III), 1 for III and 1 for K~."""
+    data = gallery.build_example("saddle").data
+    q = np.array([0.1, 0.0])
+    tr = integrate_geodesic(data, q, data.unit(q, [1.0, 0.2]), length, 0.01)
+    kernel_calls, point_calls = count_shape_layer(monkeypatch)
+    jt = jacobi_field(data, tr, 0.0, 0.0, 0.0, 1.0, 0.01)
+    assert kernel_calls == [(2 * len(jt.t) - 1, 2)] * 12 and point_calls == []
+
+
+def test_one_point_immersion_gamma_reads_nine_one_point_forms(monkeypatch):
+    """A one-point immersion gamma at a fresh point makes 1 + 8 one-point
+    ``fundamental_forms`` calls (B and the symbols of I, then the dB
+    stencil) and no batched kernel call."""
+    data = gallery.build_example("saddle").data
+    kernel_calls, point_calls = count_shape_layer(monkeypatch)
+    data.gamma([0.123, -0.321])
+    assert point_calls == [(2,)] * 9 and kernel_calls == []
+
+
 def test_transport_along_a_path_backed_trace_equals_per_stage():
     """A path-backed trace evaluates its path at the stage times; a closed
     latitude circle on the sphere transports as the per-stage oracle."""

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from efimov_lab import gallery
+from efimov_lab import _fd, gallery
 from efimov_lab.errors import (
     DegenerateImmersion,
     NonFiniteMetric,
@@ -59,13 +61,15 @@ def test_third_form_identity_sampled(euclid):
 def test_orientation_flip(euclid):
     patch = gallery.saddle_patch()
     q = np.array([0.2, 0.3])
+    flipped = SurfacePatch(patch._map, patch.box, patch._derivatives, orientation=-1,
+                           name=patch.name)
     d = fundamental_forms(patch, euclid, q)
-    df = fundamental_forms(patch.flipped(), euclid, q)
+    df = fundamental_forms(flipped, euclid, q)
     assert np.max(np.abs(df.normal + d.normal)) < 1e-12
     assert np.max(np.abs(df.shape_operator + d.shape_operator)) < 1e-10
     assert np.max(np.abs(df.third - d.third)) < 1e-10
     assert abs(df.k_extrinsic - d.k_extrinsic) < 1e-10
-    assert abs(gauss_residual(patch.flipped(), euclid, q)
+    assert abs(gauss_residual(flipped, euclid, q)
                - gauss_residual(patch, euclid, q)) < 1e-9
 
 
@@ -102,7 +106,7 @@ def test_codazzi_slice_nontrivial():
 
 
 def test_degenerate_immersion(euclid):
-    bad = SurfacePatch(lambda q: np.array([q[0], 2.0 * q[0], 0.0]),
+    bad = SurfacePatch(_fd.pointwise(lambda q: np.array([q[0], 2.0 * q[0], 0.0])),
                        ChartBox.cube(2, 1.0), name="collapsed")
     with pytest.raises(DegenerateImmersion):
         fundamental_forms(bad, euclid, [0.0, 0.0])
@@ -115,7 +119,6 @@ def test_map_only_patch_jet_from_one_stencil(euclid):
     fundamental_forms; 153 per K_I (17 points of I, 9 each); 153 per
     immersion gamma at a fresh point (17 for B and the symbols of I, 8 x 17
     for dB)."""
-    from efimov_lab import _fd
     from efimov_lab.connection import SurfaceConnectionData
 
     def smap(q):
@@ -127,7 +130,7 @@ def test_map_only_patch_jet_from_one_stencil(euclid):
         calls.append(tuple(q))
         return smap(q)
 
-    patch = SurfacePatch(counted, ChartBox.cube(2, 1.0), name="fd-saddle")
+    patch = SurfacePatch(_fd.pointwise(counted), ChartBox.cube(2, 1.0), name="fd-saddle")
     q = np.array([0.3, -0.2])
     h = patch.fd_step
     point, jac, hess = patch.jet(q)
@@ -269,9 +272,62 @@ def test_immersion_gamma_on_a_non_finite_jet_raises_typed_error(euclid):
     def smap(q):
         return np.array([q[0], q[1], np.nan if q[0] + q[1] > 0.5001 else q[0] * q[1]])
 
-    patch = SurfacePatch(smap, ChartBox.cube(2, 1.0), name="nan-corner")
+    patch = SurfacePatch(_fd.pointwise(smap), ChartBox.cube(2, 1.0), name="nan-corner")
     with pytest.raises(NonFiniteMetric):
         SurfaceConnectionData.from_immersion(patch, euclid).gamma([0.25, 0.25])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_infinite_map_raises_typed_error_at_one_point_and_in_a_batch(euclid):
+    """A map-only patch that is infinite only past the corner (h, h) of the
+    jet stencil at (0.25, 0.25): NonFiniteMetric naming that point, at one
+    point and in a 3-row batch, never a numpy warning."""
+    from efimov_lab.connection import SurfaceConnectionData
+
+    def smap(q):
+        return np.array([q[0], q[1], np.inf if q[0] + q[1] > 0.5001 else q[0] * q[1]])
+
+    patch = SurfacePatch(_fd.pointwise(smap), ChartBox.cube(2, 1.0), name="inf-corner")
+    data = SurfaceConnectionData.from_immersion(patch, euclid)
+    hot = np.array([0.25, 0.25])
+    pts = np.array([[-0.3, 0.1], hot, [0.1, -0.4]])
+    for call in (lambda: fundamental_forms(patch, euclid, hot), lambda: data.gamma(hot),
+                 lambda: data.gamma(pts), lambda: data.third_form(pts)):
+        with pytest.raises(NonFiniteMetric, match=re.escape(str(hot))):
+            call()
+    assert np.isfinite(data.gamma(pts[::2])).all()
+
+
+@pytest.mark.parametrize("build", [
+    gallery.plane_patch, gallery.saddle_patch, gallery.sphere2_patch, gallery.pseudosphere_patch,
+    gallery.clifford_torus, lambda: gallery.hyperbolic_slice(1.0)])
+def test_gallery_patches_broadcast_over_points(build):
+    """The map and the derivatives hook of a gallery patch take (..., 2)
+    points: each row of a batch, and of a (rows, cols, 2) grid, is the
+    one-point jet bit for bit."""
+    patch = build()
+    lo, hi = np.asarray(patch.box.lo), np.asarray(patch.box.hi)
+    pts = lo + (hi - lo) * np.random.default_rng(6).random((6, 2))
+    batch = patch.jet(pts)
+    for k, q in enumerate(pts):
+        for rows, one in zip(batch, patch.jet(q)):
+            assert np.array_equal(rows[k], one)
+    for grid, rows in zip(patch.jet(pts.reshape(2, 3, 2)), batch):
+        assert np.array_equal(grid, rows.reshape((2, 3) + rows.shape[1:]))
+
+
+def test_one_point_map_takes_a_batch_through_pointwise():
+    """A map of one (2,) point, fed a batch, gives the wrong shape and
+    raises ValueError; wrapped in ``_fd.pointwise`` it gives the rows of
+    its broadcasting twin."""
+    def one_point(q):
+        return np.array([q[0], q[1], q[0] * q[1]])
+
+    pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
+    with pytest.raises(ValueError, match="patch map"):
+        SurfacePatch(one_point, ChartBox.cube(2, 1.0)).point(pts)
+    wrapped = SurfacePatch(_fd.pointwise(one_point), ChartBox.cube(2, 1.0))
+    assert np.array_equal(wrapped.point(pts), gallery.saddle_patch().point(pts))
 
 
 def test_singular_ambient_metric_raises_typed_error():
