@@ -90,8 +90,7 @@ class SurfacePatch:
         """Raise PointOutsideChart unless q, or every row of an (N, 2) batch
         q, lies in the box shrunk by ``margin``; the error names the first
         point outside."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
+        if getattr(q, "ndim", 1) < 2:
             if self.box.contains(q, margin=margin):
                 return
         else:
@@ -134,6 +133,9 @@ class SurfacePatch:
     def _jet(self, q):
         if self._derivatives is not None:
             jac, hess = self._derivatives(q)
+            if q.ndim == 1:  # the hot path of every trace: no batch shapes to check
+                return (np.asarray(self._map(q), dtype=float), np.asarray(jac, dtype=float),
+                        np.asarray(hess, dtype=float))
             return (self._checked(q, self._map(q), (3,)), self._checked(q, jac, (3, 2)),
                     self._checked(q, hess, (3, 2, 2)))
         p, grad, hess = _fd.jet(self._map, q, self.fd_step)
@@ -227,18 +229,6 @@ class FundamentalData:
         return self.k_intrinsic - self.k_ambient_tangent
 
 
-def _matvec(m, v):
-    """``m . v`` for one point, or for each row of stacked matrices and
-    vectors, rounded as the one-point product."""
-    return m @ v if v.ndim == 1 else (m @ v[..., None])[..., 0]
-
-
-def _vecmat(v, m):
-    """``v . m`` for one point, or for each row of stacked vectors and
-    matrices, rounded as the one-point product."""
-    return v @ m if v.ndim == 1 else (v[..., None, :] @ m)[..., 0, :]
-
-
 def _frame(patch, q, g, ginv, jac, jac_t):
     """I, its adjugate, its Gram determinant and the oriented g-unit normal
     from the ambient metric, its inverse and the Jacobian (and its
@@ -251,13 +241,14 @@ def _frame(patch, q, g, ginv, jac, jac_t):
     # np.cross costs more than the rest of the frame on 3-vectors
     (a0, b0), (a1, b1), (a2, b2) = _entries(jac, 2)
     cov = _assemble([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], 1)
-    n = _matvec(ginv, cov)
     if q.ndim == 1:
+        n = ginv @ cov
         norm2 = n @ g @ n
         if norm2 <= 0 or gram < RANK_FLOOR:
             raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
         n = patch.orientation * n / np.sqrt(norm2)
     else:
+        n = (ginv @ cov[..., None])[..., 0]
         norm2 = _quadratic(n, g, n)
         flat = (norm2 <= 0) | (gram < RANK_FLOOR)
         if flat.any():
@@ -328,8 +319,13 @@ def _fundamental_rows(patch, ambient, q):
     # one point's Jacobian broadcasts over the index i of Gamma, a batch's is stacked beside it
     lead = q.shape[:-1]
     s = hess + (jac_t @ gam @ jac if one else jac_t[:, None] @ gam @ jac[:, None])
-    # II(x, y) = I(Bx, y) with B = grad N, so II = -g(S, N)
-    second = -_vecmat(_matvec(g, n), s.reshape(lead + (3, 4))).reshape(lead + (2, 2))
+    # II(x, y) = I(Bx, y) with B = grad N, so II = -g(S, N); a stacked
+    # matmul rounds each row as the one-point product
+    if one:
+        second = -((g @ n) @ s.reshape(3, 4)).reshape(2, 2)
+    else:
+        second = -((g @ n[:, :, None])[:, None, :, 0] @ s.reshape(lead + (3, 4))).reshape(
+            lead + (2, 2))
     shape = adj @ second / (gram if one else gram[:, None, None])  # I^{-1} II
     return FundamentalData(
         q=q, point=p, jacobian=jac, first=first, second=second, shape_operator=shape,
