@@ -1,10 +1,10 @@
 """Metrics on coordinate charts: Christoffel symbols, Riemann tensor, sectional
 curvature and sectional extremes.
 
-The machinery is dimension-generic.  Ambient spaces use dimension 3; the same
-code path, restricted to dimension 2, computes intrinsic curvatures of induced
-surface metrics, so there is a single finite-difference error model for the
-whole pipeline.
+The machinery serves dimensions 3 and 2, each with a closed-form metric
+inverse.  Ambient spaces use dimension 3; the same code path in dimension 2
+computes intrinsic curvatures of induced surface metrics, so there is a single
+finite-difference error model for the whole pipeline.
 
 All evaluators are pure and deterministic; concurrent read-only use from
 multiple threads is safe (no shared mutable state).
@@ -118,7 +118,8 @@ class MetricField:
 
     Parameters
     ----------
-    dim : chart dimension (3 for ambient spaces, 2 for surface metrics).
+    dim : chart dimension, 3 for ambient spaces or 2 for surface metrics;
+        any other raises ValueError.
     matrix : callable, points (..., dim) -> (..., dim, dim) symmetric
         positive matrices.
     box : ChartBox with per-axis bounds.
@@ -138,6 +139,8 @@ class MetricField:
 
     def __init__(self, dim, matrix, box, partials=None, second_partials=None,
                  fd_step=1e-3, name=""):
+        if dim not in (2, 3):
+            raise ValueError(f"a MetricField has dim 2 or 3, got {dim}")
         self.dim = dim
         self._matrix = matrix
         self.box = box
@@ -212,34 +215,41 @@ class MetricField:
 
 
 def _checked_inverse(g, p):
-    """g^{-1} for one metric matrix or a stack of them; a determinant below
-    DET_FLOOR (or not finite) raises NonInvertibleMetric naming the point."""
-    # plain floats for one point: christoffel runs at every RK4 stage
-    if g.ndim == 2:
-        det = _small_det(g)
-        if abs(det) >= DET_FLOOR:
-            return np.linalg.inv(g)
+    """g^{-1} for one 2x2 or 3x3 metric matrix or a stack of them, as the
+    adjugate over the determinant: one formula, on plain floats for one
+    matrix (alone or in a stack of one) and on arrays over a stack, so each
+    row is its one-point inverse bit for bit.  Its rounding is a few ulp on
+    a diagonal metric and grows as eps cond(g)^2 on a full 3x3 one.  A
+    determinant below DET_FLOOR in size, or not finite, raises
+    NonInvertibleMetric naming the first such point, in place of warnings."""
+    n = g.shape[-1]
+    if g.size == n * n:  # plain floats: christoffel runs at every RK4 stage
+        det, adj = _det_adjugate((g if g.ndim == 2 else g.reshape(n, n)).tolist())
+        if DET_FLOOR <= abs(det) < math.inf:
+            return np.array(adj, ndmin=g.ndim) / det
     else:
-        det = np.linalg.det(g)
-        small = ~(np.abs(det) >= DET_FLOOR)
-        if not small.any():
-            return np.linalg.inv(g)
-        k = np.unravel_index(np.argmax(small), small.shape)
-        det, p = det[k], np.asarray(p, dtype=float)[k]
-    raise NonInvertibleMetric(
-        f"|det g| = {abs(det):.3e} below floor at {np.asarray(p, dtype=float)}")
+        # entries that overflow or are not finite surface in det, caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            det, adj = _det_adjugate(_entries(g, 2))
+        bad = ~((abs(det) >= DET_FLOOR) & (abs(det) < math.inf))
+        if not bad.any():
+            return _assemble(adj, 2) / det[..., None, None]
+        k = np.argmax(bad)
+        det, p = det.ravel()[k], np.reshape(p, (-1, n))[k]
+    raise NonInvertibleMetric(f"|det g| = {abs(det):.3e} is below the floor or not finite "
+                              f"at {np.reshape(np.asarray(p, dtype=float), -1)}")
 
 
-def _small_det(m):
-    """det of one 2x2 or 3x3 matrix on plain floats, where it is several
-    times faster than ``np.linalg.det``; other sizes go to numpy."""
-    if m.shape == (2, 2):
-        (a, b), (c, d) = m.tolist()
-        return a * d - b * c
-    if m.shape == (3, 3):
-        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return float(np.linalg.det(m))
+def _det_adjugate(e):
+    """det and adjugate (nested entries) of a 2x2 or 3x3 matrix's ``_entries``."""
+    if len(e) == 2:
+        (a, b), (c, d) = e
+        return a * d - b * c, [[d, -b], [-c, a]]
+    (a, b, c), (d, e, f), (g, h, i) = e
+    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
+           [f * g - d * i, a * i - c * g, c * d - a * f],
+           [d * h - e * g, b * g - a * h, a * e - b * d]]
+    return a * adj[0][0] + b * adj[1][0] + c * adj[2][0], adj
 
 
 def christoffel(metric, p):
@@ -255,9 +265,9 @@ def christoffel(metric, p):
 
 
 def _christoffel(metric, p):
-    """``(g, g^{-1}, Gamma)`` at p, as ``christoffel`` computes them: one
-    read of the matrix leaf, one of the partials leaf and one inverse, after
-    the chart margin, finiteness and determinant checks."""
+    """``(g, g^{-1}, Gamma)`` at p, as ``christoffel`` computes them: one read
+    of each of the matrix and partials leaves and one closed-form inverse,
+    after the chart margin, finiteness and determinant checks."""
     dim = metric.dim
     p = np.asarray(p, dtype=float)
     if p.shape == (dim,):

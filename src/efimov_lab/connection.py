@@ -69,6 +69,7 @@ from . import _fd
 from .ambient import (
     DET_FLOOR,
     _assemble,
+    _det_adjugate,
     _entries,
     _scalar,
     as_point,
@@ -76,6 +77,7 @@ from .ambient import (
     christoffel,
     dnabla,
     gauss_curvature,
+    sectional_range,
 )
 from .errors import (
     DegenerateShapeOperator,
@@ -163,8 +165,7 @@ def _inverse_shape_operator(b, q):
     """B^{-1} of a 2x2 B in closed form, or of each B of a stack at the
     points q; DegenerateShapeOperator when |det B| is below the floor, naming
     the first such point."""
-    (b11, b12), (b21, b22) = _entries(b, 2)
-    det = b11 * b22 - b12 * b21
+    det, adj = _det_adjugate(_entries(b, 2))
     if isinstance(det, float):
         if abs(det) < DET_B_FLOOR:
             raise DegenerateShapeOperator(f"|det B| = {abs(det):.3e} below floor at q={q}")
@@ -172,7 +173,7 @@ def _inverse_shape_operator(b, q):
         k = int(np.argmax(small))
         raise DegenerateShapeOperator(f"|det B| = {abs(det.ravel()[k]):.3e} below floor "
                                       f"at q={np.reshape(q, (-1, 2))[k]}")
-    return _assemble([[b22 / det, -b12 / det], [-b21 / det, b11 / det]], 2)
+    return _assemble([[x / det for x in row] for row in adj], 2)
 
 
 def orthonormal_frame(g):
@@ -482,15 +483,6 @@ def dual_connection_at(data, q, x, y):
     return np.einsum("kij,i,j->k", gam, x, y)
 
 
-def covariant_derivative_of_field(data, q, x, field):
-    """D~_x (field) at q for a vector field given as a callable q -> vector."""
-    q = as_point(q, 2)
-    x = np.asarray(x, dtype=float)
-    dfield = _fd.gradient(field, q, FD_STEP)
-    gam = data.gamma(q)
-    return np.einsum("i,ik->k", x, dfield) + np.einsum("kij,i,j->k", gam, x, field(q))
-
-
 def metric_compatibility_residual(data, q, x, y, z):
     """|d_x III(y,z) - III(D~_x y, z) - III(y, D~_x z)| for constant y, z."""
     q = as_point(q, 2)
@@ -684,16 +676,15 @@ def measured_pinching(data, sample_points):
 
     K1 is the largest sampled intrinsic curvature, K2/K3 the extreme sampled
     ambient sectional curvatures; tau0 is the supremum of the pointwise
-    closed-form bound.  The sectional ranges come from one batched call over
-    the sample points' ambient images.  Immersion mode only.
+    closed-form bound.  The fundamental data, the intrinsic curvatures and
+    the sectional ranges over the sample points' ambient images are each
+    one batched call.  Immersion mode only.
     """
-    from .ambient import sectional_range
-
     if data.mode != "immersion":
         raise ModeUnsupported("measured pinching requires immersion mode")
-    forms = [data.fundamental(q) for q in sample_points]
-    k1 = max(fd.k_intrinsic for fd in forms)
-    k_min, k_max = sectional_range(data.ambient, np.array([fd.point for fd in forms]))
+    forms = data.fundamental(np.array(sample_points, dtype=float))
+    k1 = float(np.max(forms.k_intrinsic))
+    k_min, k_max = sectional_range(data.ambient, forms.point)
     tau0 = max(torsion_bound_tau0(lo, hi, k1) if k1 < lo else np.inf
                for lo, hi in zip(k_min.tolist(), k_max.tolist()))
-    return float(k1), float(np.min(k_min)), float(np.max(k_max)), float(tau0)
+    return k1, float(np.min(k_min)), float(np.max(k_max)), float(tau0)

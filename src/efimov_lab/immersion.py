@@ -35,6 +35,7 @@ from .ambient import (
     MetricField,
     _assemble,
     _christoffel,
+    _det_adjugate,
     _entries,
     _quadratic,
     _require_finite,
@@ -203,10 +204,8 @@ class FundamentalData:
         lead = self.q.shape[:-1]
         tangential = ((np.swapaxes(self.jacobian, -1, -2) @ self.metric)
                       @ self.covariant_hessian.reshape(lead + (3, 4)))
-        (f11, f12), (f21, f22) = _entries(self.first, 2)
-        gram = f11 * f22 - f12 * f21
-        adj = _assemble([[f22, -f12], [-f21, f11]], 2)
-        gam = (adj @ tangential / (gram if not lead else gram[:, None, None])).reshape(
+        gram, adj = _det_adjugate(_entries(self.first, 2))
+        gam = (_assemble(adj, 2) @ tangential / (gram[:, None, None] if lead else gram)).reshape(
             lead + (2, 2, 2))
         _require_finite(self.q.reshape(-1, 2), gam)
         return gam
@@ -235,8 +234,7 @@ def _frame(patch, q, g, ginv, jac, jac_t):
     transpose) at q, or at each row of a batch; checks the rank on every
     row."""
     first = jac_t @ g @ jac
-    (f11, f12), (f21, f22) = _entries(first, 2)
-    gram = f11 * f22 - f12 * f21
+    gram, adj = _det_adjugate(_entries(first, 2))
     # d1 phi x d2 phi annihilates the tangent plane; written out because
     # np.cross costs more than the rest of the frame on 3-vectors
     (a0, b0), (a1, b1), (a2, b2) = _entries(jac, 2)
@@ -255,7 +253,7 @@ def _frame(patch, q, g, ginv, jac, jac_t):
             k = np.argmax(flat)
             raise DegenerateImmersion(f"rank of d phi < 2 at q={q[k]} (gram={gram[k]:.3e})")
         n = patch.orientation * n / np.sqrt(norm2)[:, None]
-    return first, _assemble([[f22, -f12], [-f21, f11]], 2), gram, n
+    return first, _assemble(adj, 2), gram, n
 
 
 def induced_metric_field(patch, ambient):

@@ -11,6 +11,7 @@ from efimov_lab.ambient import (
     CHUNK,
     ChartBox,
     MetricField,
+    _checked_inverse,
     christoffel,
     curvature_sample,
     dnabla,
@@ -166,6 +167,12 @@ def test_chart_box_contains_edge_inputs():
     assert inf_box.contains((np.nan, 0.5)) is False
     with pytest.raises(ValueError):
         box.contains([0.0, 1.0, 0.0])
+
+
+def test_metric_field_takes_dims_2_and_3_only():
+    for dim in (1, 4):
+        with pytest.raises(ValueError, match="dim 2 or 3"):
+            MetricField(dim, lambda p: np.eye(dim), ChartBox.cube(dim, 1.0))
 
 
 def test_non_invertible_metric():
@@ -490,3 +497,103 @@ def test_dnabla_batch_rows_equal_one_point_calls():
     sym = gam + np.swapaxes(gam, -1, -2)
     assert np.max(np.abs(dnabla(np.broadcast_to(np.eye(2), (5, 2, 2)), np.zeros((5, 2, 2, 2)),
                                 sym, x, y))) < 1e-14
+
+
+# --- closed-form metric inverse ----------------------------------------------
+
+
+def random_spd(rng, n, dim, cond=100.0):
+    """n symmetric positive definite dim x dim matrices ``Q diag(lam) Q^T``
+    with random rotations, eigenvalue ratios up to ``cond`` and overall
+    scales over four decades."""
+    q = np.linalg.qr(rng.normal(size=(n, dim, dim)))[0]
+    lam = 10.0 ** (rng.uniform(0.0, np.log10(cond), (n, dim)) + rng.uniform(-2.0, 2.0, (n, 1)))
+    a = q @ (lam[..., None] * np.swapaxes(q, -1, -2))
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def metric_stacks():
+    """(name, stack of metric matrices): random SPD 2x2 and 3x3, and the
+    conformal, slab and 2D polar metrics of the gallery at batch points."""
+    rng = np.random.default_rng(25)
+    pts = batch_3d(40)
+    polar = np.column_stack([rng.uniform(0.5, 2.0, 40), rng.uniform(-1.0, 1.0, 40)])
+    return [("spd2", random_spd(rng, 500, 2)), ("spd3", random_spd(rng, 500, 3)),
+            ("sphere3", gallery.sphere3().matrix(0.5 * pts)),
+            ("hyperbolic3", gallery.hyperbolic3().matrix(0.3 * pts)),
+            ("g_lambda", gallery.g_lambda(1.0).matrix(pts)),
+            ("g_lambda_3", gallery.g_lambda(3.0).matrix(pts * [1.0, 1.0, 0.4])),
+            ("sinh_polar", sinh_polar().matrix(polar))]
+
+
+def inverse_errors(stack):
+    """(max-norm error of the closed-form inverse relative to LAPACK's,
+    condition numbers), row by row; ``np.linalg.inv`` is the test-only
+    oracle."""
+    inv = _checked_inverse(stack, np.zeros(stack.shape[:-1]))
+    ref = np.linalg.inv(stack)
+    # the inverse of a symmetric matrix comes out symmetric bit for bit
+    assert np.array_equal(inv, np.swapaxes(inv, -1, -2))
+    err = np.max(np.abs(inv - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+    return err, np.linalg.cond(stack)
+
+
+@pytest.mark.parametrize("name, stack", metric_stacks(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_closed_form_inverse_against_lapack(name, stack):
+    """The adjugate-over-determinant inverse agrees with LAPACK's within a
+    few ulp times the condition number, on metrics with condition numbers
+    up to 100 and on the gallery's (diagonal) ambient metrics."""
+    err, cond = inverse_errors(stack)
+    assert np.max(err / (np.finfo(float).eps * cond)) < 4.0, name
+
+
+def test_closed_form_3x3_inverse_error_grows_as_the_squared_condition_number():
+    """Cramer's rule is forward stable for 2x2 matrices only: on a 3x3
+    metric the rounding of the cofactor expansion of det g grows as
+    ``eps cond^2`` (where LAPACK's stays at ``eps cond``), so an
+    ill-conditioned metric with off-diagonal entries loses digits.  The
+    bound, checked up to cond 1e6."""
+    rng = np.random.default_rng(6)
+    err, cond = inverse_errors(random_spd(rng, 2000, 3, cond=1e6))
+    assert np.max(err / (np.finfo(float).eps * cond ** 2)) < 4.0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_closed_form_inverse_batch_rows_equal_one_point_calls(dim):
+    """Each row of a stack, of a stack with two leading axes and of a stack
+    of one is its one-point inverse bit for bit, through ``_checked_inverse``
+    and through ``MetricField.inverse``."""
+    rng = np.random.default_rng(dim)
+    stack = random_spd(rng, 6, dim)
+    single = np.array([_checked_inverse(g, np.zeros(dim)) for g in stack])
+    assert np.array_equal(_checked_inverse(stack, np.zeros((6, dim))), single)
+    assert np.array_equal(_checked_inverse(stack.reshape(2, 3, dim, dim), np.zeros((2, 3, dim))),
+                          single.reshape(2, 3, dim, dim))
+    assert np.array_equal(_checked_inverse(stack[:1], np.zeros((1, dim))), single[:1])
+    m = gallery.g_lambda(1.0) if dim == 3 else sinh_polar()
+    pts = batch_3d(5) if dim == 3 else np.column_stack([np.linspace(0.6, 1.9, 5), np.zeros(5)])
+    assert np.array_equal(m.inverse(pts), np.array([m.inverse(p) for p in pts]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inverse_of_a_non_finite_or_singular_metric_raises_naming_the_first_bad_row():
+    """A determinant below DET_FLOOR, infinite or NaN raises
+    NonInvertibleMetric, at one point and in a batch, where the error names
+    the first bad row; never a numpy warning or an inverse with zeros."""
+    box = ChartBox.cube(3, 1.0)
+    for diag in ([np.inf, 1.0, 1.0], [np.nan, 1.0, 1.0], [1e200, 1e200, 1.0], [1e-13, 1.0, 1.0]):
+        m = MetricField(3, lambda p, d=diag: np.diag(d), box)
+        with pytest.raises(NonInvertibleMetric, match=re.escape(str(np.zeros(3)))):
+            m.inverse(np.zeros(3))
+    stack = np.broadcast_to(np.eye(3), (5, 3, 3)).copy()
+    pts = np.arange(15.0).reshape(5, 3)
+    for bad in (np.inf, np.nan, 0.0):
+        rows = stack.copy()
+        rows[2, 1, 1] = rows[4, 0, 0] = bad
+        with pytest.raises(NonInvertibleMetric, match=re.escape(str(pts[2]))):
+            _checked_inverse(rows, pts)
+    plane = np.broadcast_to(np.eye(2), (3, 2, 2)).copy()
+    plane[1, 0, 1] = plane[1, 1, 0] = np.inf
+    with pytest.raises(NonInvertibleMetric, match=re.escape(str(pts[1, :2]))):
+        _checked_inverse(plane, pts[:, :2])

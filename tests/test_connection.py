@@ -301,6 +301,27 @@ def test_ktilde_bounds_on_slice(slice_data):
         assert k4 - 1e-6 <= kt <= k5 + 1e-6
 
 
+@pytest.mark.parametrize("name, points", [
+    ("saddle", [(0.0, 0.0), (0.1, -0.2), (-0.3, 0.25)]),
+    ("clifford_torus", [(0.1, -0.2), (0.5, 0.3), (-1.0, 0.8)]),
+    ("hyperbolic_slice", [(x, y) for x in (-0.4, 0.0, 0.4) for y in (-0.45, 0.1, 0.45)]),
+])
+def test_measured_pinching_batch_equals_one_point_reads(name, points):
+    """The batched read of the sample gives the one-point reads' K1, K2, K3
+    and tau0 bit for bit: K_I from one fundamental-data read per point and
+    the sectional range at each point's ambient image."""
+    from efimov_lab.ambient import sectional_range
+    from efimov_lab.connection import measured_pinching, torsion_bound_tau0
+
+    data = gallery.build_example(name).data
+    forms = [data.fundamental(np.array(q)) for q in points]
+    k1 = max(fd.k_intrinsic for fd in forms)
+    ranges = [sectional_range(data.ambient, fd.point) for fd in forms]
+    tau0 = max(torsion_bound_tau0(lo, hi, k1) if k1 < lo else np.inf for lo, hi in ranges)
+    assert measured_pinching(data, points) == (
+        k1, min(lo for lo, _ in ranges), max(hi for _, hi in ranges), tau0)
+
+
 def test_ktilde_abstract_matches_metric_curvature(abstract_sphere, hyperbolic_abstract):
     assert abs(abstract_sphere.curvature([0.4, -0.1]) - 1.0) < 1e-9
     assert abs(hyperbolic_abstract.curvature([1.3, 0.2]) + 1.0) < 1e-9
