@@ -112,6 +112,22 @@ class ChartBox:
         hi = np.asarray(self.hi, dtype=float) - margin + 1e-15
         return np.all((pts >= lo) & (pts <= hi), axis=-1)
 
+    def require_inside(self, p, margin=0.0, name="chart"):
+        """Raise PointOutsideChart unless p, or every row of an (N, dim)
+        batch p, lies in the box shrunk by ``margin``; the error names the
+        first point outside and ``name``, the owner of the box."""
+        if getattr(p, "ndim", 1) < 2:
+            if self.contains(p, margin=margin):
+                return
+            p = np.asarray(p)
+        else:
+            outside = ~self.inside(p, margin)
+            if not outside.any():
+                return
+            p = p[np.argmax(outside)]
+        raise PointOutsideChart(f"point {p} outside the box of {name}"
+                                + (f" (margin {margin})" if margin else ""))
+
 
 class MetricField:
     """A Riemannian metric on one coordinate chart.
@@ -154,22 +170,7 @@ class MetricField:
         return self._partials is not None
 
     def require_inside(self, p, margin=0.0):
-        """Raise PointOutsideChart unless p, or every row of a batch p,
-        lies in the box shrunk by ``margin``; the error names the first
-        point outside."""
-        if getattr(p, "ndim", 1) < 2:
-            if self.box.contains(p, margin=margin):
-                return
-            p = np.asarray(p)
-        else:
-            outside = ~self.box.inside(p, margin)
-            if not outside.any():
-                return
-            p = p[np.argmax(outside)]
-        raise PointOutsideChart(
-            f"point {p} outside chart box of {self.name or 'metric'}"
-            + (f" (margin {margin})" if margin else "")
-        )
+        self.box.require_inside(p, margin, self.name or "metric")
 
     def fd_margin(self):
         """Stencil reach of the widest finite-difference formula in use."""

@@ -6,6 +6,10 @@ At a point with negative extrinsic curvature the inverse shape operator B~
 has two unit directions with ``B~ U = k J U`` and ``B~ V = -k J V``,
 ``k = |det B~|^{1/2}``.  All norms and angles here use the third fundamental
 form.
+
+:func:`asymptotic_frame` and :func:`measured_tau1` take one point or an
+(N, 2) batch, as the connection's evaluators do, and a batch row equals the
+one-point result bit for bit.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import _quadratic, as_point
-from .connection import FD_STEP, _torsion_from_gamma, complex_structure
+from .ambient import _assemble, _entries, _quadratic, as_point, as_points
+from .connection import FD_STEP, _first, _rotation, _sqrt, _torsion_from_gamma, complex_structure
+from .connection import measured_pinching
 from .curves import CurveTrace, _chart_flow, _chart_read, hermite
 from .curves import parallel_transport_samples, trace_margin
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint
@@ -37,7 +42,8 @@ __all__ = [
 
 @dataclass
 class AsymptoticFrame:
-    """Unit asymptotic directions, their angle, and the eigenvalue k."""
+    """Unit asymptotic directions, their angle, and the eigenvalue k; for a
+    batch, each with a leading axis over the rows."""
 
     u: np.ndarray
     v: np.ndarray
@@ -50,6 +56,30 @@ def _require_shape_mode(data):
         raise ModeUnsupported(
             "asymptotic directions need an inverse shape operator; "
             "metric+torsion data has none")
+
+
+def _per_row(fn, nin, dtype=float):
+    """``fn`` of floats for one point, and row by row for the (N,) arrays of
+    a batch: one libm call on both paths, where numpy's arccos and hypot
+    round a last bit differently on a share of inputs."""
+    rows = np.frompyfunc(fn, nin, 1)
+    return lambda *x: rows(*x).astype(dtype) if isinstance(x[0], np.ndarray) else fn(*x)
+
+
+_angle = _per_row(lambda c: math.acos(min(max(c, -1.0), 1.0)), 1)  # |cos| may round past 1
+# whether the row (a, b) of a 2x2 matrix is at least as long as the row (c, d)
+_longer = _per_row(lambda a, b, c, d: math.hypot(a, b) >= math.hypot(c, d), 4, bool)
+
+
+def _select(cond, a, b):
+    """``a`` where cond holds and ``b`` elsewhere: on floats for one point,
+    row by row on (N,) arrays for a batch."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _flip(cond, x):
+    """The pair x negated where cond holds."""
+    return _select(cond, (-x[0], -x[1]), x)
 
 
 def asymptotic_frame(data, q, ref_u=None, ref_v=None):
@@ -67,21 +97,26 @@ def asymptotic_frame(data, q, ref_u=None, ref_v=None):
     instead.  V is then oriented so the frame is positively ordered.  When
     ``ref_u``/``ref_v`` are given, signs maximize the metric inner product
     with them instead (continuity along traces).
+
+    q is one point or an (N, 2) batch, a reference one vector or one per
+    row; the 2x2 arithmetic runs on floats (at every stage of every flow)
+    or on (N,) arrays, each sign choice a select.  NonHyperbolicPoint names
+    the first row with det B~ >= 0.
     """
     _require_shape_mode(data)
-    q = as_point(q, 2)
-    (b11, b12), (b21, b22) = data.b_tilde(q).tolist()
+    q = as_points(q, 2)
+    (b11, b12), (b21, b22) = _entries(data.b_tilde(q), 2)
     det = b11 * b22 - b12 * b21
-    if det >= 0:
-        raise NonHyperbolicPoint(f"det B~ = {det:.3e} >= 0 at q={q}")
-    k = math.sqrt(-det)
-    g = data.third_form(q)
-    (g11, g12), (g21, g22) = g.tolist()
-    (j11, j12), (j21, j22) = complex_structure(g).tolist()
+    i = _first(det >= 0)
+    if i is not None:
+        raise NonHyperbolicPoint(f"det B~ = {np.asarray(det)[i]:.3e} >= 0 at q={q[i]}")
+    k = _sqrt(-det)
+    g = _entries(data.third_form(q), 2)
+    (g11, g12), (g21, g22) = g
+    (j11, j12), (j21, j22) = _rotation(g, q)
 
-    # 2x2 arithmetic on Python floats: this runs at every stage of every flow
     def inner(x, y):
-        """III(x, y) for two pairs of floats."""
+        """III(x, y) for two pairs of floats or of arrays."""
         return (x[0] * g11 + x[1] * g21) * y[0] + (x[0] * g12 + x[1] * g22) * y[1]
 
     def rotated(x):
@@ -92,41 +127,34 @@ def asymptotic_frame(data, q, ref_u=None, ref_v=None):
     m21, m22 = -(j21 * b11 + j22 * b21), -(j21 * b12 + j22 * b22)
     half = 0.5 * (m11 + m22)
     # tr^2/4 - det M >= -det M = -det B~ > 0: the two eigenvalues are real
-    root = math.sqrt(max(half * half - (m11 * m22 - m12 * m21), 0.0))
+    disc = half * half - (m11 * m22 - m12 * m21)
+    root = _sqrt(_select(0.0 > disc, 0.0, disc))
+    # U takes the eigenvalue nearest k
+    root = _select(abs(half - root - k) < abs(half + root - k), -root, root)
     lam_u, lam_v = half + root, half - root
-    if abs(lam_v - k) < abs(lam_u - k):
-        lam_u, lam_v = lam_v, lam_u
 
     def unit_eigenvector(lam):
-        if math.hypot(m11 - lam, m12) >= math.hypot(m21, m22 - lam):
-            w = (m12, lam - m11)
-        else:
-            w = (lam - m22, m21)
-        n = math.sqrt(inner(w, w))
+        d1, d2 = lam - m11, lam - m22
+        w = _select(_longer(d1, m12, m21, d2), (m12, d1), (d2, m21))
+        n = _sqrt(inner(w, w))
         return (w[0] / n, w[1] / n)
-
-    def flip(x):
-        return (-x[0], -x[1])
 
     u = unit_eigenvector(lam_u)
     v = unit_eigenvector(lam_v)
 
     if ref_u is not None:
-        if inner(u, np.asarray(ref_u, dtype=float).tolist()) < 0:
-            u = flip(u)
+        u = _flip(inner(u, _entries(ref_u, 1)) < 0, u)
     elif ref_v is None:
-        if (u[0] < 0) if abs(u[0]) > 1e-6 * abs(u[1]) else (u[1] < 0):
-            u = flip(u)
+        u = _flip(_select(abs(u[0]) > 1e-6 * abs(u[1]), u[0] < 0, u[1] < 0), u)
     if ref_v is not None:
-        if inner(v, np.asarray(ref_v, dtype=float).tolist()) < 0:
-            v = flip(v)
-        if ref_u is None and inner(rotated(u), v) < 0:
-            u = flip(u)  # orientation fixes the remaining sign
-    elif inner(rotated(u), v) < 0:
-        v = flip(v)
-    theta = math.acos(min(max(inner(u, v), -1.0), 1.0))
-    u, v = np.array(u) + 0.0, np.array(v) + 0.0  # + 0.0 turns a -0.0 entry into 0.0
-    return AsymptoticFrame(u=u, v=v, theta=theta, k=k)
+        v = _flip(inner(v, _entries(ref_v, 1)) < 0, v)
+        if ref_u is None:
+            u = _flip(inner(rotated(u), v) < 0, u)  # orientation fixes the remaining sign
+    else:
+        v = _flip(inner(rotated(u), v) < 0, v)
+    theta = _angle(inner(u, v))
+    # + 0.0 turns a -0.0 entry into 0.0
+    return AsymptoticFrame(u=_assemble(u, 1) + 0.0, v=_assemble(v, 1) + 0.0, theta=theta, k=k)
 
 
 def theta_mean_curvature_residual(data, q):
@@ -144,23 +172,33 @@ def _frame_rates(data, q):
     """The frame at q, the covariant derivatives ``D~_V U`` and ``D~_U V``
     of its two frame fields, sign-aligned with it, the gradient of ln k, and
     the connection coefficients at q: one FD stencil over the stacked fields
-    (U, V, ln k) and one Gamma read."""
+    (U, V, ln k) and one Gamma read, at one point or at each row of an
+    (N, 2) batch."""
     base = asymptotic_frame(data, q)
 
-    def frame_fields(qq):
-        frame = asymptotic_frame(data, qq, ref_u=base.u, ref_v=base.v)
-        return np.concatenate([frame.u, frame.v, [math.log(frame.k)]])
+    def frame_fields(qq, ref_u=base.u, ref_v=base.v):
+        frame = asymptotic_frame(data, qq, ref_u=ref_u, ref_v=ref_v)
+        return np.concatenate([frame.u, frame.v, np.log(frame.k)[..., None]], axis=-1)
 
-    # d[i] = (d_i U, d_i V, d_i ln k)
-    d = _fd.gradient(frame_fields, q, FD_STEP)
+    def stacked_fields(qq):  # the (S, N, 2) stencil of a batch, as one batch
+        s = len(qq)
+        return frame_fields(qq.reshape(-1, 2), np.tile(base.u, (s, 1)),
+                            np.tile(base.v, (s, 1))).reshape(qq.shape[:-1] + (5,))
+
+    # d[..., i, :] = (d_i U, d_i V, d_i ln k): one point reads by stencil point
+    # (sharing the memo with gamma's dB stencil), a batch its stacked stencil
+    # at once (the jet's gradient is the stencil-point one, bit for bit)
+    d = (_fd.gradient(frame_fields, q, FD_STEP) if q.ndim == 1
+         else _fd.jet(stacked_fields, q, FD_STEP)[1])
     gam = data.gamma(q)
 
     def rate(x, dfield, y):
         """D~_x Y from the partials ``dfield`` of Y and its value y at q."""
-        return np.einsum("i,ik->k", x, dfield) + np.einsum("kij,i,j->k", gam, x, y)
+        return (np.einsum("...i,...ik->...k", x, dfield)
+                + np.einsum("...kij,...i,...j->...k", gam, x, y))
 
-    return (base, rate(base.v, d[:, 0:2], base.u), rate(base.u, d[:, 2:4], base.v), d[:, 4],
-            gam)
+    return (base, rate(base.v, d[..., 0:2], base.u), rate(base.u, d[..., 2:4], base.v),
+            d[..., 4], gam)
 
 
 def covariant_rate_check(data, q):
@@ -284,15 +322,11 @@ def trace_asymptotic(data, q, which, length, step):
 def measured_tau1(data, points):
     """sup of ||D~_U V|| / sin(theta) and ||D~_V U|| / sin(theta) over a
     sample of parameter points; the measured stand-in for the closed-form
-    rate constant."""
-    worst = 0.0
-    for q in points:
-        q = as_point(q, 2)
-        base, nabla_v_u, nabla_u_v, _, _ = _frame_rates(data, q)
-        nvu = data.norm(q, nabla_v_u)
-        nuv = data.norm(q, nabla_u_v)
-        worst = max(worst, nvu / np.sin(base.theta), nuv / np.sin(base.theta))
-    return float(worst)
+    rate constant.  The points are read as one batch."""
+    q = as_points(np.reshape(np.asarray(points, dtype=float), (-1, 2)), 2)
+    base, nabla_v_u, nabla_u_v, _, _ = _frame_rates(data, q)
+    worst = np.maximum(data.norm(q, nabla_v_u), data.norm(q, nabla_u_v)) / np.sin(base.theta)
+    return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------
@@ -402,41 +436,29 @@ def net_expansion_check(data, q, lengths, n_u=6, n_v=6, step=None):
     report["beta"] = beta
     report["points"] = pts
 
-    tau1 = measured_tau1(data, [pts[i, j] for i in range(0, n_u + 1, max(1, n_u // 3))
-                                for j in range(0, n_v + 1, max(1, n_v // 3))])
+    tau1 = measured_tau1(data, pts[::max(1, n_u // 3), ::max(1, n_v // 3)])
     report["tau1"] = tau1
     if data.mode == "immersion":
-        from .connection import measured_pinching
         k1, k2, k3, tau0 = measured_pinching(
-            data, [pts[i, j] for i in range(0, n_u + 1, max(1, n_u // 2))
-                   for j in range(0, n_v + 1, max(1, n_v // 2))])
+            data, pts[::max(1, n_u // 2), ::max(1, n_v // 2)].reshape(-1, 2))
         report["pinching"] = (k1, k2, k3)
     else:
-        tau0 = max(data.torsion_norm(pts[i, j]) for i in range(n_u + 1)
-                   for j in range(n_v + 1))
+        tau0 = float(np.max(data.torsion_norm(pts.reshape(-1, 2))))
     report["tau0"] = tau0
     bound = tau0 + 2.0 * tau1
     report["bound"] = bound
 
     # |d_u alpha| <= bound * alpha * beta and |d_v beta| <= bound * alpha * beta
-    sup_a = 0.0
-    sup_b = 0.0
-    for i in range(1, n_u):
-        for j in range(1, n_v + 1):
-            da = (alpha[i + 1, j] - alpha[i - 1, j]) / (2 * du)
-            sup_a = max(sup_a, abs(da) / (alpha[i, j] * beta[i, j]))
-    for i in range(1, n_u + 1):
-        for j in range(1, n_v):
-            db = (beta[i, j + 1] - beta[i, j - 1]) / (2 * dv)
-            sup_b = max(sup_b, abs(db) / (alpha[i, j] * beta[i, j]))
-    report["sup_dua_over_ab"] = sup_a
-    report["sup_dvb_over_ab"] = sup_b
+    ab = alpha * beta
+    da = (alpha[2:, 1:] - alpha[:-2, 1:]) / (2 * du)
+    db = (beta[1:, 2:] - beta[1:, :-2]) / (2 * dv)
+    report["sup_dua_over_ab"] = float(np.max(np.abs(da) / ab[1:-1, 1:], initial=0.0))
+    report["sup_dvb_over_ab"] = float(np.max(np.abs(db) / ab[1:, 1:-1], initial=0.0))
 
-    # dL/dv of the rows against the integrated bound
-    lengths_v = np.array([np.trapezoid(beta[:, j], dx=du) for j in range(n_v + 1)])
+    # dL/dv of the rows against the integrated bound; each column of beta is
+    # integrated as one contiguous row, as a column alone would be
+    lengths_v = np.trapezoid(np.ascontiguousarray(beta.T), dx=du)
     report["row_lengths"] = lengths_v
-    dl = np.gradient(lengths_v, dv)
-    report["dL_dv"] = dl
-    report["dL_dv_bound"] = np.array([
-        bound * np.max(alpha[:, j]) * lengths_v[j] for j in range(n_v + 1)])
+    report["dL_dv"] = np.gradient(lengths_v, dv)
+    report["dL_dv_bound"] = bound * np.max(alpha, axis=0) * lengths_v
     return report

@@ -25,15 +25,18 @@ constant) is broadcast; a callable of one (2,) point is wrapped in
 ``_fd.pointwise``.  The B field of operator mode follows the same contract
 with (..., 2, 2) matrices.
 
-Batch contract: ``gamma``, ``third_form``, ``torsion_vector``, ``curvature``
-and ``area_density`` take one point of shape (2,) or a batch of shape
-(N, 2), and for a batch every result gains a leading axis over the rows.
+Batch contract: ``gamma``, ``third_form``, ``torsion_vector``, ``curvature``,
+``area_density`` and the III-norms ``norm``, ``unit`` and ``torsion_norm``
+take one point of shape (2,) or a batch of shape (N, 2) (``norm`` and
+``unit`` with one vector per row), and for a batch every result gains a
+leading axis over the rows.
 Every mode evaluates a batch in one vectorised pass of the formulas it
 applies to one point (on Python floats there, on (N,) arrays, or on stacked
 matrices whose matmuls round each row as the one-point product), so each
 row equals the one-point result bit for bit; the checks (chart margin,
 positive definite III, finite coefficients, |det B|, the rank of the
-immersion) hold on every row, and the error names the first failing point.
+immersion, a finite non-zero vector) hold on every row, and the error names
+the first failing point.
 Torsion mode reads III and the torsion once per batch.  Operator mode reads
 B once for ``b_matrix``, ``b_tilde``, ``third_form`` and K~; its ``gamma``
 reads B and sigma's symbols once and B 8 more times for ``dB``
@@ -71,6 +74,7 @@ from .ambient import (
     _assemble,
     _det_adjugate,
     _entries,
+    _quadratic,
     _scalar,
     as_point,
     as_points,
@@ -107,14 +111,28 @@ def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
 
 
+def _first(bad):
+    """Where ``bad`` first holds, as an index of the point's values: ``()``
+    for one point (a bool), the first such row of a batch, else None."""
+    if isinstance(bad, np.ndarray):
+        return int(np.argmax(bad)) if bad.any() else None
+    return () if bad else None
+
+
 def complex_structure(g):
     """Matrix of the rotation J by +pi/2 for a 2x2 metric g, or for each
     metric of an (N, 2, 2) stack:
     (Jx)^c = sqrt(det g) eps_{ab} g^{bc} x^a, which is
     ((-g21, -g22), (g11, g12)) / sqrt(det g)."""
-    (g11, g12), (g21, g22) = _entries(g, 2)
-    s = _sqrt(_metric_det(g11, g12, g21, g22))
-    return _assemble([[-g21 / s, -g22 / s], [g11 / s, g12 / s]], 2)
+    return _assemble(_rotation(_entries(g, 2)), 2)
+
+
+def _rotation(g, points=None):
+    """The nested entries of J for those of g, floats or (N,) arrays; an
+    error names the first failing row, or its point when ``points`` are given."""
+    (g11, g12), (g21, g22) = g
+    s = _sqrt(_metric_det(g11, g12, g21, g22, points))
+    return [[-g21 / s, -g22 / s], [g11 / s, g12 / s]]
 
 
 def _metric_det(g11, g12, g21, g22, points=None):
@@ -166,14 +184,12 @@ def _inverse_shape_operator(b, q):
     points q; DegenerateShapeOperator when |det B| is below the floor, naming
     the first such point."""
     det, adj = _det_adjugate(_entries(b, 2))
-    if isinstance(det, float):
-        if abs(det) < DET_B_FLOOR:
-            raise DegenerateShapeOperator(f"|det B| = {abs(det):.3e} below floor at q={q}")
-    elif (small := np.abs(det) < DET_B_FLOOR).any():
-        k = int(np.argmax(small))
-        raise DegenerateShapeOperator(f"|det B| = {abs(det.ravel()[k]):.3e} below floor "
-                                      f"at q={np.reshape(q, (-1, 2))[k]}")
-    return _assemble([[x / det for x in row] for row in adj], 2)
+    k = _first(abs(det) < DET_B_FLOOR)
+    if k is not None:
+        raise DegenerateShapeOperator(
+            f"|det B| = {abs(np.asarray(det)[k]):.3e} below floor at q={q[k]}")
+    (a11, a12), (a21, a22) = adj
+    return _assemble([[a11 / det, a12 / det], [a21 / det, a22 / det]], 2)
 
 
 def orthonormal_frame(g):
@@ -233,24 +249,31 @@ class SurfaceConnectionData:
         return _sqrt(_metric_det(g11, g12, g21, g22, as_points(q, 2)))
 
     def norm(self, q, x):
+        """III-length of the vector x at q, or of each row of (N, 2) vectors
+        at the rows of an (N, 2) batch q; DegenerateVector names the first
+        row that is not finite or has no finite length."""
+        q = as_points(q, 2)
         g = self.third_form(q)
-        _metric_det(*g.ravel().tolist())
+        (g11, g12), (g21, g22) = _entries(g, 2)
+        _metric_det(g11, g12, g21, g22, q)
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
-            raise DegenerateVector(f"non-finite tangent vector {x} at q={q}")
         with np.errstate(over="ignore", invalid="ignore"):
-            xgx = x @ g @ x
-        if not np.isfinite(xgx):
-            raise DegenerateVector(f"tangent vector {x} has no finite length at q={q}")
+            xgx = _quadratic(x, g, x)
+        k = _first(~np.isfinite(xgx))
+        if k is not None:
+            x, q = np.broadcast_arrays(x, q)
+            raise DegenerateVector(f"tangent vector {x[k]} has no finite length at q={q[k]}")
         # III is positive definite here, so only rounding can make x.g.x < 0
-        return float(np.sqrt(max(xgx, 0.0)))
+        return _scalar(np.sqrt(np.maximum(xgx, 0.0)))
 
     def unit(self, q, x):
+        """x over its III-length, at one point or at each row of a batch."""
         x = np.asarray(x, dtype=float)
         n = self.norm(q, x)
-        if n == 0.0:
-            raise DegenerateVector(f"cannot normalise the zero vector at q={q}")
-        return x / n
+        k = _first(np.equal(n, 0.0))
+        if k is not None:
+            raise DegenerateVector(f"cannot normalise the zero vector at q={as_points(q, 2)[k]}")
+        return x / np.asarray(n)[..., None]
 
     def curvature(self, q):
         """K~ at q, or at each row of an (N, 2) batch, in closed form per
@@ -436,7 +459,7 @@ class _ImmersionProvider(_OperatorProvider):
         an (N, 2) batch, from one call of the batch kernel."""
         q = as_points(q, 2)
         if q.ndim == 1:
-            return self._memo(float(q[0]), float(q[1]))
+            return self._memo(*q.tolist())
         return _fundamental_rows(self.patch, self.ambient, q)
 
     def b_matrix(self, q):
@@ -461,9 +484,8 @@ class _ImmersionProvider(_OperatorProvider):
         q = as_points(q, 2)
         data = self.fundamental(q)
         k_e = data.k_extrinsic
-        small = np.abs(k_e) < DET_B_FLOOR
-        if small.any():
-            k = np.argmax(small) if q.ndim > 1 else ()
+        k = _first(np.abs(k_e) < DET_B_FLOOR)
+        if k is not None:
             raise DegenerateShapeOperator(
                 f"|K_e| = {abs(np.asarray(k_e)[k]):.3e} below floor at q={q[k]}")
         return data.k_intrinsic / k_e
@@ -513,9 +535,7 @@ def dual_codazzi_residual(data, q):
     x, y = np.eye(2)
     dbt = _fd.gradient(data.b_tilde, q, FD_STEP)
     # coordinate fields commute, so B~ [x, y] = 0
-    resid = dnabla(data.b_tilde(q), dbt, data.gamma(q), x, y)
-    g = data.third_form(q)
-    return float(np.sqrt(max(resid @ g @ resid, 0.0)))
+    return data.norm(q, dnabla(data.b_tilde(q), dbt, data.gamma(q), x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -563,25 +583,6 @@ def curvature_bounds_k4k5(k1, k2, k3):
     k5 = 1.0 if k2 >= 0 else k1 / (k1 - k2)
     k4 = 1.0 if k3 <= 0 else k1 / (k1 - k3)
     return float(k4), float(k5)
-
-
-@dataclass
-class BoundSet:
-    """Pinching constants and the derived bounds for one configuration."""
-
-    k1: float
-    k2: float
-    k3: float
-    k4: float = float("nan")
-    k5: float = float("nan")
-    tau0: float = float("nan")
-    tau1: float = float("nan")  # measured estimate, not a closed form
-
-    @classmethod
-    def from_pinching(cls, k1, k2, k3, tau1=float("nan")):
-        k4, k5 = curvature_bounds_k4k5(k1, k2, k3)
-        tau0 = torsion_bound_tau0(k2, k3, k1)
-        return cls(k1, k2, k3, k4, k5, tau0, tau1)
 
 
 @dataclass

@@ -46,7 +46,7 @@ from .ambient import (
     riemann_operator,
     riemann_sectional,
 )
-from .errors import DegenerateImmersion, PointOutsideChart
+from .errors import DegenerateImmersion
 
 RANK_FLOOR = 1e-10
 
@@ -88,18 +88,7 @@ class SurfacePatch:
         return 0.0 if self._derivatives is not None else 2.0 * self.fd_step
 
     def require_inside(self, q, margin=0.0):
-        """Raise PointOutsideChart unless q, or every row of an (N, 2) batch
-        q, lies in the box shrunk by ``margin``; the error names the first
-        point outside."""
-        if getattr(q, "ndim", 1) < 2:
-            if self.box.contains(q, margin=margin):
-                return
-        else:
-            outside = ~self.box.inside(q, margin)
-            if not outside.any():
-                return
-            q = q[np.argmax(outside)]
-        raise PointOutsideChart(f"parameter point {q} outside patch box of {self.name or 'patch'}")
+        self.box.require_inside(q, margin, self.name or "patch")
 
     def _checked(self, q, value, shape):
         """``value``, the map's or the hook's value at q, as floats.  For a

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,9 @@ def test_saddle_frame_sign_ignores_rounding_noise(saddle_data):
 def test_sphere_not_hyperbolic(sphere2_data):
     with pytest.raises(NonHyperbolicPoint):
         asymptotic_frame(sphere2_data, [1.1, 0.4])
+    pts = np.array([[0.8, -0.3], [1.1, 0.4]])
+    with pytest.raises(NonHyperbolicPoint, match=re.escape(str(pts[0]))):
+        asymptotic_frame(sphere2_data, pts)
 
 
 def test_frame_residuals_sampled(slice_data):
@@ -140,7 +145,10 @@ def test_rate_bounded_by_measured_tau1(slice_data_half):
 ])
 def test_frame_rates_equal_the_two_field_route(name, params, q):
     """One stencil over the stacked frame fields (U, V) gives D~_V U and
-    D~_U V bit for bit as one ``covariant_derivative_of_field`` per field."""
+    D~_U V bit for bit as one ``covariant_derivative_of_field`` per field.
+    On an (N, 2) batch, with no reference, with ``ref_u`` and with
+    ``ref_v``, each row of the frame and of the rates equals the one-point
+    call bit for bit."""
     from efimov_lab.asymptotics import _frame_rates
 
     data = gallery.build_example(name, **params).data
@@ -152,6 +160,20 @@ def test_frame_rates_equal_the_two_field_route(name, params, q):
 
     assert np.array_equal(nabla_v_u, covariant_derivative_of_field(data, q, base.v, field("u")))
     assert np.array_equal(nabla_u_v, covariant_derivative_of_field(data, q, base.u, field("v")))
+
+    rng = np.random.default_rng(8)
+    pts = q + rng.uniform(-0.05, 0.05, (40, 2))
+    refs = rng.normal(size=(40, 2))
+    for kw in ({}, {"ref_u": refs}, {"ref_v": refs}):
+        batch = asymptotic_frame(data, pts, **kw)
+        for i, p in enumerate(pts):
+            one = asymptotic_frame(data, p, **{key: r[i] for key, r in kw.items()})
+            for key in ("u", "v", "theta", "k"):
+                assert np.array_equal(getattr(batch, key)[i], getattr(one, key)), (kw, key)
+    rates = _frame_rates(data, pts[:3])
+    for i, p in enumerate(pts[:3]):
+        for got, want in zip(rates[1:], _frame_rates(data, p)[1:]):
+            assert np.array_equal(got[i], want)
 
 
 @pytest.mark.parametrize("name, q, which", [

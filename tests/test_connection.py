@@ -10,7 +10,6 @@ from efimov_lab import _fd, gallery
 from efimov_lab.ambient import ChartBox, MetricField, christoffel, metric_from_expressions
 from efimov_lab.connection import (
     CURVATURE_FD_STEP,
-    BoundSet,
     SurfaceConnectionData,
     check_hypothesis,
     complex_structure,
@@ -206,10 +205,17 @@ def test_mode_without_the_data_raises_mode_unsupported(mode, accessor):
         getattr(data, accessor)(q)
 
 
-@pytest.mark.parametrize("x", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+@pytest.mark.parametrize("x", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0], [1e200, 0.0]])
 def test_unit_of_degenerate_vector_raises(abstract_sphere, x):
+    """A zero, non-finite or overflowing vector raises DegenerateVector, for
+    one point and as row 1 of a batch, whose error names that row's point,
+    never a numpy warning."""
     with pytest.raises(DegenerateVector):
         abstract_sphere.unit([0.3, 0.2], x)
+    pts = np.array([[0.3, 0.2], [0.1, -0.4], [0.5, 0.6]])
+    xs = np.array([[1.0, 0.5], x, [0.0, 2.0]])
+    with pytest.raises(DegenerateVector, match=re.escape(str(pts[1]))):
+        abstract_sphere.unit(pts, xs)
 
 
 def test_norm_without_finite_length_raises(abstract_plane):
@@ -217,6 +223,8 @@ def test_norm_without_finite_length_raises(abstract_plane):
     typed error, not numpy's overflow warning."""
     with pytest.raises(DegenerateVector):
         abstract_plane.norm([0.0, 0.0], [1e200, 0.0])
+    with pytest.raises(DegenerateVector, match=re.escape(str(np.array([0.2, 0.1])))):
+        abstract_plane.norm([[0.0, 0.0], [0.2, 0.1]], [[1.0, 0.0], [1e200, 0.0]])
 
 
 # --- torsion bound ----------------------------------------------------------
@@ -258,6 +266,8 @@ def test_k4k5_cases():
     assert curvature_bounds_k4k5(-1.0, 0.0, 0.0) == (1.0, 1.0)
     assert curvature_bounds_k4k5(-1.0, -0.5, -0.25) == (1.0, 2.0)
     assert curvature_bounds_k4k5(-1.0, 0.5, 1.0) == (0.5, 1.0)
+    k4, k5 = curvature_bounds_k4k5(-1.0, -0.9, -0.8)
+    assert k4 == 1.0 and abs(k5 - 10.0) < 1e-12
 
 
 def test_k4k5_ordering_property():
@@ -268,12 +278,6 @@ def test_k4k5_ordering_property():
         k3 = k2 + rng.uniform(0.0, 3.0)
         k4, k5 = curvature_bounds_k4k5(k1, k2, k3)
         assert 0 < k4 <= k5 + 1e-15
-
-
-def test_boundset_from_pinching():
-    b = BoundSet.from_pinching(-1.0, -0.9, -0.8)
-    assert b.k4 == 1.0 and abs(b.k5 - 10.0) < 1e-12
-    assert abs(b.tau0 - torsion_bound_tau0(-0.9, -0.8, -1.0)) < 1e-15
 
 
 # --- K~ ---------------------------------------------------------------------
@@ -733,20 +737,27 @@ def test_immersion_batch_names_the_degenerate_row(euclid):
 @pytest.mark.parametrize("mode", ["torsion", "operator", "immersion"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_torsion_batch_rows_equal_one_point_calls(mode, n, saddle_data):
-    """``torsion_vector`` and ``torsion_from_coefficients`` of an (N, 2)
-    batch equal the one-point calls row by row, N = 2 included (a 2-row
-    batch must not be read as one point's coefficients)."""
+    """``torsion_vector``, ``torsion_from_coefficients``, ``torsion_norm``
+    and the III-norms ``norm`` and ``unit`` of an (N, 2) batch equal the
+    one-point calls row by row, N = 2 included (a 2-row batch must not be
+    read as one point's coefficients)."""
     data, pts = {
         "torsion": (gallery.hyperbolic_deformed(1.3), [[1.2, 0.1], [1.5, -0.4], [0.9, 0.3]]),
         "operator": (_operator_case("seed3")[0], [[0.8, 0.1], [1.5, -0.7], [2.2, 1.3]]),
         "immersion": (saddle_data, [[0.1, 0.2], [-0.3, 0.05], [0.2, -0.1]]),
     }[mode]
     pts = np.array(pts[:n])
-    for method in ("torsion_vector", "torsion_from_coefficients"):
+    for method in ("torsion_vector", "torsion_from_coefficients", "torsion_norm"):
         evaluate = getattr(data, method)
         batch = evaluate(pts)
         single = np.array([evaluate(p) for p in pts])
-        assert batch.shape == (n, 2) and np.array_equal(batch, single), method
+        assert batch.shape == single.shape and np.array_equal(batch, single), method
+    x = np.array([[0.3, -0.5], [1e-3, 2.0], [-7.0, 0.25]])[:n]
+    for method in ("norm", "unit"):
+        evaluate = getattr(data, method)
+        batch = evaluate(pts, x)
+        single = np.array([evaluate(p, v) for p, v in zip(pts, x)])
+        assert batch.shape == single.shape and np.array_equal(batch, single), method
 
 
 # --- hypothesis verdicts ----------------------------------------------------
@@ -770,6 +781,9 @@ def test_negative_regime():
     assert v.regime == "K3<=0"
     assert abs(v.lhs - 0.01) < 1e-12 and abs(v.rhs - 0.32) < 1e-12
     assert v.excluded and v.sit_check
+    # the verdict carries the bound constants of the triple
+    assert v.k4 == 1.0 and abs(v.k5 - 10.0) < 1e-12
+    assert v.tau0 == torsion_bound_tau0(-0.9, -0.8, -1.0)
 
 
 def test_verdict_json_keys():

@@ -159,6 +159,10 @@ def test_deformed_reference_values():
     q = np.array([1.0, 0.2])
     assert abs(case.data.torsion_norm(q) - 2.0) < 1e-8
     assert abs(case.data.curvature(q) - (2.0 * np.tanh(1.0) - 1.0)) < 1e-6
+    # 400 rows in one call, on the profile whose torsion is purely angular
+    data = gallery.hyperbolic_deformed(2.0, profile="angular")
+    pts = np.random.default_rng(4).uniform([0.1, -7.0], [3.9, 7.0], (400, 2))
+    assert np.max(np.abs(data.torsion_norm(pts) - 2.0)) <= 1e-12
 
 
 def test_deformed_verify_tanh_profile():
