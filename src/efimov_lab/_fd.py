@@ -5,10 +5,11 @@ error model is uniform: plain central differences are O(h^2), and the single
 Richardson step promotes them to O(h^4) on smooth data.
 
 The point ``x`` may be one point of shape (n,) or a batch of shape (N, n).
-For a batch, ``f`` is called on the shifted batch and must map (..., n)
-points to (...,) + value shape; the derivative axes follow the batch axis.
-Each row equals the single-point result bit for bit whenever ``f`` computes
-each point of a batch as it computes that point alone.
+For a batch, ``f`` must map (..., n) points to (...,) + value shape, and
+``gradient`` and ``jet`` make one stacked call per batch: ``f`` reads the
+shifted copies of every row at once.  The derivative axes follow the batch
+axis.  Each row equals the single-point result bit for bit whenever ``f``
+computes each point of a batch as it computes that point alone.
 """
 
 from __future__ import annotations
@@ -74,11 +75,45 @@ def second(f, x, i, j, h):
     return (4.0 * d(h / 2.0) - d(h)) / 3.0
 
 
+def _axis_offsets(n, h):
+    """The steps (h, h/2), the signed steps ``[step, sign]`` = sign hh and
+    the axis offsets ``[step, sign, i]`` = (sign hh) e_i of the stencils."""
+    steps = np.array([h, h / 2.0])
+    sh = (steps[:, None] * np.array([1.0, -1.0]))[:, :, None, None]
+    return steps, sh, sh * np.eye(n)
+
+
+def _shifted(x, offsets):
+    """``x + offset`` for each (n,) offset, the offset axis leading: the
+    stencil point s of x, or of every row of a batch, is ``[s]``."""
+    n = x.shape[-1]
+    return x + offsets.reshape((-1,) + (1,) * (x.ndim - 1) + (n,))
+
+
 def gradient(f, x, h):
     """Stack of central(f, x, i) over all coordinates; the axis after the
-    batch axes indexes i (the leading axis for one point)."""
+    batch axes indexes i (the leading axis for one point).
+
+    A batch is one stacked call of ``f``, on the 4n shifted copies of its
+    rows flattened to (4n N, n), and the values are combined as in
+    ``central``, so each row equals the one-point gradient bit for bit.
+    One (n,) point keeps 4n calls, one per offset, for two reasons: its
+    immersion reads go through the memo of fundamental data, whose count per
+    saddle RK4 step ``perfbench/selfcheck.py`` pins, and the frame stencil
+    of ``asymptotics._frame_rates`` shares memo entries with the one-point
+    dB stencil of ``gamma``.
+    """
     x = np.asarray(x, dtype=float)
-    return np.stack([central(f, x, i, h) for i in range(x.shape[-1])], axis=x.ndim - 1)
+    n = x.shape[-1]
+    if x.ndim == 1:
+        return np.stack([central(f, x, i, h) for i in range(n)])
+    steps, _, axis = _axis_offsets(n, h)
+    vals = np.asarray(f(_shifted(x, axis).reshape(-1, n)))
+    # [step, sign, i, rows..., value...]
+    vals = vals.reshape((2, 2, n) + x.shape[:-1] + vals.shape[1:])
+    hh = steps.reshape((2,) + (1,) * (vals.ndim - 2))
+    d1 = (vals[:, 0] - vals[:, 1]) / (2.0 * hh)
+    return np.ascontiguousarray(np.moveaxis((4.0 * d1[1] - d1[0]) / 3.0, 0, x.ndim - 1))
 
 
 def jet(f, x, h):
@@ -98,18 +133,14 @@ def jet(f, x, h):
     n = x.shape[-1]
     eye = np.eye(n)
     ii, jj = np.triu_indices(n, 1)
-    steps = np.array([h, h / 2.0])
-    signs = np.array([1.0, -1.0])
-    # axis offsets [step, sign, i] = (sign hh) e_i
-    sh = (steps[:, None] * signs)[:, :, None, None]
-    axis = sh * eye
+    steps, sh, axis = _axis_offsets(n, h)
     # pair offsets [step, (++, +-, -+, --), pair] = (s_i hh) e_i + (s_j hh) e_j
     si = sh[:, [0, 0, 1, 1]]
     sj = sh[:, [0, 1, 0, 1]]
     mixed = si * eye[ii] + sj * eye[jj]
     offsets = np.concatenate([axis.reshape(-1, n), mixed.reshape(-1, n)])
     # the stencil axis leads: pts[s] is stencil point s of x, or of every row
-    pts = np.concatenate([x[None], x + offsets.reshape((-1,) + (1,) * (x.ndim - 1) + (n,))])
+    pts = np.concatenate([x[None], _shifted(x, offsets)])
     vals = np.asarray(f(pts))
 
     f0 = vals[0]

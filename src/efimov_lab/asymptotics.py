@@ -36,7 +36,6 @@ __all__ = [
     "trace_asymptotic",
     "net_expansion_check",
     "measured_tau1",
-    "theta_mean_curvature_residual",
 ]
 
 
@@ -157,17 +156,6 @@ def asymptotic_frame(data, q, ref_u=None, ref_v=None):
     return AsymptoticFrame(u=_assemble(u, 1) + 0.0, v=_assemble(v, 1) + 0.0, theta=theta, k=k)
 
 
-def theta_mean_curvature_residual(data, q):
-    """| |cot theta| - |H| sqrt(|det B~|) | for the mean curvature H of the
-    immersion; orientation conventions drop out through the absolute values."""
-    frame = asymptotic_frame(data, q)
-    b = data.b_matrix(q)
-    h = 0.5 * float(np.trace(b))
-    det_bt = abs(float(np.linalg.det(data.b_tilde(q))))
-    cot = np.cos(frame.theta) / np.sin(frame.theta)
-    return abs(abs(cot) - abs(h) * np.sqrt(det_bt))
-
-
 def _frame_rates(data, q):
     """The frame at q, the covariant derivatives ``D~_V U`` and ``D~_U V``
     of its two frame fields, sign-aligned with it, the gradient of ln k, and
@@ -180,16 +168,12 @@ def _frame_rates(data, q):
         frame = asymptotic_frame(data, qq, ref_u=ref_u, ref_v=ref_v)
         return np.concatenate([frame.u, frame.v, np.log(frame.k)[..., None]], axis=-1)
 
-    def stacked_fields(qq):  # the (S, N, 2) stencil of a batch, as one batch
-        s = len(qq)
-        return frame_fields(qq.reshape(-1, 2), np.tile(base.u, (s, 1)),
-                            np.tile(base.v, (s, 1))).reshape(qq.shape[:-1] + (5,))
+    def stacked_fields(qq):  # the stacked stencil rows of a batch
+        s = len(qq) // len(q)
+        return frame_fields(qq, np.tile(base.u, (s, 1)), np.tile(base.v, (s, 1)))
 
-    # d[..., i, :] = (d_i U, d_i V, d_i ln k): one point reads by stencil point
-    # (sharing the memo with gamma's dB stencil), a batch its stacked stencil
-    # at once (the jet's gradient is the stencil-point one, bit for bit)
-    d = (_fd.gradient(frame_fields, q, FD_STEP) if q.ndim == 1
-         else _fd.jet(stacked_fields, q, FD_STEP)[1])
+    # d[..., i, :] = (d_i U, d_i V, d_i ln k)
+    d = _fd.gradient(frame_fields if q.ndim == 1 else stacked_fields, q, FD_STEP)
     gam = data.gamma(q)
 
     def rate(x, dfield, y):
@@ -219,7 +203,7 @@ def covariant_rate_check(data, q):
 
     g = data.third_form(q)
     j = complex_structure(g)
-    tau = _torsion_from_gamma(gam, g)
+    tau = _torsion_from_gamma(gam, g, q)
     ju = j @ base.u
     jv = j @ base.v
     sin_t = np.sin(base.theta)

@@ -39,8 +39,9 @@ immersion, a finite non-zero vector) hold on every row, and the error names
 the first failing point.
 Torsion mode reads III and the torsion once per batch.  Operator mode reads
 B once for ``b_matrix``, ``b_tilde``, ``third_form`` and K~; its ``gamma``
-reads B and sigma's symbols once and B 8 more times for ``dB``
-(``b_matrix_partials``, central differences over the whole batch).
+reads B and sigma's symbols once and B once more for ``dB``
+(``b_matrix_partials``, central differences in one stacked call per batch:
+the 8 stencil points of every row at once).
 Immersion mode inherits that ``gamma``, with B and sigma's symbols from one
 read of the fundamental data (``FundamentalData.christoffel_first``, exact
 by the Gauss formula, where operator mode differentiates sigma through
@@ -172,11 +173,18 @@ def _require_finite(entries, q):
     raise NonFiniteMetric(f"the connection coefficients are not finite at {bad}")
 
 
-def _torsion_from_gamma(gam, iii):
+def _torsion_from_gamma(gam, iii, q):
     """Torsion vector ``(Gamma_12 - Gamma_21) / sqrt(det III)`` of the
-    connection coefficients ``gam[..., k, i, j]``, at one point or at each
-    row of a batch."""
-    return (gam[..., 0, 1] - gam[..., 1, 0]) / np.sqrt(np.linalg.det(iii))[..., None]
+    connection coefficients ``gam[..., k, i, j]``, at one point q or at each
+    row of a batch; NonInvertibleMetric names the first point where III is
+    not positive definite (III_11 <= 0, or det III not finite or not above
+    the floor)."""
+    det = np.linalg.det(iii)
+    k = _first(~((iii[..., 0, 0] > 0.0) & np.isfinite(det) & (det > DET_FLOOR)))
+    if k is not None:
+        raise NonInvertibleMetric(
+            f"III is not positive definite at {q[k]}: det III = {np.asarray(det)[k]:.3e}")
+    return (gam[..., 0, 1] - gam[..., 1, 0]) / np.sqrt(det)[..., None]
 
 
 def _inverse_shape_operator(b, q):
@@ -235,7 +243,8 @@ class SurfaceConnectionData:
 
     def torsion_from_coefficients(self, q):
         """Torsion vector recovered from the connection coefficients."""
-        return _torsion_from_gamma(self.gamma(q), self.third_form(q))
+        q = as_points(q, 2)
+        return _torsion_from_gamma(self.gamma(q), self.third_form(q), q)
 
     def torsion_norm(self, q):
         return self.norm(q, self.torsion_vector(q))
@@ -402,7 +411,8 @@ class _OperatorProvider(SurfaceConnectionData):
 
     def b_matrix_partials(self, q):
         """``dB[..., a, i, j] = d_a B_ij`` at one point or at each row of an
-        (N, 2) batch: central differences at ``FD_STEP``, 8 reads of B."""
+        (N, 2) batch: central differences at ``FD_STEP``, 8 reads of B for
+        one point and one stacked call per batch, on the 8 N stencil rows."""
         return _fd.gradient(self.b_matrix, as_points(q, 2), FD_STEP)
 
     def b_tilde(self, q):
@@ -418,7 +428,8 @@ class _OperatorProvider(SurfaceConnectionData):
     def gamma(self, q):
         """``Gamma~^k_ij = (B^{-1})^k_l (d_i B^l_j + Gamma^l_im B^m_j)`` at
         one point or at each row of an (N, 2) batch, in one vectorised
-        pass: one read of B and of sigma's symbols, and 8 of B for dB."""
+        pass: one read of B and of sigma's symbols, and the dB stencil (8
+        one-point reads of B, or one stacked read per batch)."""
         q = as_points(q, 2)
         b, lc = self._shape_and_symbols(q)
         binv = _inverse_shape_operator(b, q)

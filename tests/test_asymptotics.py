@@ -10,7 +10,6 @@ from efimov_lab.asymptotics import (
     covariant_rate_check,
     measured_tau1,
     net_expansion_check,
-    theta_mean_curvature_residual,
     trace_asymptotic,
 )
 from efimov_lab.connection import FD_STEP, SurfaceConnectionData
@@ -28,6 +27,17 @@ def covariant_derivative_of_field(data, q, x, field):
     dfield = _fd.gradient(field, q, FD_STEP)
     gam = data.gamma(q)
     return np.einsum("i,ik->k", x, dfield) + np.einsum("kij,i,j->k", gam, x, field(q))
+
+
+def theta_mean_curvature_residual(data, q):
+    """| |cot theta| - |H| sqrt(|det B~|) | for the mean curvature H of the
+    immersion, as an oracle of the frame angle; orientation conventions drop
+    out through the absolute values."""
+    frame = asymptotic_frame(data, q)
+    h = 0.5 * float(np.trace(data.b_matrix(q)))
+    det_bt = abs(float(np.linalg.det(data.b_tilde(q))))
+    cot = np.cos(frame.theta) / np.sin(frame.theta)
+    return abs(abs(cot) - abs(h) * np.sqrt(det_bt))
 
 
 def frame_residuals(data, q, frame):

@@ -245,30 +245,34 @@ def count_shape_layer(monkeypatch):
 
 
 @pytest.mark.parametrize("length", [0.1, 0.3])
-def test_immersion_transport_reads_the_shape_layer_nine_times(monkeypatch, length):
-    """An immersion-mode transport reads the shape layer in 9 batched kernel
-    calls, B and the symbols of I once and B 8 times for dB, each over all
-    2n + 1 stage points, whatever the trace length; no one-point read."""
+def test_immersion_transport_reads_the_shape_layer_twice(monkeypatch, length):
+    """An immersion-mode transport reads the shape layer in 2 batched kernel
+    calls whatever the trace length: B and the symbols of I over all 2n + 1
+    stage points, then B over their 8 (2n + 1) stacked dB stencil points; no
+    one-point read."""
     data = gallery.build_example("saddle").data
     q = np.array([0.1, -0.2])
     tr = integrate_geodesic(data, q, data.unit(q, [0.6, 0.8]), length, 0.01)
     kernel_calls, point_calls = count_shape_layer(monkeypatch)
     parallel_transport_samples(data, tr, [0.3, -0.5])
-    assert kernel_calls == [(2 * len(tr.s) - 1, 2)] * 9 and point_calls == []
+    rows = 2 * len(tr.s) - 1
+    assert kernel_calls == [(rows, 2), (8 * rows, 2)] and point_calls == []
 
 
 @pytest.mark.parametrize("length", [0.1, 0.3])
 def test_immersion_jacobi_field_reads_the_shape_layer_a_fixed_number_of_times(
         monkeypatch, length):
-    """An immersion-mode Jacobi field reads the shape layer in 12 batched
-    kernel calls over all stage points, whatever the trace length: 10 for
-    the torsion (9 for gamma, 1 for III), 1 for III and 1 for K~."""
+    """An immersion-mode Jacobi field reads the shape layer in 5 batched
+    kernel calls, whatever the trace length: 3 for the torsion (gamma over
+    all stage points and their stacked dB stencil, then III), 1 for III and
+    1 for K~."""
     data = gallery.build_example("saddle").data
     q = np.array([0.1, 0.0])
     tr = integrate_geodesic(data, q, data.unit(q, [1.0, 0.2]), length, 0.01)
     kernel_calls, point_calls = count_shape_layer(monkeypatch)
     jt = jacobi_field(data, tr, 0.0, 0.0, 0.0, 1.0, 0.01)
-    assert kernel_calls == [(2 * len(jt.t) - 1, 2)] * 12 and point_calls == []
+    rows = 2 * len(jt.t) - 1
+    assert kernel_calls == [(rows, 2), (8 * rows, 2)] + [(rows, 2)] * 3 and point_calls == []
 
 
 def test_one_point_immersion_gamma_reads_nine_one_point_forms(monkeypatch):

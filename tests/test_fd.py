@@ -149,3 +149,54 @@ def test_pointwise_maps_rows_in_order():
     assert seen == [tuple(p) for p in pts.reshape(-1, 2)]
     assert np.array_equal(out[1, 2], [10.0, 11.0, 110.0])
     assert np.array_equal(batched(pts[0, 0]), [0.0, 1.0, 0.0]) and len(seen) == 7
+
+
+def matrix_2x2(x):
+    """A 2x2 matrix-valued function of (..., 2) points.  Powers are
+    products: ``** 3`` rounds differently on a scalar than on an array."""
+    s, c = np.sin(x[..., 0] * x[..., 1]), np.cos(x[..., 0] - 2.0 * x[..., 1])
+    return np.stack([np.stack([s, c * s], -1), np.stack([np.exp(c), s * s * s], -1)], -2)
+
+
+def scalar_3d(x):
+    return np.sin(x[..., 0]) * np.exp(0.5 * x[..., 1]) + x[..., 2] * x[..., 2] * x[..., 2]
+
+
+GRADIENT_CASES = [
+    pytest.param(f, X, id="2d-scalar"),
+    pytest.param(matrix_2x2, X, id="2d-matrix"),
+    pytest.param(scalar_3d, np.array([0.4, -1.2, 0.25]), id="3d-scalar"),
+    pytest.param(matrix_3x3, np.array([0.4, -1.2, 0.25]), id="3d-matrix"),
+]
+
+
+def counted(fun):
+    """``fun`` and the list of the point shapes it is called on."""
+    calls = []
+
+    def wrapped(pts):
+        calls.append(pts.shape)
+        return fun(pts)
+
+    return wrapped, calls
+
+
+@pytest.mark.parametrize("fun,x", GRADIENT_CASES)
+@pytest.mark.parametrize("h", [1e-3, 0.1])
+def test_batch_gradient_is_one_stacked_call(fun, x, h):
+    """On an (N, n) batch, ``gradient`` calls ``f`` once, on the 4n N
+    shifted rows, and each row equals the one-point gradient bit for bit;
+    one point still makes 4n calls, one per offset."""
+    rng = np.random.default_rng(7)
+    n = x.size
+    batch = np.vstack([x, x + rng.uniform(-1.0, 1.0, (4, n)), -0.0 * x])
+    wrapped, calls = counted(fun)
+    grad = _fd.gradient(wrapped, batch, h)
+    assert calls == [(4 * n * len(batch), n)]
+    assert grad.shape == (len(batch), n) + np.shape(fun(x))
+    for k, row in enumerate(batch):
+        wrapped, calls = counted(fun)
+        one = _fd.gradient(wrapped, row, h)
+        assert calls == [(n,)] * (4 * n)
+        assert np.array_equal(grad[k], one) and bitwise_equal(grad[k], one), k
+        assert bitwise_equal(one, np.stack([_fd.central(fun, row, i, h) for i in range(n)]))
