@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _fd
 from .ambient import _assemble, _entries, _quadratic, as_point, as_points
-from .connection import FD_STEP, _first, _rotation, _sqrt, _torsion_from_gamma, complex_structure
-from .connection import measured_pinching
+from .connection import FD_STEP, _first, _inverse_shape_operator, _rotation, _sqrt
+from .connection import _torsion_from_gamma, complex_structure, measured_pinching
 from .curves import CurveTrace, _chart_flow, _chart_read, hermite
 from .curves import parallel_transport_samples, trace_margin
 from .errors import LeftPatch, ModeUnsupported, NonHyperbolicPoint
@@ -104,13 +104,14 @@ def asymptotic_frame(data, q, ref_u=None, ref_v=None):
     """
     _require_shape_mode(data)
     q = as_points(q, 2)
-    (b11, b12), (b21, b22) = _entries(data.b_tilde(q), 2)
+    b, iii = data._shape_forms(q)  # one read of the shape layer
+    (b11, b12), (b21, b22) = _entries(_inverse_shape_operator(b, q), 2)
     det = b11 * b22 - b12 * b21
     i = _first(det >= 0)
     if i is not None:
         raise NonHyperbolicPoint(f"det B~ = {np.asarray(det)[i]:.3e} >= 0 at q={q[i]}")
     k = _sqrt(-det)
-    g = _entries(data.third_form(q), 2)
+    g = _entries(iii, 2)
     (g11, g12), (g21, g22) = g
     (j11, j12), (j21, j22) = _rotation(g, q)
 
@@ -345,7 +346,7 @@ class _NetLine:
                        self.points[i + 1], self.velocities[i + 1])
 
 
-def net_expansion_check(data, q, lengths, n_u=6, n_v=6, step=None):
+def net_expansion_check(data, q, lengths, n_u=6, n_v=6):
     """Build the asymptotic coordinate net and test the expansion bounds.
 
     Each net line is one asymptotic flow, extended lazily: the U-line
@@ -357,7 +358,8 @@ def net_expansion_check(data, q, lengths, n_u=6, n_v=6, step=None):
     beta and alpha, the U- and V-speeds of the net parametrization, are the
     arclength differences along the two lines divided by the cell sides.
     The report compares their logarithmic derivatives along the net with
-    the measured torsion-rate bound tau0 + 2 tau1.
+    the measured torsion-rate bound tau0 + 2 tau1.  Every line is traced at
+    an eighth of the smaller cell side, ``min(L_u/n_u, L_v/n_v)/8``.
     """
     _require_shape_mode(data)
     q = as_point(q, 2)
@@ -369,8 +371,7 @@ def net_expansion_check(data, q, lengths, n_u=6, n_v=6, step=None):
         report["beta"] = np.ones((1, n_v + 1))
         report["trivial"] = True
         return report
-    if step is None:
-        step = min(l_u / n_u, l_v / n_v) / 8.0
+    step = min(l_u / n_u, l_v / n_v) / 8.0
 
     du = l_u / n_u
     dv = l_v / n_v

@@ -73,13 +73,13 @@ from . import _fd
 from .ambient import (
     DET_FLOOR,
     _assemble,
+    _christoffel,
     _det_adjugate,
     _entries,
     _quadratic,
     _scalar,
     as_point,
     as_points,
-    christoffel,
     dnabla,
     gauss_curvature,
     sectional_range,
@@ -155,6 +155,13 @@ def _metric_det(g11, g12, g21, g22, points=None):
         where = f" at row {k}" if points is None else f" at {np.reshape(points, (-1, 2))[k]}"
     raise NonInvertibleMetric(
         f"2x2 metric is not positive definite{where}: g11 = {g11:.3e}, det g = {det:.3e}")
+
+
+def _positive_det(g, q):
+    """``_metric_det`` of the 2x2 metric g at q, or of each metric of a
+    stack at the rows of a batch q."""
+    (g11, g12), (g21, g22) = _entries(g, 2)
+    return _metric_det(g11, g12, g21, g22, q)
 
 
 def _require_finite(entries, q):
@@ -254,8 +261,7 @@ class SurfaceConnectionData:
 
     def area_density(self, q):
         """sqrt(det III) at q, or at each row of an (N, 2) batch."""
-        (g11, g12), (g21, g22) = _entries(self.third_form(q), 2)
-        return _sqrt(_metric_det(g11, g12, g21, g22, as_points(q, 2)))
+        return _sqrt(_positive_det(self.third_form(q), as_points(q, 2)))
 
     def norm(self, q, x):
         """III-length of the vector x at q, or of each row of (N, 2) vectors
@@ -263,8 +269,7 @@ class SurfaceConnectionData:
         row that is not finite or has no finite length."""
         q = as_points(q, 2)
         g = self.third_form(q)
-        (g11, g12), (g21, g22) = _entries(g, 2)
-        _metric_det(g11, g12, g21, g22, q)
+        _positive_det(g, q)
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             xgx = _quadratic(x, g, x)
@@ -419,11 +424,14 @@ class _OperatorProvider(SurfaceConnectionData):
         q = as_points(q, 2)
         return _inverse_shape_operator(self.b_matrix(q), q)
 
-    def third_form(self, q):
-        """``III = B^T sigma B`` at one point or at each point of a (..., 2)
-        array."""
+    def _shape_forms(self, q):
+        """``(B, III)`` from one read of B, with ``III = B^T sigma B``."""
         b = self.b_matrix(q)
-        return np.swapaxes(b, -1, -2) @ self.sigma_field.matrix(q) @ b
+        return b, np.swapaxes(b, -1, -2) @ self.sigma_field.matrix(q) @ b
+
+    def third_form(self, q):
+        """III at one point or at each point of a (..., 2) array."""
+        return self._shape_forms(q)[1]
 
     def gamma(self, q):
         """``Gamma~^k_ij = (B^{-1})^k_l (d_i B^l_j + Gamma^l_im B^m_j)`` at
@@ -438,14 +446,18 @@ class _OperatorProvider(SurfaceConnectionData):
         return np.einsum("...kl,...lij->...kij", binv, inner)
 
     def _shape_and_symbols(self, q):
-        """B and the Levi-Civita symbols of sigma at q."""
-        return self.b_matrix(q), christoffel(self.sigma_field, q)
+        """B and the Levi-Civita symbols of sigma, which must be positive
+        definite, at q."""
+        sigma, _, lc = _christoffel(self.sigma_field, q)
+        _positive_det(sigma, q)
+        return self.b_matrix(q), lc
 
     torsion_vector = SurfaceConnectionData.torsion_from_coefficients
 
     def _curvature(self, q):
         """``K~ = K_sigma / det B``, because ``R~ = B^{-1} R B``."""
         q = as_points(q, 2)
+        _positive_det(self.sigma_field.matrix(q), q)  # sigma must be positive definite
         binv = _inverse_shape_operator(self.b_matrix(q), q)
         return _scalar(gauss_curvature(self.sigma_field, q) * np.linalg.det(binv))
 
@@ -485,6 +497,11 @@ class _ImmersionProvider(_OperatorProvider):
         self.sigma_field.require_inside(q, margin=self.sigma_field.fd_margin())
         data = self.fundamental(q)
         return data.shape_operator, data.christoffel_first
+
+    def _shape_forms(self, q):
+        """``(B, III)`` from one read of the fundamental data."""
+        data = self.fundamental(q)
+        return data.shape_operator, data.third
 
     def third_form(self, q):
         """III at one point or at each row of an (N, 2) batch."""

@@ -80,7 +80,6 @@ class CurveTrace:
     path: object = None          # optional callable s -> (2,) point
     path_velocity: object = None
     path_acceleration: object = None
-    endpoint_error: float = None  # set by integrate_geodesic(error_estimate=True)
 
     @property
     def s0(self):
@@ -399,40 +398,30 @@ def _geodesic_samples(data, y, length, step, margin):
 
 
 def trace_margin(data, step):
-    """Default chart margin a trace keeps clear of the box edge: four steps
+    """The chart margin a trace keeps clear of the box edge: four steps
     in immersion mode, where the shape layer's stencils need the room, and
     none in the abstract modes."""
     return 4.0 * step if data.mode == "immersion" else 0.0
 
 
-def integrate_geodesic(data, q, v, length, step, margin=None, error_estimate=False):
+def integrate_geodesic(data, q, v, length, step):
     """Trace the geodesic of the connection from q with unit velocity v.
 
     Unit speed is preserved automatically because the connection is
-    compatible with the metric.  If the trace would leave the patch (keeping
-    ``margin`` clear of its edge), the partial trace is returned with
-    ``left_patch`` set.  With ``error_estimate=True`` the trace carries
-    ``endpoint_error``, the chart-coordinate gap to a half-step
-    re-integration.
+    compatible with the metric.  The trace keeps ``trace_margin(data,
+    step)`` clear of the patch's edge; if it would leave that box, the
+    partial trace is returned with ``left_patch`` set.
     """
     q = as_point(q, 2)
     v = np.asarray(v, dtype=float)
     nv = data.norm(q, v)
     if abs(nv - 1.0) > 1e-9:
         raise ValueError(f"initial velocity must be a unit vector, |v| = {nv}")
-    if margin is None:
-        margin = trace_margin(data, step)
 
-    s_arr, states, exc = _geodesic_samples(data, np.concatenate([q, v]), length, step, margin)
-    left = exc is not None
-    pts = states[:, :2]
-    trace = CurveTrace(s=s_arr, points=pts, velocities=states[:, 2:], step=step,
-                       total_length=float(s_arr[-1]), left_patch=left)
-    if error_estimate and not left:
-        fine = integrate_geodesic(data, q, v, trace.total_length, step / 2.0,
-                                  margin=margin)
-        trace.endpoint_error = float(np.linalg.norm(fine.points[-1] - pts[-1]))
-    return trace
+    s_arr, states, exc = _geodesic_samples(data, np.concatenate([q, v]), length, step,
+                                           trace_margin(data, step))
+    return CurveTrace(s=s_arr, points=states[:, :2], velocities=states[:, 2:], step=step,
+                      total_length=float(s_arr[-1]), left_patch=exc is not None)
 
 
 def exponential_map(data, q, w):
@@ -560,19 +549,6 @@ def _whole_steps(read, times):
         except PointOutsideChart:
             hi = mid
     return (read(times[:1]) if values is None else values), lo, True
-
-
-def sandwich_horizon(jt):
-    """Largest time up to which y'(0) t / 2 <= y(t) <= 2 y'(0) t holds on the
-    trace.  An empirical per-trace quantity; no universal constant is
-    claimed."""
-    yp0 = jt.yp[0]
-    if yp0 <= 0:
-        return 0.0
-    ok = (jt.y >= 0.5 * yp0 * jt.t - 1e-12) & (jt.y <= 2.0 * yp0 * jt.t + 1e-12)
-    ok[0] = True
-    bad = np.nonzero(~ok)[0]
-    return float(jt.t[-1] if len(bad) == 0 else jt.t[bad[0] - 1])
 
 
 def jacobi_field(data, base_trace, x0, y0, xp0, yp0, step):
@@ -817,17 +793,18 @@ def boundary_holonomy_angle(data, region):
 # deformation rate
 
 
-def deformation_rate_check(data, trace, profile, sv, eps=1e-3):
+def deformation_rate_check(data, trace, profile, sv):
     """Compare the closed-form first variation of geodesic curvature under a
     normal deformation against a finite-difference oracle.
 
     The curve is deformed by the geodesic flow ``exp(eps * l(s) * J c'(s))``;
     the oracle differentiates the measured curvature of the deformed curves in
-    eps with first-order extrapolation.  Its stencil in s is the trace step,
-    but at least 1e-3.  The deformed points of all three curves (deformations
-    0, eps/2 and eps) run as one batched exponential map.  Returns
-    |formula - oracle|.
+    eps at eps = 1e-3, with first-order extrapolation.  Its stencil in s is
+    the trace step, but at least 1e-3.  The deformed points of all three
+    curves (deformations 0, eps/2 and eps) run as one batched exponential
+    map.  Returns |formula - oracle|.
     """
+    eps = 1e-3
     stencil = max(trace.step, 1e-3)
     p, v = trace.eval(sv)
     g = data.third_form(p)

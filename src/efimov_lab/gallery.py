@@ -20,12 +20,13 @@ from .ambient import (
     MetricField,
     _assemble,
     _quadratic,
+    christoffel,
     dnabla,
     gauss_curvature,
     riemann_covariant,
     sectional_range,
 )
-from .connection import SurfaceConnectionData, christoffel, orthonormal_frame
+from .connection import SurfaceConnectionData, orthonormal_frame
 from .errors import ParameterOutOfRange, WrongSignDeterminant
 from .immersion import SurfacePatch
 
@@ -68,8 +69,8 @@ def _flat(dim, half_width, name):
         name=name)
 
 
-def euclidean3(half_width=10.0):
-    return _flat(3, half_width, "euclidean3")
+def euclidean3():
+    return _flat(3, 10.0, "euclidean3")
 
 
 def _square_norm(p):
@@ -115,9 +116,9 @@ def sphere3(half_width=1.5):
     return _conformal3(+1.0, half_width, "sphere3")
 
 
-def hyperbolic3(half_width=0.5):
-    """Hyperbolic 3-space, conformal ball chart (curvature -1)."""
-    return _conformal3(-1.0, half_width, "hyperbolic3")
+def hyperbolic3():
+    """Hyperbolic 3-space, conformal ball chart |x_i| <= 0.5 (curvature -1)."""
+    return _conformal3(-1.0, 0.5, "hyperbolic3")
 
 
 def g_lambda(lam, z_half=None, analytic=True, fd_step=1e-3):
@@ -237,8 +238,8 @@ def hyperbolic_plane_polar(r_min=1e-3, r_max=4.0):
                        name="hyperbolic_polar")
 
 
-def abstract_sphere(half_width=2.5):
-    """Round 2-sphere in a stereographic chart with zero torsion."""
+def abstract_sphere():
+    """Round 2-sphere, stereographic chart |q_i| <= 2.5, zero torsion."""
 
     eye = np.eye(2)
 
@@ -254,21 +255,21 @@ def abstract_sphere(half_width=2.5):
         dl = -l * l * q
         return (2.0 * l * dl)[..., None, None] * eye
 
-    m = MetricField(2, matrix, ChartBox.cube(2, half_width), partials=partials,
+    m = MetricField(2, matrix, ChartBox.cube(2, 2.5), partials=partials,
                     name="sphere2_abstract")
     return SurfaceConnectionData.from_metric_and_torsion(m, lambda q: np.zeros(2),
                                                          name="sphere2_abstract")
 
 
-def abstract_plane(half_width=6.0):
-    m = _flat(2, half_width, "plane2_abstract")
+def abstract_plane():
+    m = _flat(2, 6.0, "plane2_abstract")
     return SurfaceConnectionData.from_metric_and_torsion(m, lambda q: np.zeros(2),
                                                          name="plane2_abstract")
 
 
-def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, profile="tanh"):
+def hyperbolic_deformed(t, profile="tanh"):
     """The hyperbolic plane with a rotationally invariant torsion field of
-    exact norm t.
+    exact norm t, on the polar chart 0.05 <= r <= 4.
 
     profile="tanh" picks the torsion direction so the measured connection
     curvature is exactly ``t*tanh(r) - 1``; profile="angular" keeps the
@@ -280,7 +281,7 @@ def hyperbolic_deformed(t, r_min=0.05, r_max=4.0, profile="tanh"):
         raise ParameterOutOfRange(f"t must be finite and >= 0, got {t}")
     if profile not in ("tanh", "angular"):
         raise ParameterOutOfRange(f"unknown profile {profile!r}")
-    metric = hyperbolic_plane_polar(r_min=r_min, r_max=r_max)
+    metric = hyperbolic_plane_polar(r_min=0.05, r_max=4.0)
 
     # the torsion fields broadcast over (..., 2) points
     if profile == "angular":
@@ -333,11 +334,11 @@ def _flat_patch(half_width, name):
         name=name)
 
 
-def plane_patch(half_width=2.0):
-    return _flat_patch(half_width, "plane")
+def plane_patch():
+    return _flat_patch(2.0, "plane")
 
 
-def saddle_patch(half_width=1.0):
+def saddle_patch():
     def derivatives(q):
         u, v = _uv(q)
         h = np.zeros((3, 2, 2))  # one Hessian for every point
@@ -348,7 +349,7 @@ def saddle_patch(half_width=1.0):
         u, v = _uv(q)
         return _stacked([u, v, u * v], q.shape[:-1])
 
-    return SurfacePatch(smap, ChartBox.cube(2, half_width), derivatives=derivatives,
+    return SurfacePatch(smap, ChartBox.cube(2, 1.0), derivatives=derivatives,
                         name="saddle")
 
 
@@ -459,10 +460,10 @@ def clifford_torus():
                         name="clifford_torus")
 
 
-def hyperbolic_slice(lam, half_width=1.8):
-    """The totally geodesic-looking z = 0 plane inside the slab metric; its
-    induced metric is the hyperbolic plane."""
-    return _flat_patch(half_width, f"hyperbolic_slice(lam={lam})")
+def hyperbolic_slice(lam):
+    """The totally geodesic-looking z = 0 plane |u|, |v| <= 1.8 inside the
+    slab metric; its induced metric is the hyperbolic plane."""
+    return _flat_patch(1.8, f"hyperbolic_slice(lam={lam})")
 
 
 def geodesic_sphere_hyp3(radius=0.3):
@@ -700,8 +701,7 @@ def verify_example(name, params=None):
 # hyperbolic Monge-Ampere: virtual third fundamental form
 
 
-def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=None,
-                       eps0=None):
+def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=None):
     """Treat a symmetric endomorphism field H with det H = -b < 0 as a shape
     operator: build the compatible connection for III = sigma(H., H.) and
     report how well (H, b, tau) solves the hyperbolic Monge-Ampere system
@@ -720,6 +720,9 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
     and every layer of the check evaluates all sample points in one call.
     ``b_field`` and ``tau_field`` take one (2,) point and are called once
     per sample point.
+
+    Where sup K_sigma < 0 on the samples, the report also carries ``eps0 =
+    -sup K_sigma`` and the hypothesis ``b_M tau0^2 < 4 eps0 b_m^2``.
     """
     data = SurfaceConnectionData.from_operator(sigma_field, h_field, name="monge_ampere")
 
@@ -770,12 +773,10 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
         "sup_tau": float(np.max(ntau)),
         "b_range": (float(np.min(b)), float(np.max(b))),
     }
-    sup_k_sigma = float(np.max(k_sigma))
-    if eps0 is None and sup_k_sigma < 0:
-        eps0 = -sup_k_sigma
-    if eps0 is not None:
+    eps0 = -float(np.max(k_sigma))
+    if eps0 > 0:
         b_min, b_max = report["b_range"]
-        report["eps0"] = float(eps0)
+        report["eps0"] = eps0
         report["hypothesis_bM_tau0sq_lt_4eps0_bm2"] = bool(
             b_max * report["sup_tau"] ** 2 < 4.0 * eps0 * b_min ** 2)
     return data, report

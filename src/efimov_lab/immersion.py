@@ -1,10 +1,13 @@
 """Immersed surface patches: fundamental forms, shape operator, Gauss and
 Codazzi residuals.
 
-The shape operator is ``B: x -> D^M_x N`` for the chosen unit normal N (no
-sign flip), so on the unit sphere with outward normal B is the identity.  The
-second fundamental form is ``II(x, y) = I(Bx, y)`` and the third is
-``III(x, y) = I(Bx, By)``.
+The shape operator is ``B: x -> D^M_x N`` for the unit normal N, which is
+``g^{-1}(d1 phi x d2 phi)`` normalised (so on the unit sphere with outward
+normal B is the identity); the order of the parameters fixes its sign, and
+``(u, v) -> phi(v, u)`` flips it.  That flips B and ``II(x, y) = I(Bx, y)`` but leaves
+``III(x, y) = I(Bx, By)``, ``K_e = det B``, the connection ``B^{-1} D B``
+and its curvature unchanged, and swaps only the labels of the asymptotic
+directions U and V, so nothing the lab measures depends on the choice.
 
 A patch's map and ``derivatives`` hook broadcast over (..., 2) parameter
 points, as the leaves of a MetricField do, and the shape layer of
@@ -63,9 +66,9 @@ class SurfacePatch:
         hessian)``: the (..., 3, 2) arrays ``d phi^i / d q^a`` and the
         (..., 3, 2, 2) arrays ``d^2 phi^i / d q^a d q^b``.  A hook that
         returns one pair for every point (a constant) is broadcast.
-    orientation : +1 or -1; flips the unit normal.
 
-    The map and the hook broadcast over the leading axes of their argument.
+    The normal is oriented by ``d1 phi x d2 phi`` (module docstring).  The
+    map and the hook broadcast over the leading axes of their argument.
     A map that takes one (2,) point only is wrapped in ``_fd.pointwise``,
     which calls it once per point.  Without ``derivatives`` the partials
     are central differences at step ``fd_step``.
@@ -73,11 +76,10 @@ class SurfacePatch:
 
     fd_step = 1e-4
 
-    def __init__(self, chart_map, box, derivatives=None, orientation=1, name=""):
+    def __init__(self, chart_map, box, derivatives=None, name=""):
         self._map = chart_map
         self.box = box
         self._derivatives = derivatives
-        self.orientation = int(orientation)
         self.name = name
 
     @property
@@ -217,7 +219,7 @@ class FundamentalData:
         return self.k_intrinsic - self.k_ambient_tangent
 
 
-def _frame(patch, q, g, ginv, jac, jac_t):
+def _frame(q, g, ginv, jac, jac_t):
     """I, its adjugate, its Gram determinant and the oriented g-unit normal
     from the ambient metric, its inverse and the Jacobian (and its
     transpose) at q, or at each row of a batch; checks the rank on every
@@ -233,7 +235,7 @@ def _frame(patch, q, g, ginv, jac, jac_t):
         norm2 = n @ g @ n
         if norm2 <= 0 or gram < RANK_FLOOR:
             raise DegenerateImmersion(f"rank of d phi < 2 at q={q} (gram={gram:.3e})")
-        n = patch.orientation * n / np.sqrt(norm2)
+        n = n / np.sqrt(norm2)
     else:
         n = (ginv @ cov[..., None])[..., 0]
         norm2 = _quadratic(n, g, n)
@@ -241,7 +243,7 @@ def _frame(patch, q, g, ginv, jac, jac_t):
         if flat.any():
             k = np.argmax(flat)
             raise DegenerateImmersion(f"rank of d phi < 2 at q={q[k]} (gram={gram[k]:.3e})")
-        n = patch.orientation * n / np.sqrt(norm2)[:, None]
+        n = n / np.sqrt(norm2)[:, None]
     return first, _assemble(adj, 2), gram, n
 
 
@@ -300,7 +302,7 @@ def _fundamental_rows(patch, ambient, q):
                         what="the patch's point, Jacobian or Hessian")
     g, ginv, gam = _christoffel(ambient, p)
     jac_t = jac.T if one else np.swapaxes(jac, -1, -2)
-    first, adj, gram, n = _frame(patch, q, g, ginv, jac, jac_t)
+    first, adj, gram, n = _frame(q, g, ginv, jac, jac_t)
 
     # covariant second derivative of phi: S^i_ab = phi^i_{,ab} + Gamma^i_jk phi^j_a phi^k_b;
     # one point's Jacobian broadcasts over the index i of Gamma, a batch's is stacked beside it

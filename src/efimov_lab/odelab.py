@@ -57,9 +57,9 @@ def _profile(u, ss):
     return _sample(u, ss, "a profile u", "s")
 
 
-def _check_bound(u, eps, lo, hi, n=512):
+def _check_bound(u, eps, lo, hi):
     bound = 1.0 / eps
-    vals = _profile(u, np.linspace(lo, hi, n))
+    vals = _profile(u, np.linspace(lo, hi, 512))
     worst = float(np.max(np.abs(vals)))
     if not worst <= bound * (1 + 1e-12):  # a NaN profile fails too
         raise BoundViolated(f"sup|u| = {worst:.6g} exceeds 1/eps = {bound:.6g}")

@@ -134,6 +134,27 @@ def test_covariant_rates_slice(slice_data_half):
         assert r1 < 1e-3 and r2 < 1e-3
 
 
+def test_batched_measured_tau1_reads_the_shape_layer_once_per_row_set(monkeypatch):
+    """Batched tau1 on 9 saddle points makes 6 kernel calls: the frame's B
+    and III in one read, the stacked frame stencil, gamma's B and symbols
+    and its dB stencil, and III for each of the two norms; its value is the
+    largest of the one-point values, bit for bit."""
+    from efimov_lab import connection
+
+    data = gallery.build_example("saddle").data
+    pts = np.stack(np.meshgrid([-0.2, 0.0, 0.2], [-0.1, 0.05, 0.3]), axis=-1).reshape(-1, 2)
+    one_point = max(measured_tau1(data, q) for q in pts)
+    calls, kernel = [], connection._fundamental_rows
+
+    def counted(patch, ambient, q):
+        calls.append(q.shape)
+        return kernel(patch, ambient, q)
+
+    monkeypatch.setattr(connection, "_fundamental_rows", counted)
+    assert measured_tau1(data, pts) == one_point
+    assert calls == [(9, 2), (72, 2), (9, 2), (72, 2), (9, 2), (9, 2)]
+
+
 def test_rate_bounded_by_measured_tau1(slice_data_half):
     pts = [np.array([0.2, 0.3]), np.array([-0.1, 0.5]), np.array([0.4, -0.2])]
     tau1 = measured_tau1(slice_data_half, pts)
@@ -213,19 +234,20 @@ def test_flow_reuses_sample_direction_bit_for_bit(name, q, which):
 
 def test_trace_stops_where_a_stage_read_leaves_the_chart(monkeypatch):
     """A frame read that raises PointOutsideChart inside an RK4 step ends the
-    trace after the last whole step, with left_patch set: B~ here cannot be
-    read beyond |q| = 0.053, which the U-line along the saddle's axis
-    reaches in the stages of its sixth step."""
+    trace after the last whole step, with left_patch set: the frame's read
+    of the shape layer (B and III) here cannot reach beyond |q| = 0.053,
+    which the U-line along the saddle's axis reaches in the stages of its
+    sixth step."""
     data = gallery.build_example("saddle").data
     full = trace_asymptotic(data, [0.0, 0.0], "U", 0.2, 0.01)
-    b_tilde = data.b_tilde
+    shape_forms = data._shape_forms
 
     def clipped(q):
         if np.hypot(*q) > 0.053:
             raise PointOutsideChart(f"no room at {q}")
-        return b_tilde(q)
+        return shape_forms(q)
 
-    monkeypatch.setattr(data, "b_tilde", clipped)
+    monkeypatch.setattr(data, "_shape_forms", clipped)
     tr = trace_asymptotic(data, [0.0, 0.0], "U", 0.2, 0.01)
     assert tr.left_patch and not full.left_patch
     assert len(tr.s) == 6

@@ -138,7 +138,8 @@ def test_torsion_mode_rejects_non_positive_third_form(diag):
     """An indefinite, negative or degenerate III raises a typed error from
     gamma, K~, the complex structure and the III-norms, never a NaN or a
     silent 0; in operator mode, where III = B^T sigma B comes from such a
-    sigma, so do the torsion and its norm, at one point and on a batch."""
+    sigma, so do gamma, K~, the torsion and its norm, at one point and on a
+    batch."""
     metric = MetricField(2, lambda q: np.diag(diag), ChartBox.cube(2, 1.0),
                          partials=lambda q: np.zeros((2, 2, 2)),
                          second_partials=lambda q: np.zeros((2, 2, 2, 2)))
@@ -149,8 +150,9 @@ def test_torsion_mode_rejects_non_positive_third_form(diag):
         with pytest.raises(NonInvertibleMetric):
             evaluate([0.1, 0.2])
     operator = SurfaceConnectionData.from_operator(metric, lambda q: np.diag([1.0, 2.0]))
-    for evaluate in (operator.torsion_vector, operator.torsion_norm,
-                     operator.torsion_from_coefficients, operator.area_density):
+    for evaluate in (operator.gamma, operator.curvature, operator.torsion_vector,
+                     operator.torsion_norm, operator.torsion_from_coefficients,
+                     operator.area_density):
         for q in ([0.1, 0.2], [[0.1, 0.2], [0.3, -0.1]]):
             with pytest.raises(NonInvertibleMetric, match=r"\[0\.1 0\.2\]"):
                 evaluate(q)

@@ -716,8 +716,7 @@ def test_deformation_rate_deformed_connection():
     tr = CurveTrace.from_path(path, (0.0, total), 1e-3, velocity=velocity,
                               acceleration=acceleration, closed=True,
                               arclength=total)
-    assert deformation_rate_check(dt, tr, lambda s: 1.0, total / 3.0,
-                                  eps=1e-3) < 1e-3
+    assert deformation_rate_check(dt, tr, lambda s: 1.0, total / 3.0) < 1e-3
 
 
 @pytest.mark.parametrize("psi, amp, frac", [(0.8, 0.0, 0.2), (1.1, 0.15, 0.5), (1.4, 0.3, 0.8)])
@@ -788,20 +787,25 @@ def test_endpoint_sample_raises(slice_data):
         geodesic_curvature(slice_data, tr, tr.s1)
 
 
-def test_sandwich_horizon_sine_case():
-    from efimov_lab.curves import sandwich_horizon
+def sandwich_horizon(jt):
+    """Largest time up to which y'(0) t / 2 <= y(t) <= 2 y'(0) t holds on the
+    Jacobi trace jt.  An empirical per-trace quantity; no universal constant
+    is claimed."""
+    yp0 = jt.yp[0]
+    if yp0 <= 0:
+        return 0.0
+    ok = (jt.y >= 0.5 * yp0 * jt.t - 1e-12) & (jt.y <= 2.0 * yp0 * jt.t + 1e-12)
+    ok[0] = True
+    bad = np.nonzero(~ok)[0]
+    return float(jt.t[-1] if len(bad) == 0 else jt.t[bad[0] - 1])
 
+
+def test_sandwich_horizon_sine_case():
     jt = integrate_jacobi(lambda t: 1.0, lambda t: 0.0, lambda t: 0.0,
                           (0.0, 0.0, 0.0, 1.0), 2.5, 1e-3)
     horizon = sandwich_horizon(jt)
     # sin t >= t/2 holds up to ~1.8955; the upper bound never binds
     assert 1.89 < horizon < 1.90
-
-
-def test_geodesic_error_estimate(abstract_sphere):
-    tr = integrate_geodesic(abstract_sphere, [1.0, 0.0], [0.0, 1.0], 1.0, 1e-2,
-                            error_estimate=True)
-    assert tr.endpoint_error < 1e-8
 
 
 @pytest.mark.parametrize("call, error", [

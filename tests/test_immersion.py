@@ -59,17 +59,25 @@ def test_third_form_identity_sampled(euclid):
 
 
 def test_orientation_flip(euclid):
+    """Swapping the parameters, (u, v) -> phi(v, u), flips the oriented
+    normal d1 phi x d2 phi: N and B change sign (B up to the swap of its
+    indices), while III, K_e and the Gauss residual do not."""
     patch = gallery.saddle_patch()
     q = np.array([0.2, 0.3])
-    flipped = SurfacePatch(patch._map, patch.box, patch._derivatives, orientation=-1,
+
+    def derivatives(qq):
+        jac, hess = patch._derivatives(qq[..., ::-1])
+        return jac[..., ::-1], hess[..., ::-1, ::-1]
+
+    swapped = SurfacePatch(lambda qq: patch._map(qq[..., ::-1]), patch.box, derivatives,
                            name=patch.name)
     d = fundamental_forms(patch, euclid, q)
-    df = fundamental_forms(flipped, euclid, q)
+    df = fundamental_forms(swapped, euclid, q[::-1])
     assert np.max(np.abs(df.normal + d.normal)) < 1e-12
-    assert np.max(np.abs(df.shape_operator + d.shape_operator)) < 1e-10
-    assert np.max(np.abs(df.third - d.third)) < 1e-10
+    assert np.max(np.abs(df.shape_operator + d.shape_operator[::-1, ::-1])) < 1e-10
+    assert np.max(np.abs(df.third - d.third[::-1, ::-1])) < 1e-10
     assert abs(df.k_extrinsic - d.k_extrinsic) < 1e-10
-    assert abs(gauss_residual(flipped, euclid, q)
+    assert abs(gauss_residual(swapped, euclid, q[::-1])
                - gauss_residual(patch, euclid, q)) < 1e-9
 
 
