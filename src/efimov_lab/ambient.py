@@ -14,6 +14,12 @@ Conventions
 * The curvature evaluators take one point ``p`` of shape (dim,) or a batch
   of shape (N, dim); for a batch every result gains a leading axis over the
   rows.
+* The batch contract has two rules, written once here and used by every
+  layer.  A leaf (a metric leaf, a patch map or hook, a B or torsion field)
+  returns values with the leading axes of its points, or one value for
+  every point (a constant, broadcast); any other shape raises ValueError
+  naming the leaf (``_values``).  A check that fails on some rows of a
+  batch names the first failing row (``_first``).
 * ``g(p)`` is the metric matrix ``g_ij`` at chart point ``p``.
 * ``partials(p)[k, i, j]`` is the coordinate derivative ``d g_ij / d x^k``.
 * The curvature tensor is ``R(X,Y)Z = D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z`` and
@@ -62,6 +68,29 @@ def as_points(p, dim):
 def _scalar(a):
     """A float for one point, the array for a batch."""
     return float(a) if np.ndim(a) == 0 else a
+
+
+def _values(value, lead, shape, what):
+    """A leaf's ``value`` at points with leading axes ``lead``, as floats of
+    shape ``lead + shape``; one value of ``shape`` (a constant) is
+    broadcast, and any other shape raises ValueError naming ``what``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape == lead + shape:
+        return value
+    if value.shape != shape:
+        constant = f", or {shape} for every point" if lead else ""
+        raise ValueError(f"{what} gave shape {value.shape} at points with leading axes "
+                         f"{lead}; expected {lead + shape}{constant}")
+    return np.broadcast_to(value, lead + shape)
+
+
+def _first(bad):
+    """Where ``bad`` first holds, as an index of the point's values: ``()``
+    for one point (a bool), the first such row of a batch (in row-major
+    order), else None."""
+    if isinstance(bad, np.ndarray):
+        return int(np.argmax(bad)) if bad.any() else None
+    return () if bad else None
 
 
 def _entries(a, rank):
@@ -121,10 +150,10 @@ class ChartBox:
                 return
             p = np.asarray(p)
         else:
-            outside = ~self.inside(p, margin)
-            if not outside.any():
+            k = _first(~self.inside(p, margin))
+            if k is None:
                 return
-            p = p[np.argmax(outside)]
+            p = p[k]
         raise PointOutsideChart(f"point {p} outside the box of {name}"
                                 + (f" (margin {margin})" if margin else ""))
 
@@ -147,8 +176,9 @@ class MetricField:
 
     The three leaves broadcast over the leading axes of their argument; a
     leaf that returns one value for every point (a constant) is broadcast
-    to the batch.  A leaf that can only take one (dim,) point is wrapped
-    in ``_fd.pointwise``, which calls it once per point.  The curvature
+    to the batch, and any other shape raises ValueError naming the leaf.
+    A leaf that can only take one (dim,) point is wrapped in
+    ``_fd.pointwise``, which calls it once per point.  The curvature
     evaluators take one point or an (N, dim) batch and call each leaf once
     per ``CHUNK`` rows of the batch.
     """
@@ -178,25 +208,23 @@ class MetricField:
             return 0.0
         return 2.0 * self.fd_step
 
-    def _leaf(self, fn, p, rank):
-        """``fn(p)`` as floats of shape p.shape[:-1] + (dim,) * rank."""
+    def _leaf(self, fn, p, rank, what):
+        """``fn(p)`` as floats of shape p.shape[:-1] + (dim,) * rank, by
+        the leaf rule (``_values``)."""
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != (self.dim,):
             raise ValueError(f"expected points with {self.dim} coordinates, got shape {p.shape}")
-        value = np.asarray(fn(p), dtype=float)
-        if value.ndim < p.ndim - 1 + rank:  # one value for every point
-            value = np.broadcast_to(value, p.shape[:-1] + (self.dim,) * rank)
-        return value
+        return _values(fn(p), p.shape[:-1], (self.dim,) * rank, what)
 
     def matrix(self, p):
-        return self._leaf(self._matrix, p, 2)
+        return self._leaf(self._matrix, p, 2, "the metric's matrix leaf")
 
     def inverse(self, p):
         return _checked_inverse(self.matrix(p), p)
 
     def partials(self, p):
         if self._partials is not None:
-            return self._leaf(self._partials, p, 3)
+            return self._leaf(self._partials, p, 3, "the metric's partials leaf")
         return _fd.gradient(self.matrix, p, self.fd_step)
 
     def jet(self, p):
@@ -209,7 +237,8 @@ class MetricField:
             return _fd.jet(self.matrix, p, self.fd_step)
         g, dg = self.matrix(p), self.partials(p)
         if self._second_partials is not None:
-            return g, dg, self._leaf(self._second_partials, p, 4)
+            return g, dg, self._leaf(self._second_partials, p, 4,
+                                     "the metric's second_partials leaf")
         # d2g[..., k, l] = d_k (dg[..., l])
         d2 = _fd.gradient(self.partials, p, self.fd_step)
         return g, dg, 0.5 * (d2 + np.swapaxes(d2, -4, -3))
@@ -232,10 +261,9 @@ def _checked_inverse(g, p):
         # entries that overflow or are not finite surface in det, caught below
         with np.errstate(over="ignore", invalid="ignore"):
             det, adj = _det_adjugate(_entries(g, 2))
-        bad = ~((abs(det) >= DET_FLOOR) & (abs(det) < math.inf))
-        if not bad.any():
+        k = _first(~((abs(det) >= DET_FLOOR) & (abs(det) < math.inf)))
+        if k is None:
             return _assemble(adj, 2) / det[..., None, None]
-        k = np.argmax(bad)
         det, p = det.ravel()[k], np.reshape(p, (-1, n))[k]
     raise NonInvertibleMetric(f"|det g| = {abs(det):.3e} is below the floor or not finite "
                               f"at {np.reshape(np.asarray(p, dtype=float), -1)}")
@@ -345,11 +373,10 @@ def _require_finite(rows, *arrays, what="the metric or its derivatives"):
     # the sum overflows, which the exact check below sorts out
     if len(rows) == 1 and math.isfinite(sum(sum(a.ravel().tolist()) for a in arrays)):
         return
-    finite = np.logical_and.reduce(
-        [np.isfinite(a).reshape(len(rows), -1).all(axis=1) for a in arrays])
-    if finite.all():
-        return
-    raise NonFiniteMetric(f"{what} are not finite at {rows[np.argmin(finite)]}")
+    k = _first(~np.logical_and.reduce(
+        [np.isfinite(a).reshape(len(rows), -1).all(axis=1) for a in arrays]))
+    if k is not None:
+        raise NonFiniteMetric(f"{what} are not finite at {rows[k]}")
 
 
 def _curvature_rows(g, dg, d2g, pts):
@@ -445,9 +472,8 @@ def riemann_sectional(metric, p, x, y):
     y = np.asarray(y, dtype=float)
     xx, yy, xy = _quadratic(x, g, x), _quadratic(y, g, y), _quadratic(x, g, y)
     gram = xx * yy - xy * xy  # a product: a float and an array square alike
-    flat = ~(gram >= 1e-12 * np.maximum(1.0, xx) * np.maximum(1.0, yy))
-    if flat.any():
-        k = np.unravel_index(np.argmax(flat), flat.shape)
+    k = _first(~(gram >= 1e-12 * np.maximum(1.0, xx) * np.maximum(1.0, yy)))
+    if k is not None:
         raise DegeneratePlane(f"plane spanned by {x[k]} and {y[k]} is degenerate "
                               f"(gram={gram[k]:.3e})")
     # in C order: the einsum sums in the order of the tensor's layout

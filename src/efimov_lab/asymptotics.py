@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _fd
-from .ambient import _assemble, _entries, _quadratic, as_point, as_points
-from .connection import FD_STEP, _first, _inverse_shape_operator, _rotation, _sqrt
+from .ambient import _assemble, _entries, _first, _quadratic, as_point, as_points
+from .connection import FD_STEP, _inverse_shape_operator, _rotation, _sqrt
 from .connection import _torsion_from_gamma, complex_structure, measured_pinching
 from .curves import CurveTrace, _chart_flow, _chart_read, hermite
 from .curves import parallel_transport_samples, trace_margin

@@ -21,9 +21,10 @@ Torsion 2-forms are identified with vector fields through the metric the
 connection preserves: ``tau := T(f1, f2)`` for a positively oriented
 orthonormal frame (f1, f2).  A torsion field maps (..., 2) points to
 (..., 2) vectors, and one that returns a single vector for every point (a
-constant) is broadcast; a callable of one (2,) point is wrapped in
-``_fd.pointwise``.  The B field of operator mode follows the same contract
-with (..., 2, 2) matrices.
+constant) is broadcast; any other shape raises ValueError naming the field
+(the leaf rule of the ``ambient`` conventions).  A callable of one (2,)
+point is wrapped in ``_fd.pointwise``.  The B field of operator mode follows
+the same contract with (..., 2, 2) matrices.
 
 Batch contract: ``gamma``, ``third_form``, ``torsion_vector``, ``curvature``,
 ``area_density`` and the III-norms ``norm``, ``unit`` and ``torsion_norm``
@@ -76,8 +77,11 @@ from .ambient import (
     _christoffel,
     _det_adjugate,
     _entries,
+    _first,
     _quadratic,
+    _require_finite,
     _scalar,
+    _values,
     as_point,
     as_points,
     dnabla,
@@ -89,7 +93,6 @@ from .errors import (
     DegenerateVector,
     InvalidPinching,
     ModeUnsupported,
-    NonFiniteMetric,
     NonInvertibleMetric,
 )
 from .immersion import _fundamental_rows, fundamental_forms, induced_metric_field
@@ -110,14 +113,6 @@ _IJM = tuple(itertools.product((0, 1), repeat=3))  # (i, j, m) in row-major orde
 
 def _sqrt(x):
     return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
-
-
-def _first(bad):
-    """Where ``bad`` first holds, as an index of the point's values: ``()``
-    for one point (a bool), the first such row of a batch, else None."""
-    if isinstance(bad, np.ndarray):
-        return int(np.argmax(bad)) if bad.any() else None
-    return () if bad else None
 
 
 def complex_structure(g):
@@ -147,10 +142,9 @@ def _metric_det(g11, g12, g21, g22, points=None):
             return det
         where = "" if points is None else f" at {points}"
     else:
-        bad = ~((g11 > 0.0) & (det > DET_FLOOR))
-        if not bad.any():
+        k = _first(~((g11 > 0.0) & (det > DET_FLOOR)))
+        if k is None:
             return det
-        k = int(np.argmax(bad))
         g11, det = np.ravel(g11)[k], det.ravel()[k]
         where = f" at row {k}" if points is None else f" at {np.reshape(points, (-1, 2))[k]}"
     raise NonInvertibleMetric(
@@ -162,22 +156,6 @@ def _positive_det(g, q):
     stack at the rows of a batch q."""
     (g11, g12), (g21, g22) = _entries(g, 2)
     return _metric_det(g11, g12, g21, g22, q)
-
-
-def _require_finite(entries, q):
-    """NonFiniteMetric unless the coefficient entries at q (floats for one
-    point, (N,) arrays over the rows of a batch) are all finite; the error
-    names the first failing point."""
-    if isinstance(entries[0], float):
-        if all(map(math.isfinite, entries)):
-            return
-        bad = q
-    else:
-        finite = np.isfinite(entries).all(axis=0)
-        if finite.all():
-            return
-        bad = q[np.argmin(finite)]
-    raise NonFiniteMetric(f"the connection coefficients are not finite at {bad}")
 
 
 def _torsion_from_gamma(gam, iii, q):
@@ -348,8 +326,11 @@ class _TorsionProvider(SurfaceConnectionData):
         low[6] += st2
         inv = ((g22 / det, -g12 / det), (-g21 / det, g11 / det))
         entries = [a * low[n] + b * low[n + 1] for a, b in inv for n in (0, 2, 4, 6)]
-        _require_finite(entries, q)
-        return _assemble(entries, 1).reshape(q.shape[:-1] + (2, 2, 2))
+        gam = _assemble(entries, 1)
+        # one point: plain floats, at every RK4 stage of a torsion-mode trace
+        if not (isinstance(entries[0], float) and all(map(math.isfinite, entries))):
+            _require_finite(q.reshape(-1, 2), gam, what="the connection coefficients")
+        return gam.reshape(q.shape[:-1] + (2, 2, 2))
 
     def torsion_vector(self, q):
         """The torsion field at q, or at each row of an (N, 2) batch."""
@@ -359,13 +340,7 @@ class _TorsionProvider(SurfaceConnectionData):
         """The field ``tau`` at the point array q, a constant broadcast.
         ``gamma`` and K~ read it here, not through ``torsion_vector``, so
         that a caller counting ``torsion_vector`` reads sees only its own."""
-        tau = np.asarray(self.tau(q), dtype=float)
-        if tau.shape != q.shape:
-            if tau.shape != (2,):
-                raise ValueError(f"a torsion field maps (..., 2) points to (..., 2) vectors; "
-                                 f"points of shape {q.shape} gave shape {tau.shape}")
-            tau = np.broadcast_to(tau, q.shape)  # one vector for every point
-        return tau
+        return _values(self.tau(q), q.shape[:-1], (2,), "a torsion field")
 
     def _lowered_torsion(self, q):
         """``t = III(tau, .)`` at q, or at each row of a batch."""
@@ -406,13 +381,7 @@ class _OperatorProvider(SurfaceConnectionData):
     def b_matrix(self, q):
         """B at one point or at each point of a (..., 2) array."""
         q = np.asarray(q, dtype=float)
-        b = np.asarray(self.b_field(q), dtype=float)
-        if b.shape != q.shape + (2,):
-            if b.shape != (2, 2) or q.shape[-1:] != (2,):
-                raise ValueError(f"a B field maps (..., 2) points to (..., 2, 2) matrices; "
-                                 f"points of shape {q.shape} gave shape {b.shape}")
-            b = np.broadcast_to(b, q.shape + (2,))  # one matrix for every point
-        return b
+        return _values(self.b_field(q), q.shape[:-1], (2, 2), "a B field")
 
     def b_matrix_partials(self, q):
         """``dB[..., a, i, j] = d_a B_ij`` at one point or at each row of an

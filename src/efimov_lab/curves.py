@@ -583,24 +583,23 @@ def _require_radius(radius):
 
 
 class RegionSpec:
-    """A compact region: ordered boundary segments plus an interior quadrature.
+    """A compact region: ordered boundary segments plus an interior node set.
 
     Each segment is a :class:`CurveTrace` that carries ``accelerations``;
     the boundary integrals read its samples, which Simpson's rule wants odd
     in number, and a segment whose ends meet is integrated as periodic.
-    ``interior`` is either an explicit node set
-    ``{"points": (m, 2), "weights": (m,)}`` or a mapping
-    ``{"map": E, "jacobian": det DE, "n": (na, nb)}`` of the unit square,
-    with Gauss-Legendre nodes in a and the midpoint rule in b.  The weights
-    include the chart Jacobian but not the metric area density, so
+    The interior quadrature is the chart nodes ``points``, shape (m, 2),
+    and their ``weights``, shape (m,).  The weights include the chart
+    Jacobian but not the metric area density, so
     ``integral f dv ~ sum f(p_i) w_i sqrt(det III(p_i))``.
     """
 
     closure_tol = 1e-6  # largest endpoint gap between consecutive segments
 
-    def __init__(self, segments, interior):
+    def __init__(self, segments, points, weights):
         self.segments = segments
-        self.interior = interior
+        self.points = np.asarray(points, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
 
     # -- boundary -----------------------------------------------------------
 
@@ -644,38 +643,19 @@ class RegionSpec:
 
     # -- interior -----------------------------------------------------------
 
-    def interior_nodes(self):
-        """(points, weights) with weights carrying the chart Jacobian; the
-        metric area density is applied by the caller."""
-        if "points" in self.interior:
-            return np.asarray(self.interior["points"]), np.asarray(self.interior["weights"])
-        emap = self.interior["map"]
-        ejac = self.interior["jacobian"]
-        na, nb = self.interior["n"]
-        ga, wa = np.polynomial.legendre.leggauss(na)
-        a_nodes = 0.5 * (ga + 1.0)
-        a_w = 0.5 * wa
-        b_nodes = (np.arange(nb) + 0.5) / nb
-        b_w = np.full(nb, 1.0 / nb)
-        pts = []
-        wts = []
-        for ai, awi in zip(a_nodes, a_w):
-            for bi, bwi in zip(b_nodes, b_w):
-                pts.append(np.asarray(emap(ai, bi), dtype=float))
-                wts.append(awi * bwi * abs(float(ejac(ai, bi))))
-        return np.array(pts), np.array(wts)
-
     def curvature_integral(self, data):
         """The integral of K~ dv, with one batched K~ and one area-density
         evaluation over the node set."""
-        pts, wts = self.interior_nodes()
-        return float(np.sum(data.curvature(pts) * data.area_density(pts) * wts))
+        return float(np.sum(data.curvature(self.points) * data.area_density(self.points)
+                            * self.weights))
 
     # -- ready-made shapes ---------------------------------------------------
 
     @staticmethod
     def coordinate_disk(center, radius, n_boundary=201, n_radial=24, n_angular=64):
-        """Disk in chart coordinates: boundary circle plus polar quadrature."""
+        """Disk in chart coordinates: boundary circle plus polar quadrature,
+        Gauss-Legendre nodes in the radius and the midpoint rule in the
+        angle."""
         _require_radius(radius)
         _require_count("n_boundary", n_boundary, 2)
         _require_count("n_radial", n_radial, 1)
@@ -695,14 +675,13 @@ class RegionSpec:
         seg = CurveTrace.from_path(path, (0.0, 2 * np.pi), 2 * np.pi / ((n_boundary | 1) - 1),
                                    velocity, acceleration)
 
-        def emap(a, b):
-            return c + a * radius * np.array([np.cos(2 * np.pi * b), np.sin(2 * np.pi * b)])
-
-        def ejac(a, b):
-            return 2 * np.pi * a * radius ** 2
-
-        return RegionSpec([seg], {"map": emap, "jacobian": ejac,
-                                  "n": (n_radial, n_angular)})
+        ga, wa = np.polynomial.legendre.leggauss(n_radial)
+        a, aw = 0.5 * (ga + 1.0), 0.5 * wa
+        b = 2 * np.pi * ((np.arange(n_angular) + 0.5) / n_angular)
+        # (n_radial, n_angular) nodes, radius outermost
+        pts = c + (a * radius)[:, None, None] * np.stack([np.cos(b), np.sin(b)], axis=-1)
+        wts = aw * (1.0 / n_angular) * np.abs(2 * np.pi * a * radius ** 2)
+        return RegionSpec([seg], pts.reshape(-1, 2), np.repeat(wts, n_angular))
 
     @staticmethod
     def geodesic_disk(data, center, radius, n_rays=256, n_radial=16):
@@ -756,8 +735,7 @@ class RegionSpec:
         dp_dphi = dphi(ray_pts)
         jac = np.abs(ray_vel[..., 0] * dp_dphi[..., 1] - ray_vel[..., 1] * dp_dphi[..., 0])
         h_phi = 2 * np.pi / n_rays
-        interior = {"points": ray_pts.reshape(-1, 2), "weights": (s_w * h_phi * jac).reshape(-1)}
-        return RegionSpec([seg], interior)
+        return RegionSpec([seg], ray_pts.reshape(-1, 2), (s_w * h_phi * jac).reshape(-1))
 
 
 def gauss_bonnet_residual(data, region):
@@ -772,20 +750,13 @@ def gauss_bonnet_residual(data, region):
 def boundary_holonomy_angle(data, region):
     """Signed rotation of a vector parallel-transported around the boundary."""
     region.require_closed()
-    w = None
-    start_point = None
+    first = region.segments[0]
+    start = first.eval(first.s0)[0]
+    g = data.third_form(start)
+    w0 = w = orthonormal_frame(g)[0]
     for seg in region.segments:
-        p0, _ = seg.eval(seg.s0)
-        if w is None:
-            g = data.third_form(p0)
-            f = orthonormal_frame(g)
-            w = f[0]
-            start_point = p0
         w = parallel_transport(data, seg, w)
-    g = data.third_form(start_point)
-    f = orthonormal_frame(g)
-    w0 = f[0]
-    j = data.complex_structure(start_point)
+    j = data.complex_structure(start)
     return float(np.arctan2((j @ w0) @ g @ w, w0 @ g @ w))
 
 

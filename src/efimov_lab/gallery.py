@@ -19,6 +19,7 @@ from .ambient import (
     ChartBox,
     MetricField,
     _assemble,
+    _first,
     _quadratic,
     christoffel,
     dnabla,
@@ -748,9 +749,8 @@ def virtual_third_form(sigma_field, h_field, b_field, tau_field, sample_points=N
     pts = np.array(sample_points, dtype=float).reshape(-1, 2)
 
     det = np.linalg.det(data.b_matrix(pts))
-    wrong = det >= 0
-    if wrong.any():
-        k = int(np.argmax(wrong))
+    k = _first(det >= 0)
+    if k is not None:
         raise WrongSignDeterminant(f"det H = {det[k]:.3e} >= 0 at {pts[k]}")
     b = np.array([float(b_field(q)) for q in pts])
     tau = np.array([np.asarray(tau_field(q), dtype=float) for q in pts])

@@ -40,9 +40,11 @@ from .ambient import (
     _christoffel,
     _det_adjugate,
     _entries,
+    _first,
     _quadratic,
     _require_finite,
     _scalar,
+    _values,
     as_point,
     dnabla,
     riemann_covariant,
@@ -52,6 +54,7 @@ from .ambient import (
 from .errors import DegenerateImmersion
 
 RANK_FLOOR = 1e-10
+_HOOK = "the patch's derivatives hook"
 
 
 class SurfacePatch:
@@ -92,26 +95,14 @@ class SurfacePatch:
     def require_inside(self, q, margin=0.0):
         self.box.require_inside(q, margin, self.name or "patch")
 
-    def _checked(self, q, value, shape):
-        """``value``, the map's or the hook's value at q, as floats.  For a
-        batch it must have shape q.shape[:-1] + shape, and a constant (one
-        value for every point) is broadcast."""
-        value = np.asarray(value, dtype=float)
-        if q.ndim == 1 or value.shape == q.shape[:-1] + shape:
-            return value
-        if value.shape != shape:
-            raise ValueError(f"a patch map or derivatives hook maps (..., 2) points to (...,) + "
-                             f"{shape} arrays; points of shape {q.shape} gave shape {value.shape}")
-        return np.broadcast_to(value, q.shape[:-1] + shape)  # one value for every point
-
     def point(self, q):
         q = _parameters(q)
-        return self._checked(q, self._map(q), (3,))
+        return _values(self._map(q), q.shape[:-1], (3,), "the patch map")
 
     def jacobian(self, q):
         q = _parameters(q)
         if self._derivatives is not None:
-            return self._checked(q, self._derivatives(q)[0], (3, 2))
+            return _values(self._derivatives(q)[0], q.shape[:-1], (3, 2), _HOOK)
         # in C order: the rounding of the matmuls downstream depends on the layout
         return np.ascontiguousarray(np.swapaxes(_fd.gradient(self._map, q, self.fd_step), -1, -2))
 
@@ -128,10 +119,12 @@ class SurfacePatch:
             if q.ndim == 1:  # the hot path of every trace: no batch shapes to check
                 return (np.asarray(self._map(q), dtype=float), np.asarray(jac, dtype=float),
                         np.asarray(hess, dtype=float))
-            return (self._checked(q, self._map(q), (3,)), self._checked(q, jac, (3, 2)),
-                    self._checked(q, hess, (3, 2, 2)))
+            lead = q.shape[:-1]
+            return (_values(self._map(q), lead, (3,), "the patch map"),
+                    _values(jac, lead, (3, 2), _HOOK), _values(hess, lead, (3, 2, 2), _HOOK))
         p, grad, hess = _fd.jet(self._map, q, self.fd_step)
-        return (self._checked(q, p, (3,)), np.ascontiguousarray(np.swapaxes(grad, -1, -2)),
+        return (_values(p, q.shape[:-1], (3,), "the patch map"),
+                np.ascontiguousarray(np.swapaxes(grad, -1, -2)),
                 np.ascontiguousarray(np.moveaxis(hess, -1, -3)))
 
 
@@ -239,9 +232,8 @@ def _frame(q, g, ginv, jac, jac_t):
     else:
         n = (ginv @ cov[..., None])[..., 0]
         norm2 = _quadratic(n, g, n)
-        flat = (norm2 <= 0) | (gram < RANK_FLOOR)
-        if flat.any():
-            k = np.argmax(flat)
+        k = _first((norm2 <= 0) | (gram < RANK_FLOOR))
+        if k is not None:
             raise DegenerateImmersion(f"rank of d phi < 2 at q={q[k]} (gram={gram[k]:.3e})")
         n = n / np.sqrt(norm2)[:, None]
     return first, _assemble(adj, 2), gram, n

@@ -313,35 +313,21 @@ def construct_edo7(u, eps, n1, step=1e-3):
 
 
 def _bspline_bump(x):
-    """C^2 cubic B-spline bump supported on [-2, 2], max 1 at 0."""
-    ax = np.abs(x)
-    out = np.zeros_like(ax)
-    m1 = ax < 1
-    m2 = (ax >= 1) & (ax < 2)
-    out[m1] = 1.0 - 1.5 * ax[m1] ** 2 + 0.75 * ax[m1] ** 3
-    out[m2] = 0.25 * (2.0 - ax[m2]) ** 3
-    return out
-
-
-def _bspline_bump_d1(x):
+    """C^2 cubic B-spline bump supported on [-2, 2], max 1 at 0, with its
+    first and second derivatives: ``(phi, phi', phi'')`` at x."""
     ax = np.abs(x)
     sgn = np.sign(x)
-    out = np.zeros_like(ax)
     m1 = ax < 1
     m2 = (ax >= 1) & (ax < 2)
-    out[m1] = sgn[m1] * (-3.0 * ax[m1] + 2.25 * ax[m1] ** 2)
-    out[m2] = sgn[m2] * (-0.75) * (2.0 - ax[m2]) ** 2
-    return out
-
-
-def _bspline_bump_d2(x):
-    ax = np.abs(x)
-    out = np.zeros_like(ax)
-    m1 = ax < 1
-    m2 = (ax >= 1) & (ax < 2)
-    out[m1] = -3.0 + 4.5 * ax[m1]
-    out[m2] = 1.5 * (2.0 - ax[m2])
-    return out
+    a1, r2 = ax[m1], 2.0 - ax[m2]
+    phi, d1, d2 = np.zeros_like(ax), np.zeros_like(ax), np.zeros_like(ax)
+    phi[m1] = 1.0 - 1.5 * a1 ** 2 + 0.75 * a1 ** 3
+    phi[m2] = 0.25 * r2 ** 3
+    d1[m1] = sgn[m1] * (-3.0 * a1 + 2.25 * a1 ** 2)
+    d1[m2] = sgn[m2] * (-0.75) * r2 ** 2
+    d2[m1] = -3.0 + 4.5 * a1
+    d2[m2] = 1.5 * r2
+    return phi, d1, d2
 
 
 _CHUNK_TESTS = 4  # test functions per Simpson pass; bounds the memory of a pass
@@ -435,9 +421,8 @@ def _weak_integrals(bump, u, n_tests, seed):
         gg, yy, uu = xs[src], yv[src], uv[src]
         c, w = (np.repeat(v[test[k]], size[k]) for v in (center, width))
         tt = (gg - c) / w
-        phi = _bspline_bump(tt)
-        d1 = _bspline_bump_d1(tt) / w
-        d2 = _bspline_bump_d2(tt) / w ** 2
+        phi, d1, d2 = _bspline_bump(tt)
+        d1, d2 = d1 / w, d2 / w ** 2
         integrand = yy * (d2 + uu * d1 + (bump.eps + uu ** 2 / 4.0) * phi)
         piece_total[k] = simpson(integrand, gg, size[k])
     return np.bincount(test, weights=piece_total, minlength=n_tests)

@@ -175,6 +175,19 @@ def test_metric_field_takes_dims_2_and_3_only():
             MetricField(dim, lambda p: np.eye(dim), ChartBox.cube(dim, 1.0))
 
 
+@pytest.mark.parametrize("p", [np.zeros(2), np.zeros((3, 2))], ids=["point", "batch"])
+def test_metric_leaf_of_the_wrong_shape_raises_naming_the_leaf(p):
+    """A dim-2 metric whose matrix leaf gives 3x3 matrices raises ValueError
+    naming the leaf, at one point and on a batch, where numpy's matmul or
+    broadcast used to fail further down; a constant 2x2 leaf is broadcast."""
+    wide = MetricField(2, lambda q: np.eye(3), ChartBox.cube(2, 1.0))
+    for read in (wide.matrix, lambda q: christoffel(wide, q)):
+        with pytest.raises(ValueError, match="metric's matrix leaf"):
+            read(p)
+    constant = MetricField(2, lambda q: np.eye(2), ChartBox.cube(2, 1.0))
+    assert np.array_equal(constant.matrix(p), np.broadcast_to(np.eye(2), p.shape + (2,)))
+
+
 def test_non_invertible_metric():
     m = MetricField(3, _fd.pointwise(lambda p: np.diag([p[0] ** 2, 1.0, 1.0])),
                     ChartBox((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)))

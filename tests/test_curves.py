@@ -148,10 +148,8 @@ def test_sphere_triangle_holonomy(abstract_sphere):
                                 velocity=lambda s: np.array([1.0, 0.0]),
                                 acceleration=lambda s: np.zeros(2))
     assert [len(seg.s) for seg in (seg1, seg2, seg3)] == [201, 101, 101]
-    octant = RegionSpec([seg1, seg2, seg3],
-                        {"map": lambda a, b: a * np.array([np.cos(b * np.pi / 2),
-                                                           np.sin(b * np.pi / 2)]),
-                         "jacobian": lambda a, b: a * np.pi / 2, "n": (24, 48)})
+    # the holonomy reads the boundary only: an empty interior node set
+    octant = RegionSpec([seg1, seg2, seg3], np.empty((0, 2)), np.empty(0))
     angle = boundary_holonomy_angle(abstract_sphere, octant)
     assert abs(angle - np.pi / 2) < 1e-4
 
@@ -309,7 +307,7 @@ def test_deformed_small_loop_rotation():
     loop = RegionSpec.coordinate_disk([1.0, 0.5], 0.05, n_boundary=201,
                                       n_radial=12, n_angular=48)
     angle = boundary_holonomy_angle(dt, loop)
-    pts, wts = loop.interior_nodes()
+    pts, wts = loop.points, loop.weights
     area = sum(dt.area_density(p) * w for p, w in zip(pts, wts))
     k_center = 2.0 * np.tanh(1.0) - 1.0
     assert abs(angle - k_center * area) < 10.0 * area ** 2
@@ -503,7 +501,7 @@ def test_geodesic_disk_rays_equal_integrate_geodesic(case, where, radius, n_rays
     disk = RegionSpec.geodesic_disk(data, center, radius, n_rays=n_rays, n_radial=n_radial)
     f = orthonormal_frame(data.third_form(center))
     s_nodes = 0.5 * (np.polynomial.legendre.leggauss(n_radial)[0] + 1.0) * radius
-    nodes = disk.interior["points"].reshape(n_rays, n_radial, 2)
+    nodes = disk.points.reshape(n_rays, n_radial, 2)
     for k in range(n_rays):
         phi = 2 * np.pi * k / n_rays
         tr = integrate_geodesic(data, center, np.cos(phi) * f[0] + np.sin(phi) * f[1], radius,
@@ -533,7 +531,7 @@ def test_region_integrals_equal_the_per_point_sums():
     one-point evaluations up to summation order."""
     data = gallery.hyperbolic_deformed(1.5)
     disk = RegionSpec.geodesic_disk(data, [1.2, 0.3], 0.4, n_rays=32, n_radial=6)
-    pts, wts = disk.interior_nodes()
+    pts, wts = disk.points, disk.weights
     ref = sum(data.curvature(p) * data.area_density(p) * w for p, w in zip(pts, wts))
     assert abs(disk.curvature_integral(data) - ref) <= 1e-14 * abs(ref)
 
@@ -646,13 +644,30 @@ def test_disks_reject_bad_radius(abstract_sphere, radius):
         RegionSpec.geodesic_disk(abstract_sphere, [0.0, 0.0], radius)
 
 
+@pytest.mark.parametrize("center, radius, n_radial, n_angular",
+                         [([0.1, -0.1], 0.5, 8, 16), ([1.5, 0.0], 1.0, 24, 64),
+                          ([0.3, 0.7], 2, 1, 1)])
+def test_coordinate_disk_nodes_equal_the_per_node_loop(center, radius, n_radial, n_angular):
+    """The array expression of the polar nodes and weights gives, bit for
+    bit, the Gauss-Legendre x midpoint loop over the nodes, radius outermost."""
+    ga, wa = np.polynomial.legendre.leggauss(n_radial)
+    c = np.asarray(center, dtype=float)
+    pts, wts = [], []
+    b_nodes, b_w = (np.arange(n_angular) + 0.5) / n_angular, np.full(n_angular, 1.0 / n_angular)
+    for a, aw in zip(0.5 * (ga + 1.0), 0.5 * wa):
+        for b, bw in zip(b_nodes, b_w):
+            pts.append(c + a * radius * np.array([np.cos(2 * np.pi * b), np.sin(2 * np.pi * b)]))
+            wts.append(aw * bw * abs(2 * np.pi * a * radius ** 2))
+    disk = RegionSpec.coordinate_disk(center, radius, n_radial=n_radial, n_angular=n_angular)
+    assert np.array_equal(disk.points, pts) and np.array_equal(disk.weights, wts)
+
+
 def test_open_boundary_raises(abstract_plane):
     seg = CurveTrace.from_path(lambda s: np.array([s, 0.0]), (0.0, 1.0), 2e-2,
                                velocity=lambda s: np.array([1.0, 0.0]),
                                acceleration=lambda s: np.zeros(2))
     assert len(seg.s) == 51
-    region = RegionSpec([seg], {"map": lambda a, b: np.array([a, b]),
-                                "jacobian": lambda a, b: 1.0, "n": (4, 4)})
+    region = RegionSpec([seg], np.empty((0, 2)), np.empty(0))
     with pytest.raises(OpenBoundary):
         gauss_bonnet_residual(abstract_plane, region)
 

@@ -326,7 +326,8 @@ def test_gallery_patches_broadcast_over_points(build):
 
 def test_one_point_map_takes_a_batch_through_pointwise():
     """A map of one (2,) point, fed a batch, gives the wrong shape and
-    raises ValueError; wrapped in ``_fd.pointwise`` it gives the rows of
+    raises ValueError, as does a map with 2 components at one point or on a
+    batch; wrapped in ``_fd.pointwise`` the one-point map gives the rows of
     its broadcasting twin."""
     def one_point(q):
         return np.array([q[0], q[1], q[0] * q[1]])
@@ -334,6 +335,10 @@ def test_one_point_map_takes_a_batch_through_pointwise():
     pts = np.array([[0.1, 0.2], [-0.3, 0.4], [0.5, -0.6]])
     with pytest.raises(ValueError, match="patch map"):
         SurfacePatch(one_point, ChartBox.cube(2, 1.0)).point(pts)
+    planar = SurfacePatch(lambda q: np.asarray(q), ChartBox.cube(2, 1.0))
+    for q in (np.zeros(2), pts):
+        with pytest.raises(ValueError, match="patch map"):
+            planar.point(q)
     wrapped = SurfacePatch(_fd.pointwise(one_point), ChartBox.cube(2, 1.0))
     assert np.array_equal(wrapped.point(pts), gallery.saddle_patch().point(pts))
 

@@ -8,8 +8,6 @@ from efimov_lab.odelab import (
     PiecewiseBump,
     _as_profile,
     _bspline_bump,
-    _bspline_bump_d1,
-    _bspline_bump_d2,
     _bump_run,
     _hermite_root,
     _weak_integrals,
@@ -303,9 +301,8 @@ def _reference_weak_integrals(bump, u, n_tests, seed):
 
     def piece_integral(gg, yy, center, width):
         tt = (gg - center) / width
-        phi = _bspline_bump(tt)
-        d1 = _bspline_bump_d1(tt) / width
-        d2 = _bspline_bump_d2(tt) / width ** 2
+        phi, d1, d2 = _bspline_bump(tt)
+        d1, d2 = d1 / width, d2 / width ** 2
         uu = np.broadcast_to(u(gg), gg.shape)
         integrand = yy * (d2 + uu * d1 + (bump.eps + uu ** 2 / 4.0) * phi)
         return simpson(integrand, gg)
