@@ -117,6 +117,13 @@ class ChartBox:
 
     lo: tuple
     hi: tuple
+    # the bounds as float arrays, built once for ``inside``
+    _lo: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lo", np.asarray(self.lo, dtype=float))
+        object.__setattr__(self, "_hi", np.asarray(self.hi, dtype=float))
 
     @staticmethod
     def cube(dim, half_width):
@@ -137,9 +144,8 @@ class ChartBox:
 
     def inside(self, pts, margin=0.0):
         """``contains`` for each row of an (N, dim) array: a boolean (N,) array."""
-        lo = np.asarray(self.lo, dtype=float) + margin - 1e-15
-        hi = np.asarray(self.hi, dtype=float) - margin + 1e-15
-        return np.all((pts >= lo) & (pts <= hi), axis=-1)
+        lo, hi = self._lo + margin - 1e-15, self._hi - margin + 1e-15
+        return ((pts >= lo) & (pts <= hi)).all(axis=-1)
 
     def require_inside(self, p, margin=0.0, name="chart"):
         """Raise PointOutsideChart unless p, or every row of an (N, dim)

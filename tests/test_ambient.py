@@ -169,6 +169,29 @@ def test_chart_box_contains_edge_inputs():
         box.contains([0.0, 1.0, 0.0])
 
 
+# with margin 2e-3, (lo + margin) - 1e-15 differs from (lo - 1e-15) + margin
+# at lo = -1 and -8 (and likewise at hi = 1, 2, 8), and from lo + (margin -
+# 1e-15) at lo = -0.03 and hi = 0.03
+@pytest.mark.parametrize("box", [ChartBox((-1.0, 0.05), (1.0, 4.0)),
+                                 ChartBox((-0.03, -1.0, -8.0), (0.03, 2.0, 8.0))],
+                         ids=["2d", "3d"])
+@pytest.mark.parametrize("margin", [0.0, 2e-3])
+def test_chart_box_inside_equals_contains_at_the_shrunk_edges(box, margin):
+    """Points on the box shrunk by ``margin`` (rounded as ``lo + margin -
+    1e-15``) and one ulp to either side of it: every row of ``inside``
+    equals ``contains`` of that row, and the edge itself is inside."""
+    centre = [0.5 * (lo + hi) for lo, hi in zip(box.lo, box.hi)]
+    rows, expected = [], []
+    for axis, (lo, hi) in enumerate(zip(box.lo, box.hi)):
+        for edge, out in ((lo + margin - 1e-15, -np.inf), (hi - margin + 1e-15, np.inf)):
+            for x, inside in ((edge, True), (np.nextafter(edge, out), False),
+                              (np.nextafter(edge, -out), True)):
+                rows.append(centre[:axis] + [x] + centre[axis + 1:])
+                expected.append(inside)
+    rows = np.array(rows)
+    assert box.inside(rows, margin).tolist() == [box.contains(r, margin) for r in rows] == expected
+
+
 def test_metric_field_takes_dims_2_and_3_only():
     for dim in (1, 4):
         with pytest.raises(ValueError, match="dim 2 or 3"):

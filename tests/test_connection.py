@@ -548,6 +548,49 @@ def test_torsion_batch_names_the_row_with_non_finite_coefficients():
     assert np.isfinite(data.gamma(pts[:1])).all()
 
 
+@pytest.mark.parametrize("name", ["tanh", "angular", "abstract_sphere", "expressions"])
+def test_torsion_gamma_batch_of_one_row_and_of_a_strided_view(name):
+    """The stacked-entry batch of gamma equals the one-point calls bit for
+    bit on a batch of one row and on the strided ``state[:, :2]`` view of
+    an (N, 4) state that the geodesic equations pass.  The non-conformal
+    metric has every partial non-zero, so each lowered symbol sums three
+    terms and each coefficient two products."""
+    if name == "expressions":
+        data = SurfaceConnectionData.from_metric_and_torsion(
+            _torsion_case(name)[0].iii_field,
+            lambda q: np.stack([0.4 * np.cos(q[..., 1]), 0.1 * q[..., 0] - 0.2], axis=-1))
+        lo, hi = np.array([-0.8, -0.8]), np.array([0.8, 0.8])
+    else:
+        data, (lo, hi) = _batch_case(name)
+    pts = lo + np.random.default_rng(3).random((32, 2)) * (hi - lo)
+    single = np.array([data.gamma(p) for p in pts])
+    state = np.concatenate([pts, np.ones_like(pts)], axis=1)
+    assert not state[:, :2].flags.c_contiguous
+    for batch, rows in ((pts[:1], single[:1]), (state[:1, :2], single[:1]),
+                        (state[:, :2], single)):
+        gam = data.gamma(batch)
+        assert gam.shape == rows.shape and np.array_equal(gam, rows)
+
+
+def test_torsion_gamma_names_the_row_with_non_finite_metric_partials():
+    """A metric whose partials leaf is NaN at a point makes the coefficients
+    there NaN: NonFiniteMetric naming that row of a batch, and the point
+    itself at one point."""
+    metric = gallery.hyperbolic_plane_polar()
+
+    def partials(q):
+        return np.where((q[..., 0] > 2.0)[..., None, None, None], np.nan, metric.partials(q))
+
+    nan_partials = MetricField(2, metric.matrix, metric.box, partials=partials)
+    data = SurfaceConnectionData.from_metric_and_torsion(nan_partials, lambda q: np.array([0.1, 0.2]))
+    pts = np.array([[1.0, 0.0], [1.5, -0.4], [2.5, 0.3], [3.0, 0.0]])
+    with pytest.raises(NonFiniteMetric, match=re.escape(str(pts[2]))):
+        data.gamma(pts)
+    with pytest.raises(NonFiniteMetric, match=re.escape(str(pts[3]))):
+        data.gamma(pts[3])
+    assert np.array_equal(data.gamma(pts[:2]), [data.gamma(p) for p in pts[:2]])
+
+
 def test_torsion_field_contract():
     """A constant field is broadcast, a one-point callable wrapped in
     _fd.pointwise gives the values of its broadcasting twin, and a field of

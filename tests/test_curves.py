@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efimov_lab import curves, gallery
@@ -489,6 +489,8 @@ def test_gauss_bonnet_deformed_disk():
 @given(case=st.sampled_from(["tanh", "angular", "abstract_sphere"]),
        where=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
        radius=st.floats(0.1, 0.5), n_rays=st.integers(5, 9), n_radial=st.integers(1, 4))
+# a 32-ray, 6-radial tanh disk like the CLI checks' (centre [1.3, 0.3]): 32-row gamma batches
+@example(case="tanh", where=(0.2, 0.65), radius=0.4, n_rays=32, n_radial=6)
 def test_geodesic_disk_rays_equal_integrate_geodesic(case, where, radius, n_rays, n_radial):
     """The one RK4 over the stacked rays gives each ray, its interior nodes
     and its boundary end exactly as integrate_geodesic traces it alone."""
