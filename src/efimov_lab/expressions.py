@@ -17,10 +17,13 @@ elementwise, with numpy's float arithmetic and ufuncs.  Overflow, an
 invalid operation (``ln`` of a negative number, ``(-1)^0.5``) and division
 by zero raise ExpressionEvaluationError naming the first point at which
 the expression is undefined; they never return inf or NaN.
+``Expression.derivative`` differentiates the parsed expression by the rules
+of calculus and returns the partial derivative as another Expression.
 """
 
 from __future__ import annotations
 
+import copy
 import re
 
 import numpy as np
@@ -70,6 +73,17 @@ class Expression:
         self.text = text
         self.variables = tuple(variables)
         self._ast = _Parser(_tokenize(text), set(self.variables)).parse()
+
+    def derivative(self, name):
+        """The partial derivative in the variable ``name``, an Expression in
+        the same variables.  It is undefined where a rule it applies is, as
+        ``u^0.5`` at ``u = 0``: evaluating it there raises
+        ExpressionEvaluationError naming the point."""
+        if name not in self.variables:
+            raise ExpressionError(f"unknown variable {name!r}")
+        out = copy.copy(self)
+        out.text, out._ast = f"d({self.text})/d{name}", _derivative(self._ast, name)
+        return out
 
     def __call__(self, **values):
         # [()] makes a number a numpy scalar, which the ufuncs take faster
@@ -203,6 +217,76 @@ def _eval(node, values):
         return a / b
     if tag == "^":
         return a ** b
+    raise ExpressionError(f"corrupt AST node {node!r}")
+
+
+_ZERO = ("num", np.float64(0.0))
+_ONE = ("num", np.float64(1.0))
+
+
+def _is(node, value):
+    return node[0] == "num" and node[1] == value
+
+
+def _sum(a, b):
+    return b if _is(a, 0) else a if _is(b, 0) else ("+", a, b)
+
+
+def _negative(a):
+    return _ZERO if _is(a, 0) else ("neg", a)
+
+
+def _product(a, b):
+    if _is(a, 0) or _is(b, 0):
+        return _ZERO
+    return b if _is(a, 1) else a if _is(b, 1) else ("*", a, b)
+
+
+def _quotient(a, b):
+    return _ZERO if _is(a, 0) else ("/", a, b)
+
+
+# d f(a) / da for each function, as a tree in its argument a
+_CHAIN = {
+    "cosh": lambda a: ("call", "sinh", a),
+    "sinh": lambda a: ("call", "cosh", a),
+    "tanh": lambda a: ("-", _ONE, ("*", ("call", "tanh", a), ("call", "tanh", a))),
+    "exp": lambda a: ("call", "exp", a),
+    "ln": lambda a: ("/", _ONE, a),
+    "sin": lambda a: ("call", "cos", a),
+    "cos": lambda a: ("neg", ("call", "sin", a)),
+}
+
+
+def _derivative(node, name):
+    """The tree of d node / d name: the sum, product and quotient rules, the
+    chain rule, the power rule for an exponent that does not read ``name``
+    and ``a^b = exp(b ln a)`` otherwise.  Zero and unit factors are folded
+    away, so the derivative of a subtree that does not read ``name`` is the
+    number 0, and a polynomial's is the polynomial a hand would write."""
+    tag = node[0]
+    if tag == "num":
+        return _ZERO
+    if tag == "var":
+        return _ONE if node[1] == name else _ZERO
+    if tag == "neg":
+        return _negative(_derivative(node[1], name))
+    if tag == "call":
+        return _product(_CHAIN[node[1]](node[2]), _derivative(node[2], name))
+    a, b = node[1], node[2]
+    da, db = _derivative(a, name), _derivative(b, name)
+    if tag == "+":
+        return _sum(da, db)
+    if tag == "-":
+        return _sum(da, _negative(db))
+    if tag == "*":
+        return _sum(_product(da, b), _product(a, db))
+    if tag == "/":
+        return _sum(_quotient(da, b), _negative(_quotient(_product(a, db), ("*", b, b))))
+    if tag == "^" and _is(db, 0):
+        return _product(_product(b, ("^", a, ("-", b, _ONE))), da)
+    if tag == "^":
+        return _product(node, _sum(_product(db, ("call", "ln", a)), _quotient(_product(b, da), a)))
     raise ExpressionError(f"corrupt AST node {node!r}")
 
 

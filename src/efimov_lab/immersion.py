@@ -332,19 +332,34 @@ def surface_from_expressions(fields, box, name="custom-surface"):
     """Build a SurfacePatch from expressions for the map components.
 
     ``fields`` maps ``phi1``, ``phi2``, ``phi3`` to Expression objects in the
-    variables (u, v); derivatives fall back to central differences.  The
-    map takes one point and is called once per point of a batch.
+    variables (u, v).  The Jacobian and the Hessian are exact: the
+    derivative expressions of each component (the Hessian's three distinct
+    entries), evaluated where the map is.  The map and its derivatives
+    take one point and are called once per point of a batch, so a batch row
+    equals the one-point call bit for bit (numpy raises a scalar and an
+    array to a power by different routines).
     """
     for key in ("phi1", "phi2", "phi3"):
         if key not in fields:
             raise ValueError(f"surface file must define {key}")
+    phi = [fields[key] for key in ("phi1", "phi2", "phi3")]
+    first = [e.derivative(a) for e in phi for a in "uv"]
+    second = [d.derivative(b) for du, dv in zip(first[::2], first[1::2])
+              for d, b in ((du, "u"), (du, "v"), (dv, "v"))]
 
-    def chart_map(q):
-        values = {"u": q[0], "v": q[1]}
-        return np.array([fields["phi1"](**values), fields["phi2"](**values),
-                         fields["phi3"](**values)])
+    def evaluate(expressions):
+        return _fd.pointwise(lambda q: np.array([e(u=q[0], v=q[1]) for e in expressions]))
 
-    return SurfacePatch(_fd.pointwise(chart_map), box, name=name)
+    chart_map, flat = evaluate(phi), evaluate(first + second)
+
+    def derivatives(q):
+        d = flat(q)
+        lead = d.shape[:-1]
+        uu, uv, vv = (d[..., 6 + k::3] for k in range(3))  # the Hessian entries of each phi^i
+        hess = np.stack([np.stack([uu, uv], axis=-1), np.stack([uv, vv], axis=-1)], axis=-2)
+        return d[..., :6].reshape(lead + (3, 2)), hess
+
+    return SurfacePatch(chart_map, box, derivatives=derivatives, name=name)
 
 
 def dnabla_b(patch, ambient, q, x, y):

@@ -14,9 +14,10 @@ from efimov_lab.asymptotics import (
 )
 from efimov_lab.connection import FD_STEP, SurfaceConnectionData
 from efimov_lab.curves import rk4_samples
-from efimov_lab.errors import ModeUnsupported, NonHyperbolicPoint, PointOutsideChart
+from efimov_lab.errors import (LeftPatch, ModeUnsupported, NonHyperbolicPoint,
+                               ParameterOutOfRange, PointOutsideChart)
 from efimov_lab.expressions import parse_assignments
-from efimov_lab.immersion import surface_from_expressions
+from efimov_lab.immersion import SurfacePatch, surface_from_expressions
 
 
 def covariant_derivative_of_field(data, q, x, field):
@@ -315,11 +316,26 @@ def test_net_degenerate_length(saddle_data):
     rep = net_expansion_check(saddle_data, [0.0, 0.0], (0.0, 0.1), n_u=0, n_v=4)
     assert rep.get("trivial")
     assert np.all(rep["alpha"] == 1.0)
+    rep = net_expansion_check(saddle_data, [0.0, 0.0], (0.0, 0.1), n_u=3, n_v=4)
+    assert rep.get("trivial")
+    assert rep["alpha"].shape == rep["beta"].shape == (4, 5)
+
+
+def test_net_rejects_a_count_that_is_not_an_integer(saddle_data):
+    """The CLI parses counts as integers; a library caller may pass any
+    number (negative counts and bad lengths: tests/test_cli.py)."""
+    with pytest.raises(ParameterOutOfRange, match=r"n_u must be an integer >= 0, got 1\.5"):
+        net_expansion_check(saddle_data, [0.0, 0.0], (0.1, 0.1), n_u=1.5, n_v=2)
+
+
+def test_net_whose_base_line_leaves_the_chart_raises_left_patch(saddle_data):
+    with pytest.raises(LeftPatch):
+        net_expansion_check(saddle_data, [0.0, 0.0], (2.0, 0.1), n_u=4, n_v=4)
 
 
 def _file_saddle():
-    """z = uv as a declarative surface: map-only, so every partial is a
-    central difference."""
+    """z = uv as a declarative surface, whose partials are the derivative
+    expressions of its map."""
     fields, box = parse_assignments("box = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = u*v\n",
                                     ("u", "v"))
     patch = surface_from_expressions(fields, ChartBox((box[0], box[2]), (box[1], box[3])),
@@ -327,16 +343,76 @@ def _file_saddle():
     return SurfaceConnectionData.from_immersion(patch, gallery.euclidean3())
 
 
-@pytest.mark.parametrize("q", [(0.1, 0.2), (0.05, -0.05), (-0.07, 0.03)])
+NET_STARTS = [(0.1, 0.2), (0.05, -0.05), (-0.07, 0.03)]
+
+
+@pytest.mark.parametrize("q", NET_STARTS)
 def test_builtin_and_file_saddle_nets_agree(saddle_data, q):
-    """The same surface with analytic and with FD partials builds the same
-    net: the frame's sign rule does not read rounding noise."""
+    """The same surface with hand-written and with derived partials builds
+    the same net, and the frame's sign rule does not read rounding noise;
+    the bound reads ``measured_tau1``, whose central differences of the
+    frame amplify any difference in the partials."""
     a = net_expansion_check(saddle_data, q, (0.1, 0.1), n_u=3, n_v=3)
     b = net_expansion_check(_file_saddle(), q, (0.1, 0.1), n_u=3, n_v=3)
     assert np.max(np.abs(a["points"] - b["points"])) < 1e-9
     assert np.max(np.abs(a["alpha"] - b["alpha"])) < 1e-8
     assert np.max(np.abs(a["beta"] - b["beta"])) < 1e-8
     assert abs(a["bound"] - b["bound"]) < 1e-5 * a["bound"]
+
+
+@pytest.mark.parametrize("q", NET_STARTS)
+def test_fd_saddle_net_agrees_with_the_builtin_net(saddle_data, q):
+    """z = uv from a Python callable with no derivatives hook, so every
+    partial is a central difference: the sign rule of the frame still
+    builds the same net.  The bound is not compared, since central
+    differences of the frame over FD partials carry rounding noise."""
+    patch = SurfacePatch(_fd.pointwise(lambda p: np.array([p[0], p[1], p[0] * p[1]])),
+                         ChartBox.cube(2, 1.0), name="saddle-fd")
+    data = SurfaceConnectionData.from_immersion(patch, gallery.euclidean3())
+    a = net_expansion_check(saddle_data, q, (0.1, 0.1), n_u=3, n_v=3)
+    b = net_expansion_check(data, q, (0.1, 0.1), n_u=3, n_v=3)
+    assert np.max(np.abs(a["points"] - b["points"])) < 1e-9
+    assert np.max(np.abs(a["alpha"] - b["alpha"])) < 1e-8
+    assert np.max(np.abs(a["beta"] - b["beta"])) < 1e-8
+
+
+def saddle_net(q, side, n):
+    """The asymptotic net of z = uv in closed form: its points and the
+    speeds alpha, beta off row and column 0.  III_vv = (1 + u^2)/W^4 with
+    W^2 = 1 + u^2 + v^2, so along the ruling u = c the III-arclength is
+    arctan(v / sqrt(1 + c^2)), and symmetrically along v = c.  U runs
+    along +v and V along -u (the frame's sign rule at these points)."""
+    u0, v0 = q
+    d = side / n
+    k = np.arange(n + 1)
+    a0, b0 = np.hypot(1.0, u0), np.hypot(1.0, v0)
+    v = a0 * np.tan(np.arctan(v0 / a0) + k * d)  # the base U-line, on u = u0
+    u = b0 * np.tan(np.arctan(u0 / b0) - k * d)  # the base V-line, on v = v0
+    pts = np.stack(np.broadcast_arrays(u[None, :], v[:, None]), axis=-1)
+    beta = np.diff(np.arctan(v[:, None] / np.hypot(1.0, u)[None, :]), axis=0) / d
+    alpha = -np.diff(np.arctan(u[None, :] / np.hypot(1.0, v)[:, None]), axis=1) / d
+    return pts, alpha[1:], beta[:, 1:]
+
+
+def saddle_net_error(data, q, side, n):
+    rep = net_expansion_check(data, q, (side, side), n_u=n, n_v=n)
+    pts, alpha, beta = saddle_net(q, side, n)
+    return max(np.max(np.abs(rep["points"] - pts)), np.max(np.abs(rep["alpha"][1:, 1:] - alpha)),
+               np.max(np.abs(rep["beta"][1:, 1:] - beta)))
+
+
+@pytest.mark.parametrize("q,side,n,tol", [((0.0, 0.0), 0.3, 2, 5e-8),
+                                          ((0.05, -0.05), 0.12, 4, 1e-9)])
+def test_saddle_net_matches_the_closed_form(saddle_data, q, side, n, tol):
+    assert saddle_net_error(saddle_data, q, side, n) <= tol
+
+
+@pytest.mark.parametrize("q,side", [((0.0, 0.0), 0.3), ((-0.2, 0.1), 0.4)])
+def test_saddle_net_converges_at_fourth_order(saddle_data, q, side):
+    """The error against the closed form falls at least 8x per doubling of
+    n (16x at fourth order)."""
+    errors = [saddle_net_error(saddle_data, q, side, n) for n in (2, 4, 8)]
+    assert errors[0] >= 8.0 * errors[1] and errors[1] >= 8.0 * errors[2]
 
 
 def on_rulings(pts):
@@ -351,20 +427,27 @@ def test_saddle_net_lies_on_the_rulings(saddle_data):
     assert np.max(np.abs(rep["points"] - on_rulings(rep["points"]))) < 1e-10
 
 
-def test_pseudosphere_net_is_chebyshev():
-    """On a K = -1 surface the asymptotic lines parametrized by arclength
-    form a Chebyshev net (Hazzidakis 1880): every net speed is 1."""
-    data = gallery.build_example("pseudosphere").data
-    rep = net_expansion_check(data, [0.9, 0.0], (0.2, 0.2), n_u=8, n_v=8)
-    assert np.max(np.abs(rep["alpha"] - 1.0)) <= 1e-9
-    assert np.max(np.abs(rep["beta"] - 1.0)) <= 1e-9
+@pytest.mark.parametrize("name,q,side,tol", [
+    pytest.param("pseudosphere", (0.9, 0.0), 0.2, 1e-9, id="pseudosphere"),
+    pytest.param("clifford_torus", (0.3, 0.2), 0.4, 1e-12, id="clifford_torus-a"),
+    pytest.param("clifford_torus", (1.0, -0.5), 0.4, 1e-12, id="clifford_torus-b"),
+])
+def test_pseudosphere_net_is_chebyshev(name, q, side, tol):
+    """On a surface of constant negative extrinsic curvature in a space form
+    the asymptotic lines parametrized by arclength form a Chebyshev net
+    (Hazzidakis 1880 for the pseudosphere; the flat Clifford torus in S^3
+    too): every net speed is 1."""
+    data = gallery.build_example(name).data
+    rep = net_expansion_check(data, q, (side, side), n_u=8, n_v=8)
+    assert np.max(np.abs(rep["alpha"] - 1.0)) <= tol
+    assert np.max(np.abs(rep["beta"] - 1.0)) <= tol
 
 
 def test_net_lines_stop_where_the_net_ends(saddle_data):
-    """A line is integrated only as far as the intersections read it, so a
-    net whose far side comes near the box edge builds: from (0, 0.55) the
-    net ends at v = 0.847, short of the trace margin 0.05 inside v = 1.
-    Flows run 2.5 cells past every net point would leave the patch."""
+    """Only the two base lines are traced, each exactly as long as its side,
+    so a net whose far side comes near the box edge builds: from (0, 0.55)
+    the base U-line runs along v to 0.847, short of its trace margin (four
+    sub-cell steps, 0.1) inside v = 1."""
     rep = net_expansion_check(saddle_data, [0.0, 0.55], (0.2, 0.2), n_u=2, n_v=2)
     pts = rep["points"]
     assert np.max(np.abs(pts)) < 0.85

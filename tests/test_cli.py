@@ -406,6 +406,39 @@ def test_net_check_command():
     assert doc["status"] == "pass"
 
 
+NET = ("net-check", "--example", "saddle", "--start", "0,0")
+
+
+@pytest.mark.parametrize("option", ["--nu", "--nv", "--lu", "--lv"])
+def test_net_check_zero_side_is_trivial(option):
+    """A zero count or a zero length on either side is a trivial net."""
+    sides = {"--lu": "0.1", "--lv": "0.1", "--nu": "2", "--nv": "2", option: "0"}
+    code, out, _ = run_cli(*NET, *(x for kv in sides.items() for x in kv), "--json")
+    assert code == 0
+    assert json.loads(out)["trivial"] is True
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--nu", "-1", "n_u must be an integer >= 0, got -1"),
+    ("--nv", "-2", "n_v must be an integer >= 0, got -2"),
+    ("--lu", "-0.1", "L_u must be finite and >= 0, got -0.1"),
+    ("--lv", "inf", "L_v must be finite and >= 0, got inf"),
+    ("--lv", "nan", "L_v must be finite and >= 0, got nan"),
+])
+def test_net_check_bad_side_exits_2_naming_the_value(option, value, message):
+    sides = {"--lu": "0.1", "--lv": "0.1", "--nu": "2", "--nv": "2", option: value}
+    code, out, err = run_cli(*NET, *(x for kv in sides.items() for x in kv))
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_net_check_base_line_off_the_box_exits_2():
+    """The base U-line of a net 2 long runs off the saddle's box: LeftPatch."""
+    code, out, err = run_cli(*NET, "--lu", "2", "--lv", "0.1")
+    assert code == 2 and out == ""
+    assert "the trace leaves the chart" in err
+
+
 def test_write_csv_roundtrip(tmp_path):
     path = tmp_path / "t.csv"
     rows = np.array([[np.pi, 1e-17], [1.0 / 3.0, -2.5]])
@@ -442,6 +475,23 @@ def test_surface_expression_file(tmp_path):
     # the axis geodesic of the saddle's compatible connection obeys
     # u = tan(arclength): third-form-unit speed stretches the coordinate
     assert abs(doc["endpoint"][0] - np.tan(0.2)) < 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ("geodesic", "--start", "0,0", "--dir", "1,1", "--length", "0.5", "--step", "1e-2"),
+    ("transport", "--start", "0.1,-0.2", "--dir", "0.6,0.8", "--length", "0.15",
+     "--step", "0.01", "--vector", "0.3,-0.5"),
+])
+def test_surface_file_saddle_holds_the_builtin_gates(tmp_path, argv):
+    """A file surface takes exact partials from its derivative expressions,
+    so the saddle file meets the 1e-8 unit-speed and norm gates that the
+    built-in saddle meets; with central-difference partials both failed
+    (drifts 5.3e-6 and 4.6e-8)."""
+    f = tmp_path / "surface.txt"
+    f.write_text("box = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = u*v\n")
+    code, out, _ = run_cli(argv[0], "--example", f"file:{f}", *argv[1:], "--json")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
 
 
 def test_surface_file_ambient_line_without_value_exits_2(tmp_path):

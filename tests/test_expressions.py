@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from efimov_lab import _fd
 from efimov_lab.errors import ExpressionError, ExpressionEvaluationError
 from efimov_lab.expressions import Expression, parse_assignments
 
@@ -92,3 +95,90 @@ def test_arrays_evaluate_elementwise():
     assert np.max(np.abs(got - np.array([0.5, -0.25]) - 1.0)) < 1e-14
     for i, x in enumerate(u):
         assert got[i, 0] == e(u=x, v=1.0, w=0.5)
+
+
+def _derivatives(e):
+    """The exact gradient and Hessian expressions of e in (u, v)."""
+    grad = [e.derivative(a) for a in "uv"]
+    return grad, [[d.derivative(b) for b in "uv"] for d in grad]
+
+
+# (text, then d/du, d/dv, d2/du2, d2/dudv, d2/dv2 written by hand)
+POLYNOMIALS = [
+    ("3*u^2*v - u*v^3 + 2", lambda u, v: 6 * u * v - v ** 3,
+     lambda u, v: 3 * u ** 2 - 3 * u * v ** 2, lambda u, v: 6 * v,
+     lambda u, v: 6 * u - 3 * v ** 2, lambda u, v: -6 * u * v),
+    ("(u - 2*v)^3", lambda u, v: 3 * (u - 2 * v) ** 2, lambda u, v: -6 * (u - 2 * v) ** 2,
+     lambda u, v: 6 * (u - 2 * v), lambda u, v: -12 * (u - 2 * v), lambda u, v: 24 * (u - 2 * v)),
+    ("u^4/4 - (u*v)^2 + v", lambda u, v: u ** 3 - 2 * u * v * v, lambda u, v: -2 * u * u * v + 1,
+     lambda u, v: 3 * u ** 2 - 2 * v * v, lambda u, v: -4 * u * v, lambda u, v: -2 * u * u),
+]
+
+
+@pytest.mark.parametrize("text,du,dv,duu,duv,dvv", POLYNOMIALS)
+def test_polynomial_derivatives_are_exact(text, du, dv, duu, duv, dvv):
+    """On dyadic points every product is exact, so the derivative trees
+    equal the hand-written derivatives to the last bit."""
+    grad, hess = _derivatives(Expression(text, ("u", "v")))
+    for u, v in ((0.25, -0.75), (-1.5, 0.5), (2.0, 1.25)):
+        assert [d(u=u, v=v) for d in grad] == [du(u, v), dv(u, v)]
+        assert [[h(u=u, v=v) for h in row] for row in hess] == [[duu(u, v), duv(u, v)],
+                                                                [duv(u, v), dvv(u, v)]]
+
+
+def test_negative_constant_exponent_takes_the_power_rule():
+    """``u^-1`` parses its exponent as ``neg``, not as a number."""
+    d = Expression("u^-1", ("u",)).derivative("u")
+    assert d(u=0.5) == -4.0
+    assert d.derivative("u")(u=0.5) == 16.0
+
+
+def test_derivative_undefined_where_the_function_is_defined_raises():
+    e = Expression("u^0.5", ("u", "v"))
+    assert e(u=0.0, v=0.0) == 0.0
+    with pytest.raises(ExpressionEvaluationError) as err:
+        e.derivative("u")(u=0.0, v=0.0)
+    assert err.value.point == {"u": 0.0, "v": 0.0}
+    with pytest.raises(ExpressionError):
+        e.derivative("w")
+
+
+def _unary(template):
+    return lambda inner: inner.map(template.format)
+
+
+def _binary(template):
+    return lambda inner: st.tuples(inner, inner).map(lambda ab: template.format(*ab))
+
+
+# every rule of the derivative, on arguments kept inside each function's domain
+_RULES = [
+    _binary("({} + {})"), _binary("({} - {})"), _binary("({} * {})"),
+    _binary("{} / (1.5 + cos({}))"), _unary("sin({})"), _unary("cos({})"), _unary("tanh({})"),
+    _unary("exp(sin({}))"), _unary("cosh(tanh({}))"), _unary("sinh(tanh({}))"),
+    _unary("ln(1.5 + sin({}))"), _unary("-{}"), _unary("({})^2"), _unary("({})^3"),
+    _unary("(1.5 + sin({}))^0.5"), _unary("(1.5 + sin({}))^-1"),
+    _binary("(1.5 + sin({}))^(cos({}))"),
+]
+EXPRESSIONS = st.recursive(st.sampled_from(["u", "v", "0.7", "2"]),
+                           lambda inner: st.one_of(*(rule(inner) for rule in _RULES)),
+                           max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(text=EXPRESSIONS, u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0))
+def test_derivatives_match_finite_differences(text, u, v):
+    """The derivative trees against the one-stencil jet of ``_fd``, within
+    its truncation and rounding error at step 1e-3."""
+    e = Expression(text, ("u", "v"))
+    grad, hess = _derivatives(e)
+
+    def f(x):  # a constant expression evaluates to one number
+        return np.broadcast_to(e(u=x[..., 0], v=x[..., 1]), x.shape[:-1])
+
+    f0, fd_grad, fd_hess = _fd.jet(f, np.array([u, v]), 1e-3)
+    exact_grad = np.array([d(u=u, v=v) for d in grad])
+    exact_hess = np.array([[h(u=u, v=v) for h in row] for row in hess])
+    scale = 1.0 + max(abs(f0), np.max(np.abs(exact_grad)), np.max(np.abs(exact_hess)))
+    assert np.max(np.abs(exact_grad - fd_grad)) <= 1e-8 * scale
+    assert np.max(np.abs(exact_hess - fd_hess)) <= 1e-6 * scale
