@@ -43,7 +43,7 @@ from .errors import DegeneratePlane, NonFiniteMetric, NonInvertibleMetric, Point
 
 DET_FLOOR = 1e-12
 # rows per stacked metric-leaf call of the batched curvature: bounds the
-# stencil values and the einsum temporaries of a grid, whatever its size
+# stencil values and the matmul temporaries of a grid, whatever its size
 CHUNK = 64
 
 
@@ -386,24 +386,31 @@ def _require_finite(rows, *arrays, what="the metric or its derivatives"):
 
 
 def _curvature_rows(g, dg, d2g, pts):
-    """``(g, Gamma, R)`` at the rows of pts from the metric's jet there."""
+    """``(g, Gamma, R)`` at the rows of pts from the metric's jet there.
+
+    Every contraction is a stacked matmul over a transposed or reshaped
+    view, which rounds each row as the one-point product: a row equals its
+    one-point result bit for bit on any metric, full or diagonal."""
     ginv = _checked_inverse(g, pts)
+    n, d = g.shape[:2]
 
     # dGamma[i, k, j, l] = d_i Gamma^k_jl, assembled from g, dg, d2g directly
-    # so no finite differences of Gamma are ever nested.
-    dginv = -np.einsum("nla,niab,nbm->nilm", ginv, dg, ginv)
-    sym = (np.einsum("njml->njlm", dg) + np.einsum("nljm->njlm", dg)
-           - np.einsum("nmjl->njlm", dg))
-    dsym = (np.einsum("nijml->nijlm", d2g) + np.einsum("niljm->nijlm", d2g)
-            - np.einsum("nimjl->nijlm", d2g))
-    dgamma = 0.5 * (np.einsum("nikm,njlm->nikjl", dginv, sym)
-                    + np.einsum("nkm,nijlm->nikjl", ginv, dsym))
-
-    gam = 0.5 * np.einsum("nkm,njlm->nkjl", ginv, sym)
+    # so no finite differences of Gamma are ever nested; d_i g^{lm} is
+    # dginv[i, l, m]
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    # the first-kind symbols, 2 Gamma_{m,jl} = d_j g_ml + d_l g_jm - d_m g_jl,
+    # indexed [m, j, l] so that g^{km} contracts them by one matmul, and
+    # their derivative d_i indexed [i, m, j, l]
+    sym = (dg.transpose(0, 2, 1, 3) + dg.transpose(0, 3, 2, 1) - dg).reshape(n, d, d * d)
+    dsym = (d2g.transpose(0, 1, 3, 2, 4) + d2g.transpose(0, 1, 4, 3, 2)
+            - d2g).reshape(n, d, d, d * d)
+    dgamma = (0.5 * (dginv @ sym[:, None] + ginv[:, None] @ dsym)).reshape((n,) + (d,) * 4)
+    gam = (0.5 * (ginv @ sym)).reshape(n, d, d, d)
     # R^m_{ijk} = d_i Gamma^m_jk - d_j Gamma^m_ik + Gamma^m_ia Gamma^a_jk
-    #             - Gamma^m_ja Gamma^a_ik
-    r = (np.einsum("nimjk->nmijk", dgamma) - np.einsum("njmik->nmijk", dgamma)
-         + np.einsum("nmia,najk->nmijk", gam, gam) - np.einsum("nmja,naik->nmijk", gam, gam))
+    #             - Gamma^m_ja Gamma^a_ik, with pp[m, i, j, k] = Gamma^m_ia Gamma^a_jk
+    pp = (gam.reshape(n, d * d, d) @ gam.reshape(n, d, d * d)).reshape((n,) + (d,) * 4)
+    r = (dgamma.transpose(0, 2, 1, 3, 4) - dgamma.transpose(0, 2, 3, 1, 4)
+         + pp - pp.transpose(0, 1, 3, 2, 4))
     return g, gam, r
 
 
@@ -437,7 +444,8 @@ def riemann_covariant(metric, p):
 
 def _lower(g, r):
     """Rm[n, i, j, k, l] = g[n, l, m] R[n, m, i, j, k] on a chunk."""
-    return np.einsum("nlm,nmijk->nijkl", g, r)
+    n, d = g.shape[:2]
+    return (g @ r.reshape(n, d, d ** 3)).reshape((n,) + (d,) * 4).transpose(0, 2, 3, 4, 1)
 
 
 def gauss_curvature(metric2d, p):

@@ -57,17 +57,21 @@ def _require_shape_mode(data):
             "metric+torsion data has none")
 
 
-def _per_row(fn, nin, dtype=float):
+def _per_row(fn, nin):
     """``fn`` of floats for one point, and row by row for the (N,) arrays of
-    a batch: one libm call on both paths, where numpy's arccos and hypot
-    round a last bit differently on a share of inputs."""
+    a batch: one libm call on both paths, where numpy's arccos rounds a last
+    bit differently on a share of inputs."""
     rows = np.frompyfunc(fn, nin, 1)
-    return lambda *x: rows(*x).astype(dtype) if isinstance(x[0], np.ndarray) else fn(*x)
+    return lambda *x: rows(*x).astype(float) if isinstance(x[0], np.ndarray) else fn(*x)
 
 
 _angle = _per_row(lambda c: math.acos(min(max(c, -1.0), 1.0)), 1)  # |cos| may round past 1
-# whether the row (a, b) of a 2x2 matrix is at least as long as the row (c, d)
-_longer = _per_row(lambda a, b, c, d: math.hypot(a, b) >= math.hypot(c, d), 4, bool)
+
+
+def _longer(a, b, c, d):
+    """Whether the row (a, b) of a 2x2 matrix is at least as long as the row
+    (c, d): squared norms, which round alike on floats and on (N,) arrays."""
+    return a * a + b * b >= c * c + d * d
 
 
 def _select(cond, a, b):

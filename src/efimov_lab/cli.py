@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -392,13 +393,17 @@ def cmd_net_check(args):
     rep = net_expansion_check(data, _pair(args.start), (args.lu, args.lv),
                               n_u=args.nu, n_v=args.nv)
     checks = []
+    applies = not rep.get("trivial") and math.isfinite(rep["bound"])
     if not rep.get("trivial"):
-        tol = rep["bound"] + 0.05  # slack: the rates are differences over the net's cells
+        # slack: the rates are differences over the net's cells; where the
+        # pinching gives no torsion bound (tau0 = inf) the rates are ungated
+        tol = rep["bound"] + 0.05 if applies else None
         checks = [_check("sup_du_alpha_over_alpha_beta", rep["sup_dua_over_ab"], "<=", tol),
                   _check("sup_dv_beta_over_alpha_beta", rep["sup_dvb_over_ab"], "<=", tol)]
-    extras = {key: rep[key] for key in ("tau0", "tau1", "bound", "trivial") if key in rep}
-    return _finish(args, _inputs(args), checks,
-                   **extras)
+    # strict JSON has no Infinity: an infinite tau0 or bound is written as null
+    extras = {key: None if rep[key] == math.inf else rep[key]
+              for key in ("tau0", "tau1", "bound", "trivial") if key in rep}
+    return _finish(args, _inputs(args), checks, bound_applies=applies, **extras)
 
 
 # ---------------------------------------------------------------------------

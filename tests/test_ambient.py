@@ -18,6 +18,7 @@ from efimov_lab.ambient import (
     gauss_curvature,
     metric_from_expressions,
     riemann_covariant,
+    riemann_operator,
     riemann_sectional,
     sectional_range,
 )
@@ -533,6 +534,115 @@ def test_dnabla_batch_rows_equal_one_point_calls():
     sym = gam + np.swapaxes(gam, -1, -2)
     assert np.max(np.abs(dnabla(np.broadcast_to(np.eye(2), (5, 2, 2)), np.zeros((5, 2, 2, 2)),
                                 sym, x, y))) < 1e-14
+
+
+# --- the curvature kernel on full metrics ------------------------------------
+
+
+def symmetric_leaf(entries):
+    """A metric leaf from the upper-triangle entries ``{(i, j): e}``, each
+    mapping (..., dim) points to (...,) values by elementwise sums and
+    products only, so that the leaf keeps the batch contract itself."""
+    dim = max(j for _, j in entries) + 1
+
+    def matrix(p):
+        g = np.zeros(p.shape[:-1] + (dim, dim))
+        for (i, j), e in entries.items():
+            g[..., i, j] = g[..., j, i] = e(*(p[..., k] for k in range(dim)))
+        return g
+    return matrix
+
+
+def full_metric_3d():
+    """A pure-FD 3D metric whose nine entries are all non-zero."""
+    return MetricField(3, symmetric_leaf({
+        (0, 0): lambda x, y, z: 1.0 + x * x, (0, 1): lambda x, y, z: 0.1 + 0.2 * x * y,
+        (0, 2): lambda x, y, z: -0.05 + 0.1 * y * z, (1, 1): lambda x, y, z: 1.0 + 0.5 * y * y,
+        (1, 2): lambda x, y, z: 0.02 + 0.15 * x * z, (2, 2): lambda x, y, z: 1.0 + 0.2 * x * z}),
+        ChartBox.cube(3, 0.8), name="full3")
+
+
+def full_metric_2d():
+    """A pure-FD 2D metric with g12 != 0."""
+    return MetricField(2, symmetric_leaf({
+        (0, 0): lambda x, y: 1.0 + 0.3 * x * x, (0, 1): lambda x, y: 0.2 + 0.1 * x * y,
+        (1, 1): lambda x, y: 1.0 + 0.4 * y * y}), ChartBox.cube(2, 0.8), name="full2")
+
+
+@pytest.mark.parametrize("metric", [full_metric_3d(), full_metric_2d()], ids=["3d", "2d"])
+def test_curvature_batch_rows_equal_one_point_calls_on_full_metrics(metric):
+    """Every row of a 30-row batch equals its one-point call bit for bit, for
+    each curvature evaluator, on metrics whose off-diagonal entries are not
+    zero: the kernel's contractions round each row as one point."""
+    dim = metric.dim
+    rng = np.random.default_rng(30 + dim)
+    pts = rng.uniform(-0.75, 0.75, (30, dim))
+    x, y = rng.normal(size=(2, 30, dim))  # a plane per row for riemann_sectional
+    evaluators = {"riemann_operator": lambda p, a, b: riemann_operator(metric, p),
+                  "riemann_covariant": lambda p, a, b: riemann_covariant(metric, p),
+                  "riemann_sectional": lambda p, a, b: riemann_sectional(metric, p, a, b)}
+    if dim == 2:
+        evaluators["gauss_curvature"] = lambda p, a, b: gauss_curvature(metric, p)
+    for name, evaluate in evaluators.items():
+        single = np.array([evaluate(p, a, b) for p, a, b in zip(pts, x, y)])
+        assert np.array_equal(evaluate(pts, x, y), single), name
+    if dim == 3:
+        lo, hi = sectional_range(metric, pts)
+        assert np.array_equal(np.column_stack([lo, hi]),
+                              np.array([sectional_range(metric, p) for p in pts]))
+        s = curvature_sample(metric, pts)
+        for n, p in enumerate(pts):
+            one = curvature_sample(metric, p)
+            for name in ("point", "gamma", "riemann", "k_min", "k_max"):
+                assert np.array_equal(getattr(s, name)[n], getattr(one, name)), (n, name)
+            for name, v in one.symmetry_residuals.items():
+                assert s.symmetry_residuals[name][n] == v, (n, name)
+
+
+# a constant change of chart with all nine entries non-zero
+PULLBACK = np.array([[1.0, 0.3, -0.2], [0.1, 0.9, 0.25], [-0.15, 0.2, 1.1]])
+
+
+def pulled_back(space, analytic):
+    """``space`` (a conformal space form of the gallery) in the chart
+    x -> A x: ``g_A(x) = A^T g(A x) A`` on the cube of half-width 0.25, whose
+    image lies inside the space's box; with ``analytic``, the first and
+    second partials by the chain rule, else pure central differences."""
+    a = PULLBACK
+
+    def matrix(p):
+        return a.T @ space.matrix(p @ a.T) @ a
+
+    def partials(p):
+        return np.einsum("...rpq,pi,qj,rk->...kij", space.partials(p @ a.T), a, a, a)
+
+    def second_partials(p):
+        return np.einsum("...rspq,pi,qj,rk,sl->...klij", space.jet(p @ a.T)[2], a, a, a, a)
+
+    box = ChartBox.cube(3, 0.25)
+    if analytic:
+        return MetricField(3, matrix, box, partials=partials, second_partials=second_partials)
+    return MetricField(3, matrix, box)
+
+
+@pytest.mark.parametrize("analytic, tol", [(True, 1e-12), (False, 1e-6)], ids=["analytic", "fd"])
+@pytest.mark.parametrize("space, k", [(gallery.hyperbolic3(), -1.0), (gallery.sphere3(), 1.0)],
+                         ids=["hyperbolic3", "sphere3"])
+def test_space_form_pulled_back_by_a_full_matrix_has_the_closed_form_tensor(space, k,
+                                                                             analytic, tol):
+    """A space form of curvature K in a linear chart with a full metric has
+    ``Rm_ijkl = K (g_il g_jk - g_ik g_jl)``, every entry, relative to max |Rm|:
+    the index order of every contraction is checked on a metric with nine
+    non-zero entries, not only sectional values on a diagonal chart."""
+    metric = pulled_back(space, analytic)
+    pts = np.random.default_rng(11).uniform(-0.22, 0.22, (12, 3))
+    g = metric.matrix(pts)
+    assert np.all(np.abs(g) > 1e-3)
+    closed = k * (np.einsum("nil,njk->nijkl", g, g) - np.einsum("nik,njl->nijkl", g, g))
+    rm = riemann_covariant(metric, pts)
+    assert np.max(np.abs(rm - closed)) < tol * np.max(np.abs(closed))
+    assert np.max(np.abs(riemann_covariant(metric, pts[0]) - closed[0])) \
+        < tol * np.max(np.abs(closed[0]))
 
 
 # --- closed-form metric inverse ----------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import pathlib
 import re
 import subprocess
@@ -397,16 +398,45 @@ def test_metric_file_undefined_inside_the_box_exits_2(tmp_path, g11, message):
     assert message in err
 
 
+NET = ("net-check", "--example", "saddle", "--start", "0,0")
+NET_KEYS = {"command", "config_digest", "checks", "status", "tau0", "tau1", "bound",
+            "bound_applies"}
+RATES = ["sup_du_alpha_over_alpha_beta", "sup_dv_beta_over_alpha_beta"]
+
+
+def strict_json(text):
+    """The report parsed as strict JSON: a bare Infinity or NaN raises."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_net_check_command():
-    code, out, _ = run_cli("net-check", "--example", "saddle", "--start", "0,0",
-                           "--lu", "0.08", "--lv", "0.08", "--nu", "3", "--nv", "3",
+    """On the saddle the bound tau0 + 2 tau1 is finite and gates both rates."""
+    code, out, _ = run_cli(*NET, "--lu", "0.08", "--lv", "0.08", "--nu", "3", "--nv", "3",
                            "--json")
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["status"] == "pass"
+    assert set(doc) == NET_KEYS and doc["bound_applies"] is True
+    assert 0.0 <= doc["tau0"] < math.inf and doc["bound"] == doc["tau0"] + 2 * doc["tau1"]
+    assert [c["name"] for c in doc["checks"]] == RATES
+    assert all(c["tolerance"] == doc["bound"] + 0.05 for c in doc["checks"])
 
 
-NET = ("net-check", "--example", "saddle", "--start", "0,0")
+def test_net_check_reports_its_rates_ungated_where_the_bound_is_infinite():
+    """On the lambda = 0.6 slab slice from (0.1, 0.1) the measured pinching
+    gives no torsion bound (tau0 = inf): the report says ``bound_applies:
+    false``, writes tau0 and the bound as null and reports both rates
+    ungated, in place of a pass against an infinite tolerance."""
+    code, out, _ = run_cli("net-check", "--example", "hyperbolic_slice", "--param", "lambda=0.6",
+                           "--start", "0.1,0.1", "--lu", "0.4", "--lv", "0.4", "--json")
+    doc = strict_json(out)
+    assert set(doc) == NET_KEYS and doc["bound_applies"] is False
+    assert doc["tau0"] is None and doc["bound"] is None and doc["tau1"] > 0.0
+    assert [c["name"] for c in doc["checks"]] == RATES
+    assert all(c["tolerance"] is None for c in doc["checks"])
+    assert code == 0 and doc["status"] == "pass"
 
 
 @pytest.mark.parametrize("option", ["--nu", "--nv", "--lu", "--lv"])
@@ -415,7 +445,8 @@ def test_net_check_zero_side_is_trivial(option):
     sides = {"--lu": "0.1", "--lv": "0.1", "--nu": "2", "--nv": "2", option: "0"}
     code, out, _ = run_cli(*NET, *(x for kv in sides.items() for x in kv), "--json")
     assert code == 0
-    assert json.loads(out)["trivial"] is True
+    doc = strict_json(out)
+    assert doc["trivial"] is True and doc["bound_applies"] is False and doc["checks"] == []
 
 
 @pytest.mark.parametrize("option,value,message", [
