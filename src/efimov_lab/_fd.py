@@ -14,6 +14,8 @@ computes each point of a batch as it computes that point alone.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -75,12 +77,21 @@ def second(f, x, i, j, h):
     return (4.0 * d(h / 2.0) - d(h)) / 3.0
 
 
-def _axis_offsets(n, h):
-    """The steps (h, h/2), the signed steps ``[step, sign]`` = sign hh and
-    the axis offsets ``[step, sign, i]`` = (sign hh) e_i of the stencils."""
-    steps = np.array([h, h / 2.0])
-    sh = (steps[:, None] * np.array([1.0, -1.0]))[:, :, None, None]
-    return steps, sh, sh * np.eye(n)
+@functools.cache  # one constant table per dimension, read and never written
+def _unit_stencil(n):
+    """The points of ``jet``'s stencil at step 1 as offsets from its
+    centre, with the index vectors ``(ii, jj)`` of its pairs i < j: the
+    centre -0.0 (x + -0.0 is x, signed zeros included), the axis offsets
+    ``[step, sign, i]`` = (sign hh) e_i, then the pair offsets ``[step,
+    (++, +-, -+, --), pair]`` = (s_i hh) e_i + (s_j hh) e_j, for hh = 1,
+    1/2, as one (1 + 4n + 2n(n-1), n) table.  Scaling it by h > 0 is exact,
+    signed zeros included, so ``h * table`` is the stencil at step h."""
+    eye = np.eye(n)
+    ii, jj = np.triu_indices(n, 1)
+    sh = (np.array([1.0, 0.5])[:, None] * np.array([1.0, -1.0]))[:, :, None, None]
+    mixed = sh[:, [0, 0, 1, 1]] * eye[ii] + sh[:, [0, 1, 0, 1]] * eye[jj]
+    return (np.concatenate([np.full((1, n), -0.0), (sh * eye).reshape(-1, n),
+                            mixed.reshape(-1, n)]), ii, jj)
 
 
 def _shifted(x, offsets):
@@ -107,11 +118,11 @@ def gradient(f, x, h):
     n = x.shape[-1]
     if x.ndim == 1:
         return np.stack([central(f, x, i, h) for i in range(n)])
-    steps, _, axis = _axis_offsets(n, h)
+    axis = h * _unit_stencil(n)[0][1:1 + 4 * n]
     vals = np.asarray(f(_shifted(x, axis).reshape(-1, n)))
     # [step, sign, i, rows..., value...]
     vals = vals.reshape((2, 2, n) + x.shape[:-1] + vals.shape[1:])
-    hh = steps.reshape((2,) + (1,) * (vals.ndim - 2))
+    hh = np.array([h, h / 2.0]).reshape((2,) + (1,) * (vals.ndim - 2))
     d1 = (vals[:, 0] - vals[:, 1]) / (2.0 * hh)
     return np.ascontiguousarray(np.moveaxis((4.0 * d1[1] - d1[0]) / 3.0, 0, x.ndim - 1))
 
@@ -121,45 +132,41 @@ def jet(f, x, h):
 
     ``central`` and ``second`` at steps h and h/2 visit the centre,
     ``+-hh e_i`` and ``+-hh e_i +-hh e_j`` (i < j): 1 + 4n + 4n(n-1) distinct
-    points, 37 in 3D and 17 in 2D.  ``f`` is called once, on the stencils
-    of all points stacked, shape (S, n) for one point and (S, N, n) for a
-    batch.  The values are combined with the same operations as in
-    ``central`` and ``second``, so the gradient equals ``gradient(f, x, h)``
-    and the Hessian entries ``[i, j]`` and ``[j, i]`` equal
-    ``second(f, x, i, j, h)`` for i <= j, bit for bit.  The coordinate axes
-    follow the batch axis.
+    points, 37 in 3D and 17 in 2D, whose offsets are the unit table of the
+    dimension scaled by h.  ``f`` is called once, on the stencils of all
+    points stacked, shape (S, n) for one point and (N, S, n) for a batch:
+    the batch axis leads, so the values combine into the outputs with no
+    copy to move an axis.  They are combined with the same operations as
+    in ``central`` and ``second``, so the gradient equals
+    ``gradient(f, x, h)`` and the Hessian entries ``[i, j]`` and ``[j, i]``
+    equal ``second(f, x, i, j, h)`` for i <= j, bit for bit.  The
+    coordinate axes follow the batch axis.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    eye = np.eye(n)
-    ii, jj = np.triu_indices(n, 1)
-    steps, sh, axis = _axis_offsets(n, h)
-    # pair offsets [step, (++, +-, -+, --), pair] = (s_i hh) e_i + (s_j hh) e_j
-    si = sh[:, [0, 0, 1, 1]]
-    sj = sh[:, [0, 1, 0, 1]]
-    mixed = si * eye[ii] + sj * eye[jj]
-    offsets = np.concatenate([axis.reshape(-1, n), mixed.reshape(-1, n)])
-    # the stencil axis leads: pts[s] is stencil point s of x, or of every row
-    pts = np.concatenate([x[None], _shifted(x, offsets)])
-    vals = np.asarray(f(pts))
-
-    f0 = vals[0]
-    tail = (1,) * f0.ndim
-    hh = steps.reshape((2, 1) + tail)
-    fp, fm = np.moveaxis(vals[1:1 + 4 * n].reshape((2, 2, n) + f0.shape), 1, 0)
+    unit, ii, jj = _unit_stencil(n)
+    rows = x.reshape(-1, n)
+    pts = rows[:, None] + h * unit
+    vals = np.asarray(f(pts.reshape(x.shape[:-1] + pts.shape[1:])))
+    # [row, stencil point, value...]
+    vals = vals.reshape(pts.shape[:2] + vals.shape[x.ndim:])
+    f0 = vals[:, 0]
+    hh = np.array([h, h / 2.0]).reshape((1, 2, 1) + (1,) * (f0.ndim - 1))
+    fpm = vals[:, 1:1 + 4 * n].reshape((len(rows), 2, 2, n) + f0.shape[1:])
+    fp, fm = fpm[:, :, 0], fpm[:, :, 1]
     d1 = (fp - fm) / (2.0 * hh)
-    grad = (4.0 * d1[1] - d1[0]) / 3.0
+    grad = (4.0 * d1[:, 1] - d1[:, 0]) / 3.0
 
-    hess = np.empty((n, n) + f0.shape, dtype=grad.dtype)
-    dd = (fp - 2.0 * f0 + fm) / (hh * hh)
-    hess[range(n), range(n)] = (4.0 * dd[1] - dd[0]) / 3.0
-    fpp, fpm, fmp, fmm = np.moveaxis(vals[1 + 4 * n:].reshape((2, 4, ii.size) + f0.shape), 1, 0)
-    dm = (fpp - fpm - fmp + fmm) / (4.0 * hh * hh)
-    hess[ii, jj] = hess[jj, ii] = (4.0 * dm[1] - dm[0]) / 3.0
-    if x.ndim == 1:
-        return f0, grad, hess
-    return (np.ascontiguousarray(f0), np.ascontiguousarray(np.moveaxis(grad, 0, 1)),
-            np.ascontiguousarray(np.moveaxis(hess, (0, 1), (1, 2))))
+    hess = np.empty((len(rows), n, n) + f0.shape[1:], dtype=grad.dtype)
+    dd = (fp - 2.0 * f0[:, None, None] + fm) / (hh * hh)
+    diag = np.arange(n)
+    hess[:, diag, diag] = (4.0 * dd[:, 1] - dd[:, 0]) / 3.0
+    pairs = vals[:, 1 + 4 * n:].reshape((len(rows), 2, 4, ii.size) + f0.shape[1:])
+    dm = (pairs[:, :, 0] - pairs[:, :, 1] - pairs[:, :, 2] + pairs[:, :, 3]) / (4.0 * hh * hh)
+    hess[:, ii, jj] = hess[:, jj, ii] = (4.0 * dm[:, 1] - dm[:, 0]) / 3.0
+    lead = x.shape[:-1]
+    return (f0.reshape(lead + f0.shape[1:]), grad.reshape(lead + grad.shape[1:]),
+            hess.reshape(lead + hess.shape[1:]))
 
 
 def derivative_along(f, s, h):

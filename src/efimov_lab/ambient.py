@@ -502,18 +502,19 @@ def _quadratic(x, g, y):
     return (x[..., None, :] @ g @ y[..., None])[..., 0, 0]
 
 
-# the ordered basis (e1^e2, e1^e3, e2^e3) of Lambda^2
-_PAIR_I = np.array([0, 0, 1])
-_PAIR_J = np.array([1, 2, 2])
+# the ordered basis of Lambda^2 by chart dimension: e1^e2 in 2D, and
+# (e1^e2, e1^e3, e2^e3) in 3D, as the index vectors of its pairs i < j
+_PAIRS = {d: np.triu_indices(d, 1) for d in (2, 3)}
 
 
 def _operator_matrices(g, rm):
     """Quadratic form S and Gram matrix G of the curvature operator on
-    Lambda^2 in the ordered basis (e1^e2, e1^e3, e2^e3), for each row."""
+    Lambda^2 in the ordered basis of ``_PAIRS``, for each row."""
     # s[a, b] = rm[i_a, j_a, j_b, i_b], gram[a, b] = g[i_a, i_b] g[j_a, j_b]
     # - g[i_a, j_b] g[j_a, i_b]
-    i, j = _PAIR_I[:, None], _PAIR_J[:, None]
-    k, l = _PAIR_I[None, :], _PAIR_J[None, :]
+    pair_i, pair_j = _PAIRS[g.shape[-1]]
+    i, j = pair_i[:, None], pair_j[:, None]
+    k, l = pair_i[None, :], pair_j[None, :]
     s = rm[..., i, j, l, k]
     gram = g[..., i, k] * g[..., j, l] - g[..., i, l] * g[..., j, k]
     s = 0.5 * (s + np.swapaxes(s, -1, -2))
@@ -523,14 +524,15 @@ def _operator_matrices(g, rm):
 
 def sectional_range(metric, p):
     """(K_min, K_max) over all tangent 2-planes at p; for a batch p of
-    shape (N, 3), two (N,) arrays.
+    shape (N, dim), two (N,) arrays.
 
     Computed as the eigenvalue extremes of the curvature operator on
     Lambda^2 with its metric-induced inner product: the Rayleigh quotient
     of the pencil (S, G) of ``_operator_matrices`` on a decomposable
-    2-vector x^y equals the sectional curvature K(x, y), and in dimension 3
-    every 2-vector is decomposable.  g comes from the same jet as the
-    curvature.
+    2-vector x^y equals the sectional curvature K(x, y), and in dimensions
+    2 and 3 every 2-vector is decomposable.  In 2D the pencil is 1x1, so
+    K_min = K_max = Rm_0110 / det g, the Gauss curvature.  g comes from the
+    same jet as the curvature.
     """
     k_min, k_max = _curvature(metric, p, _range_rows)
     return _scalar(k_min), _scalar(k_max)
@@ -614,21 +616,49 @@ def metric_from_expressions(fields, box, dim=3, variables=("u", "v", "w"), name=
 
     ``fields`` maps names like ``g11``, ``g12`` ... to Expression objects in
     the given variables; missing off-diagonal entries default to zero.
+
+    The partials and second partials are exact: the derivative expressions
+    of each entry (``Expression.derivative``), built once, where a tree that
+    folds to 0 is never evaluated.  So ``fd_margin()`` is 0 and no leaf is
+    differenced; a derivative undefined where its entry is defined (``u^0.5``
+    at u = 0) raises ExpressionEvaluationError naming ``d(expr)/du`` and the
+    point.  Every leaf evaluates one point on a one-row (1, dim) array:
+    numpy raises a scalar and an array to a power by different routines, and
+    this way a row of a batch equals its one-point call bit for bit.
     """
     vnames = variables[:dim]
+    entries = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            e = fields.get(f"g{i + 1}{j + 1}", fields.get(f"g{j + 1}{i + 1}"))
+            if e is not None:
+                entries[(i, j)] = e
+    # [k, i, j] = d g_ij / d x^k, then [k, l, i, j] = d^2 g_ij / d x^k d x^l, k <= l
+    first = {(k,) + ij: d for ij, e in entries.items() for k in range(dim)
+             if not (d := e.derivative(vnames[k])).is_zero}
+    second = {(k, l, i, j): dd for (k, i, j), d in first.items() for l in range(k, dim)
+              if not (dd := d.derivative(vnames[l])).is_zero}
 
-    def matrix(p):
-        values = {name: p[..., k] for k, name in enumerate(vnames)}
-        g = np.zeros(p.shape[:-1] + (dim, dim))
-        for i in range(dim):
-            for j in range(i, dim):
-                key = f"g{i + 1}{j + 1}"
-                alt = f"g{j + 1}{i + 1}"
-                if key in fields:
-                    g[..., i, j] = fields[key](**values)
-                elif alt in fields:
-                    g[..., i, j] = fields[alt](**values)
-                g[..., j, i] = g[..., i, j]
-        return g
+    def leaf(trees, rank):
+        """The leaf whose entries are the trees {index: expression}, each
+        written to every index that the symmetries of g and of the
+        derivative order give it; the other entries are 0."""
+        targets = []
+        for index, e in trees.items():
+            order, ij = index[:-2], index[-2:]  # each has at most two indices
+            targets.append((e, {(...,) + a + b for a in (order, order[::-1])
+                                for b in (ij, ij[::-1])}))
 
-    return MetricField(dim, matrix, box, name=name)
+        def evaluate(p):
+            rows = p if p.ndim > 1 else p[None]  # one point on one row, as said above
+            values = {v: rows[..., k] for k, v in enumerate(vnames)}
+            out = np.zeros(rows.shape[:-1] + (dim,) * rank)
+            for e, indices in targets:
+                value = e(**values)
+                for index in indices:
+                    out[index] = value
+            return out if p.ndim > 1 else out[0]
+        return evaluate
+
+    return MetricField(dim, leaf(entries, 2), box, partials=leaf(first, 3),
+                       second_partials=leaf(second, 4), name=name)

@@ -85,6 +85,12 @@ class Expression:
         out.text, out._ast = f"d({self.text})/d{name}", _derivative(self._ast, name)
         return out
 
+    @property
+    def is_zero(self):
+        """Whether the expression is the number 0, as a derivative in a
+        variable that the expression does not read is."""
+        return _is(self._ast, 0)
+
     def __call__(self, **values):
         # [()] makes a number a numpy scalar, which the ufuncs take faster
         arrays = {name: np.asarray(v, dtype=float)[()] for name, v in values.items()}

@@ -314,20 +314,14 @@ def construct_edo7(u, eps, n1, step=1e-3):
 
 def _bspline_bump(x):
     """C^2 cubic B-spline bump supported on [-2, 2], max 1 at 0, with its
-    first and second derivatives: ``(phi, phi', phi'')`` at x."""
+    first and second derivatives: ``(phi, phi', phi'')`` at x.  Written in
+    truncated powers, ``phi = (2-|x|)_+^3 / 4 - (1-|x|)_+^3``, so every
+    piece is one whole-array expression."""
     ax = np.abs(x)
-    sgn = np.sign(x)
-    m1 = ax < 1
-    m2 = (ax >= 1) & (ax < 2)
-    a1, r2 = ax[m1], 2.0 - ax[m2]
-    phi, d1, d2 = np.zeros_like(ax), np.zeros_like(ax), np.zeros_like(ax)
-    phi[m1] = 1.0 - 1.5 * a1 ** 2 + 0.75 * a1 ** 3
-    phi[m2] = 0.25 * r2 ** 3
-    d1[m1] = sgn[m1] * (-3.0 * a1 + 2.25 * a1 ** 2)
-    d1[m2] = sgn[m2] * (-0.75) * r2 ** 2
-    d2[m1] = -3.0 + 4.5 * a1
-    d2[m2] = 1.5 * r2
-    return phi, d1, d2
+    r2, r1 = np.maximum(2.0 - ax, 0.0), np.maximum(1.0 - ax, 0.0)
+    s2, s1 = r2 * r2, r1 * r1
+    return (0.25 * (s2 * r2) - s1 * r1, np.sign(x) * (3.0 * s1 - 0.75 * s2),
+            1.5 * r2 - 6.0 * r1)
 
 
 _CHUNK_TESTS = 4  # test functions per Simpson pass; bounds the memory of a pass

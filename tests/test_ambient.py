@@ -24,11 +24,12 @@ from efimov_lab.ambient import (
 )
 from efimov_lab.errors import (
     DegeneratePlane,
+    ExpressionEvaluationError,
     NonFiniteMetric,
     NonInvertibleMetric,
     PointOutsideChart,
 )
-from efimov_lab.expressions import parse_assignments
+from efimov_lab.expressions import Expression, parse_assignments
 
 
 def diagonal(*entries):
@@ -464,8 +465,80 @@ def test_expression_file_metric_has_constant_curvature(c, u, v, w):
         ("u", "v", "w"))
     m = metric_from_expressions(fields, ChartBox(tuple(box[0::2]), tuple(box[1::2])))
     s = curvature_sample(m, [u, v, w])
-    assert abs(s.k_min + c * c) < 1e-6 and abs(s.k_max + c * c) < 1e-6
-    assert max(s.symmetry_residuals.values()) < 1e-4
+    assert abs(s.k_min + c * c) < 1e-12 and abs(s.k_max + c * c) < 1e-12
+    assert max(s.symmetry_residuals.values()) < 1e-12
+
+
+def file_metric(text, box="box = -0.8 0.8 -0.8 0.8 -0.8 0.8"):
+    """The metric of a declarative file with these entry lines."""
+    fields, b = parse_assignments(f"{box}\n{text}", ("u", "v", "w"))
+    return metric_from_expressions(fields, ChartBox(tuple(b[0::2]), tuple(b[1::2])), name="file")
+
+
+# entries by every rule of the derivative, on arguments inside each function's
+# domain; a rule reads its first argument, or both
+_ENTRY_RULES = ["({} + {})", "({} - {})", "({} * {})", "{} / (1.5 + cos({}))", "sin({})",
+                "cosh(tanh({}))", "exp(sin({}))", "ln(1.5 + sin({}))", "-{}", "({})^3",
+                "(1.5 + sin({}))^0.5", "(1.5 + sin({}))^(cos({}))"]
+ENTRIES = st.recursive(st.sampled_from(["u", "v", "w", "0.7"]),
+                       lambda inner: st.builds(str.format, st.sampled_from(_ENTRY_RULES),
+                                               inner, inner),
+                       max_leaves=5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(g11=ENTRIES, g12=ENTRIES, g23=ENTRIES, p=st.tuples(*[st.floats(-0.7, 0.7)] * 3))
+def test_expression_metric_leaves_match_the_fd_jet(g11, g12, g23, p):
+    """The exact partials and second partials of a metric file against the
+    one-stencil jet of ``_fd`` on its matrix leaf, within its truncation and
+    rounding error at step 1e-3, and symmetric in both index pairs."""
+    m = file_metric(f"g11 = {g11}\ng12 = {g12}\ng23 = {g23}\n")
+    assert m.has_analytic_partials and m.fd_margin() == 0.0
+    p = np.array(p)
+    g, dg, d2g = m.jet(p)
+    g_fd, dg_fd, d2g_fd = _fd.jet(m.matrix, p, 1e-3)
+    scale = 1.0 + max(np.max(np.abs(a)) for a in (g, dg, d2g))
+    assert np.array_equal(g, g_fd)
+    assert np.max(np.abs(dg - dg_fd)) <= 1e-8 * scale
+    assert np.max(np.abs(d2g - d2g_fd)) <= 1e-6 * scale
+    assert np.array_equal(dg, np.swapaxes(dg, 1, 2))
+    assert np.array_equal(d2g, np.swapaxes(d2g, 0, 1))
+    assert np.array_equal(d2g, np.swapaxes(d2g, 2, 3))
+
+
+def test_expression_metric_evaluates_only_the_trees_that_are_not_zero(monkeypatch):
+    """dw^2 + e^{2w}(du^2 + dv^2): one jet evaluates the three entries, the
+    two w-derivatives of e^{2w} and their two w-derivatives, each once, on a
+    one-row array for one point and on the rows of a batch."""
+    calls = []
+    evaluate = Expression.__call__
+
+    def spy(self, **values):
+        calls.append((self.text, {name: np.shape(v) for name, v in values.items()}))
+        return evaluate(self, **values)
+
+    monkeypatch.setattr(Expression, "__call__", spy)
+    m = file_metric("g11 = exp(2*w)\ng22 = exp(2*w)\ng33 = 1\n")
+    trees = sorted(["1"] + ["exp(2*w)", "d(exp(2*w))/dw", "d(d(exp(2*w))/dw)/dw"] * 2)
+    for p, rows in ((np.array([0.1, 0.2, 0.3]), 1), (batch_3d(5), 5)):
+        calls.clear()
+        m.jet(p)
+        assert sorted(text for text, _ in calls) == trees
+        assert all(shapes == dict.fromkeys("uvw", (rows,)) for _, shapes in calls)
+
+
+def test_expression_metric_names_a_derivative_undefined_where_its_entry_is_defined():
+    """g11 = 1 + u^0.5 is 1 at u = 0, on the chart's edge, where its
+    derivative is not defined: ExpressionEvaluationError names the
+    derivative tree and the point, and no numpy warning is raised."""
+    m = file_metric("g11 = 1 + u^0.5\ng22 = 1\ng33 = 1\n", box="box = 0 1 -1 1 -1 1")
+    assert np.array_equal(m.matrix([0.0, 0.2, 0.0]), np.eye(3))
+    message = "failed to evaluate 'd(1 + u^0.5)/du' at {'u': 0.0, 'v': 0.2, 'w': 0.0}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in (christoffel, curvature_sample):
+            with pytest.raises(ExpressionEvaluationError, match=re.escape(message)):
+                evaluate(m, [0.0, 0.2, 0.0])
 
 
 # --- batched christoffel and d^nabla -----------------------------------------
@@ -569,11 +642,21 @@ def full_metric_2d():
         (1, 1): lambda x, y: 1.0 + 0.4 * y * y}), ChartBox.cube(2, 0.8), name="full2")
 
 
-@pytest.mark.parametrize("metric", [full_metric_3d(), full_metric_2d()], ids=["3d", "2d"])
+def full_file_metric_3d():
+    """A metric file with ``^``, ``ln``, ``/`` and all three off-diagonal entries,
+    so its exact leaves raise arrays to powers."""
+    return file_metric("g11 = (1.5 + u*v)^1.5\ng12 = 0.1*exp(u*w)\ng13 = -0.05 + 0.1*v^3\n"
+                       "g22 = 1 + 0.5*(1.2 + v)^2.5\ng23 = 0.02 + 0.15*sin(u*w)\n"
+                       "g33 = 1 + 0.2*ln(1.5 + w)/(2 + u)\n")
+
+
+@pytest.mark.parametrize("metric", [full_metric_3d(), full_metric_2d(), full_file_metric_3d()],
+                         ids=["3d", "2d", "file-3d"])
 def test_curvature_batch_rows_equal_one_point_calls_on_full_metrics(metric):
     """Every row of a 30-row batch equals its one-point call bit for bit, for
     each curvature evaluator, on metrics whose off-diagonal entries are not
-    zero: the kernel's contractions round each row as one point."""
+    zero: the kernel's contractions round each row as one point, and a
+    metric file's leaves read one point on a one-row array, as a batch."""
     dim = metric.dim
     rng = np.random.default_rng(30 + dim)
     pts = rng.uniform(-0.75, 0.75, (30, dim))
@@ -586,17 +669,30 @@ def test_curvature_batch_rows_equal_one_point_calls_on_full_metrics(metric):
     for name, evaluate in evaluators.items():
         single = np.array([evaluate(p, a, b) for p, a, b in zip(pts, x, y)])
         assert np.array_equal(evaluate(pts, x, y), single), name
-    if dim == 3:
-        lo, hi = sectional_range(metric, pts)
-        assert np.array_equal(np.column_stack([lo, hi]),
-                              np.array([sectional_range(metric, p) for p in pts]))
-        s = curvature_sample(metric, pts)
-        for n, p in enumerate(pts):
-            one = curvature_sample(metric, p)
-            for name in ("point", "gamma", "riemann", "k_min", "k_max"):
-                assert np.array_equal(getattr(s, name)[n], getattr(one, name)), (n, name)
-            for name, v in one.symmetry_residuals.items():
-                assert s.symmetry_residuals[name][n] == v, (n, name)
+    lo, hi = sectional_range(metric, pts)
+    assert np.array_equal(np.column_stack([lo, hi]),
+                          np.array([sectional_range(metric, p) for p in pts]))
+    s = curvature_sample(metric, pts)
+    for n, p in enumerate(pts):
+        one = curvature_sample(metric, p)
+        for name in ("point", "gamma", "riemann", "k_min", "k_max"):
+            assert np.array_equal(getattr(s, name)[n], getattr(one, name)), (n, name)
+        for name, v in one.symmetry_residuals.items():
+            assert s.symmetry_residuals[name][n] == v, (n, name)
+
+
+def test_sectional_range_in_2d_is_the_gauss_curvature():
+    """In 2D, Lambda^2 is spanned by e1^e2 alone, so K_min = K_max = the
+    Gauss curvature, on the full 2D metric, at one point and on each row
+    of a batch."""
+    m = full_metric_2d()
+    pts = np.random.default_rng(2).uniform(-0.75, 0.75, (12, 2))
+    k = gauss_curvature(m, pts)
+    lo, hi = sectional_range(m, pts)
+    assert np.array_equal(lo, hi)
+    assert np.max(np.abs(lo - k)) <= 1e-14 * max(1.0, np.max(np.abs(k)))
+    s = curvature_sample(m, pts[0])
+    assert s.k_min == s.k_max == lo[0]
 
 
 # a constant change of chart with all nine entries non-zero

@@ -359,17 +359,23 @@ def test_curvature_report_builtin():
 
 
 def test_curvature_report_expression_file(tmp_path):
+    """Flat space in polar coordinates, K = 0, and dw^2 + e^{2cw}(du^2 + dv^2),
+    K = -c^2: with exact derivatives a metric file's report meets K to
+    1e-12, and its four symmetry checks are gated at 1e-8."""
     f = tmp_path / "metric.txt"
-    f.write_text(
-        "box = 0.5 3 -3 3 -1 1\n"
-        "g11 = 1\n"
-        "g22 = u^2\n"
-        "g33 = 1\n")
-    code, out, _ = run_cli("curvature-report", "--metric", str(f), "--grid",
-                           "3x3x3", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert abs(doc["sectional_min"]) < 1e-4 and abs(doc["sectional_max"]) < 1e-4
+    for text, k in (("box = 0.5 3 -3 3 -1 1\ng11 = 1\ng22 = u^2\ng33 = 1\n", 0.0),
+                    ("box = -1 1 -1 1 -0.5 0.5\ng11 = exp(2*0.8*w)\ng22 = exp(2*0.8*w)\n"
+                     "g33 = 1\n", -0.64)):
+        f.write_text(text)
+        code, out, _ = run_cli("curvature-report", "--metric", str(f), "--grid", "9x9x5",
+                               "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert abs(doc["sectional_min"] - k) < 1e-12 and abs(doc["sectional_max"] - k) < 1e-12
+        checks = {c["name"]: c for c in doc["checks"]}
+        assert sorted(checks) == sorted(f"riemann_{name}" for name in (
+            "antisym_first_pair", "antisym_second_pair", "pair_swap", "first_bianchi"))
+        assert all(c["pass"] and c["tolerance"] == 1e-8 for c in checks.values())
 
 
 def test_bad_metric_file_exits_2(tmp_path):
@@ -383,12 +389,15 @@ def test_bad_metric_file_exits_2(tmp_path):
     ("(u-2)^0.5", "failed to evaluate '(u-2)^0.5' at {'u': "),
     ("ln(u)", "failed to evaluate 'ln(u)' at {'u': "),
     ("1/u", "failed to evaluate '1/u' at {'u': "),
-    # finite values, up to e^696, whose stencil differences overflow
-    ("exp(1000*u)", "the metric or its derivatives are not finite at [ 0.696 "),
+    # finite values, up to e^700, whose exact second derivative overflows
+    ("exp(1000*u)", "failed to evaluate 'd(d(exp(1000*u))/du)/du' at {'u': 0.7, "),
+    # defined, with a first derivative undefined at u = 0
+    ("1 + (u*u)^0.5", "failed to evaluate 'd(1 + (u*u)^0.5)/du' at {'u': 0.0, "),
 ])
 def test_metric_file_undefined_inside_the_box_exits_2(tmp_path, g11, message):
-    """An expression undefined at a grid point (or its stencil) is a typed
-    error naming the point, exit 2, and never a numpy warning."""
+    """An expression, or one of its exact derivatives, undefined at a grid
+    point is a typed error naming the expression and the point, exit 2,
+    and never a numpy warning."""
     f = tmp_path / "metric.txt"
     f.write_text(f"box = -1 1 -1 1 -0.5 0.5\ng11 = {g11}\ng22 = 1\ng33 = 1\n")
     with warnings.catch_warnings():
