@@ -40,6 +40,7 @@ import numpy as np
 
 from . import _fd
 from .errors import DegeneratePlane, NonFiniteMetric, NonInvertibleMetric, PointOutsideChart
+from .expressions import tree_leaf, trees_by_index
 
 DET_FLOOR = 1e-12
 # rows per stacked metric-leaf call of the batched curvature: bounds the
@@ -611,54 +612,25 @@ def _sample_rows(g, gam, r, rows):
     return (gam, rm, vals[:, 0], vals[:, -1], *riemann_symmetry_residuals(g, rm).values())
 
 
-def metric_from_expressions(fields, box, dim=3, variables=("u", "v", "w"), name="custom"):
-    """Build a MetricField from a dict of coefficient Expressions.
-
-    ``fields`` maps names like ``g11``, ``g12`` ... to Expression objects in
-    the given variables; missing off-diagonal entries default to zero.
-
-    The partials and second partials are exact: the derivative expressions
-    of each entry (``Expression.derivative``), built once, where a tree that
-    folds to 0 is never evaluated.  So ``fd_margin()`` is 0 and no leaf is
-    differenced; a derivative undefined where its entry is defined (``u^0.5``
-    at u = 0) raises ExpressionEvaluationError naming ``d(expr)/du`` and the
-    point.  Every leaf evaluates one point on a one-row (1, dim) array:
-    numpy raises a scalar and an array to a power by different routines, and
-    this way a row of a batch equals its one-point call bit for bit.
-    """
-    vnames = variables[:dim]
-    entries = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            e = fields.get(f"g{i + 1}{j + 1}", fields.get(f"g{j + 1}{i + 1}"))
-            if e is not None:
-                entries[(i, j)] = e
+def metric_from_expressions(fields, box, name="custom"):
+    """Build a MetricField on ``box`` from a dict of coefficient Expressions
+    in ``u, v, w`` cut to ``box.dim``: ``g11``, ``g12`` or ``g21``, ...; a
+    missing entry is 0, and a stray name or both names of one entry raise
+    ExpressionError.  The matrix, its partials and its second partials are
+    three ``expressions.tree_leaf`` leaves of the entries and of their
+    derivative expressions, so ``fd_margin()`` is 0; a derivative undefined
+    where its entry is defined (``u^0.5`` at u = 0) raises
+    ExpressionEvaluationError naming ``d(expr)/du`` and the point."""
+    dim = box.dim
+    variables = ("u", "v", "w")[:dim]
+    entries = trees_by_index(fields, {f"g{i + 1}{j + 1}": (min(i, j), max(i, j))
+                                      for i in range(dim) for j in range(dim)}, "metric file")
     # [k, i, j] = d g_ij / d x^k, then [k, l, i, j] = d^2 g_ij / d x^k d x^l, k <= l
-    first = {(k,) + ij: d for ij, e in entries.items() for k in range(dim)
-             if not (d := e.derivative(vnames[k])).is_zero}
-    second = {(k, l, i, j): dd for (k, i, j), d in first.items() for l in range(k, dim)
-              if not (dd := d.derivative(vnames[l])).is_zero}
-
-    def leaf(trees, rank):
-        """The leaf whose entries are the trees {index: expression}, each
-        written to every index that the symmetries of g and of the
-        derivative order give it; the other entries are 0."""
-        targets = []
-        for index, e in trees.items():
-            order, ij = index[:-2], index[-2:]  # each has at most two indices
-            targets.append((e, {(...,) + a + b for a in (order, order[::-1])
-                                for b in (ij, ij[::-1])}))
-
-        def evaluate(p):
-            rows = p if p.ndim > 1 else p[None]  # one point on one row, as said above
-            values = {v: rows[..., k] for k, v in enumerate(vnames)}
-            out = np.zeros(rows.shape[:-1] + (dim,) * rank)
-            for e, indices in targets:
-                value = e(**values)
-                for index in indices:
-                    out[index] = value
-            return out if p.ndim > 1 else out[0]
-        return evaluate
-
-    return MetricField(dim, leaf(entries, 2), box, partials=leaf(first, 3),
-                       second_partials=leaf(second, 4), name=name)
+    first = {(k,) + ij: e.derivative(variables[k]) for ij, e in entries.items()
+             for k in range(dim)}
+    second = {(k, l, i, j): d.derivative(variables[l]) for (k, i, j), d in first.items()
+              for l in range(k, dim)}
+    return MetricField(dim, tree_leaf(entries, variables, (dim,) * 2, ((0, 1),)), box,
+                       partials=tree_leaf(first, variables, (dim,) * 3, ((1, 2),)),
+                       second_partials=tree_leaf(second, variables, (dim,) * 4, ((0, 1), (2, 3))),
+                       name=name)

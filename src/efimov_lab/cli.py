@@ -30,6 +30,7 @@ from .curves import (
 )
 from .errors import GeometryError
 from .expressions import Expression, parse_assignments
+from .immersion import surface_from_expressions
 from .odelab import construct_edo7, solve_prop_edo, weak_inequality_residual
 
 
@@ -178,16 +179,9 @@ def _surface_file_connection(path):
     ``phi2``, ``phi3`` in (u, v), a ``box = lo hi lo hi`` line, and an
     optional ``ambient = <builtin metric or metric file>`` line (default
     euclidean3)."""
-    from .immersion import surface_from_expressions
-
     text, ambient_name = _split_ambient(_read(path))
-    fields, box = parse_assignments(text, ("u", "v"))
-    if box is None or len(box) != 4:
-        raise ValueError("surface file needs a 'box = lo hi lo hi' line")
-    chart = ChartBox((box[0], box[2]), (box[1], box[3]))
-    patch = surface_from_expressions(fields, chart, name=path)
-    metric = _metric_for(ambient_name)
-    return SurfaceConnectionData.from_immersion(patch, metric)
+    patch = surface_from_expressions(*_file_fields(text, "surface", ("u", "v")), name=path)
+    return SurfaceConnectionData.from_immersion(patch, _metric_for(ambient_name))
 
 
 def _split_ambient(text):
@@ -213,11 +207,15 @@ def _metric_for(spec_text):
         if case.metric is None:
             raise ValueError(f"{spec_text!r} is not an ambient metric")
         return case.metric
-    fields, box = parse_assignments(_read(spec_text), ("u", "v", "w"))
-    if box is None or len(box) != 6:
-        raise ValueError("metric file needs a 'box = lo hi lo hi lo hi' line")
-    chart = ChartBox((box[0], box[2], box[4]), (box[1], box[3], box[5]))
-    return metric_from_expressions(fields, chart, dim=3)
+    return metric_from_expressions(*_file_fields(_read(spec_text), "metric", ("u", "v", "w")))
+
+
+def _file_fields(text, kind, variables):
+    """A ``kind`` file's Expressions in ``variables`` and its ``box`` line's ChartBox."""
+    fields, box = parse_assignments(text, variables)
+    if box is None or len(box) != 2 * len(variables):
+        raise ValueError(f"{kind} file needs a 'box = {' '.join(['lo hi'] * len(variables))}' line")
+    return fields, ChartBox(tuple(box[0::2]), tuple(box[1::2]))
 
 
 def _region_counts(spec, *keys):

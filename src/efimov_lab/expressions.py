@@ -18,7 +18,8 @@ invalid operation (``ln`` of a negative number, ``(-1)^0.5``) and division
 by zero raise ExpressionEvaluationError naming the first point at which
 the expression is undefined; they never return inf or NaN.
 ``Expression.derivative`` differentiates the parsed expression by the rules
-of calculus and returns the partial derivative as another Expression.
+of calculus, and :func:`tree_leaf` makes such trees, one per entry of an
+array, the batch-contract leaf of a metric or a surface file.
 """
 
 from __future__ import annotations
@@ -294,6 +295,50 @@ def _derivative(node, name):
     if tag == "^":
         return _product(node, _sum(_product(db, ("call", "ln", a)), _quotient(_product(b, da), a)))
     raise ExpressionError(f"corrupt AST node {node!r}")
+
+
+def trees_by_index(fields, names, kind):
+    """The Expressions of ``fields`` keyed by entry index, in index order;
+    ``names`` maps each name a ``kind`` file may use to its index.  A name
+    not in ``names``, or two names of one index (``g12`` and ``g21``), raise
+    ExpressionError naming them."""
+    trees = {}
+    for key, e in fields.items():
+        if key not in names:
+            raise ExpressionError(f"{kind} has no entry {key!r}; its names are {', '.join(names)}")
+        if names[key] in trees:
+            twin = next(k for k in fields if names.get(k) == names[key])
+            raise ExpressionError(f"{kind} names one entry twice, as {twin!r} and {key!r}")
+        trees[names[key]] = e
+    return dict(sorted(trees.items()))
+
+
+def tree_leaf(trees, variables, shape, symmetric=()):
+    """The leaf that maps (..., n) points, one coordinate per name in
+    ``variables``, to ``(...,) + shape`` arrays of the trees ``{entry index:
+    Expression}``.  A tree is written to its index and to each index that
+    swapping the axes of pairs ``(a, b)``, a < b, in ``symmetric`` gives it;
+    other entries are 0, and a tree that folds to 0 is never evaluated.  One
+    point is read on a one-row array: numpy raises a scalar and an array to a
+    power by different routines, so a batch row equals its one-point call."""
+    targets = []
+    for index, e in trees.items():
+        copies = {index}
+        for a, b in symmetric:
+            copies |= {c[:a] + (c[b],) + c[a + 1:b] + (c[a],) + c[b + 1:] for c in copies}
+        if not e.is_zero:
+            targets.append((e, [(...,) + c for c in copies]))
+
+    def evaluate(p):
+        rows = p if p.ndim > 1 else p[None]
+        values = {v: rows[..., k] for k, v in enumerate(variables)}
+        out = np.zeros(rows.shape[:-1] + shape)
+        for e, indices in targets:
+            value = e(**values)
+            for index in indices:
+                out[index] = value
+        return out if p.ndim > 1 else out[0]
+    return evaluate
 
 
 def parse_assignments(text, variables):

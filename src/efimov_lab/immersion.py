@@ -52,6 +52,7 @@ from .ambient import (
     riemann_sectional,
 )
 from .errors import DegenerateImmersion
+from .expressions import tree_leaf, trees_by_index
 
 RANK_FLOOR = 1e-10
 _HOOK = "the patch's derivatives hook"
@@ -329,37 +330,20 @@ def gauss_residual(patch, ambient, q):
 
 
 def surface_from_expressions(fields, box, name="custom-surface"):
-    """Build a SurfacePatch from expressions for the map components.
-
-    ``fields`` maps ``phi1``, ``phi2``, ``phi3`` to Expression objects in the
-    variables (u, v).  The Jacobian and the Hessian are exact: the
-    derivative expressions of each component (the Hessian's three distinct
-    entries), evaluated where the map is.  The map and its derivatives
-    take one point and are called once per point of a batch, so a batch row
-    equals the one-point call bit for bit (numpy raises a scalar and an
-    array to a power by different routines).
-    """
-    for key in ("phi1", "phi2", "phi3"):
-        if key not in fields:
-            raise ValueError(f"surface file must define {key}")
-    phi = [fields[key] for key in ("phi1", "phi2", "phi3")]
-    first = [e.derivative(a) for e in phi for a in "uv"]
-    second = [d.derivative(b) for du, dv in zip(first[::2], first[1::2])
-              for d, b in ((du, "u"), (du, "v"), (dv, "v"))]
-
-    def evaluate(expressions):
-        return _fd.pointwise(lambda q: np.array([e(u=q[0], v=q[1]) for e in expressions]))
-
-    chart_map, flat = evaluate(phi), evaluate(first + second)
-
-    def derivatives(q):
-        d = flat(q)
-        lead = d.shape[:-1]
-        uu, uv, vv = (d[..., 6 + k::3] for k in range(3))  # the Hessian entries of each phi^i
-        hess = np.stack([np.stack([uu, uv], axis=-1), np.stack([uv, vv], axis=-1)], axis=-2)
-        return d[..., :6].reshape(lead + (3, 2)), hess
-
-    return SurfacePatch(chart_map, box, derivatives=derivatives, name=name)
+    """Build a SurfacePatch from Expressions in (u, v) for ``phi1``,
+    ``phi2`` and ``phi3``; a missing or stray name raises.  The map, the
+    Jacobian ``[i, a] = d phi^i / d q^a`` and the Hessian ``[i, a, b] =
+    [i, b, a]`` are three ``expressions.tree_leaf`` leaves of the components
+    and of their exact derivative expressions, as a metric file's are."""
+    phi = trees_by_index(fields, {f"phi{i + 1}": (i,) for i in range(3)}, "surface file")
+    if len(phi) < 3:
+        raise ValueError("surface file must define phi1, phi2 and phi3")
+    uv = ("u", "v")
+    first = {(i, a): e.derivative(uv[a]) for (i,), e in phi.items() for a in range(2)}
+    second = {(i, a, b): d.derivative(uv[b]) for (i, a), d in first.items() for b in range(a, 2)}
+    jacobian, hessian = tree_leaf(first, uv, (3, 2)), tree_leaf(second, uv, (3, 2, 2), ((1, 2),))
+    return SurfacePatch(tree_leaf(phi, uv, (3,)), box,
+                        derivatives=lambda q: (jacobian(q), hessian(q)), name=name)
 
 
 def dnabla_b(patch, ambient, q, x, y):

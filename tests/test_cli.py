@@ -543,6 +543,48 @@ def test_surface_file_ambient_line_without_value_exits_2(tmp_path):
     assert "ambient" in err
 
 
+SURFACE = "box = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = u*v\n"
+METRIC = "box = -1 1 -1 1 -0.5 0.5\ng11 = 1 + 0.1*u*u\ng22 = 1\ng33 = 1\n"
+
+
+@pytest.mark.parametrize("kind,extra,names", [
+    ("metric", "g12 = 0.1\ng21 = 0.3\n", ["'g12' and 'g21'"]),
+    ("metric", "g1 = 5\n", ["'g1'"]),
+    ("metric", "phi1 = 2\n", ["'phi1'"]),
+    ("surface", "phi4 = 7\n", ["'phi4'"]),
+    ("surface", "foo = u\n", ["'foo'"]),
+])
+def test_stray_or_duplicate_file_names_exit_2(tmp_path, kind, extra, names):
+    """A name that is no entry of a metric or surface file, or both names of
+    one off-diagonal metric entry, exits 2 naming them, with no output and
+    no warning."""
+    f = tmp_path / f"{kind}.txt"
+    f.write_text((METRIC if kind == "metric" else SURFACE) + extra)
+    argv = (("curvature-report", "--metric", str(f), "--grid", "3x3x3") if kind == "metric"
+            else ("geodesic", "--example", f"file:{f}", "--start", "0,0", "--dir", "1,0",
+                  "--length", "0.1", "--step", "1e-2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert all(name in err for name in names), err
+
+
+def test_lone_lower_triangle_metric_name_reads_as_its_entry(tmp_path):
+    """``g21`` alone is the entry ``g12``: the report's curvature equals the
+    one of the same file written with ``g12``."""
+    reports = []
+    for name in ("g12", "g21"):
+        f = tmp_path / f"{name}.txt"
+        f.write_text(METRIC + f"{name} = 0.1*v\n")
+        code, out, _ = run_cli("curvature-report", "--metric", str(f), "--grid", "3x3x3",
+                               "--json")
+        assert code == 0
+        reports.append(json.loads(out))
+    for key in ("sectional_min", "sectional_max"):
+        assert reports[0][key] == reports[1][key] and reports[0][key] != 0.0
+
+
 def test_edo_csv_output(tmp_path):
     csv = tmp_path / "bump.csv"
     code, out, _ = run_cli("edo", "--u", "0", "--eps", "1", "--step", "1e-3",

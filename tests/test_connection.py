@@ -96,11 +96,11 @@ def _torsion_case(name):
         return gallery.abstract_sphere(), ([-1.5, -1.5], [1.5, 1.5])
     if name in ("tanh", "angular"):
         return gallery.hyperbolic_deformed(1.3, profile=name), ([0.3, -2.0], [3.0, 2.0])
-    # a non-conformal metric with finite-difference partials and a varying torsion
+    # a non-conformal metric with exact partials and a varying torsion
     uv = ("u", "v")
     fields = {"g11": Expression("exp(u) + v^2", uv), "g12": Expression("0.3*sin(u*v)", uv),
               "g22": Expression("2 + cos(u)", uv)}
-    metric = metric_from_expressions(fields, ChartBox.cube(2, 1.0), dim=2, variables=uv)
+    metric = metric_from_expressions(fields, ChartBox.cube(2, 1.0))
     data = SurfaceConnectionData.from_metric_and_torsion(
         metric, lambda q: np.array([0.4 * np.cos(q[1]), 0.1 * q[0] - 0.2]))
     return data, ([-0.8, -0.8], [0.8, 0.8])
@@ -735,7 +735,7 @@ _IMMERSIONS = {}
 
 # surfaces declared by expressions, with exact derivative expressions; numpy
 # raises a scalar and an array to a power by different routines, so ``^``
-# holds the batch contract only where the map is read one point at a time
+# holds the batch contract because one point is read as a one-row batch
 _FILE_SURFACES = {"file_saddle": "u*v", "file_power": "u*v + 0.1*(1.5 + u)^2.5 + 0.1*u^3"}
 
 

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from efimov_lab.errors import (
     NonInvertibleMetric,
     PointOutsideChart,
 )
-from efimov_lab.expressions import parse_assignments
+from efimov_lab.connection import SurfaceConnectionData
+from efimov_lab.expressions import Expression, parse_assignments
 from efimov_lab.immersion import (
     SurfacePatch,
     codazzi_residual,
@@ -260,6 +262,49 @@ def test_christoffel_first_map_only_saddle_exact(euclid, q):
     expected = _symbols({(0, 0, 1): mixed[0], (1, 0, 1): mixed[1]})
     got = fundamental_forms(patch, euclid, q).christoffel_first
     assert np.max(np.abs(got - expected)) < 1e-8
+
+
+def _file_patch(phi3, half_width=1.0):
+    box = f"box = {-half_width} {half_width} {-half_width} {half_width}\n"
+    fields, box = parse_assignments(f"{box}phi1 = u\nphi2 = v\nphi3 = {phi3}\n", ("u", "v"))
+    return surface_from_expressions(fields, ChartBox((box[0], box[2]), (box[1], box[3])))
+
+
+def _counted_expressions(monkeypatch):
+    """A Counter of Expression evaluations by text, filled from now on."""
+    calls = Counter()
+    evaluate = Expression.__call__
+
+    def counted(self, **values):
+        calls[self.text] += 1
+        return evaluate(self, **values)
+    monkeypatch.setattr(Expression, "__call__", counted)
+    return calls
+
+
+def test_file_surface_batch_evaluates_each_nonzero_tree_once(monkeypatch):
+    """A 64-row fundamental batch on a file surface reads each non-zero tree
+    of its map, Jacobian and Hessian once, on all rows at a time: 3 + 4 + 2
+    of its 18 trees; the derivatives of ``phi1 = u``, ``phi2 = v`` beyond the
+    first and ``d(phi3)/dv = u`` in v fold to 0 and are never read."""
+    data = SurfaceConnectionData.from_immersion(
+        _file_patch("u*v + 0.1*(1.5 + u)^2.5 + 0.1*u^3"), gallery.euclidean3())
+    points = np.random.default_rng(3).uniform(-0.8, 0.8, (64, 2))
+    calls = _counted_expressions(monkeypatch)
+    data.fundamental(points)
+    assert len(calls) == 9 and set(calls.values()) == {1}
+
+
+def test_plane_file_reads_no_hessian_tree_and_equals_the_builtin_plane(monkeypatch):
+    """``phi3 = 0``: every Hessian tree folds to 0 and is never evaluated, nor
+    is phi3 or any derivative of it, and the jet equals the hand-written
+    ``plane`` patch's bit for bit, at one point and on a batch."""
+    patch, builtin = _file_patch("0", 2.0), gallery.plane_patch()
+    calls = _counted_expressions(monkeypatch)
+    for q in (np.array([0.4, -1.3]), np.random.default_rng(5).uniform(-1.9, 1.9, (16, 2))):
+        for got, want in zip(patch.jet(q), builtin.jet(q)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+    assert set(calls) == {"u", "v", "d(u)/du", "d(v)/dv"}
 
 
 def test_immersion_gamma_keeps_the_chart_margin_of_sigma():
