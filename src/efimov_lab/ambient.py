@@ -18,8 +18,9 @@ Conventions
   layer.  A leaf (a metric leaf, a patch map or hook, a B or torsion field)
   returns values with the leading axes of its points, or one value for
   every point (a constant, broadcast); any other shape raises ValueError
-  naming the leaf (``_values``).  A check that fails on some rows of a
-  batch names the first failing row (``_first``).
+  naming the leaf (``_values``).  A check on a batch costs one reduction
+  over its mask when every row passes, and names the first failing row
+  through ``_first``.
 * ``g(p)`` is the metric matrix ``g_ij`` at chart point ``p``.
 * ``partials(p)[k, i, j]`` is the coordinate derivative ``d g_ij / d x^k``.
 * The curvature tensor is ``R(X,Y)Z = D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z`` and
@@ -143,10 +144,17 @@ class ChartBox:
                 return False
         return True
 
+    def _mask(self, pts, margin):
+        # the bounds round as in ``contains``: lo + margin - 1e-15, in that order
+        return (pts >= self._lo + margin - 1e-15) & (pts <= self._hi - margin + 1e-15)
+
     def inside(self, pts, margin=0.0):
         """``contains`` for each row of an (N, dim) array: a boolean (N,) array."""
-        lo, hi = self._lo + margin - 1e-15, self._hi - margin + 1e-15
-        return ((pts >= lo) & (pts <= hi)).all(axis=-1)
+        return self._mask(pts, margin).all(axis=-1)
+
+    def all_inside(self, pts, margin=0.0):
+        """Whether every row of ``inside`` holds, from one reduction."""
+        return self._mask(pts, margin).all()
 
     def require_inside(self, p, margin=0.0, name="chart"):
         """Raise PointOutsideChart unless p, or every row of an (N, dim)
@@ -156,11 +164,10 @@ class ChartBox:
             if self.contains(p, margin=margin):
                 return
             p = np.asarray(p)
+        elif self.all_inside(p, margin):
+            return
         else:
-            k = _first(~self.inside(p, margin))
-            if k is None:
-                return
-            p = p[k]
+            p = p[_first(~self.inside(p, margin))]
         raise PointOutsideChart(f"point {p} outside the box of {name}"
                                 + (f" (margin {margin})" if margin else ""))
 
@@ -268,9 +275,10 @@ def _checked_inverse(g, p):
         # entries that overflow or are not finite surface in det, caught below
         with np.errstate(over="ignore", invalid="ignore"):
             det, adj = _det_adjugate(_entries(g, 2))
-        k = _first(~((abs(det) >= DET_FLOOR) & (abs(det) < math.inf)))
-        if k is None:
+        ok = (abs(det) >= DET_FLOOR) & (abs(det) < math.inf)
+        if ok.all():
             return _assemble(adj, 2) / det[..., None, None]
+        k = _first(~ok)
         det, p = det.ravel()[k], np.reshape(p, (-1, n))[k]
     raise NonInvertibleMetric(f"|det g| = {abs(det):.3e} is below the floor or not finite "
                               f"at {np.reshape(np.asarray(p, dtype=float), -1)}")
@@ -378,7 +386,10 @@ def _require_finite(rows, *arrays, what="the metric or its derivatives"):
     failing point."""
     # one point: a sum of plain floats is finite unless an entry is not, or
     # the sum overflows, which the exact check below sorts out
-    if len(rows) == 1 and math.isfinite(sum(sum(a.ravel().tolist()) for a in arrays)):
+    if len(rows) == 1:
+        if math.isfinite(sum(sum(a.ravel().tolist()) for a in arrays)):
+            return
+    elif all(np.isfinite(a).all() for a in arrays):
         return
     k = _first(~np.logical_and.reduce(
         [np.isfinite(a).reshape(len(rows), -1).all(axis=1) for a in arrays]))

@@ -152,9 +152,10 @@ def _metric_det(g11, g12, g21, g22, points=None):
             return det
         where = "" if points is None else f" at {points}"
     else:
-        k = _first(~((g11 > 0.0) & (det > DET_FLOOR)))
-        if k is None:
+        ok = (g11 > 0.0) & (det > DET_FLOOR)
+        if ok.all():
             return det
+        k = _first(~ok)
         g11, det = np.ravel(g11)[k], det.ravel()[k]
         where = f" at row {k}" if points is None else f" at {np.reshape(points, (-1, 2))[k]}"
     raise NonInvertibleMetric(
@@ -187,8 +188,9 @@ def _inverse_shape_operator(b, q):
     points q; DegenerateShapeOperator when |det B| is below the floor, naming
     the first such point."""
     det, adj = _det_adjugate(_entries(b, 2))
-    k = _first(abs(det) < DET_B_FLOOR)
-    if k is not None:
+    bad = abs(det) < DET_B_FLOOR  # a bool at one point
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        k = _first(bad)
         raise DegenerateShapeOperator(
             f"|det B| = {abs(np.asarray(det)[k]):.3e} below floor at q={q[k]}")
     (a11, a12), (a21, a22) = adj
@@ -322,17 +324,18 @@ class _TorsionProvider(SurfaceConnectionData):
         vectors, and the 8 coefficients are two broadcast products of the
         (2, 2, N) closed-form inverse with the symbols' pairs.  Every step
         is elementwise and in the float formula's order (no matmul or
-        einsum), so each row equals its one-point call bit for bit.  The
-        float path stays because arrays lose at one point: on a 2-core VM
-        (``hyperbolic_deformed(1.5)``, best of 9 x 2,000 calls) one point
-        takes about 14 us on floats and 50 us as a one-row batch, and 32
-        rows take about 60 us, where the entries one (N,) array at a time
-        took about 88 us."""
+        einsum), so each row equals its one-point call bit for bit; each of
+        its three checks is one reduction, and a check's helper runs only
+        to name a failing row.  The float path stays because arrays lose at
+        one point: on a 2-core VM (``hyperbolic_deformed(1.5)``, best of 9 x
+        2,000 calls) one point takes about 14 us on floats and 42 us as a
+        one-row batch, and 32 rows take about 47 us (54 us when every check
+        called its helper, 88 us with the entries one (N,) array at a time)."""
         q = as_points(q, 2)
-        field = self.iii_field
-        field.require_inside(q, margin=field.fd_margin())
         if q.ndim == 2:
             return self._gamma_rows(q)
+        field = self.iii_field
+        field.require_inside(q, margin=field.fd_margin())
         (g11, g12), (g21, g22) = field.matrix(q).tolist()
         det = _metric_det(g11, g12, g21, g22, q)
         dg = field.partials(q).tolist()
@@ -358,10 +361,19 @@ class _TorsionProvider(SurfaceConnectionData):
 
     def _gamma_rows(self, q):
         """``gamma`` on the rows of an (N, 2) batch, over a stacked entry
-        axis: the one-point formulas with each float an (N,) row."""
+        axis: the one-point formulas with each float an (N,) row.  It runs
+        as one straight line: each check (the chart margin, then a positive
+        definite III before ``sqrt(det)``, then finite coefficients) is one
+        reduction over its mask, and its helper is called only on a failing
+        row, to raise naming that row's point."""
         field = self.iii_field
+        margin = field.fd_margin()
+        if not field.box.all_inside(q, margin):
+            field.require_inside(q, margin=margin)
         g = field.matrix(q).reshape(-1, 4).T  # g11, g12, g21, g22
-        det = _metric_det(*g, q)
+        det = g[0] * g[3] - g[1] * g[2]
+        if not ((g[0] > 0.0) & (det > DET_FLOOR)).all():
+            _metric_det(*g, q)
         dg = field.partials(q).reshape(-1, 8).T  # dg[4k + 2i + j] = d_k g_ij
         t = self._torsion(q).T
         st = np.sqrt(det) * (g[0::2] * t[0] + g[1::2] * t[1])  # s t_1, s t_2
@@ -374,7 +386,8 @@ class _TorsionProvider(SurfaceConnectionData):
         # entries[k, 2i + j] = g^{k1} low[4i + 2j] + g^{k2} low[4i + 2j + 1]
         entries = inv[:, None, 0] * low[None, :, 0] + inv[:, None, 1] * low[None, :, 1]
         gam = entries.reshape(8, -1).T
-        _require_finite(q, gam, what="the connection coefficients")
+        if not np.isfinite(gam).all():
+            _require_finite(q, gam, what="the connection coefficients")
         return gam.reshape(-1, 2, 2, 2)
 
     def torsion_vector(self, q):

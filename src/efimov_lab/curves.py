@@ -342,8 +342,11 @@ def _geodesic_rhs(data):
 
     def rhs(t, state):
         vv = state[..., 2:]
-        acc = np.einsum("...kij,...i,...j->...k", data.gamma(state[..., :2]), vv, vv)
-        return np.concatenate([vv, -acc], axis=-1)
+        out = np.empty(state.shape)
+        out[..., :2] = vv
+        np.negative(np.einsum("...kij,...i,...j->...k", data.gamma(state[..., :2]), vv, vv),
+                    out=out[..., 2:])
+        return out
 
     return rhs
 
@@ -374,9 +377,8 @@ def _chart_flow(data, rhs, y, length, step, margin):
     the state objects that rk4_samples passes, so it may test them by
     identity."""
     for t, y in rk4_samples(lambda tt, yy: _chart_read(rhs, tt, yy), y, length, step):
-        outside = ~data.box.inside(y[..., :2], margin)
-        if outside.any():
-            k = int(np.argmax(outside))
+        if not data.box.all_inside(y[..., :2], margin):
+            k = int(np.argmax(~data.box.inside(y[..., :2], margin)))
             raise LeftPatch(f"the trace leaves the chart at length {t}, near "
                             f"{np.atleast_2d(y)[k, :2]}", row=k)
         yield t, y

@@ -233,8 +233,9 @@ def _frame(q, g, ginv, jac, jac_t):
     else:
         n = (ginv @ cov[..., None])[..., 0]
         norm2 = _quadratic(n, g, n)
-        k = _first((norm2 <= 0) | (gram < RANK_FLOOR))
-        if k is not None:
+        bad = (norm2 <= 0) | (gram < RANK_FLOOR)
+        if bad.any():
+            k = _first(bad)
             raise DegenerateImmersion(f"rank of d phi < 2 at q={q[k]} (gram={gram[k]:.3e})")
         n = n / np.sqrt(norm2)[:, None]
     return first, _assemble(adj, 2), gram, n

@@ -1,5 +1,6 @@
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from efimov_lab.ambient import (
     riemann_sectional,
     sectional_range,
 )
+from efimov_lab.curves import _chart_flow
 from efimov_lab.errors import (
     DegeneratePlane,
     ExpressionEvaluationError,
+    LeftPatch,
     NonFiniteMetric,
     NonInvertibleMetric,
     PointOutsideChart,
@@ -181,7 +184,11 @@ def test_chart_box_contains_edge_inputs():
 def test_chart_box_inside_equals_contains_at_the_shrunk_edges(box, margin):
     """Points on the box shrunk by ``margin`` (rounded as ``lo + margin -
     1e-15``) and one ulp to either side of it: every row of ``inside``
-    equals ``contains`` of that row, and the edge itself is inside."""
+    equals ``contains`` of that row, and the edge itself is inside.  The
+    one-reduction accept paths agree row for row: the batch
+    ``require_inside`` and the stop rule of ``curves._chart_flow`` (on the
+    first two axes) accept exactly the rows that ``inside`` accepts, and
+    on the whole batch they name its first rejected row."""
     centre = [0.5 * (lo + hi) for lo, hi in zip(box.lo, box.hi)]
     rows, expected = [], []
     for axis, (lo, hi) in enumerate(zip(box.lo, box.hi)):
@@ -192,6 +199,39 @@ def test_chart_box_inside_equals_contains_at_the_shrunk_edges(box, margin):
                 expected.append(inside)
     rows = np.array(rows)
     assert box.inside(rows, margin).tolist() == [box.contains(r, margin) for r in rows] == expected
+
+    def accepts(check, batch):
+        try:
+            check(batch)
+        except (PointOutsideChart, LeftPatch):
+            return False
+        return True
+
+    def require(batch):
+        box.require_inside(batch, margin)
+
+    assert [accepts(require, rows[k:k + 1]) for k in range(len(rows))] == expected
+    with pytest.raises(PointOutsideChart) as exc:
+        require(rows)
+    assert str(rows[expected.index(False)]) in str(exc.value)
+    require(rows[np.array(expected)])
+
+    # the flow's states hold a chart point and a velocity; a zero rhs keeps
+    # every state where it starts, so its one step is tested at the rows
+    plane = ChartBox(box.lo[:2], box.hi[:2])
+    states = np.hstack([rows[:, :2], np.zeros((len(rows), 2))])
+    on_plane = plane.inside(states[:, :2], margin).tolist()
+
+    def flow(batch):
+        list(_chart_flow(SimpleNamespace(box=plane), lambda t, y: np.zeros_like(y), batch,
+                         1.0, 1.0, margin))
+
+    assert [accepts(flow, s) for s in states] == on_plane
+    assert [accepts(flow, states[k:k + 1]) for k in range(len(rows))] == on_plane
+    with pytest.raises(LeftPatch) as exc:
+        flow(states)
+    assert exc.value.row == on_plane.index(False)
+    flow(states[np.array(on_plane)])
 
 
 def test_metric_field_takes_dims_2_and_3_only():

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,35 @@ def test_torsion_mode_rejects_non_positive_third_form(diag):
         for q in ([0.1, 0.2], [[0.1, 0.2], [0.3, -0.1]]):
             with pytest.raises(NonInvertibleMetric, match=r"\[0\.1 0\.2\]"):
                 evaluate(q)
+
+
+def test_torsion_batch_names_its_indefinite_row_before_the_square_root():
+    """III = diag(1, u) is indefinite at the middle row of a torsion-mode
+    batch only: ``gamma`` and K~ each raise NonInvertibleMetric naming that
+    row's point, from the positive-definite check that runs before
+    ``sqrt(det III)``, so no RuntimeWarning is emitted."""
+
+    def matrix(q):
+        g = np.zeros(q.shape[:-1] + (2, 2))
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = q[..., 0]
+        return g
+
+    def partials(q):
+        d = np.zeros(q.shape[:-1] + (2, 2, 2))
+        d[..., 0, 1, 1] = 1.0
+        return d
+
+    metric = MetricField(2, matrix, ChartBox.cube(2, 1.0), partials=partials,
+                         second_partials=lambda q: np.zeros((2, 2, 2, 2)))
+    data = SurfaceConnectionData.from_metric_and_torsion(metric, lambda q: np.array([0.1, 0.2]))
+    q = np.array([[0.5, 0.1], [0.4, -0.2], [-0.3, 0.25], [0.2, 0.3], [0.6, -0.1]])
+    for evaluate in (data.gamma, data.curvature):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonInvertibleMetric, match=re.escape(f"at {q[2]}:")):
+                evaluate(q)
+    assert data.gamma(q[:2]).shape == (2, 2, 2, 2)
 
 
 def test_complex_structure_is_the_metric_rotation():

@@ -248,20 +248,35 @@ def test_christoffel_first_hyperbolic_slice_closed_form(q):
 
 @pytest.mark.parametrize("q", [(0.13, 0.21), (0.3, -0.2), (-0.6, 0.5)])
 def test_christoffel_first_map_only_saddle_exact(euclid, q):
-    """phi = (u, v, uv) with every partial a central difference, against the
-    exact ``I^{-1} <phi_ab, phi_d>``: only phi_uv = (0, 0, 1) is non-zero,
-    so Gamma^c_uv = I^{-1} (v, u) and the other symbols vanish.  The error
-    is the rounding of the difference Hessian, about eps |phi| / h^2: 3e-10
-    at (0.13, 0.21), 2e-8 at (0.8, 0.9)."""
-    fields, box = parse_assignments("box = -1 1 -1 1\nphi1 = u\nphi2 = v\nphi3 = u*v\n",
-                                    ("u", "v"))
-    patch = surface_from_expressions(fields, ChartBox((box[0], box[2]), (box[1], box[3])))
+    """phi = (u, v, uv) as a map with no derivatives hook, so every partial
+    is a central difference, against the exact ``I^{-1} <phi_ab, phi_d>``:
+    only phi_uv = (0, 0, 1) is non-zero, so Gamma^c_uv = I^{-1} (v, u) and
+    the other symbols vanish.  The error is the rounding of the difference
+    Hessian, about eps |phi| / h^2: 3.4e-10 to 2.6e-9 at these points."""
+    patch = SurfacePatch(lambda p: np.stack([p[..., 0], p[..., 1], p[..., 0] * p[..., 1]], -1),
+                         ChartBox.cube(2, 1.0))
+    assert not patch.has_analytic_partials
+    got = fundamental_forms(patch, euclid, q).christoffel_first
+    assert np.max(np.abs(got - _saddle_symbols(q))) < 1e-8
+
+
+@pytest.mark.parametrize("q", [(0.13, 0.21), (0.3, -0.2), (-0.6, 0.5)])
+def test_christoffel_first_file_saddle_exact(euclid, q):
+    """The same saddle as a surface file: its Jacobian and Hessian are
+    exact derivative trees, so the symbols agree with the closed form to
+    rounding (at most 5.6e-17 at these points)."""
+    patch = _file_patch("u*v")
+    assert patch.has_analytic_partials
+    got = fundamental_forms(patch, euclid, q).christoffel_first
+    assert np.max(np.abs(got - _saddle_symbols(q))) < 1e-15
+
+
+def _saddle_symbols(q):
+    """The symbols of I for phi = (u, v, uv) in Euclidean space."""
     u, v = q
     first = np.array([[1.0 + v * v, u * v], [u * v, 1.0 + u * u]])
     mixed = np.linalg.solve(first, [v, u])
-    expected = _symbols({(0, 0, 1): mixed[0], (1, 0, 1): mixed[1]})
-    got = fundamental_forms(patch, euclid, q).christoffel_first
-    assert np.max(np.abs(got - expected)) < 1e-8
+    return _symbols({(0, 0, 1): mixed[0], (1, 0, 1): mixed[1]})
 
 
 def _file_patch(phi3, half_width=1.0):
