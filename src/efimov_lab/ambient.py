@@ -498,8 +498,9 @@ def riemann_sectional(metric, p, x, y):
     y = np.asarray(y, dtype=float)
     xx, yy, xy = _quadratic(x, g, x), _quadratic(y, g, y), _quadratic(x, g, y)
     gram = xx * yy - xy * xy  # a product: a float and an array square alike
-    k = _first(~(gram >= 1e-12 * np.maximum(1.0, xx) * np.maximum(1.0, yy)))
-    if k is not None:
+    ok = gram >= 1e-12 * np.maximum(1.0, xx) * np.maximum(1.0, yy)
+    if not ok.all():
+        k = _first(~ok)
         raise DegeneratePlane(f"plane spanned by {x[k]} and {y[k]} is degenerate "
                               f"(gram={gram[k]:.3e})")
     # in C order: the einsum sums in the order of the tensor's layout
@@ -641,7 +642,7 @@ def metric_from_expressions(fields, box, name="custom"):
              for k in range(dim)}
     second = {(k, l, i, j): d.derivative(variables[l]) for (k, i, j), d in first.items()
               for l in range(k, dim)}
-    return MetricField(dim, tree_leaf(entries, variables, (dim,) * 2, ((0, 1),)), box,
-                       partials=tree_leaf(first, variables, (dim,) * 3, ((1, 2),)),
-                       second_partials=tree_leaf(second, variables, (dim,) * 4, ((0, 1), (2, 3))),
+    return MetricField(dim, tree_leaf(variables, (entries, (dim,) * 2, ((0, 1),))), box,
+                       partials=tree_leaf(variables, (first, (dim,) * 3, ((1, 2),))),
+                       second_partials=tree_leaf(variables, (second, (dim,) * 4, ((0, 1), (2, 3)))),
                        name=name)

@@ -111,8 +111,9 @@ def asymptotic_frame(data, q, ref_u=None, ref_v=None):
     b, iii = data._shape_forms(q)  # one read of the shape layer
     (b11, b12), (b21, b22) = _entries(_inverse_shape_operator(b, q), 2)
     det = b11 * b22 - b12 * b21
-    i = _first(det >= 0)
-    if i is not None:
+    bad = det >= 0  # a bool at one point
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        i = _first(bad)
         raise NonHyperbolicPoint(f"det B~ = {np.asarray(det)[i]:.3e} >= 0 at q={q[i]}")
     k = _sqrt(-det)
     g = _entries(iii, 2)

@@ -176,8 +176,9 @@ def _torsion_from_gamma(gam, iii, q):
     not positive definite (III_11 <= 0, or det III not finite or not above
     the floor)."""
     det = np.linalg.det(iii)
-    k = _first(~((iii[..., 0, 0] > 0.0) & np.isfinite(det) & (det > DET_FLOOR)))
-    if k is not None:
+    ok = (iii[..., 0, 0] > 0.0) & np.isfinite(det) & (det > DET_FLOOR)
+    if not ok.all():
+        k = _first(~ok)
         raise NonInvertibleMetric(
             f"III is not positive definite at {q[k]}: det III = {np.asarray(det)[k]:.3e}")
     return (gam[..., 0, 1] - gam[..., 1, 0]) / np.sqrt(det)[..., None]
@@ -263,8 +264,9 @@ class SurfaceConnectionData:
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             xgx = _quadratic(x, g, x)
-        k = _first(~np.isfinite(xgx))
-        if k is not None:
+        finite = np.isfinite(xgx)
+        if not finite.all():
+            k = _first(~finite)
             x, q = np.broadcast_arrays(x, q)
             raise DegenerateVector(f"tangent vector {x[k]} has no finite length at q={q[k]}")
         # III is positive definite here, so only rounding can make x.g.x < 0
@@ -274,8 +276,9 @@ class SurfaceConnectionData:
         """x over its III-length, at one point or at each row of a batch."""
         x = np.asarray(x, dtype=float)
         n = self.norm(q, x)
-        k = _first(np.equal(n, 0.0))
-        if k is not None:
+        zero = np.equal(n, 0.0)
+        if zero.any():
+            k = _first(zero)
             raise DegenerateVector(f"cannot normalise the zero vector at q={as_points(q, 2)[k]}")
         return x / np.asarray(n)[..., None]
 
@@ -539,8 +542,9 @@ class _ImmersionProvider(_OperatorProvider):
         q = as_points(q, 2)
         data = self.fundamental(q)
         k_e = data.k_extrinsic
-        k = _first(np.abs(k_e) < DET_B_FLOOR)
-        if k is not None:
+        small = np.abs(k_e) < DET_B_FLOOR
+        if small.any():
+            k = _first(small)
             raise DegenerateShapeOperator(
                 f"|K_e| = {abs(np.asarray(k_e)[k]):.3e} below floor at q={q[k]}")
         return data.k_intrinsic / k_e
@@ -725,6 +729,29 @@ def check_hypothesis(k1, k2, k3):
         th1_cond0=bool(pinching_ok),  # tau0 is the supremum of the left side
         th1_tau0=th1_tau0, tau0=tau0, k4=k4, k5=k5, pinching_ok=pinching_ok,
     )
+
+
+def k1_threshold(k2, k3):
+    """The K1 threshold of the exclusion inequality that ``check_hypothesis``
+    encodes: for K2 <= K3 and K1 < 0, the triple is excluded exactly when
+    K1 < K1*.  The inequality is quadratic in K1 and its right side falls
+    on K1 < min(K2, 0), so K1* is the smaller root:
+
+    * K3 > 0: ``K1* = (K2 - sqrt(K2^2 + (K3 - K2)^2 / 4)) / 2``;
+    * K3 <= 0: ``K1* = ((K2 + K3) - (sqrt(5)/2)(K3 - K2)) / 2``.
+
+    The two agree at K3 = 0, K1* <= min(K2, 0) with equality exactly when
+    K2 = K3, and K1* falls as K3 grows.  No K1 is evaluated, so the
+    threshold min(K2, 0) = 0 of K2 = K3 >= 0 needs no K1 >= 0.  The paper
+    is here only as its abstract, so K1* is the threshold of the inequality
+    the lab encodes; nothing here shows that it is the paper's optimal K1."""
+    if not (np.isfinite(k2) and np.isfinite(k3)):
+        raise InvalidPinching(f"non-finite constant in (K2, K3) = ({k2}, {k3})")
+    if k2 > k3:
+        raise InvalidPinching(f"need K2 <= K3, got K2={k2} > K3={k3}")
+    if k3 > 0:
+        return (k2 - math.sqrt(k2 * k2 + (k3 - k2) ** 2 / 4.0)) / 2.0
+    return ((k2 + k3) - (math.sqrt(5.0) / 2.0) * (k3 - k2)) / 2.0
 
 
 def measured_pinching(data, sample_points):

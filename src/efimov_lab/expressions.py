@@ -20,6 +20,17 @@ the expression is undefined; they never return inf or NaN.
 ``Expression.derivative`` differentiates the parsed expression by the rules
 of calculus, and :func:`tree_leaf` makes such trees, one per entry of an
 array, the batch-contract leaf of a metric or a surface file.
+
+Both run generated code (``_Code``): an Expression compiles one function on
+its first call, a leaf when it is built.  It has one line per distinct
+subtree, which applies the tree's operator or ufunc to its children's
+values as a walk of the tree would, and a leaf stores each tree once per
+entry, all under one ``np.errstate``.  The source holds only generated
+names, bound to the parsed np.float64 constants, the ufuncs of
+``_FUNCTIONS`` and the declared variables, so no file text reaches ``exec``.
+A leaf reads one point as a one-row array (numpy raises a scalar and an
+array to a power by different routines), so a batch row equals its
+one-point call.
 """
 
 from __future__ import annotations
@@ -74,6 +85,7 @@ class Expression:
         self.text = text
         self.variables = tuple(variables)
         self._ast = _Parser(_tokenize(text), set(self.variables)).parse()
+        self._function = None
 
     def derivative(self, name):
         """The partial derivative in the variable ``name``, an Expression in
@@ -84,19 +96,19 @@ class Expression:
             raise ExpressionError(f"unknown variable {name!r}")
         out = copy.copy(self)
         out.text, out._ast = f"d({self.text})/d{name}", _derivative(self._ast, name)
+        out._function = None
         return out
-
-    @property
-    def is_zero(self):
-        """Whether the expression is the number 0, as a derivative in a
-        variable that the expression does not read is."""
-        return _is(self._ast, 0)
 
     def __call__(self, **values):
         # [()] makes a number a numpy scalar, which the ufuncs take faster
         arrays = {name: np.asarray(v, dtype=float)[()] for name, v in values.items()}
+        if self._function is None:  # compiled on first call, so unread derivatives never are
+            code = _Code(self.variables)
+            result = code.name(self._ast)
+            self._function = code.function([f"_x{k}" for k in range(len(self.variables))], [],
+                                           [f"return {result}"])
         try:
-            return _checked_eval(self._ast, arrays)
+            return self._function(*[arrays.get(name) for name in self.variables])
         except FloatingPointError as exc:
             point = self._failing_point(arrays)
             raise ExpressionEvaluationError(
@@ -111,7 +123,7 @@ class Expression:
         for row in zip(*columns):
             point = {name: float(x) for name, x in zip(names, row)}
             try:
-                _checked_eval(self._ast, {name: np.float64(x) for name, x in point.items()})
+                self._function(*[np.float64(point.get(name)) for name in self.variables])
             except FloatingPointError:
                 return point
         return {name: a.tolist() for name, a in arrays.items()}
@@ -193,38 +205,6 @@ class _Parser:
             self.expect_op(")")
             return node
         raise ExpressionError(f"unexpected token {value!r}")
-
-
-@np.errstate(over="raise", invalid="raise", divide="raise")
-def _checked_eval(node, values):
-    """``_eval`` with overflow, invalid operations and division by zero
-    raised as FloatingPointError."""
-    return _eval(node, values)
-
-
-def _eval(node, values):
-    tag = node[0]
-    if tag == "num":
-        return node[1]
-    if tag == "var":
-        return values[node[1]]
-    if tag == "neg":
-        return -_eval(node[1], values)
-    if tag == "call":
-        return _FUNCTIONS[node[1]](_eval(node[2], values))
-    a = _eval(node[1], values)
-    b = _eval(node[2], values)
-    if tag == "+":
-        return a + b
-    if tag == "-":
-        return a - b
-    if tag == "*":
-        return a * b
-    if tag == "/":
-        return a / b
-    if tag == "^":
-        return a ** b
-    raise ExpressionError(f"corrupt AST node {node!r}")
 
 
 _ZERO = ("num", np.float64(0.0))
@@ -313,32 +293,104 @@ def trees_by_index(fields, names, kind):
     return dict(sorted(trees.items()))
 
 
-def tree_leaf(trees, variables, shape, symmetric=()):
+def tree_leaf(variables, *blocks):
     """The leaf that maps (..., n) points, one coordinate per name in
-    ``variables``, to ``(...,) + shape`` arrays of the trees ``{entry index:
-    Expression}``.  A tree is written to its index and to each index that
-    swapping the axes of pairs ``(a, b)``, a < b, in ``symmetric`` gives it;
-    other entries are 0, and a tree that folds to 0 is never evaluated.  One
-    point is read on a one-row array: numpy raises a scalar and an array to a
-    power by different routines, so a batch row equals its one-point call."""
-    targets = []
-    for index, e in trees.items():
-        copies = {index}
-        for a, b in symmetric:
-            copies |= {c[:a] + (c[b],) + c[a + 1:b] + (c[a],) + c[b + 1:] for c in copies}
-        if not e.is_zero:
-            targets.append((e, [(...,) + c for c in copies]))
+    ``variables``, to one ``(...,) + shape`` array per block ``(trees,
+    shape)`` or ``(trees, shape, symmetric)`` of trees ``{entry index:
+    Expression}``: the array for one block, a tuple for several.  A tree is
+    written to its index and to each index that swapping the axes of pairs
+    ``(a, b)``, a < b, in ``symmetric`` gives it; other entries are 0, and a
+    tree that folds to 0 is never evaluated.  The leaf is one generated
+    function; its fallback runs the trees in block and index order."""
+    return _Leaf(tuple(variables), blocks)
 
-    def evaluate(p):
-        rows = p if p.ndim > 1 else p[None]
-        values = {v: rows[..., k] for k, v in enumerate(variables)}
-        out = np.zeros(rows.shape[:-1] + shape)
-        for e, indices in targets:
-            value = e(**values)
-            for index in indices:
-                out[index] = value
-        return out if p.ndim > 1 else out[0]
-    return evaluate
+
+class _Leaf:
+    """A :func:`tree_leaf`; ``trees`` are the Expressions it evaluates."""
+
+    def __init__(self, variables, blocks):
+        code, stores, self.trees = _Code(variables), [], []
+        self.variables, self.shapes = variables, [block[1] for block in blocks]
+        for n, (trees, _, *symmetric) in enumerate(blocks):
+            for index, e in trees.items():
+                copies = {index}
+                for a, b in symmetric[0] if symmetric else ():
+                    copies |= {c[:a] + (c[b],) + c[a + 1:b] + (c[a],) + c[b + 1:] for c in copies}
+                if not _is(e._ast, 0):  # folded to 0, as a derivative in an unread variable
+                    self.trees.append(e)
+                    targets = [f"_o{n}[{code.bind((..., *c))}]" for c in sorted(copies)]
+                    stores.append(" = ".join([*targets, code.name(e._ast)]))
+        columns = [f"_x{k} = _rows[{code.bind((..., k))}]" for k in range(len(variables))]
+        outs = [f"_o{n}" for n in range(len(blocks))]
+        self._function = code.function(["_rows", *outs], columns, stores)
+
+    def __call__(self, p):
+        one = p.ndim == 1
+        outs = [out[0] if one else out for out in self.evaluate(p[None] if one else p)]
+        return outs[0] if len(outs) == 1 else tuple(outs)
+
+    def evaluate(self, rows):
+        """One array per block at the (..., n) points ``rows``."""
+        outs = [np.zeros(rows.shape[:-1] + shape) for shape in self.shapes]
+        try:
+            self._function(rows, *outs)
+        except FloatingPointError:
+            values = {v: rows[..., k] for k, v in enumerate(self.variables)}
+            for e in self.trees:
+                e(**values)
+            raise
+        return outs
+
+
+_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
+_RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
+
+
+class _Code:
+    """Straight-line numpy source for parsed trees in ``variables``
+    (module docstring)."""
+
+    def __init__(self, variables):
+        self.variables, self.lines, self.names = variables, [], {}
+        self.namespace = {"_errstate": np.errstate, "_RAISE": _RAISE,
+                          **{f"_{f}": ufunc for f, ufunc in _FUNCTIONS.items()}}
+
+    def name(self, node):
+        """The name that holds the value of ``node``, after the lines of its subtrees."""
+        tag = node[0]
+        if tag == "num":  # unsigned and not NaN, so equal constants are interchangeable
+            return self.bind(node[1])
+        if tag == "var":
+            return f"_x{self.variables.index(node[1])}"
+        if tag == "neg":
+            line = f"-{self.name(node[1])}"
+        elif tag == "call" and node[1] in _FUNCTIONS:
+            line = f"_{node[1]}({self.name(node[2])})"
+        elif tag in _OPERATORS:
+            line = f"{self.name(node[1])} {_OPERATORS[tag]} {self.name(node[2])}"
+        else:
+            raise ExpressionError(f"corrupt AST node {node!r}")
+        if line not in self.names:
+            self.names[line] = f"_t{len(self.lines)}"
+            self.lines.append(f"{self.names[line]} = {line}")
+        return self.names[line]
+
+    def bind(self, value):
+        """The name bound to ``value`` (a constant or an index), one per value."""
+        if value not in self.names:
+            self.names[value] = f"_c{len(self.names)}"
+            self.namespace[self.names[value]] = value
+        return self.names[value]
+
+    def function(self, parameters, head, tail):
+        """``exec`` of ``def _f(parameters)``: the lines ``head``, the subtree
+        lines under one errstate that raises overflow, invalid operations and
+        division by zero as FloatingPointError, then the lines ``tail``."""
+        body = [*head, "with _errstate(**_RAISE):", *(f"    {x}" for x in self.lines or ["pass"]),
+                *tail]
+        exec(f"def _f({', '.join(parameters)}):\n" + "".join(f"    {x}\n" for x in body),
+             self.namespace)
+        return self.namespace["_f"]
 
 
 def parse_assignments(text, variables):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from efimov_lab import _fd, gallery
+from efimov_lab import _fd, expressions, gallery
 from efimov_lab.ambient import (
     CHUNK,
     ChartBox,
@@ -32,7 +32,7 @@ from efimov_lab.errors import (
     NonInvertibleMetric,
     PointOutsideChart,
 )
-from efimov_lab.expressions import Expression, parse_assignments
+from efimov_lab.expressions import parse_assignments
 
 
 def diagonal(*entries):
@@ -551,20 +551,20 @@ def test_expression_metric_evaluates_only_the_trees_that_are_not_zero(monkeypatc
     two w-derivatives of e^{2w} and their two w-derivatives, each once, on a
     one-row array for one point and on the rows of a batch."""
     calls = []
-    evaluate = Expression.__call__
+    evaluate = expressions._Leaf.evaluate
 
-    def spy(self, **values):
-        calls.append((self.text, {name: np.shape(v) for name, v in values.items()}))
-        return evaluate(self, **values)
+    def spy(self, rows):
+        calls.extend((e.text, rows.shape) for e in self.trees)
+        return evaluate(self, rows)
 
-    monkeypatch.setattr(Expression, "__call__", spy)
+    monkeypatch.setattr(expressions._Leaf, "evaluate", spy)
     m = file_metric("g11 = exp(2*w)\ng22 = exp(2*w)\ng33 = 1\n")
     trees = sorted(["1"] + ["exp(2*w)", "d(exp(2*w))/dw", "d(d(exp(2*w))/dw)/dw"] * 2)
     for p, rows in ((np.array([0.1, 0.2, 0.3]), 1), (batch_3d(5), 5)):
         calls.clear()
         m.jet(p)
         assert sorted(text for text, _ in calls) == trees
-        assert all(shapes == dict.fromkeys("uvw", (rows,)) for _, shapes in calls)
+        assert all(shape == (rows, 3) for _, shape in calls)
 
 
 def test_expression_metric_names_a_derivative_undefined_where_its_entry_is_defined():

@@ -17,6 +17,7 @@ from efimov_lab.connection import (
     curvature_bounds_k4k5,
     dual_codazzi_residual,
     dual_connection_at,
+    k1_threshold,
     metric_compatibility_residual,
     orthonormal_frame,
     torsion_bound_bruteforce,
@@ -919,6 +920,61 @@ def test_excluded_implies_sit_check():
             count += 1
             assert v.sit_check
     assert count > 50  # the sample genuinely hits the excluded regime
+
+
+def _random_pinchings(seed, n=400):
+    """n pairs K2 in [-3, 3], K3 - K2 in [0, 4]."""
+    rng = np.random.default_rng(seed)
+    k2 = rng.uniform(-3.0, 3.0, n)
+    return np.column_stack([k2, k2 + rng.uniform(0.0, 4.0, n)]).tolist()
+
+
+def test_k1_threshold_is_where_exclusion_flips():
+    """80-step bisection on ``check_hypothesis(...).excluded`` over K1 < 0,
+    from an excluded K1 = -1e3 to a K1 below min(K2, 0) that is not,
+    finds the closed-form threshold."""
+    worst = 0.0
+    for k2, k3 in _random_pinchings(5):
+        lo, hi = -1e3, min(k2, -1e-300)
+        assert check_hypothesis(lo, k2, k3).excluded and not check_hypothesis(hi, k2, k3).excluded
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if check_hypothesis(mid, k2, k3).excluded else (lo, mid)
+        worst = max(worst, abs(hi - k1_threshold(k2, k3)))
+    assert worst < 1e-13
+
+
+def test_k1_threshold_properties():
+    """Continuous across K3 = 0, where both regimes apply; at most
+    min(K2, 0), with equality exactly when K2 = K3 (a space form of
+    curvature c has K1* = min(c, 0), with no K1 >= 0 evaluated); falling in
+    K3; and the gap family (0, g) of demo 03 has K1* = -g/4."""
+    assert k1_threshold(-1.0, 0.0) == -1.0590169943749475
+    for k2 in (-3.0, -1.0, -0.2):
+        assert abs(k1_threshold(k2, 1e-12) - k1_threshold(k2, -1e-12)) < 1e-11
+    for k2, k3 in _random_pinchings(6):
+        assert k1_threshold(k2, k3) < min(k2, 0.0)
+        assert k1_threshold(k2, k2) == min(k2, 0.0)
+        assert np.all(np.diff([k1_threshold(k2, k) for k in np.linspace(k2, k3, 9)]) < 0)
+    assert k1_threshold(0.0, 2.0) == -0.5
+    with pytest.raises(InvalidPinching):
+        k1_threshold(1.0, 0.5)
+    with pytest.raises(InvalidPinching):
+        k1_threshold(np.nan, 0.5)
+
+
+def test_exclusion_is_oscillation_at_the_bound_constants():
+    """Under ``pinching_ok``, the exclusion inequality holds exactly when
+    4 K4 > tau0^2 (``sit_check``): when the Jacobi system oscillates at the
+    bound constants, and exactly when K1 < K1*."""
+    rng = np.random.default_rng(7)
+    hits = 0
+    for k2, k3 in _random_pinchings(8, 1000):
+        k1 = min(k2, 0.0) - rng.uniform(1e-3, 4.0)
+        v = check_hypothesis(k1, k2, k3)
+        assert v.pinching_ok and v.excluded == v.sit_check == (k1 < k1_threshold(k2, k3))
+        hits += v.excluded
+    assert min(hits, 1000 - hits) > 50  # both verdicts are sampled
 
 
 def test_immersion_gamma_and_third_form_skip_curvature(monkeypatch):

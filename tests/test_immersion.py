@@ -4,15 +4,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from efimov_lab import _fd, gallery
+from efimov_lab import _fd, expressions, gallery
 from efimov_lab.errors import (
     DegenerateImmersion,
+    ExpressionEvaluationError,
     NonFiniteMetric,
     NonInvertibleMetric,
     PointOutsideChart,
 )
 from efimov_lab.connection import SurfaceConnectionData
-from efimov_lab.expressions import Expression, parse_assignments
+from efimov_lab.expressions import parse_assignments
 from efimov_lab.immersion import (
     SurfacePatch,
     codazzi_residual,
@@ -286,14 +287,15 @@ def _file_patch(phi3, half_width=1.0):
 
 
 def _counted_expressions(monkeypatch):
-    """A Counter of Expression evaluations by text, filled from now on."""
+    """A Counter, by text, of the trees that the generated functions of
+    expression leaves evaluate, filled from now on."""
     calls = Counter()
-    evaluate = Expression.__call__
+    evaluate = expressions._Leaf.evaluate
 
-    def counted(self, **values):
-        calls[self.text] += 1
-        return evaluate(self, **values)
-    monkeypatch.setattr(Expression, "__call__", counted)
+    def counted(self, rows):
+        calls.update(e.text for e in self.trees)
+        return evaluate(self, rows)
+    monkeypatch.setattr(expressions._Leaf, "evaluate", counted)
     return calls
 
 
@@ -320,6 +322,23 @@ def test_plane_file_reads_no_hessian_tree_and_equals_the_builtin_plane(monkeypat
         for got, want in zip(patch.jet(q), builtin.jet(q)):
             assert got.shape == want.shape and np.array_equal(got, want)
     assert set(calls) == {"u", "v", "d(u)/du", "d(v)/dv"}
+
+
+def test_a_failing_subtree_shared_by_two_trees_names_the_first_tree():
+    """``ln(u)`` is one subtree of ``phi1``, ``phi3`` and their derivatives,
+    and it is undefined for u < 0.  The map names ``phi1`` and the jet names
+    ``d(phi1)/dv = ln(u)``, the first failing tree of the Jacobian, at the
+    point for one point and at the failing row of a 64-row batch."""
+    fields, _ = parse_assignments("phi1 = v*ln(u)\nphi2 = v\nphi3 = u*ln(u)\n", ("u", "v"))
+    patch = surface_from_expressions(fields, ChartBox((-1.0, -1.0), (1.0, 1.0)))
+    rows = np.random.default_rng(9).uniform([0.1, -0.9], [0.9, 0.9], (64, 2))
+    rows[37] = [-0.5, 0.3]
+    for q in (rows[37], rows):
+        for read, text in ((patch.point, "v*ln(u)"), (patch.jet, "d(v*ln(u))/dv")):
+            with pytest.raises(ExpressionEvaluationError) as err:
+                read(q)
+            assert str(err.value).startswith(f"failed to evaluate {text!r} at ")
+            assert err.value.point == {"u": -0.5, "v": 0.3}
 
 
 def test_immersion_gamma_keeps_the_chart_margin_of_sigma():
