@@ -36,6 +36,7 @@ one-point call.
 from __future__ import annotations
 
 import copy
+import functools
 import re
 
 import numpy as np
@@ -108,7 +109,7 @@ class Expression:
             self._function = code.function([f"_x{k}" for k in range(len(self.variables))], [],
                                            [f"return {result}"])
         try:
-            return self._function(*[arrays.get(name) for name in self.variables])
+            return self._function(*[arrays[name] for name in self.variables])
         except FloatingPointError as exc:
             point = self._failing_point(arrays)
             raise ExpressionEvaluationError(
@@ -123,7 +124,7 @@ class Expression:
         for row in zip(*columns):
             point = {name: float(x) for name, x in zip(names, row)}
             try:
-                self._function(*[np.float64(point.get(name)) for name in self.variables])
+                self._function(*[np.float64(point[name]) for name in self.variables])
             except FloatingPointError:
                 return point
         return {name: a.tolist() for name, a in arrays.items()}
@@ -293,53 +294,39 @@ def trees_by_index(fields, names, kind):
     return dict(sorted(trees.items()))
 
 
-def tree_leaf(variables, *blocks):
+def tree_leaf(trees, variables, shape, symmetric=()):
     """The leaf that maps (..., n) points, one coordinate per name in
-    ``variables``, to one ``(...,) + shape`` array per block ``(trees,
-    shape)`` or ``(trees, shape, symmetric)`` of trees ``{entry index:
-    Expression}``: the array for one block, a tuple for several.  A tree is
-    written to its index and to each index that swapping the axes of pairs
-    ``(a, b)``, a < b, in ``symmetric`` gives it; other entries are 0, and a
-    tree that folds to 0 is never evaluated.  The leaf is one generated
-    function; its fallback runs the trees in block and index order."""
-    return _Leaf(tuple(variables), blocks)
+    ``variables``, to ``(...,) + shape`` arrays of the trees ``{entry index:
+    Expression}``.  A tree is written to its index and to each index that
+    swapping the axes of pairs ``(a, b)``, a < b, in ``symmetric`` gives it;
+    other entries are 0, and a tree that folds to 0 is never evaluated.  The
+    leaf is one generated function; where it meets an undefined value, the
+    trees run again one at a time in index order, so the error names the
+    first failing tree."""
+    code, stores, nonzero = _Code(variables), [], []
+    for index, e in trees.items():
+        copies = {index}
+        for a, b in symmetric:
+            copies |= {c[:a] + (c[b],) + c[a + 1:b] + (c[a],) + c[b + 1:] for c in copies}
+        if not _is(e._ast, 0):  # folded to 0, as a derivative in an unread variable
+            nonzero.append(e)
+            targets = [f"_out[{code.bind((..., *c))}]" for c in sorted(copies)]
+            stores.append(" = ".join([*targets, code.name(e._ast)]))
+    columns = [f"_x{k} = _rows[{code.bind((..., k))}]" for k in range(len(variables))]
+    function = code.function(["_rows", "_out"], columns, stores)
 
-
-class _Leaf:
-    """A :func:`tree_leaf`; ``trees`` are the Expressions it evaluates."""
-
-    def __init__(self, variables, blocks):
-        code, stores, self.trees = _Code(variables), [], []
-        self.variables, self.shapes = variables, [block[1] for block in blocks]
-        for n, (trees, _, *symmetric) in enumerate(blocks):
-            for index, e in trees.items():
-                copies = {index}
-                for a, b in symmetric[0] if symmetric else ():
-                    copies |= {c[:a] + (c[b],) + c[a + 1:b] + (c[a],) + c[b + 1:] for c in copies}
-                if not _is(e._ast, 0):  # folded to 0, as a derivative in an unread variable
-                    self.trees.append(e)
-                    targets = [f"_o{n}[{code.bind((..., *c))}]" for c in sorted(copies)]
-                    stores.append(" = ".join([*targets, code.name(e._ast)]))
-        columns = [f"_x{k} = _rows[{code.bind((..., k))}]" for k in range(len(variables))]
-        outs = [f"_o{n}" for n in range(len(blocks))]
-        self._function = code.function(["_rows", *outs], columns, stores)
-
-    def __call__(self, p):
-        one = p.ndim == 1
-        outs = [out[0] if one else out for out in self.evaluate(p[None] if one else p)]
-        return outs[0] if len(outs) == 1 else tuple(outs)
-
-    def evaluate(self, rows):
-        """One array per block at the (..., n) points ``rows``."""
-        outs = [np.zeros(rows.shape[:-1] + shape) for shape in self.shapes]
+    def evaluate(p):
+        rows = p if p.ndim > 1 else p[None]
+        out = np.zeros(rows.shape[:-1] + shape)
         try:
-            self._function(rows, *outs)
+            function(rows, out)
         except FloatingPointError:
-            values = {v: rows[..., k] for k, v in enumerate(self.variables)}
-            for e in self.trees:
+            values = {v: rows[..., k] for k, v in enumerate(variables)}
+            for e in nonzero:
                 e(**values)
             raise
-        return outs
+        return out if p.ndim > 1 else out[0]
+    return evaluate
 
 
 _OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
@@ -388,9 +375,16 @@ class _Code:
         division by zero as FloatingPointError, then the lines ``tail``."""
         body = [*head, "with _errstate(**_RAISE):", *(f"    {x}" for x in self.lines or ["pass"]),
                 *tail]
-        exec(f"def _f({', '.join(parameters)}):\n" + "".join(f"    {x}\n" for x in body),
+        exec(_compiled(f"def _f({', '.join(parameters)}):\n" + "".join(f"    {x}\n" for x in body)),
              self.namespace)
         return self.namespace["_f"]
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(source):
+    """The code of ``source``: it holds only generated names, so files of one
+    shape share it, as a metric file rewritten with new constants does."""
+    return compile(source, "<expressions>", "exec")
 
 
 def parse_assignments(text, variables):

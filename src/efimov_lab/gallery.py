@@ -4,10 +4,10 @@ Monge-Ampere systems.
 
 Every builder returns objects wired with analytic partials where the
 reference numbers are sharpest, so verification compares the full numerical
-pipeline against closed forms rather than against itself.  The round sphere
-and the pseudosphere are surface-file text, whose exact derivatives are the
-generated leaves of ``surface_from_expressions``; the other patches and
-the metrics stay hand-written closures, which read one point faster.
+pipeline against closed forms rather than against itself.  The patches and
+metrics are hand-written closures: at one point they read faster than the
+generated leaves of a surface file (``immersion.surface_from_expressions``),
+which evaluate a one-row array.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .ambient import (
 )
 from .connection import SurfaceConnectionData, orthonormal_frame
 from .errors import ParameterOutOfRange, WrongSignDeterminant
-from .expressions import parse_assignments
-from .immersion import SurfacePatch, surface_from_expressions
+from .immersion import SurfacePatch
 
 __all__ = [
     "ExampleCase",
@@ -363,22 +362,59 @@ def sphere2_patch(radius=1.0):
     0.3 <= u <= 2.8 and |v| <= 3."""
     if not (math.isfinite(radius) and radius != 0.0):
         raise ParameterOutOfRange(f"radius must be finite and nonzero, got {radius}")
-    r = repr(float(radius))
-    text = f"phi1 = {r}*(sin(u)*cos(v))\nphi2 = {r}*(sin(u)*sin(v))\nphi3 = {r}*cos(u)"
-    return surface_from_expressions(parse_assignments(text, ("u", "v"))[0],
-                                    ChartBox((0.3, -3.0), (2.8, 3.0)), f"sphere2(r={radius})")
+
+    def smap(q):
+        u, v = _uv(q)
+        return radius * _stacked([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)],
+                                 q.shape[:-1])
+
+    def sderivatives(q):
+        u, v = _uv(q)
+        lead = q.shape[:-1]
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        jac = radius * _stacked([
+            [cu * cv, -su * sv],
+            [cu * sv, su * cv],
+            [-su, 0.0]], lead)
+        h = np.empty(lead + (3, 2, 2))
+        h[..., 0, 0] = radius * _stacked([-su * cv, -su * sv, -cu], lead)
+        h[..., 0, 1] = h[..., 1, 0] = radius * _stacked([-cu * sv, cu * cv, 0.0], lead)
+        h[..., 1, 1] = radius * _stacked([-su * cv, -su * sv, 0.0], lead)
+        return jac, h
+
+    return SurfacePatch(smap, ChartBox((0.3, -3.0), (2.8, 3.0)),
+                        derivatives=sderivatives, name=f"sphere2(r={radius})")
 
 
 def pseudosphere_patch(scale=1.0):
     """Tractroid scaled by ``scale`` on 0.5 <= u <= 2, |v| <= 1.5; constant
     curvature -1/scale^2."""
-    if not (math.isfinite(scale) and scale != 0.0):
-        raise ParameterOutOfRange(f"scale must be finite and nonzero, got {scale}")
-    a = repr(float(scale))
-    text = (f"phi1 = {a}*(1/cosh(u)*cos(v))\nphi2 = {a}*(1/cosh(u)*sin(v))\n"
-            f"phi3 = {a}*(u - tanh(u))")
-    return surface_from_expressions(parse_assignments(text, ("u", "v"))[0],
-                                    ChartBox((0.5, -1.5), (2.0, 1.5)), f"pseudosphere(a={scale})")
+    a = scale
+
+    def tmap(q):
+        u, v = _uv(q)
+        se = 1.0 / np.cosh(u)
+        return a * _stacked([se * np.cos(v), se * np.sin(v), u - np.tanh(u)], q.shape[:-1])
+
+    def tderivatives(q):
+        u, v = _uv(q)
+        lead = q.shape[:-1]
+        se = 1.0 / np.cosh(u)
+        th = np.tanh(u)
+        cv, sv = np.cos(v), np.sin(v)
+        jac = a * _stacked([
+            [-se * th * cv, -se * sv],
+            [-se * th * sv, se * cv],
+            [th * th, 0.0]], lead)
+        dsth = -se * th * th + se * se * se  # d/du of (se*th)
+        h = np.empty(lead + (3, 2, 2))
+        h[..., 0, 0] = a * _stacked([-dsth * cv, -dsth * sv, 2.0 * th * se * se], lead)
+        h[..., 0, 1] = h[..., 1, 0] = a * _stacked([se * th * sv, -se * th * cv, 0.0], lead)
+        h[..., 1, 1] = a * _stacked([-se * cv, -se * sv, 0.0], lead)
+        return jac, h
+
+    return SurfacePatch(tmap, ChartBox((0.5, -1.5), (2.0, 1.5)),
+                        derivatives=tderivatives, name=f"pseudosphere(a={scale})")
 
 
 def constant_k_surface(k):

@@ -332,20 +332,19 @@ def gauss_residual(patch, ambient, q):
 
 def surface_from_expressions(fields, box, name="custom-surface"):
     """Build a SurfacePatch from Expressions in (u, v) for ``phi1``,
-    ``phi2`` and ``phi3``; a missing or stray name raises.  The map is one
-    ``expressions.tree_leaf`` leaf of the components, and the derivatives
-    hook one leaf of their exact derivative expressions, the Jacobian
-    ``[i, a] = d phi^i / d q^a`` and the Hessian ``[i, a, b] = [i, b, a]``
-    together, so that the Hessian reuses the Jacobian's subtrees."""
+    ``phi2`` and ``phi3``; a missing or stray name raises.  The map, the
+    Jacobian ``[i, a] = d phi^i / d q^a`` and the Hessian ``[i, a, b] =
+    [i, b, a]`` are three ``expressions.tree_leaf`` leaves of the components
+    and of their exact derivative expressions, as a metric file's are."""
     phi = trees_by_index(fields, {f"phi{i + 1}": (i,) for i in range(3)}, "surface file")
     if len(phi) < 3:
         raise ValueError("surface file must define phi1, phi2 and phi3")
     uv = ("u", "v")
     first = {(i, a): e.derivative(uv[a]) for (i,), e in phi.items() for a in range(2)}
     second = {(i, a, b): d.derivative(uv[b]) for (i, a), d in first.items() for b in range(a, 2)}
-    return SurfacePatch(tree_leaf(uv, (phi, (3,))), box,
-                        derivatives=tree_leaf(uv, (first, (3, 2)), (second, (3, 2, 2), ((1, 2),))),
-                        name=name)
+    jacobian, hessian = tree_leaf(first, uv, (3, 2)), tree_leaf(second, uv, (3, 2, 2), ((1, 2),))
+    return SurfacePatch(tree_leaf(phi, uv, (3,)), box,
+                        derivatives=lambda q: (jacobian(q), hessian(q)), name=name)
 
 
 def dnabla_b(patch, ambient, q, x, y):
