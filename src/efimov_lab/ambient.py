@@ -642,7 +642,7 @@ def metric_from_expressions(fields, box, name="custom"):
              for k in range(dim)}
     second = {(k, l, i, j): d.derivative(variables[l]) for (k, i, j), d in first.items()
               for l in range(k, dim)}
-    return MetricField(dim, tree_leaf(entries, variables, (dim,) * 2, ((0, 1),)), box,
-                       partials=tree_leaf(first, variables, (dim,) * 3, ((1, 2),)),
-                       second_partials=tree_leaf(second, variables, (dim,) * 4, ((0, 1), (2, 3))),
+    return MetricField(dim, tree_leaf(variables, (entries, (dim,) * 2, ((0, 1),))), box,
+                       partials=tree_leaf(variables, (first, (dim,) * 3, ((1, 2),))),
+                       second_partials=tree_leaf(variables, (second, (dim,) * 4, ((0, 1), (2, 3)))),
                        name=name)

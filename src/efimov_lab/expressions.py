@@ -21,16 +21,18 @@ the expression is undefined; they never return inf or NaN.
 of calculus, and :func:`tree_leaf` makes such trees, one per entry of an
 array, the batch-contract leaf of a metric or a surface file.
 
-Both run generated code (``_Code``): an Expression compiles one function on
-its first call, a leaf when it is built.  It has one line per distinct
-subtree, which applies the tree's operator or ufunc to its children's
-values as a walk of the tree would, and a leaf stores each tree once per
-entry, all under one ``np.errstate``.  The source holds only generated
-names, bound to the parsed np.float64 constants, the ufuncs of
+Both run generated code (``_Code``), compiled on the first call: an
+Expression is one function, and a leaf one function for all of its fields
+(a surface's map, Jacobian and Hessian together).  It has one line per
+distinct subtree, which applies the tree's operator or ufunc to its
+children's values as a walk of the tree would, and a leaf stores each tree
+once per entry, all under one ``np.errstate``.  The source holds only
+generated names, bound to the parsed np.float64 constants, the ufuncs of
 ``_FUNCTIONS`` and the declared variables, so no file text reaches ``exec``.
-A leaf reads one point as a one-row array (numpy raises a scalar and an
-array to a power by different routines), so a batch row equals its
-one-point call.
+One point is read on numpy scalars and a batch on arrays; every operator
+and ufunc rounds alike on both, ``^`` because it is ``np.power`` (numpy's
+``**`` raises a scalar by another routine than an array), so a batch row
+equals its one-point call.
 """
 
 from __future__ import annotations
@@ -294,42 +296,56 @@ def trees_by_index(fields, names, kind):
     return dict(sorted(trees.items()))
 
 
-def tree_leaf(trees, variables, shape, symmetric=()):
+def tree_leaf(variables, *fields):
     """The leaf that maps (..., n) points, one coordinate per name in
-    ``variables``, to ``(...,) + shape`` arrays of the trees ``{entry index:
-    Expression}``.  A tree is written to its index and to each index that
-    swapping the axes of pairs ``(a, b)``, a < b, in ``symmetric`` gives it;
-    other entries are 0, and a tree that folds to 0 is never evaluated.  The
-    leaf is one generated function; where it meets an undefined value, the
-    trees run again one at a time in index order, so the error names the
-    first failing tree."""
-    code, stores, nonzero = _Code(variables), [], []
-    for index, e in trees.items():
-        copies = {index}
-        for a, b in symmetric:
-            copies |= {c[:a] + (c[b],) + c[a + 1:b] + (c[a],) + c[b + 1:] for c in copies}
-        if not _is(e._ast, 0):  # folded to 0, as a derivative in an unread variable
-            nonzero.append(e)
-            targets = [f"_out[{code.bind((..., *c))}]" for c in sorted(copies)]
-            stores.append(" = ".join([*targets, code.name(e._ast)]))
-    columns = [f"_x{k} = _rows[{code.bind((..., k))}]" for k in range(len(variables))]
-    function = code.function(["_rows", "_out"], columns, stores)
+    ``variables``, to one ``(...,) + shape`` array per field ``(trees,
+    shape, symmetric)`` of trees ``{entry index: Expression}``: one field
+    gives its array, several a tuple in their order.  A tree is written to
+    its index and to each index that swapping the axes of pairs ``(a, b)``,
+    a < b, in ``symmetric`` gives it; other entries are 0, and a tree that
+    folds to 0 is never evaluated.  The leaf is one generated function,
+    compiled on its first call, that reads one point on numpy scalars and a
+    batch on its columns.  Where it meets an undefined value, the trees run
+    again one at a time, field by field in index order, so the error names
+    the first failing tree."""
+    nonzero = [e for trees, _, _ in fields for e in trees.values() if not _is(e._ast, 0)]
+    function = None
+
+    def build():
+        code, head, stores, outputs = _Code(variables), ["_lead = _rows.shape[:-1]"], [], []
+        for trees, shape, symmetric in fields:
+            out = f"_out{len(outputs)}"
+            outputs.append(out)
+            head.append(f"{out} = _zeros(_lead + {code.bind(shape)})")
+            for index, e in trees.items():
+                copies = {index}
+                for a, b in symmetric:
+                    copies |= {c[:a] + (c[b],) + c[a + 1:b] + (c[a],) + c[b + 1:] for c in copies}
+                if not _is(e._ast, 0):  # folded to 0, as a derivative in an unread variable
+                    targets = [f"{out}[{code.bind((..., *c))}]" for c in sorted(copies)]
+                    stores.append(" = ".join([*targets, code.name(e._ast)]))
+        # [()] makes the column of one point a numpy scalar
+        head += [f"_x{k} = _rows[{code.bind((..., k))}][()]" for k in range(len(variables))]
+        return code.function(["_rows"], head, [*stores, f"return {', '.join(outputs)}"])
 
     def evaluate(p):
-        rows = p if p.ndim > 1 else p[None]
-        out = np.zeros(rows.shape[:-1] + shape)
+        nonlocal function
+        if function is None:  # compiled on first call, so an unread leaf never is
+            function = build()
         try:
-            function(rows, out)
+            return function(p)
         except FloatingPointError:
-            values = {v: rows[..., k] for k, v in enumerate(variables)}
+            values = {v: p[..., k] for k, v in enumerate(variables)}
             for e in nonzero:
                 e(**values)
             raise
-        return out if p.ndim > 1 else out[0]
     return evaluate
 
 
-_OPERATORS = {"+": "+", "-": "-", "*": "*", "/": "/", "^": "**"}
+# each operator as the source of its value; ``**`` rounds a numpy scalar by
+# another routine than an array, np.power rounds both alike
+_OPERATORS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "{} / {}",
+              "^": "_power({}, {})"}
 _RAISE = {"over": "raise", "invalid": "raise", "divide": "raise"}
 
 
@@ -339,7 +355,8 @@ class _Code:
 
     def __init__(self, variables):
         self.variables, self.lines, self.names = variables, [], {}
-        self.namespace = {"_errstate": np.errstate, "_RAISE": _RAISE,
+        self.namespace = {"_errstate": np.errstate, "_RAISE": _RAISE, "_zeros": np.zeros,
+                          "_power": np.power,
                           **{f"_{f}": ufunc for f, ufunc in _FUNCTIONS.items()}}
 
     def name(self, node):
@@ -354,7 +371,7 @@ class _Code:
         elif tag == "call" and node[1] in _FUNCTIONS:
             line = f"_{node[1]}({self.name(node[2])})"
         elif tag in _OPERATORS:
-            line = f"{self.name(node[1])} {_OPERATORS[tag]} {self.name(node[2])}"
+            line = _OPERATORS[tag].format(self.name(node[1]), self.name(node[2]))
         else:
             raise ExpressionError(f"corrupt AST node {node!r}")
         if line not in self.names:
@@ -372,9 +389,10 @@ class _Code:
     def function(self, parameters, head, tail):
         """``exec`` of ``def _f(parameters)``: the lines ``head``, the subtree
         lines under one errstate that raises overflow, invalid operations and
-        division by zero as FloatingPointError, then the lines ``tail``."""
-        body = [*head, "with _errstate(**_RAISE):", *(f"    {x}" for x in self.lines or ["pass"]),
-                *tail]
+        division by zero as FloatingPointError (none if there are no such
+        lines), then the lines ``tail``."""
+        errstate = ["with _errstate(**_RAISE):"] if self.lines else []
+        body = [*head, *errstate, *(f"    {x}" for x in self.lines), *tail]
         exec(_compiled(f"def _f({', '.join(parameters)}):\n" + "".join(f"    {x}\n" for x in body)),
              self.namespace)
         return self.namespace["_f"]

@@ -4,14 +4,17 @@ Monge-Ampere systems.
 
 Every builder returns objects wired with analytic partials where the
 reference numbers are sharpest, so verification compares the full numerical
-pipeline against closed forms rather than against itself.  The patches and
-metrics are hand-written closures: at one point they read faster than the
-generated leaves of a surface file (``immersion.surface_from_expressions``),
-which evaluate a one-row array.
+pipeline against closed forms rather than against itself.  The surface
+patches are surface text (``immersion.surface_from_expressions``), with
+parameters written by ``repr(float)`` so they parse back exactly: their
+exact jets are the generated code of the text's derivative expressions,
+parsed once per text in a process.  The metrics are hand-written closures.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +35,8 @@ from .ambient import (
 )
 from .connection import SurfaceConnectionData, orthonormal_frame
 from .errors import ParameterOutOfRange, WrongSignDeterminant
-from .immersion import SurfacePatch
+from .expressions import Expression
+from .immersion import surface_from_expressions
 
 __all__ = [
     "ExampleCase",
@@ -311,50 +315,33 @@ def hyperbolic_deformed(t, profile="tanh"):
 # surface patches
 
 
-def _uv(q):
-    """The coordinates (u, v) of parameter points: numpy floats for one
-    point, arrays over the leading axes of a batch."""
-    return (q[0], q[1]) if q.ndim == 1 else (q[..., 0], q[..., 1])
+def _surface_text(box, name, *phi):
+    """The patch of the texts of phi1, phi2 and phi3 in (u, v) on ``box``."""
+    patch = copy.copy(_parsed_surface(*phi))
+    patch.box, patch.name = box, name
+    return patch
 
 
-def _stacked(entries, lead):
-    """Nested entries, each a float or an array of shape ``lead``, as one
-    array of shape lead + nesting shape; a float is broadcast.  For one
-    point (``lead == ()``) this is ``np.array(entries)``."""
-    if not lead:
-        return np.array(entries)
-    if isinstance(entries, list):
-        return np.stack([_stacked(e, lead) for e in entries], axis=len(lead))
-    return np.broadcast_to(entries, lead)
+@functools.lru_cache(maxsize=64)
+def _parsed_surface(*phi):
+    """The patch of surface text, parsed and differentiated once per text:
+    every example build reads it, and its leaves are pure, so the patches
+    of one text share them."""
+    fields = {f"phi{i + 1}": Expression(text, ("u", "v")) for i, text in enumerate(phi)}
+    return surface_from_expressions(fields, None)
 
 
-def _flat_patch(half_width, name):
-    """The coordinate plane z = 0 of a 3D chart."""
-    return SurfacePatch(
-        lambda q: _stacked([*_uv(q), 0.0], q.shape[:-1]),
-        ChartBox.cube(2, half_width),
-        derivatives=lambda q: (np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]),
-                               np.zeros((3, 2, 2))),
-        name=name)
+def _number(x):
+    """``x`` as expression text that parses back to the same float."""
+    return f"({float(x)!r})"
 
 
 def plane_patch():
-    return _flat_patch(2.0, "plane")
+    return _surface_text(ChartBox.cube(2, 2.0), "plane", "u", "v", "0")
 
 
 def saddle_patch():
-    def derivatives(q):
-        u, v = _uv(q)
-        h = np.zeros((3, 2, 2))  # one Hessian for every point
-        h[2, 0, 1] = h[2, 1, 0] = 1.0
-        return _stacked([[1.0, 0.0], [0.0, 1.0], [v, u]], q.shape[:-1]), h
-
-    def smap(q):
-        u, v = _uv(q)
-        return _stacked([u, v, u * v], q.shape[:-1])
-
-    return SurfacePatch(smap, ChartBox.cube(2, 1.0), derivatives=derivatives,
-                        name="saddle")
+    return _surface_text(ChartBox.cube(2, 1.0), "saddle", "u", "v", "u*v")
 
 
 def sphere2_patch(radius=1.0):
@@ -362,59 +349,18 @@ def sphere2_patch(radius=1.0):
     0.3 <= u <= 2.8 and |v| <= 3."""
     if not (math.isfinite(radius) and radius != 0.0):
         raise ParameterOutOfRange(f"radius must be finite and nonzero, got {radius}")
-
-    def smap(q):
-        u, v = _uv(q)
-        return radius * _stacked([np.sin(u) * np.cos(v), np.sin(u) * np.sin(v), np.cos(u)],
-                                 q.shape[:-1])
-
-    def sderivatives(q):
-        u, v = _uv(q)
-        lead = q.shape[:-1]
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        jac = radius * _stacked([
-            [cu * cv, -su * sv],
-            [cu * sv, su * cv],
-            [-su, 0.0]], lead)
-        h = np.empty(lead + (3, 2, 2))
-        h[..., 0, 0] = radius * _stacked([-su * cv, -su * sv, -cu], lead)
-        h[..., 0, 1] = h[..., 1, 0] = radius * _stacked([-cu * sv, cu * cv, 0.0], lead)
-        h[..., 1, 1] = radius * _stacked([-su * cv, -su * sv, 0.0], lead)
-        return jac, h
-
-    return SurfacePatch(smap, ChartBox((0.3, -3.0), (2.8, 3.0)),
-                        derivatives=sderivatives, name=f"sphere2(r={radius})")
+    r = _number(radius)
+    return _surface_text(ChartBox((0.3, -3.0), (2.8, 3.0)), f"sphere2(r={radius})",
+                         f"{r}*(sin(u)*cos(v))", f"{r}*(sin(u)*sin(v))", f"{r}*cos(u)")
 
 
 def pseudosphere_patch(scale=1.0):
     """Tractroid scaled by ``scale`` on 0.5 <= u <= 2, |v| <= 1.5; constant
     curvature -1/scale^2."""
-    a = scale
-
-    def tmap(q):
-        u, v = _uv(q)
-        se = 1.0 / np.cosh(u)
-        return a * _stacked([se * np.cos(v), se * np.sin(v), u - np.tanh(u)], q.shape[:-1])
-
-    def tderivatives(q):
-        u, v = _uv(q)
-        lead = q.shape[:-1]
-        se = 1.0 / np.cosh(u)
-        th = np.tanh(u)
-        cv, sv = np.cos(v), np.sin(v)
-        jac = a * _stacked([
-            [-se * th * cv, -se * sv],
-            [-se * th * sv, se * cv],
-            [th * th, 0.0]], lead)
-        dsth = -se * th * th + se * se * se  # d/du of (se*th)
-        h = np.empty(lead + (3, 2, 2))
-        h[..., 0, 0] = a * _stacked([-dsth * cv, -dsth * sv, 2.0 * th * se * se], lead)
-        h[..., 0, 1] = h[..., 1, 0] = a * _stacked([se * th * sv, -se * th * cv, 0.0], lead)
-        h[..., 1, 1] = a * _stacked([-se * cv, -se * sv, 0.0], lead)
-        return jac, h
-
-    return SurfacePatch(tmap, ChartBox((0.5, -1.5), (2.0, 1.5)),
-                        derivatives=tderivatives, name=f"pseudosphere(a={scale})")
+    a = _number(scale)
+    return _surface_text(ChartBox((0.5, -1.5), (2.0, 1.5)), f"pseudosphere(a={scale})",
+                         f"{a}*(cos(v)/cosh(u))", f"{a}*(sin(v)/cosh(u))",
+                         f"{a}*(u - tanh(u))")
 
 
 def constant_k_surface(k):
@@ -429,45 +375,17 @@ def constant_k_surface(k):
 
 
 def clifford_torus():
-    """The square torus inside the round 3-sphere, stereographic chart,
-    with fully analytic partials."""
-    k = 1.0 / math.sqrt(2.0)
-
-    def dmap(q):
-        u, v = _uv(q)
-        d = 1.0 + k * np.sin(v)
-        return _stacked([k * np.cos(u) / d, k * np.sin(u) / d, k * np.cos(v) / d], q.shape[:-1])
-
-    def dderivatives(q):
-        u, v = _uv(q)
-        lead = q.shape[:-1]
-        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
-        d = 1.0 + k * sv
-        # powers as products: numpy raises a float and an array to a power
-        # by different routines, and a row of a batch must equal its point
-        d2 = d * d
-        d3 = d2 * d
-        dd = k * cv
-        jac = _stacked([
-            [-k * su / d, -k * cu * dd / d2],
-            [k * cu / d, -k * su * dd / d2],
-            [0.0, -k * (sv + k) / d2]], lead)
-        h = np.empty(lead + (3, 2, 2))
-        h[..., 0, 0] = _stacked([-k * cu / d, -k * su / d, 0.0], lead)
-        h[..., 0, 1] = h[..., 1, 0] = _stacked([k * su * dd / d2, -k * cu * dd / d2, 0.0], lead)
-        h[..., 0, 1, 1] = k * k * cu * (sv * d + 2.0 * k * cv * cv) / d3
-        h[..., 1, 1, 1] = k * k * su * (sv * d + 2.0 * k * cv * cv) / d3
-        h[..., 2, 1, 1] = k * k * cv * sv / d3
-        return jac, h
-
-    return SurfacePatch(dmap, ChartBox.cube(2, 3.2), derivatives=dderivatives,
-                        name="clifford_torus")
+    """The square torus inside the round 3-sphere, stereographic chart."""
+    k = _number(1.0 / math.sqrt(2.0))
+    d = f"(1 + {k}*sin(v))"
+    return _surface_text(ChartBox.cube(2, 3.2), "clifford_torus",
+                         f"{k}*cos(u)/{d}", f"{k}*sin(u)/{d}", f"{k}*cos(v)/{d}")
 
 
 def hyperbolic_slice(lam):
     """The totally geodesic-looking z = 0 plane |u|, |v| <= 1.8 inside the
     slab metric; its induced metric is the hyperbolic plane."""
-    return _flat_patch(1.8, f"hyperbolic_slice(lam={lam})")
+    return _surface_text(ChartBox.cube(2, 1.8), f"hyperbolic_slice(lam={lam})", "u", "v", "0")
 
 
 def geodesic_sphere_hyp3(radius=0.3):

@@ -10,14 +10,16 @@ and its curvature unchanged, and swaps only the labels of the asymptotic
 directions U and V, so nothing the lab measures depends on the choice.
 
 A patch's map and ``derivatives`` hook broadcast over (..., 2) parameter
-points, as the leaves of a MetricField do, and the shape layer of
-:class:`FundamentalData` is built for one (2,) point or for every row of an
-(N, 2) batch by one kernel: one patch jet, one batched read of the ambient
-metric and its symbols, and one chain of stacked products.  Its 2x2
-formulas run on the Python floats of one point or on the (N,) arrays of a
-batch, and a stacked matmul rounds each row as the one-point product, so a
-row of a batch equals the one-point result bit for bit.
-:func:`fundamental_forms` is the one-point entry.
+points, as the leaves of a MetricField do; the hook gives the whole jet,
+and for surface text (the gallery's patches and surface files, built by
+:func:`surface_from_expressions`) it is one generated function.  The
+shape layer of :class:`FundamentalData` is built for one (2,) point or
+for every row of an (N, 2) batch by one kernel: one patch jet, one batched
+read of the ambient metric and its symbols, and one chain of stacked
+products.  Its 2x2 formulas run on the Python floats of one point or on
+the (N,) arrays of a batch, and a stacked matmul rounds each row as the
+one-point product, so a row of a batch equals the one-point result bit
+for bit.  :func:`fundamental_forms` is the one-point entry.
 
 Evaluators are pure; patches are safe for concurrent reads.  Fundamental
 data fill their lazy fields (III, the symbols of I and the curvature layer)
@@ -66,10 +68,10 @@ class SurfacePatch:
     chart_map : callable, points (..., 2) -> (..., 3) chart coordinates of
         the image points.
     box : ChartBox of the (u, v) parameter domain.
-    derivatives : optional callable, points (..., 2) -> ``(jacobian,
-        hessian)``: the (..., 3, 2) arrays ``d phi^i / d q^a`` and the
-        (..., 3, 2, 2) arrays ``d^2 phi^i / d q^a d q^b``.  A hook that
-        returns one pair for every point (a constant) is broadcast.
+    derivatives : optional callable, points (..., 2) -> the jet ``(point,
+        jacobian, hessian)``: the map's (..., 3) values, the (..., 3, 2)
+        arrays ``d phi^i / d q^a`` and the (..., 3, 2, 2) arrays ``d^2 phi^i
+        / d q^a d q^b``.  A constant, of one point's shape, is broadcast.
 
     The normal is oriented by ``d1 phi x d2 phi`` (module docstring).  The
     map and the hook broadcast over the leading axes of their argument.
@@ -103,7 +105,7 @@ class SurfacePatch:
     def jacobian(self, q):
         q = _parameters(q)
         if self._derivatives is not None:
-            return _values(self._derivatives(q)[0], q.shape[:-1], (3, 2), _HOOK)
+            return _values(self._derivatives(q)[1], q.shape[:-1], (3, 2), _HOOK)
         # in C order: the rounding of the matmuls downstream depends on the layout
         return np.ascontiguousarray(np.swapaxes(_fd.gradient(self._map, q, self.fd_step), -1, -2))
 
@@ -116,13 +118,10 @@ class SurfacePatch:
 
     def _jet(self, q):
         if self._derivatives is not None:
-            jac, hess = self._derivatives(q)
-            if q.ndim == 1:  # the hot path of every trace: no batch shapes to check
-                return (np.asarray(self._map(q), dtype=float), np.asarray(jac, dtype=float),
-                        np.asarray(hess, dtype=float))
+            p, jac, hess = self._derivatives(q)
             lead = q.shape[:-1]
-            return (_values(self._map(q), lead, (3,), "the patch map"),
-                    _values(jac, lead, (3, 2), _HOOK), _values(hess, lead, (3, 2, 2), _HOOK))
+            return (_values(p, lead, (3,), _HOOK), _values(jac, lead, (3, 2), _HOOK),
+                    _values(hess, lead, (3, 2, 2), _HOOK))
         p, grad, hess = _fd.jet(self._map, q, self.fd_step)
         return (_values(p, q.shape[:-1], (3,), "the patch map"),
                 np.ascontiguousarray(np.swapaxes(grad, -1, -2)),
@@ -332,19 +331,24 @@ def gauss_residual(patch, ambient, q):
 
 def surface_from_expressions(fields, box, name="custom-surface"):
     """Build a SurfacePatch from Expressions in (u, v) for ``phi1``,
-    ``phi2`` and ``phi3``; a missing or stray name raises.  The map, the
-    Jacobian ``[i, a] = d phi^i / d q^a`` and the Hessian ``[i, a, b] =
-    [i, b, a]`` are three ``expressions.tree_leaf`` leaves of the components
-    and of their exact derivative expressions, as a metric file's are."""
+    ``phi2`` and ``phi3``; a missing or stray name raises.  The map is one
+    ``expressions.tree_leaf`` leaf of the components, and the jet one leaf
+    of the Jacobian ``[i, a] = d phi^i / d q^a``, the Hessian ``[i, a, b] =
+    [i, b, a]`` and the map, in that order, so an undefined value names the
+    first failing tree of the Jacobian, then of the Hessian, then of the
+    map."""
     phi = trees_by_index(fields, {f"phi{i + 1}": (i,) for i in range(3)}, "surface file")
     if len(phi) < 3:
         raise ValueError("surface file must define phi1, phi2 and phi3")
     uv = ("u", "v")
     first = {(i, a): e.derivative(uv[a]) for (i,), e in phi.items() for a in range(2)}
     second = {(i, a, b): d.derivative(uv[b]) for (i, a), d in first.items() for b in range(a, 2)}
-    jacobian, hessian = tree_leaf(first, uv, (3, 2)), tree_leaf(second, uv, (3, 2, 2), ((1, 2),))
-    return SurfacePatch(tree_leaf(phi, uv, (3,)), box,
-                        derivatives=lambda q: (jacobian(q), hessian(q)), name=name)
+    jet = tree_leaf(uv, (first, (3, 2), ()), (second, (3, 2, 2), ((1, 2),)), (phi, (3,), ()))
+
+    def derivatives(q):
+        jac, hess, p = jet(q)
+        return p, jac, hess
+    return SurfacePatch(tree_leaf(uv, (phi, (3,), ())), box, derivatives=derivatives, name=name)
 
 
 def dnabla_b(patch, ambient, q, x, y):

@@ -83,7 +83,7 @@ def leaf_stores(monkeypatch):
 
         def line(frame, event, arg):
             if event == "line":
-                for target in re.findall(r"_out\[(_c\d+)\]", lines[frame.f_lineno - 1])[:1]:
+                for target in re.findall(r"_out\d+\[(_c\d+)\]", lines[frame.f_lineno - 1])[:1]:
                     stores.append((frame.f_globals[target][1:], rows.shape))
             return line
         return line

@@ -548,15 +548,15 @@ def test_expression_metric_leaves_match_the_fd_jet(g11, g12, g23, p):
 
 def test_expression_metric_evaluates_only_the_trees_that_are_not_zero(leaf_stores):
     """dw^2 + e^{2w}(du^2 + dv^2): one jet evaluates the three entries, the
-    two w-derivatives of e^{2w} and their two w-derivatives, each once, on a
-    one-row array for one point and on the rows of a batch."""
+    two w-derivatives of e^{2w} and their two w-derivatives, each once, on
+    the (3,) point itself and on the rows of a batch."""
     m = file_metric("g11 = exp(2*w)\ng22 = exp(2*w)\ng33 = 1\n")
     trees = sorted([(0, 0), (1, 1), (2, 2), (2, 0, 0), (2, 1, 1), (2, 2, 0, 0), (2, 2, 1, 1)])
-    for p, rows in ((np.array([0.1, 0.2, 0.3]), 1), (batch_3d(5), 5)):
+    for p in (np.array([0.1, 0.2, 0.3]), batch_3d(5)):
         leaf_stores.clear()
         m.jet(p)
         assert sorted(index for index, _ in leaf_stores) == trees
-        assert all(shape == (rows, 3) for _, shape in leaf_stores)
+        assert all(shape == p.shape for _, shape in leaf_stores)
 
 
 def test_expression_metric_names_a_derivative_undefined_where_its_entry_is_defined():

@@ -764,9 +764,9 @@ def test_operator_batch_equals_one_point_calls(name, unit):
 _IMMERSIONS = {}
 
 
-# surfaces declared by expressions, with exact derivative expressions; numpy
-# raises a scalar and an array to a power by different routines, so ``^``
-# holds the batch contract because one point is read as a one-row batch
+# surfaces declared by expressions, with exact derivative expressions; ``^``
+# holds the batch contract because it is np.power, which rounds a numpy
+# scalar as it rounds an array
 _FILE_SURFACES = {"file_saddle": "u*v", "file_power": "u*v + 0.1*(1.5 + u)^2.5 + 0.1*u^3"}
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from efimov_lab import _fd
 from efimov_lab.errors import ExpressionError, ExpressionEvaluationError
-from efimov_lab.expressions import Expression, parse_assignments
+from efimov_lab.expressions import Expression, parse_assignments, tree_leaf
 
 
 def test_arithmetic_and_precedence():
@@ -95,6 +95,52 @@ def test_arrays_evaluate_elementwise():
     assert np.max(np.abs(got - np.array([0.5, -0.25]) - 1.0)) < 1e-14
     for i, x in enumerate(u):
         assert got[i, 0] == e(u=x, v=1.0, w=0.5)
+
+
+# every operator and each of the seven functions, with ``^`` at the exponents
+# whose array ``**`` numpy computes by its own routines (2, 0.5, -1) and at
+# others, on u in [0.1, 2] and v in [-1, 1]
+_SCALAR_CASES = [
+    "u + v", "u - v", "u*v", "u/(1.5 + v)", "-u*v",
+    "sin(u*v)", "cos(u + v)", "tanh(u - v)", "exp(u*v)", "ln(u + v + 1.5)", "cosh(u*v)",
+    "sinh(u - v)", "(1.5 + v)^2", "(1.5 + v)^0.5", "(1.5 + v)^-1", "(1.5 + v)^1.5",
+    "(1.5 + v)^2.5", "(1.5 + v)^3", "u^v", "u^2.5*cos(v)^2",
+]
+
+
+def test_one_point_read_equals_its_batch_row_bit_for_bit():
+    """A leaf reads one point on numpy scalars and a batch on the columns
+    of its rows; every operator and function, and ``^`` at each exponent,
+    rounds alike on both, so each row equals its one-point read."""
+    trees = {(k,): Expression(text, ("u", "v")) for k, text in enumerate(_SCALAR_CASES)}
+    leaf = tree_leaf(("u", "v"), (trees, (len(trees),), ()))
+    rows = np.random.default_rng(17).uniform([0.1, -1.0], [2.0, 1.0], (2000, 2))
+    batch = leaf(rows)
+    for k, q in enumerate(rows):
+        assert np.array_equal(leaf(q), batch[k]), q
+
+
+def test_expression_of_numbers_equals_its_array_row_for_a_power():
+    """``^`` is np.power on numbers and on arrays alike; numpy's ``**``
+    rounds a scalar by another routine than an array."""
+    e = Expression("(1.5 + s)^2.5", ("s",))
+    s = np.random.default_rng(4).uniform(-1.0, 1.0, 2000)
+    values = e(s=s)
+    assert all(e(s=float(x)) == values[k] for k, x in enumerate(s))
+
+
+@pytest.mark.parametrize("text, good, bad",
+                         [("exp(1000*u)", 0.5, 1.0), ("1/u", 0.5, 0.0), ("(u - 1)^0.5", 2.0, 0.5)])
+def test_one_point_leaf_error_names_the_tree_and_the_point(text, good, bad):
+    """Overflow, division by zero and an invalid power at one point, and at
+    that point as a row of a batch, name the failing tree and the point."""
+    leaf = tree_leaf(("u",), ({(0,): Expression("u", ("u",)), (1,): Expression(text, ("u",))},
+                              (2,), ()))
+    for q in (np.array([bad]), np.array([[good], [bad], [good]])):
+        with pytest.raises(ExpressionEvaluationError) as err:
+            leaf(q)
+        assert str(err.value).startswith(f"failed to evaluate {text!r} at ")
+        assert err.value.point == {"u": bad}
 
 
 def _derivatives(e):

@@ -8,6 +8,7 @@ from efimov_lab import _fd, gallery
 from efimov_lab.ambient import sectional_range
 from efimov_lab.connection import orthonormal_frame
 from efimov_lab.errors import ParameterOutOfRange, WrongSignDeterminant
+from efimov_lab.immersion import SurfacePatch, _fundamental_rows
 
 
 def test_builtin_names_buildable():
@@ -84,7 +85,7 @@ def _assert_close(value, reference, rel):
 @pytest.mark.parametrize("name", [n for n in gallery.builtin_names()
                                   if gallery.build_example(n).kind == "surface"])
 def test_patch_derivatives_match_fd_jet_of_the_map(name):
-    """The hand-written Jacobian and Hessian of each gallery patch against
+    """The exact Jacobian and Hessian of each gallery patch against
     ``_fd.jet`` of its map at h = 1e-3."""
     patch = gallery.build_example(name).patch
     assert patch.has_analytic_partials
@@ -94,6 +95,106 @@ def test_patch_derivatives_match_fd_jet_of_the_map(name):
         assert np.array_equal(point, p_fd)
         _assert_close(jac, grad_fd.T, 1e-9)
         _assert_close(hess, np.moveaxis(hess_fd, 2, 0), 1e-6)
+
+
+# the closed-form jets that the gallery's surface text replaced, kept as an
+# independent oracle: (point, Jacobian, Hessian) at points of shape (..., 2)
+
+
+def _stacked(entries, lead):
+    """Nested entries, each a float or an array of shape ``lead``, as one
+    array of shape lead + nesting shape; a float is broadcast."""
+    if isinstance(entries, list):
+        return np.stack([_stacked(e, lead) for e in entries], axis=len(lead))
+    return np.broadcast_to(entries, lead)
+
+
+def _saddle_jet(q):
+    u, v, lead = q[..., 0], q[..., 1], q.shape[:-1]
+    h = np.zeros(lead + (3, 2, 2))
+    h[..., 2, 0, 1] = h[..., 2, 1, 0] = 1.0
+    return _stacked([u, v, u * v], lead), _stacked([[1.0, 0.0], [0.0, 1.0], [v, u]], lead), h
+
+
+def _sphere_jet(radius):
+    def jet(q):
+        u, v, lead = q[..., 0], q[..., 1], q.shape[:-1]
+        cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+        h = np.empty(lead + (3, 2, 2))
+        h[..., 0, 0] = radius * _stacked([-su * cv, -su * sv, -cu], lead)
+        h[..., 0, 1] = h[..., 1, 0] = radius * _stacked([-cu * sv, cu * cv, 0.0], lead)
+        h[..., 1, 1] = radius * _stacked([-su * cv, -su * sv, 0.0], lead)
+        jac = [[cu * cv, -su * sv], [cu * sv, su * cv], [-su, 0.0]]
+        return radius * _stacked([su * cv, su * sv, cu], lead), radius * _stacked(jac, lead), h
+    return jet
+
+
+def _pseudosphere_jet(a):
+    def jet(q):
+        u, v, lead = q[..., 0], q[..., 1], q.shape[:-1]
+        se, th, cv, sv = 1.0 / np.cosh(u), np.tanh(u), np.cos(v), np.sin(v)
+        dsth = -se * th * th + se * se * se  # d/du of (se*th)
+        h = np.empty(lead + (3, 2, 2))
+        h[..., 0, 0] = a * _stacked([-dsth * cv, -dsth * sv, 2.0 * th * se * se], lead)
+        h[..., 0, 1] = h[..., 1, 0] = a * _stacked([se * th * sv, -se * th * cv, 0.0], lead)
+        h[..., 1, 1] = a * _stacked([-se * cv, -se * sv, 0.0], lead)
+        jac = [[-se * th * cv, -se * sv], [-se * th * sv, se * cv], [th * th, 0.0]]
+        return a * _stacked([se * cv, se * sv, u - th], lead), a * _stacked(jac, lead), h
+    return jet
+
+
+def _torus_jet(q):
+    k = 1.0 / np.sqrt(2.0)
+    u, v, lead = q[..., 0], q[..., 1], q.shape[:-1]
+    cu, su, cv, sv = np.cos(u), np.sin(u), np.cos(v), np.sin(v)
+    d = 1.0 + k * sv
+    d2 = d * d
+    d3 = d2 * d
+    dd = k * cv
+    h = np.empty(lead + (3, 2, 2))
+    h[..., 0, 0] = _stacked([-k * cu / d, -k * su / d, 0.0], lead)
+    h[..., 0, 1] = h[..., 1, 0] = _stacked([k * su * dd / d2, -k * cu * dd / d2, 0.0], lead)
+    h[..., 0, 1, 1] = k * k * cu * (sv * d + 2.0 * k * cv * cv) / d3
+    h[..., 1, 1, 1] = k * k * su * (sv * d + 2.0 * k * cv * cv) / d3
+    h[..., 2, 1, 1] = k * k * cv * sv / d3
+    jac = [[-k * su / d, -k * cu * dd / d2], [k * cu / d, -k * su * dd / d2],
+           [0.0, -k * (sv + k) / d2]]
+    return _stacked([k * cu / d, k * su / d, k * cv / d], lead), _stacked(jac, lead), h
+
+
+_CLOSED_FORM_JETS = [
+    ("saddle", {}, _saddle_jet),
+    ("sphere2", {}, _sphere_jet(1.0)),
+    ("sphere2", {"radius": 2.5}, _sphere_jet(2.5)),
+    ("geodesic_sphere_hyp3", {}, _sphere_jet(0.3)),
+    ("pseudosphere", {}, _pseudosphere_jet(1.0)),
+    ("constant_k_surface", {"k": -4.0}, _pseudosphere_jet(0.5)),
+    ("clifford_torus", {}, _torus_jet),
+]
+
+
+@pytest.mark.parametrize("name, params, jet", _CLOSED_FORM_JETS)
+def test_surface_text_matches_the_closed_form_jet(name, params, jet):
+    """Each gallery patch is surface text; its jet equals the closed form
+    to 1e-15 of each array's largest entry, at one point and on a 64-row
+    batch, and so does its shape operator in its ambient, to 1e-15 of its
+    own or the Hessian's largest entry (B is linear in the Hessian).
+    Measured: the saddle and the spheres 0; the pseudospheres' jets 3.6e-16
+    and B 2.7e-15 (|B| up to 7.1); the torus's jet 8.6e-16 and B 2.2e-15
+    (|B| 1, Hessian 5.1)."""
+    case = gallery.build_example(name, **params)
+    oracle = SurfacePatch(lambda q: jet(q)[0], case.patch.box, derivatives=jet)
+    lo, hi = np.asarray(case.patch.box.lo), np.asarray(case.patch.box.hi)
+    rows = lo + (hi - lo) * np.random.default_rng(2).random((64, 2))
+    for q in (rows[0], rows):
+        want = jet(q)
+        for got, closed in zip(case.patch.jet(q), want):
+            assert got.shape == closed.shape
+            assert np.max(np.abs(got - closed)) <= 1e-15 * max(1.0, np.max(np.abs(closed)))
+        b = _fundamental_rows(case.patch, case.metric, q).shape_operator
+        b_closed = _fundamental_rows(oracle, case.metric, q).shape_operator
+        scale = max(1.0, np.max(np.abs(b_closed)), np.max(np.abs(want[2])))
+        assert np.max(np.abs(b - b_closed)) <= 1e-15 * scale
 
 
 _GALLERY_METRICS = {

@@ -1,3 +1,4 @@
+import pathlib
 import re
 
 import numpy as np
@@ -68,8 +69,8 @@ def test_orientation_flip(euclid):
     q = np.array([0.2, 0.3])
 
     def derivatives(qq):
-        jac, hess = patch._derivatives(qq[..., ::-1])
-        return jac[..., ::-1], hess[..., ::-1, ::-1]
+        point, jac, hess = patch._derivatives(qq[..., ::-1])
+        return point, jac[..., ::-1], hess[..., ::-1, ::-1]
 
     swapped = SurfacePatch(lambda qq: patch._map(qq[..., ::-1]), patch.box, derivatives,
                            name=patch.name)
@@ -302,12 +303,16 @@ def test_file_surface_batch_evaluates_each_nonzero_tree_once(leaf_stores):
 
 def test_plane_file_reads_no_hessian_tree_and_equals_the_builtin_plane(leaf_stores):
     """``phi3 = 0``: every Hessian tree folds to 0 and is never evaluated, nor
-    is phi3 or any derivative of it, and the jet equals the hand-written
-    ``plane`` patch's bit for bit, at one point and on a batch."""
-    patch, builtin = _file_patch("0", 2.0), gallery.plane_patch()
+    is phi3 or any derivative of it, and the jet equals the closed-form
+    plane jet bit for bit, at one point and on a batch."""
+    patch = _file_patch("0", 2.0)
     for q in (np.array([0.4, -1.3]), np.random.default_rng(5).uniform(-1.9, 1.9, (16, 2))):
+        lead = q.shape[:-1]
+        plane = (np.concatenate([q, np.zeros(lead + (1,))], axis=-1),
+                 np.broadcast_to([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], lead + (3, 2)),
+                 np.zeros(lead + (3, 2, 2)))
         leaf_stores.clear()
-        for got, want in zip(patch.jet(q), builtin.jet(q)):
+        for got, want in zip(patch.jet(q), plane):
             assert got.shape == want.shape and np.array_equal(got, want)
         assert sorted(index for index, _ in leaf_stores) == [(0,), (0, 0), (1,), (1, 1)]
 
@@ -417,3 +422,39 @@ def test_singular_ambient_metric_raises_typed_error():
                        partials=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)), name="zero")
     with pytest.raises(NonInvertibleMetric):
         fundamental_forms(gallery.saddle_patch(), zero, [0.1, 0.2])
+
+
+def _kuen_patch():
+    """Kuen's surface, read from its surface file under ``demos/``."""
+    text = (pathlib.Path(__file__).parents[1] / "demos" / "kuen_surface.txt").read_text()
+    fields, box = parse_assignments(text, ("u", "v"))
+    return surface_from_expressions(fields, ChartBox((box[0], box[2]), (box[1], box[3])), "kuen")
+
+
+def test_kuen_surface_has_k_minus_one_in_curvature_line_coordinates(euclid):
+    """At 40 seeded points of the box with det I >= 1e-2: det B = -1 (6.0e-15
+    measured), I12 = II12 = 0 (9.0e-16), I11 + I22 = 1 (1.6e-15), so I =
+    cos^2(omega/2) du^2 + sin^2(omega/2) dv^2; K_I = -1 to the error of its
+    finite differences (9.0e-10)."""
+    patch = _kuen_patch()
+    rows = np.random.default_rng(0).uniform(-1.5, 1.5, (400, 2))
+    jac = patch.jacobian(rows)
+    rows = rows[np.linalg.det(np.swapaxes(jac, -1, -2) @ jac) >= 1e-2][:40]
+    assert len(rows) == 40
+    data = SurfaceConnectionData.from_immersion(patch, euclid).fundamental(rows)
+    assert np.max(np.abs(np.linalg.det(data.shape_operator) + 1.0)) <= 1.2e-14
+    assert np.max(np.abs(data.first[:, 0, 1])) <= 2e-15
+    assert np.max(np.abs(data.second[:, 0, 1])) <= 2e-15
+    assert np.max(np.abs(data.first[:, 0, 0] + data.first[:, 1, 1] - 1.0)) <= 3e-15
+    assert np.max(np.abs(data.k_intrinsic + 1.0)) <= 2e-9
+
+
+def test_kuen_surface_is_degenerate_at_the_origin(euclid):
+    """(0, 0) lies on a cuspidal edge: DegenerateImmersion names it, alone
+    and as a row of a batch."""
+    patch = _kuen_patch()
+    with pytest.raises(DegenerateImmersion, match=re.escape("q=[0. 0.]")):
+        fundamental_forms(patch, euclid, [0.0, 0.0])
+    data = SurfaceConnectionData.from_immersion(patch, euclid)
+    with pytest.raises(DegenerateImmersion, match=re.escape("q=[0. 0.]")):
+        data.fundamental(np.array([[0.3, 0.9], [0.0, 0.0], [-0.4, 0.2]]))
