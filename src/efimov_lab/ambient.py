@@ -21,8 +21,10 @@ Conventions
   naming the leaf (``_values``).  A check on a batch costs one reduction
   over its mask when every row passes, and names the first failing row
   through ``_first``.
-* ``g(p)`` is the metric matrix ``g_ij`` at chart point ``p``.
-* ``partials(p)[k, i, j]`` is the coordinate derivative ``d g_ij / d x^k``.
+* ``g(p)`` is the metric matrix ``g_ij`` at chart point ``p``, and
+  ``dg[k, i, j]`` is its coordinate derivative ``d g_ij / d x^k``.  A
+  ``MetricField``'s leaves are its matrix and two hooks that return the jet
+  prefixes ``(g, dg)`` and ``(g, dg, d2g)`` from one read.
 * The curvature tensor is ``R(X,Y)Z = D_X D_Y Z - D_Y D_X Z - D_[X,Y] Z`` and
   its covariant form is ``Rm[i,j,k,l] = g(R(e_i,e_j)e_k, e_l)``, so the
   sectional curvature of a plane spanned by x, y is
@@ -182,79 +184,91 @@ class MetricField:
     matrix : callable, points (..., dim) -> (..., dim, dim) symmetric
         positive matrices.
     box : ChartBox with per-axis bounds.
-    partials : optional callable, points (..., dim) -> (..., dim, dim, dim)
-        first coordinate derivatives ``dg[..., k, i, j] = d g_ij / d x^k``.
-    second_partials : optional callable, points (..., dim) ->
-        (..., dim, dim, dim, dim) ``d2g[..., k, l, i, j] = d^2 g_ij / d x^k d x^l``.
+    first_jet : optional callable, points (..., dim) -> ``(g, dg)``, the
+        matrices and their first coordinate derivatives
+        ``dg[..., k, i, j] = d g_ij / d x^k``, shape (..., dim, dim, dim).
+    jet : optional callable, points (..., dim) -> ``(g, dg, d2g)``, with
+        the second derivatives ``d2g[..., k, l, i, j] = d^2 g_ij / d x^k d x^l``,
+        shape (..., dim, dim, dim, dim).
     fd_step : finite-difference step used for any missing derivative.
 
-    The three leaves broadcast over the leading axes of their argument; a
-    leaf that returns one value for every point (a constant) is broadcast
-    to the batch, and any other shape raises ValueError naming the leaf.
-    A leaf that can only take one (dim,) point is wrapped in
-    ``_fd.pointwise``, which calls it once per point.  The curvature
-    evaluators take one point or an (N, dim) batch and call each leaf once
-    per ``CHUNK`` rows of the batch.
+    The hooks return jet prefixes, so that one read gives g with its
+    derivatives; metric text (``metric_from_expressions``) makes each of
+    the three leaves one generated function.  Every array a leaf returns
+    broadcasts over the leading axes of its argument; one value for every
+    point (a constant) is broadcast to the batch, and any other shape
+    raises ValueError naming the leaf.  A leaf that can only take one
+    (dim,) point is wrapped in ``_fd.pointwise``, which calls it once per
+    point.  The curvature evaluators take one point or an (N, dim) batch
+    and call a leaf once per ``CHUNK`` rows of the batch.
     """
 
-    def __init__(self, dim, matrix, box, partials=None, second_partials=None,
-                 fd_step=1e-3, name=""):
+    def __init__(self, dim, matrix, box, first_jet=None, jet=None, fd_step=1e-3, name=""):
         if dim not in (2, 3):
             raise ValueError(f"a MetricField has dim 2 or 3, got {dim}")
         self.dim = dim
         self._matrix = matrix
         self.box = box
-        self._partials = partials
-        self._second_partials = second_partials
+        self._first_jet = first_jet
+        self._jet = jet
         self.fd_step = float(fd_step)
         self.name = name
 
     @property
     def has_analytic_partials(self):
-        return self._partials is not None
+        return self._first_jet is not None or self._jet is not None
 
     def require_inside(self, p, margin=0.0):
         self.box.require_inside(p, margin, self.name or "metric")
 
     def fd_margin(self):
         """Stencil reach of the widest finite-difference formula in use."""
-        if self._partials is not None and self._second_partials is not None:
-            return 0.0
-        return 2.0 * self.fd_step
+        return 0.0 if self._jet is not None else 2.0 * self.fd_step
 
-    def _leaf(self, fn, p, rank, what):
-        """``fn(p)`` as floats of shape p.shape[:-1] + (dim,) * rank, by
-        the leaf rule (``_values``)."""
+    def _points(self, p):
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != (self.dim,):
             raise ValueError(f"expected points with {self.dim} coordinates, got shape {p.shape}")
-        return _values(fn(p), p.shape[:-1], (self.dim,) * rank, what)
+        return p
 
     def matrix(self, p):
-        return self._leaf(self._matrix, p, 2, "the metric's matrix leaf")
+        p = self._points(p)
+        return _values(self._matrix(p), p.shape[:-1], (self.dim,) * 2, "the metric's matrix leaf")
 
     def inverse(self, p):
         return _checked_inverse(self.matrix(p), p)
 
-    def partials(self, p):
-        if self._partials is not None:
-            return self._leaf(self._partials, p, 3, "the metric's partials leaf")
-        return _fd.gradient(self.matrix, p, self.fd_step)
+    def first_jet(self, p):
+        """``(g, dg)`` at p, one point or an (N, dim) batch, from one read of
+        a hook; without one, dg is central differences of the matrix."""
+        if self._first_jet is None:
+            if self._jet is not None:
+                return self.jet(p)[:2]
+            return self.matrix(p), _fd.gradient(self.matrix, p, self.fd_step)
+        p = self._points(p)
+        g, dg = self._first_jet(p)
+        # the leaf rule (``_values``) on each array, spelled out: this read
+        # runs at every RK4 stage of a torsion-mode trace
+        lead, d, what = p.shape[:-1], self.dim, "the metric's first_jet leaf"
+        return _values(g, lead, (d, d), what), _values(dg, lead, (d, d, d), what)
 
     def jet(self, p):
         """``(g, dg, d2g)`` at p, one point or an (N, dim) batch.  A metric
-        without analytic derivatives takes all three from one shared stencil
-        of ``_fd.jet``: one call of the matrix leaf on 37 points per row in
-        3D, 17 in 2D.  One with analytic first partials only differences
-        them for ``d2g``."""
-        if self._partials is None and self._second_partials is None:
+        without hooks takes all three from one shared stencil of
+        ``_fd.jet``: one call of the matrix leaf on 37 points per row in
+        3D, 17 in 2D.  One with a ``first_jet`` hook only differences its
+        dg for ``d2g``."""
+        if self._jet is not None:
+            p = self._points(p)
+            g, dg, d2g = self._jet(p)
+            lead, d, what = p.shape[:-1], self.dim, "the metric's jet leaf"
+            return (_values(g, lead, (d, d), what), _values(dg, lead, (d, d, d), what),
+                    _values(d2g, lead, (d, d, d, d), what))
+        if self._first_jet is None:
             return _fd.jet(self.matrix, p, self.fd_step)
-        g, dg = self.matrix(p), self.partials(p)
-        if self._second_partials is not None:
-            return g, dg, self._leaf(self._second_partials, p, 4,
-                                     "the metric's second_partials leaf")
+        g, dg = self.first_jet(p)
         # d2g[..., k, l] = d_k (dg[..., l])
-        d2 = _fd.gradient(self.partials, p, self.fd_step)
+        d2 = _fd.gradient(lambda x: self.first_jet(x)[1], p, self.fd_step)
         return g, dg, 0.5 * (d2 + np.swapaxes(d2, -4, -3))
 
 
@@ -310,8 +324,8 @@ def christoffel(metric, p):
 
 def _christoffel(metric, p):
     """``(g, g^{-1}, Gamma)`` at p, as ``christoffel`` computes them: one read
-    of each of the matrix and partials leaves and one closed-form inverse,
-    after the chart margin, finiteness and determinant checks."""
+    of the metric's first jet and one closed-form inverse, after the chart
+    margin, finiteness and determinant checks."""
     dim = metric.dim
     p = np.asarray(p, dtype=float)
     if p.shape == (dim,):
@@ -324,11 +338,11 @@ def _christoffel(metric, p):
         raise ValueError(f"expected a point or rows of points with {dim} coordinates, "
                          f"got shape {p.shape}")
     if metric.has_analytic_partials:
-        g, dg = metric.matrix(p), metric.partials(p)
+        g, dg = metric.first_jet(p)
     else:
         # a stencil point where the metric is not finite is caught below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            g, dg = metric.matrix(p), metric.partials(p)
+            g, dg = metric.first_jet(p)
     _require_finite(rows, g, dg)
     ginv = _checked_inverse(g, p)
     # Gamma^k_ij = 1/2 g^{km} (d_i g_mj + d_j g_im - d_m g_ij)
@@ -628,11 +642,12 @@ def metric_from_expressions(fields, box, name="custom"):
     """Build a MetricField on ``box`` from a dict of coefficient Expressions
     in ``u, v, w`` cut to ``box.dim``: ``g11``, ``g12`` or ``g21``, ...; a
     missing entry is 0, and a stray name or both names of one entry raise
-    ExpressionError.  The matrix, its partials and its second partials are
-    three ``expressions.tree_leaf`` leaves of the entries and of their
-    derivative expressions, so ``fd_margin()`` is 0; a derivative undefined
-    where its entry is defined (``u^0.5`` at u = 0) raises
-    ExpressionEvaluationError naming ``d(expr)/du`` and the point."""
+    ExpressionError.  Its three leaves are ``expressions.tree_leaf``
+    functions of the entries and of their derivative expressions: g; g with
+    dg; g with dg and d2g.  Each is one generated read, so ``fd_margin()``
+    is 0; a derivative undefined where its entry is defined (``u^0.5`` at
+    u = 0) raises ExpressionEvaluationError naming ``d(expr)/du`` and the
+    point."""
     dim = box.dim
     variables = ("u", "v", "w")[:dim]
     entries = trees_by_index(fields, {f"g{i + 1}{j + 1}": (min(i, j), max(i, j))
@@ -642,7 +657,8 @@ def metric_from_expressions(fields, box, name="custom"):
              for k in range(dim)}
     second = {(k, l, i, j): d.derivative(variables[l]) for (k, i, j), d in first.items()
               for l in range(k, dim)}
-    return MetricField(dim, tree_leaf(variables, (entries, (dim,) * 2, ((0, 1),))), box,
-                       partials=tree_leaf(variables, (first, (dim,) * 3, ((1, 2),))),
-                       second_partials=tree_leaf(variables, (second, (dim,) * 4, ((0, 1), (2, 3)))),
-                       name=name)
+    g = (entries, (dim,) * 2, ((0, 1),))
+    dg = (first, (dim,) * 3, ((1, 2),))
+    d2g = (second, (dim,) * 4, ((0, 1), (2, 3)))
+    return MetricField(dim, tree_leaf(variables, g), box, first_jet=tree_leaf(variables, g, dg),
+                       jet=tree_leaf(variables, g, dg, d2g), name=name)

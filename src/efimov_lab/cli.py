@@ -211,10 +211,15 @@ def _metric_for(spec_text):
 
 
 def _file_fields(text, kind, variables):
-    """A ``kind`` file's Expressions in ``variables`` and its ``box`` line's ChartBox."""
+    """A ``kind`` file's Expressions in ``variables`` and its ``box`` line's
+    ChartBox, whose bounds must be finite with lo < hi on every axis."""
     fields, box = parse_assignments(text, variables)
     if box is None or len(box) != 2 * len(variables):
         raise ValueError(f"{kind} file needs a 'box = {' '.join(['lo hi'] * len(variables))}' line")
+    for name, lo, hi in zip(variables, box[0::2], box[1::2]):
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"{kind} file line 'box = {' '.join(map(str, box))}': the bounds "
+                             f"of {name} must be finite with lo < hi, got {lo} and {hi}")
     return fields, ChartBox(tuple(box[0::2]), tuple(box[1::2]))
 
 

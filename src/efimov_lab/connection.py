@@ -323,7 +323,7 @@ class _TorsionProvider(SurfaceConnectionData):
 
         One point runs the formulas on Python floats.  A batch runs the same
         operations over a stacked entry axis: the 8 lowered symbols are one
-        (8, N) array gathered from the partials by three fixed index
+        (8, N) array gathered from dg by three fixed index
         vectors, and the 8 coefficients are two broadcast products of the
         (2, 2, N) closed-form inverse with the symbols' pairs.  Every step
         is elementwise and in the float formula's order (no matmul or
@@ -339,9 +339,10 @@ class _TorsionProvider(SurfaceConnectionData):
             return self._gamma_rows(q)
         field = self.iii_field
         field.require_inside(q, margin=field.fd_margin())
-        (g11, g12), (g21, g22) = field.matrix(q).tolist()
+        g, dg = field.first_jet(q)
+        (g11, g12), (g21, g22) = g.tolist()
         det = _metric_det(g11, g12, g21, g22, q)
-        dg = field.partials(q).tolist()
+        dg = dg.tolist()
         t1, t2 = self._torsion(q).tolist()
         s = math.sqrt(det)
         st1 = s * (g11 * t1 + g12 * t2)
@@ -373,11 +374,12 @@ class _TorsionProvider(SurfaceConnectionData):
         margin = field.fd_margin()
         if not field.box.all_inside(q, margin):
             field.require_inside(q, margin=margin)
-        g = field.matrix(q).reshape(-1, 4).T  # g11, g12, g21, g22
+        g, dg = field.first_jet(q)
+        g = g.reshape(-1, 4).T  # g11, g12, g21, g22
         det = g[0] * g[3] - g[1] * g[2]
         if not ((g[0] > 0.0) & (det > DET_FLOOR)).all():
             _metric_det(*g, q)
-        dg = field.partials(q).reshape(-1, 8).T  # dg[4k + 2i + j] = d_k g_ij
+        dg = dg.reshape(-1, 8).T  # dg[4k + 2i + j] = d_k g_ij
         t = self._torsion(q).T
         st = np.sqrt(det) * (g[0::2] * t[0] + g[1::2] * t[1])  # s t_1, s t_2
         low = 0.5 * (dg[_DG_IMJ] + dg[_DG_JIM] - dg[_DG_MIJ])

@@ -23,10 +23,11 @@ array, the batch-contract leaf of a metric or a surface file.
 
 Both run generated code (``_Code``), compiled on the first call: an
 Expression is one function, and a leaf one function for all of its fields
-(a surface's map, Jacobian and Hessian together).  It has one line per
-distinct subtree, which applies the tree's operator or ufunc to its
-children's values as a walk of the tree would, and a leaf stores each tree
-once per entry, all under one ``np.errstate``.  The source holds only
+(a surface's map, Jacobian and Hessian together, or a metric's g with its
+partials).  It has one line per distinct subtree, which applies the tree's
+operator or ufunc to its children's values as a walk of the tree would,
+and a leaf takes from its points only the variables its trees read and
+stores each tree once per entry, all under one ``np.errstate``.  The source holds only
 generated names, bound to the parsed np.float64 constants, the ufuncs of
 ``_FUNCTIONS`` and the declared variables, so no file text reaches ``exec``.
 One point is read on numpy scalars and a batch on arrays; every operator
@@ -324,8 +325,9 @@ def tree_leaf(variables, *fields):
                 if not _is(e._ast, 0):  # folded to 0, as a derivative in an unread variable
                     targets = [f"{out}[{code.bind((..., *c))}]" for c in sorted(copies)]
                     stores.append(" = ".join([*targets, code.name(e._ast)]))
-        # [()] makes the column of one point a numpy scalar
-        head += [f"_x{k} = _rows[{code.bind((..., k))}][()]" for k in range(len(variables))]
+        # [()] makes the column of one point a numpy scalar; only the
+        # variables a tree reads are taken
+        head += [f"_x{k} = _rows[{code.bind((..., k))}][()]" for k in sorted(code.read)]
         return code.function(["_rows"], head, [*stores, f"return {', '.join(outputs)}"])
 
     def evaluate(p):
@@ -354,7 +356,7 @@ class _Code:
     (module docstring)."""
 
     def __init__(self, variables):
-        self.variables, self.lines, self.names = variables, [], {}
+        self.variables, self.lines, self.names, self.read = variables, [], {}, set()
         self.namespace = {"_errstate": np.errstate, "_RAISE": _RAISE, "_zeros": np.zeros,
                           "_power": np.power,
                           **{f"_{f}": ufunc for f, ufunc in _FUNCTIONS.items()}}
@@ -365,6 +367,7 @@ class _Code:
         if tag == "num":  # unsigned and not NaN, so equal constants are interchangeable
             return self.bind(node[1])
         if tag == "var":
+            self.read.add(self.variables.index(node[1]))
             return f"_x{self.variables.index(node[1])}"
         if tag == "neg":
             line = f"-{self.name(node[1])}"

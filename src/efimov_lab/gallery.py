@@ -2,13 +2,15 @@
 reference data, plus the virtual-third-form construction for hyperbolic
 Monge-Ampere systems.
 
-Every builder returns objects wired with analytic partials where the
-reference numbers are sharpest, so verification compares the full numerical
-pipeline against closed forms rather than against itself.  The surface
-patches are surface text (``immersion.surface_from_expressions``), with
-parameters written by ``repr(float)`` so they parse back exactly: their
-exact jets are the generated code of the text's derivative expressions,
-parsed once per text in a process.  The metrics are hand-written closures.
+Every builder returns objects with exact derivatives, so verification
+compares the full numerical pipeline against closed forms rather than
+against itself.  The surface patches are surface text
+(``immersion.surface_from_expressions``) and the metrics metric text
+(``ambient.metric_from_expressions``), with parameters written by
+``repr(float)`` so they parse back exactly: their exact jets are the
+generated code of the text's derivative expressions, parsed once per text
+in a process.  ``g_lambda(analytic=False)`` keeps only its text's matrix,
+for the pure finite-difference verification.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .ambient import (
     christoffel,
     dnabla,
     gauss_curvature,
+    metric_from_expressions,
     riemann_covariant,
     sectional_range,
 )
@@ -69,64 +72,38 @@ __all__ = [
 
 
 def _flat(dim, half_width, name):
-    """The identity metric on a cube chart, with zero partials."""
-    return MetricField(
-        dim, lambda p: np.eye(dim), ChartBox.cube(dim, half_width),
-        partials=lambda p: np.zeros((dim,) * 3),
-        second_partials=lambda p: np.zeros((dim,) * 4),
-        name=name)
+    """The identity metric on a cube chart."""
+    entries = {f"g{i}{i}": "1" for i in range(1, dim + 1)}
+    return _metric_text(ChartBox.cube(dim, half_width), name, **entries)
 
 
 def euclidean3():
     return _flat(3, 10.0, "euclidean3")
 
 
-def _square_norm(p):
-    """|p|^2 over the last axis; the stacked matmul of a batch rounds each
-    row as ``p @ p`` does."""
-    return p @ p if p.ndim == 1 else (p[..., None, :] @ p[..., None])[..., 0, 0]
+def _conformal(dim, sign, box, name):
+    """g = lam(x)^2 delta with lam = 2/(1 + sign*|x|^2): the round sphere
+    (sign "+") or hyperbolic space (sign "-") in a conformal chart."""
+    variables = ("u", "v", "w")[:dim]
+    lam = f"(2/(1 {sign} ({' + '.join(f'{x}*{x}' for x in variables)})))"
+    return _metric_text(box, name, **{f"g{i}{i}": f"{lam}*{lam}" for i in range(1, dim + 1)})
 
 
-def _conformal3(sign, half_width, name):
-    """g = lam(x)^2 delta with lam = 2/(1 + sign*|x|^2): the round 3-sphere
-    (sign=+1) or hyperbolic 3-space (sign=-1) in a conformal chart."""
-
-    eye = np.eye(3)
-
-    def lam(p):
-        return 2.0 / (1.0 + sign * _square_norm(p))
-
-    # powers as products: numpy raises a float and an array to a power by
-    # different routines, and a row of a batch must equal its point
-    def matrix(p):
-        l = lam(p)
-        return (l * l)[..., None, None] * eye
-
-    def partials(p):
-        l = lam(p)[..., None]
-        dl = -sign * l * l * p
-        # dg[k] = 2 l d_k l delta
-        return (2.0 * l * dl)[..., None, None] * eye
-
-    def second_partials(p):
-        l = lam(p)
-        l2 = l * l
-        coeff = (6.0 * (l2 * l2))[..., None, None] * p[..., :, None] * p[..., None, :] \
-            - (sign * 2.0 * (l2 * l))[..., None, None] * eye
-        return coeff[..., None, None] * eye
-
-    return MetricField(3, matrix, ChartBox.cube(3, half_width), partials=partials,
-                       second_partials=second_partials, name=name)
+def _positive(name, value):
+    """``value`` as a float, which must be finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ParameterOutOfRange(f"{name} must be finite and > 0, got {value}")
+    return float(value)
 
 
 def sphere3(half_width=1.5):
     """Round unit 3-sphere, stereographic chart (curvature +1)."""
-    return _conformal3(+1.0, half_width, "sphere3")
+    return _conformal(3, "+", ChartBox.cube(3, _positive("half_width", half_width)), "sphere3")
 
 
 def hyperbolic3():
     """Hyperbolic 3-space, conformal ball chart |x_i| <= 0.5 (curvature -1)."""
-    return _conformal3(-1.0, 0.5, "hyperbolic3")
+    return _conformal(3, "-", ChartBox.cube(3, 0.5), "hyperbolic3")
 
 
 def g_lambda(lam, z_half=None, analytic=True, fd_step=1e-3):
@@ -135,45 +112,27 @@ def g_lambda(lam, z_half=None, analytic=True, fd_step=1e-3):
         (1 + 2 lam z) cosh^2(y) cosh^2(z) dx^2
         + (1 - 2 lam z) cosh^2(z) dy^2 + dz^2
 
-    on |x|, |y| <= 2 and |z| <= min(0.2, 1/(4 lam)); hyperbolic for lam = 0.  With
-    ``analytic=True`` it carries closed-form first partials (second
-    derivatives fall back to finite differences of those); with
-    ``analytic=False`` the whole derivative stack is pure central
-    differences, which is what the sharpest verification exercises.
+    on |x|, |y| <= 2 and |z| <= min(0.2, 1/(4 lam)); hyperbolic for lam = 0.
+    With ``analytic=True`` it is metric text with exact first and second
+    partials; with ``analytic=False`` it keeps only the text's matrix leaf,
+    and the whole derivative stack is central differences at ``fd_step``,
+    which is what the sharpest verification exercises.
     """
     if not 0.0 <= lam < np.inf:
         raise ParameterOutOfRange(f"lambda must be finite and >= 0, got {lam}")
-    if z_half is None:
-        z_half = min(0.2, 1.0 / (4.0 * lam)) if lam > 0 else 0.2
-    elif lam > 0 and 2.0 * lam * z_half >= 1.0:
+    z_half = (min(0.2, 1.0 / (4.0 * lam)) if lam > 0 else 0.2) if z_half is None \
+        else _positive("z_half", z_half)
+    if 2.0 * lam * z_half >= 1.0:
         raise ParameterOutOfRange(
             f"z-box {z_half} too wide: 1 - 2*lambda*z vanishes inside it")
-
-    def matrix(p):
-        y, z = p[..., 1], p[..., 2]
-        cy, cz = np.cosh(y), np.cosh(z)
-        # squares as products: numpy squares a float and an array by
-        # different routines, and a row of a batch must equal its point
-        g = np.zeros(p.shape[:-1] + (3, 3))
-        g[..., 0, 0] = (1.0 + 2.0 * lam * z) * (cy * cy) * (cz * cz)
-        g[..., 1, 1] = (1.0 - 2.0 * lam * z) * (cz * cz)
-        g[..., 2, 2] = 1.0
-        return g
-
-    def partials(p):
-        y, z = p[..., 1], p[..., 2]
-        cy, sy = np.cosh(y), np.sinh(y)
-        cz, sz = np.cosh(z), np.sinh(z)
-        d = np.zeros(p.shape[:-1] + (3, 3, 3))
-        d[..., 1, 0, 0] = (1.0 + 2.0 * lam * z) * 2.0 * cy * sy * cz * cz
-        d[..., 2, 0, 0] = 2.0 * lam * cy * cy * cz * cz \
-            + (1.0 + 2.0 * lam * z) * cy * cy * 2.0 * cz * sz
-        d[..., 2, 1, 1] = -2.0 * lam * cz * cz + (1.0 - 2.0 * lam * z) * 2.0 * cz * sz
-        return d
-
-    box = ChartBox((-2.0, -2.0, -z_half), (2.0, 2.0, z_half))
-    return MetricField(3, matrix, box, partials=partials if analytic else None,
-                       fd_step=fd_step, name=f"g_lambda({lam})")
+    two_lam = f"2*{_number(lam)}"
+    metric = _metric_text(ChartBox((-2.0, -2.0, -z_half), (2.0, 2.0, z_half)), f"g_lambda({lam})",
+                          g11=f"(1 + {two_lam}*w)*(cosh(v)*cosh(v))*(cosh(w)*cosh(w))",
+                          g22=f"(1 - {two_lam}*w)*(cosh(w)*cosh(w))", g33="1")
+    if not analytic:
+        metric = MetricField(3, metric.matrix, metric.box, name=metric.name)
+    metric.fd_step = float(fd_step)
+    return metric
 
 
 def g_lambda_reference_entries(lam):
@@ -222,49 +181,17 @@ def measured_g_lambda_entries(metric, p):
 
 def hyperbolic_plane_polar(r_min=1e-3, r_max=4.0):
     """dr^2 + sinh^2(r) dtheta^2; curvature -1, polar coordinate chart
-    with |theta| <= 8."""
-
-    def matrix(q):
-        g = np.zeros(q.shape[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0
-        sh = np.sinh(q[..., 0])
-        g[..., 1, 1] = sh * sh  # a product rounds alike for one point and a batch
-        return g
-
-    def partials(q):
-        d = np.zeros(q.shape[:-1] + (2, 2, 2))
-        d[..., 0, 1, 1] = 2.0 * np.sinh(q[..., 0]) * np.cosh(q[..., 0])
-        return d
-
-    def second_partials(q):
-        d = np.zeros(q.shape[:-1] + (2, 2, 2, 2))
-        d[..., 0, 0, 1, 1] = 2.0 * np.cosh(2.0 * q[..., 0])
-        return d
-
-    return MetricField(2, matrix, ChartBox((r_min, -8.0), (r_max, 8.0)),
-                       partials=partials, second_partials=second_partials,
-                       name="hyperbolic_polar")
+    r_min <= r <= r_max, 0 < r_min < r_max finite, with |theta| <= 8."""
+    if not (0.0 < r_min < r_max < math.inf):
+        raise ParameterOutOfRange(
+            f"the radii must be finite with 0 < r_min < r_max, got {r_min} and {r_max}")
+    return _metric_text(ChartBox((r_min, -8.0), (r_max, 8.0)), "hyperbolic_polar",
+                        g11="1", g22="sinh(u)*sinh(u)")
 
 
 def abstract_sphere():
     """Round 2-sphere, stereographic chart |q_i| <= 2.5, zero torsion."""
-
-    eye = np.eye(2)
-
-    def lam(q):
-        return 2.0 / (1.0 + _square_norm(q))
-
-    def matrix(q):
-        l = lam(q)[..., None, None]
-        return l * l * eye
-
-    def partials(q):
-        l = lam(q)[..., None]
-        dl = -l * l * q
-        return (2.0 * l * dl)[..., None, None] * eye
-
-    m = MetricField(2, matrix, ChartBox.cube(2, 2.5), partials=partials,
-                    name="sphere2_abstract")
+    m = _conformal(2, "+", ChartBox.cube(2, 2.5), "sphere2_abstract")
     return SurfaceConnectionData.from_metric_and_torsion(m, lambda q: np.zeros(2),
                                                          name="sphere2_abstract")
 
@@ -329,6 +256,23 @@ def _parsed_surface(*phi):
     of one text share them."""
     fields = {f"phi{i + 1}": Expression(text, ("u", "v")) for i, text in enumerate(phi)}
     return surface_from_expressions(fields, None)
+
+
+def _metric_text(box, name, **entries):
+    """The metric of the texts of ``entries`` (``g11=...``) on ``box``."""
+    metric = copy.copy(_parsed_metric(box.dim, *sorted(entries.items())))
+    metric.box, metric.name = box, name
+    return metric
+
+
+@functools.lru_cache(maxsize=64)
+def _parsed_metric(dim, *entries):
+    """The metric of metric text in the first ``dim`` of u, v, w, parsed and
+    differentiated once per text, as ``_parsed_surface`` does for patches;
+    ``_metric_text`` gives each copy its box."""
+    variables = ("u", "v", "w")[:dim]
+    fields = {key: Expression(text, variables) for key, text in entries}
+    return metric_from_expressions(fields, ChartBox.cube(dim, 1.0))
 
 
 def _number(x):

@@ -243,11 +243,13 @@ def _frame(q, g, ginv, jac, jac_t):
 def induced_metric_field(patch, ambient):
     """The first fundamental form as a 2D MetricField on the parameter box.
 
-    Carries analytic first partials whenever both the patch and the ambient
-    metric do, so intrinsic curvature goes through the same pipeline as
-    ambient curvature with one less coordinate.  Both leaves broadcast over
-    (..., 2) points, as the patch does, so a batch of K_I makes one leaf
-    call per stencil point of the whole batch.
+    Carries an analytic first jet whenever both the patch and the ambient
+    metric have analytic derivatives: one read of the patch jet and of the
+    ambient ``(g, dg)`` gives I and its partials, so intrinsic curvature
+    goes through the same pipeline as ambient curvature with one less
+    coordinate.  Both leaves broadcast over (..., 2) points, as the patch
+    does, so a batch of K_I makes one leaf call per stencil point of the
+    whole batch.
 
     It serves ``k_intrinsic``; the immersion-mode connection keeps it as
     sigma only for the chart margin of ``gamma``.  The symbols of I come
@@ -258,18 +260,18 @@ def induced_metric_field(patch, ambient):
         g = ambient.matrix(patch.point(q))
         return np.swapaxes(jac, -1, -2) @ g @ jac
 
-    partials = None
+    first_jet = None
     if patch.has_analytic_partials and ambient.has_analytic_partials:
-        def partials(q):
+        def first_jet(q):
             p, jac, hess = patch.jet(q)
-            g = ambient.matrix(p)
-            dg = ambient.partials(p)
+            g, dg = ambient.first_jet(p)
             dg_along = np.einsum("...kij,...ka->...aij", dg, jac)  # d(g o phi)/dq^a
             term = np.einsum("...ica,...ij,...jb->...cab", hess, g, jac)
-            return (term + np.swapaxes(term, -2, -1)
+            return (np.swapaxes(jac, -1, -2) @ g @ jac,
+                    term + np.swapaxes(term, -2, -1)
                     + np.einsum("...ia,...cij,...jb->...cab", jac, dg_along, jac))
 
-    return MetricField(2, first, patch.box, partials=partials, fd_step=patch.fd_step,
+    return MetricField(2, first, patch.box, first_jet=first_jet, fd_step=patch.fd_step,
                        name=f"I[{patch.name}]")
 
 

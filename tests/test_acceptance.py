@@ -100,8 +100,9 @@ def test_g_lambda_sectionals_match_the_true_slab_curvature_off_z0(analytic, tol)
     """The pipeline's sectional entries on the honest red's 11 x 11 x 3 grid,
     |z| <= 0.1 capped by the box, against the closed-form curvature of the
     slab metric at every height: the honest red's deviations are the
-    stated table's, not the pipeline's.  The largest errors were 3.2e-12
-    with exact first partials and 2.3e-9 in pure finite differences."""
+    stated table's, not the pipeline's.  The largest errors were 1.4e-14
+    with the exact jet of the metric text and 2.3e-9 in pure finite
+    differences."""
     for lam in (0.5, 1.0, 3.0):
         m = gallery.g_lambda(lam, analytic=analytic)
         z_top = min(0.1, m.box.hi[2] - m.fd_margin())

@@ -578,7 +578,8 @@ def test_expression_metric_names_a_derivative_undefined_where_its_entry_is_defin
 
 @pytest.mark.parametrize("metric, scale", [
     (gallery.g_lambda(1.0), 1.0), (gallery.g_lambda(1.0, analytic=False), 1.0),
-    (gallery.hyperbolic3(), 0.3)], ids=["analytic", "pure_fd", "conformal"])
+    (gallery.hyperbolic3(), 0.3), (gallery.sphere3(), 0.5), (gallery.euclidean3(), 1.0)],
+    ids=["analytic", "pure_fd", "conformal", "sphere3", "euclidean3"])
 def test_christoffel_batch_rows_equal_one_point_calls(metric, scale):
     """Each row of an (N, 3) batch, and of a (rows, cols, 3) array, is its
     one-point call bit for bit, with analytic partials and without."""
@@ -613,12 +614,13 @@ def test_christoffel_non_finite_metric_raises_typed_error_naming_the_row():
     with pytest.raises(NonFiniteMetric, match=re.escape(str(hot))):
         christoffel(m, np.array([[0.2, 0.0, 0.0], hot, [0.9, 0.0, 0.0]]))
 
-    def partials(p):
-        dg = np.array(gallery.g_lambda(1.0).partials(p))
+    def first_jet(p):
+        g, dg = gallery.g_lambda(1.0).first_jet(p)
+        dg = np.array(dg)
         dg[p[..., 1] < 0] = np.inf
-        return dg
+        return g, dg
 
-    analytic = MetricField(3, base.matrix, base.box, partials=partials)
+    analytic = MetricField(3, base.matrix, base.box, first_jet=first_jet)
     cold = np.array([0.2, -0.1, 0.0])
     with pytest.raises(NonFiniteMetric, match=re.escape(str(cold))):
         christoffel(analytic, cold)
@@ -741,15 +743,14 @@ def pulled_back(space, analytic):
     def matrix(p):
         return a.T @ space.matrix(p @ a.T) @ a
 
-    def partials(p):
-        return np.einsum("...rpq,pi,qj,rk->...kij", space.partials(p @ a.T), a, a, a)
-
-    def second_partials(p):
-        return np.einsum("...rspq,pi,qj,rk,sl->...klij", space.jet(p @ a.T)[2], a, a, a, a)
+    def jet(p):
+        g, dg, d2g = space.jet(p @ a.T)
+        return (a.T @ g @ a, np.einsum("...rpq,pi,qj,rk->...kij", dg, a, a, a),
+                np.einsum("...rspq,pi,qj,rk,sl->...klij", d2g, a, a, a, a))
 
     box = ChartBox.cube(3, 0.25)
     if analytic:
-        return MetricField(3, matrix, box, partials=partials, second_partials=second_partials)
+        return MetricField(3, matrix, box, first_jet=lambda p: jet(p)[:2], jet=jet)
     return MetricField(3, matrix, box)
 
 

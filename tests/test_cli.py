@@ -570,6 +570,30 @@ def test_stray_or_duplicate_file_names_exit_2(tmp_path, kind, extra, names):
     assert all(name in err for name in names), err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind, box, axis", [
+    ("metric", "-inf inf -1 1 -0.5 0.5", "u"),
+    ("metric", "-1 1 1 -1 -0.5 0.5", "v"),
+    ("metric", "-1 1 -1 1 nan 0.5", "w"),
+    ("surface", "-1 1 0.5 0.5", "v"),
+    ("surface", "1 -1 -1 1", "u"),
+    ("surface", "-1 1 -1 nan", "v"),
+])
+def test_file_box_bound_not_finite_or_reversed_exits_2(tmp_path, kind, box, axis):
+    """A box line with a bound that is not finite, or lo >= hi, on an axis
+    exits 2 naming the line and the axis, before any grid or trace is
+    formed: no numpy warning, no output."""
+    f = tmp_path / f"{kind}.txt"
+    text = METRIC if kind == "metric" else SURFACE
+    f.write_text(f"box = {box}\n" + text.split("\n", 1)[1])
+    argv = (("curvature-report", "--metric", str(f), "--grid", "3x3x3") if kind == "metric"
+            else ("geodesic", "--example", f"file:{f}", "--start", "0,0", "--dir", "1,0",
+                  "--length", "0.1", "--step", "1e-2"))
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "line 'box = " in err and f"the bounds of {axis} must be finite with lo < hi" in err
+
+
 def test_lone_lower_triangle_metric_name_reads_as_its_entry(tmp_path):
     """``g21`` alone is the entry ``g12``: the report's curvature equals the
     one of the same file written with ``g12``."""

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from efimov_lab import _fd, gallery
-from efimov_lab.ambient import ChartBox, MetricField, christoffel, metric_from_expressions
+from efimov_lab.ambient import (
+    ChartBox,
+    MetricField,
+    christoffel,
+    gauss_curvature,
+    metric_from_expressions,
+)
 from efimov_lab.connection import (
     CURVATURE_FD_STEP,
     SurfaceConnectionData,
@@ -143,8 +149,8 @@ def test_torsion_mode_rejects_non_positive_third_form(diag):
     sigma, so do gamma, K~, the torsion and its norm, at one point and on a
     batch."""
     metric = MetricField(2, lambda q: np.diag(diag), ChartBox.cube(2, 1.0),
-                         partials=lambda q: np.zeros((2, 2, 2)),
-                         second_partials=lambda q: np.zeros((2, 2, 2, 2)))
+                         first_jet=lambda q: (np.diag(diag), np.zeros((2, 2, 2))),
+                         jet=lambda q: (np.diag(diag), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))))
     data = SurfaceConnectionData.from_metric_and_torsion(metric, lambda q: np.array([0.1, 0.2]))
     for evaluate in (data.gamma, data.curvature, data.complex_structure, data.torsion_norm,
                      lambda q: data.norm(q, [0.3, 0.4]),
@@ -172,13 +178,13 @@ def test_torsion_batch_names_its_indefinite_row_before_the_square_root():
         g[..., 1, 1] = q[..., 0]
         return g
 
-    def partials(q):
+    def first_jet(q):
         d = np.zeros(q.shape[:-1] + (2, 2, 2))
         d[..., 0, 1, 1] = 1.0
-        return d
+        return matrix(q), d
 
-    metric = MetricField(2, matrix, ChartBox.cube(2, 1.0), partials=partials,
-                         second_partials=lambda q: np.zeros((2, 2, 2, 2)))
+    metric = MetricField(2, matrix, ChartBox.cube(2, 1.0), first_jet=first_jet,
+                         jet=lambda q: (*first_jet(q), np.zeros((2, 2, 2, 2))))
     data = SurfaceConnectionData.from_metric_and_torsion(metric, lambda q: np.array([0.1, 0.2]))
     q = np.array([[0.5, 0.1], [0.4, -0.2], [-0.3, 0.25], [0.2, 0.3], [0.6, -0.1]])
     for evaluate in (data.gamma, data.curvature):
@@ -395,7 +401,7 @@ def _third_form_partials(data, q):
     b = data.b_matrix(q)
     db = data.b_matrix_partials(q)
     sigma = data.sigma_field.matrix(q)
-    dsigma = data.sigma_field.partials(q)
+    dsigma = data.sigma_field.first_jet(q)[1]
     term = np.einsum("kca,cd,db->kab", db, sigma, b)
     return term + np.swapaxes(term, 1, 2) + np.einsum("ca,kcd,db->kab", b, dsigma, b)
 
@@ -408,7 +414,7 @@ def _frame_curvature(data, q):
     def connection_form(qq):
         g = data.third_form(qq)
         if data.mode == "torsion":
-            dg = data.iii_field.partials(qq)
+            dg = data.iii_field.first_jet(qq)[1]
         else:
             dg = _third_form_partials(data, qq)
         f, df = _frame_and_derivative(g, dg)
@@ -478,6 +484,35 @@ def test_operator_curvature_rejects_degenerate_shape_operator():
         data.curvature([1.2, 0.3])
 
 
+def test_symbols_and_curvature_make_one_read_of_a_metric_hook():
+    """The Levi-Civita symbols and torsion-mode gamma read g with dg from
+    one call of the ``first_jet`` hook, and the curvature reads g, dg and
+    d2g from one call of the ``jet`` hook, at one point and on a batch; none
+    reads the matrix leaf."""
+    metric = gallery.hyperbolic_plane_polar(r_min=0.05)
+    calls = []
+
+    def hook(name, read):
+        def counted(q):
+            calls.append(name)
+            return read(q)
+        return counted
+
+    def matrix(q):
+        raise AssertionError("the matrix leaf was read")
+
+    counted = MetricField(2, matrix, metric.box, first_jet=hook("first_jet", metric.first_jet),
+                          jet=hook("jet", metric.jet))
+    data = SurfaceConnectionData.from_metric_and_torsion(counted, lambda q: np.array([0.1, 0.2]))
+    for q in (np.array([1.2, 0.3]), np.array([[1.2, 0.3], [2.0, -0.5]])):
+        for evaluate, name in ((lambda q: christoffel(counted, q), "first_jet"),
+                               (data.gamma, "first_jet"),
+                               (lambda q: gauss_curvature(counted, q), "jet")):
+            calls.clear()
+            evaluate(q)
+            assert calls == [name]
+
+
 def test_torsion_curvature_needs_stencil_room():
     """Within CURVATURE_FD_STEP of the edge the curl stencil would leave the
     chart: PointOutsideChart, before the metric or the torsion is read."""
@@ -493,8 +528,7 @@ def test_torsion_curvature_needs_stencil_room():
         calls.append(q)
         return np.array([0.1, 0.2])
 
-    counted = MetricField(2, matrix, metric.box, partials=metric.partials,
-                          second_partials=lambda q: metric.jet(q)[2])
+    counted = MetricField(2, matrix, metric.box, first_jet=metric.first_jet, jet=metric.jet)
     data = SurfaceConnectionData.from_metric_and_torsion(counted, tau)
     for q in ([4.0 - 0.5 * CURVATURE_FD_STEP, 0.3], [1.0, -8.0 + 0.5 * CURVATURE_FD_STEP]):
         with pytest.raises(PointOutsideChart):
@@ -506,8 +540,18 @@ def test_torsion_curvature_needs_stencil_room():
 
 def test_torsion_curvature_near_the_edge_of_a_pure_fd_metric():
     """K(III) needs only the reach of its metric's stencil, fd_margin, from
-    the chart edge: 3.5e-3 of room suffices for the round sphere's 2e-3."""
-    assert abs(gallery.abstract_sphere().curvature([2.4965, 0.0]) - 1.0) < 1e-8
+    the chart edge, beyond the curl's CURVATURE_FD_STEP: 3.5e-3 of room
+    suffices for the round sphere's matrix alone, pure central differences
+    with a margin of 2e-3 (K~ off by 2.2e-8), and 1.5e-3 for the sphere's
+    metric text, whose exact jet has a margin of 0."""
+    sphere = gallery.abstract_sphere()
+    metric = sphere.iii_field
+    assert metric.fd_margin() == 0.0
+    pure_fd = SurfaceConnectionData.from_metric_and_torsion(
+        MetricField(2, metric.matrix, metric.box), lambda q: np.zeros(2))
+    assert pure_fd.iii_field.fd_margin() == 2e-3
+    assert abs(pure_fd.curvature([2.4965, 0.0]) - 1.0) < 1e-7
+    assert abs(sphere.curvature([2.4985, 0.0]) - 1.0) < 1e-8
 
 
 # --- the batch contract -----------------------------------------------------
@@ -609,10 +653,11 @@ def test_torsion_gamma_names_the_row_with_non_finite_metric_partials():
     itself at one point."""
     metric = gallery.hyperbolic_plane_polar()
 
-    def partials(q):
-        return np.where((q[..., 0] > 2.0)[..., None, None, None], np.nan, metric.partials(q))
+    def first_jet(q):
+        g, dg = metric.first_jet(q)
+        return g, np.where((q[..., 0] > 2.0)[..., None, None, None], np.nan, dg)
 
-    nan_partials = MetricField(2, metric.matrix, metric.box, partials=partials)
+    nan_partials = MetricField(2, metric.matrix, metric.box, first_jet=first_jet)
     data = SurfaceConnectionData.from_metric_and_torsion(nan_partials, lambda q: np.array([0.1, 0.2]))
     pts = np.array([[1.0, 0.0], [1.5, -0.4], [2.5, 0.3], [3.0, 0.0]])
     with pytest.raises(NonFiniteMetric, match=re.escape(str(pts[2]))):

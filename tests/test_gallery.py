@@ -63,11 +63,29 @@ def test_readme_lists_every_example_with_its_parameters():
             assert f"{key}={default}" in paragraph, (name, key)
 
 
-@pytest.mark.parametrize("builder", [gallery.g_lambda, gallery.hyperbolic_deformed])
+@pytest.mark.parametrize("builder", [
+    gallery.g_lambda, gallery.hyperbolic_deformed, gallery.sphere3,
+    lambda z: gallery.g_lambda(1.0, z_half=z), lambda z: gallery.g_lambda(0.0, z_half=z),
+    lambda r: gallery.hyperbolic_plane_polar(r_min=r), lambda r: gallery.hyperbolic_plane_polar(r_max=r),
+], ids=["g_lambda", "hyperbolic_deformed", "sphere3", "z_half", "z_half_lambda_0", "r_min", "r_max"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
 def test_builders_reject_non_finite_or_negative_parameter(builder, value):
+    """A parameter that is not finite, or negative, is ParameterOutOfRange at
+    build time, not an empty or NaN chart box found at the first read."""
     with pytest.raises(ParameterOutOfRange):
         builder(value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gallery.sphere3(half_width=0.0), lambda: gallery.g_lambda(1.0, z_half=0.0),
+    lambda: gallery.hyperbolic_plane_polar(r_min=0.0), lambda: gallery.hyperbolic_plane_polar(2.0, 1.0),
+    lambda: gallery.hyperbolic_plane_polar(1.0, 1.0),
+], ids=["sphere3_zero", "z_half_zero", "r_min_zero", "reversed_radii", "equal_radii"])
+def test_builders_reject_empty_or_degenerate_charts(build):
+    """A zero width, r_min = 0 (where the polar metric degenerates) and
+    radii with r_min >= r_max are ParameterOutOfRange."""
+    with pytest.raises(ParameterOutOfRange):
+        build()
 
 
 def _oracle_points(box, n=20, seed=5):
@@ -197,6 +215,96 @@ def test_surface_text_matches_the_closed_form_jet(name, params, jet):
         assert np.max(np.abs(b - b_closed)) <= 1e-15 * scale
 
 
+# the closed-form metric jets that the gallery's metric text replaced, kept as
+# an independent oracle: (g, dg, d2g) at points of shape (..., dim), with d2g
+# None where the closed form had no second partials
+
+
+def _flat_jet(p):
+    dim, lead = p.shape[-1], p.shape[:-1]
+    return (np.broadcast_to(np.eye(dim), lead + (dim,) * 2), np.zeros(lead + (dim,) * 3),
+            np.zeros(lead + (dim,) * 4))
+
+
+def _conformal_jet(sign):
+    """lam^2 delta with lam = 2/(1 + sign |x|^2): d_k g = 2 lam d_k lam delta
+    with d_k lam = -sign lam^2 x_k, and d_k d_l g = (6 lam^4 x_k x_l
+    - 2 sign lam^3 delta_kl) delta, in any dimension."""
+    def jet(p):
+        eye = np.eye(p.shape[-1])
+        lam = 2.0 / (1.0 + sign * np.sum(p * p, axis=-1))
+        dlam = -sign * (lam * lam)[..., None] * p
+        coeff = (6.0 * lam ** 4)[..., None, None] * p[..., :, None] * p[..., None, :] \
+            - (2.0 * sign * lam ** 3)[..., None, None] * eye
+        return ((lam * lam)[..., None, None] * eye, (2.0 * lam[..., None] * dlam)[..., None, None] * eye,
+                coeff[..., None, None] * eye)
+    return jet
+
+
+def _slab_jet(lam):
+    """g_lambda's matrix and first partials; its second partials had no
+    closed form."""
+    def jet(p):
+        y, z, lead = p[..., 1], p[..., 2], p.shape[:-1]
+        cy, sy, cz, sz = np.cosh(y), np.sinh(y), np.cosh(z), np.sinh(z)
+        g = np.zeros(lead + (3, 3))
+        g[..., 0, 0] = (1.0 + 2.0 * lam * z) * (cy * cy) * (cz * cz)
+        g[..., 1, 1] = (1.0 - 2.0 * lam * z) * (cz * cz)
+        g[..., 2, 2] = 1.0
+        d = np.zeros(lead + (3, 3, 3))
+        d[..., 1, 0, 0] = (1.0 + 2.0 * lam * z) * 2.0 * cy * sy * cz * cz
+        d[..., 2, 0, 0] = 2.0 * lam * cy * cy * cz * cz + (1.0 + 2.0 * lam * z) * cy * cy * 2.0 * cz * sz
+        d[..., 2, 1, 1] = -2.0 * lam * cz * cz + (1.0 - 2.0 * lam * z) * 2.0 * cz * sz
+        return g, d, None
+    return jet
+
+
+def _polar_jet(q):
+    r, lead = q[..., 0], q.shape[:-1]
+    g, d, d2 = np.zeros(lead + (2, 2)), np.zeros(lead + (2, 2, 2)), np.zeros(lead + (2, 2, 2, 2))
+    g[..., 0, 0] = 1.0
+    g[..., 1, 1] = np.sinh(r) * np.sinh(r)
+    d[..., 0, 1, 1] = 2.0 * np.sinh(r) * np.cosh(r)
+    d2[..., 0, 0, 1, 1] = 2.0 * np.cosh(2.0 * r)
+    return g, d, d2
+
+
+_CLOSED_FORM_METRICS = [
+    ("euclidean3", gallery.euclidean3, _flat_jet),
+    ("sphere3", gallery.sphere3, _conformal_jet(1.0)),
+    ("hyperbolic3", gallery.hyperbolic3, _conformal_jet(-1.0)),
+    ("g_lambda", lambda: gallery.g_lambda(1.0), _slab_jet(1.0)),
+    ("g_lambda_3", lambda: gallery.g_lambda(3.0), _slab_jet(3.0)),
+    ("hyperbolic_plane_polar", gallery.hyperbolic_plane_polar, _polar_jet),
+    ("abstract_sphere", lambda: gallery.abstract_sphere().iii_field, _conformal_jet(1.0)),
+    ("abstract_plane", lambda: gallery.abstract_plane().iii_field, _flat_jet),
+]
+
+
+@pytest.mark.parametrize("name, build, jet", _CLOSED_FORM_METRICS,
+                         ids=[name for name, _, _ in _CLOSED_FORM_METRICS])
+def test_metric_text_matches_the_closed_form_jet(name, build, jet):
+    """Each gallery metric is metric text; its matrix, first jet and jet
+    equal the closed form to 1e-14 of each array's largest entry, at one
+    point and on a 64-row batch.  g_lambda's second partials had no closed
+    form, and are checked against ``_fd.jet`` below; its matrix, which the
+    pure-FD slab reads, is the closed form bit for bit.  Measured: the flat
+    metrics and g_lambda's matrix 0, every other array at most 4.1e-16."""
+    metric = build()
+    lo, hi = np.asarray(metric.box.lo), np.asarray(metric.box.hi)
+    rows = lo + (hi - lo) * np.random.default_rng(2).random((64, lo.size))
+    for p in (rows[0], rows):
+        want = jet(p)
+        pairs = [(metric.matrix(p), want[0]), *zip(metric.first_jet(p), want),
+                 *zip(metric.jet(p), want)]
+        for got, closed in pairs:
+            if closed is not None:
+                assert got.shape == closed.shape
+                assert np.max(np.abs(got - closed)) <= 1e-14 * max(1.0, np.max(np.abs(closed)))
+        if name.startswith("g_lambda"):
+            assert np.array_equal(metric.matrix(p), want[0])
+
+
 _GALLERY_METRICS = {
     **{n: (lambda n=n: gallery.build_example(n).metric)
        for n in ("euclidean3", "sphere3", "hyperbolic3", "g_lambda")},
@@ -208,11 +316,11 @@ _GALLERY_METRICS = {
 
 @pytest.mark.parametrize("name", sorted(_GALLERY_METRICS))
 def test_metric_partials_match_fd_jet_of_the_matrix(name):
-    """The hand-written first partials of each gallery metric, and its
-    second partials where it has them (else differences of the first),
-    against ``_fd.jet`` of its matrix at h = 1e-3."""
+    """The exact first and second partials of each gallery metric's text
+    against ``_fd.jet`` of its matrix at h = 1e-3; with an exact jet, no
+    gallery metric needs a stencil margin."""
     metric = _GALLERY_METRICS[name]()
-    assert metric.has_analytic_partials
+    assert metric.has_analytic_partials and metric.fd_margin() == 0.0
     for p in _oracle_points(metric.box):
         g, dg, d2g = metric.jet(p)
         g_fd, dg_fd, d2g_fd = _fd.jet(metric.matrix, p, 1e-3)

@@ -419,7 +419,8 @@ def test_singular_ambient_metric_raises_typed_error():
     """g is inverted once per point, with the determinant floor, before the
     normal is formed: a singular ambient metric is a NonInvertibleMetric."""
     zero = MetricField(3, lambda p: np.zeros(p.shape[:-1] + (3, 3)), ChartBox.cube(3, 2.0),
-                       partials=lambda p: np.zeros(p.shape[:-1] + (3, 3, 3)), name="zero")
+                       first_jet=lambda p: (np.zeros(p.shape[:-1] + (3, 3)),
+                                            np.zeros(p.shape[:-1] + (3, 3, 3))), name="zero")
     with pytest.raises(NonInvertibleMetric):
         fundamental_forms(gallery.saddle_patch(), zero, [0.1, 0.2])
 
