@@ -189,7 +189,8 @@ class MetricField:
         ``dg[..., k, i, j] = d g_ij / d x^k``, shape (..., dim, dim, dim).
     jet : optional callable, points (..., dim) -> ``(g, dg, d2g)``, with
         the second derivatives ``d2g[..., k, l, i, j] = d^2 g_ij / d x^k d x^l``,
-        shape (..., dim, dim, dim, dim).
+        shape (..., dim, dim, dim, dim); it needs ``first_jet``, else
+        ValueError.
     fd_step : finite-difference step used for any missing derivative.
 
     The hooks return jet prefixes, so that one read gives g with its
@@ -206,6 +207,8 @@ class MetricField:
     def __init__(self, dim, matrix, box, first_jet=None, jet=None, fd_step=1e-3, name=""):
         if dim not in (2, 3):
             raise ValueError(f"a MetricField has dim 2 or 3, got {dim}")
+        if jet is not None and first_jet is None:
+            raise ValueError("a MetricField with a jet hook needs a first_jet hook")
         self.dim = dim
         self._matrix = matrix
         self.box = box
@@ -216,7 +219,7 @@ class MetricField:
 
     @property
     def has_analytic_partials(self):
-        return self._first_jet is not None or self._jet is not None
+        return self._first_jet is not None
 
     def require_inside(self, p, margin=0.0):
         self.box.require_inside(p, margin, self.name or "metric")
@@ -242,8 +245,6 @@ class MetricField:
         """``(g, dg)`` at p, one point or an (N, dim) batch, from one read of
         a hook; without one, dg is central differences of the matrix."""
         if self._first_jet is None:
-            if self._jet is not None:
-                return self.jet(p)[:2]
             return self.matrix(p), _fd.gradient(self.matrix, p, self.fd_step)
         p = self._points(p)
         g, dg = self._first_jet(p)
@@ -652,10 +653,19 @@ def metric_from_expressions(fields, box, name="custom"):
     variables = ("u", "v", "w")[:dim]
     entries = trees_by_index(fields, {f"g{i + 1}{j + 1}": (min(i, j), max(i, j))
                                       for i in range(dim) for j in range(dim)}, "metric file")
+    # entries of one text share one Expression and its derivatives, so they
+    # are differentiated and walked once
+    shared = {}
+    entries = {ij: shared.setdefault(e.text, e) for ij, e in entries.items()}
+
+    def derivative(e, k):
+        key = (e.text, k)
+        if key not in shared:
+            shared[key] = e.derivative(variables[k])
+        return shared[key]
     # [k, i, j] = d g_ij / d x^k, then [k, l, i, j] = d^2 g_ij / d x^k d x^l, k <= l
-    first = {(k,) + ij: e.derivative(variables[k]) for ij, e in entries.items()
-             for k in range(dim)}
-    second = {(k, l, i, j): d.derivative(variables[l]) for (k, i, j), d in first.items()
+    first = {(k,) + ij: derivative(e, k) for ij, e in entries.items() for k in range(dim)}
+    second = {(k, l, i, j): derivative(d, l) for (k, i, j), d in first.items()
               for l in range(k, dim)}
     g = (entries, (dim,) * 2, ((0, 1),))
     dg = (first, (dim,) * 3, ((1, 2),))

@@ -357,12 +357,23 @@ class _Code:
 
     def __init__(self, variables):
         self.variables, self.lines, self.names, self.read = variables, [], {}, set()
+        self.walked = {}
         self.namespace = {"_errstate": np.errstate, "_RAISE": _RAISE, "_zeros": np.zeros,
                           "_power": np.power,
                           **{f"_{f}": ufunc for f, ufunc in _FUNCTIONS.items()}}
 
     def name(self, node):
         """The name that holds the value of ``node``, after the lines of its subtrees."""
+        # a subtree shared by identity, as derivatives and equal entries share
+        # theirs, is walked once
+        seen = self.walked.get(id(node))
+        if seen is not None:
+            return seen[1]
+        name = self._name(node)
+        self.walked[id(node)] = (node, name)  # the node kept alive keeps its id
+        return name
+
+    def _name(self, node):
         tag = node[0]
         if tag == "num":  # unsigned and not NaN, so equal constants are interchangeable
             return self.bind(node[1])

@@ -242,34 +242,36 @@ def hyperbolic_deformed(t, profile="tanh"):
 # surface patches
 
 
+def _on_box(parsed, box, name):
+    """A copy of a parsed patch or metric with its own box and name; the
+    copies of one text share its leaves, which are pure."""
+    out = copy.copy(parsed)
+    out.box, out.name = box, name
+    return out
+
+
 def _surface_text(box, name, *phi):
     """The patch of the texts of phi1, phi2 and phi3 in (u, v) on ``box``."""
-    patch = copy.copy(_parsed_surface(*phi))
-    patch.box, patch.name = box, name
-    return patch
+    return _on_box(_parsed_surface(*phi), box, name)
 
 
 @functools.lru_cache(maxsize=64)
 def _parsed_surface(*phi):
-    """The patch of surface text, parsed and differentiated once per text:
-    every example build reads it, and its leaves are pure, so the patches
-    of one text share them."""
+    """The patch of surface text, parsed and differentiated once per text,
+    since every example build reads it."""
     fields = {f"phi{i + 1}": Expression(text, ("u", "v")) for i, text in enumerate(phi)}
     return surface_from_expressions(fields, None)
 
 
 def _metric_text(box, name, **entries):
     """The metric of the texts of ``entries`` (``g11=...``) on ``box``."""
-    metric = copy.copy(_parsed_metric(box.dim, *sorted(entries.items())))
-    metric.box, metric.name = box, name
-    return metric
+    return _on_box(_parsed_metric(box.dim, *sorted(entries.items())), box, name)
 
 
 @functools.lru_cache(maxsize=64)
 def _parsed_metric(dim, *entries):
     """The metric of metric text in the first ``dim`` of u, v, w, parsed and
-    differentiated once per text, as ``_parsed_surface`` does for patches;
-    ``_metric_text`` gives each copy its box."""
+    differentiated once per text, as ``_parsed_surface`` does for patches."""
     variables = ("u", "v", "w")[:dim]
     fields = {key: Expression(text, variables) for key, text in entries}
     return metric_from_expressions(fields, ChartBox.cube(dim, 1.0))

@@ -240,6 +240,12 @@ def test_metric_field_takes_dims_2_and_3_only():
             MetricField(dim, lambda p: np.eye(dim), ChartBox.cube(dim, 1.0))
 
 
+def test_metric_field_jet_hook_needs_a_first_jet_hook():
+    with pytest.raises(ValueError, match="needs a first_jet hook"):
+        MetricField(2, lambda p: np.eye(2), ChartBox.cube(2, 1.0),
+                    jet=lambda p: (np.eye(2), np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2))))
+
+
 @pytest.mark.parametrize("p", [np.zeros(2), np.zeros((3, 2))], ids=["point", "batch"])
 def test_metric_leaf_of_the_wrong_shape_raises_naming_the_leaf(p):
     """A dim-2 metric whose matrix leaf gives 3x3 matrices raises ValueError

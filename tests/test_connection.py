@@ -528,7 +528,11 @@ def test_torsion_curvature_needs_stencil_room():
         calls.append(q)
         return np.array([0.1, 0.2])
 
-    counted = MetricField(2, matrix, metric.box, first_jet=metric.first_jet, jet=metric.jet)
+    def counted_hook(read):
+        return lambda q: (calls.append(q), read(q))[1]
+
+    counted = MetricField(2, matrix, metric.box, first_jet=counted_hook(metric.first_jet),
+                          jet=counted_hook(metric.jet))
     data = SurfaceConnectionData.from_metric_and_torsion(counted, tau)
     for q in ([4.0 - 0.5 * CURVATURE_FD_STEP, 0.3], [1.0, -8.0 + 0.5 * CURVATURE_FD_STEP]):
         with pytest.raises(PointOutsideChart):
@@ -542,8 +546,10 @@ def test_torsion_curvature_near_the_edge_of_a_pure_fd_metric():
     """K(III) needs only the reach of its metric's stencil, fd_margin, from
     the chart edge, beyond the curl's CURVATURE_FD_STEP: 3.5e-3 of room
     suffices for the round sphere's matrix alone, pure central differences
-    with a margin of 2e-3 (K~ off by 2.2e-8), and 1.5e-3 for the sphere's
-    metric text, whose exact jet has a margin of 0."""
+    with a margin of 2e-3 (K~ off by 2.2e-8), and for its matrix with exact
+    first partials, whose second are differences of the first (margin 2e-3,
+    as an induced metric has); 1.5e-3 for the sphere's metric text, whose
+    exact jet has a margin of 0."""
     sphere = gallery.abstract_sphere()
     metric = sphere.iii_field
     assert metric.fd_margin() == 0.0
@@ -551,6 +557,11 @@ def test_torsion_curvature_near_the_edge_of_a_pure_fd_metric():
         MetricField(2, metric.matrix, metric.box), lambda q: np.zeros(2))
     assert pure_fd.iii_field.fd_margin() == 2e-3
     assert abs(pure_fd.curvature([2.4965, 0.0]) - 1.0) < 1e-7
+    first_only = SurfaceConnectionData.from_metric_and_torsion(
+        MetricField(2, metric.matrix, metric.box, first_jet=metric.first_jet),
+        lambda q: np.zeros(2))
+    assert first_only.iii_field.fd_margin() == 2e-3
+    assert abs(first_only.curvature([2.4965, 0.0]) - 1.0) < 1e-8
     assert abs(sphere.curvature([2.4985, 0.0]) - 1.0) < 1e-8
 
 
